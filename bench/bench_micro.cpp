@@ -145,6 +145,63 @@ void BM_CraRoundWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_CraRoundWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// The CRA round on an Extract-shaped alpha: one run of k ~ U{1..20} equal
+// values per user, users in order, which is what phase 2's run-level sort
+// is built for (the arms above use all-distinct values). Arg 0 is the user
+// count; arg 1 the target band ratio in percent, i.e. the share of unit
+// asks at or below the threshold: q + m_i is set to that share of |alpha|
+// (the sample minimum sits near rank q + m_i), and 100 sets it to 1000
+// |alpha| so the sample is almost always empty and the whole book is the
+// band. Reports the measured band ratio and heap allocations per round,
+// which must be 0: the buffers whose size follows the round's random n_s
+// are reserved to |alpha| up front (their high-water mark), and the
+// warm-up lets every branch (thinning, step-5 sampling) size the rest.
+void BM_CraRoundUnitRuns(benchmark::State& state) {
+  const auto users = static_cast<std::size_t>(state.range(0));
+  const auto band_pct = static_cast<std::uint64_t>(state.range(1));
+  rng::Rng gen(5);
+  std::vector<double> asks;
+  for (std::size_t u = 0; u < users; ++u) {
+    const double v = gen.uniform_real_left_open(0.0, 10.0);
+    asks.insert(asks.end(), static_cast<std::size_t>(gen.uniform_int(1, 20)),
+                v);
+  }
+  const std::uint64_t budget =
+      band_pct >= 100 ? 1000 * asks.size() : asks.size() * band_pct / 100;
+  core::CraParams params;
+  params.q = static_cast<std::uint32_t>(budget / 2);
+  params.m_i = static_cast<std::uint32_t>(budget - budget / 2);
+  rng::Rng rng(6);
+  core::CraWorkspace ws;
+  core::CraOutcome out;
+  ws.chosen.reserve(asks.size());
+  ws.winners.reserve(asks.size());
+  ws.sample_pool.reserve(asks.size());
+  for (int warm = 0; warm < 64; ++warm) {
+    core::run_cra(asks, params, rng, ws, out);
+  }
+  std::uint64_t band_asks = 0;
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    core::run_cra(asks, params, rng, ws, out);
+    band_asks += out.raw_count;
+    benchmark::DoNotOptimize(out.num_winners);
+  }
+  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  const double rounds = static_cast<double>(state.iterations());
+  state.counters["heap_allocs_per_round"] = benchmark::Counter(
+      rounds > 0 ? static_cast<double>(after - before) / rounds : 0.0);
+  state.counters["band_ratio"] = benchmark::Counter(
+      rounds > 0 ? static_cast<double>(band_asks) /
+                       (rounds * static_cast<double>(asks.size()))
+                 : 0.0);
+  state.counters["unit_asks"] =
+      benchmark::Counter(static_cast<double>(asks.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(asks.size()));
+}
+BENCHMARK(BM_CraRoundUnitRuns)->Args({6000, 14})->Args({6000, 100});
+
 void BM_Extract(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   rng::Rng rng(4);

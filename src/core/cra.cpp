@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 // rit-lint: allow-file(testkit-only-injection)
 #include "common/bug_inject.h"
@@ -37,31 +36,68 @@ std::uint64_t consensus_round_down(std::uint64_t count, double y,
 
 namespace {
 
-// Ascending-value index order with ties first in index order, then shuffled
-// uniformly: equal asks must be treated equally ("anonymity"), otherwise
-// "the smallest n asks" would systematically favour whichever user Extract
-// happened to expand first. The index tie-break makes plain sort produce
-// exactly what stable_sort over values would — without stable_sort's
-// per-call temporary buffer, keeping the round allocation-free.
+// Ascending-value index order with ties shuffled uniformly: equal asks must
+// be treated equally ("anonymity"), otherwise "the smallest n asks" would
+// systematically favour whichever user Extract happened to expand first.
+// The order is defined as: sort indices by (value, index), then shuffle
+// each maximal group of equal values, groups in ascending value order.
+//
+// It is built from runs instead of unit asks. Sorting the maximal runs of
+// equal adjacent values by (value, start) and expanding them gives exactly
+// the (value, index) order, because equal-valued runs are disjoint index
+// ranges. Only tie groups with value <= `limit` are written to `order`;
+// a group above it replays its Fisher-Yates draws without writing, so the
+// draws consumed match the full sort-and-shuffle.
 void sorted_order_with_shuffled_ties(std::span<const double> asks,
-                                     std::vector<std::uint32_t>& order,
+                                     double limit, CraWorkspace& ws,
                                      rng::Rng& rng) {
-  order.resize(asks.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (asks[a] != asks[b]) return asks[a] < asks[b];
-#if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
-              return a > b;  // planted: ties enter the shuffle reversed
-#else
-              return a < b;
-#endif
-            });
-  for (std::size_t i = 0; i < order.size();) {
-    std::size_t j = i + 1;
-    while (j < order.size() && asks[order[j]] == asks[order[i]]) ++j;
-    if (j - i > 1) rng.shuffle(std::span<std::uint32_t>(&order[i], j - i));
+  using ValueRun = CraWorkspace::ValueRun;
+  std::vector<ValueRun>& runs = ws.runs;
+  runs.clear();
+  const auto n = static_cast<std::uint32_t>(asks.size());
+  for (std::uint32_t i = 0; i < n;) {
+    std::uint32_t j = i + 1;
+    while (j < n && asks[j] == asks[i]) ++j;
+    runs.push_back(ValueRun{asks[i], i, j - i});
     i = j;
+  }
+  std::sort(runs.begin(), runs.end(), [](const ValueRun& a, const ValueRun& b) {
+    if (a.value != b.value) return a.value < b.value;
+#if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
+    return a.start > b.start;  // planted: ties enter the shuffle reversed
+#else
+    return a.start < b.start;
+#endif
+  });
+
+  std::vector<std::uint32_t>& order = ws.order;
+  order.clear();
+  order.reserve(asks.size());  // no regrowth when a later band is wider
+  for (std::size_t r = 0; r < runs.size();) {
+    std::size_t e = r + 1;
+    std::size_t group = runs[r].len;
+    while (e < runs.size() && runs[e].value == runs[r].value) {
+      group += runs[e].len;
+      ++e;
+    }
+    if (runs[r].value <= limit) {
+      const std::size_t first = order.size();
+      for (std::size_t k = r; k < e; ++k) {
+        for (std::uint32_t u = 0; u < runs[k].len; ++u) {
+#if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
+          order.push_back(runs[k].start + runs[k].len - 1 - u);
+#else
+          order.push_back(runs[k].start + u);
+#endif
+        }
+      }
+      if (group > 1) {
+        rng.shuffle(std::span<std::uint32_t>(&order[first], group));
+      }
+    } else {
+      for (std::size_t i = group; i > 1; --i) (void)rng.uniform_index(i);
+    }
+    r = e;
   }
 }
 
@@ -95,7 +131,8 @@ void run_cra(std::span<const double> asks, const CraParams& params,
     // Ablation arm: a plain (q+m_i+1)-st lowest price round. Needs at least
     // budget+1 asks to define the price; ties shuffled like the main path.
     if (asks.size() < budget + 1) return;
-    sorted_order_with_shuffled_ties(asks, ws.order, rng);
+    sorted_order_with_shuffled_ties(
+        asks, std::numeric_limits<double>::infinity(), ws, rng);
     const double price = asks[ws.order[budget]];
     out.sample_min = price;
     out.raw_count = budget;
@@ -148,7 +185,8 @@ void run_cra(std::span<const double> asks, const CraParams& params,
 
   // Phase 2 of the CRA round: winner selection and pricing (steps 3-5).
   RIT_TRACE_SPAN("cra.phase2");
-  sorted_order_with_shuffled_ties(asks, ws.order, rng);
+  sorted_order_with_shuffled_ties(asks, s, ws, rng);
+  RIT_CHECK(ws.order.size() == out.raw_count);  // n_s <= raw: in the band
 
   // Step 3: potential winners, in ascending-value order.
   std::vector<std::uint32_t>& chosen = ws.chosen;

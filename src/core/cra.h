@@ -77,6 +77,15 @@ struct CraOutcome {
 /// round performs no heap allocation. Contents are scratch only — nothing
 /// in here carries state between rounds.
 struct CraWorkspace {
+  /// One maximal run of equal adjacent values in the ask vector: Extract
+  /// lays alpha out as k'_j copies of user j's value, so a type's ~k-fold
+  /// more unit asks collapse to about one run per user.
+  struct ValueRun {
+    double value;
+    std::uint32_t start;
+    std::uint32_t len;
+  };
+  std::vector<ValueRun> runs;
   std::vector<std::uint32_t> order;
   std::vector<std::uint32_t> chosen;
   std::vector<std::uint32_t> winners;
@@ -86,6 +95,12 @@ struct CraWorkspace {
 
 /// Runs one CRA round over the unit-ask values `asks` (the alpha vector
 /// produced by Extract). Deterministic given `rng` state.
+///
+/// Cost: O(|alpha| + r log r + b) for r maximal runs of equal adjacent
+/// values and b asks at or below the threshold s. Phase 2 sorts runs, not
+/// unit asks, and expands only the band <= s that can win; tie groups
+/// above s replay their shuffle draws without writing, so the random
+/// stream equals a full sort of every unit ask.
 CraOutcome run_cra(std::span<const double> asks, const CraParams& params,
                    rng::Rng& rng);
 

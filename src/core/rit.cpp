@@ -219,11 +219,18 @@ RitResult run_rit(const Job& job, std::span<const Ask> asks,
 void run_rit_into(const Job& job, std::span<const Ask> asks,
                   const tree::IncentiveTree& tree, const RitConfig& config,
                   rng::Rng& rng, RitWorkspace& ws, RitResult& out) {
+  run_auction_phase_into(job, asks, config, rng, ws, out);
+  run_payment_phase_into(asks, tree, config, ws, out);
+}
+
+void run_payment_phase_into(std::span<const Ask> asks,
+                            const tree::IncentiveTree& tree,
+                            const RitConfig& config, RitWorkspace& ws,
+                            RitResult& out) {
   RIT_CHECK_MSG(tree.num_participants() == asks.size(),
                 "tree has " << tree.num_participants()
                             << " participants but " << asks.size()
                             << " asks were submitted");
-  run_auction_phase_into(job, asks, config, rng, ws, out);
   if (!out.success) return;  // fail closed: everything already zeroed
 
   std::vector<TaskType>& types = ws.types;

@@ -168,9 +168,19 @@ void run_rit_into(const Job& job, std::span<const Ask> asks,
                   const tree::IncentiveTree& tree, const RitConfig& config,
                   rng::Rng& rng, RitWorkspace& ws, RitResult& out);
 
-/// See run_rit_into.
+/// See run_rit_into. run_rit_into is exactly this followed by
+/// run_payment_phase_into on the same result.
 void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
                             const RitConfig& config, rng::Rng& rng,
                             RitWorkspace& ws, RitResult& out);
+
+/// Phase 2 on the result of run_auction_phase_into: when the auction
+/// succeeded, replaces `out.payment` with the tree payments; a failed
+/// result is left as the auction phase wrote it. Draws no randomness.
+/// Throws CheckFailure when the tree and the asks disagree in size.
+void run_payment_phase_into(std::span<const Ask> asks,
+                            const tree::IncentiveTree& tree,
+                            const RitConfig& config, RitWorkspace& ws,
+                            RitResult& out);
 
 }  // namespace rit::core

@@ -16,6 +16,8 @@ struct TrialMetrics {
   double avg_utility_rit{0.0};
   double total_payment_auction{0.0};
   double total_payment_rit{0.0};
+  /// Both times come from the one mechanism run of the trial: the auction
+  /// phase is timed inside it, so runtime_auction_ms <= runtime_rit_ms.
   double runtime_auction_ms{0.0};
   double runtime_rit_ms{0.0};
 

@@ -53,44 +53,37 @@ TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst,
   const auto& costs = inst.population.costs;
   const auto n = static_cast<double>(inst.population.size());
 
-  // Auction phase alone, timed. Same seed as the full run: phase 1 of both
-  // runs consumes the identical random stream, so allocations and auction
-  // payments coincide and the series isolate the payment phase's effect.
+  // One mechanism run, timed twice: runtime_auction_ms stops after the
+  // auction phase and runtime_rit_ms after the payment phase. The auction
+  // series read auction_payment, which the payment phase leaves untouched,
+  // so they isolate the payment phase's effect on the same outcome.
+  core::RitResult res;
   {
     rng::Rng rng(inst.mechanism_seed);
     stats::Timer timer;
-    const core::RitResult auction =
-        core::run_auction_phase(inst.job, asks, scenario.mechanism, rng, ws);
+    core::run_auction_phase_into(inst.job, asks, scenario.mechanism, rng, ws,
+                                 res);
     m.runtime_auction_ms = timer.elapsed_ms();
-    double total_utility = 0.0;
-    for (std::uint32_t j = 0; j < inst.population.size(); ++j) {
-      total_utility += auction.auction_utility_of(j, costs[j]);
-    }
-    m.avg_utility_auction = n > 0 ? total_utility / n : 0.0;
-    m.total_payment_auction = auction.total_auction_payment();
-  }
-
-  // Full mechanism, timed end to end.
-  {
-    rng::Rng rng(inst.mechanism_seed);
-    stats::Timer timer;
-    const core::RitResult full =
-        core::run_rit(inst.job, asks, inst.tree, scenario.mechanism, rng, ws);
+    core::run_payment_phase_into(asks, inst.tree, scenario.mechanism, ws, res);
     m.runtime_rit_ms = timer.elapsed_ms();
-    m.success = full.success;
-    m.probability_degraded = full.probability_degraded;
-    double total_utility = 0.0;
-    std::uint64_t allocated = 0;
-    for (std::uint32_t j = 0; j < inst.population.size(); ++j) {
-      total_utility += full.utility_of(j, costs[j]);
-      allocated += full.allocation[j];
-    }
-    m.avg_utility_rit = n > 0 ? total_utility / n : 0.0;
-    m.total_payment_rit = full.total_payment();
-    m.tasks_allocated = allocated;
-    m.solicitation_premium =
-        core::solicitation_premium(full.payment, full.auction_payment);
   }
+  m.success = res.success;
+  m.probability_degraded = res.probability_degraded;
+  double auction_utility = 0.0;
+  double rit_utility = 0.0;
+  std::uint64_t allocated = 0;
+  for (std::uint32_t j = 0; j < inst.population.size(); ++j) {
+    auction_utility += res.auction_utility_of(j, costs[j]);
+    rit_utility += res.utility_of(j, costs[j]);
+    allocated += res.allocation[j];
+  }
+  m.avg_utility_auction = n > 0 ? auction_utility / n : 0.0;
+  m.avg_utility_rit = n > 0 ? rit_utility / n : 0.0;
+  m.total_payment_auction = res.total_auction_payment();
+  m.total_payment_rit = res.total_payment();
+  m.tasks_allocated = allocated;
+  m.solicitation_premium =
+      core::solicitation_premium(res.payment, res.auction_payment);
   RIT_COUNTER_ADD("sim.tasks_allocated", m.tasks_allocated);
   if (m.probability_degraded) RIT_COUNTER_INC("sim.trials_degraded");
   return m;

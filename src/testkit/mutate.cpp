@@ -60,11 +60,14 @@ std::vector<std::uint32_t> random_parents(std::uint32_t n, rng::Rng& rng) {
       }
       break;
     default: {  // solicitation over a scale-free social graph (Sec. 7-A)
-      const auto edges_per_node =
-          1 + static_cast<std::uint32_t>(rng.uniform_index(3));
+      // Barabasi-Albert needs more nodes than edges per node; clamping after
+      // the draw keeps every previously valid case generating as before.
+      const std::uint32_t nodes = std::max<std::uint32_t>(n, 2);
+      const auto edges_per_node = std::min<std::uint32_t>(
+          1 + static_cast<std::uint32_t>(rng.uniform_index(3)), nodes - 1);
       rng::Rng graph_rng = rng.split();
-      const graph::Graph g = graph::barabasi_albert(
-          std::max<std::uint32_t>(n, 2), edges_per_node, graph_rng);
+      const graph::Graph g =
+          graph::barabasi_albert(nodes, edges_per_node, graph_rng);
       tree::SpanningForestOptions opts;
       opts.seeds = {0};
       const tree::SpanningForestResult forest =

@@ -60,10 +60,12 @@ std::uint64_t naive_consensus_round_down(std::uint64_t count, double y,
   return static_cast<std::uint64_t>(std::floor(std::pow(base, z + y)));
 }
 
-/// Ascending-value order with ties shuffled. std::stable_sort on the value
-/// alone reproduces production's plain sort with an index tie-break (both
-/// leave equal values in ascending index order before the shuffle), and
-/// the per-run shuffles then consume identical draws.
+/// Ascending-value order with ties shuffled, over every unit ask.
+/// std::stable_sort on the value alone leaves equal values in ascending
+/// index order before the shuffle, which is the order production builds
+/// from sorted runs of equal adjacent values. Production writes only the
+/// band at or below the threshold and replays the shuffle draws of the tie
+/// groups above it, so both consume identical draws.
 std::vector<std::uint32_t> naive_sorted_shuffled(
     const std::vector<double>& values, rng::Rng& rng) {
   std::vector<std::uint32_t> order(values.size());

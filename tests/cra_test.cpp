@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -487,6 +490,218 @@ TEST(Cra, UniformWinnerSelectionAmongChosen) {
   ASSERT_GT(total, 1000);
   for (int w = 0; w < 4; ++w) {
     EXPECT_NEAR(static_cast<double>(wins[w]) / total, 0.25, 0.05);
+  }
+}
+
+// --- Equivalence with a full sort of every unit ask -----------------------
+// run_cra sorts runs of equal adjacent values and expands only the band at
+// or below the threshold. The reference below is the straightforward
+// definition it must reproduce draw for draw: sort every unit ask by
+// (value, index), shuffle each group of equal values, then run steps 3-5.
+
+void full_sort_with_shuffled_ties(std::span<const double> asks,
+                                  std::vector<std::uint32_t>& order,
+                                  rng::Rng& rng) {
+  order.resize(asks.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              if (asks[a] != asks[b]) return asks[a] < asks[b];
+              return a < b;
+            });
+  for (std::size_t i = 0; i < order.size();) {
+    std::size_t j = i + 1;
+    while (j < order.size() && asks[order[j]] == asks[order[i]]) ++j;
+    if (j - i > 1) rng.shuffle(std::span<std::uint32_t>(&order[i], j - i));
+    i = j;
+  }
+}
+
+CraOutcome reference_run_cra(std::span<const double> asks,
+                             const CraParams& params, rng::Rng& rng) {
+  CraOutcome out;
+  out.won.assign(asks.size(), false);
+  if (asks.empty() || params.q == 0) return out;
+  const std::uint64_t budget =
+      static_cast<std::uint64_t>(params.q) + params.m_i;
+  std::vector<std::uint32_t> order;
+  if (params.price_mode == PriceMode::kOrderStatistic) {
+    if (asks.size() < budget + 1) return out;
+    full_sort_with_shuffled_ties(asks, order, rng);
+    const double price = asks[order[budget]];
+    out.sample_min = price;
+    out.raw_count = budget;
+    out.consensus_count = budget;
+    for (std::size_t i : rng.sample_without_replacement(budget, params.q)) {
+      out.won[order[i]] = true;
+    }
+    out.num_winners = params.q;
+    out.clearing_price = price;
+    return out;
+  }
+  const double sample_p = 1.0 / static_cast<double>(budget);
+  double s = std::numeric_limits<double>::infinity();
+  bool sampled_any = false;
+  for (double v : asks) {
+    if (rng.bernoulli(sample_p)) {
+      sampled_any = true;
+      s = std::min(s, v);
+    }
+  }
+  if (!sampled_any) {
+    if (params.empty_sample == EmptySamplePolicy::kNoWinners) return out;
+    s = *std::max_element(asks.begin(), asks.end());
+  }
+  out.sample_min = s;
+  const double y = rng.uniform01();
+  out.raw_count = static_cast<std::uint64_t>(std::count_if(
+      asks.begin(), asks.end(), [&](double v) { return v <= s; }));
+  const std::uint64_t n_s =
+      consensus_round_down(out.raw_count, y, params.consensus_grid_base);
+  out.consensus_count = n_s;
+  if (n_s == 0) return out;
+
+  full_sort_with_shuffled_ties(asks, order, rng);
+  std::vector<std::uint32_t> chosen;
+  if (n_s <= budget) {
+    chosen.assign(order.begin(),
+                  order.begin() + static_cast<std::ptrdiff_t>(n_s));
+  } else {
+    const double keep_p =
+        static_cast<double>(budget) / (2.0 * static_cast<double>(n_s));
+    for (std::uint64_t i = 0; i < n_s; ++i) {
+      if (rng.bernoulli(keep_p)) chosen.push_back(order[i]);
+    }
+  }
+  double price = s;
+  if (chosen.size() > budget) {
+    price = asks[chosen[budget]];
+    chosen.resize(budget);
+    out.used_budget_price = true;
+  }
+  if (chosen.size() > params.q) {
+    std::vector<std::uint32_t> winners;
+    for (std::size_t i :
+         rng.sample_without_replacement(chosen.size(), params.q)) {
+      winners.push_back(chosen[i]);
+    }
+    chosen = std::move(winners);
+  }
+  for (std::uint32_t w : chosen) out.won[w] = true;
+  out.num_winners = static_cast<std::uint32_t>(chosen.size());
+  out.clearing_price = chosen.empty() ? 0.0 : price;
+  return out;
+}
+
+/// An Extract-shaped alpha vector: one run of k ~ U{1..20} equal values per
+/// user, users in ascending order. With `levels` > 0 values are drawn from
+/// {1, ..., levels}, so equal values recur in non-adjacent runs.
+std::vector<double> extract_shaped_book(std::size_t users, int levels,
+                                        rng::Rng& rng) {
+  std::vector<double> asks;
+  for (std::size_t u = 0; u < users; ++u) {
+    const double v =
+        levels > 0 ? static_cast<double>(rng.uniform_int(1, levels))
+                   : rng.uniform_real_left_open(0.0, 10.0);
+    asks.insert(asks.end(), static_cast<std::size_t>(rng.uniform_int(1, 20)),
+                v);
+  }
+  return asks;
+}
+
+/// Runs `rounds` rounds from matched rng states through run_cra (one
+/// reused workspace) and the reference; outcomes and the next draw after
+/// each call must be identical. Returns how many rounds had winners.
+int expect_matches_full_sort(std::span<const double> asks,
+                             const CraParams& params, int rounds,
+                             std::uint64_t seed) {
+  CraWorkspace ws;
+  CraOutcome got;
+  int productive = 0;
+  for (int r = 0; r < rounds; ++r) {
+    rng::Rng a(seed + static_cast<std::uint64_t>(r));
+    rng::Rng b(seed + static_cast<std::uint64_t>(r));
+    run_cra(asks, params, a, ws, got);
+    const CraOutcome want = reference_run_cra(asks, params, b);
+    EXPECT_EQ(got.won, want.won) << "round " << r;
+    EXPECT_EQ(got.num_winners, want.num_winners) << "round " << r;
+    EXPECT_EQ(got.clearing_price, want.clearing_price) << "round " << r;
+    EXPECT_EQ(got.sample_min, want.sample_min) << "round " << r;
+    EXPECT_EQ(got.raw_count, want.raw_count) << "round " << r;
+    EXPECT_EQ(got.consensus_count, want.consensus_count) << "round " << r;
+    EXPECT_EQ(got.used_budget_price, want.used_budget_price) << "round " << r;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "stream diverged, round " << r;
+    productive += got.num_winners > 0 ? 1 : 0;
+  }
+  return productive;
+}
+
+TEST(CraFullSortEquivalence, AllEqualBook) {
+  const std::vector<double> asks(600, 3.5);
+  EXPECT_GT(expect_matches_full_sort(asks, {.q = 20, .m_i = 150}, 100, 100),
+            0);
+}
+
+TEST(CraFullSortEquivalence, AllDistinctBook) {
+  rng::Rng gen(31);
+  std::vector<double> asks(2000);
+  for (double& a : asks) a = gen.uniform_real_left_open(0.0, 10.0);
+  EXPECT_GT(expect_matches_full_sort(asks, {.q = 30, .m_i = 100}, 100, 200),
+            0);
+}
+
+TEST(CraFullSortEquivalence, CrossUserTiesInNonAdjacentRuns) {
+  rng::Rng gen(32);
+  for (const int levels : {3, 12, 40}) {
+    const std::vector<double> asks = extract_shaped_book(300, levels, gen);
+    EXPECT_GT(
+        expect_matches_full_sort(asks, {.q = 40, .m_i = 200}, 60, 300), 0);
+  }
+}
+
+TEST(CraFullSortEquivalence, ExtractShapedContinuousValues) {
+  rng::Rng gen(33);
+  const std::vector<double> asks = extract_shaped_book(500, 0, gen);
+  EXPECT_GT(expect_matches_full_sort(asks, {.q = 50, .m_i = 300}, 60, 400),
+            0);
+}
+
+TEST(CraFullSortEquivalence, EmptySampleTakesTheWholeBook) {
+  // q + m_i far above |alpha|: the sample is almost always empty, so under
+  // kAllAsks s is the largest ask and the band is every unit ask.
+  rng::Rng gen(34);
+  const std::vector<double> asks = extract_shaped_book(40, 5, gen);
+  const CraParams params{.q = 1000000, .m_i = 1000000,
+                         .empty_sample = EmptySamplePolicy::kAllAsks};
+  EXPECT_GT(expect_matches_full_sort(asks, params, 50, 500), 0);
+}
+
+TEST(CraFullSortEquivalence, ConsensusAboveBudgetThinsTheBand) {
+  // Many equal cheap asks make n_s exceed a small budget: the Bernoulli
+  // thinning and the (q+m_i+1)-st price branch run on the band.
+  rng::Rng gen(35);
+  std::vector<double> asks = extract_shaped_book(120, 2, gen);
+  asks.insert(asks.end(), 7, 9.0);
+  const CraParams params{.q = 3, .m_i = 4};
+  CraWorkspace ws;
+  CraOutcome o;
+  bool thinned = false;
+  for (std::uint64_t r = 0; r < 200 && !thinned; ++r) {
+    rng::Rng rng(600 + r);
+    run_cra(asks, params, rng, ws, o);
+    thinned = o.consensus_count > params.q + params.m_i;
+  }
+  EXPECT_TRUE(thinned);
+  expect_matches_full_sort(asks, params, 200, 600);
+}
+
+TEST(CraFullSortEquivalence, OrderStatisticArm) {
+  rng::Rng gen(36);
+  for (const int levels : {0, 4}) {
+    const std::vector<double> asks = extract_shaped_book(200, levels, gen);
+    const CraParams params{.q = 25, .m_i = 60,
+                           .price_mode = PriceMode::kOrderStatistic};
+    EXPECT_EQ(expect_matches_full_sort(asks, params, 50, 700), 50);
   }
 }
 

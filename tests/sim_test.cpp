@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "common/check.h"
+#include "core/rit.h"
+#include "rng/rng.h"
 #include "sim/metrics.h"
 #include "sim/progress.h"
 #include "sim/runner.h"
@@ -179,6 +181,40 @@ TEST(Runner, PairedSeriesShareTheAuctionOutcome) {
     if (!m.success) continue;
     EXPECT_NEAR(m.solicitation_premium,
                 m.total_payment_rit - m.total_payment_auction, 1e-6);
+  }
+}
+
+TEST(Runner, OneRunMatchesStandaloneAuctionAndFullRuns) {
+  // run_trial runs the mechanism once; its auction columns must equal a
+  // separate auction-phase run on the same seed, and its RIT columns a
+  // separate full run.
+  const Scenario s = small_scenario();
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    const TrialInstance inst = make_instance(s, t);
+    const auto& asks = inst.population.truthful_asks;
+    const TrialMetrics m = run_trial(s, inst);
+
+    rng::Rng auction_rng(inst.mechanism_seed);
+    const core::RitResult auction =
+        core::run_auction_phase(inst.job, asks, s.mechanism, auction_rng);
+    rng::Rng full_rng(inst.mechanism_seed);
+    const core::RitResult full =
+        core::run_rit(inst.job, asks, inst.tree, s.mechanism, full_rng);
+
+    const double n = static_cast<double>(inst.population.size());
+    double auction_utility = 0.0;
+    double rit_utility = 0.0;
+    for (std::uint32_t j = 0; j < inst.population.size(); ++j) {
+      auction_utility +=
+          auction.auction_utility_of(j, inst.population.costs[j]);
+      rit_utility += full.utility_of(j, inst.population.costs[j]);
+    }
+    EXPECT_EQ(m.avg_utility_auction, auction_utility / n);
+    EXPECT_EQ(m.total_payment_auction, auction.total_auction_payment());
+    EXPECT_EQ(m.avg_utility_rit, rit_utility / n);
+    EXPECT_EQ(m.total_payment_rit, full.total_payment());
+    EXPECT_EQ(m.success, full.success);
+    EXPECT_LE(m.runtime_auction_ms, m.runtime_rit_ms);
   }
 }
 
