@@ -11,6 +11,7 @@
 // turns it on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -294,17 +295,44 @@ void BM_BarabasiAlbert(benchmark::State& state) {
 }
 BENCHMARK(BM_BarabasiAlbert)->Arg(10000)->Arg(50000);
 
-void BM_SpanningForest(benchmark::State& state) {
+// The Graph constructor alone (counting-sort CSR build) on a pre-drawn BA
+// edge list in the generator's emission order, grouped by newcomer.
+void BM_GraphCsrBuild(benchmark::State& state) {
+  rng::Rng rng(6);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  std::vector<graph::Edge> drawn = graph::barabasi_albert(n, 3, rng).edges();
+  std::stable_sort(drawn.begin(), drawn.end(),
+                   [](const graph::Edge& a, const graph::Edge& b) {
+                     return a.to < b.to;
+                   });
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<graph::Edge> edges = drawn;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(graph::Graph(n, std::move(edges)));
+  }
+}
+BENCHMARK(BM_GraphCsrBuild)->Arg(80000)->Arg(1000000)->Unit(
+    benchmark::kMillisecond);
+
+// BA arms have dense BFS waves (bitmap wave order); the deep path arm has
+// one claim per wave and guards the density rule that keeps it on the
+// comparison sort (a bitmap scan per wave would make it quadratic).
+void BM_SpanningForest(benchmark::State& state, bool deep) {
   rng::Rng rng(7);
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto g = graph::barabasi_albert(n, 3, rng);
+  const auto g = deep ? graph::path(n) : graph::barabasi_albert(n, 3, rng);
   tree::SpanningForestOptions opts;
   opts.seeds = {0, 1, 2, 3};
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree::build_spanning_forest(g, opts));
   }
 }
-BENCHMARK(BM_SpanningForest)->Arg(10000)->Arg(50000);
+BENCHMARK_CAPTURE(BM_SpanningForest, ba, false)
+    ->Arg(10000)
+    ->Arg(50000)
+    ->Arg(80000);
+BENCHMARK_CAPTURE(BM_SpanningForest, path, true)->Arg(100000);
 
 void BM_FullRit(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

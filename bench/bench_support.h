@@ -13,8 +13,8 @@
 //                 in a fixed order, so counts/min/max/success rates are
 //                 identical for every N; means agree to ~1e-12 (Welford
 //                 merge-order rounding — see EXPERIMENTS.md)
-//   --intra-threads=N  worker threads INSIDE each trial (graph CSR sort,
-//                 spanning-forest wave scan, payment prefix pass; default
+//   --intra-threads=N  worker threads INSIDE each trial (spanning-forest
+//                 wave scan, payment prefix pass; default
 //                 1; 0 = hardware concurrency). Unlike --threads this does
 //                 not fan trials out — it accelerates a single huge trial,
 //                 and every pass is bit-identical at any setting (see

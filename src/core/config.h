@@ -102,7 +102,7 @@ struct RitConfig {
   bool zero_on_failure = true;
 
   /// Worker threads for the deterministic intra-trial parallel passes (the
-  /// payment determination phase today; tree/graph construction take the
+  /// payment determination phase today; tree construction takes the
   /// matching sim::Scenario::intra_threads knob). Every parallel pass uses
   /// a static blocked partition with disjoint writes, so results are
   /// bit-identical at any setting — this knob trades wall-clock for cores,

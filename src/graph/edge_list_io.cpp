@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
+
+#include "common/num_io.h"
 
 namespace rit::graph {
 
@@ -19,16 +22,20 @@ Graph read_edge_list(std::istream& in) {
       line.erase(hash);
     }
     std::istringstream ls(line);
-    std::uint64_t from = 0;
-    std::uint64_t to = 0;
-    if (!(ls >> from)) continue;  // blank / comment-only line
-    RIT_CHECK_MSG(static_cast<bool>(ls >> to),
+    std::string tok[3];
+    if (!(ls >> tok[0])) continue;  // blank / comment-only line
+    RIT_CHECK_MSG(static_cast<bool>(ls >> tok[1]),
                   "edge list line " << line_no << ": missing target id");
-    std::string trailing;
-    RIT_CHECK_MSG(!(ls >> trailing),
+    RIT_CHECK_MSG(!(ls >> tok[2]),
                   "edge list line " << line_no << ": trailing tokens");
-    if (from == to) continue;  // drop self-loops silently, as SNAP tools do
-    raw.emplace_back(from, to);
+    // Strict decimal: no sign, prefix, fraction or wrap past 2^64-1.
+    const auto from = parse_u64(tok[0]);
+    const auto to = parse_u64(tok[1]);
+    RIT_CHECK_MSG(from && to, "edge list line " << line_no << ": node id '"
+                                                << (from ? tok[1] : tok[0])
+                                                << "' is not in [0, 2^64-1]");
+    if (*from == *to) continue;  // drop self-loops silently, as SNAP tools do
+    raw.emplace_back(*from, *to);
   }
 
   // Dense remap, ordered by original id for determinism.
@@ -40,6 +47,9 @@ Graph read_edge_list(std::istream& in) {
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  RIT_CHECK_MSG(ids.size() <= std::numeric_limits<std::uint32_t>::max(),
+                "edge list has " << ids.size()
+                                 << " distinct node ids; at most 2^32-1 fit");
   std::unordered_map<std::uint64_t, std::uint32_t> remap;
   remap.reserve(ids.size());
   for (std::uint32_t i = 0; i < ids.size(); ++i) remap[ids[i]] = i;

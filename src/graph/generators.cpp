@@ -7,7 +7,7 @@
 namespace rit::graph {
 
 Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
-                      rng::Rng& rng, unsigned threads) {
+                      rng::Rng& rng) {
   RIT_CHECK(edges_per_node >= 1);
   RIT_CHECK(num_nodes > edges_per_node);
   std::vector<Edge> edges;
@@ -29,29 +29,21 @@ Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
 
   std::vector<std::uint32_t> picked;
   picked.reserve(edges_per_node);
+  const auto add_if_new = [&picked](std::uint32_t u) {
+    if (std::find(picked.begin(), picked.end(), u) == picked.end()) {
+      picked.push_back(u);
+    }
+  };
   for (std::uint32_t v = seed_n; v < num_nodes; ++v) {
     picked.clear();
     // Draw edges_per_node distinct influencers, degree-proportionally.
     std::size_t guard = 0;
     while (picked.size() < edges_per_node) {
-      std::uint32_t u = endpoints[rng.uniform_index(endpoints.size())];
-      bool dup = false;
-      for (std::uint32_t w : picked) {
-        if (w == u) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) picked.push_back(u);
+      add_if_new(endpoints[rng.uniform_index(endpoints.size())]);
       // Degenerate protection: with tiny seed graphs rejection can loop; fall
       // back to uniform over all existing nodes after excessive rejections.
       if (++guard > 64ull * edges_per_node && picked.size() < edges_per_node) {
-        std::uint32_t u2 = static_cast<std::uint32_t>(rng.uniform_index(v));
-        bool dup2 = false;
-        for (std::uint32_t w : picked) {
-          if (w == u2) dup2 = true;
-        }
-        if (!dup2) picked.push_back(u2);
+        add_if_new(static_cast<std::uint32_t>(rng.uniform_index(v)));
       }
     }
     for (std::uint32_t u : picked) {
@@ -60,11 +52,12 @@ Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
       endpoints.push_back(v);
     }
   }
-  return Graph(num_nodes, std::move(edges), threads);
+  // Release the degree list before the CSR build allocates its own arrays.
+  std::vector<std::uint32_t>().swap(endpoints);
+  return Graph(num_nodes, std::move(edges));
 }
 
-Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng,
-                  unsigned threads) {
+Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng) {
   RIT_CHECK(p >= 0.0 && p <= 1.0);
   std::vector<Edge> edges;
   if (p > 0.0 && num_nodes > 1) {
@@ -87,11 +80,11 @@ Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng,
       ++idx;
     }
   }
-  return Graph(num_nodes, std::move(edges), threads);
+  return Graph(num_nodes, std::move(edges));
 }
 
 Graph watts_strogatz(std::uint32_t num_nodes, std::uint32_t k, double beta,
-                     rng::Rng& rng, unsigned threads) {
+                     rng::Rng& rng) {
   RIT_CHECK(num_nodes >= 3);
   RIT_CHECK(k >= 2 && k % 2 == 0);
   RIT_CHECK(k < num_nodes);
@@ -111,7 +104,7 @@ Graph watts_strogatz(std::uint32_t num_nodes, std::uint32_t k, double beta,
       edges.push_back({v, u});  // influence is mutual in the ring model
     }
   }
-  return Graph(num_nodes, std::move(edges), threads);
+  return Graph(num_nodes, std::move(edges));
 }
 
 Graph star(std::uint32_t num_nodes) {
@@ -131,8 +124,7 @@ Graph path(std::uint32_t num_nodes) {
 }
 
 Graph configuration_model(std::uint32_t num_nodes, double exponent,
-                          std::uint32_t max_degree, rng::Rng& rng,
-                          unsigned threads) {
+                          std::uint32_t max_degree, rng::Rng& rng) {
   RIT_CHECK(num_nodes >= 2);
   RIT_CHECK(exponent > 1.0);
   RIT_CHECK(max_degree >= 1 && max_degree < num_nodes);
@@ -175,7 +167,7 @@ Graph configuration_model(std::uint32_t num_nodes, double exponent,
     }
     for (std::uint32_t v : picked) edges.push_back({u, v});
   }
-  return Graph(num_nodes, std::move(edges), threads);
+  return Graph(num_nodes, std::move(edges));
 }
 
 Graph complete(std::uint32_t num_nodes) {

@@ -2,10 +2,10 @@
 //
 // Each randomized generator draws its edge list from a single sequential
 // RNG stream (edge draws are order-dependent, so the drawing loop cannot be
-// split across workers without changing the graph); the optional `threads`
-// parameter instead parallelizes the CSR construction sort inside Graph's
-// constructor, which dominates at millions of edges and is bit-identical at
-// any thread count.
+// split across workers without changing the graph), then hands it to Graph's
+// linear-time CSR build. Barabási–Albert, Erdős–Rényi, star and path emit
+// each source's targets in ascending order, so the build skips their
+// per-bucket sort.
 //
 // The paper builds its incentive tree from the SNAP ego-Twitter dataset
 // [21]. That dataset is not redistributable with this repository, so per
@@ -28,18 +28,17 @@ namespace rit::graph {
 /// (an influencer recruits the newcomer). Node 0..edges_per_node form a seed
 /// clique. Requires num_nodes > edges_per_node >= 1.
 Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
-                      rng::Rng& rng, unsigned threads = 1);
+                      rng::Rng& rng);
 
 /// Erdős–Rényi G(n, p) digraph (each ordered pair independently with
 /// probability p, no self-loops). Uses geometric skipping, O(E) expected.
-Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng,
-                  unsigned threads = 1);
+Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng);
 
 /// Watts–Strogatz small-world graph, directed variant: ring of
 /// `num_nodes` nodes, each with edges to its next `k/2` neighbours in both
 /// directions, each edge rewired with probability `beta`.
 Graph watts_strogatz(std::uint32_t num_nodes, std::uint32_t k, double beta,
-                     rng::Rng& rng, unsigned threads = 1);
+                     rng::Rng& rng);
 
 /// Star: node 0 -> every other node. Produces a depth-2 incentive tree
 /// (platform -> hub -> leaves); stress-case for solicitation rewards.
@@ -61,7 +60,6 @@ Graph complete(std::uint32_t num_nodes);
 /// ego-Twitter's out-degree tail is roughly exponent ~2. Requires
 /// num_nodes >= 2, exponent > 1, 1 <= max_degree < num_nodes.
 Graph configuration_model(std::uint32_t num_nodes, double exponent,
-                          std::uint32_t max_degree, rng::Rng& rng,
-                          unsigned threads = 1);
+                          std::uint32_t max_degree, rng::Rng& rng);
 
 }  // namespace rit::graph

@@ -2,72 +2,49 @@
 
 #include <algorithm>
 
-#include "common/parallel.h"
-
 namespace rit::graph {
 
-namespace {
-
-bool edge_less(const Edge& a, const Edge& b) {
-  return a.from != b.from ? a.from < b.from : a.to < b.to;
-}
-
-/// Sorts by (from, to). With more than one resolved worker: T contiguous
-/// blocks sorted concurrently, then folded left-to-right with
-/// std::inplace_merge. edge_less is a total order on distinct edges and
-/// equal edges are indistinguishable, so the merged sequence is
-/// byte-identical to the serial std::sort at any thread count.
-void sort_edges(std::vector<Edge>& edges, unsigned threads) {
-  const unsigned t = rit::resolve_threads(threads, edges.size());
-  // Below ~64k edges the spawn + merge overhead beats the win.
-  if (t <= 1 || edges.size() < (1u << 16)) {
-    std::sort(edges.begin(), edges.end(), edge_less);
-    return;
-  }
-  std::vector<std::size_t> bounds(t + 1);
-  for (unsigned w = 0; w <= t; ++w) bounds[w] = edges.size() * w / t;
-  rit::parallel_for_blocked(
-      t, t, [&](std::uint64_t begin, std::uint64_t end, unsigned) {
-        for (std::uint64_t b = begin; b < end; ++b) {
-          std::sort(edges.begin() + static_cast<std::ptrdiff_t>(bounds[b]),
-                    edges.begin() + static_cast<std::ptrdiff_t>(bounds[b + 1]),
-                    edge_less);
-        }
-      });
-  for (unsigned w = 1; w < t; ++w) {
-    std::inplace_merge(edges.begin(),
-                       edges.begin() + static_cast<std::ptrdiff_t>(bounds[w]),
-                       edges.begin() +
-                           static_cast<std::ptrdiff_t>(bounds[w + 1]),
-                       edge_less);
-  }
-}
-
-}  // namespace
-
-Graph::Graph(std::uint32_t num_nodes, std::vector<Edge> edges,
-             unsigned threads)
+Graph::Graph(std::uint32_t num_nodes, std::vector<Edge> edges)
     : num_nodes_(num_nodes) {
+  // Counting sort by source: count out-degrees, then prefix-sum them into
+  // bucket starts.
+  offsets_.assign(std::size_t{num_nodes_} + 1, 0);
   for (const Edge& e : edges) {
     RIT_CHECK_MSG(e.from < num_nodes && e.to < num_nodes,
                   "edge (" << e.from << "," << e.to << ") out of range for "
                            << num_nodes << " nodes");
     RIT_CHECK_MSG(e.from != e.to, "self-loop at node " << e.from);
-  }
-  sort_edges(edges, threads);
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  offsets_.assign(num_nodes_ + 1, 0);
-  targets_.reserve(edges.size());
-  in_degree_.assign(num_nodes_, 0);
-  for (const Edge& e : edges) {
     ++offsets_[e.from + 1];
-    targets_.push_back(e.to);
-    ++in_degree_[e.to];
   }
   for (std::size_t i = 1; i < offsets_.size(); ++i) {
     offsets_[i] += offsets_[i - 1];
   }
+  // Scatter with offsets_[from] as the bucket cursor: afterwards offsets_[u]
+  // holds the end of bucket u, so shifting by one restores the starts.
+  targets_.resize(edges.size());
+  for (const Edge& e : edges) targets_[offsets_[e.from]++] = e.to;
+  std::vector<Edge>().swap(edges);
+  std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+  offsets_[0] = 0;
+
+  // Sort and deduplicate each bucket, compacting in place. Generators emit
+  // most buckets already ascending, so the sort is usually skipped.
+  std::uint32_t* const t = targets_.data();
+  std::size_t write = 0;
+  for (std::uint32_t u = 0; u < num_nodes_; ++u) {
+    std::uint32_t* const begin = t + offsets_[u];
+    std::uint32_t* const end = t + offsets_[u + 1];
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
+    std::uint32_t* const last = std::unique(begin, end);
+    offsets_[u] = write;
+    write = static_cast<std::size_t>(std::move(begin, last, t + write) - t);
+  }
+  offsets_[num_nodes_] = write;
+  targets_.resize(write);
+  targets_.shrink_to_fit();
+
+  in_degree_.assign(num_nodes_, 0);
+  for (std::uint32_t v : targets_) ++in_degree_[v];
 }
 
 bool Graph::has_edge(std::uint32_t u, std::uint32_t v) const {

@@ -24,14 +24,12 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds a CSR graph from an edge list. Self-loops are rejected;
-  /// duplicate edges are deduplicated. Node count is `num_nodes` (edges must
-  /// stay in range). `threads` parallelizes the dominant edge sort with a
-  /// deterministic block-sort + ordered merge; the resulting CSR is
-  /// byte-identical at any thread count (equal edges are identical structs),
-  /// so the knob trades wall-clock for cores, never output.
-  Graph(std::uint32_t num_nodes, std::vector<Edge> edges,
-        unsigned threads = 1);
+  /// Builds a CSR graph from an edge list in O(V + E): a counting sort by
+  /// source, then a per-bucket sort (skipped when the bucket is already
+  /// ascending) and dedup. Self-loops are rejected; duplicate edges are
+  /// deduplicated. Node count is `num_nodes` (edges must stay in range).
+  /// `edges` is released once scattered, before the per-bucket pass.
+  Graph(std::uint32_t num_nodes, std::vector<Edge> edges);
 
   std::uint32_t num_nodes() const { return num_nodes_; }
   std::size_t num_edges() const { return targets_.size(); }

@@ -73,10 +73,10 @@ struct Scenario {
   /// (children of the platform before any solicitation).
   std::uint32_t initial_joiners = 10;
 
-  /// Worker threads for the deterministic intra-trial parallel passes of
-  /// workload generation (the graph CSR sort and the spanning-forest wave
-  /// scan; core::RitConfig::intra_threads covers the payment phase). Every
-  /// pass is bit-identical at any setting, so this knob is deliberately
+  /// Worker threads for the deterministic intra-trial parallel pass of
+  /// workload generation (the spanning-forest wave scan;
+  /// core::RitConfig::intra_threads covers the payment phase). The pass is
+  /// bit-identical at any setting, so this knob is deliberately
   /// excluded from scenario serialization and checkpoint identity: it can
   /// never change what a trial computes, only how fast.
   /// 1 = serial (default); 0 = one per hardware thread.

@@ -51,21 +51,18 @@ graph::Graph generate_graph(const Scenario& scenario, rng::Rng& rng) {
   const std::uint32_t n = scenario.num_users;
   switch (scenario.graph) {
     case GraphKind::kBarabasiAlbert:
-      return graph::barabasi_albert(n, scenario.ba_edges_per_node, rng,
-                                   scenario.intra_threads);
+      return graph::barabasi_albert(n, scenario.ba_edges_per_node, rng);
     case GraphKind::kErdosRenyi: {
       const double p =
           n > 1 ? std::min(1.0, scenario.er_degree / (n - 1)) : 0.0;
-      return graph::erdos_renyi(n, p, rng, scenario.intra_threads);
+      return graph::erdos_renyi(n, p, rng);
     }
     case GraphKind::kWattsStrogatz:
-      return graph::watts_strogatz(n, scenario.ws_k, scenario.ws_beta, rng,
-                                  scenario.intra_threads);
+      return graph::watts_strogatz(n, scenario.ws_k, scenario.ws_beta, rng);
     case GraphKind::kConfigurationModel:
       return graph::configuration_model(
           n, scenario.cm_exponent,
-          std::min(scenario.cm_max_degree, n - 1), rng,
-          scenario.intra_threads);
+          std::min(scenario.cm_max_degree, n - 1), rng);
     case GraphKind::kStar:
       return graph::star(n);
     case GraphKind::kPath:

@@ -1,6 +1,7 @@
 #include "tree/builders.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -8,6 +9,26 @@
 #include "obs/obs.h"
 
 namespace rit::tree {
+
+namespace {
+
+/// Sorts one BFS wave's distinct ids ascending. A dense wave (k >= n/64) is
+/// ordered in O(k + n/64) through the all-zero bitmap `claimed`: set the
+/// bits, then read them back word by word, zeroing each word read. A sparse
+/// wave keeps std::sort, so a deep graph does not pay O(n/64) per wave.
+void sort_wave(std::vector<std::uint32_t>& ids,
+               std::vector<std::uint64_t>& claimed) {
+  if (ids.size() < claimed.size()) return std::sort(ids.begin(), ids.end());
+  for (std::uint32_t v : ids) claimed[v >> 6] |= std::uint64_t{1} << (v & 63);
+  for (std::size_t w = 0, k = 0; k < ids.size(); ++w) {
+    for (std::uint64_t bits = std::exchange(claimed[w], 0); bits != 0;
+         bits &= bits - 1) {
+      ids[k++] = static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+    }
+  }
+}
+
+}  // namespace
 
 SpanningForestResult build_spanning_forest(const graph::Graph& g,
                                            const SpanningForestOptions& opts) {
@@ -20,6 +41,7 @@ SpanningForestResult build_spanning_forest(const graph::Graph& g,
   // inviter[u]: graph node that recruited u; kRootInviter for seeds.
   constexpr std::uint32_t kRootInviter = std::numeric_limits<std::uint32_t>::max() - 1;
   std::vector<std::uint32_t> inviter(n, kUnset);
+  std::vector<std::uint64_t> claimed((std::size_t{n} + 63) / 64, 0);
   std::vector<std::uint32_t> join_order;
   join_order.reserve(std::min(n, cap));
 
@@ -85,7 +107,7 @@ SpanningForestResult build_spanning_forest(const graph::Graph& g,
         }
       }
     }
-    std::sort(next.begin(), next.end());
+    sort_wave(next, claimed);
     const std::size_t size_before = join_order.size();
     for (std::uint32_t v : next) {
       if (join_order.size() >= cap) break;

@@ -2,14 +2,20 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
+#include "csr_reference.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 
 namespace rit::graph {
 namespace {
+
+using reference::expect_csr_matches_reference;
+using reference::scrambled_with_duplicates;
+using reference::sort_unique_reference;
 
 TEST(Graph, EmptyGraph) {
   Graph g(0, {});
@@ -52,6 +58,85 @@ TEST(Graph, EdgesRoundTrip) {
   std::vector<Edge> in{{0, 1}, {1, 2}, {2, 0}};
   Graph g(3, in);
   EXPECT_EQ(g.edges(), in);
+}
+
+TEST(GraphCsr, MatchesSortUniqueReference) {
+  // Random edge lists with duplicates, in drawn and in reversed order.
+  rng::Rng rng(5);
+  for (const std::uint32_t n : {2u, 7u, 300u}) {
+    SCOPED_TRACE(n);
+    std::vector<Edge> edges;
+    for (int i = 0; i < 4000; ++i) {
+      const auto u = static_cast<std::uint32_t>(rng.uniform_index(n));
+      auto v = static_cast<std::uint32_t>(rng.uniform_index(n - 1));
+      if (v >= u) ++v;
+      edges.push_back({u, v});
+    }
+    expect_csr_matches_reference(n, edges);
+    expect_csr_matches_reference(n, {edges.rbegin(), edges.rend()});
+  }
+  // Isolated nodes: only nodes 0..9 of 50 carry edges, and node 0 none.
+  expect_csr_matches_reference(
+      50, {{9, 1}, {3, 4}, {1, 2}, {9, 8}, {3, 4}, {2, 9}, {1, 3}});
+  expect_csr_matches_reference(1, {});
+  expect_csr_matches_reference(0, {});
+  // Every edge from one source, descending, each twice.
+  std::vector<Edge> hub;
+  for (std::uint32_t v = 999; v >= 1; --v) {
+    hub.push_back({0, v});
+    hub.push_back({0, v});
+  }
+  expect_csr_matches_reference(1000, hub);
+}
+
+TEST(GraphCsr, GeneratorGraphsMatchReference) {
+  rng::Rng r1(31);
+  rng::Rng r2(32);
+  rng::Rng r3(33);
+  rng::Rng r4(34);
+  const Graph graphs[] = {barabasi_albert(5000, 3, r1),
+                          erdos_renyi(2000, 0.003, r2),
+                          watts_strogatz(3000, 6, 0.3, r3),
+                          configuration_model(4000, 2.0, 200, r4)};
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(g.num_nodes());
+    const std::vector<Edge> input = scrambled_with_duplicates(g.edges());
+    expect_csr_matches_reference(g.num_nodes(), input);
+    EXPECT_EQ(sort_unique_reference(input), g.edges());
+  }
+}
+
+/// FNV-1a over the node count, the (from, to) edge list and the in-degrees.
+std::uint64_t csr_digest(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(g.num_nodes());
+  for (const Edge& e : g.edges()) mix((std::uint64_t{e.from} << 32) | e.to);
+  for (std::uint32_t u = 0; u < g.num_nodes(); ++u) mix(g.in_degree(u));
+  return h;
+}
+
+TEST(GraphCsr, GeneratorOutputPinned) {
+  // Digests of the generator graphs at pinned seeds, as produced by the
+  // comparison-sort CSR build: a change to a generator's random stream or
+  // to the CSR build's output shows up here.
+  rng::Rng r1(31);
+  rng::Rng r2(32);
+  rng::Rng r3(33);
+  rng::Rng r4(34);
+  EXPECT_EQ(csr_digest(barabasi_albert(5000, 3, r1)),
+            0xda09d18c3c4a8b1cULL);
+  EXPECT_EQ(csr_digest(erdos_renyi(2000, 0.003, r2)),
+            0x504752d5e3cf7da1ULL);
+  EXPECT_EQ(csr_digest(watts_strogatz(3000, 6, 0.3, r3)),
+            0x3378ee23b3e71e0eULL);
+  EXPECT_EQ(csr_digest(configuration_model(4000, 2.0, 200, r4)),
+            0xa8865f596b54ccb8ULL);
 }
 
 TEST(Generators, BarabasiAlbertShape) {
@@ -214,6 +299,45 @@ TEST(EdgeListIo, RejectsMalformedLines) {
   EXPECT_THROW(read_edge_list(in), CheckFailure);
   std::istringstream in2("1 2 3\n");
   EXPECT_THROW(read_edge_list(in2), CheckFailure);
+}
+
+TEST(EdgeListIo, RejectsIdsThatAreNotPlainDecimal) {
+  // Ids are plain decimal in [0, 2^64-1]. A sign, prefix, fraction or
+  // overflow is a clean error naming the line, never a wrapped id ("-1"
+  // read as 2^64-1) or a truncated one.
+  for (const char* bad :
+       {"-1 5", "1 -2", "+3 4", "0x10 2", "1.5 2", "18446744073709551616 1",
+        "1 99999999999999999999"}) {
+    std::istringstream in(std::string("0 1\n") + bad + "\n");
+    try {
+      read_edge_list(in);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(EdgeListIo, AcceptsLargestIdAndTabs) {
+  std::istringstream in("18446744073709551615\t0\n\t 7  0 \r\n");
+  const Graph g = read_edge_list(in);
+  EXPECT_EQ(g.num_nodes(), 3u);  // {0, 7, 2^64-1} -> {0, 1, 2}
+  EXPECT_TRUE(g.has_edge(2, 0));
+  EXPECT_TRUE(g.has_edge(1, 0));
+  EXPECT_EQ(g.num_edges(), 2u);
+}
+
+TEST(EdgeListIo, UnsortedDuplicateLinesMatchReference) {
+  // File order is neither sorted nor duplicate-free, so the CSR build's
+  // per-bucket sort and dedup both run.
+  std::istringstream in("5 1\n5 3\n1 5\n5 1\n3 1\n5 2\n1 5\n2 3\n");
+  const Graph g = read_edge_list(in);
+  // Dense ids: 1->0, 2->1, 3->2, 5->3.
+  const std::vector<Edge> dense{{3, 0}, {3, 2}, {0, 3}, {3, 0},
+                                {2, 0}, {3, 1}, {0, 3}, {1, 2}};
+  EXPECT_EQ(g.edges(), sort_unique_reference(dense));
+  expect_csr_matches_reference(4, dense);
 }
 
 TEST(EdgeListIo, WriteReadRoundTrip) {

@@ -198,6 +198,132 @@ TEST(Builders, SpanningForestCoversBaGraph) {
   EXPECT_LT(res.tree.max_depth(), 30u);
 }
 
+/// The serial Sec. 7-A forest with a comparison sort on every BFS wave: the
+/// reference for build_spanning_forest's density-ruled wave order.
+struct ReferenceForest {
+  std::vector<std::uint32_t> parents;
+  std::vector<std::uint32_t> graph_of;
+  std::vector<bool> joined;
+};
+
+ReferenceForest sorted_wave_forest(const graph::Graph& g,
+                                   const SpanningForestOptions& opts) {
+  const std::uint32_t n = g.num_nodes();
+  const std::uint32_t cap = opts.max_users.value_or(n);
+  constexpr std::uint32_t kUnset = 0xffffffffu;
+  constexpr std::uint32_t kRoot = 0xfffffffeu;
+  std::vector<std::uint32_t> inviter(n, kUnset);
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> wave;
+  for (std::uint32_t s : opts.seeds) {
+    if (inviter[s] != kUnset) continue;
+    inviter[s] = kRoot;
+    wave.push_back(s);
+  }
+  std::sort(wave.begin(), wave.end());
+  for (std::uint32_t s : wave) {
+    if (order.size() < cap) order.push_back(s);
+  }
+  while (!wave.empty() && order.size() < cap) {
+    std::vector<std::uint32_t> next;
+    for (std::uint32_t u : wave) {
+      for (std::uint32_t v : g.out_neighbors(u)) {
+        if (inviter[v] != kUnset) continue;
+        inviter[v] = u;
+        next.push_back(v);
+      }
+    }
+    std::sort(next.begin(), next.end());
+    wave.clear();
+    for (std::uint32_t v : next) {
+      if (order.size() < cap) {
+        order.push_back(v);
+        wave.push_back(v);
+      } else {
+        inviter[v] = kUnset;
+      }
+    }
+  }
+  if (opts.attach_unreached_to_root) {
+    for (std::uint32_t u = 0; u < n && order.size() < cap; ++u) {
+      if (inviter[u] == kUnset) {
+        inviter[u] = kRoot;
+        order.push_back(u);
+      }
+    }
+  }
+  ReferenceForest ref;
+  ref.joined.assign(n, false);
+  std::vector<std::uint32_t> node_of(n, 0);
+  ref.graph_of.assign(order.size() + 1, 0);
+  ref.parents.assign(order.size() + 1, 0);
+  for (std::uint32_t i = 0; i < order.size(); ++i) {
+    ref.joined[order[i]] = true;
+    node_of[order[i]] = i + 1;
+    ref.graph_of[i + 1] = order[i];
+  }
+  for (std::uint32_t i = 0; i < order.size(); ++i) {
+    const std::uint32_t by = inviter[order[i]];
+    ref.parents[i + 1] = by == kRoot ? 0 : node_of[by];
+  }
+  return ref;
+}
+
+void expect_forest_matches_reference(const graph::Graph& g,
+                                     const SpanningForestOptions& opts) {
+  const SpanningForestResult got = build_spanning_forest(g, opts);
+  const ReferenceForest ref = sorted_wave_forest(g, opts);
+  EXPECT_EQ(got.tree.parents(), ref.parents);
+  EXPECT_EQ(got.graph_of, ref.graph_of);
+  EXPECT_EQ(got.joined, ref.joined);
+}
+
+TEST(SpanningForest, WaveOrderMatchesSortedReference) {
+  rng::Rng rng(14);
+  const graph::Graph ba = graph::barabasi_albert(20000, 3, rng);
+  SpanningForestOptions opts;
+  opts.seeds = {4, 0, 2};
+  {
+    SCOPED_TRACE("BA, dense waves");
+    expect_forest_matches_reference(ba, opts);
+  }
+  {
+    SCOPED_TRACE("BA, max_users cuts a dense wave");
+    opts.max_users = 9000;
+    opts.attach_unreached_to_root = false;
+    expect_forest_matches_reference(ba, opts);
+    // The cut lands inside a wave big enough for the bitmap branch.
+    const SpanningForestResult capped = build_spanning_forest(ba, opts);
+    ASSERT_EQ(capped.tree.num_participants(), 9000u);
+    const std::uint32_t last = capped.graph_of.back();
+    const std::uint32_t depth = capped.tree.depth(capped.node_of[last]);
+    std::size_t wave_joined = 0;
+    for (std::uint32_t node = 1; node < capped.graph_of.size(); ++node) {
+      if (capped.tree.depth(node) == depth) ++wave_joined;
+    }
+    EXPECT_GE(wave_joined, 20000u / 64);
+  }
+  {
+    SCOPED_TRACE("BA, several threads");
+    opts.max_users.reset();
+    opts.attach_unreached_to_root = true;
+    opts.threads = 4;
+    expect_forest_matches_reference(ba, opts);
+  }
+  SpanningForestOptions chain;
+  chain.seeds = {0};
+  {
+    SCOPED_TRACE("path: one claim per wave");
+    expect_forest_matches_reference(graph::path(5000), chain);
+  }
+  {
+    SCOPED_TRACE("star: one wave of n-1 claims");
+    expect_forest_matches_reference(graph::star(5000), chain);
+    chain.max_users = 1234;
+    expect_forest_matches_reference(graph::star(5000), chain);
+  }
+}
+
 TEST(Render, AsciiShowsStructure) {
   const auto t = example_tree();
   const std::string art = render_ascii(t);

@@ -51,6 +51,12 @@
 #                 (ritcs-fuzz-bug1..3) must catch its planted bug inside
 #                 the same budget, and the committed golden repro must
 #                 replay both ways — see docs/testing.md
+#  14. stream-identity smoke  the repo benchmark's paper_sweep workload for
+#                 one second at seed 1 (perfbench/run.py builds its own
+#                 binary; every trial passes its correctness gate or the
+#                 run exits 1) must print the pinned digest f9ec0e50bb7b9c8f,
+#                 so a silent change to the random stream, a graph or a
+#                 tree fails the gate
 #
 # Build trees live under build-check/ so the gate never disturbs your
 # incremental build/. Exits non-zero on the first failing leg.
@@ -63,7 +69,7 @@ for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
     --help|-h)
-      sed -n '2,56p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,62p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -165,9 +171,9 @@ done
 # --- 10. scale smoke: the million-user path at toy size, self-diffed --------
 # Same record/diff discipline as leg 9, but through bench_scale: the pinned
 # --scale=1000 ladder tops out at 10k users, small enough for CI while still
-# running graph generation, forest build and the payment pass through the
-# parallel code paths (--intra-threads=2; results are bit-identical to
-# serial, so only the timings vary between the two runs).
+# running graph generation, and the forest build and the payment pass
+# through their parallel code paths (--intra-threads=2; results are
+# bit-identical to serial, so only the timings vary between the two runs).
 step "scale smoke (bench_scale ledger self-diff)"
 for ledger in scale_a scale_b; do
   "$BUILD_ROOT/main/bench/bench_scale" \
@@ -269,6 +275,22 @@ done
   --repro="$ROOT/tests/golden/fuzz_repro_bug2.ritcase"
 "$BUILD_ROOT/main/tools/ritcs-fuzz-bug2" --expect-repro=true \
   --repro="$ROOT/tests/golden/fuzz_repro_bug2.ritcase"
+
+# --- 14. stream identity: pinned digest of a paper_sweep set-up instance ----
+# The digest hashes the allocation and payments of one generated instance
+# (graph, forest, population, mechanism run), so it moves whenever any
+# layer's output or the random stream does. It is pinned for GCC builds;
+# another compiler may contract floating point differently.
+step "stream-identity smoke (paper_sweep digest at seed 1)"
+STREAM_LOG="$PERF_TMP/stream_identity.log"
+python3 perfbench/run.py --workload paper_sweep --seed 1 --seconds 1 \
+  --trace 0 > "$STREAM_LOG"
+grep -q "^digest paper_sweep seed 1: allocation+payment fnv1a f9ec0e50bb7b9c8f$" \
+  "$STREAM_LOG" || {
+  echo "check.sh: paper_sweep digest changed:" >&2
+  grep "^digest" "$STREAM_LOG" >&2 || true
+  exit 1
+}
 
 echo
 echo "check.sh: OK"
