@@ -19,7 +19,6 @@
 #include "obs/perf_counters.h"
 #include "obs/trace_export.h"
 #include "platform/supervisor.h"
-#include "sim/runner.h"
 
 namespace rit::bench {
 
@@ -163,22 +162,13 @@ std::uint64_t sweep_config_hash(const BenchOptions& opts) {
 sim::AggregateMetrics run_point(
     const BenchOptions& opts, const sim::Scenario& scenario,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
-  const bool default_policy =
-      opts.max_trial_failures == 0 && opts.trial_timeout_ms == 0.0;
-  if (!opts.supervised && opts.checkpoint_path.empty() && default_policy) {
-    // The historical path, byte-identical (including the exact serial code
-    // for one thread).
-    return sim::run_many_parallel(scenario, opts.trials, opts.threads,
-                                  progress);
-  }
   SweepState& sweep = *opts.sweep;
   // Supervised runs partition by shard instead of thread; both knobs bind
   // the checkpoint the same way (partition width), so a checkpoint written
   // in-process at --threads=K resumes supervised at --shards=K and vice
   // versa — the partition, fold order, and merge order are identical.
-  const unsigned resolved =
-      opts.supervised ? rit::resolve_threads(opts.shards, opts.trials)
-                      : rit::resolve_threads(opts.threads, opts.trials);
+  const unsigned resolved = rit::resolve_threads(
+      opts.supervised ? opts.shards : opts.threads, opts.trials);
   if (!opts.checkpoint_path.empty() && !sweep.session) {
     sim::CheckpointSession::Params p;
     p.path = opts.checkpoint_path;
@@ -230,7 +220,7 @@ void emit(const std::string& title, const BenchOptions& opts,
             << " threads=" << rit::resolve_threads(opts.threads, opts.trials);
   if (opts.supervised) {
     std::cout << " supervised shards="
-              << platform::resolve_shards(opts.shards, opts.trials);
+              << rit::resolve_threads(opts.shards, opts.trials);
   }
   std::cout << ")\n";
   cli::Table table(header);

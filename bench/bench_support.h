@@ -8,8 +8,8 @@
 //   --seed=X      base seed
 //   --graph=K     social graph family: ba|er|ws|star|path (default ba)
 //   --threads=N   worker threads for the trial fan-out (default 0 =
-//                 hardware concurrency; 1 = the exact serial path,
-//                 bit-for-bit). Trials are seeded independently and merged
+//                 hardware concurrency; 1 = the guarded engine on one
+//                 worker). Trials are seeded independently and merged
 //                 in a fixed order, so counts/min/max/success rates are
 //                 identical for every N; means agree to ~1e-12 (Welford
 //                 merge-order rounding — see EXPERIMENTS.md)
@@ -104,7 +104,7 @@ struct BenchOptions {
   std::uint64_t seed{42};
   sim::GraphKind graph{sim::GraphKind::kBarabasiAlbert};
   /// Worker threads for the trial fan-out (0 = hardware concurrency,
-  /// 1 = exact serial path).
+  /// 1 = one worker).
   unsigned threads{0};
   /// Worker threads inside each trial (0 = hardware concurrency, 1 =
   /// serial). Bit-identical at any setting — see docs/scaling.md.
@@ -170,11 +170,10 @@ std::vector<std::uint32_t> linspace(std::uint32_t lo, std::uint32_t hi,
 /// Runs one sweep point (opts.trials trials of `scenario`) through the
 /// guarded engine, honoring the robustness flags: faults are quarantined
 /// within the failure budget, and with --checkpoint each point is durably
-/// saved (and skipped on --resume when already complete). With all
-/// robustness flags at their defaults this is exactly
-/// sim::run_many_parallel — byte-identical output. Every bench sweep loop
-/// calls this instead of run_many_parallel directly; points must be run in
-/// a fixed order for the checkpoint's point index to be meaningful.
+/// saved (and skipped on --resume when already complete); --supervised
+/// runs it through the shard supervisor instead. Every bench sweep loop
+/// calls this; points must be run in a fixed order for the checkpoint's
+/// point index to be meaningful.
 sim::AggregateMetrics run_point(
     const BenchOptions& opts, const sim::Scenario& scenario,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress = {});

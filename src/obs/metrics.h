@@ -7,7 +7,7 @@
 //    name lookup cached in a function-local static);
 //  * local `Registry` instances, one per worker thread, whose snapshots are
 //    merged in thread-index order — the same deterministic-merge discipline
-//    `run_many_parallel` uses for its Welford accumulators.
+//    the guarded trial engine uses for its Welford accumulators.
 //
 // Naming convention is `subsystem.metric` (see docs/observability.md), e.g.
 // `cra.rounds`, `sim.trials_run`, `attack.sybil_identities`.

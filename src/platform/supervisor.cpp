@@ -291,10 +291,6 @@ std::string death_reason(const ShardSlot& slot, int status,
 
 }  // namespace
 
-unsigned resolve_shards(unsigned shards, std::uint64_t trials) {
-  return rit::resolve_threads(shards, trials);
-}
-
 sim::GuardedResult run_trials_supervised(std::uint64_t trials,
                                          const SupervisorOptions& opts,
                                          const sim::GuardPolicy& policy,
@@ -303,7 +299,7 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
                                          sim::CheckpointSession* session,
                                          std::uint64_t point,
                                          const sim::ProgressFn& progress) {
-  const unsigned shard_count = resolve_shards(opts.shards, trials);
+  const unsigned shard_count = rit::resolve_threads(opts.shards, trials);
   if (session != nullptr) {
     // Same contract as the in-process runner: the partition — and so the
     // resumable/checkable state — binds to the resolved shard count.

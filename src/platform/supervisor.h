@@ -64,11 +64,6 @@ struct SupervisorOptions {
   std::uint64_t seed{0};
 };
 
-/// The resolved shard count `opts.shards` yields for `trials` trials
-/// (resolve_threads semantics — the supervised analogue of a resolved
-/// thread count, exposed so callers can bind checkpoint sessions to it).
-unsigned resolve_shards(unsigned shards, std::uint64_t trials);
-
 /// Supervised analogue of run_trials_guarded: same body/seed contract,
 /// same result, same abort semantics (CheckFailure), but each residue
 /// class runs in its own forked process. `session`, when non-null, is the

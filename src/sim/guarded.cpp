@@ -94,11 +94,6 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
   std::exception_ptr abort_error;
   std::string abort_reason;
 
-  // Per-trial timing stat only on the genuinely parallel path, mirroring
-  // the pre-guarded split between run_many and run_many_parallel (keeps
-  // --threads=1 metrics output byte-identical).
-  const bool record_trial_stat = resolved > 1;
-
   const auto note_fault = [&](WorkerState& w, std::uint64_t t, FaultKind kind,
                               const std::string& phase, std::string reason) {
     const std::uint64_t seed = seed_of ? seed_of(t) : t;
@@ -153,18 +148,14 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
     bool ok = true;
     try {
       chaos::inject_before_trial(policy.chaos, t);
-      if (record_trial_stat) {
-        stats::Timer trial_timer;
-        m = body(t, w.ws, &phase);
-        const double ms = trial_timer.elapsed_ms();
-        w.metrics.stat("sim.trial_ms").observe(ms);
-        // Index-keyed sample: trial t always lands in slot t regardless of
-        // which worker ran it, so the captured set (and the p50/p95/p99
-        // derived from it) is identical for every thread count.
-        w.metrics.reservoir("sim.trial_ms").observe(t, ms);
-      } else {
-        m = body(t, w.ws, &phase);
-      }
+      stats::Timer trial_timer;
+      m = body(t, w.ws, &phase);
+      const double ms = trial_timer.elapsed_ms();
+      w.metrics.stat("sim.trial_ms").observe(ms);
+      // Index-keyed sample: trial t always lands in slot t regardless of
+      // which worker ran it, so the captured set (and the p50/p95/p99
+      // derived from it) is identical for every thread count.
+      w.metrics.reservoir("sim.trial_ms").observe(t, ms);
       chaos::inject_after_trial(policy.chaos, t, m);
     } catch (const std::exception& e) {
       note_fault(w, t, FaultKind::kException, phase, e.what());
@@ -246,11 +237,9 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
     }
   }
 
-  if (record_trial_stat) {
-    obs::MetricsSnapshot merged;
-    for (const WorkerState& w : workers) merged.merge(w.metrics.snapshot());
-    obs::Registry::global().absorb(merged);
-  }
+  obs::MetricsSnapshot merged;
+  for (const WorkerState& w : workers) merged.merge(w.metrics.snapshot());
+  obs::Registry::global().absorb(merged);
 
   GuardedResult out;
   for (const WorkerState& w : workers) {

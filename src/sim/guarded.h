@@ -1,6 +1,7 @@
-// The fault-tolerant trial engine every sweep routes through.
+// The one in-process trial engine: every sweep routes through it, and
+// threads=1 is simply one worker.
 //
-// run_trials_guarded() keeps the exact deterministic execution model of
+// run_trials_guarded() runs trials on the deterministic execution model of
 // sim/parallel.h — strided static partition, per-worker accumulators
 // merged in worker-index order — and layers on:
 //
@@ -8,6 +9,8 @@
 //     exceeds the watchdog deadline lands in the FaultLedger instead of
 //     aborting; the failure budget (max_trial_failures, default 0) decides
 //     when containment gives up and the run aborts with a CheckFailure.
+//     The first fault with a default policy aborts the same way at every
+//     thread count.
 //   * checkpointing — with a CheckpointSession, trials run in
 //     checkpoint-interval chunks with a barrier and an atomic state save
 //     between chunks. Chunking does not change which worker runs which
@@ -16,10 +19,9 @@
 //   * chaos injection — the GuardPolicy carries a chaos::ChaosSpec for the
 //     fault-injection tests; it is inert by default.
 //
-// With a default GuardPolicy and no session this is behaviorally the old
-// run_many_parallel: identical partition, identical merge, and the first
-// fault aborts (budget 0) — except the abort is a clean CheckFailure
-// instead of std::terminate from an exception escaping a worker thread.
+// Every trial is timed into the `sim.trial_ms` stat and reservoir of the
+// global metrics registry, whatever the thread count. The process-level
+// wrapper around this engine is platform::run_trials_supervised.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +74,8 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
                                  const ProgressFn& progress = {});
 
 /// The scenario-driven form: make_instance + run_trial per trial, seeds
-/// from Scenario::trial_seed. This is what run_many_parallel, the benches,
-/// and `ritcs --mode=run` call.
+/// from Scenario::trial_seed. This is what the benches and
+/// `ritcs --mode=run` call.
 GuardedResult run_many_guarded(const Scenario& scenario, std::uint64_t trials,
                                unsigned threads, const GuardPolicy& policy,
                                CheckpointSession* session = nullptr,

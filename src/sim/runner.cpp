@@ -1,11 +1,8 @@
 #include "sim/runner.h"
 
-#include "common/parallel.h"
 #include "core/payment.h"
 #include "core/rit.h"
 #include "obs/obs.h"
-#include "sim/guarded.h"
-#include "sim/progress.h"
 #include "stats/timer.h"
 
 namespace rit::sim {
@@ -37,11 +34,6 @@ TrialInstance make_instance(const Scenario& scenario, std::uint64_t trial) {
 std::uint64_t mechanism_seed_of(const Scenario& scenario,
                                 std::uint64_t trial) {
   return scenario.trial_seed(trial, kMechanismComponent);
-}
-
-TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst) {
-  core::RitWorkspace ws;
-  return run_trial(scenario, inst, ws);
 }
 
 TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst,
@@ -87,60 +79,6 @@ TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst,
   RIT_COUNTER_ADD("sim.tasks_allocated", m.tasks_allocated);
   if (m.probability_degraded) RIT_COUNTER_INC("sim.trials_degraded");
   return m;
-}
-
-TrialMetrics run_trial(const Scenario& scenario, std::uint64_t trial) {
-  return run_trial(scenario, make_instance(scenario, trial));
-}
-
-AggregateMetrics run_many(
-    const Scenario& scenario, std::uint64_t trials,
-    const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
-  AggregateMetrics agg;
-  core::RitWorkspace ws;
-  // Throttled so a trials=1000 sweep does not spam its reporter: at most
-  // one invocation per 100 ms, plus the final one.
-  ProgressThrottle throttle;
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    agg.add(run_trial(scenario, make_instance(scenario, t), ws));
-    if (progress && throttle.should_fire(t + 1 == trials)) {
-      progress(t + 1, trials);
-    }
-  }
-  return agg;
-}
-
-AggregateMetrics run_until_precision(const Scenario& scenario,
-                                     double target_ci,
-                                     std::uint64_t min_trials,
-                                     std::uint64_t max_trials) {
-  RIT_CHECK(target_ci > 0.0);
-  RIT_CHECK(min_trials >= 2 && min_trials <= max_trials);
-  AggregateMetrics agg;
-  for (std::uint64_t t = 0; t < max_trials; ++t) {
-    agg.add(run_trial(scenario, t));
-    if (t + 1 >= min_trials &&
-        agg.avg_utility_rit.ci95_half_width() <= target_ci) {
-      break;
-    }
-  }
-  return agg;
-}
-
-AggregateMetrics run_many_parallel(
-    const Scenario& scenario, std::uint64_t trials, unsigned threads,
-    const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
-  const unsigned resolved = rit::resolve_threads(threads, trials);
-  if (resolved <= 1) return run_many(scenario, trials, progress);
-
-  // The guarded engine (sim/guarded.h) with a default policy is exactly
-  // the old fan-out — same strided partition, same worker-order merges of
-  // aggregates and metrics registries — plus containment: an exception in
-  // a trial aborts with a clean CheckFailure (failure budget 0) instead of
-  // std::terminate from a worker thread.
-  return run_many_guarded(scenario, trials, resolved, GuardPolicy{}, nullptr,
-                          0, progress)
-      .metrics;
 }
 
 }  // namespace rit::sim

@@ -1,8 +1,7 @@
-// Trial runner: generates one instance from a Scenario and measures both the
-// auction phase and the full RIT mechanism on it.
+// One trial: generates an instance from a Scenario and measures both the
+// auction phase and the full RIT mechanism on it. Sweeps of many trials run
+// through the guarded engine (sim/guarded.h).
 #pragma once
-
-#include <functional>
 
 #include "core/rit.h"
 #include "sim/metrics.h"
@@ -32,42 +31,10 @@ std::uint64_t mechanism_seed_of(const Scenario& scenario, std::uint64_t trial);
 
 /// Runs the auction phase and the full mechanism on one instance with the
 /// *same* mechanism randomness (paired streams: phase-1 results coincide,
-/// so the two series in Figs. 6-8 differ only by the payment phase).
-TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst);
-
-/// Scratch-reusing form: identical results, but the mechanism's per-round
-/// buffers live in `ws` (keep one per thread — run_many and
-/// run_many_parallel do).
+/// so the two series in Figs. 6-8 differ only by the payment phase). The
+/// mechanism's per-round buffers live in `ws`; keep one per thread, as the
+/// guarded engine (sim/guarded.h) does per worker.
 TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst,
                        core::RitWorkspace& ws);
-
-/// Convenience: make_instance + run_trial.
-TrialMetrics run_trial(const Scenario& scenario, std::uint64_t trial);
-
-/// Runs `trials` trials and aggregates. `progress`, when set, is invoked
-/// after each trial with (completed, total).
-AggregateMetrics run_many(
-    const Scenario& scenario, std::uint64_t trials,
-    const std::function<void(std::uint64_t, std::uint64_t)>& progress = {});
-
-/// Runs trials until the 95% confidence half-width of the RIT average
-/// utility falls below `target_ci` (absolute), bounded by [min_trials,
-/// max_trials]. The Monte-Carlo answer to "how many trials do I need?" —
-/// returns when the estimate is tight, not at an arbitrary count.
-AggregateMetrics run_until_precision(const Scenario& scenario,
-                                     double target_ci,
-                                     std::uint64_t min_trials = 5,
-                                     std::uint64_t max_trials = 1000);
-
-/// Same, fanned out over `threads` worker threads. Safe because every trial
-/// derives its own streams from (scenario.seed, trial) and shares nothing;
-/// per-thread aggregates are merged in thread-index order, so the result is
-/// deterministic and independent of scheduling (the merge order of Welford
-/// accumulators is fixed). threads == 0 picks hardware_concurrency();
-/// threads == 1 takes the exact serial run_many path (bit-for-bit).
-/// `progress`, when set, fires throttled and monotone from the workers.
-AggregateMetrics run_many_parallel(
-    const Scenario& scenario, std::uint64_t trials, unsigned threads = 0,
-    const std::function<void(std::uint64_t, std::uint64_t)>& progress = {});
 
 }  // namespace rit::sim

@@ -17,13 +17,13 @@
 
 #include "aggregate_bits.h"
 #include "common/check.h"
+#include "obs/metrics.h"
 #include "sim/chaos.h"
 #include "sim/checkpoint.h"
 #include "sim/fault.h"
 #include "sim/guarded.h"
 #include "sim/metrics.h"
 #include "sim/report.h"
-#include "sim/runner.h"
 #include "sim/scenario.h"
 
 namespace rit::sim {
@@ -402,7 +402,7 @@ TEST(GuardedResume, SessionBoundToDifferentRunShapeIsRejected) {
 
 // Real trials time themselves with wall-clock timers, so two runs only
 // agree bit-for-bit on the mechanism outputs; runtime stats match in shape
-// (count) but not value. Mirrors sim_test's serial/parallel equivalence.
+// (count) but not value. Mirrors sim_test's thread-count equivalence.
 void expect_deterministic_fields_identical(const AggregateMetrics& a,
                                            const AggregateMetrics& b) {
   testbits::expect_stats_identical(a.avg_utility_auction,
@@ -427,17 +427,6 @@ void expect_deterministic_fields_identical(const AggregateMetrics& a,
   EXPECT_EQ(a.degraded_trials, b.degraded_trials);
   EXPECT_EQ(a.failed_trials, b.failed_trials);
   EXPECT_EQ(a.quarantined_trials, b.quarantined_trials);
-}
-
-TEST(GuardedScenario, MatchesRunManyParallel) {
-  const Scenario s = small_scenario();
-  for (const unsigned threads : {1u, 3u}) {
-    const AggregateMetrics plain = run_many_parallel(s, 6, threads);
-    const GuardedResult guarded =
-        run_many_guarded(s, 6, threads, GuardPolicy{});
-    expect_deterministic_fields_identical(guarded.metrics, plain);
-    EXPECT_TRUE(guarded.faults.empty());
-  }
 }
 
 TEST(GuardedScenario, KillAndResumeMatchesOnDeterministicFields) {
@@ -484,6 +473,28 @@ TEST(Guarded, ProgressReachesTheFinalTrial) {
                      progress);
   EXPECT_EQ(last_done, 7u);
   EXPECT_EQ(last_total, 7u);
+}
+
+TEST(Guarded, TrialTimingRecordedAtEveryThreadCount) {
+  // One worker is not a special case: every trial lands in the global
+  // sim.trial_ms stat and reservoir at every thread count. Measured as a
+  // delta, because resetting the global registry would free the counters
+  // the RIT_COUNTER_* macros keep cached references to.
+  obs::Registry& global = obs::Registry::global();
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    const obs::MetricsSnapshot before = global.snapshot();
+    const auto prior = before.stats.find("sim.trial_ms");
+    const std::uint64_t count_before =
+        prior == before.stats.end() ? 0 : prior->second.count();
+    run_trials_guarded(8, threads, GuardPolicy{}, synthetic_body());
+    const obs::MetricsSnapshot after = global.snapshot();
+    ASSERT_EQ(after.stats.count("sim.trial_ms"), 1u);
+    EXPECT_EQ(after.stats.at("sim.trial_ms").count() - count_before, 8u);
+    ASSERT_EQ(after.reservoirs.count("sim.trial_ms"), 1u);
+    const auto& samples = after.reservoirs.at("sim.trial_ms");
+    for (std::uint64_t t = 0; t < 8; ++t) EXPECT_EQ(samples.count(t), 1u) << t;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "attack/sybil_apply.h"
 #include "attack/sybil_plan.h"
 #include "core/rit.h"
+#include "sim/guarded.h"
 #include "sim/runner.h"
 #include "stats/online_stats.h"
 
@@ -25,9 +26,20 @@ sim::Scenario base_scenario() {
   return s;
 }
 
+// make_instance + run_trial on a fresh workspace.
+sim::TrialMetrics trial_metrics(const sim::Scenario& s, std::uint64_t trial) {
+  core::RitWorkspace ws;
+  return sim::run_trial(s, sim::make_instance(s, trial), ws);
+}
+
+// A one-worker sweep through the trial engine with the default policy.
+sim::AggregateMetrics sweep(const sim::Scenario& s, std::uint64_t trials) {
+  return sim::run_many_guarded(s, trials, 1, sim::GuardPolicy{}).metrics;
+}
+
 TEST(Integration, PaperScaledScenarioMostlySucceeds) {
   const sim::Scenario s = base_scenario();
-  const sim::AggregateMetrics agg = sim::run_many(s, 8);
+  const sim::AggregateMetrics agg = sweep(s, 8);
   // With supply ~ 800 * 3.5 / 5 = 560 asks per type against demand 40, the
   // allocation should essentially always complete.
   EXPECT_GE(agg.success_rate(), 0.75);
@@ -37,7 +49,7 @@ TEST(Integration, PaperScaledScenarioMostlySucceeds) {
 TEST(Integration, PaymentPhaseAddsBoundedPremium) {
   const sim::Scenario s = base_scenario();
   for (std::uint64_t t = 0; t < 5; ++t) {
-    const sim::TrialMetrics m = sim::run_trial(s, t);
+    const sim::TrialMetrics m = trial_metrics(s, t);
     if (!m.success) continue;
     EXPECT_GE(m.total_payment_rit, m.total_payment_auction);
     EXPECT_LE(m.total_payment_rit, 2.0 * m.total_payment_auction + 1e-6);
@@ -47,8 +59,8 @@ TEST(Integration, PaymentPhaseAddsBoundedPremium) {
 
 TEST(Integration, WholePipelineIsReproducible) {
   const sim::Scenario s = base_scenario();
-  const sim::TrialMetrics a = sim::run_trial(s, 3);
-  const sim::TrialMetrics b = sim::run_trial(s, 3);
+  const sim::TrialMetrics a = trial_metrics(s, 3);
+  const sim::TrialMetrics b = trial_metrics(s, 3);
   EXPECT_EQ(a.success, b.success);
   EXPECT_DOUBLE_EQ(a.avg_utility_rit, b.avg_utility_rit);
   EXPECT_DOUBLE_EQ(a.total_payment_rit, b.total_payment_rit);
@@ -63,8 +75,8 @@ TEST(Integration, MoreUsersDepressAverageUtility) {
   small.num_users = 600;
   sim::Scenario large = base_scenario();
   large.num_users = 2400;
-  const auto agg_small = sim::run_many(small, 6);
-  const auto agg_large = sim::run_many(large, 6);
+  const auto agg_small = sweep(small, 6);
+  const auto agg_large = sweep(large, 6);
   EXPECT_GT(agg_small.avg_utility_rit.mean(),
             agg_large.avg_utility_rit.mean());
 }
@@ -75,8 +87,8 @@ TEST(Integration, BiggerJobsRaiseTotalPayment) {
   small_job.tasks_per_type = 20;
   sim::Scenario large_job = base_scenario();
   large_job.tasks_per_type = 80;
-  const auto agg_small = sim::run_many(small_job, 6);
-  const auto agg_large = sim::run_many(large_job, 6);
+  const auto agg_small = sweep(small_job, 6);
+  const auto agg_large = sweep(large_job, 6);
   EXPECT_GT(agg_large.total_payment_rit.mean(),
             agg_small.total_payment_rit.mean());
 }
@@ -121,7 +133,7 @@ TEST(Integration, DegradedFlagSurfacesOnAggressiveParameters) {
   // probability_degraded diagnostic rather than silently claiming H.
   sim::Scenario s = base_scenario();
   s.tasks_per_type = 10;  // 2*K_max = 12 > m_i = 10
-  const sim::TrialMetrics m = sim::run_trial(s, 0);
+  const sim::TrialMetrics m = trial_metrics(s, 0);
   EXPECT_TRUE(m.probability_degraded);
 }
 

@@ -240,7 +240,7 @@ void feed(Registry& r, std::uint64_t trial) {
 MetricsSnapshot strided_parallel_merge(std::uint64_t trials,
                                        std::size_t threads,
                                        bool use_real_threads) {
-  // The run_many_parallel work split: worker w handles trials w, w+T, ...
+  // The guarded engine's work split: worker w handles trials w, w+T, ...
   // Each worker owns a registry; snapshots merge in worker-index order.
   std::vector<Registry> workers(threads);
   auto work = [&](std::size_t w) {

@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "sim/population_io.h"
-#include "sim/runner.h"
+#include "sim/workload.h"
 
 namespace rit::sim {
 namespace {
@@ -55,30 +55,6 @@ TEST(PopulationIo, RejectsMalformedRows) {
   std::istringstream empty("# nothing\n");
   EXPECT_THROW(read_population(empty), CheckFailure);
   EXPECT_THROW(read_population_file("/no/such/pop.csv"), CheckFailure);
-}
-
-TEST(RunUntilPrecision, StopsWhenTight) {
-  Scenario s;
-  s.num_users = 300;
-  s.num_types = 2;
-  s.tasks_per_type = 15;
-  s.k_max = 4;
-  s.seed = 3;
-  // A loose target should stop early; a tight one runs to the cap.
-  const AggregateMetrics loose = run_until_precision(s, 10.0, 3, 50);
-  EXPECT_GE(loose.trials, 3u);
-  EXPECT_LE(loose.trials, 50u);
-  EXPECT_LE(loose.avg_utility_rit.ci95_half_width(), 10.0);
-  const AggregateMetrics tight = run_until_precision(s, 1e-9, 3, 8);
-  EXPECT_EQ(tight.trials, 8u);  // cap reached
-  EXPECT_GE(tight.trials, loose.trials);
-}
-
-TEST(RunUntilPrecision, RejectsBadBounds) {
-  Scenario s;
-  EXPECT_THROW(run_until_precision(s, 0.0), CheckFailure);
-  EXPECT_THROW(run_until_precision(s, 1.0, 1, 10), CheckFailure);
-  EXPECT_THROW(run_until_precision(s, 1.0, 10, 5), CheckFailure);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "core/rit.h"
 #include "rng/rng.h"
+#include "sim/guarded.h"
 #include "sim/metrics.h"
 #include "sim/progress.h"
 #include "sim/runner.h"
@@ -25,6 +26,20 @@ Scenario small_scenario() {
   s.initial_joiners = 4;
   s.seed = 7;
   return s;
+}
+
+// make_instance + run_trial on a fresh workspace.
+TrialMetrics trial_metrics(const Scenario& s, std::uint64_t trial) {
+  core::RitWorkspace ws;
+  return run_trial(s, make_instance(s, trial), ws);
+}
+
+// A sweep through the one trial engine with the default (strict) policy.
+AggregateMetrics sweep(const Scenario& s, std::uint64_t trials,
+                       unsigned threads, const ProgressFn& progress = {}) {
+  return run_many_guarded(s, trials, threads, GuardPolicy{}, nullptr, 0,
+                          progress)
+      .metrics;
 }
 
 TEST(Scenario, GraphKindRoundTrip) {
@@ -157,7 +172,7 @@ TEST(Runner, DifferentTrialsDiffer) {
 
 TEST(Runner, TrialMetricsInternallyConsistent) {
   const Scenario s = small_scenario();
-  const TrialMetrics m = run_trial(s, 0);
+  const TrialMetrics m = trial_metrics(s, 0);
   EXPECT_GE(m.runtime_rit_ms, 0.0);
   EXPECT_GE(m.runtime_auction_ms, 0.0);
   if (m.success) {
@@ -177,7 +192,7 @@ TEST(Runner, PairedSeriesShareTheAuctionOutcome) {
   // run used, so premium == total_rit - total_auction exactly.
   const Scenario s = small_scenario();
   for (std::uint64_t t = 0; t < 3; ++t) {
-    const TrialMetrics m = run_trial(s, t);
+    const TrialMetrics m = trial_metrics(s, t);
     if (!m.success) continue;
     EXPECT_NEAR(m.solicitation_premium,
                 m.total_payment_rit - m.total_payment_auction, 1e-6);
@@ -189,10 +204,11 @@ TEST(Runner, OneRunMatchesStandaloneAuctionAndFullRuns) {
   // separate auction-phase run on the same seed, and its RIT columns a
   // separate full run.
   const Scenario s = small_scenario();
-  for (std::uint64_t t = 0; t < 4; ++t) {
+  core::RitWorkspace ws;
+  for (std::uint64_t t = 0; t < 4; ++t) {  // reuse ws across trials
     const TrialInstance inst = make_instance(s, t);
     const auto& asks = inst.population.truthful_asks;
-    const TrialMetrics m = run_trial(s, inst);
+    const TrialMetrics m = run_trial(s, inst, ws);
 
     rng::Rng auction_rng(inst.mechanism_seed);
     const core::RitResult auction =
@@ -218,12 +234,12 @@ TEST(Runner, OneRunMatchesStandaloneAuctionAndFullRuns) {
   }
 }
 
-TEST(Runner, RunManyAggregates) {
+TEST(Runner, OneWorkerSweepAggregates) {
   const Scenario s = small_scenario();
   std::uint64_t calls = 0;
   std::uint64_t last_done = 0;
-  const AggregateMetrics agg = run_many(
-      s, 4, [&](std::uint64_t done, std::uint64_t total) {
+  const AggregateMetrics agg =
+      sweep(s, 4, 1, [&](std::uint64_t done, std::uint64_t total) {
         ++calls;
         last_done = done;
         EXPECT_LE(done, total);
@@ -240,8 +256,8 @@ TEST(Runner, RunManyAggregates) {
   EXPECT_LE(agg.success_rate(), 1.0);
 }
 
-// The parallel runner sees the exact same per-trial samples as the serial
-// one; only the Welford merge order differs. So counts, minima, maxima and
+// Every thread count sees the exact same per-trial samples as one worker;
+// only the Welford merge order differs. So counts, minima, maxima and
 // the integer tallies must be bit-identical, and means agree to rounding.
 void expect_stat_equivalent(const stats::OnlineStats& parallel,
                             const stats::OnlineStats& serial,
@@ -282,21 +298,20 @@ void expect_aggregate_equivalent(const AggregateMetrics& parallel,
 
 TEST(Runner, ParallelMatchesSerialOnEveryFieldForManyThreadCounts) {
   const Scenario s = small_scenario();
-  const AggregateMetrics serial = run_many(s, 9);
+  const AggregateMetrics serial = sweep(s, 9, 1);
   for (const unsigned threads : {2u, 3u, 8u}) {
     SCOPED_TRACE(threads);
-    expect_aggregate_equivalent(run_many_parallel(s, 9, threads), serial);
+    expect_aggregate_equivalent(sweep(s, 9, threads), serial);
   }
 }
 
 TEST(Runner, ParallelProgressIsMonotoneAndReachesTotal) {
   const Scenario s = small_scenario();
   std::vector<std::uint64_t> reported;
-  run_many_parallel(s, 7, 3,
-                    [&](std::uint64_t done, std::uint64_t total) {
-                      EXPECT_EQ(total, 7u);
-                      reported.push_back(done);
-                    });
+  sweep(s, 7, 3, [&](std::uint64_t done, std::uint64_t total) {
+    EXPECT_EQ(total, 7u);
+    reported.push_back(done);
+  });
   ASSERT_FALSE(reported.empty());
   for (std::size_t i = 1; i < reported.size(); ++i) {
     EXPECT_LT(reported[i - 1], reported[i]);
@@ -304,28 +319,10 @@ TEST(Runner, ParallelProgressIsMonotoneAndReachesTotal) {
   EXPECT_EQ(reported.back(), 7u);
 }
 
-TEST(Runner, WorkspaceTrialMatchesConvenienceOverload) {
-  const Scenario s = small_scenario();
-  core::RitWorkspace ws;
-  for (std::uint64_t t = 0; t < 3; ++t) {  // reuse ws across trials
-    const TrialInstance inst = make_instance(s, t);
-    const TrialMetrics fresh = run_trial(s, inst);
-    const TrialMetrics reused = run_trial(s, inst, ws);
-    EXPECT_EQ(reused.success, fresh.success);
-    EXPECT_EQ(reused.tasks_allocated, fresh.tasks_allocated);
-    EXPECT_EQ(reused.probability_degraded, fresh.probability_degraded);
-    EXPECT_DOUBLE_EQ(reused.avg_utility_rit, fresh.avg_utility_rit);
-    EXPECT_DOUBLE_EQ(reused.total_payment_rit, fresh.total_payment_rit);
-    EXPECT_DOUBLE_EQ(reused.total_payment_auction,
-                     fresh.total_payment_auction);
-    EXPECT_DOUBLE_EQ(reused.solicitation_premium, fresh.solicitation_premium);
-  }
-}
-
 TEST(Runner, ParallelMatchesSerial) {
   const Scenario s = small_scenario();
-  const AggregateMetrics serial = run_many(s, 6);
-  const AggregateMetrics parallel = run_many_parallel(s, 6, 3);
+  const AggregateMetrics serial = sweep(s, 6, 1);
+  const AggregateMetrics parallel = sweep(s, 6, 3);
   EXPECT_EQ(parallel.trials, serial.trials);
   EXPECT_EQ(parallel.successes, serial.successes);
   // Means agree up to merge-order rounding; the sample sets are identical.
@@ -341,8 +338,8 @@ TEST(Runner, ParallelMatchesSerial) {
 
 TEST(Runner, ParallelIsDeterministicAcrossRuns) {
   const Scenario s = small_scenario();
-  const AggregateMetrics a = run_many_parallel(s, 5, 2);
-  const AggregateMetrics b = run_many_parallel(s, 5, 2);
+  const AggregateMetrics a = sweep(s, 5, 2);
+  const AggregateMetrics b = sweep(s, 5, 2);
   EXPECT_DOUBLE_EQ(a.avg_utility_rit.mean(), b.avg_utility_rit.mean());
   EXPECT_DOUBLE_EQ(a.solicitation_premium.mean(),
                    b.solicitation_premium.mean());
@@ -350,11 +347,11 @@ TEST(Runner, ParallelIsDeterministicAcrossRuns) {
 
 TEST(Runner, ParallelHandlesEdgeThreadCounts) {
   const Scenario s = small_scenario();
-  const AggregateMetrics one = run_many_parallel(s, 3, 1);
+  const AggregateMetrics one = sweep(s, 3, 1);
   EXPECT_EQ(one.trials, 3u);
-  const AggregateMetrics more_threads_than_trials = run_many_parallel(s, 2, 8);
+  const AggregateMetrics more_threads_than_trials = sweep(s, 2, 8);
   EXPECT_EQ(more_threads_than_trials.trials, 2u);
-  const AggregateMetrics zero = run_many_parallel(s, 0, 4);
+  const AggregateMetrics zero = sweep(s, 0, 4);
   EXPECT_EQ(zero.trials, 0u);
 }
 

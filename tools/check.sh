@@ -57,6 +57,10 @@
 #                 run exits 1) must print the pinned digest f9ec0e50bb7b9c8f,
 #                 so a silent change to the random stream, a graph or a
 #                 tree fails the gate
+#  15. pinned-CSV smoke  tools/pinned_csvs.sh: the fig6a and
+#                 ablation_consensus CSVs at a fixed seed must hash to
+#                 their pinned sha256 at --threads=1 and --threads=4, so a
+#                 refactor that moves an output bit fails the gate
 #
 # Build trees live under build-check/ so the gate never disturbs your
 # incremental build/. Exits non-zero on the first failing leg.
@@ -69,7 +73,7 @@ for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
     --help|-h)
-      sed -n '2,62p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,66p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -291,6 +295,10 @@ grep -q "^digest paper_sweep seed 1: allocation+payment fnv1a f9ec0e50bb7b9c8f$"
   grep "^digest" "$STREAM_LOG" >&2 || true
   exit 1
 }
+
+# --- 15. pinned-seed bench CSVs: byte-identical at one worker and four ----
+step "pinned-CSV smoke (fig6a + ablation_consensus at --threads=1,4)"
+tools/pinned_csvs.sh "$BUILD_ROOT/main/bench"
 
 echo
 echo "check.sh: OK"

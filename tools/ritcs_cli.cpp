@@ -10,11 +10,12 @@
 //                    [--shard-cpu-s=S] [--shard-retries=R]
 //                    [--heartbeat-timeout-ms=T] [overrides...]
 //       Run a scenario and print aggregate metrics across trials, fanned
-//       out over T worker threads (0 = hardware concurrency, 1 = exact
-//       serial path). With --population=FILE (CSV: type,quantity,cost)
-//       runs one trial over your own user data instead of a synthetic
-//       population. The robustness flags (docs/robustness.md) quarantine
-//       faulted trials within a failure budget, watchdog slow trials, and
+//       out over T worker threads of the guarded engine (0 = hardware
+//       concurrency, 1 = one worker). With --population=FILE (CSV:
+//       type,quantity,cost) runs one trial over your own user data instead
+//       of a synthetic population; the sweep flags are rejected there.
+//       The robustness flags (docs/robustness.md) quarantine faulted
+//       trials within a failure budget, watchdog slow trials, and
 //       checkpoint progress for bit-identical --resume. --supervised runs
 //       each residue class of trials in its own forked worker process
 //       under rlimit budgets: a worker that segfaults, OOMs, or hangs is
@@ -137,10 +138,26 @@ int run_with_population(const sim::Scenario& base, const std::string& path) {
 
 int mode_run(cli::Args& args) {
   const sim::Scenario s = scenario_from_args(args);
-  const std::uint64_t trials = args.get_u64("trials", 5);
-  // 0 = hardware concurrency; 1 = the exact serial path (bit-for-bit).
-  const auto threads = static_cast<unsigned>(args.get_u64("threads", 0));
   const std::string population = args.get_string("population", "");
+  if (!population.empty()) {
+    // One trial over the user's data: no sweep, so a sweep flag would be
+    // silently ignored. Refuse it before the file is read.
+    for (const char* flag :
+         {"trials", "threads", "max-trial-failures", "trial-timeout-ms",
+          "checkpoint", "checkpoint-every", "resume", "supervised", "shards",
+          "shard-mem-mb", "shard-cpu-s", "shard-retries",
+          "heartbeat-timeout-ms"}) {
+      RIT_CHECK_MSG(!args.has(flag),
+                    "--" << flag
+                         << " does not apply to --population (one trial, "
+                            "no sweep)");
+    }
+    args.finish();
+    return run_with_population(s, population);
+  }
+  const std::uint64_t trials = args.get_u64("trials", 5);
+  // 0 = hardware concurrency; 1 = the engine on one worker.
+  const auto threads = static_cast<unsigned>(args.get_u64("threads", 0));
   sim::GuardPolicy policy;
   policy.max_trial_failures = args.get_u64("max-trial-failures", 0);
   policy.trial_timeout_ms = args.get_double("trial-timeout-ms", 0.0);
@@ -167,62 +184,54 @@ int mode_run(cli::Args& args) {
                      heartbeat_timeout_ms == 0),
                 "--shards/--shard-mem-mb/--shard-cpu-s/"
                 "--heartbeat-timeout-ms require --supervised");
-  if (!population.empty()) return run_with_population(s, population);
 
   const auto progress = [](std::uint64_t done, std::uint64_t total) {
     std::cerr << "\rtrial " << done << "/" << total << std::flush;
     if (done == total) std::cerr << "\n";
   };
+  // A supervised run partitions by shard instead of thread; the binding is
+  // the same (partition width), so in-process and supervised checkpoints
+  // are interchangeable at matching counts.
+  const unsigned resolved =
+      rit::resolve_threads(supervised ? shards : threads, trials);
+  std::uint64_t config_hash = 0;
+  std::unique_ptr<sim::CheckpointSession> session;
+  if (!checkpoint.empty()) {
+    // Bind the checkpoint to the full scenario (serialized config) plus the
+    // trial count; resuming under any other setup must refuse.
+    std::ostringstream cfg;
+    sim::write_scenario(s, cfg);
+    cfg << "trials " << trials << "\n";
+    config_hash = fnv1a64(cfg.str());
+    sim::CheckpointSession::Params p;
+    p.path = checkpoint;
+    p.config_hash = config_hash;
+    p.seed = s.seed;
+    p.threads = resolved;
+    p.trials = trials;
+    p.every = checkpoint_every;
+    p.resume = resume;
+    session = std::make_unique<sim::CheckpointSession>(std::move(p));
+  }
   sim::GuardedResult result;
-  if (!supervised && checkpoint.empty() && policy.max_trial_failures == 0 &&
-      policy.trial_timeout_ms == 0.0) {
-    // No robustness flags: the historical path, byte-identical output.
-    result.metrics = sim::run_many_parallel(s, trials, threads, progress);
+  if (supervised) {
+    platform::SupervisorOptions sup;
+    sup.shards = shards;
+    sup.shard_mem_mb = shard_mem_mb;
+    sup.shard_cpu_s = shard_cpu_s;
+    sup.shard_retries = shard_retries;
+    sup.heartbeat_timeout_ms = heartbeat_timeout_ms;
+    sup.checkpoint_path = checkpoint;
+    sup.checkpoint_every = checkpoint_every;
+    sup.resume = resume;
+    sup.config_hash = config_hash;
+    sup.seed = s.seed;
+    result = platform::run_many_supervised(s, trials, sup, policy,
+                                           session.get(), /*point=*/0,
+                                           progress);
   } else {
-    // A supervised run partitions by shard instead of thread; the binding
-    // is the same (partition width), so in-process and supervised
-    // checkpoints are interchangeable at matching counts.
-    const unsigned resolved =
-        supervised ? platform::resolve_shards(shards, trials)
-                   : rit::resolve_threads(threads, trials);
-    std::uint64_t config_hash = 0;
-    std::unique_ptr<sim::CheckpointSession> session;
-    if (!checkpoint.empty()) {
-      // Bind the checkpoint to the full scenario (serialized config) plus
-      // the trial count; resuming under any other setup must refuse.
-      std::ostringstream cfg;
-      sim::write_scenario(s, cfg);
-      cfg << "trials " << trials << "\n";
-      config_hash = fnv1a64(cfg.str());
-      sim::CheckpointSession::Params p;
-      p.path = checkpoint;
-      p.config_hash = config_hash;
-      p.seed = s.seed;
-      p.threads = resolved;
-      p.trials = trials;
-      p.every = checkpoint_every;
-      p.resume = resume;
-      session = std::make_unique<sim::CheckpointSession>(std::move(p));
-    }
-    if (supervised) {
-      platform::SupervisorOptions sup;
-      sup.shards = shards;
-      sup.shard_mem_mb = shard_mem_mb;
-      sup.shard_cpu_s = shard_cpu_s;
-      sup.shard_retries = shard_retries;
-      sup.heartbeat_timeout_ms = heartbeat_timeout_ms;
-      sup.checkpoint_path = checkpoint;
-      sup.checkpoint_every = checkpoint_every;
-      sup.resume = resume;
-      sup.config_hash = config_hash;
-      sup.seed = s.seed;
-      result = platform::run_many_supervised(s, trials, sup, policy,
-                                             session.get(), /*point=*/0,
-                                             progress);
-    } else {
-      result = sim::run_many_guarded(s, trials, resolved, policy,
-                                     session.get(), /*point=*/0, progress);
-    }
+    result = sim::run_many_guarded(s, trials, resolved, policy, session.get(),
+                                   /*point=*/0, progress);
   }
   const sim::AggregateMetrics& agg = result.metrics;
   cli::Table t({"metric", "mean", "ci95", "min", "max"});
