@@ -24,6 +24,7 @@
 #include "sim/guarded.h"
 #include "sim/metrics.h"
 #include "sim/report.h"
+#include "sim/runner.h"
 #include "sim/scenario.h"
 
 namespace rit::sim {
@@ -427,6 +428,69 @@ void expect_deterministic_fields_identical(const AggregateMetrics& a,
   EXPECT_EQ(a.degraded_trials, b.degraded_trials);
   EXPECT_EQ(a.failed_trials, b.failed_trials);
   EXPECT_EQ(a.quarantined_trials, b.quarantined_trials);
+}
+
+TEST(GuardedScenario, MatchesResidueClassFoldOfRunTrial) {
+  // Trial t folds into worker t % threads and the workers merge in index
+  // order, so folding make_instance + run_trial by hand in that partition
+  // reproduces the engine's aggregate at every thread count.
+  const Scenario s = small_scenario();
+  const std::uint64_t trials = 6;
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    std::vector<AggregateMetrics> partial(threads);
+    core::RitWorkspace ws;
+    for (std::uint64_t t = 0; t < trials; ++t) {
+      partial[t % threads].add(run_trial(s, make_instance(s, t), ws));
+    }
+    AggregateMetrics expected;
+    for (const AggregateMetrics& p : partial) expected.merge(p);
+    const GuardedResult guarded =
+        run_many_guarded(s, trials, threads, GuardPolicy{});
+    expect_deterministic_fields_identical(guarded.metrics, expected);
+    EXPECT_TRUE(guarded.faults.empty());
+  }
+}
+
+TEST(GuardedScenario, FaultsAreContainedAlikeAtEveryThreadCount) {
+  // One worker is not a special case: a throwing trial and a NaN trial are
+  // contained and ledgered the same way as on several workers, and the
+  // strict default budget aborts on the same trial.
+  const Scenario s = small_scenario();
+  GuardPolicy tolerant;
+  tolerant.max_trial_failures = 2;
+  tolerant.chaos.throw_on_trial = 1;
+  tolerant.chaos.nan_on_trial = 4;
+  GuardPolicy strict;
+  strict.chaos.throw_on_trial = 1;
+  for (const unsigned threads : {1u, 2u, 3u}) {
+    SCOPED_TRACE(threads);
+    const GuardedResult r = run_many_guarded(s, 6, threads, tolerant);
+    EXPECT_EQ(r.metrics.trials, 4u);
+    EXPECT_EQ(r.metrics.failed_trials, 1u);
+    EXPECT_EQ(r.metrics.quarantined_trials, 1u);
+    EXPECT_TRUE(std::isfinite(r.metrics.avg_utility_rit.mean()));
+    const std::vector<TrialFault> faults = r.faults.sorted_by_trial();
+    ASSERT_EQ(faults.size(), 2u);
+    EXPECT_EQ(faults[0].trial, 1u);
+    EXPECT_EQ(faults[0].seed, mechanism_seed_of(s, 1));
+    EXPECT_EQ(faults[0].kind, FaultKind::kException);
+    EXPECT_NE(faults[0].reason.find("chaos: injected throw"),
+              std::string::npos);
+    EXPECT_EQ(faults[1].trial, 4u);
+    EXPECT_EQ(faults[1].seed, mechanism_seed_of(s, 4));
+    EXPECT_EQ(faults[1].kind, FaultKind::kNonFinite);
+
+    try {
+      run_many_guarded(s, 6, threads, strict);
+      FAIL() << "expected CheckFailure";
+    } catch (const CheckFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("trial 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("failure budget exhausted"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(GuardedScenario, KillAndResumeMatchesOnDeterministicFields) {

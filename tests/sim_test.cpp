@@ -319,6 +319,24 @@ TEST(Runner, ParallelProgressIsMonotoneAndReachesTotal) {
   EXPECT_EQ(reported.back(), 7u);
 }
 
+TEST(Runner, ReusedWorkspaceMatchesFreshWorkspace) {
+  const Scenario s = small_scenario();
+  core::RitWorkspace ws;
+  for (std::uint64_t t = 0; t < 3; ++t) {  // reuse ws across trials
+    const TrialInstance inst = make_instance(s, t);
+    const TrialMetrics fresh = trial_metrics(s, t);
+    const TrialMetrics reused = run_trial(s, inst, ws);
+    EXPECT_EQ(reused.success, fresh.success);
+    EXPECT_EQ(reused.tasks_allocated, fresh.tasks_allocated);
+    EXPECT_EQ(reused.probability_degraded, fresh.probability_degraded);
+    EXPECT_DOUBLE_EQ(reused.avg_utility_rit, fresh.avg_utility_rit);
+    EXPECT_DOUBLE_EQ(reused.total_payment_rit, fresh.total_payment_rit);
+    EXPECT_DOUBLE_EQ(reused.total_payment_auction,
+                     fresh.total_payment_auction);
+    EXPECT_DOUBLE_EQ(reused.solicitation_premium, fresh.solicitation_premium);
+  }
+}
+
 TEST(Runner, ParallelMatchesSerial) {
   const Scenario s = small_scenario();
   const AggregateMetrics serial = sweep(s, 6, 1);
