@@ -201,7 +201,12 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(asks.size()));
 }
-BENCHMARK(BM_CraRoundUnitRuns)->Args({6000, 14})->Args({6000, 100});
+// 60000/1 is the shape of the bench_scale 1M rung: about 1% of the book
+// is in the band and the rest only replays its draws.
+BENCHMARK(BM_CraRoundUnitRuns)
+    ->Args({6000, 14})
+    ->Args({6000, 100})
+    ->Args({60000, 1});
 
 void BM_Extract(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -258,10 +263,10 @@ void BM_PaymentPhaseReference(benchmark::State& state) {
 }
 BENCHMARK(BM_PaymentPhaseReference)->Arg(1000)->Arg(10000);
 
-// Flat-workspace payment pass at {1, 2, 4} intra-trial threads. The output
-// is bit-identical across the thread column (payment_test pins that); the
-// heap_allocs_per_run counter must stay O(1) — a handful of bookkeeping
-// allocations (thread spawns, type-erased loop bodies), never O(N).
+// Payment pass through a reused workspace at `threads` = {1, 2, 4}. The
+// pass is one serial preorder scan that ignores `threads`, so the three
+// arms must read the same; heap_allocs_per_run must be 0 once the
+// workspace has grown.
 void BM_PaymentPhaseWorkspace(benchmark::State& state) {
   const auto d = make_payment_data(static_cast<std::uint32_t>(state.range(0)));
   const auto threads = static_cast<unsigned>(state.range(1));

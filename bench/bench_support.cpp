@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -22,8 +23,12 @@
 
 namespace rit::bench {
 
-BenchOptions parse_options(int argc, char** argv, const std::string& name,
-                           std::uint64_t default_trials) {
+namespace {
+
+// Reads and validates the standard flags; throws CheckFailure on an
+// unknown flag, a malformed value or a bad combination.
+BenchOptions read_flags(int argc, char** argv, const std::string& name,
+                        std::uint64_t default_trials) {
   cli::Args args(argc, argv);
   BenchOptions opts;
   opts.name = name;
@@ -86,6 +91,21 @@ BenchOptions parse_options(int argc, char** argv, const std::string& name,
                      opts.shard_cpu_s == 0 && opts.heartbeat_timeout_ms == 0),
                 "--shards/--shard-mem-mb/--shard-cpu-s/"
                 "--heartbeat-timeout-ms require --supervised");
+  return opts;
+}
+
+}  // namespace
+
+BenchOptions parse_options(int argc, char** argv, const std::string& name,
+                           std::uint64_t default_trials) {
+  BenchOptions opts;
+  try {
+    opts = read_flags(argc, argv, name, default_trials);
+  } catch (const CheckFailure& e) {
+    // A bad flag is a usage error: report it the way `ritcs` does.
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
 
   // Record every span from here on; finish() turns this into the per-phase
   // breakdown. When the build has RIT_OBS_ENABLED=0 the trace simply stays

@@ -23,8 +23,9 @@
 /// Off-by-one in the payment pass's depth-discount memo: a depth-d
 /// descendant contributes base^(d+1) instead of base^d.
 #define RIT_BUG_DISCOUNT_DEPTH 2
-/// Drops the first carry of each per-type prefix group in the payment
-/// pass, so same-type exclusion sums miss the group's first contribution.
+/// Each per-type running sum in the payment pass's preorder scan forgets
+/// its first contribution, so the same-type share of every subtree holding
+/// that contributor comes out too small and its root is overpaid.
 #define RIT_BUG_PREFIX_CARRY 3
 
 #ifndef RIT_TESTKIT_INJECT_BUG

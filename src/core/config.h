@@ -101,14 +101,13 @@ struct RitConfig {
   /// partial allocation (useful for diagnostics; violates the paper).
   bool zero_on_failure = true;
 
-  /// Worker threads for the deterministic intra-trial parallel passes (the
-  /// payment determination phase today; tree construction takes the
-  /// matching sim::Scenario::intra_threads knob). Every parallel pass uses
-  /// a static blocked partition with disjoint writes, so results are
-  /// bit-identical at any setting — this knob trades wall-clock for cores,
-  /// never output. 1 = serial (default); 0 = one per hardware thread.
-  /// Deliberately excluded from result/checkpoint identity: it cannot
-  /// change what a run computes.
+  /// Worker threads for intra-trial parallel passes of the mechanism. No
+  /// mechanism pass parallelizes: the payment phase is one serial preorder
+  /// scan that ignores this value (tree construction takes the matching
+  /// sim::Scenario::intra_threads knob). The field stays because configs,
+  /// fuzz cases and perfbench set it and pass it through. 1 = serial
+  /// (default); 0 = one per hardware thread. Deliberately excluded from
+  /// result/checkpoint identity: it cannot change what a run computes.
   unsigned intra_threads = 1;
 };
 

@@ -1,8 +1,10 @@
 #include "core/cra.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 // rit-lint: allow-file(testkit-only-injection)
 #include "common/bug_inject.h"
@@ -36,6 +38,89 @@ std::uint64_t consensus_round_down(std::uint64_t count, double y,
 
 namespace {
 
+// Largest lcm(2..len) the unsorted skip accepts. A raw draw fails the lcm
+// filter with probability lcm / 2^64, so 2^40 (every run of up to 28 unit
+// asks) keeps a million-draw skip at about a 6% fallback rate; Extract's
+// runs are at most k_max = 20 long.
+constexpr std::uint64_t kMaxSkipLcm = std::uint64_t{1} << 40;
+
+// lcm(2..max_len), or 0 when it exceeds kMaxSkipLcm.
+std::uint64_t lcm_up_to(std::uint32_t max_len) {
+  std::uint64_t lcm = 1;
+  for (std::uint64_t i = 2; i <= max_len; ++i) {
+    lcm = lcm / std::gcd(lcm, i) * i;  // < 2^46: lcm <= 2^40 and i <= 29
+    if (lcm > kMaxSkipLcm) return 0;
+  }
+  return lcm;
+}
+
+// Whether the runs' values are pairwise distinct, by inserting their bit
+// patterns into an open-addressing set (no sort). Zero is normalized so
+// that 0.0 and -0.0, which compare equal, collide. `max_runs` bounds the
+// run count of any round on this book, so the set's buffer is sized once.
+bool values_pairwise_distinct(std::span<const CraWorkspace::ValueRun> runs,
+                              std::size_t max_runs,
+                              std::vector<std::uint64_t>& set) {
+  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};  // a NaN pattern
+  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(
+      16, 2 * runs.size()));
+  const int shift = 64 - std::countr_zero(capacity);
+  set.reserve(std::bit_ceil(std::max<std::size_t>(16, 2 * max_runs)));
+  set.assign(capacity, kEmpty);
+  for (const CraWorkspace::ValueRun& run : runs) {
+    const std::uint64_t key =
+        std::bit_cast<std::uint64_t>(run.value == 0.0 ? 0.0 : run.value);
+    if (key == kEmpty) return false;
+    std::size_t slot =
+        static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift);
+    while (set[slot] != kEmpty) {
+      if (set[slot] == key) return false;
+      slot = (slot + 1) & (capacity - 1);
+    }
+    set[slot] = key;
+  }
+  return true;
+}
+
+// Consumes the draws that shuffling the tie groups of the runs above s
+// (`above`, in any order) would take in a full sort: a group of g equal
+// asks takes uniform_index(g), ..., (2). When the runs have pairwise-
+// distinct values each group is one run, every bound is at most the
+// longest run, and the draws are skipped in any order; a tie, an lcm over
+// the cap or a filter hit falls back to sorting the runs by value and
+// replaying the draws group by group.
+void replay_above_band(std::span<CraWorkspace::ValueRun> above,
+                       std::size_t max_runs, CraWorkspace& ws,
+                       rng::Rng& rng) {
+  using ValueRun = CraWorkspace::ValueRun;
+  if (above.empty()) return;
+  std::uint32_t max_len = 1;
+  std::uint64_t draws = 0;
+  for (const ValueRun& run : above) {
+    max_len = std::max(max_len, run.len);
+    draws += run.len - 1;
+  }
+  const std::uint64_t lcm = lcm_up_to(max_len);
+  if (lcm != 0 && values_pairwise_distinct(above, max_runs, ws.value_set) &&
+      rng.skip_uniform_indices(draws, lcm)) {
+    return;
+  }
+  std::sort(above.begin(), above.end(),
+            [](const ValueRun& a, const ValueRun& b) {
+              return a.value < b.value;
+            });
+  for (std::size_t r = 0; r < above.size();) {
+    std::size_t e = r + 1;
+    std::size_t group = above[r].len;
+    while (e < above.size() && above[e].value == above[r].value) {
+      group += above[e].len;
+      ++e;
+    }
+    for (std::size_t i = group; i > 1; --i) (void)rng.uniform_index(i);
+    r = e;
+  }
+}
+
 // Ascending-value index order with ties shuffled uniformly: equal asks must
 // be treated equally ("anonymity"), otherwise "the smallest n asks" would
 // systematically favour whichever user Extract happened to expand first.
@@ -45,9 +130,10 @@ namespace {
 // It is built from runs instead of unit asks. Sorting the maximal runs of
 // equal adjacent values by (value, start) and expanding them gives exactly
 // the (value, index) order, because equal-valued runs are disjoint index
-// ranges. Only tie groups with value <= `limit` are written to `order`;
-// a group above it replays its Fisher-Yates draws without writing, so the
-// draws consumed match the full sort-and-shuffle.
+// ranges. Only runs with value <= `limit` (the band) are sorted and
+// written to `order`. Every band group precedes every group above the
+// limit in the full order, so the draws above it come last and are
+// consumed by replay_above_band.
 void sorted_order_with_shuffled_ties(std::span<const double> asks,
                                      double limit, CraWorkspace& ws,
                                      rng::Rng& rng) {
@@ -61,7 +147,10 @@ void sorted_order_with_shuffled_ties(std::span<const double> asks,
     runs.push_back(ValueRun{asks[i], i, j - i});
     i = j;
   }
-  std::sort(runs.begin(), runs.end(), [](const ValueRun& a, const ValueRun& b) {
+  const auto band_end =
+      std::partition(runs.begin(), runs.end(),
+                     [limit](const ValueRun& r) { return r.value <= limit; });
+  std::sort(runs.begin(), band_end, [](const ValueRun& a, const ValueRun& b) {
     if (a.value != b.value) return a.value < b.value;
 #if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
     return a.start > b.start;  // planted: ties enter the shuffle reversed
@@ -73,32 +162,27 @@ void sorted_order_with_shuffled_ties(std::span<const double> asks,
   std::vector<std::uint32_t>& order = ws.order;
   order.clear();
   order.reserve(asks.size());  // no regrowth when a later band is wider
-  for (std::size_t r = 0; r < runs.size();) {
-    std::size_t e = r + 1;
-    std::size_t group = runs[r].len;
-    while (e < runs.size() && runs[e].value == runs[r].value) {
-      group += runs[e].len;
-      ++e;
-    }
-    if (runs[r].value <= limit) {
-      const std::size_t first = order.size();
-      for (std::size_t k = r; k < e; ++k) {
-        for (std::uint32_t u = 0; u < runs[k].len; ++u) {
+  for (auto r = runs.begin(); r != band_end;) {
+    auto e = r + 1;
+    while (e != band_end && e->value == r->value) ++e;
+    const std::size_t first = order.size();
+    for (auto k = r; k != e; ++k) {
+      for (std::uint32_t u = 0; u < k->len; ++u) {
 #if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
-          order.push_back(runs[k].start + runs[k].len - 1 - u);
+        order.push_back(k->start + k->len - 1 - u);
 #else
-          order.push_back(runs[k].start + u);
+        order.push_back(k->start + u);
 #endif
-        }
       }
-      if (group > 1) {
-        rng.shuffle(std::span<std::uint32_t>(&order[first], group));
-      }
-    } else {
-      for (std::size_t i = group; i > 1; --i) (void)rng.uniform_index(i);
+    }
+    const std::size_t group = order.size() - first;
+    if (group > 1) {
+      rng.shuffle(std::span<std::uint32_t>(&order[first], group));
     }
     r = e;
   }
+  replay_above_band(std::span<ValueRun>(band_end, runs.end()), runs.size(),
+                    ws, rng);
 }
 
 }  // namespace

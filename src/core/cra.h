@@ -85,7 +85,12 @@ struct CraWorkspace {
     std::uint32_t start;
     std::uint32_t len;
   };
+  /// The band's runs (value <= s), then the runs above s. Only the band is
+  /// sorted: above s phase 2 needs the tie-group sizes, not the order.
   std::vector<ValueRun> runs;
+  /// Open-addressing set of the above-s values (bit patterns): checks that
+  /// they are pairwise distinct without sorting them.
+  std::vector<std::uint64_t> value_set;
   std::vector<std::uint32_t> order;
   std::vector<std::uint32_t> chosen;
   std::vector<std::uint32_t> winners;
@@ -96,11 +101,14 @@ struct CraWorkspace {
 /// Runs one CRA round over the unit-ask values `asks` (the alpha vector
 /// produced by Extract). Deterministic given `rng` state.
 ///
-/// Cost: O(|alpha| + r log r + b) for r maximal runs of equal adjacent
-/// values and b asks at or below the threshold s. Phase 2 sorts runs, not
-/// unit asks, and expands only the band <= s that can win; tie groups
-/// above s replay their shuffle draws without writing, so the random
-/// stream equals a full sort of every unit ask.
+/// Cost: O(|alpha| + r_b log r_b + r_a) for r_b maximal runs of equal
+/// adjacent values at or below the threshold s (the band) and r_a runs
+/// above it. Phase 2 sorts only the band's runs, not unit asks, and
+/// expands only the band. Above s it needs just the draw count of the tie
+/// shuffles: when those runs have pairwise-distinct values it skips their
+/// draws unsorted (rng::Rng::skip_uniform_indices), and otherwise sorts
+/// them and replays the draws. Either way the random stream equals a full
+/// sort of every unit ask.
 CraOutcome run_cra(std::span<const double> asks, const CraParams& params,
                    rng::Rng& rng);
 

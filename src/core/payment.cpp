@@ -6,7 +6,6 @@
 // rit-lint: allow-file(testkit-only-injection)
 #include "common/bug_inject.h"
 #include "common/check.h"
-#include "common/parallel.h"
 #include "obs/obs.h"
 
 namespace rit::core {
@@ -64,7 +63,7 @@ std::vector<double> tree_payments(const tree::IncentiveTree& tree,
 void tree_payments_into(const tree::IncentiveTree& tree,
                         std::span<const TaskType> types,
                         std::span<const double> auction_payments,
-                        double discount_base, unsigned threads,
+                        double discount_base, unsigned /*threads*/,
                         PaymentWorkspace& ws, std::vector<double>& out) {
   RIT_TRACE_SPAN("payment.extract");
   validate_inputs(tree, types, auction_payments, discount_base);
@@ -87,101 +86,57 @@ void tree_payments_into(const tree::IncentiveTree& tree,
 #endif
   }
 
-  // Contribution of each node laid out in preorder; a subtree is then a
-  // contiguous range, so "sum of contributions in my subtree" is a prefix-
-  // sum difference. Stage 1 computes per-node contributions into the
-  // not-yet-scanned prefix slots — disjoint writes, so the fill runs
-  // blocked across workers.
-  const auto preorder = tree.preorder();
-  const std::size_t nodes = preorder.size();
-  ws.contrib_prefix.resize(nodes + 1);
-  ws.contrib_prefix[0] = 0.0;
-  parallel_for_blocked(
-      nodes, threads,
-      [&](std::uint64_t begin, std::uint64_t end, unsigned) {
-        for (std::uint64_t pos = begin; pos < end; ++pos) {
-          const std::uint32_t node = preorder[pos];
-          double c = 0.0;
-          if (node != 0) {
-            const std::uint32_t i = tree::participant_of_node(node);
-            c = ws.depth_discount[tree.depth(node)] * auction_payments[i];
-          }
-          ws.contrib_prefix[pos + 1] = c;
-        }
-      });
-
-  // Stage 2 (serial): the same-type exclusion needs per-type sparse prefix
-  // sums (positions of type-t nodes in preorder + running sums), flattened
-  // into one CSR triple. Every non-root node lands in exactly one group,
-  // and scanning positions in ascending order fills each group in the same
-  // order the seed path's per-type push_backs did, so the partial sums are
-  // bit-identical. The prefix is inclusive: type_prefix[k] sums the group's
-  // entries up to and including k.
+  // One preorder scan. A subtree is a contiguous preorder range, so its
+  // contribution total is the running sum when it closes minus the running
+  // sum when it opened, and its same-type share is the same difference of
+  // its type's running sum. The node's own contribution is of its own
+  // type, so it cancels. Open subtrees nest, so they wait on a stack whose
+  // top closes first. Contributions are added one at a time in preorder,
+  // which keeps every payment bit-identical to the prefix-sum pass in
+  // tests/payment_reference.h.
   std::uint32_t num_types = 0;
   for (TaskType t : types) num_types = std::max(num_types, t.value + 1);
-  ws.type_offsets.assign(num_types + 1, 0);
-  for (TaskType t : types) ws.type_offsets[t.value + 1] += 1;
-  for (std::uint32_t t = 0; t < num_types; ++t) {
-    ws.type_offsets[t + 1] += ws.type_offsets[t];
-  }
-  ws.type_cursor.assign(ws.type_offsets.begin(), ws.type_offsets.end() - 1);
-  ws.type_positions.resize(n);
-  ws.type_prefix.resize(n);
-  for (std::size_t pos = 0; pos < nodes; ++pos) {
-    const std::uint32_t node = preorder[pos];
-    if (node == 0) continue;
-    const std::uint32_t i = tree::participant_of_node(node);
-    const double c = ws.contrib_prefix[pos + 1];  // still the raw contribution
-    const std::uint32_t t = types[i].value;
-    const std::uint32_t slot = ws.type_cursor[t]++;
-    ws.type_positions[slot] = static_cast<std::uint32_t>(pos);
+  ws.type_sum.assign(num_types, 0.0);
 #if RIT_BUG_ENABLED(RIT_BUG_PREFIX_CARRY)
-    // planted: the second slot of each group forgets the first entry
-    ws.type_prefix[slot] =
-        slot <= ws.type_offsets[t] + 1 ? c : ws.type_prefix[slot - 1] + c;
+  std::vector<bool> type_seen(num_types, false);
+#endif
+  ws.open.clear();
+  double sum = 0.0;
+  const auto close_until = [&](std::size_t pos) {
+    while (!ws.open.empty() && ws.open.back().end <= pos) {
+      const PaymentWorkspace::OpenSubtree& o = ws.open.back();
+      const double total = sum - o.sum_at_entry;
+      const double same_type =
+          ws.type_sum[types[o.participant].value] - o.type_sum_at_entry;
+      // The true reward is a sum of non-negative contributions; the
+      // running-sum subtraction can dip a few ulps below zero, which must
+      // not leak into a payment below p_i^A.
+      out[o.participant] += std::max(0.0, total - same_type);
+      ws.open.pop_back();
+    }
+  };
+  const auto preorder = tree.preorder();
+  for (std::size_t pos = 1; pos < preorder.size(); ++pos) {  // 0 is the root
+    close_until(pos);
+    const std::uint32_t node = preorder[pos];
+    const std::uint32_t i = tree::participant_of_node(node);
+    const std::uint32_t t = types[i].value;
+    const std::uint32_t size = tree.subtree_size(node);
+    if (size > 1) {  // a leaf has no descendants and no reward
+      ws.open.push_back({i, static_cast<std::uint32_t>(pos) + size, sum,
+                         ws.type_sum[t]});
+    }
+    const double c = ws.depth_discount[tree.depth(node)] * auction_payments[i];
+    sum += c;
+#if RIT_BUG_ENABLED(RIT_BUG_PREFIX_CARRY)
+    // planted: each type's running sum forgets its first contribution
+    if (type_seen[t]) ws.type_sum[t] += c;
+    type_seen[t] = true;
 #else
-    ws.type_prefix[slot] =
-        slot == ws.type_offsets[t] ? c : ws.type_prefix[slot - 1] + c;
+    ws.type_sum[t] += c;
 #endif
   }
-  // Stage 3 (serial): scan the contributions into a prefix sum in place.
-  for (std::size_t pos = 0; pos < nodes; ++pos) {
-    ws.contrib_prefix[pos + 1] += ws.contrib_prefix[pos];
-  }
-
-  // Stage 4: per-participant subtree queries. p[i] is the only write and
-  // indices are disjoint, so the query loop parallelizes bit-identically.
-  parallel_for_blocked(
-      n, threads, [&](std::uint64_t qb, std::uint64_t qe, unsigned) {
-        for (std::uint64_t i = qb; i < qe; ++i) {
-          const std::uint32_t node =
-              tree::node_of_participant(static_cast<std::uint32_t>(i));
-          if (tree.subtree_size(node) == 1) continue;  // leaf: no descendants
-          const std::uint32_t begin = tree.preorder_index(node);
-          const std::uint32_t end =
-              begin + tree.subtree_size(node);  // exclusive
-          // Whole-subtree contribution, then subtract the same-type share.
-          // The node's own contribution is of its own type, so it cancels.
-          const double total =
-              ws.contrib_prefix[end] - ws.contrib_prefix[begin];
-          const std::uint32_t t = types[i].value;
-          const auto* pos_begin = ws.type_positions.data() + ws.type_offsets[t];
-          const auto* pos_end =
-              ws.type_positions.data() + ws.type_offsets[t + 1];
-          const auto lo = std::lower_bound(pos_begin, pos_end, begin);
-          const auto hi = std::lower_bound(pos_begin, pos_end, end);
-          const double* prefix = ws.type_prefix.data() + ws.type_offsets[t];
-          const double sum_hi =
-              hi == pos_begin ? 0.0 : prefix[(hi - pos_begin) - 1];
-          const double sum_lo =
-              lo == pos_begin ? 0.0 : prefix[(lo - pos_begin) - 1];
-          const double same_type = sum_hi - sum_lo;
-          // The true reward is a sum of non-negative contributions; the
-          // prefix-sum subtraction can dip a few ulps below zero, which must
-          // not leak into a payment below p_i^A.
-          out[i] += std::max(0.0, total - same_type);
-        }
-      });
+  close_until(preorder.size());
 }
 
 double solicitation_premium(std::span<const double> payments,

@@ -15,8 +15,8 @@
 //    above one's real descendants strictly shrinks their contribution.
 //
 // Two implementations are provided: a transparent O(N * depth) reference
-// and the production O(N log N) pass used by run_rit(); property tests pin
-// them to each other on random trees.
+// and the production O(N) preorder scan used by run_rit(); property tests
+// pin them to each other on random trees.
 #pragma once
 
 #include <cstdint>
@@ -34,35 +34,37 @@ std::vector<double> tree_payments_reference(
     const tree::IncentiveTree& tree, std::span<const TaskType> types,
     std::span<const double> auction_payments, double discount_base);
 
-/// Production implementation: one preorder pass with per-type prefix sums
-/// over the Euler layout; O(N log N) time, O(N) memory. Returns the final
-/// payment vector p (participant-indexed, like the inputs).
+/// Production implementation: one preorder scan with a running sum per
+/// task type; O(N) time, O(num_types + max_depth) scratch. Returns the
+/// final payment vector p (participant-indexed, like the inputs).
 std::vector<double> tree_payments(const tree::IncentiveTree& tree,
                                   std::span<const TaskType> types,
                                   std::span<const double> auction_payments,
                                   double discount_base);
 
-/// Reusable scratch for tree_payments_into: the per-type prefix structure
-/// flattened into CSR arrays (one offsets/positions/prefix triple instead
-/// of a vector-of-vectors per type), plus the depth-discount memo. All
-/// buffers regrow to high-water capacity once and are then reused, so a
-/// steady-state payment pass performs no allocations.
+/// Reusable scratch for tree_payments_into: the depth-discount memo, one
+/// running contribution sum per task type, and the stack of subtrees the
+/// preorder scan has opened but not yet closed (at most max_depth deep).
+/// All buffers regrow to high-water capacity once and are then reused, so
+/// a steady-state payment pass performs no allocations.
 struct PaymentWorkspace {
-  std::vector<double> contrib_prefix;        ///< per preorder pos, size nodes+1
-  std::vector<double> depth_discount;        ///< base^d memo, size max_depth+1
-  std::vector<std::uint32_t> type_offsets;   ///< per type, size num_types+1
-  std::vector<std::uint32_t> type_cursor;    ///< counting-sort scratch
-  std::vector<std::uint32_t> type_positions; ///< flat, ascending per type
-  std::vector<double> type_prefix;           ///< inclusive per-type prefix sums
+  struct OpenSubtree {
+    std::uint32_t participant;
+    std::uint32_t end;         ///< preorder position one past the subtree
+    double sum_at_entry;       ///< all-type running sum before the subtree
+    double type_sum_at_entry;  ///< own-type running sum before the subtree
+  };
+  std::vector<double> depth_discount;  ///< base^d memo, size max_depth+1
+  std::vector<double> type_sum;        ///< per-type running sum
+  std::vector<OpenSubtree> open;
 };
 
-/// Scratch-reusing, optionally parallel form of tree_payments. Writes the
-/// final payments into `out` (resized to the participant count, reusing
-/// capacity). The contribution fill and the per-participant subtree queries
-/// run blocked across `threads` workers (resolve_threads semantics; <= 1
-/// runs inline); every write is to a disjoint index, so the result is
-/// bit-identical to the serial pass — and to tree_payments() — at any
-/// thread count.
+/// Scratch-reusing form of tree_payments: one O(N) preorder scan. Writes
+/// the final payments into `out` (resized to the participant count,
+/// reusing capacity); bit-identical to tree_payments(). The scan is
+/// serial and `threads` is ignored: it stays in the signature only for
+/// existing callers such as perfbench, which passes
+/// RitConfig::intra_threads.
 void tree_payments_into(const tree::IncentiveTree& tree,
                         std::span<const TaskType> types,
                         std::span<const double> auction_payments,

@@ -23,6 +23,18 @@ std::uint64_t Rng::uniform_u64(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
+bool Rng::skip_uniform_indices(std::uint64_t count, std::uint64_t lcm) {
+  RIT_CHECK(lcm > 0);
+  const Xoshiro256StarStar saved = engine_;
+  for (std::uint64_t d = 0; d < count; ++d) {
+    if (engine_() * lcm < lcm) {  // low 64 bits of x * lcm
+      engine_ = saved;
+      return false;
+    }
+  }
+  return true;
+}
+
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   RIT_CHECK(lo <= hi);
   const std::uint64_t span =

@@ -48,6 +48,17 @@ class Rng {
     return static_cast<std::size_t>(uniform_u64(n));
   }
 
+  /// Advances the stream exactly as `count` uniform_index(i) calls would,
+  /// for any bounds i > 0 that all divide `lcm`, in any order, without
+  /// knowing the bounds or their order. Each such call takes one raw draw
+  /// unless its Lemire test low64(x * i) < i fires, and that test implies
+  /// low64(x * lcm) < lcm (multiply both sides by lcm / i). So when no raw
+  /// draw passes the lcm filter, no call would have rejected, and skipping
+  /// `count` raw draws is exact. On a filter hit returns false and leaves
+  /// the state unchanged; the caller then replays the calls in order.
+  /// The chance of a hit is about count * lcm / 2^64.
+  bool skip_uniform_indices(std::uint64_t count, std::uint64_t lcm);
+
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform01() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

@@ -74,8 +74,9 @@ struct Scenario {
   std::uint32_t initial_joiners = 10;
 
   /// Worker threads for the deterministic intra-trial parallel pass of
-  /// workload generation (the spanning-forest wave scan;
-  /// core::RitConfig::intra_threads covers the payment phase). The pass is
+  /// workload generation (the spanning-forest wave scan). The payment
+  /// phase no longer parallelizes: it is a serial preorder scan and
+  /// ignores core::RitConfig::intra_threads. The pass is
   /// bit-identical at any setting, so this knob is deliberately
   /// excluded from scenario serialization and checkpoint identity: it can
   /// never change what a trial computes, only how fast.

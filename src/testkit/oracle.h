@@ -45,7 +45,7 @@ core::RitResult oracle_run_rit(const FuzzCase& c);
 /// are compared exactly; auction payments and derived probabilities with a
 /// 1e-12 relative tolerance (same-order sums of identical terms); final
 /// tree payments with `payment_tolerance` (the oracle's ancestor walk sums
-/// contributions in a different order than the prefix-sum pass).
+/// contributions in a different order than the preorder running-sum scan).
 OracleDiff diff_results(const core::RitResult& prod,
                         const core::RitResult& oracle,
                         double payment_tolerance = 1e-9);

@@ -705,5 +705,89 @@ TEST(CraFullSortEquivalence, OrderStatisticArm) {
   }
 }
 
+// --- Shapes for each path of the draw replay above the threshold ---------
+// Above s, run_cra skips the tie-shuffle draws without sorting when the
+// runs there have pairwise-distinct values and lcm(2..longest run) is at
+// most 2^40, and otherwise sorts them and replays the draws. The books
+// below put the threshold at a chosen share of the book (the band ratio)
+// and plant the shapes that force each path.
+
+/// q + m_i as `band` of |alpha| (the sample minimum lands near rank
+/// q + m_i); band >= 1 sets it to 1000 |alpha|, so the sample is almost
+/// always empty and the whole book is the band.
+CraParams params_for_band(std::size_t unit_asks, double band) {
+  const auto budget = static_cast<std::uint64_t>(
+      band >= 1.0 ? 1000.0 * static_cast<double>(unit_asks)
+                  : band * static_cast<double>(unit_asks));
+  return {.q = static_cast<std::uint32_t>(budget / 2),
+          .m_i = static_cast<std::uint32_t>(budget - budget / 2)};
+}
+
+/// Mean share of the unit asks at or below the threshold over `rounds`.
+double mean_band_ratio(std::span<const double> asks, const CraParams& params,
+                       int rounds) {
+  double sum = 0.0;
+  for (int r = 0; r < rounds; ++r) {
+    rng::Rng rng(900 + static_cast<std::uint64_t>(r));
+    sum += static_cast<double>(run_cra(asks, params, rng).raw_count) /
+           static_cast<double>(asks.size());
+  }
+  return sum / rounds;
+}
+
+TEST(CraFullSortEquivalence, BandRatiosFromOnePercentToWholeBook) {
+  // Distinct values: above s every run is its own tie group, so these take
+  // the unsorted skip (at band 1 nothing is above s).
+  rng::Rng gen(37);
+  const std::vector<double> asks = extract_shaped_book(3000, 0, gen);
+  for (const double band : {0.01, 0.14, 1.0}) {
+    const CraParams params = params_for_band(asks.size(), band);
+    const double measured = mean_band_ratio(asks, params, 40);
+    if (band < 1.0) {
+      EXPECT_GT(measured, band / 3) << "band " << band;
+      EXPECT_LT(measured, band * 3) << "band " << band;
+    } else {
+      EXPECT_EQ(measured, 1.0);
+    }
+    EXPECT_GT(expect_matches_full_sort(asks, params, 60, 800), 0)
+        << "band " << band;
+  }
+}
+
+TEST(CraFullSortEquivalence, CrossUserTiesAboveThresholdFallBack) {
+  // Every 40th user bids one of two shared high values, so equal values
+  // recur in non-adjacent runs above s and the skip must not be taken.
+  rng::Rng gen(38);
+  std::vector<double> asks;
+  for (int u = 0; u < 2000; ++u) {
+    const double v = u % 40 != 0 ? gen.uniform_real_left_open(0.0, 9.0)
+                     : u % 80 == 0 ? 9.5
+                                   : 9.75;
+    asks.insert(asks.end(), static_cast<std::size_t>(gen.uniform_int(1, 20)),
+                v);
+  }
+  for (const double band : {0.01, 0.14}) {
+    EXPECT_GT(expect_matches_full_sort(
+                  asks, params_for_band(asks.size(), band), 60, 820),
+              0)
+        << "band " << band;
+  }
+}
+
+TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
+  // One user above s with more units than the skip's lcm cap allows:
+  // lcm(2..28) < 2^40 < lcm(2..29), so 28 takes the skip and 29 and 40
+  // fall back to the sorted replay.
+  for (const std::size_t len : {28u, 29u, 40u}) {
+    rng::Rng gen(39);
+    std::vector<double> asks = extract_shaped_book(1500, 0, gen);
+    asks.insert(asks.begin(), len, 10.5);
+    EXPECT_GT(expect_matches_full_sort(
+                  asks, params_for_band(asks.size(), 0.05), 60, 840),
+              0)
+        << "len " << len;
+  }
+}
+
 }  // namespace
 }  // namespace rit::core

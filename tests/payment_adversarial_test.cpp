@@ -1,10 +1,11 @@
 // Differential payment coverage on adversarial tree shapes at scale: a
 // 1e5-deep chain, a 1e5-wide star, and a 1e5-tooth comb. The production
-// O(N log N) pass (serial and parallel) is pinned against a reference on
-// each shape. For the star and comb the committed O(Σdepth) reference is
-// affordable; for the deep chain Σdepth is ~5e9, so the test uses a local
-// sparse reference instead — only a handful of contributors carry nonzero
-// auction payments, and walking just their ancestor chains is exact.
+// O(N) preorder scan (at every `threads` setting) is pinned against a
+// reference on each shape. For the star and comb the committed O(Σdepth)
+// reference is affordable; for the deep chain Σdepth is ~5e9, so the test
+// uses a local sparse reference instead — only a handful of contributors
+// carry nonzero auction payments, and walking just their ancestor chains
+// is exact.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -57,7 +58,7 @@ void expect_all_near(const std::vector<double>& actual,
                      const std::vector<double>& expected) {
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t j = 0; j < actual.size(); ++j) {
-    // The production prefix-sum pass accumulates in a different order than
+    // The production running-sum scan accumulates in a different order than
     // the ancestor walk; 1e-9 relative covers the reassociation.
     const double tol = 1e-9 * (1.0 + std::abs(expected[j]));
     ASSERT_NEAR(actual[j], expected[j], tol) << "participant " << j;
@@ -74,8 +75,8 @@ void expect_parallel_bit_identical(const tree::IncentiveTree& tree,
     tree_payments_into(tree, types, auction, kBase, threads, ws, out);
     ASSERT_EQ(out.size(), serial.size()) << "threads=" << threads;
     for (std::size_t j = 0; j < out.size(); ++j) {
-      // Bit-identical, not merely near: every parallel write is to a
-      // disjoint index of the same serial computation.
+      // Bit-identical, not merely near: the scan ignores `threads`, so
+      // every setting runs the same serial computation.
       ASSERT_EQ(out[j], serial[j]) << "threads=" << threads << " j=" << j;
     }
   }

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/check.h"
 #include "core/payment.h"
+#include "graph/generators.h"
+#include "payment_reference.h"
 #include "rng/rng.h"
 #include "tree/builders.h"
 
@@ -216,6 +221,111 @@ TEST(Payment, SolicitationPremiumComputation) {
   const std::vector<double> p{5.0, 3.0};
   const std::vector<double> pa{4.0, 3.0};
   EXPECT_DOUBLE_EQ(solicitation_premium(p, pa), 1.0);
+}
+
+// --- Bit-exact equivalence with the prefix-sum pass ------------------------
+
+/// Runs tree_payments_into at 1 and 4 threads through one reused workspace
+/// and requires every payment to equal the prefix-sum reference bit for bit.
+void expect_matches_prefix_sum_pass(const tree::IncentiveTree& t,
+                                    const std::vector<TaskType>& types,
+                                    const std::vector<double>& pa) {
+  const std::vector<double> want =
+      reference::prefix_sum_payments(t, types, pa, 0.5);
+  PaymentWorkspace ws;
+  std::vector<double> got;
+  for (const unsigned threads : {1u, 4u}) {
+    tree_payments_into(t, types, pa, 0.5, threads, ws, got);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "participant " << i << " threads " << threads << ": " << got[i]
+          << " vs " << want[i];
+    }
+  }
+}
+
+/// Types uniform over `num_types`; about 30% of participants win, paid in
+/// (0, 10], the rest are paid 0 (the shape of an auction outcome).
+void random_market(std::uint32_t n, std::uint32_t num_types, rng::Rng& rng,
+                   std::vector<TaskType>& types, std::vector<double>& pa) {
+  types.resize(n);
+  pa.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    types[i] =
+        TaskType{static_cast<std::uint32_t>(rng.uniform_index(num_types))};
+    pa[i] = rng.bernoulli(0.3) ? rng.uniform_real_left_open(0.0, 10.0) : 0.0;
+  }
+}
+
+TEST(PaymentScan, BitIdenticalToPrefixSumPassOnBarabasiAlbertForest) {
+  rng::Rng rng(500);
+  const graph::Graph g = graph::barabasi_albert(20000, 3, rng);
+  tree::SpanningForestOptions opts;
+  opts.seeds.resize(10);
+  std::iota(opts.seeds.begin(), opts.seeds.end(), 0u);
+  const tree::IncentiveTree t = tree::build_spanning_forest(g, opts).tree;
+  std::vector<TaskType> types;
+  std::vector<double> pa;
+  random_market(t.num_participants(), 10, rng, types, pa);
+  expect_matches_prefix_sum_pass(t, types, pa);
+}
+
+TEST(PaymentScan, BitIdenticalToPrefixSumPassOnDeepChain) {
+  // 5000 open subtrees on the stack at once; deep discounts underflow to 0.
+  rng::Rng rng(501);
+  const tree::IncentiveTree t = tree::chain_tree(5000);
+  std::vector<TaskType> types;
+  std::vector<double> pa;
+  random_market(5000, 3, rng, types, pa);
+  expect_matches_prefix_sum_pass(t, types, pa);
+}
+
+TEST(PaymentScan, BitIdenticalToPrefixSumPassOnStar) {
+  // One hub under the platform with every other participant as its child.
+  const std::uint32_t n = 3000;
+  std::vector<std::uint32_t> parents(n + 1, 1);
+  parents[0] = 0;
+  parents[1] = 0;
+  rng::Rng rng(502);
+  std::vector<TaskType> types;
+  std::vector<double> pa;
+  random_market(n, 4, rng, types, pa);
+  expect_matches_prefix_sum_pass(tree::IncentiveTree(parents), types, pa);
+}
+
+TEST(PaymentScan, BitIdenticalToPrefixSumPassWithOneType) {
+  // Every descendant shares its ancestor's type: all rewards are zero.
+  rng::Rng rng(503);
+  const tree::IncentiveTree t = tree::random_recursive_tree(5000, 0.05, rng);
+  std::vector<TaskType> types;
+  std::vector<double> pa;
+  random_market(5000, 1, rng, types, pa);
+  expect_matches_prefix_sum_pass(t, types, pa);
+}
+
+TEST(PaymentScan, BitIdenticalToPrefixSumPassWithZeroAuctionPayments) {
+  rng::Rng rng(504);
+  const tree::IncentiveTree t = tree::random_recursive_tree(5000, 0.05, rng);
+  std::vector<TaskType> types;
+  std::vector<double> pa;
+  random_market(5000, 10, rng, types, pa);
+  std::fill(pa.begin(), pa.end(), 0.0);
+  expect_matches_prefix_sum_pass(t, types, pa);
+}
+
+TEST(PaymentScan, BitIdenticalToPrefixSumPassOnRandomTrees) {
+  rng::Rng rng(505);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.uniform_index(300));
+    const tree::IncentiveTree t = tree::random_recursive_tree(n, 0.2, rng);
+    std::vector<TaskType> types;
+    std::vector<double> pa;
+    random_market(n, static_cast<std::uint32_t>(1 + rng.uniform_index(6)), rng,
+                  types, pa);
+    expect_matches_prefix_sum_pass(t, types, pa);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -289,6 +291,72 @@ TEST(Rng, SplitIsDeterministic) {
   Rng ca = a.split();
   Rng cb = b.split();
   for (int i = 0; i < 32; ++i) EXPECT_EQ(ca.next_u64(), cb.next_u64());
+}
+
+// skip_uniform_indices stands for a multiset of uniform_index calls in any
+// order: bounds drawn from 2..max_len (the Fisher-Yates bounds of runs up
+// to max_len long), lcm(2..max_len) passed, and each multiset replayed
+// sequentially in several shuffled orders. At these lcm values a filter
+// hit has probability below 2^-27 per draw, so the pinned seeds all take
+// the skip.
+TEST(Rng, SkipUniformIndicesMatchesSequentialCallsInAnyOrder) {
+  Rng gen(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint64_t max_len = 2 + gen.uniform_index(27);  // 2..28
+    std::uint64_t lcm = 1;
+    for (std::uint64_t i = 2; i <= max_len; ++i) lcm = std::lcm(lcm, i);
+    std::vector<std::uint64_t> bounds(gen.uniform_index(600));
+    for (std::uint64_t& b : bounds) b = 2 + gen.uniform_index(max_len - 1);
+    for (int order = 0; order < 3; ++order) {
+      gen.shuffle(std::span<std::uint64_t>(bounds));
+      Rng sequential(1000 + static_cast<std::uint64_t>(trial));
+      Rng skipped(1000 + static_cast<std::uint64_t>(trial));
+      for (const std::uint64_t b : bounds) (void)sequential.uniform_index(b);
+      ASSERT_TRUE(skipped.skip_uniform_indices(bounds.size(), lcm))
+          << "trial " << trial;
+      EXPECT_EQ(skipped.next_u64(), sequential.next_u64())
+          << "trial " << trial << " order " << order;
+    }
+  }
+}
+
+TEST(Rng, SkipUniformIndicesFilterHitLeavesStateUnchanged) {
+  // lcm = 2^63 fails the filter on every even raw draw.
+  Rng rng(5);
+  const Rng before = rng;
+  EXPECT_FALSE(rng.skip_uniform_indices(64, std::uint64_t{1} << 63));
+  Rng expect = before;
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(rng.next_u64(), expect.next_u64());
+}
+
+TEST(Rng, SkipUniformIndicesNeverSkipsPastARejection) {
+  // Bound 2^63 + 1 rejects about half its draws. Whenever the sequential
+  // calls took more than one raw draw each, the skip must refuse.
+  const std::uint64_t bound = (std::uint64_t{1} << 63) + 1;
+  int rejected = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng sequential(seed);
+    Rng raw(seed);
+    Rng skipped(seed);
+    for (int c = 0; c < 3; ++c) (void)sequential.uniform_index(bound);
+    for (int c = 0; c < 3; ++c) (void)raw.next_u64();
+    const bool one_draw_each = sequential.next_u64() == raw.next_u64();
+    rejected += one_draw_each ? 0 : 1;
+    if (skipped.skip_uniform_indices(3, bound)) {
+      EXPECT_TRUE(one_draw_each) << "seed " << seed;
+    } else {
+      Rng fresh(seed);
+      EXPECT_EQ(skipped.next_u64(), fresh.next_u64()) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(rejected, 50);
+}
+
+TEST(Rng, SkipUniformIndicesOfNothingIsANoOp) {
+  Rng a(8);
+  Rng b(8);
+  EXPECT_TRUE(a.skip_uniform_indices(0, 12));
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 }  // namespace

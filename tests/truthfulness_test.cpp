@@ -167,7 +167,7 @@ TEST(Truthfulness, OwnBidNeverMovesOwnTreeReward) {
     if (reward < 0.0) continue;
     // Equal up to prefix-sum reconstruction noise: the probe's own auction
     // payment differs across bids, and although it cancels exactly in real
-    // arithmetic, the O(N) prefix-sum path reconstructs it to within ulps.
+    // arithmetic, the O(N) running-sum scan reconstructs it to within ulps.
     EXPECT_NEAR(reward, base, 1e-9 * (1.0 + base)) << "bid " << bid;
   }
 }

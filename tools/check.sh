@@ -51,12 +51,13 @@
 #                 (ritcs-fuzz-bug1..3) must catch its planted bug inside
 #                 the same budget, and the committed golden repro must
 #                 replay both ways — see docs/testing.md
-#  14. stream-identity smoke  the repo benchmark's paper_sweep workload for
-#                 one second at seed 1 (perfbench/run.py builds its own
-#                 binary; every trial passes its correctness gate or the
-#                 run exits 1) must print the pinned digest f9ec0e50bb7b9c8f,
-#                 so a silent change to the random stream, a graph or a
-#                 tree fails the gate
+#  14. stream-identity smoke  the repo benchmark's paper_sweep and
+#                 tight_market workloads for one second at seed 1
+#                 (perfbench/run.py builds its own binary; every trial
+#                 passes its correctness gate or the run exits 1) must print
+#                 the pinned digests f9ec0e50bb7b9c8f and 802c6025883f6e5d,
+#                 so a silent change to the random stream, a graph, a tree
+#                 or the payment pass on a whole-book band fails the gate
 #  15. pinned-CSV smoke  tools/pinned_csvs.sh: the fig6a and
 #                 ablation_consensus CSVs at a fixed seed must hash to
 #                 their pinned sha256 at --threads=1 and --threads=4, so a
@@ -285,16 +286,22 @@ done
 # (graph, forest, population, mechanism run), so it moves whenever any
 # layer's output or the random stream does. It is pinned for GCC builds;
 # another compiler may contract floating point differently.
-step "stream-identity smoke (paper_sweep digest at seed 1)"
-STREAM_LOG="$PERF_TMP/stream_identity.log"
-python3 perfbench/run.py --workload paper_sweep --seed 1 --seconds 1 \
-  --trace 0 > "$STREAM_LOG"
-grep -q "^digest paper_sweep seed 1: allocation+payment fnv1a f9ec0e50bb7b9c8f$" \
-  "$STREAM_LOG" || {
-  echo "check.sh: paper_sweep digest changed:" >&2
-  grep "^digest" "$STREAM_LOG" >&2 || true
-  exit 1
-}
+# tight_market runs at band ratio 1 (the whole sorted book can win), so its
+# digest also gates the payment pass over a fully allocated market.
+step "stream-identity smoke (paper_sweep + tight_market digests at seed 1)"
+for pinned in paper_sweep:f9ec0e50bb7b9c8f tight_market:802c6025883f6e5d; do
+  workload="${pinned%%:*}"
+  digest="${pinned#*:}"
+  STREAM_LOG="$PERF_TMP/stream_identity_$workload.log"
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+    --trace 0 > "$STREAM_LOG"
+  grep -q "^digest $workload seed 1: allocation+payment fnv1a $digest$" \
+    "$STREAM_LOG" || {
+    echo "check.sh: $workload digest changed:" >&2
+    grep "^digest" "$STREAM_LOG" >&2 || true
+    exit 1
+  }
+done
 
 # --- 15. pinned-seed bench CSVs: byte-identical at one worker and four ----
 step "pinned-CSV smoke (fig6a + ablation_consensus at --threads=1,4)"
