@@ -56,9 +56,9 @@ ModeResult run_mode(const sim::Scenario& base, core::PriceMode mode,
 
         {
           rng::Rng rng(inst.mechanism_seed);
-          const auto r =
-              core::run_rit(inst.job, inst.population.truthful_asks,
-                            inst.tree, s.mechanism, rng, wk.ws);
+          core::RitResult r;
+          core::run_rit_into(inst.job, inst.population.truthful_asks,
+                             inst.tree, s.mechanism, rng, wk.ws, r);
           wk.honest.add(r.utility_of(attacker, 1.0));
           wk.payment.add(r.total_payment());
         }
@@ -72,8 +72,9 @@ ModeResult run_mode(const sim::Scenario& base, core::PriceMode mode,
           const auto attacked = attack::apply_sybil(
               inst.tree, inst.population.truthful_asks, plan);
           rng::Rng rng(inst.mechanism_seed);
-          const auto r = core::run_rit(inst.job, attacked.asks, attacked.tree,
-                                       s.mechanism, rng, wk.ws);
+          core::RitResult r;
+          core::run_rit_into(inst.job, attacked.asks, attacked.tree,
+                             s.mechanism, rng, wk.ws, r);
           wk.attack_stats.add(attacked.attacker_utility(r, 1.0));
         }
       });

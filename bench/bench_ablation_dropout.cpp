@@ -45,8 +45,9 @@ int main(int argc, char** argv) {
               inst.tree, inst.population.truthful_asks, rate, drop_rng);
           wk.survivors.add(static_cast<double>(dropped.asks.size()));
           rng::Rng rng(inst.mechanism_seed);
-          const core::RitResult r = core::run_rit(
-              inst.job, dropped.asks, dropped.tree, s.mechanism, rng, wk.ws);
+          core::RitResult r;
+          core::run_rit_into(inst.job, dropped.asks, dropped.tree, s.mechanism,
+                             rng, wk.ws, r);
           if (!r.success) return;
           ++wk.successes;
           double total = 0.0;

@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
         opts.trials, workers, [&](Worker& wk, std::uint64_t trial) {
           const sim::TrialInstance inst = sim::make_instance(s, trial);
           rng::Rng rng(inst.mechanism_seed);
-          const core::RitResult r =
-              core::run_rit(inst.job, inst.population.truthful_asks, inst.tree,
-                            s.mechanism, rng, wk.ws);
+          core::RitResult r;
+          core::run_rit_into(inst.job, inst.population.truthful_asks,
+                             inst.tree, s.mechanism, rng, wk.ws, r);
           double total_rounds = 0.0;
           for (const auto& info : r.type_info) {
             total_rounds += info.rounds_used;

@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
         opts.trials, workers, [&](Worker& wk, std::uint64_t t) {
           const sim::TrialInstance inst = sim::make_instance(comp, t);
           rng::Rng rng(inst.mechanism_seed);
-          const core::RitResult r =
-              core::run_rit(inst.job, inst.population.truthful_asks, inst.tree,
-                            comp.mechanism, rng, wk.ws);
+          core::RitResult r;
+          core::run_rit_into(inst.job, inst.population.truthful_asks,
+                             inst.tree, comp.mechanism, rng, wk.ws, r);
           wk.achieved.add(r.achieved_probability);
           double rounds = 0.0;
           for (const auto& info : r.type_info) {

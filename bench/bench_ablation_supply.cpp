@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
             costs.push_back(pop.costs[u]);
           }
           rng::Rng rng(s.trial_seed(trial, 3));
-          const core::RitResult r =
-              core::run_rit(job, asks, grown.tree, s.mechanism, rng, wk.ws);
+          core::RitResult r;
+          core::run_rit_into(job, asks, grown.tree, s.mechanism, rng, wk.ws,
+                             r);
           if (r.success) {
             ++wk.successes;
             double total_utility = 0.0;

@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: consensus
-// rounding, one CRA round, Extract, the payment phase (fast vs reference),
-// the substrate generators, and the tracer's own overhead (baseline vs
-// idle-span vs active-span — the idle pair is the <2% guarantee from
-// docs/observability.md).
+// rounding, one CRA round, Extract, the auction phase, the payment phase
+// (fast vs reference), the substrate generators, and the tracer's own
+// overhead (baseline vs idle-span vs active-span — the idle pair is the
+// <2% guarantee from docs/observability.md).
 //
 // Besides the google-benchmark flags, accepts --trace-out=PATH,
 // --metrics-out=PATH and --json=PATH (summary, default
@@ -176,7 +176,7 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
   core::CraWorkspace ws;
   core::CraOutcome out;
   ws.chosen.reserve(asks.size());
-  ws.winners.reserve(asks.size());
+  out.winners.reserve(asks.size());
   ws.sample_pool.reserve(asks.size());
   for (int warm = 0; warm < 64; ++warm) {
     core::run_cra(asks, params, rng, ws, out);
@@ -208,23 +208,81 @@ BENCHMARK(BM_CraRoundUnitRuns)
     ->Args({6000, 100})
     ->Args({60000, 1});
 
-void BM_Extract(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  rng::Rng rng(4);
+std::vector<core::Ask> make_market(std::size_t users, std::uint64_t seed) {
+  rng::Rng rng(seed);
   std::vector<core::Ask> asks;
-  for (std::size_t j = 0; j < n; ++j) {
+  asks.reserve(users);
+  for (std::size_t j = 0; j < users; ++j) {
     asks.push_back(core::Ask{
         TaskType{static_cast<std::uint32_t>(rng.uniform_index(10))},
         static_cast<std::uint32_t>(rng.uniform_int(1, 20)),
         rng.uniform_real_left_open(0.0, 10.0)});
   }
+  return asks;
+}
+
+// Extract in the run form RIT's auction loop uses: one type's runs from the
+// per-type index, every user at full capacity (the first round).
+void BM_Extract(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<core::Ask> asks = make_market(n, 4);
+  core::AskTypeIndex index;
+  index.build(10, asks);
+  std::vector<std::uint32_t> remaining(n);
+  for (std::size_t j = 0; j < n; ++j) remaining[j] = asks[j].quantity;
+  core::ExtractedRuns out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::extract(TaskType{3}, asks));
+    core::extract_runs_into(TaskType{3}, index, remaining, out);
+    benchmark::DoNotOptimize(out.runs.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Extract)->Arg(10000)->Arg(100000);
+
+// The whole auction phase (Extract, CRA rounds, write-back) on a warm
+// workspace and result, at the repo benchmark's market shapes: 80k users
+// and 10 types with k ~ U{1..20}, run to completion, at m_i = 5000 (the
+// paper_sweep shape) and m_i = 66000 (tight_market). heap_allocs_per_run
+// must be 0: as in BM_CraRoundUnitRuns, the CRA buffers whose size follows
+// a round's random n_s are reserved to the largest |alpha| up front, and
+// the warm-up runs size the rest.
+void BM_AuctionPhaseWorkspace(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto m_i = static_cast<std::uint32_t>(state.range(1));
+  const std::vector<core::Ask> asks = make_market(n, 10);
+  const core::Job job = core::Job::uniform(10, m_i);
+  core::RitConfig cfg;
+  cfg.round_budget_policy = core::RoundBudgetPolicy::kRunToCompletion;
+  rng::Rng rng(11);
+  core::RitWorkspace ws;
+  core::RitResult out;
+  std::vector<std::size_t> supply(10, 0);
+  for (const core::Ask& a : asks) supply[a.type.value] += a.quantity;
+  const std::size_t alpha = *std::max_element(supply.begin(), supply.end());
+  ws.cra.chosen.reserve(alpha);
+  ws.cra.sample_pool.reserve(alpha);
+  ws.cra.sample_out.reserve(alpha);
+  ws.round.winners.reserve(alpha);
+  for (int warm = 0; warm < 4; ++warm) {
+    core::run_auction_phase_into(job, asks, cfg, rng, ws, out);
+  }
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    core::run_auction_phase_into(job, asks, cfg, rng, ws, out);
+    benchmark::DoNotOptimize(out.auction_payment.data());
+  }
+  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  state.counters["heap_allocs_per_run"] = benchmark::Counter(
+      state.iterations() > 0
+          ? static_cast<double>(after - before) /
+                static_cast<double>(state.iterations())
+          : 0.0);
+}
+BENCHMARK(BM_AuctionPhaseWorkspace)
+    ->Args({80000, 5000})
+    ->Args({80000, 66000})
+    ->Unit(benchmark::kMillisecond);
 
 struct PaymentFixtureData {
   tree::IncentiveTree tree = tree::IncentiveTree::root_only();
@@ -380,7 +438,9 @@ void BM_FullRitWorkspace(benchmark::State& state) {
   rng::Rng rng(9);
   core::RitWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_rit(job, asks, t, cfg, rng, ws));
+    core::RitResult r;
+    core::run_rit_into(job, asks, t, cfg, rng, ws, r);
+    benchmark::DoNotOptimize(r.payment.data());
   }
 }
 BENCHMARK(BM_FullRitWorkspace)->Arg(5000)->Arg(20000);

@@ -60,8 +60,9 @@ int main(int argc, char** argv) {
 
         {
           rng::Rng rng(inst.mechanism_seed);
-          const core::RitResult r = core::run_rit(inst.job, asks, inst.tree,
-                                                  s.mechanism, rng, wk.ws);
+          core::RitResult r;
+          core::run_rit_into(inst.job, asks, inst.tree, s.mechanism, rng,
+                             wk.ws, r);
           if (r.success) {
             wk.pay_rit.add(r.total_payment());
             wk.pay_auction.add(r.total_auction_payment());

@@ -76,17 +76,18 @@ std::vector<SybilSeriesPoint> run_sybil_experiment(
             const AttackedInstance attacked = apply_sybil(
                 inst.tree, inst.population.truthful_asks, plan);
             rng::Rng rng(inst.mechanism_seed);
-            const core::RitResult r =
-                core::run_rit(inst.job, attacked.asks, attacked.tree,
-                              scenario.mechanism, rng, wk.ws);
+            core::RitResult r;
+            core::run_rit_into(inst.job, attacked.asks, attacked.tree,
+                               scenario.mechanism, rng, wk.ws, r);
             wk.utility[a].add(
                 attacked.attacker_utility(r, config.victim_cost));
           }
 
           rng::Rng rng(inst.mechanism_seed);
-          const core::RitResult honest_run =
-              core::run_rit(inst.job, inst.population.truthful_asks,
-                            inst.tree, scenario.mechanism, rng, wk.ws);
+          core::RitResult honest_run;
+          core::run_rit_into(inst.job, inst.population.truthful_asks,
+                             inst.tree, scenario.mechanism, rng, wk.ws,
+                             honest_run);
           wk.honest.add(honest_run.utility_of(victim, config.victim_cost));
         });
     for (const Worker& wk : workers) {

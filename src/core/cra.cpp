@@ -121,47 +121,45 @@ void replay_above_band(std::span<CraWorkspace::ValueRun> above,
   }
 }
 
-// Ascending-value index order with ties shuffled uniformly: equal asks must
-// be treated equally ("anonymity"), otherwise "the smallest n asks" would
-// systematically favour whichever user Extract happened to expand first.
-// The order is defined as: sort indices by (value, index), then shuffle
-// each maximal group of equal values, groups in ascending value order.
+// Ascending-value order of the band's unit asks with ties shuffled
+// uniformly: equal asks must be treated equally ("anonymity"), otherwise
+// "the smallest n asks" would systematically favour whichever user Extract
+// happened to expand first. The order is defined as: sort unit indices by
+// (value, index), shuffle each maximal group of equal values, groups in
+// ascending value order.
 //
-// It is built from runs instead of unit asks. Sorting the maximal runs of
-// equal adjacent values by (value, start) and expanding them gives exactly
-// the (value, index) order, because equal-valued runs are disjoint index
-// ranges. Only runs with value <= `limit` (the band) are sorted and
-// written to `order`. Every band group precedes every group above the
-// limit in the full order, so the draws above it come last and are
-// consumed by replay_above_band.
-void sorted_order_with_shuffled_ties(std::span<const double> asks,
-                                     double limit, CraWorkspace& ws,
-                                     rng::Rng& rng) {
+// It is built from runs instead of unit asks. The runs tile alpha in
+// order, so sorting them by (value, run index) and expanding them gives
+// exactly the (value, index) order. Only runs with value <= `limit` (the
+// band) are sorted and written to `order`, each unit as (run, offset).
+// Every band group precedes every group above the limit in the full
+// order, so the draws above it come last and are consumed by
+// replay_above_band.
+void sorted_band_with_shuffled_ties(std::span<const AskRun> book,
+                                    double limit, std::uint64_t units,
+                                    CraWorkspace& ws, rng::Rng& rng) {
   using ValueRun = CraWorkspace::ValueRun;
   std::vector<ValueRun>& runs = ws.runs;
-  runs.clear();
-  const auto n = static_cast<std::uint32_t>(asks.size());
-  for (std::uint32_t i = 0; i < n;) {
-    std::uint32_t j = i + 1;
-    while (j < n && asks[j] == asks[i]) ++j;
-    runs.push_back(ValueRun{asks[i], i, j - i});
-    i = j;
+  runs.resize(book.size());
+  std::size_t band = 0;
+  std::size_t above = book.size();
+  for (std::uint32_t r = 0; r < book.size(); ++r) {
+    runs[book[r].value <= limit ? band++ : --above] =
+        ValueRun{book[r].value, r, book[r].len};
   }
-  const auto band_end =
-      std::partition(runs.begin(), runs.end(),
-                     [limit](const ValueRun& r) { return r.value <= limit; });
+  const auto band_end = runs.begin() + static_cast<std::ptrdiff_t>(band);
   std::sort(runs.begin(), band_end, [](const ValueRun& a, const ValueRun& b) {
     if (a.value != b.value) return a.value < b.value;
 #if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
-    return a.start > b.start;  // planted: ties enter the shuffle reversed
+    return a.run > b.run;  // planted: ties enter the shuffle reversed
 #else
-    return a.start < b.start;
+    return a.run < b.run;
 #endif
   });
 
-  std::vector<std::uint32_t>& order = ws.order;
+  std::vector<UnitAsk>& order = ws.order;
   order.clear();
-  order.reserve(asks.size());  // no regrowth when a later band is wider
+  order.reserve(units);  // no regrowth when a later band is wider
   for (auto r = runs.begin(); r != band_end;) {
     auto e = r + 1;
     while (e != band_end && e->value == r->value) ++e;
@@ -169,16 +167,14 @@ void sorted_order_with_shuffled_ties(std::span<const double> asks,
     for (auto k = r; k != e; ++k) {
       for (std::uint32_t u = 0; u < k->len; ++u) {
 #if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
-        order.push_back(k->start + k->len - 1 - u);
+        order.push_back(UnitAsk{k->run, k->len - 1 - u});
 #else
-        order.push_back(k->start + u);
+        order.push_back(UnitAsk{k->run, u});
 #endif
       }
     }
     const std::size_t group = order.size() - first;
-    if (group > 1) {
-      rng.shuffle(std::span<std::uint32_t>(&order[first], group));
-    }
+    if (group > 1) rng.shuffle(std::span<UnitAsk>(&order[first], group));
     r = e;
   }
   replay_above_band(std::span<ValueRun>(band_end, runs.end()), runs.size(),
@@ -187,43 +183,43 @@ void sorted_order_with_shuffled_ties(std::span<const double> asks,
 
 }  // namespace
 
-CraOutcome run_cra(std::span<const double> asks, const CraParams& params,
-                   rng::Rng& rng) {
-  CraWorkspace ws;
-  CraOutcome out;
-  run_cra(asks, params, rng, ws, out);
-  return out;
-}
-
-void run_cra(std::span<const double> asks, const CraParams& params,
-             rng::Rng& rng, CraWorkspace& ws, CraOutcome& out) {
+void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
+                  rng::Rng& rng, CraWorkspace& ws, CraOutcome& out) {
   RIT_COUNTER_INC("cra.rounds");
-  // Reset the outcome in place: `won` keeps its capacity across rounds.
-  out.won.assign(asks.size(), false);
+  // Reset the outcome in place: `winners` keeps its capacity across rounds.
+  out.winners.clear();
+  out.won.clear();
   out.clearing_price = 0.0;
   out.num_winners = 0;
   out.sample_min = 0.0;
   out.raw_count = 0;
   out.consensus_count = 0;
   out.used_budget_price = false;
-  if (asks.empty() || params.q == 0) return;
+  if (runs.empty() || params.q == 0) return;
   const std::uint64_t budget =
       static_cast<std::uint64_t>(params.q) + params.m_i;
   RIT_CHECK(budget > 0);
+  std::uint64_t units = 0;  // |alpha|
+  double max_value = -std::numeric_limits<double>::infinity();
+  for (const AskRun& run : runs) {
+    RIT_DCHECK(run.len > 0 && run.start == units);
+    units += run.len;
+    max_value = std::max(max_value, run.value);
+  }
 
   if (params.price_mode == PriceMode::kOrderStatistic) {
     // Ablation arm: a plain (q+m_i+1)-st lowest price round. Needs at least
     // budget+1 asks to define the price; ties shuffled like the main path.
-    if (asks.size() < budget + 1) return;
-    sorted_order_with_shuffled_ties(
-        asks, std::numeric_limits<double>::infinity(), ws, rng);
-    const double price = asks[ws.order[budget]];
+    if (units < budget + 1) return;
+    sorted_band_with_shuffled_ties(
+        runs, std::numeric_limits<double>::infinity(), units, ws, rng);
+    const double price = runs[ws.order[budget].run].value;
     out.sample_min = price;
     out.raw_count = budget;
     out.consensus_count = budget;
     rng.sample_without_replacement_into(budget, params.q, ws.sample_pool,
                                         ws.sample_out);
-    for (std::size_t i : ws.sample_out) out.won[ws.order[i]] = true;
+    for (std::size_t i : ws.sample_out) out.winners.push_back(ws.order[i]);
     out.num_winners = params.q;
     out.clearing_price = price;
     RIT_COUNTER_ADD("cra.winners", out.num_winners);
@@ -235,30 +231,35 @@ void run_cra(std::span<const double> asks, const CraParams& params,
   std::uint64_t n_s = 0;
   {
     RIT_TRACE_SPAN("cra.phase1");
-    // Step 1: Bernoulli(1/(q+m_i)) sample; s = min sampled value.
-    const double sample_p = 1.0 / static_cast<double>(budget);
+    // Step 1: Bernoulli(1/(q+m_i)) sample of every unit ask; s = min
+    // sampled value. The draws run flat over alpha; a hit (rare: about
+    // |alpha| / (q+m_i) of them) advances a cursor to its run.
+    const std::uint64_t sample_t =
+        rng::Rng::bernoulli_threshold(1.0 / static_cast<double>(budget));
     double s = std::numeric_limits<double>::infinity();
     bool sampled_any = false;
-    for (double v : asks) {
-      if (rng.bernoulli(sample_p)) {
-        sampled_any = true;
-        s = std::min(s, v);
-      }
+    std::size_t r = 0;
+    for (std::uint64_t u = 0;; ++u) {
+      u += rng.bernoulli_first_hit(units - u, sample_t);
+      if (u >= units) break;
+      while (runs[r].start + runs[r].len <= u) ++r;
+      sampled_any = true;
+      s = std::min(s, runs[r].value);
     }
     if (!sampled_any) {
       if (params.empty_sample == EmptySamplePolicy::kNoWinners) return;
       // kAllAsks: act as if the threshold sits at the top of the book —
       // every ask is at or below it, and it is still a finite, IR-safe
       // price.
-      s = *std::max_element(asks.begin(), asks.end());
+      s = max_value;
     }
     out.sample_min = s;
 
     // Step 2: consensus-round the count of asks <= s.
     const double y = rng.uniform01();
     std::uint64_t raw = 0;
-    for (double v : asks) {
-      if (v <= s) ++raw;
+    for (const AskRun& run : runs) {
+      if (run.value <= s) raw += run.len;
     }
     out.raw_count = raw;
     n_s = consensus_round_down(raw, y, params.consensus_grid_base);
@@ -269,21 +270,21 @@ void run_cra(std::span<const double> asks, const CraParams& params,
 
   // Phase 2 of the CRA round: winner selection and pricing (steps 3-5).
   RIT_TRACE_SPAN("cra.phase2");
-  sorted_order_with_shuffled_ties(asks, s, ws, rng);
+  sorted_band_with_shuffled_ties(runs, s, units, ws, rng);
   RIT_CHECK(ws.order.size() == out.raw_count);  // n_s <= raw: in the band
 
   // Step 3: potential winners, in ascending-value order.
-  std::vector<std::uint32_t>& chosen = ws.chosen;
+  std::vector<UnitAsk>& chosen = ws.chosen;
   chosen.clear();
   if (n_s <= budget) {
     chosen.assign(ws.order.begin(),
                   ws.order.begin() + static_cast<std::ptrdiff_t>(n_s));
   } else {
-    const double keep_p =
-        static_cast<double>(budget) / (2.0 * static_cast<double>(n_s));
+    const std::uint64_t keep_t = rng::Rng::bernoulli_threshold(
+        static_cast<double>(budget) / (2.0 * static_cast<double>(n_s)));
     chosen.reserve(n_s);
     for (std::uint64_t i = 0; i < n_s; ++i) {
-      if (rng.bernoulli(keep_p)) chosen.push_back(ws.order[i]);
+      if (rng.bernoulli_below(keep_t)) chosen.push_back(ws.order[i]);
     }
   }
 
@@ -291,7 +292,7 @@ void run_cra(std::span<const double> asks, const CraParams& params,
   // reprice at the first excluded ask (a (q+m_i+1)-st price auction).
   double price = s;
   if (chosen.size() > budget) {
-    price = asks[chosen[budget]];  // (q+m_i+1)-st smallest chosen ask value
+    price = runs[chosen[budget].run].value;  // (q+m_i+1)-st smallest chosen
     chosen.resize(budget);
     out.used_budget_price = true;
   }
@@ -300,19 +301,44 @@ void run_cra(std::span<const double> asks, const CraParams& params,
   if (chosen.size() > params.q) {
     rng.sample_without_replacement_into(chosen.size(), params.q,
                                         ws.sample_pool, ws.sample_out);
-    ws.winners.clear();
-    ws.winners.reserve(params.q);
-    for (std::size_t i : ws.sample_out) ws.winners.push_back(chosen[i]);
-    std::swap(chosen, ws.winners);
+    for (std::size_t i : ws.sample_out) out.winners.push_back(chosen[i]);
+  } else {
+    out.winners.assign(chosen.begin(), chosen.end());
   }
 
-  for (std::uint32_t w : chosen) {
-    RIT_DCHECK(asks[w] <= price);  // Lemma 6.1: winners never outbid the price
-    out.won[w] = true;
-  }
-  out.num_winners = static_cast<std::uint32_t>(chosen.size());
-  out.clearing_price = chosen.empty() ? 0.0 : price;
+  // Lemma 6.1: winners never outbid the price.
+  RIT_DCHECK(std::all_of(
+      out.winners.begin(), out.winners.end(),
+      [&](const UnitAsk& w) { return runs[w.run].value <= price; }));
+  out.num_winners = static_cast<std::uint32_t>(out.winners.size());
+  out.clearing_price = out.winners.empty() ? 0.0 : price;
   RIT_COUNTER_ADD("cra.winners", out.num_winners);
+}
+
+void run_cra(std::span<const double> asks, const CraParams& params,
+             rng::Rng& rng, CraWorkspace& ws, CraOutcome& out) {
+  std::vector<AskRun>& book = ws.unit_runs;
+  book.clear();
+  const auto n = static_cast<std::uint32_t>(asks.size());
+  for (std::uint32_t i = 0; i < n;) {
+    std::uint32_t j = i + 1;
+    while (j < n && asks[j] == asks[i]) ++j;
+    book.push_back(AskRun{asks[i], i, j - i});
+    i = j;
+  }
+  run_cra_runs(book, params, rng, ws, out);
+  out.won.assign(asks.size(), false);
+  for (const UnitAsk& w : out.winners) {
+    out.won[book[w.run].start + w.offset] = true;
+  }
+}
+
+CraOutcome run_cra(std::span<const double> asks, const CraParams& params,
+                   rng::Rng& rng) {
+  CraWorkspace ws;
+  CraOutcome out;
+  run_cra(asks, params, rng, ws, out);
+  return out;
 }
 
 }  // namespace rit::core

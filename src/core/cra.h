@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/types.h"
 #include "rng/rng.h"
 
 namespace rit::core {
@@ -50,8 +51,18 @@ struct CraParams {
   double consensus_grid_base = 2.0;
 };
 
+/// A unit ask: the index of its run and its offset in that run (its alpha
+/// index is runs[run].start + offset), so a winner's owner and value are
+/// one lookup away.
+struct UnitAsk {
+  std::uint32_t run;
+  std::uint32_t offset;
+};
+
 struct CraOutcome {
-  /// won[w]: whether unit ask w was allocated one task this round.
+  /// The unit asks allocated one task each this round (at most q).
+  std::vector<UnitAsk> winners;
+  /// won[w]: whether unit ask w won (only the unit-vector run_cra).
   std::vector<bool> won;
   /// Payment per winning ask (the paper's s; 0 when there are no winners).
   double clearing_price{0.0};
@@ -77,12 +88,10 @@ struct CraOutcome {
 /// round performs no heap allocation. Contents are scratch only — nothing
 /// in here carries state between rounds.
 struct CraWorkspace {
-  /// One maximal run of equal adjacent values in the ask vector: Extract
-  /// lays alpha out as k'_j copies of user j's value, so a type's ~k-fold
-  /// more unit asks collapse to about one run per user.
+  /// An input run as phase 2 sorts or replays it; `run` is its index.
   struct ValueRun {
     double value;
-    std::uint32_t start;
+    std::uint32_t run;
     std::uint32_t len;
   };
   /// The band's runs (value <= s), then the runs above s. Only the band is
@@ -91,33 +100,39 @@ struct CraWorkspace {
   /// Open-addressing set of the above-s values (bit patterns): checks that
   /// they are pairwise distinct without sorting them.
   std::vector<std::uint64_t> value_set;
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> chosen;
-  std::vector<std::uint32_t> winners;
+  std::vector<UnitAsk> order;
+  std::vector<UnitAsk> chosen;
   std::vector<std::size_t> sample_pool;
   std::vector<std::size_t> sample_out;
+  /// The unit-vector run_cra's maximal runs of equal adjacent values.
+  std::vector<AskRun> unit_runs;
 };
 
-/// Runs one CRA round over the unit-ask values `asks` (the alpha vector
-/// produced by Extract). Deterministic given `rng` state.
+/// Runs one CRA round over the unit asks that `runs` describe: run r is
+/// runs[r].len > 0 asks of value runs[r].value, and the runs tile alpha in
+/// order (equal values may recur in neighbouring runs). Draw for draw the
+/// round on the expanded unit-ask vector; `won` is left empty.
 ///
-/// Cost: O(|alpha| + r_b log r_b + r_a) for r_b maximal runs of equal
-/// adjacent values at or below the threshold s (the band) and r_a runs
-/// above it. Phase 2 sorts only the band's runs, not unit asks, and
+/// Cost: O(users + draws) per round (one run per user), plus
+/// O(r_b log r_b) for the r_b runs at or below the threshold s (the band).
+/// Phase 1 compares the paper's one raw draw per unit ask with an integer
+/// threshold in a flat loop; the rest of it is per run. Phase 2 sorts and
 /// expands only the band. Above s it needs just the draw count of the tie
-/// shuffles: when those runs have pairwise-distinct values it skips their
-/// draws unsorted (rng::Rng::skip_uniform_indices), and otherwise sorts
-/// them and replays the draws. Either way the random stream equals a full
-/// sort of every unit ask.
-CraOutcome run_cra(std::span<const double> asks, const CraParams& params,
-                   rng::Rng& rng);
+/// shuffles: with pairwise-distinct values there it skips those draws
+/// unsorted (rng::Rng::skip_uniform_indices), otherwise it sorts the runs
+/// and replays them, so the stream equals a full sort of every unit ask.
+void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
+                  rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);
 
-/// Allocation-free form: identical draws and outcome, but all scratch lives
-/// in `ws` and the outcome is written into `out` (whose `won` vector is
-/// reused). The convenience overload above delegates to this with a fresh
-/// workspace.
+/// The round over a unit-ask vector (the span Extract's alpha): runs
+/// run_cra_runs on its maximal runs of equal adjacent values and marks the
+/// winners in `out.won`. All scratch lives in `ws`; `out` is reused.
 void run_cra(std::span<const double> asks, const CraParams& params,
              rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);
+
+/// Convenience form of the above with a fresh workspace.
+CraOutcome run_cra(std::span<const double> asks, const CraParams& params,
+                   rng::Rng& rng);
 
 /// The consensus rounding of Lemma 6.2 in isolation: the largest value
 /// base^(z+y) <= count (z integer), or 0 if count == 0 or every such value

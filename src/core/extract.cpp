@@ -2,56 +2,28 @@
 
 namespace rit::core {
 
-namespace {
-void extract_impl(TaskType type, std::span<const Ask> asks,
-                  std::span<const std::uint32_t>* remaining,
-                  ExtractedAsks& out) {
-  out.values.clear();
-  out.owner.clear();
-  // Reserve pass keeps the expansion allocation-free in the hot loop.
-  std::size_t total = 0;
-  for (std::size_t j = 0; j < asks.size(); ++j) {
-    if (asks[j].type != type) continue;
-    total += remaining ? (*remaining)[j] : asks[j].quantity;
-  }
-  out.values.reserve(total);
-  out.owner.reserve(total);
-  for (std::size_t j = 0; j < asks.size(); ++j) {
-    if (asks[j].type != type) continue;
-    const std::uint32_t k = remaining ? (*remaining)[j] : asks[j].quantity;
-    if (remaining) {
-      RIT_CHECK_MSG(k <= asks[j].quantity,
-                    "remaining quantity " << k << " exceeds asked quantity "
-                                          << asks[j].quantity << " for user "
-                                          << j);
-    }
-    for (std::uint32_t f = 0; f < k; ++f) {
-      out.values.push_back(asks[j].value);
-      out.owner.push_back(static_cast<std::uint32_t>(j));
-    }
-  }
-}
-}  // namespace
-
 ExtractedAsks extract(TaskType type, std::span<const Ask> asks) {
-  ExtractedAsks out;
-  extract_impl(type, asks, nullptr, out);
-  return out;
+  std::vector<std::uint32_t> quantity(asks.size());
+  for (std::size_t j = 0; j < asks.size(); ++j) quantity[j] = asks[j].quantity;
+  return extract_remaining(type, asks, quantity);
 }
 
 ExtractedAsks extract_remaining(
     TaskType type, std::span<const Ask> asks,
     std::span<const std::uint32_t> remaining_quantity) {
-  ExtractedAsks out;
-  extract_remaining_into(type, asks, remaining_quantity, out);
-  return out;
-}
-
-void extract_remaining_into(TaskType type, std::span<const Ask> asks,
-                            std::span<const std::uint32_t> remaining_quantity,
-                            ExtractedAsks& out) {
   RIT_CHECK(remaining_quantity.size() == asks.size());
-  extract_impl(type, asks, &remaining_quantity, out);
+  ExtractedAsks out;
+  for (std::size_t j = 0; j < asks.size(); ++j) {
+    if (asks[j].type != type) continue;
+    const std::uint32_t k = remaining_quantity[j];
+    RIT_CHECK_MSG(k <= asks[j].quantity,
+                  "remaining quantity " << k << " exceeds asked quantity "
+                                        << asks[j].quantity << " for user "
+                                        << j);
+    out.values.insert(out.values.end(), k, asks[j].value);
+    out.owner.insert(out.owner.end(), k, static_cast<std::uint32_t>(j));
+  }
+  return out;
 }
 
 void AskTypeIndex::build(std::uint32_t types, std::span<const Ask> asks) {
@@ -80,20 +52,17 @@ void AskTypeIndex::build(std::uint32_t types, std::span<const Ask> asks) {
   offsets[0] = 0;
 }
 
-void extract_remaining_into(TaskType type, const AskTypeIndex& index,
-                            std::span<const std::uint32_t> remaining_quantity,
-                            ExtractedAsks& out) {
+void extract_runs_into(TaskType type, const AskTypeIndex& index,
+                       std::span<const std::uint32_t> remaining_quantity,
+                       ExtractedRuns& out) {
   RIT_CHECK(type.value < index.num_types());
-  out.values.clear();
+  out.runs.clear();
   out.owner.clear();
   const std::uint32_t begin = index.offsets[type.value];
   const std::uint32_t end = index.offsets[type.value + 1];
-  std::size_t total = 0;
-  for (std::uint32_t i = begin; i < end; ++i) {
-    total += remaining_quantity[index.user[i]];
-  }
-  out.values.reserve(total);
-  out.owner.reserve(total);
+  out.runs.reserve(end - begin);
+  out.owner.reserve(end - begin);
+  std::uint64_t start = 0;
   for (std::uint32_t i = begin; i < end; ++i) {
     const std::uint32_t j = index.user[i];
     const std::uint32_t k = remaining_quantity[j];
@@ -101,11 +70,14 @@ void extract_remaining_into(TaskType type, const AskTypeIndex& index,
                   "remaining quantity " << k << " exceeds asked quantity "
                                         << index.quantity[i] << " for user "
                                         << j);
-    for (std::uint32_t f = 0; f < k; ++f) {
-      out.values.push_back(index.value[i]);
-      out.owner.push_back(j);
-    }
+    if (k == 0) continue;
+    out.runs.push_back(AskRun{index.value[i],
+                              static_cast<std::uint32_t>(start), k});
+    out.owner.push_back(j);
+    start += k;
   }
+  RIT_CHECK_MSG(start <= UINT32_MAX,
+                start << " unit asks of one type exceed the 2^32 index space");
 }
 
 }  // namespace rit::core

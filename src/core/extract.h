@@ -1,6 +1,7 @@
 // Extract (Algorithm 2): flattens per-user asks (t_j, k_j, a_j) into the
 // unit-ask vector alpha for one task type, remembering the owner map
-// lambda(w) = j.
+// lambda(w) = j. RIT's auction loop uses the run form (one entry per user,
+// not per unit ask); the unit vector serves the baselines.
 #pragma once
 
 #include <cstdint>
@@ -25,27 +26,18 @@ struct ExtractedAsks {
 /// asks[j].type == type.
 ExtractedAsks extract(TaskType type, std::span<const Ask> asks);
 
-/// The form RIT's multi-round loop needs: expands ask j into
-/// remaining_quantity[j] unit asks (the paper's k'_j, i.e. capability not
-/// yet consumed by earlier CRA rounds). remaining_quantity must be
+/// Expands ask j into remaining_quantity[j] unit asks (the paper's k'_j,
+/// capability not yet consumed by earlier CRA rounds), which must be
 /// elementwise <= the asked quantity.
 ExtractedAsks extract_remaining(TaskType type, std::span<const Ask> asks,
                                 std::span<const std::uint32_t> remaining_quantity);
 
-/// Scratch-reusing form of extract_remaining: clears and refills `out`
-/// without releasing its buffers, so the per-round expansion in RIT's
-/// auction loop stops allocating once `out` has grown to the market size
-/// (keep one per thread — core::RitWorkspace does).
-void extract_remaining_into(TaskType type, std::span<const Ask> asks,
-                            std::span<const std::uint32_t> remaining_quantity,
-                            ExtractedAsks& out);
-
 /// Per-type CSR over one ask vector, built once per auction so the
-/// multi-round loop can expand type tau_i by scanning only tau_i's askers
+/// multi-round loop can extract type tau_i by scanning only tau_i's askers
 /// instead of all N asks every round (the seed path's O(N * rounds * types)
 /// term, which dominates at millions of users). Within a type the users
-/// stay in ascending index order, so expansions are byte-identical to the
-/// full-scan path. build() reuses capacity across auctions.
+/// stay in ascending index order, so the runs lay out alpha exactly as the
+/// full-scan path does. build() reuses capacity across auctions.
 struct AskTypeIndex {
   std::vector<std::uint32_t> offsets;   ///< per type: [offsets[t], offsets[t+1])
   std::vector<std::uint32_t> user;      ///< flat ask indices, ascending per type
@@ -60,10 +52,19 @@ struct AskTypeIndex {
   void build(std::uint32_t num_types, std::span<const Ask> asks);
 };
 
-/// extract_remaining_into over the index: same output as the span form for
-/// the indexed ask vector, touching only `type`'s group.
-void extract_remaining_into(TaskType type, const AskTypeIndex& index,
-                            std::span<const std::uint32_t> remaining_quantity,
-                            ExtractedAsks& out);
+/// alpha in run form: runs[r] is the k'_j equal unit asks of user
+/// owner[r], which the CRA round (run_cra_runs) works on.
+struct ExtractedRuns {
+  std::vector<AskRun> runs;
+  std::vector<std::uint32_t> owner;
+};
+
+/// Extract over the index in run form: one run per user of `type` with
+/// remaining_quantity > 0, users ascending, over the alpha indices of
+/// extract_remaining's unit vector. O(users of `type`) per round, no unit
+/// expansion; a reused `out` stops allocating (core::RitWorkspace).
+void extract_runs_into(TaskType type, const AskTypeIndex& index,
+                       std::span<const std::uint32_t> remaining_quantity,
+                       ExtractedRuns& out);
 
 }  // namespace rit::core

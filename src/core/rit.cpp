@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "core/cra.h"
 #include "core/extract.h"
@@ -62,26 +63,16 @@ void zero_result(RitResult& r) {
 }  // namespace
 
 double RitResult::total_payment() const {
-  double t = 0.0;
-  for (double p : payment) t += p;
-  return t;
+  return std::accumulate(payment.begin(), payment.end(), 0.0);
 }
 
 double RitResult::total_auction_payment() const {
-  double t = 0.0;
-  for (double p : auction_payment) t += p;
-  return t;
+  return std::accumulate(auction_payment.begin(), auction_payment.end(), 0.0);
 }
 
 RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
                             const RitConfig& config, rng::Rng& rng) {
   RitWorkspace ws;
-  return run_auction_phase(job, asks, config, rng, ws);
-}
-
-RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
-                            const RitConfig& config, rng::Rng& rng,
-                            RitWorkspace& ws) {
   RitResult res;
   run_auction_phase_into(job, asks, config, rng, ws, res);
   return res;
@@ -140,30 +131,30 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
     while (q > 0) {
       if (!to_completion && info.rounds_used >= info.budget.max_rounds) break;
       if (to_completion && stalled >= config.stall_round_limit) break;
-      ExtractedAsks& alpha = ws.alpha;
+      ExtractedRuns& alpha = ws.runs;
       {
         RIT_TRACE_SPAN("rit.extract");
-        extract_remaining_into(type, ws.type_index, remaining, alpha);
+        extract_runs_into(type, ws.type_index, remaining, alpha);
       }
-      if (alpha.empty()) break;  // nobody left who can serve this type
+      if (alpha.runs.empty()) break;  // nobody left who can serve this type
       CraParams params;
       params.q = q;
       params.m_i = m_i;
       params.empty_sample = config.empty_sample;
       params.price_mode = config.price_mode;
       params.consensus_grid_base = config.consensus_log_base;
-      run_cra(alpha.values, params, rng, ws.cra, ws.round);
+      run_cra_runs(alpha.runs, params, rng, ws.cra, ws.round);
       const CraOutcome& round = ws.round;
-      for (std::size_t w = 0; w < alpha.size(); ++w) {
-        if (!round.won[w]) continue;
-        const std::uint32_t owner = alpha.owner[w];
+      // Write-back visits only the winners (at most q).
+      for (const UnitAsk& w : round.winners) {
+        const std::uint32_t owner = alpha.owner[w.run];
         res.allocation[owner] += 1;
         res.auction_payment[owner] += round.clearing_price;
         RIT_DCHECK(remaining[owner] > 0);
         remaining[owner] -= 1;
-        RIT_DCHECK(q > 0);
-        q -= 1;
       }
+      RIT_DCHECK(round.num_winners <= q);
+      q -= round.num_winners;
       if (config.record_round_trace) {
         info.rounds.push_back(RoundTrace{
             info.rounds_used, round.clearing_price, round.num_winners,
@@ -205,12 +196,6 @@ RitResult run_rit(const Job& job, std::span<const Ask> asks,
                   const tree::IncentiveTree& tree, const RitConfig& config,
                   rng::Rng& rng) {
   RitWorkspace ws;
-  return run_rit(job, asks, tree, config, rng, ws);
-}
-
-RitResult run_rit(const Job& job, std::span<const Ask> asks,
-                  const tree::IncentiveTree& tree, const RitConfig& config,
-                  rng::Rng& rng, RitWorkspace& ws) {
   RitResult res;
   run_rit_into(job, asks, tree, config, rng, ws, res);
   return res;

@@ -119,13 +119,14 @@ struct RitResult {
 /// Reusable scratch for run_rit / run_auction_phase. One mechanism run
 /// executes many CRA rounds, and a sweep executes many mechanism runs;
 /// keeping one workspace per thread means the per-round buffers (extract's
-/// alpha vector, CRA's order/chosen scratch, the remaining-quantity vector)
-/// are heap-allocated once and then reused at their high-water capacity.
+/// runs, CRA's order/chosen scratch, the remaining-quantity vector) are
+/// heap-allocated once and then reused at their high-water capacity.
 /// Contents are scratch only — nothing carries state between runs.
 struct RitWorkspace {
   CraWorkspace cra;
   CraOutcome round;
-  ExtractedAsks alpha;
+  /// The round's alpha in run form: one run per user with capacity left.
+  ExtractedRuns runs;
   /// Per-type CSR over the ask vector, rebuilt once per auction so each
   /// round's extraction touches only its own type's askers.
   AskTypeIndex type_index;
@@ -141,13 +142,6 @@ RitResult run_rit(const Job& job, std::span<const Ask> asks,
                   const tree::IncentiveTree& tree, const RitConfig& config,
                   rng::Rng& rng);
 
-/// Scratch-reusing form: identical draws and result, but all per-round
-/// buffers live in `ws`. The convenience overload above delegates to this
-/// with a fresh workspace.
-RitResult run_rit(const Job& job, std::span<const Ask> asks,
-                  const tree::IncentiveTree& tree, const RitConfig& config,
-                  rng::Rng& rng, RitWorkspace& ws);
-
 /// Runs only the auction phase (both result payment vectors are set to the
 /// auction payments). Used by baselines and by the Sec. 4 experiments that
 /// need a tree-free truthful auction; run_rit composes this with
@@ -155,15 +149,11 @@ RitResult run_rit(const Job& job, std::span<const Ask> asks,
 RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
                             const RitConfig& config, rng::Rng& rng);
 
-/// Scratch-reusing form of run_auction_phase (see RitWorkspace).
-RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
-                            const RitConfig& config, rng::Rng& rng,
-                            RitWorkspace& ws);
-
-/// Result-reusing forms: identical draws and values, but the result's
-/// vectors are refilled in place, so a sweep that keeps one RitResult per
+/// Scratch- and result-reusing forms: identical draws and values, but all
+/// per-round buffers live in `ws` (see RitWorkspace) and the result's
+/// vectors are refilled in place, so a sweep that keeps one of each per
 /// worker performs no steady-state allocations in either phase. The
-/// RitResult-returning overloads delegate here.
+/// RitResult-returning overloads delegate here with a fresh workspace.
 void run_rit_into(const Job& job, std::span<const Ask> asks,
                   const tree::IncentiveTree& tree, const RitConfig& config,
                   rng::Rng& rng, RitWorkspace& ws, RitResult& out);

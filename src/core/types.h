@@ -20,6 +20,15 @@ struct Ask {
   friend bool operator==(const Ask&, const Ask&) = default;
 };
 
+/// `len` consecutive unit asks of equal `value`, the first at index `start`
+/// of the unit-ask vector alpha. Extract writes one run per user that still
+/// has capacity; the CRA round works on runs instead of unit asks.
+struct AskRun {
+  double value{0.0};
+  std::uint32_t start{0};
+  std::uint32_t len{0};
+};
+
 /// The sensing job J: a multiset over task types. demand(tau_i) is the
 /// paper's m_i, the number of type-i tasks J requires.
 class Job {

@@ -25,13 +25,13 @@ std::uint64_t Rng::uniform_u64(std::uint64_t bound) {
 
 bool Rng::skip_uniform_indices(std::uint64_t count, std::uint64_t lcm) {
   RIT_CHECK(lcm > 0);
-  const Xoshiro256StarStar saved = engine_;
+  // A local copy keeps the state in registers; on a filter hit it is
+  // dropped, which leaves engine_ unchanged.
+  Xoshiro256StarStar engine = engine_;
   for (std::uint64_t d = 0; d < count; ++d) {
-    if (engine_() * lcm < lcm) {  // low 64 bits of x * lcm
-      engine_ = saved;
-      return false;
-    }
+    if (engine() * lcm < lcm) return false;  // low 64 bits of x * lcm
   }
+  engine_ = engine;
   return true;
 }
 
@@ -60,6 +60,12 @@ bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform01() < p;
+}
+
+std::uint64_t Rng::bernoulli_threshold(double p) {
+  if (p <= 0.0) return 0;
+  if (p >= 1.0) return kBernoulliCertain;
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 double Rng::exponential(double mean) {

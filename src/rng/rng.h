@@ -74,6 +74,33 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
+  /// bernoulli(p) split for hot loops: the threshold T = ceil(p * 2^53)
+  /// (0 for p <= 0, kBernoulliCertain for p >= 1; p must not be NaN) is
+  /// computed once, and bernoulli_below(T) then takes the same draws with
+  /// the same results as bernoulli(p). For an integer k = x >> 11,
+  /// k * 2^-53 < p exactly when k < ceil(p * 2^53), and p * 2^53 is exact.
+  static constexpr std::uint64_t kBernoulliCertain = std::uint64_t{1} << 53;
+  static std::uint64_t bernoulli_threshold(double p);
+  bool bernoulli_below(std::uint64_t threshold) {
+    if (threshold == 0) return false;  // p <= 0: no draw
+    if (threshold >= kBernoulliCertain) return true;  // p >= 1: no draw
+    return (next_u64() >> 11) < threshold;
+  }
+  /// Makes bernoulli_below(threshold) calls until one succeeds or `count`
+  /// have been made, with exactly their draws, and returns how many failed
+  /// first (`count` when none succeeded). The engine runs on a local copy,
+  /// so the loop keeps its state in registers instead of memory.
+  std::uint64_t bernoulli_first_hit(std::uint64_t count,
+                                    std::uint64_t threshold) {
+    if (threshold == 0) return count;
+    if (threshold >= kBernoulliCertain || count == 0) return 0;
+    Xoshiro256StarStar engine = engine_;
+    std::uint64_t i = 0;
+    while (i < count && (engine() >> 11) >= threshold) ++i;
+    engine_ = engine;
+    return i;
+  }
+
   /// Exponential variate with the given mean (> 0); inverse-CDF method, so
   /// one uniform draw per variate (stream-accounting stays simple).
   double exponential(double mean);

@@ -789,5 +789,149 @@ TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
   }
 }
 
+// --- The run kernel on per-user runs ---------------------------------------
+// RIT calls run_cra_runs with one run per user, so neighbouring users with
+// equal values stay separate runs (the unit-vector run_cra merges them).
+// Above s such ties send the draw replay down the sorted fallback. Each
+// book below must give the reference's outcome and stream bit for bit.
+
+struct UserBook {
+  std::vector<AskRun> runs;
+  std::vector<double> asks;  // the same book expanded to unit asks
+};
+
+/// One run of k ~ U{1..20} units per user. With probability `repeat` a
+/// user bids its predecessor's value, so neighbouring runs tie; otherwise
+/// the value is drawn from {1, ..., levels}, or from (0, 10] at levels 0.
+UserBook per_user_book(std::size_t users, int levels, double repeat,
+                       rng::Rng& rng) {
+  UserBook book;
+  double value = 1.0;
+  for (std::size_t u = 0; u < users; ++u) {
+    if (u == 0 || !rng.bernoulli(repeat)) {
+      value = levels > 0 ? static_cast<double>(rng.uniform_int(1, levels))
+                         : rng.uniform_real_left_open(0.0, 10.0);
+    }
+    const auto len = static_cast<std::uint32_t>(rng.uniform_int(1, 20));
+    book.runs.push_back(
+        AskRun{value, static_cast<std::uint32_t>(book.asks.size()), len});
+    book.asks.insert(book.asks.end(), len, value);
+  }
+  return book;
+}
+
+/// Runs `rounds` rounds of run_cra_runs (one reused workspace) and of the
+/// reference from matched rng states. The winners, marked per unit, and
+/// every other field and the next draw must be identical; each winner's
+/// offset must lie in its run. Returns how many rounds had winners.
+int expect_runs_match_full_sort(const UserBook& book, const CraParams& params,
+                                int rounds, std::uint64_t seed) {
+  CraWorkspace ws;
+  CraOutcome got;
+  int productive = 0;
+  for (int r = 0; r < rounds; ++r) {
+    rng::Rng a(seed + static_cast<std::uint64_t>(r));
+    rng::Rng b(seed + static_cast<std::uint64_t>(r));
+    run_cra_runs(book.runs, params, a, ws, got);
+    const CraOutcome want = reference_run_cra(book.asks, params, b);
+    EXPECT_TRUE(got.won.empty()) << "round " << r;
+    std::vector<bool> won(book.asks.size(), false);
+    for (const UnitAsk& w : got.winners) {
+      if (w.run >= book.runs.size()) {
+        ADD_FAILURE() << "run index out of range, round " << r;
+        return productive;
+      }
+      const AskRun& run = book.runs[w.run];
+      EXPECT_LT(w.offset, run.len) << "round " << r;
+      EXPECT_FALSE(won[run.start + w.offset]) << "won twice, round " << r;
+      won[run.start + w.offset] = true;
+    }
+    EXPECT_EQ(won, want.won) << "round " << r;
+    EXPECT_EQ(got.num_winners, got.winners.size()) << "round " << r;
+    EXPECT_EQ(got.num_winners, want.num_winners) << "round " << r;
+    EXPECT_EQ(got.clearing_price, want.clearing_price) << "round " << r;
+    EXPECT_EQ(got.sample_min, want.sample_min) << "round " << r;
+    EXPECT_EQ(got.raw_count, want.raw_count) << "round " << r;
+    EXPECT_EQ(got.consensus_count, want.consensus_count) << "round " << r;
+    EXPECT_EQ(got.used_budget_price, want.used_budget_price) << "round " << r;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "stream diverged, round " << r;
+    productive += got.num_winners > 0 ? 1 : 0;
+  }
+  return productive;
+}
+
+TEST(CraRunKernel, NeighbouringEqualUsersStaySeparateRuns) {
+  rng::Rng gen(40);
+  for (const int levels : {0, 3, 12}) {
+    const UserBook book = per_user_book(2000, levels, 0.5, gen);
+    for (const double band : {0.01, 0.14}) {
+      EXPECT_GT(expect_runs_match_full_sort(
+                    book, params_for_band(book.asks.size(), band), 40, 860),
+                0)
+          << "levels " << levels << " band " << band;
+    }
+  }
+}
+
+TEST(CraRunKernel, BandRatiosFromOnePercentToWholeBook) {
+  rng::Rng gen(41);
+  const UserBook book = per_user_book(3000, 0, 0.1, gen);
+  for (const double band : {0.01, 0.14, 1.0}) {
+    EXPECT_GT(expect_runs_match_full_sort(
+                  book, params_for_band(book.asks.size(), band), 40, 880),
+              0)
+        << "band " << band;
+  }
+}
+
+TEST(CraRunKernel, BudgetOneSamplesEveryAskWithoutDraws) {
+  // q + m_i = 1: the sample probability is 1, so phase 1 takes no draw and
+  // s is the cheapest ask.
+  rng::Rng gen(42);
+  const UserBook book = per_user_book(300, 4, 0.5, gen);
+  const CraParams params{.q = 1, .m_i = 0};
+  EXPECT_GT(expect_runs_match_full_sort(book, params, 30, 900), 0);
+  CraWorkspace ws;
+  CraOutcome out;
+  rng::Rng rng(901);
+  run_cra_runs(book.runs, params, rng, ws, out);
+  EXPECT_EQ(out.sample_min,
+            *std::min_element(book.asks.begin(), book.asks.end()));
+}
+
+TEST(CraRunKernel, EmptySampleUnderBothPolicies) {
+  // q + m_i far above |alpha|: the sample is almost always empty.
+  rng::Rng gen(43);
+  const UserBook book = per_user_book(40, 5, 0.5, gen);
+  CraParams params{.q = 1000000, .m_i = 1000000,
+                   .empty_sample = EmptySamplePolicy::kAllAsks};
+  EXPECT_GT(expect_runs_match_full_sort(book, params, 40, 920), 0);
+  params.empty_sample = EmptySamplePolicy::kNoWinners;
+  EXPECT_LT(expect_runs_match_full_sort(book, params, 40, 920), 40);
+}
+
+TEST(CraRunKernel, OrderStatisticArm) {
+  rng::Rng gen(44);
+  for (const int levels : {0, 4}) {
+    const UserBook book = per_user_book(200, levels, 0.5, gen);
+    const CraParams params{.q = 25, .m_i = 60,
+                           .price_mode = PriceMode::kOrderStatistic};
+    EXPECT_EQ(expect_runs_match_full_sort(book, params, 30, 940), 30);
+  }
+}
+
+TEST(CraRunKernel, EmptyBookAndZeroDemandHaveNoWinners) {
+  CraWorkspace ws;
+  CraOutcome out;
+  rng::Rng a(45);
+  rng::Rng untouched(45);
+  run_cra_runs({}, {.q = 5, .m_i = 5}, a, ws, out);
+  EXPECT_TRUE(out.winners.empty());
+  const std::vector<AskRun> runs{{2.0, 0, 3}};
+  run_cra_runs(runs, {.q = 0, .m_i = 5}, a, ws, out);
+  EXPECT_TRUE(out.winners.empty());
+  EXPECT_EQ(a.next_u64(), untouched.next_u64());
+}
+
 }  // namespace
 }  // namespace rit::core

@@ -86,6 +86,49 @@ TEST(Extract, PreservesSubmissionOrder) {
   EXPECT_EQ(e.owner, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
+// The run form lays out exactly the unit vector extract_remaining builds:
+// expanding each run to len copies of its value and owner must give alpha
+// and lambda back.
+TEST(ExtractRuns, ExpandsToTheUnitVectorOfExtractRemaining) {
+  const std::vector<Ask> asks{
+      {TaskType{1}, 4, 2.0}, {TaskType{0}, 2, 3.0}, {TaskType{1}, 3, 2.0},
+      {TaskType{0}, 5, 1.0}, {TaskType{1}, 1, 7.5}, {TaskType{1}, 6, 4.0},
+  };
+  const std::vector<std::uint32_t> remaining{4, 0, 2, 5, 0, 6};
+  AskTypeIndex index;
+  index.build(2, asks);
+  ExtractedRuns runs;
+  for (const std::uint32_t t : {0u, 1u}) {
+    extract_runs_into(TaskType{t}, index, remaining, runs);
+    ASSERT_EQ(runs.runs.size(), runs.owner.size());
+    ExtractedAsks expanded;
+    for (std::size_t r = 0; r < runs.runs.size(); ++r) {
+      const AskRun& run = runs.runs[r];
+      EXPECT_GT(run.len, 0u);
+      EXPECT_EQ(run.start, expanded.size());
+      expanded.values.insert(expanded.values.end(), run.len, run.value);
+      expanded.owner.insert(expanded.owner.end(), run.len, runs.owner[r]);
+    }
+    const ExtractedAsks want = extract_remaining(TaskType{t}, asks, remaining);
+    EXPECT_EQ(expanded.values, want.values) << "type " << t;
+    EXPECT_EQ(expanded.owner, want.owner) << "type " << t;
+  }
+  // Users 0 and 2 bid the same value: they stay two runs.
+  extract_runs_into(TaskType{1}, index, remaining, runs);
+  ASSERT_EQ(runs.runs.size(), 3u);
+  EXPECT_EQ(runs.owner, (std::vector<std::uint32_t>{0, 2, 5}));
+}
+
+TEST(ExtractRuns, RejectsRemainingAboveAsked) {
+  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}};
+  AskTypeIndex index;
+  index.build(1, asks);
+  ExtractedRuns runs;
+  const std::vector<std::uint32_t> remaining{3};
+  EXPECT_THROW(extract_runs_into(TaskType{0}, index, remaining, runs),
+               CheckFailure);
+}
+
 TEST(JobType, UniformJobAndTotals) {
   const Job j = Job::uniform(3, 4);
   EXPECT_EQ(j.num_types(), 3u);

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "core/rit.h"
 #include "rng/rng.h"
+#include "testkit/harness.h"
 #include "tree/builders.h"
 
 namespace rit::core {
@@ -274,8 +275,8 @@ TEST(Rit, WorkspaceOverloadMatchesAllocatingOverload) {
     rng::Rng b(seed * 31);
     const RitResult fresh =
         run_rit(inst.job, inst.asks, inst.tree, RitConfig{}, a);
-    const RitResult reused =
-        run_rit(inst.job, inst.asks, inst.tree, RitConfig{}, b, ws);
+    RitResult reused;
+    run_rit_into(inst.job, inst.asks, inst.tree, RitConfig{}, b, ws, reused);
     EXPECT_EQ(reused.success, fresh.success);
     EXPECT_EQ(reused.allocation, fresh.allocation);
     EXPECT_EQ(reused.auction_payment, fresh.auction_payment);
@@ -292,8 +293,8 @@ TEST(Rit, AuctionPhaseWorkspaceOverloadMatches) {
   rng::Rng b(99);
   const RitResult fresh =
       run_auction_phase(inst.job, inst.asks, RitConfig{}, a);
-  const RitResult reused =
-      run_auction_phase(inst.job, inst.asks, RitConfig{}, b, ws);
+  RitResult reused;
+  run_auction_phase_into(inst.job, inst.asks, RitConfig{}, b, ws, reused);
   EXPECT_EQ(reused.success, fresh.success);
   EXPECT_EQ(reused.allocation, fresh.allocation);
   EXPECT_EQ(reused.payment, fresh.payment);
@@ -412,6 +413,93 @@ TEST(Rit, SuccessfulRunAllocatesExactlyTheJob) {
   std::uint64_t total = 0;
   for (std::uint32_t x : r.allocation) total += x;
   EXPECT_EQ(total, inst.job.total_tasks());
+}
+
+// --- Run-form auction against the testkit oracle ----------------------------
+// The auction phase hands CRA one run per user with capacity left and
+// writes back only the winners. The oracle expands every unit ask and
+// sorts them, so agreeing with it field by field (and draw for draw, via
+// the same seed) pins the run form on the books where it differs most.
+
+/// Two task types, users alternating between them, k ~ U{1..20}. With
+/// probability 1/2 a user bids the value of the previous user of its type,
+/// so neighbouring runs in a type's book tie and stay separate runs. Each
+/// type's demand is `band` / 2 of its unit supply, so the first round's
+/// q + m_i is about `band` of |alpha|; band >= 1 demands 1000 times the
+/// supply. `demand` > 0 overrides the computed demand.
+testkit::FuzzCase per_user_book_case(std::uint32_t users, double band,
+                                     std::uint32_t demand = 0) {
+  rng::Rng rng(users);
+  testkit::FuzzCase c;
+  std::uint64_t supply[2] = {0, 0};
+  double last_value[2] = {0.0, 0.0};
+  for (std::uint32_t j = 0; j < users; ++j) {
+    const std::uint32_t t = j % 2;
+    if (last_value[t] == 0.0 || !rng.bernoulli(0.5)) {
+      last_value[t] = rng.uniform_real_left_open(0.0, 10.0);
+    }
+    const auto k = static_cast<std::uint32_t>(rng.uniform_int(1, 20));
+    supply[t] += k;
+    c.asks.push_back(Ask{TaskType{t}, k, last_value[t]});
+    c.costs.push_back(last_value[t]);
+    c.parents.push_back(static_cast<std::uint32_t>(rng.uniform_index(j + 1)));
+  }
+  for (const std::uint64_t units : supply) {
+    const double m = band >= 1.0 ? 1000.0 * static_cast<double>(units)
+                                 : band * static_cast<double>(units) / 2;
+    c.demand.push_back(demand > 0 ? demand
+                                  : std::max<std::uint32_t>(
+                                        1, static_cast<std::uint32_t>(m)));
+  }
+  c.config.round_budget_policy = RoundBudgetPolicy::kRunToCompletion;
+  return c;
+}
+
+/// Checks `c` against the oracle at `seeds` mechanism seeds; returns the
+/// tasks the auction phase allocated over all of them.
+std::uint64_t expect_oracle_agrees(testkit::FuzzCase c, int seeds) {
+  std::uint64_t allocated = 0;
+  for (int s = 0; s < seeds; ++s) {
+    c.mech_seed = 7000 + static_cast<std::uint64_t>(s);
+    const testkit::CaseOutcome outcome = testkit::check_case(c);
+    EXPECT_TRUE(outcome.ok) << "seed " << c.mech_seed << ": "
+                            << outcome.signature << " | " << outcome.details;
+    RitConfig keep = c.config;
+    keep.zero_on_failure = false;
+    rng::Rng rng(c.mech_seed);
+    for (const std::uint32_t x :
+         run_auction_phase(Job(c.demand), c.asks, keep, rng).allocation) {
+      allocated += x;
+    }
+  }
+  return allocated;
+}
+
+TEST(RunAuction, BandRatiosMatchOracleWithNeighbouringTies) {
+  for (const double band : {0.01, 0.14, 1.0}) {
+    EXPECT_GT(expect_oracle_agrees(per_user_book_case(400, band), 6), 0u)
+        << "band " << band;
+  }
+}
+
+TEST(RunAuction, SmallestBudgetMatchesOracle) {
+  // m_i = 1 is the smallest budget RIT forms: q + m_i = 2 (a budget of 1
+  // needs q = 0, which runs no round; cra_test covers it directly).
+  EXPECT_GT(expect_oracle_agrees(per_user_book_case(200, 0.0, 1), 10), 0u);
+}
+
+TEST(RunAuction, EmptySampleUnderBothPoliciesMatchesOracle) {
+  testkit::FuzzCase c = per_user_book_case(60, 1.0);
+  c.config.empty_sample = EmptySamplePolicy::kAllAsks;
+  EXPECT_GT(expect_oracle_agrees(c, 6), 0u);
+  c.config.empty_sample = EmptySamplePolicy::kNoWinners;
+  expect_oracle_agrees(c, 6);
+}
+
+TEST(RunAuction, OrderStatisticMatchesOracle) {
+  testkit::FuzzCase c = per_user_book_case(300, 0.14);
+  c.config.price_mode = PriceMode::kOrderStatistic;
+  EXPECT_GT(expect_oracle_agrees(c, 6), 0u);
 }
 
 }  // namespace

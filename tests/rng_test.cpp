@@ -359,5 +359,112 @@ TEST(Rng, SkipUniformIndicesOfNothingIsANoOp) {
   EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
+// --- Threshold form of bernoulli -------------------------------------------
+// bernoulli_below(bernoulli_threshold(p)) must take the same draws with the
+// same results as bernoulli(p). uniform01() < p is monotone in the raw
+// value k = x >> 11, so it is enough that the boundary sits at T: k = T - 1
+// passes and k = T fails.
+
+/// Whether uniform01() < p for a draw whose top 53 bits are k.
+bool uniform01_below(std::uint64_t k, double p) {
+  return static_cast<double>(k) * 0x1.0p-53 < p;
+}
+
+/// Draws `draws` times from matched streams through both forms and checks
+/// that results and the next raw draw agree.
+void expect_threshold_form_matches(double p, int draws, std::uint64_t seed) {
+  Rng a(seed);
+  Rng b(seed);
+  const std::uint64_t t = Rng::bernoulli_threshold(p);
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(a.bernoulli(p), b.bernoulli_below(t)) << "p " << p;
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64()) << "p " << p;
+}
+
+TEST(Rng, BernoulliThresholdBoundaryForOneOverB) {
+  for (std::uint64_t b = 1; b <= (std::uint64_t{1} << 20); ++b) {
+    const double p = 1.0 / static_cast<double>(b);
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    if (b == 1) {
+      ASSERT_EQ(t, Rng::kBernoulliCertain);
+      continue;
+    }
+    ASSERT_GT(t, 0u) << "b " << b;
+    ASSERT_LT(t, Rng::kBernoulliCertain) << "b " << b;
+    ASSERT_TRUE(uniform01_below(t - 1, p)) << "b " << b;
+    ASSERT_FALSE(uniform01_below(t, p)) << "b " << b;
+  }
+}
+
+TEST(Rng, BernoulliThresholdMatchesBernoulliDrawForDraw) {
+  Rng a(76);
+  Rng b(76);
+  for (std::uint64_t d = 1; d <= (std::uint64_t{1} << 20); ++d) {
+    const double p = 1.0 / static_cast<double>(d);
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(a.bernoulli(p), b.bernoulli_below(t)) << "b " << d;
+    }
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+  // Large p makes both outcomes frequent.
+  for (const double p : {0.5, 0.3, 0.9, 0.999}) {
+    expect_threshold_form_matches(p, 4096, 77);
+  }
+}
+
+TEST(Rng, BernoulliThresholdJustBelowOne) {
+  double p = 1.0;
+  for (int step = 0; step < 8; ++step) {
+    p = std::nextafter(p, 0.0);
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    ASSERT_LT(t, Rng::kBernoulliCertain) << "step " << step;
+    EXPECT_TRUE(uniform01_below(t - 1, p)) << "step " << step;
+    EXPECT_FALSE(uniform01_below(t, p)) << "step " << step;
+    expect_threshold_form_matches(p, 1024, 78);
+  }
+  EXPECT_EQ(Rng::bernoulli_threshold(std::nextafter(1.0, 0.0)),
+            Rng::kBernoulliCertain - 1);
+}
+
+TEST(Rng, BernoulliThresholdOutsideUnitIntervalTakesNoDraw) {
+  for (const double p : {0.0, -0.0, -1.0, -1e300}) {
+    EXPECT_EQ(Rng::bernoulli_threshold(p), 0u) << p;
+    Rng a(79);
+    Rng untouched(79);
+    EXPECT_FALSE(a.bernoulli_below(Rng::bernoulli_threshold(p)));
+    EXPECT_EQ(a.bernoulli_first_hit(5, Rng::bernoulli_threshold(p)), 5u);
+    EXPECT_EQ(a.next_u64(), untouched.next_u64()) << p;
+    expect_threshold_form_matches(p, 16, 79);
+  }
+  for (const double p : {1.0, 1.5, 1e300}) {
+    EXPECT_EQ(Rng::bernoulli_threshold(p), Rng::kBernoulliCertain) << p;
+    Rng a(80);
+    Rng untouched(80);
+    EXPECT_TRUE(a.bernoulli_below(Rng::bernoulli_threshold(p)));
+    EXPECT_EQ(a.bernoulli_first_hit(5, Rng::bernoulli_threshold(p)), 0u);
+    EXPECT_EQ(a.next_u64(), untouched.next_u64()) << p;
+    expect_threshold_form_matches(p, 16, 80);
+  }
+}
+
+TEST(Rng, BernoulliFirstHitMatchesSequentialCalls) {
+  for (const double p : {1e-4, 0.01, 0.2, 0.7}) {
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    Rng a(81);
+    Rng b(81);
+    for (const std::uint64_t count : {0u, 1u, 7u, 50u, 1000u}) {
+      for (int rep = 0; rep < 20; ++rep) {
+        std::uint64_t failures = 0;
+        while (failures < count && !a.bernoulli_below(t)) ++failures;
+        ASSERT_EQ(b.bernoulli_first_hit(count, t), failures)
+            << "p " << p << " count " << count;
+      }
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "p " << p;
+  }
+}
+
 }  // namespace
 }  // namespace rit::rng

@@ -57,7 +57,10 @@
 #                 passes its correctness gate or the run exits 1) must print
 #                 the pinned digests f9ec0e50bb7b9c8f and 802c6025883f6e5d,
 #                 so a silent change to the random stream, a graph, a tree
-#                 or the payment pass on a whole-book band fails the gate
+#                 or the payment pass on a whole-book band fails the gate;
+#                 then tools/trace_coverage.sh runs one traced paper_sweep
+#                 (seed 1) and fails if library spans cover less than 98%
+#                 of traced trial time
 #  15. pinned-CSV smoke  tools/pinned_csvs.sh: the fig6a and
 #                 ablation_consensus CSVs at a fixed seed must hash to
 #                 their pinned sha256 at --threads=1 and --threads=4, so a
@@ -288,7 +291,7 @@ done
 # another compiler may contract floating point differently.
 # tight_market runs at band ratio 1 (the whole sorted book can win), so its
 # digest also gates the payment pass over a fully allocated market.
-step "stream-identity smoke (paper_sweep + tight_market digests at seed 1)"
+step "stream-identity smoke (paper_sweep + tight_market digests at seed 1, trace coverage)"
 for pinned in paper_sweep:f9ec0e50bb7b9c8f tight_market:802c6025883f6e5d; do
   workload="${pinned%%:*}"
   digest="${pinned#*:}"
@@ -302,6 +305,7 @@ for pinned in paper_sweep:f9ec0e50bb7b9c8f tight_market:802c6025883f6e5d; do
     exit 1
   }
 done
+tools/trace_coverage.sh 98
 
 # --- 15. pinned-seed bench CSVs: byte-identical at one worker and four ----
 step "pinned-CSV smoke (fig6a + ablation_consensus at --threads=1,4)"
