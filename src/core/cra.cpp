@@ -280,11 +280,11 @@ void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
     chosen.assign(ws.order.begin(),
                   ws.order.begin() + static_cast<std::ptrdiff_t>(n_s));
   } else {
-    const std::uint64_t keep_t = rng::Rng::bernoulli_threshold(
-        static_cast<double>(budget) / (2.0 * static_cast<double>(n_s)));
+    const double keep_p =
+        static_cast<double>(budget) / (2.0 * static_cast<double>(n_s));
     chosen.reserve(n_s);
     for (std::uint64_t i = 0; i < n_s; ++i) {
-      if (rng.bernoulli_below(keep_t)) chosen.push_back(ws.order[i]);
+      if (rng.bernoulli(keep_p)) chosen.push_back(ws.order[i]);
     }
   }
 

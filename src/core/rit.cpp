@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "core/cra.h"
 #include "core/extract.h"
@@ -63,11 +62,15 @@ void zero_result(RitResult& r) {
 }  // namespace
 
 double RitResult::total_payment() const {
-  return std::accumulate(payment.begin(), payment.end(), 0.0);
+  double t = 0.0;
+  for (double p : payment) t += p;
+  return t;
 }
 
 double RitResult::total_auction_payment() const {
-  return std::accumulate(auction_payment.begin(), auction_payment.end(), 0.0);
+  double t = 0.0;
+  for (double p : auction_payment) t += p;
+  return t;
 }
 
 RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,

@@ -76,20 +76,16 @@ class Rng {
 
   /// bernoulli(p) split for hot loops: the threshold T = ceil(p * 2^53)
   /// (0 for p <= 0, kBernoulliCertain for p >= 1; p must not be NaN) is
-  /// computed once, and bernoulli_below(T) then takes the same draws with
-  /// the same results as bernoulli(p). For an integer k = x >> 11,
+  /// computed once, and one trial is then the raw compare (x >> 11) < T,
+  /// which decides exactly as uniform01() < p: for an integer k = x >> 11,
   /// k * 2^-53 < p exactly when k < ceil(p * 2^53), and p * 2^53 is exact.
   static constexpr std::uint64_t kBernoulliCertain = std::uint64_t{1} << 53;
   static std::uint64_t bernoulli_threshold(double p);
-  bool bernoulli_below(std::uint64_t threshold) {
-    if (threshold == 0) return false;  // p <= 0: no draw
-    if (threshold >= kBernoulliCertain) return true;  // p >= 1: no draw
-    return (next_u64() >> 11) < threshold;
-  }
-  /// Makes bernoulli_below(threshold) calls until one succeeds or `count`
-  /// have been made, with exactly their draws, and returns how many failed
-  /// first (`count` when none succeeded). The engine runs on a local copy,
-  /// so the loop keeps its state in registers instead of memory.
+  /// Makes bernoulli(p) trials, T = bernoulli_threshold(p), until one
+  /// succeeds or `count` have been made, with exactly their draws (none for
+  /// p <= 0 or p >= 1), and returns how many failed first (`count` when
+  /// none succeeded). The engine runs on a local copy, so the loop keeps
+  /// its state in registers instead of memory.
   std::uint64_t bernoulli_first_hit(std::uint64_t count,
                                     std::uint64_t threshold) {
     if (threshold == 0) return count;

@@ -360,14 +360,20 @@ TEST(Rng, SkipUniformIndicesOfNothingIsANoOp) {
 }
 
 // --- Threshold form of bernoulli -------------------------------------------
-// bernoulli_below(bernoulli_threshold(p)) must take the same draws with the
-// same results as bernoulli(p). uniform01() < p is monotone in the raw
+// One trial of the threshold form, bernoulli_first_hit(1, T) == 0 with
+// T = bernoulli_threshold(p), must take the same draws with the same results
+// as bernoulli(p). uniform01() < p is monotone in the raw
 // value k = x >> 11, so it is enough that the boundary sits at T: k = T - 1
 // passes and k = T fails.
 
 /// Whether uniform01() < p for a draw whose top 53 bits are k.
 bool uniform01_below(std::uint64_t k, double p) {
   return static_cast<double>(k) * 0x1.0p-53 < p;
+}
+
+/// One trial of the threshold form.
+bool threshold_trial(Rng& rng, std::uint64_t t) {
+  return rng.bernoulli_first_hit(1, t) == 0;
 }
 
 /// Draws `draws` times from matched streams through both forms and checks
@@ -377,7 +383,7 @@ void expect_threshold_form_matches(double p, int draws, std::uint64_t seed) {
   Rng b(seed);
   const std::uint64_t t = Rng::bernoulli_threshold(p);
   for (int i = 0; i < draws; ++i) {
-    ASSERT_EQ(a.bernoulli(p), b.bernoulli_below(t)) << "p " << p;
+    ASSERT_EQ(a.bernoulli(p), threshold_trial(b, t)) << "p " << p;
   }
   EXPECT_EQ(a.next_u64(), b.next_u64()) << "p " << p;
 }
@@ -404,7 +410,7 @@ TEST(Rng, BernoulliThresholdMatchesBernoulliDrawForDraw) {
     const double p = 1.0 / static_cast<double>(d);
     const std::uint64_t t = Rng::bernoulli_threshold(p);
     for (int i = 0; i < 4; ++i) {
-      ASSERT_EQ(a.bernoulli(p), b.bernoulli_below(t)) << "b " << d;
+      ASSERT_EQ(a.bernoulli(p), threshold_trial(b, t)) << "b " << d;
     }
   }
   EXPECT_EQ(a.next_u64(), b.next_u64());
@@ -433,7 +439,6 @@ TEST(Rng, BernoulliThresholdOutsideUnitIntervalTakesNoDraw) {
     EXPECT_EQ(Rng::bernoulli_threshold(p), 0u) << p;
     Rng a(79);
     Rng untouched(79);
-    EXPECT_FALSE(a.bernoulli_below(Rng::bernoulli_threshold(p)));
     EXPECT_EQ(a.bernoulli_first_hit(5, Rng::bernoulli_threshold(p)), 5u);
     EXPECT_EQ(a.next_u64(), untouched.next_u64()) << p;
     expect_threshold_form_matches(p, 16, 79);
@@ -442,7 +447,6 @@ TEST(Rng, BernoulliThresholdOutsideUnitIntervalTakesNoDraw) {
     EXPECT_EQ(Rng::bernoulli_threshold(p), Rng::kBernoulliCertain) << p;
     Rng a(80);
     Rng untouched(80);
-    EXPECT_TRUE(a.bernoulli_below(Rng::bernoulli_threshold(p)));
     EXPECT_EQ(a.bernoulli_first_hit(5, Rng::bernoulli_threshold(p)), 0u);
     EXPECT_EQ(a.next_u64(), untouched.next_u64()) << p;
     expect_threshold_form_matches(p, 16, 80);
@@ -457,7 +461,7 @@ TEST(Rng, BernoulliFirstHitMatchesSequentialCalls) {
     for (const std::uint64_t count : {0u, 1u, 7u, 50u, 1000u}) {
       for (int rep = 0; rep < 20; ++rep) {
         std::uint64_t failures = 0;
-        while (failures < count && !a.bernoulli_below(t)) ++failures;
+        while (failures < count && !a.bernoulli(p)) ++failures;
         ASSERT_EQ(b.bernoulli_first_hit(count, t), failures)
             << "p " << p << " count " << count;
       }

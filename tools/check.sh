@@ -305,7 +305,7 @@ for pinned in paper_sweep:f9ec0e50bb7b9c8f tight_market:802c6025883f6e5d; do
     exit 1
   }
 done
-tools/trace_coverage.sh 98
+tools/trace_coverage.sh
 
 # --- 15. pinned-seed bench CSVs: byte-identical at one worker and four ----
 step "pinned-CSV smoke (fig6a + ablation_consensus at --threads=1,4)"

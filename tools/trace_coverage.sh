@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Trace-coverage gate: one traced paper_sweep run (seed 1) of the repo
-# benchmark must attribute at least MIN_PERCENT of traced trial time to
+# benchmark must attribute at least 98% of traced trial time to
 # library spans ("library spans cover X% of traced trial time"). A hot
 # path that runs outside every span makes the self-time table stop adding
 # up, and this gate fails.
 #
-#   tools/trace_coverage.sh [MIN_PERCENT]   # default 98; run from anywhere
+#   tools/trace_coverage.sh   # run from anywhere
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-MIN_PERCENT="${1:-98}"
+readonly MIN_PERCENT=98
 
 LOG="$(mktemp "${TMPDIR:-/tmp}/ritcs-trace-coverage.XXXXXX")"
 trap 'rm -f "$LOG"' EXIT
