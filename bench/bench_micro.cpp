@@ -27,6 +27,7 @@
 #include "graph/generators.h"
 #include "obs/obs.h"
 #include "rng/rng.h"
+#include "sim/runner.h"
 #include "tree/builders.h"
 
 // --- Heap-allocation counter ----------------------------------------------
@@ -397,6 +398,20 @@ BENCHMARK_CAPTURE(BM_SpanningForest, ba, false)
     ->Arg(80000);
 BENCHMARK_CAPTURE(BM_SpanningForest, path, true)->Arg(100000);
 
+// A whole trial instance with the paper defaults (BA, m = 3, 10 initial
+// joiners): the forest built during the graph draws, then population and
+// job. BM_SpanningForest is the arm for the generic graph + BFS path.
+void BM_MakeInstance(benchmark::State& state) {
+  sim::Scenario s;
+  s.num_users = static_cast<std::uint32_t>(state.range(0));
+  std::uint64_t trial = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::make_instance(s, trial++));
+  }
+}
+BENCHMARK(BM_MakeInstance)->Arg(80000)->Arg(1000000)->Unit(
+    benchmark::kMillisecond);
+
 void BM_FullRit(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   rng::Rng setup(8);
@@ -481,22 +496,6 @@ void BM_FullRitSteadyState(benchmark::State& state) {
           : 0.0);
 }
 BENCHMARK(BM_FullRitSteadyState)->Arg(5000)->Arg(20000);
-
-// Spanning-forest wave scan at {1, 4} intra-trial threads over the same
-// graph: output is bit-identical (scale_test pins it); the time column
-// shows what the parallel frontier scan buys.
-void BM_SpanningForestThreads(benchmark::State& state) {
-  rng::Rng rng(7);
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto g = graph::barabasi_albert(n, 3, rng);
-  tree::SpanningForestOptions opts;
-  opts.seeds = {0, 1, 2, 3};
-  opts.threads = static_cast<unsigned>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree::build_spanning_forest(g, opts));
-  }
-}
-BENCHMARK(BM_SpanningForestThreads)->Args({50000, 1})->Args({50000, 4});
 
 // --- Tracer overhead -------------------------------------------------------
 // A fixed arithmetic payload (~100-200 ns) bracketed three ways. Comparing

@@ -1,15 +1,18 @@
-// Million-user scale ladder: one full trial (graph -> forest -> RIT) at
+// Million-user scale ladder: one full trial (forest -> RIT) at
 // each population rung N in {1e5, 3e5, 1e6, 3e6, 1e7} divided by --scale
 // (default 10, so the stock run tops out at one million users; --scale=1
 // climbs to ten million). Demand scales with the population (m_i = N/200,
 // i.e. total demand = 5% of users) so every rung exercises the same
 // supply/demand regime and the series isolates how runtime grows with N.
 //
+// The default Barabási–Albert graph is never built: the trial's forest is
+// computed during the graph draws (tree::barabasi_albert_forest).
+//
 // This is the harness behind docs/scaling.md: combine with
-// --intra-threads=N to engage the deterministic intra-trial parallel
-// passes (bit-identical at any setting), --perf-counters for per-phase
-// hardware counters, and --history-out to append the run to the
-// perf-regression ledger for ritcs-bench-diff.
+// --perf-counters for per-phase hardware counters, and --history-out to
+// append the run to the perf-regression ledger for ritcs-bench-diff.
+// --intra-threads=N is accepted but reaches no parallel pass: every pass
+// inside a trial is serial.
 #include "bench_support.h"
 
 #include "common/log.h"

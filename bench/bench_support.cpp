@@ -122,7 +122,6 @@ BenchOptions parse_options(int argc, char** argv, const std::string& name,
 void apply_options(const BenchOptions& opts, sim::Scenario& scenario) {
   scenario.graph = opts.graph;
   scenario.seed = opts.seed;
-  scenario.intra_threads = opts.intra_threads;
   scenario.mechanism.intra_threads = opts.intra_threads;
   scenario.mechanism.round_budget_policy =
       opts.theoretical ? core::RoundBudgetPolicy::kTheoretical

@@ -13,11 +13,9 @@
 //                 in a fixed order, so counts/min/max/success rates are
 //                 identical for every N; means agree to ~1e-12 (Welford
 //                 merge-order rounding — see EXPERIMENTS.md)
-//   --intra-threads=N  worker threads INSIDE each trial (spanning-forest
-//                 wave scan, payment prefix pass; default
-//                 1; 0 = hardware concurrency). Unlike --threads this does
-//                 not fan trials out — it accelerates a single huge trial,
-//                 and every pass is bit-identical at any setting (see
+//   --intra-threads=N  sets core::RitConfig::intra_threads (default 1;
+//                 0 = hardware concurrency). Every pass inside a trial is
+//                 serial, so it changes neither output nor speed (see
 //                 docs/scaling.md). Deliberately excluded from checkpoint
 //                 identity.
 //   --csv=PATH    also dump the series as CSV (default bench_results/<name>.csv,
@@ -106,8 +104,7 @@ struct BenchOptions {
   /// Worker threads for the trial fan-out (0 = hardware concurrency,
   /// 1 = one worker).
   unsigned threads{0};
-  /// Worker threads inside each trial (0 = hardware concurrency, 1 =
-  /// serial). Bit-identical at any setting — see docs/scaling.md.
+  /// core::RitConfig::intra_threads for every trial (no pass reads it).
   unsigned intra_threads{1};
   std::string csv_path;  // empty = disabled
   bool theoretical{false};

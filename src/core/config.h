@@ -103,8 +103,8 @@ struct RitConfig {
 
   /// Worker threads for intra-trial parallel passes of the mechanism. No
   /// mechanism pass parallelizes: the payment phase is one serial preorder
-  /// scan that ignores this value (tree construction takes the matching
-  /// sim::Scenario::intra_threads knob). The field stays because configs,
+  /// scan that ignores this value, and tree construction is serial too.
+  /// The field stays because configs,
   /// fuzz cases and perfbench set it and pass it through. 1 = serial
   /// (default); 0 = one per hardware thread. Deliberately excluded from
   /// result/checkpoint identity: it cannot change what a run computes.

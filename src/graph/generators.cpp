@@ -8,52 +8,20 @@ namespace rit::graph {
 
 Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
                       rng::Rng& rng) {
-  RIT_CHECK(edges_per_node >= 1);
-  RIT_CHECK(num_nodes > edges_per_node);
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(num_nodes) * edges_per_node);
-  // repeated-nodes list: each endpoint appears once per incident edge, so a
-  // uniform draw from it is a degree-proportional draw.
-  std::vector<std::uint32_t> endpoints;
-  endpoints.reserve(2ull * num_nodes * edges_per_node);
-
-  // Seed: a small clique of edges_per_node+1 nodes (influence both ways).
-  const std::uint32_t seed_n = edges_per_node + 1;
-  for (std::uint32_t u = 0; u < seed_n; ++u) {
-    for (std::uint32_t v = 0; v < seed_n; ++v) {
-      if (u == v) continue;
-      edges.push_back({u, v});
-      endpoints.push_back(u);
+  // Seed clique: influence both ways.
+  for (std::uint32_t u = 0; u <= edges_per_node; ++u) {
+    for (std::uint32_t v = 0; v <= edges_per_node; ++v) {
+      if (u != v) edges.push_back({u, v});
     }
   }
-
-  std::vector<std::uint32_t> picked;
-  picked.reserve(edges_per_node);
-  const auto add_if_new = [&picked](std::uint32_t u) {
-    if (std::find(picked.begin(), picked.end(), u) == picked.end()) {
-      picked.push_back(u);
-    }
-  };
-  for (std::uint32_t v = seed_n; v < num_nodes; ++v) {
-    picked.clear();
-    // Draw edges_per_node distinct influencers, degree-proportionally.
-    std::size_t guard = 0;
-    while (picked.size() < edges_per_node) {
-      add_if_new(endpoints[rng.uniform_index(endpoints.size())]);
-      // Degenerate protection: with tiny seed graphs rejection can loop; fall
-      // back to uniform over all existing nodes after excessive rejections.
-      if (++guard > 64ull * edges_per_node && picked.size() < edges_per_node) {
-        add_if_new(static_cast<std::uint32_t>(rng.uniform_index(v)));
-      }
-    }
-    for (std::uint32_t u : picked) {
-      edges.push_back({u, v});  // influencer u recruits newcomer v
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-  // Release the degree list before the CSR build allocates its own arrays.
-  std::vector<std::uint32_t>().swap(endpoints);
+  barabasi_albert_draws(num_nodes, edges_per_node, rng,
+                        [&edges](std::uint32_t v,
+                                 std::span<const std::uint32_t> picked) {
+                          // influencer u recruits newcomer v
+                          for (std::uint32_t u : picked) edges.push_back({u, v});
+                        });
   return Graph(num_nodes, std::move(edges));
 }
 

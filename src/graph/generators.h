@@ -5,7 +5,8 @@
 // split across workers without changing the graph), then hands it to Graph's
 // linear-time CSR build. Barabási–Albert, Erdős–Rényi, star and path emit
 // each source's targets in ascending order, so the build skips their
-// per-bucket sort.
+// per-bucket sort. Barabási–Albert's draw loop is also exposed on its own,
+// so the trial path can build its forest without the CSR.
 //
 // The paper builds its incentive tree from the SNAP ego-Twitter dataset
 // [21]. That dataset is not redistributable with this repository, so per
@@ -16,17 +17,82 @@
 // families exist for the graph-sensitivity ablation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "graph/graph.h"
 #include "rng/rng.h"
 
 namespace rit::graph {
 
+/// The Barabási–Albert draw loop, without the graph. Nodes
+/// 0..edges_per_node form a seed clique (an edge each way between every
+/// pair). Each later node v, in ascending order, draws `edges_per_node`
+/// distinct influencers degree-proportionally from the nodes below it, and
+/// `sink(v, picked)` receives them (a span of ids < v, in draw order) before
+/// the next draw. Those picks and the clique are the graph's only edges, so
+/// a consumer that needs less than the CSR (the Sec. 7-A forest of
+/// tree/builders.h) can work in the same pass. Every consumer sees the same
+/// draws from `rng`. Requires num_nodes > edges_per_node >= 1.
+template <class Sink>
+void barabasi_albert_draws(std::uint32_t num_nodes,
+                           std::uint32_t edges_per_node, rng::Rng& rng,
+                           Sink&& sink) {
+  RIT_CHECK(edges_per_node >= 1);
+  RIT_CHECK(num_nodes > edges_per_node);
+  // repeated-nodes list: each endpoint appears once per incident edge, so a
+  // uniform draw from its first `filled` entries is a degree-proportional
+  // draw. Its final length is known, so it is allocated once, uninitialized.
+  const std::uint32_t seed_n = edges_per_node + 1;
+  const std::size_t clique_entries = std::size_t{seed_n} * edges_per_node;
+  const auto endpoints = std::make_unique_for_overwrite<std::uint32_t[]>(
+      clique_entries + 2 * std::size_t{num_nodes - seed_n} * edges_per_node);
+  std::size_t filled = 0;
+
+  // Seed clique of seed_n nodes: node u has out-degree seed_n-1.
+  for (std::uint32_t u = 0; u < seed_n; ++u) {
+    for (std::uint32_t k = 0; k < edges_per_node; ++k) endpoints[filled++] = u;
+  }
+
+  // Draw from a local copy of the stream, so the engine state stays in
+  // registers; `rng` gets it back at the end, after exactly the same draws.
+  rng::Rng draws = rng;
+  std::vector<std::uint32_t> picked;
+  picked.reserve(edges_per_node);
+  const auto add_if_new = [&picked](std::uint32_t u) {
+    if (std::find(picked.begin(), picked.end(), u) == picked.end()) {
+      picked.push_back(u);
+    }
+  };
+  for (std::uint32_t v = seed_n; v < num_nodes; ++v) {
+    picked.clear();
+    // Draw edges_per_node distinct influencers, degree-proportionally.
+    std::size_t guard = 0;
+    while (picked.size() < edges_per_node) {
+      add_if_new(endpoints[draws.uniform_index(filled)]);
+      // Degenerate protection: with tiny seed graphs rejection can loop; fall
+      // back to uniform over all existing nodes after excessive rejections.
+      if (++guard > 64ull * edges_per_node && picked.size() < edges_per_node) {
+        add_if_new(static_cast<std::uint32_t>(draws.uniform_index(v)));
+      }
+    }
+    sink(v, std::span<const std::uint32_t>(picked));
+    for (std::uint32_t u : picked) {
+      endpoints[filled++] = u;
+      endpoints[filled++] = v;
+    }
+  }
+  rng = draws;
+}
+
 /// Barabási–Albert preferential attachment. Each new node attaches
 /// `edges_per_node` out-edges *from* existing high-degree nodes *to* itself
-/// (an influencer recruits the newcomer). Node 0..edges_per_node form a seed
-/// clique. Requires num_nodes > edges_per_node >= 1.
+/// (an influencer recruits the newcomer): the edge list of
+/// barabasi_albert_draws, seed clique first. Requires
+/// num_nodes > edges_per_node >= 1.
 Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
                       rng::Rng& rng);
 

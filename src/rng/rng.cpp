@@ -6,23 +6,6 @@
 
 namespace rit::rng {
 
-std::uint64_t Rng::uniform_u64(std::uint64_t bound) {
-  RIT_CHECK(bound > 0);
-  // Lemire 2019: multiply-shift with rejection of the biased low region.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  std::uint64_t l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    std::uint64_t threshold = (0 - bound) % bound;
-    while (l < threshold) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 bool Rng::skip_uniform_indices(std::uint64_t count, std::uint64_t lcm) {
   RIT_CHECK(lcm > 0);
   // A local copy keeps the state in registers; on a filter hit it is

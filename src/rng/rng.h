@@ -38,7 +38,24 @@ class Rng {
 
   /// Uniform integer in [0, bound). Requires bound > 0.
   /// Lemire's nearly-divisionless method with rejection — exactly uniform.
-  std::uint64_t uniform_u64(std::uint64_t bound);
+  /// Inline, so a hot loop drawing from a local copy of the stream keeps
+  /// the engine state in registers.
+  std::uint64_t uniform_u64(std::uint64_t bound) {
+    RIT_CHECK(bound > 0);
+    // Lemire 2019: multiply-shift with rejection of the biased low region.
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    std::uint64_t l = static_cast<std::uint64_t>(m);
+    if (l < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (l < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);

@@ -4,6 +4,7 @@
 #include "core/rit.h"
 #include "obs/obs.h"
 #include "stats/timer.h"
+#include "tree/builders.h"
 
 namespace rit::sim {
 
@@ -21,12 +22,18 @@ TrialInstance make_instance(const Scenario& scenario, std::uint64_t trial) {
   rng::Rng pop_rng(scenario.trial_seed(trial, kPopulationComponent));
   rng::Rng job_rng(scenario.trial_seed(trial, kJobComponent));
 
-  graph::Graph g = generate_graph(scenario, graph_rng);
-  TreeResult tr = generate_tree(scenario, g);
+  // Barabási–Albert gets its forest during the draws, without the graph;
+  // the tree is the same one generate_tree would build from it.
+  tree::IncentiveTree tree =
+      scenario.graph == GraphKind::kBarabasiAlbert
+          ? tree::barabasi_albert_forest(scenario.num_users,
+                                         scenario.ba_edges_per_node,
+                                         scenario.initial_joiners, graph_rng)
+          : generate_tree(scenario, generate_graph(scenario, graph_rng)).tree;
   return TrialInstance{
       generate_population(scenario, pop_rng),
       generate_job(scenario, job_rng),
-      std::move(tr.tree),
+      std::move(tree),
       scenario.trial_seed(trial, kMechanismComponent),
   };
 }

@@ -21,7 +21,8 @@ struct TrialInstance {
 
 /// Draws the instance for (scenario, trial): graph, tree, population, job.
 /// Component streams are independent, so e.g. enlarging the population does
-/// not change the job draw.
+/// not change the job draw. A Barabási–Albert graph is never materialized:
+/// its forest is built during the draws (see generate_tree).
 TrialInstance make_instance(const Scenario& scenario, std::uint64_t trial);
 
 /// The mechanism-component seed make_instance would assign this trial

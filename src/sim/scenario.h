@@ -73,14 +73,9 @@ struct Scenario {
   /// (children of the platform before any solicitation).
   std::uint32_t initial_joiners = 10;
 
-  /// Worker threads for the deterministic intra-trial parallel pass of
-  /// workload generation (the spanning-forest wave scan). The payment
-  /// phase no longer parallelizes: it is a serial preorder scan and
-  /// ignores core::RitConfig::intra_threads. The pass is
-  /// bit-identical at any setting, so this knob is deliberately
-  /// excluded from scenario serialization and checkpoint identity: it can
-  /// never change what a trial computes, only how fast.
-  /// 1 = serial (default); 0 = one per hardware thread.
+  /// Read by no pass: workload generation is serial (the forest is a
+  /// serial BFS, or no BFS at all for Barabási–Albert). Kept so that
+  /// callers which set it still compile; never serialized.
   unsigned intra_threads = 1;
 
   std::uint64_t seed = 42;

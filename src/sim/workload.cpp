@@ -74,13 +74,10 @@ graph::Graph generate_graph(const Scenario& scenario, rng::Rng& rng) {
 
 TreeResult generate_tree(const Scenario& scenario, const graph::Graph& g) {
   tree::SpanningForestOptions opts;
-  const std::uint32_t seeds =
-      std::min<std::uint32_t>(std::max<std::uint32_t>(scenario.initial_joiners, 1),
-                              g.num_nodes());
-  opts.seeds.resize(seeds);
+  opts.seeds.resize(
+      tree::initial_seed_count(scenario.initial_joiners, g.num_nodes()));
   std::iota(opts.seeds.begin(), opts.seeds.end(), 0u);
   opts.attach_unreached_to_root = true;
-  opts.threads = scenario.intra_threads;
   tree::SpanningForestResult forest = tree::build_spanning_forest(g, opts);
   RIT_CHECK_MSG(forest.tree.num_participants() == g.num_nodes(),
                 "expected every user to join the tree");

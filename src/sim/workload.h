@@ -39,6 +39,12 @@ graph::Graph generate_graph(const Scenario& scenario, rng::Rng& rng);
 /// (every user participates, as in the paper's simulations). The tree's
 /// participant i is graph node join_order[i]; the returned permutation maps
 /// participant index -> graph node for callers that care.
+///
+/// For Barabási–Albert, make_instance (sim/runner.h) calls neither this nor
+/// generate_graph: tree::barabasi_albert_forest builds the same tree, bit
+/// for bit, from the same graph stream without the graph. Both stay the
+/// path for the other kinds, the graph metrics and the reference the
+/// forest is pinned against (tree_test, scale_test).
 struct TreeResult {
   tree::IncentiveTree tree;
   std::vector<std::uint32_t> graph_node_of_participant;

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <span>
 #include <utility>
 
-#include "common/parallel.h"
+#include "graph/generators.h"
 #include "obs/obs.h"
 
 namespace rit::tree {
@@ -26,6 +27,81 @@ void sort_wave(std::vector<std::uint32_t>& ids,
       ids[k++] = static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
     }
   }
+}
+
+constexpr std::uint32_t kBaRootInviter =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// The BFS waves of a Barabási–Albert forest, one entry per graph node in
+/// ascending id.
+struct BaWaves {
+  std::vector<std::uint32_t> depth;      // wave the node joins in
+  std::vector<std::uint32_t> inviter;    // who recruited it; kBaRootInviter
+  std::vector<std::uint32_t> wave_size;  // how many nodes join in each wave
+
+  /// Appends the next graph node.
+  void join(std::uint32_t d, std::uint32_t by) {
+    depth.push_back(d);
+    inviter.push_back(by);
+    if (d >= wave_size.size()) wave_size.resize(d + 1, 0);
+    ++wave_size[d];
+  }
+};
+
+/// Draws the graph and computes every node's wave and inviter as it goes.
+BaWaves draw_ba_waves(std::uint32_t num_nodes, std::uint32_t edges_per_node,
+                      std::uint32_t seeds, rng::Rng& rng) {
+  RIT_TRACE_SPAN("graph.generate");
+  BaWaves w;
+  w.depth.reserve(num_nodes);
+  w.inviter.reserve(num_nodes);
+  // The seed clique: node 0 is a seed and reaches every other clique node.
+  for (std::uint32_t v = 0; v <= edges_per_node && v < num_nodes; ++v) {
+    if (v < seeds) {
+      w.join(0, kBaRootInviter);
+    } else {
+      w.join(1, 0);
+    }
+  }
+  graph::barabasi_albert_draws(
+      num_nodes, edges_per_node, rng,
+      [&w, seeds](std::uint32_t v, std::span<const std::uint32_t> picked) {
+        if (v < seeds) {
+          w.join(0, kBaRootInviter);
+          return;
+        }
+        // The least (depth, id) among the picks, as one branch-free
+        // minimum: which pick wins is unpredictable.
+        std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
+        for (std::uint32_t u : picked) {
+          best = std::min(best, std::uint64_t{w.depth[u]} << 32 | u);
+        }
+        w.join(static_cast<std::uint32_t>(best >> 32) + 1,
+               static_cast<std::uint32_t>(best));
+      });
+  return w;
+}
+
+/// The forest's parent vector. The join order is a stable counting sort of
+/// the ids by wave; `w` is consumed (its inviter[] is overwritten).
+std::vector<std::uint32_t> ba_forest_parents(BaWaves w) {
+  // next_node[d]: the tree node the next wave-d joiner gets.
+  std::vector<std::uint32_t> next_node(w.wave_size.size());
+  for (std::uint32_t d = 0, node = 1; d < w.wave_size.size(); ++d) {
+    next_node[d] = node;
+    node += w.wave_size[d];
+  }
+  // Every inviter is below the node it invites, so inviter[] can be
+  // overwritten with tree node ids in the same ascending pass that reads it.
+  const auto n = static_cast<std::uint32_t>(w.depth.size());
+  std::vector<std::uint32_t> parents(std::size_t{n} + 1, 0);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const std::uint32_t by = w.inviter[v];
+    const std::uint32_t node = next_node[w.depth[v]]++;
+    parents[node] = by == kBaRootInviter ? 0 : w.inviter[by];
+    w.inviter[v] = node;
+  }
+  return parents;
 }
 
 }  // namespace
@@ -61,50 +137,14 @@ SpanningForestResult build_spanning_forest(const graph::Graph& g,
   // BFS waves. Within a wave we iterate inviters in ascending id, so the
   // first inviter to claim a candidate is the smallest-index one — the
   // paper's tie-break. New joiners are appended in ascending graph id.
-  //
-  // Parallel path: workers scan disjoint contiguous blocks of the (sorted)
-  // wave, each collecting (candidate, inviter) pairs for still-unclaimed
-  // neighbours WITHOUT mutating inviter[] (reads race-free: nothing writes
-  // during the scan). The claims are then applied serially in worker order;
-  // since block order concatenates to the full ascending wave order, the
-  // first recorded claim for each candidate is exactly the claim the serial
-  // loop would have made, so the forest is bit-identical at any thread
-  // count. Below ~2k wave entries the spawn overhead beats the win.
-  const unsigned max_workers = rit::resolve_threads(opts.threads, n);
-  constexpr std::size_t kParallelWaveFloor = 2048;
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> claims(
-      max_workers);
   std::vector<std::uint32_t> next;
   while (!wave.empty() && join_order.size() < cap) {
     next.clear();
-    const unsigned t = rit::resolve_threads(max_workers, wave.size());
-    if (t > 1 && wave.size() >= kParallelWaveFloor) {
-      rit::parallel_for_blocked(
-          wave.size(), t,
-          [&](std::uint64_t begin, std::uint64_t end, unsigned w) {
-            auto& mine = claims[w];
-            mine.clear();
-            for (std::uint64_t i = begin; i < end; ++i) {
-              const std::uint32_t u = wave[i];
-              for (std::uint32_t v : g.out_neighbors(u)) {
-                if (inviter[v] == kUnset) mine.emplace_back(v, u);
-              }
-            }
-          });
-      for (unsigned w = 0; w < t; ++w) {
-        for (const auto& [v, u] : claims[w]) {
-          if (inviter[v] != kUnset) continue;
-          inviter[v] = u;
-          next.push_back(v);
-        }
-      }
-    } else {
-      for (std::uint32_t u : wave) {
-        for (std::uint32_t v : g.out_neighbors(u)) {
-          if (inviter[v] != kUnset) continue;
-          inviter[v] = u;
-          next.push_back(v);
-        }
+    for (std::uint32_t u : wave) {
+      for (std::uint32_t v : g.out_neighbors(u)) {
+        if (inviter[v] != kUnset) continue;
+        inviter[v] = u;
+        next.push_back(v);
       }
     }
     sort_wave(next, claimed);
@@ -154,6 +194,22 @@ SpanningForestResult build_spanning_forest(const graph::Graph& g,
   }
   res.tree = IncentiveTree(std::move(parents));
   return res;
+}
+
+std::uint32_t initial_seed_count(std::uint32_t initial_joiners,
+                                 std::uint32_t num_nodes) {
+  return std::min(std::max<std::uint32_t>(initial_joiners, 1), num_nodes);
+}
+
+IncentiveTree barabasi_albert_forest(std::uint32_t num_nodes,
+                                     std::uint32_t edges_per_node,
+                                     std::uint32_t initial_joiners,
+                                     rng::Rng& rng) {
+  BaWaves waves =
+      draw_ba_waves(num_nodes, edges_per_node,
+                    initial_seed_count(initial_joiners, num_nodes), rng);
+  RIT_TRACE_SPAN("tree.build");
+  return IncentiveTree(ba_forest_parents(std::move(waves)));
 }
 
 IncentiveTree random_recursive_tree(std::uint32_t num_participants,

@@ -4,7 +4,9 @@
 // the social graph in which every joined user refers all of its un-joined
 // (out-)neighbours, simultaneous invitations are broken toward the smallest
 // inviter index, and the forest roots hang off the platform root. Growth
-// stops once the threshold N of Sec. 3-A is reached.
+// stops once the threshold N of Sec. 3-A is reached. For a Barabási–Albert
+// graph the same forest is computed while the graph is drawn
+// (barabasi_albert_forest), without ever building the graph.
 #pragma once
 
 #include <cstdint>
@@ -29,13 +31,6 @@ struct SpanningForestOptions {
   /// who discover the job independently. Keeps participant count == graph
   /// node count, which the simulation scenarios rely on.
   bool attach_unreached_to_root = true;
-  /// Worker threads for the BFS wave scan (0 = one per hardware thread).
-  /// Workers collect invitation candidates over disjoint blocks of the
-  /// ascending wave without touching shared state; claims are then merged
-  /// serially in worker order, which replays the serial first-claim /
-  /// smallest-inviter tie-break exactly. The forest is bit-identical at any
-  /// setting — the knob trades wall-clock for cores, never output.
-  unsigned threads = 1;
 };
 
 struct SpanningForestResult {
@@ -53,6 +48,29 @@ struct SpanningForestResult {
 /// the (i+1)-th user to join.
 SpanningForestResult build_spanning_forest(const graph::Graph& g,
                                            const SpanningForestOptions& opts);
+
+/// How many lowest-id graph nodes seed the simulations' forest:
+/// min(max(initial_joiners, 1), num_nodes). One rule for both trial paths.
+std::uint32_t initial_seed_count(std::uint32_t initial_joiners,
+                                 std::uint32_t num_nodes);
+
+/// The Sec. 7-A forest of graph::barabasi_albert(num_nodes, edges_per_node,
+/// rng), seeded by graph nodes 0..initial_seed_count(initial_joiners)-1,
+/// with no user cap and unreached users on the root: parents() equals
+/// build_spanning_forest's bit for bit, and `rng` makes the same draws.
+/// No graph is built. In BA every node's in-neighbours are its picks, all
+/// below it, except in the seed clique 0..edges_per_node, which node 0
+/// (always a seed) reaches in one hop. So the BFS is one forward pass
+/// during the draws: a seed has depth 0, a non-seed clique node depth 1 via
+/// node 0, and any other node 1 + the least depth among its picks, invited
+/// by the smallest pick at that depth (the waves' smallest-inviter
+/// tie-break). The join order, wave by wave and ascending id within a wave,
+/// is then a stable counting sort by depth. Spans: graph.generate (draws
+/// and depths), tree.build (join order, relabel, IncentiveTree).
+IncentiveTree barabasi_albert_forest(std::uint32_t num_nodes,
+                                     std::uint32_t edges_per_node,
+                                     std::uint32_t initial_joiners,
+                                     rng::Rng& rng);
 
 /// Uniform random recursive tree over `num_participants` users: participant
 /// i attaches to the platform root with probability `root_prob`, otherwise

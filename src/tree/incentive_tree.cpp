@@ -16,17 +16,18 @@ IncentiveTree::IncentiveTree(std::vector<std::uint32_t> parents)
   }
 
   // Children adjacency (CSR), ordered by child id for determinism.
-  child_offsets_.assign(n + 1, 0);
+  child_offsets_.assign(std::size_t{n} + 1, 0);
   for (std::uint32_t v = 1; v < n; ++v) ++child_offsets_[parents_[v] + 1];
   for (std::uint32_t i = 1; i <= n; ++i) child_offsets_[i] += child_offsets_[i - 1];
+  // Scatter with child_offsets_[p] as the bucket cursor: afterwards it holds
+  // the end of p's bucket, so shifting by one restores the starts.
   child_targets_.resize(n - 1);
-  {
-    std::vector<std::size_t> cursor(child_offsets_.begin(),
-                                    child_offsets_.end() - 1);
-    for (std::uint32_t v = 1; v < n; ++v) {
-      child_targets_[cursor[parents_[v]]++] = v;
-    }
+  for (std::uint32_t v = 1; v < n; ++v) {
+    child_targets_[child_offsets_[parents_[v]]++] = v;
   }
+  std::copy_backward(child_offsets_.begin(), child_offsets_.end() - 1,
+                     child_offsets_.end());
+  child_offsets_[0] = 0;
 
   // Iterative preorder DFS from the root; doubles as the acyclicity /
   // connectivity check (every node must be visited exactly once).

@@ -81,7 +81,7 @@ class IncentiveTree {
 
  private:
   std::vector<std::uint32_t> parents_;
-  std::vector<std::size_t> child_offsets_;
+  std::vector<std::uint32_t> child_offsets_;  // size num_nodes()+1
   std::vector<std::uint32_t> child_targets_;
   std::vector<std::uint32_t> depths_;
   std::vector<std::uint32_t> preorder_;

@@ -1,12 +1,11 @@
-// Bit-identity of the intra-trial parallel passes (ctest -L scale).
+// Bit-identity at scale (ctest -L scale).
 //
-// Every knob behind --intra-threads — the spanning-forest wave scan and the
-// flat payment pass — promises bit-identical output at any thread count
-// (fixed blocked partition, disjoint writes, worker-order merges). These
-// tests pin that promise at threads {1, 2, 8} on instances big enough to
-// actually engage the parallel paths (the wave scan needs >= 2k frontier
-// nodes), and end-to-end on a full simulated trial. The serial graph CSR
-// build is checked here at scale against its sort + unique reference.
+// The forest builders are pinned against their references on instances big
+// enough for dense BFS waves (the bitmap wave order) and against the graph
+// BFS for the Barabási–Albert forest built during the draws. The payment
+// pass and a full simulated trial must be bit-identical at any
+// intra_threads setting. The serial graph CSR build is checked here at
+// scale against its sort + unique reference.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +15,7 @@
 #include "core/payment.h"
 #include "core/rit.h"
 #include "csr_reference.h"
+#include "forest_reference.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "rng/rng.h"
@@ -52,28 +52,20 @@ TEST(ScaleIdentity, GraphCsrMatchesSortUniqueReference) {
   EXPECT_EQ(graph::reference::sort_unique_reference(input), g.edges());
 }
 
-TEST(ScaleIdentity, SpanningForestIdenticalAcrossThreads) {
+TEST(ScaleIdentity, SpanningForestMatchesSortedReference) {
+  // Dense BFS waves at scale take the bitmap wave order; it must equal a
+  // comparison sort on every wave.
   const std::uint32_t n = 50000;
   rng::Rng rng(22);
   const graph::Graph g = graph::barabasi_albert(n, 3, rng);
   tree::SpanningForestOptions opts;
   opts.seeds = {0, 1, 2, 3, 4};
-  opts.threads = 1;
-  const tree::SpanningForestResult serial = tree::build_spanning_forest(g, opts);
-  for (unsigned t : kThreadMatrix) {
-    opts.threads = t;
-    const tree::SpanningForestResult forest =
-        tree::build_spanning_forest(g, opts);
-    EXPECT_EQ(forest.tree.parents(), serial.tree.parents())
-        << "threads=" << t;
-    EXPECT_EQ(forest.graph_of, serial.graph_of) << "threads=" << t;
-    EXPECT_EQ(forest.joined, serial.joined) << "threads=" << t;
-  }
+  tree::reference::expect_forest_matches_reference(g, opts);
 }
 
-TEST(ScaleIdentity, CappedForestIdenticalAcrossThreads) {
+TEST(ScaleIdentity, CappedForestMatchesSortedReference) {
   // max_users cuts a wave mid-append: the un-marking of cut-off candidates
-  // must also replay identically under the parallel scan.
+  // must also match the reference.
   const std::uint32_t n = 40000;
   rng::Rng rng(23);
   const graph::Graph g = graph::barabasi_albert(n, 3, rng);
@@ -81,16 +73,13 @@ TEST(ScaleIdentity, CappedForestIdenticalAcrossThreads) {
   opts.seeds = {0, 1, 2};
   opts.max_users = n / 2;
   opts.attach_unreached_to_root = false;
-  opts.threads = 1;
-  const tree::SpanningForestResult serial = tree::build_spanning_forest(g, opts);
-  for (unsigned t : kThreadMatrix) {
-    opts.threads = t;
-    const tree::SpanningForestResult forest =
-        tree::build_spanning_forest(g, opts);
-    EXPECT_EQ(forest.tree.parents(), serial.tree.parents())
-        << "threads=" << t;
-    EXPECT_EQ(forest.graph_of, serial.graph_of) << "threads=" << t;
-  }
+  tree::reference::expect_forest_matches_reference(g, opts);
+}
+
+TEST(ScaleIdentity, BarabasiAlbertForestMatchesGraphBfs) {
+  // The trial path's forest, built during the draws, against the generic
+  // graph + BFS path at 300k users with the paper defaults.
+  tree::reference::expect_ba_forest_matches_bfs(300000, 3, 10, 25);
 }
 
 TEST(ScaleIdentity, PaymentPassIdenticalAcrossThreads) {
@@ -114,9 +103,8 @@ TEST(ScaleIdentity, PaymentPassIdenticalAcrossThreads) {
 }
 
 TEST(ScaleIdentity, FullTrialIdenticalAcrossThreads) {
-  // End-to-end: workload generation (forest wave scan) and the
-  // mechanism (payment pass) both honor intra_threads; allocation and
-  // payments must come out bit-identical.
+  // End-to-end: the mechanism takes intra_threads from its config;
+  // allocation and payments must come out bit-identical.
   sim::Scenario base;
   base.num_users = 30000;
   base.tasks_per_type = 150;
@@ -124,7 +112,6 @@ TEST(ScaleIdentity, FullTrialIdenticalAcrossThreads) {
   base.mechanism.round_budget_policy =
       core::RoundBudgetPolicy::kRunToCompletion;
 
-  base.intra_threads = 1;
   base.mechanism.intra_threads = 1;
   const sim::TrialInstance ref_inst = sim::make_instance(base, 0);
   rng::Rng ref_rng(ref_inst.mechanism_seed);
@@ -134,7 +121,6 @@ TEST(ScaleIdentity, FullTrialIdenticalAcrossThreads) {
 
   for (unsigned t : kThreadMatrix) {
     sim::Scenario s = base;
-    s.intra_threads = t;
     s.mechanism.intra_threads = t;
     const sim::TrialInstance inst = sim::make_instance(s, 0);
     EXPECT_EQ(inst.tree.parents(), ref_inst.tree.parents())

@@ -155,6 +155,24 @@ TEST(Runner, InstanceIsDeterministic) {
   EXPECT_EQ(a.job.demand_vector(), b.job.demand_vector());
 }
 
+TEST(Runner, InstanceTreeMatchesGraphBfs) {
+  // make_instance draws the graph from component 0 of the trial seed. For
+  // Barabási–Albert it builds the forest without the graph, for the other
+  // kinds through generate_graph + generate_tree; both must give the tree
+  // generate_tree builds from that stream.
+  Scenario s = small_scenario();
+  for (GraphKind kind : {GraphKind::kBarabasiAlbert, GraphKind::kErdosRenyi}) {
+    s.graph = kind;
+    for (std::uint64_t trial = 0; trial < 2; ++trial) {
+      rng::Rng graph_rng(s.trial_seed(trial, 0));
+      const graph::Graph g = generate_graph(s, graph_rng);
+      EXPECT_EQ(make_instance(s, trial).tree.parents(),
+                generate_tree(s, g).tree.parents())
+          << to_string(kind) << " trial " << trial;
+    }
+  }
+}
+
 TEST(Runner, DifferentTrialsDiffer) {
   const Scenario s = small_scenario();
   const TrialInstance a = make_instance(s, 0);

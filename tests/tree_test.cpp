@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "forest_reference.h"
 #include "graph/generators.h"
 #include "tree/builders.h"
 #include "tree/incentive_tree.h"
@@ -11,6 +12,9 @@
 
 namespace rit::tree {
 namespace {
+
+using reference::expect_ba_forest_matches_bfs;
+using reference::expect_forest_matches_reference;
 
 // The running example: platform -> {P1, P2}, P1 -> {P3, P4}, P4 -> {P5}.
 IncentiveTree example_tree() {
@@ -198,86 +202,6 @@ TEST(Builders, SpanningForestCoversBaGraph) {
   EXPECT_LT(res.tree.max_depth(), 30u);
 }
 
-/// The serial Sec. 7-A forest with a comparison sort on every BFS wave: the
-/// reference for build_spanning_forest's density-ruled wave order.
-struct ReferenceForest {
-  std::vector<std::uint32_t> parents;
-  std::vector<std::uint32_t> graph_of;
-  std::vector<bool> joined;
-};
-
-ReferenceForest sorted_wave_forest(const graph::Graph& g,
-                                   const SpanningForestOptions& opts) {
-  const std::uint32_t n = g.num_nodes();
-  const std::uint32_t cap = opts.max_users.value_or(n);
-  constexpr std::uint32_t kUnset = 0xffffffffu;
-  constexpr std::uint32_t kRoot = 0xfffffffeu;
-  std::vector<std::uint32_t> inviter(n, kUnset);
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> wave;
-  for (std::uint32_t s : opts.seeds) {
-    if (inviter[s] != kUnset) continue;
-    inviter[s] = kRoot;
-    wave.push_back(s);
-  }
-  std::sort(wave.begin(), wave.end());
-  for (std::uint32_t s : wave) {
-    if (order.size() < cap) order.push_back(s);
-  }
-  while (!wave.empty() && order.size() < cap) {
-    std::vector<std::uint32_t> next;
-    for (std::uint32_t u : wave) {
-      for (std::uint32_t v : g.out_neighbors(u)) {
-        if (inviter[v] != kUnset) continue;
-        inviter[v] = u;
-        next.push_back(v);
-      }
-    }
-    std::sort(next.begin(), next.end());
-    wave.clear();
-    for (std::uint32_t v : next) {
-      if (order.size() < cap) {
-        order.push_back(v);
-        wave.push_back(v);
-      } else {
-        inviter[v] = kUnset;
-      }
-    }
-  }
-  if (opts.attach_unreached_to_root) {
-    for (std::uint32_t u = 0; u < n && order.size() < cap; ++u) {
-      if (inviter[u] == kUnset) {
-        inviter[u] = kRoot;
-        order.push_back(u);
-      }
-    }
-  }
-  ReferenceForest ref;
-  ref.joined.assign(n, false);
-  std::vector<std::uint32_t> node_of(n, 0);
-  ref.graph_of.assign(order.size() + 1, 0);
-  ref.parents.assign(order.size() + 1, 0);
-  for (std::uint32_t i = 0; i < order.size(); ++i) {
-    ref.joined[order[i]] = true;
-    node_of[order[i]] = i + 1;
-    ref.graph_of[i + 1] = order[i];
-  }
-  for (std::uint32_t i = 0; i < order.size(); ++i) {
-    const std::uint32_t by = inviter[order[i]];
-    ref.parents[i + 1] = by == kRoot ? 0 : node_of[by];
-  }
-  return ref;
-}
-
-void expect_forest_matches_reference(const graph::Graph& g,
-                                     const SpanningForestOptions& opts) {
-  const SpanningForestResult got = build_spanning_forest(g, opts);
-  const ReferenceForest ref = sorted_wave_forest(g, opts);
-  EXPECT_EQ(got.tree.parents(), ref.parents);
-  EXPECT_EQ(got.graph_of, ref.graph_of);
-  EXPECT_EQ(got.joined, ref.joined);
-}
-
 TEST(SpanningForest, WaveOrderMatchesSortedReference) {
   rng::Rng rng(14);
   const graph::Graph ba = graph::barabasi_albert(20000, 3, rng);
@@ -303,13 +227,6 @@ TEST(SpanningForest, WaveOrderMatchesSortedReference) {
     }
     EXPECT_GE(wave_joined, 20000u / 64);
   }
-  {
-    SCOPED_TRACE("BA, several threads");
-    opts.max_users.reset();
-    opts.attach_unreached_to_root = true;
-    opts.threads = 4;
-    expect_forest_matches_reference(ba, opts);
-  }
   SpanningForestOptions chain;
   chain.seeds = {0};
   {
@@ -322,6 +239,34 @@ TEST(SpanningForest, WaveOrderMatchesSortedReference) {
     chain.max_users = 1234;
     expect_forest_matches_reference(graph::star(5000), chain);
   }
+}
+
+TEST(BarabasiAlbertForest, MatchesGraphBfsOnMatrix) {
+  // The forest built during the draws against generate_graph +
+  // generate_tree: every size from the bare clique up, every initial_joiners
+  // rule branch (0 -> 1 seed, seeds inside, equal to and beyond the clique,
+  // more than n), two seeds by two trials of the graph stream.
+  const std::uint32_t edges_per_node[] = {1, 2, 3, 5};
+  for (std::uint32_t m : edges_per_node) {
+    const std::uint32_t sizes[] = {m + 1, m + 2, 12, 500, 5000, 80000};
+    for (std::uint32_t n : sizes) {
+      const std::uint32_t joiners[] = {0, 1, 2, m + 1, 10, n + 7};
+      for (std::uint32_t initial_joiners : joiners) {
+        for (std::uint64_t seed : {3u, 8u}) {
+          for (std::uint64_t trial = 0; trial < 2; ++trial) {
+            expect_ba_forest_matches_bfs(n, m, initial_joiners,
+                                         seed * 1000003u + trial);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BarabasiAlbertForest, SeedCountRule) {
+  EXPECT_EQ(initial_seed_count(0, 50), 1u);
+  EXPECT_EQ(initial_seed_count(10, 50), 10u);
+  EXPECT_EQ(initial_seed_count(60, 50), 50u);
 }
 
 TEST(Render, AsciiShowsStructure) {

@@ -30,9 +30,9 @@
 #                 the leg honest on noisy machines; skipped with a notice
 #                 when the kernel refuses perf_event_open)
 #  10. scale-smoke pinned small-N bench_scale ladder (--scale=1000, tops
-#                 out at 10k users) run twice with --intra-threads=2 into
-#                 fresh ledgers + ritcs-bench-diff self-diff — keeps the
-#                 million-user scale path (parallel passes, flat hot
+#                 out at 10k users) run twice into fresh ledgers +
+#                 ritcs-bench-diff self-diff — keeps the million-user scale
+#                 path (the forest built during the graph draws, flat hot
 #                 structures, the ladder harness itself) exercised end to
 #                 end in every gate run
 #  11. asan+ubsan RIT_SANITIZE=address,undefined build + full ctest
@@ -61,10 +61,11 @@
 #                 then tools/trace_coverage.sh runs one traced paper_sweep
 #                 (seed 1) and fails if library spans cover less than 98%
 #                 of traced trial time
-#  15. pinned-CSV smoke  tools/pinned_csvs.sh: the fig6a and
-#                 ablation_consensus CSVs at a fixed seed must hash to
-#                 their pinned sha256 at --threads=1 and --threads=4, so a
-#                 refactor that moves an output bit fails the gate
+#  15. pinned-CSV smoke  tools/pinned_csvs.sh: the fig6a,
+#                 ablation_consensus and ablation_graph CSVs at a fixed
+#                 seed must hash to their pinned sha256 at --threads=1 and
+#                 --threads=4, so a refactor that moves an output bit (or
+#                 one graph kind's tree) fails the gate
 #
 # Build trees live under build-check/ so the gate never disturbs your
 # incremental build/. Exits non-zero on the first failing leg.
@@ -179,9 +180,9 @@ done
 # --- 10. scale smoke: the million-user path at toy size, self-diffed --------
 # Same record/diff discipline as leg 9, but through bench_scale: the pinned
 # --scale=1000 ladder tops out at 10k users, small enough for CI while still
-# running graph generation, and the forest build and the payment pass
-# through their parallel code paths (--intra-threads=2; results are
-# bit-identical to serial, so only the timings vary between the two runs).
+# running the graph draws, the forest and the payment pass end to end
+# (--intra-threads=2 reaches no parallel pass: every pass inside a trial
+# is serial, so only the timings vary between the two runs).
 step "scale smoke (bench_scale ledger self-diff)"
 for ledger in scale_a scale_b; do
   "$BUILD_ROOT/main/bench/bench_scale" \
@@ -308,7 +309,7 @@ done
 tools/trace_coverage.sh
 
 # --- 15. pinned-seed bench CSVs: byte-identical at one worker and four ----
-step "pinned-CSV smoke (fig6a + ablation_consensus at --threads=1,4)"
+step "pinned-CSV smoke (fig6a + ablation_consensus + ablation_graph at --threads=1,4)"
 tools/pinned_csvs.sh "$BUILD_ROOT/main/bench"
 
 echo

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Pinned-seed output identity: the fig6a and ablation_consensus sweeps have
-# no timing columns, so at a fixed seed their CSVs are pure functions of
-# the seed and must hash to the pinned values at one worker and at four.
-# A refactor that moves a single output bit fails here. Pinned for GCC
-# builds (another compiler may contract floating point differently).
+# Pinned-seed output identity: the fig6a, ablation_consensus and
+# ablation_graph sweeps have no timing columns, so at a fixed seed their
+# CSVs are pure functions of the seed and must hash to the pinned values at
+# one worker and at four. A refactor that moves a single output bit fails
+# here. ablation_graph covers every graph kind's tree: Barabási–Albert's
+# forest built during the draws, and the graph + BFS path of the others.
+# Pinned for GCC builds (another compiler may contract floating point
+# differently).
 #
 #   tools/pinned_csvs.sh [BENCH_DIR]   # default: build/bench
 set -euo pipefail
@@ -11,6 +14,7 @@ set -euo pipefail
 BENCH_DIR="${1:-build/bench}"
 FIG6A_SHA256=b78d7a83f8de7d632954346a4930bca40524f1552b5840f1c016c541a5bce881
 CONSENSUS_SHA256=2a0149ce975af9673f535768dcd9d24603256f812f23d491f832d5d0c7e08e1d
+GRAPH_SHA256=66fa6917e65249767a66ea935322f08cc0cdc617cd0bd2210411239e053caaf2
 
 TMP="$(mktemp -d "${TMPDIR:-/tmp}/ritcs-pinned-csv.XXXXXX")"
 trap 'rm -rf "$TMP"' EXIT
@@ -32,6 +36,7 @@ check() {
 for threads in 1 4; do
   check bench_fig6a_utility_vs_users 4 "$threads" "$FIG6A_SHA256"
   check bench_ablation_consensus 6 "$threads" "$CONSENSUS_SHA256"
+  check bench_ablation_graph 4 "$threads" "$GRAPH_SHA256"
 done
-[[ $status -eq 0 ]] && echo "pinned_csvs: fig6a and ablation_consensus CSVs match at --threads=1,4"
+[[ $status -eq 0 ]] && echo "pinned_csvs: fig6a, ablation_consensus and ablation_graph CSVs match at --threads=1,4"
 exit $status
