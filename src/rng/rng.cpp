@@ -51,12 +51,6 @@ std::uint64_t Rng::bernoulli_threshold(double p) {
   return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
-double Rng::exponential(double mean) {
-  RIT_CHECK(mean > 0.0);
-  // 1 - U in (0, 1], so the log argument never hits zero.
-  return -mean * std::log(1.0 - uniform01());
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   std::vector<std::size_t> pool;

@@ -114,10 +114,6 @@ class Rng {
     return i;
   }
 
-  /// Exponential variate with the given mean (> 0); inverse-CDF method, so
-  /// one uniform draw per variate (stream-accounting stays simple).
-  double exponential(double mean);
-
   /// In-place Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::span<T> items) {

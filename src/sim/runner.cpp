@@ -29,7 +29,7 @@ TrialInstance make_instance(const Scenario& scenario, std::uint64_t trial) {
           ? tree::barabasi_albert_forest(scenario.num_users,
                                          scenario.ba_edges_per_node,
                                          scenario.initial_joiners, graph_rng)
-          : generate_tree(scenario, generate_graph(scenario, graph_rng)).tree;
+          : generate_tree(scenario, generate_graph(scenario, graph_rng));
   return TrialInstance{
       generate_population(scenario, pop_rng),
       generate_job(scenario, job_rng),

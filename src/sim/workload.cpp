@@ -72,7 +72,8 @@ graph::Graph generate_graph(const Scenario& scenario, rng::Rng& rng) {
   return graph::star(1);  // unreachable
 }
 
-TreeResult generate_tree(const Scenario& scenario, const graph::Graph& g) {
+tree::IncentiveTree generate_tree(const Scenario& scenario,
+                                  const graph::Graph& g) {
   tree::SpanningForestOptions opts;
   opts.seeds.resize(
       tree::initial_seed_count(scenario.initial_joiners, g.num_nodes()));
@@ -81,10 +82,7 @@ TreeResult generate_tree(const Scenario& scenario, const graph::Graph& g) {
   tree::SpanningForestResult forest = tree::build_spanning_forest(g, opts);
   RIT_CHECK_MSG(forest.tree.num_participants() == g.num_nodes(),
                 "expected every user to join the tree");
-  TreeResult out{std::move(forest.tree), {}};
-  out.graph_node_of_participant.assign(forest.graph_of.begin() + 1,
-                                       forest.graph_of.end());
-  return out;
+  return std::move(forest.tree);
 }
 
 }  // namespace rit::sim

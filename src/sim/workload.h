@@ -36,19 +36,14 @@ graph::Graph generate_graph(const Scenario& scenario, rng::Rng& rng);
 
 /// Builds the incentive tree: spanning forest of `g` seeded by the
 /// scenario's initial joiners, unreached users attached to the platform
-/// (every user participates, as in the paper's simulations). The tree's
-/// participant i is graph node join_order[i]; the returned permutation maps
-/// participant index -> graph node for callers that care.
+/// (every user participates, as in the paper's simulations).
 ///
 /// For Barabási–Albert, make_instance (sim/runner.h) calls neither this nor
 /// generate_graph: tree::barabasi_albert_forest builds the same tree, bit
 /// for bit, from the same graph stream without the graph. Both stay the
 /// path for the other kinds, the graph metrics and the reference the
 /// forest is pinned against (tree_test, scale_test).
-struct TreeResult {
-  tree::IncentiveTree tree;
-  std::vector<std::uint32_t> graph_node_of_participant;
-};
-TreeResult generate_tree(const Scenario& scenario, const graph::Graph& g);
+tree::IncentiveTree generate_tree(const Scenario& scenario,
+                                  const graph::Graph& g);
 
 }  // namespace rit::sim

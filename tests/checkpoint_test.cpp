@@ -95,6 +95,72 @@ CheckpointData make_data() {
   return d;
 }
 
+TEST(FaultKind, NamesRoundTripThroughParse) {
+  for (const FaultKind kind :
+       {FaultKind::kException, FaultKind::kNonFinite, FaultKind::kTimeout,
+        FaultKind::kWorkerDeath}) {
+    EXPECT_EQ(parse_fault_kind(to_string(kind)), kind) << to_string(kind);
+  }
+  EXPECT_STREQ(to_string(FaultKind::kWorkerDeath), "worker-death");
+}
+
+TEST(FaultKind, ParseRejectsUnknownName) {
+  EXPECT_THROW(parse_fault_kind("unknown"), CheckFailure);
+  EXPECT_THROW(parse_fault_kind(""), CheckFailure);
+  EXPECT_THROW(parse_fault_kind("Timeout"), CheckFailure);
+}
+
+TEST(FaultLedger, RecordFlattensLineBreaksInReasons) {
+  FaultLedger ledger;
+  ledger.record(3, 37, FaultKind::kException, "run_trial",
+                "first line\nsecond\r\nthird");
+  ASSERT_EQ(ledger.size(), 1u);
+  EXPECT_EQ(ledger.entries[0].reason, "first line second  third");
+  EXPECT_EQ(ledger.entries[0].phase, "run_trial");
+  EXPECT_EQ(ledger.entries[0].seed, 37u);
+}
+
+TEST(FaultLedger, MergeAppendsInCallOrder) {
+  FaultLedger a = make_ledger(10);
+  const FaultLedger b = make_ledger(1);
+  a.merge(b);
+  a.merge(FaultLedger{});
+  ASSERT_EQ(a.size(), 6u);
+  EXPECT_EQ(a.entries[0].trial, 10u);
+  EXPECT_EQ(a.entries[3].trial, 1u);
+  EXPECT_EQ(a.entries[5].trial, 3u);
+}
+
+TEST(FaultLedger, SortedByTrialIsStableForEqualTrials) {
+  FaultLedger ledger;
+  ledger.record(4, 1, FaultKind::kException, "a", "first at 4");
+  ledger.record(2, 2, FaultKind::kTimeout, "b", "only at 2");
+  ledger.record(4, 3, FaultKind::kNonFinite, "c", "second at 4");
+  const std::vector<TrialFault> sorted = ledger.sorted_by_trial();
+  ASSERT_EQ(sorted.size(), 3u);
+  EXPECT_EQ(sorted[0].reason, "only at 2");
+  EXPECT_EQ(sorted[1].reason, "first at 4");
+  EXPECT_EQ(sorted[2].reason, "second at 4");
+  // The ledger itself keeps its merge order.
+  EXPECT_EQ(ledger.entries[0].reason, "first at 4");
+}
+
+TEST(FaultLedger, MarkdownListsInTrialOrderAndCapsWithATail) {
+  FaultLedger ledger;
+  for (std::uint64_t t = 5; t-- > 0;) {
+    ledger.record(t, t + 100, FaultKind::kTimeout, "run_trial",
+                  "slow " + format_u64(t));
+  }
+  const std::string md = ledger.markdown(2);
+  EXPECT_EQ(md,
+            "- trial 0 (seed 100, run_trial): timeout — slow 0\n"
+            "- trial 1 (seed 101, run_trial): timeout — slow 1\n"
+            "- … and 3 more\n");
+  EXPECT_EQ(FaultLedger{}.markdown(), "");
+  const std::string all = ledger.markdown(5);
+  EXPECT_EQ(all.find("more"), std::string::npos) << all;
+}
+
 TEST(CheckpointFormat, RoundTripIsBitExact) {
   const CheckpointData d = make_data();
   const std::string text = serialize_checkpoint(d);

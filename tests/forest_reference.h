@@ -115,7 +115,7 @@ inline std::vector<std::uint32_t> ba_bfs_parents(std::uint32_t n,
   s.ba_edges_per_node = m;
   s.initial_joiners = initial_joiners;
   const graph::Graph g = sim::generate_graph(s, rng);
-  return sim::generate_tree(s, g).tree.parents();
+  return sim::generate_tree(s, g).parents();
 }
 
 /// barabasi_albert_forest on Rng(graph_seed) must equal ba_bfs_parents on

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "csr_reference.h"
@@ -166,6 +169,102 @@ TEST(Generators, BarabasiAlbertDeterministicGivenSeed) {
   rng::Rng b(7);
   EXPECT_EQ(barabasi_albert(200, 3, a).edges(),
             barabasi_albert(200, 3, b).edges());
+}
+
+// Every sink call of barabasi_albert_draws, in call order.
+struct BaDraw {
+  std::uint32_t node;
+  std::vector<std::uint32_t> picked;
+};
+
+std::vector<BaDraw> ba_draws(std::uint32_t n, std::uint32_t m,
+                             rng::Rng& rng) {
+  std::vector<BaDraw> out;
+  barabasi_albert_draws(n, m, rng,
+                        [&out](std::uint32_t v,
+                               std::span<const std::uint32_t> picked) {
+                          out.push_back({v, {picked.begin(), picked.end()}});
+                        });
+  return out;
+}
+
+TEST(BarabasiAlbertDraws, SinkSeesEachLaterNodeOnceInAscendingOrder) {
+  rng::Rng rng(3);
+  const std::vector<BaDraw> draws = ba_draws(300, 3, rng);
+  ASSERT_EQ(draws.size(), 300u - 4u);
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    EXPECT_EQ(draws[i].node, 4u + i);
+  }
+}
+
+TEST(BarabasiAlbertDraws, PicksAreDistinctAndBelowTheirNode) {
+  rng::Rng rng(4);
+  for (const BaDraw& d : ba_draws(400, 4, rng)) {
+    ASSERT_EQ(d.picked.size(), 4u) << "node " << d.node;
+    const std::set<std::uint32_t> distinct(d.picked.begin(), d.picked.end());
+    EXPECT_EQ(distinct.size(), d.picked.size()) << "node " << d.node;
+    for (std::uint32_t u : d.picked) EXPECT_LT(u, d.node);
+  }
+}
+
+TEST(BarabasiAlbertDraws, GraphIsTheCliquePlusTheDraws) {
+  rng::Rng a(5);
+  rng::Rng b(5);
+  const std::vector<BaDraw> draws = ba_draws(250, 2, a);
+  const Graph g = barabasi_albert(250, 2, b);
+  std::vector<Edge> edges;
+  for (std::uint32_t u = 0; u < 3; ++u) {
+    for (std::uint32_t v = 0; v < 3; ++v) {
+      if (u != v) edges.push_back({u, v});
+    }
+  }
+  for (const BaDraw& d : draws) {
+    for (std::uint32_t u : d.picked) edges.push_back({u, d.node});
+  }
+  EXPECT_EQ(Graph(250, std::move(edges)).edges(), g.edges());
+}
+
+TEST(BarabasiAlbertDraws, LeavesTheCallerStreamWhereTheGraphBuildDoes) {
+  rng::Rng a(6);
+  rng::Rng b(6);
+  ba_draws(300, 3, a);
+  barabasi_albert(300, 3, b);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+  rng::Rng fresh(6);
+  rng::Rng again(6);
+  ba_draws(300, 3, again);
+  EXPECT_NE(fresh.next_u64(), again.next_u64());
+}
+
+TEST(BarabasiAlbertDraws, CliqueAloneDrawsNothing) {
+  rng::Rng rng(7);
+  EXPECT_TRUE(ba_draws(4, 3, rng).empty());
+  rng::Rng fresh(7);
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
+}
+
+TEST(BarabasiAlbertDraws, PicksFavourHighDegreeNodes) {
+  // Preferential attachment: the seed clique collects far more picks than
+  // a node from the second half of the arrivals.
+  rng::Rng rng(8);
+  const std::uint32_t n = 2000;
+  std::vector<std::uint32_t> picks(n, 0);
+  for (const BaDraw& d : ba_draws(n, 2, rng)) {
+    for (std::uint32_t u : d.picked) ++picks[u];
+  }
+  double seed_mean = 0.0;
+  for (std::uint32_t u = 0; u < 3; ++u) seed_mean += picks[u] / 3.0;
+  double late_mean = 0.0;
+  for (std::uint32_t u = n / 2; u < n; ++u) late_mean += picks[u];
+  late_mean /= n / 2;
+  EXPECT_GT(seed_mean, 10.0 * late_mean)
+      << "seed " << seed_mean << " late " << late_mean;
+}
+
+TEST(BarabasiAlbertDraws, RejectsBadParams) {
+  rng::Rng rng(9);
+  EXPECT_THROW(ba_draws(10, 0, rng), CheckFailure);
+  EXPECT_THROW(ba_draws(3, 3, rng), CheckFailure);
 }
 
 TEST(Generators, ErdosRenyiDensityMatchesP) {

@@ -63,6 +63,15 @@ TEST(Growth, ReportsFailureWhenGraphTooSmall) {
   const GrowthResult res = grow_until_supply(g, pop, job, opts);
   EXPECT_FALSE(res.supply_met);
   EXPECT_EQ(res.joined.size(), 5u);
+
+  // The exhausted tree still clears: RIT fails closed and pays nobody.
+  std::vector<core::Ask> asks;
+  for (std::uint32_t u : res.joined) asks.push_back(pop.truthful_asks[u]);
+  core::RitConfig cfg;
+  rng::Rng rng(9);
+  const core::RitResult r = core::run_rit(job, asks, res.tree, cfg, rng);
+  EXPECT_FALSE(r.success);
+  EXPECT_DOUBLE_EQ(r.total_payment(), 0.0);
 }
 
 TEST(Growth, RespectsMaxUsers) {

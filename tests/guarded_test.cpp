@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -559,6 +561,135 @@ TEST(Guarded, TrialTimingRecordedAtEveryThreadCount) {
     const auto& samples = after.reservoirs.at("sim.trial_ms");
     for (std::uint64_t t = 0; t < 8; ++t) EXPECT_EQ(samples.count(t), 1u) << t;
   }
+}
+
+
+TEST(Chaos, DefaultSpecArmsNothing) {
+  const chaos::ChaosSpec spec;
+  EXPECT_FALSE(spec.any_trial_injector());
+  EXPECT_FALSE(spec.any_process_injector());
+  TrialMetrics m = synthetic_trial(4);
+  for (std::uint64_t t = 0; t < 16; ++t) {
+    EXPECT_NO_THROW(chaos::inject_before_trial(spec, t));
+    chaos::inject_after_trial(spec, t, m);
+  }
+  EXPECT_EQ(m.avg_utility_rit, synthetic_trial(4).avg_utility_rit);
+}
+
+TEST(Chaos, WithoutProcessInjectorsDisarmsOnlyProcessDeaths) {
+  chaos::ChaosSpec spec;
+  spec.throw_on_trial = 3;
+  spec.fault_rate = 0.25;
+  spec.signal_on_trial = 5;
+  spec.signal_number = 6;
+  spec.oom_on_trial = 6;
+  spec.hang_on_trial = 7;
+  EXPECT_TRUE(spec.any_trial_injector());
+  EXPECT_TRUE(spec.any_process_injector());
+  const chaos::ChaosSpec retry = spec.without_process_injectors();
+  EXPECT_FALSE(retry.any_process_injector());
+  EXPECT_TRUE(retry.any_trial_injector());
+  EXPECT_EQ(retry.throw_on_trial, 3u);
+  EXPECT_EQ(retry.fault_rate, 0.25);
+  EXPECT_EQ(retry.signal_number, 6);
+  // Each process injector alone arms the spec.
+  for (std::uint64_t chaos::ChaosSpec::*field :
+       {&chaos::ChaosSpec::signal_on_trial, &chaos::ChaosSpec::oom_on_trial,
+        &chaos::ChaosSpec::hang_on_trial}) {
+    chaos::ChaosSpec one;
+    one.*field = 0;
+    EXPECT_TRUE(one.any_process_injector());
+    EXPECT_FALSE(one.any_trial_injector());
+  }
+}
+
+TEST(Chaos, ThrowFiresOnlyOnItsTrial) {
+  chaos::ChaosSpec spec;
+  spec.throw_on_trial = 2;
+  EXPECT_NO_THROW(chaos::inject_before_trial(spec, 0));
+  EXPECT_NO_THROW(chaos::inject_before_trial(spec, 1));
+  EXPECT_THROW(chaos::inject_before_trial(spec, 2), std::runtime_error);
+  EXPECT_NO_THROW(chaos::inject_before_trial(spec, 3));
+}
+
+TEST(Chaos, FaultRateIsAPureFunctionOfSeedAndTrial) {
+  const auto faulted = [](std::uint64_t seed) {
+    chaos::ChaosSpec spec;
+    spec.fault_rate = 0.5;
+    spec.seed = seed;
+    std::vector<bool> out;
+    for (std::uint64_t t = 0; t < 200; ++t) {
+      bool threw = false;
+      try {
+        chaos::inject_before_trial(spec, t);
+      } catch (const std::runtime_error&) {
+        threw = true;
+      }
+      out.push_back(threw);
+    }
+    return out;
+  };
+  const std::vector<bool> a = faulted(9);
+  EXPECT_EQ(faulted(9), a);
+  EXPECT_NE(faulted(10), a);
+  const auto hits = std::count(a.begin(), a.end(), true);
+  EXPECT_GT(hits, 60);
+  EXPECT_LT(hits, 140);
+}
+
+TEST(Chaos, NanPoisonsOnlyItsTrial) {
+  chaos::ChaosSpec spec;
+  spec.nan_on_trial = 5;
+  TrialMetrics clean = synthetic_trial(4);
+  chaos::inject_after_trial(spec, 4, clean);
+  EXPECT_EQ(clean.avg_utility_rit, synthetic_trial(4).avg_utility_rit);
+  TrialMetrics poisoned = synthetic_trial(5);
+  chaos::inject_after_trial(spec, 5, poisoned);
+  EXPECT_TRUE(std::isnan(poisoned.avg_utility_rit));
+  EXPECT_EQ(poisoned.avg_utility_auction,
+            synthetic_trial(5).avg_utility_auction);
+}
+
+TEST(Chaos, DelayBusyWaitsOnlyOnItsTrial) {
+  const auto ms_for = [](const chaos::ChaosSpec& spec, std::uint64_t t) {
+    const auto start = std::chrono::steady_clock::now();
+    chaos::inject_before_trial(spec, t);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  chaos::ChaosSpec spec;
+  spec.delay_on_trial = 1;
+  spec.delay_ms = 3.0;
+  EXPECT_GE(ms_for(spec, 1), 3.0);
+  // A ten-second delay armed on trial 1 must not hold up trial 0.
+  spec.delay_ms = 10'000.0;
+  EXPECT_LT(ms_for(spec, 0), 5'000.0);
+}
+
+TEST(Chaos, TruncateAndFlipBitRewriteTheFile) {
+  const fs::path dir = scratch("chaos_files");
+  const std::string path = (dir / "victim.txt").string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "abcdef";
+  }
+  const auto read = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  chaos::flip_bit(path, 1, 0);  // 'b' (0x62) -> 'c' (0x63)
+  EXPECT_EQ(read(), "accdef");
+  chaos::truncate_file(path, 4);
+  EXPECT_EQ(read(), "accd");
+  EXPECT_THROW(chaos::truncate_file(path, 5), CheckFailure);
+  EXPECT_THROW(chaos::flip_bit(path, 4, 0), CheckFailure);
+  EXPECT_THROW(chaos::flip_bit(path, 0, 8), CheckFailure);
+  EXPECT_THROW(chaos::flip_bit((dir / "missing").string(), 0, 0),
+               CheckFailure);
+  EXPECT_EQ(read(), "accd");
 }
 
 }  // namespace

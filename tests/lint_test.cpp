@@ -241,8 +241,8 @@ TEST(LintUnordered, IterationOutsideResultPathIsClean) {
 }
 
 TEST(LintUnordered, CppSeesDeclarationsFromSameStemHeader) {
-  // The Ledger shape: member declared in the header, hash-order float
-  // accumulation in the .cpp.
+  // Member declared in the header, hash-order float accumulation in the
+  // .cpp.
   const SourceFile hdr{"src/platform/scratch.h",
                        "#include <unordered_map>\n"
                        "class Book {\n"

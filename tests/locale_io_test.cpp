@@ -14,8 +14,11 @@
 // through rit::parse_u64/parse_u32, which reject all of those.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <clocale>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -244,6 +247,82 @@ TEST(StrictIntParse, ScenarioConfigRejectsNegativeCount) {
 TEST(StrictIntParse, ScenarioConfigRejectsTrailingJunk) {
   std::istringstream in("seed = 12q\n");
   EXPECT_THROW(sim::read_scenario(in), CheckFailure);
+}
+
+
+// --- Locale-free formatting round trips (any host locale) -------------------
+
+TEST(NumIoFormat, UnsignedIntegersRoundTripThroughTheStrictParser) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{4294967295u},
+        std::uint64_t{18446744073709551615ULL}}) {
+    EXPECT_EQ(parse_u64(format_u64(v)), std::optional<std::uint64_t>(v));
+  }
+  EXPECT_EQ(format_u64(1234567), "1234567");
+}
+
+TEST(NumIoFormat, SignedIntegersCoverSignAndExtremes) {
+  EXPECT_EQ(format_i64(0), "0");
+  EXPECT_EQ(format_i64(-1), "-1");
+  EXPECT_EQ(format_i64(std::numeric_limits<std::int64_t>::max()),
+            "9223372036854775807");
+  EXPECT_EQ(format_i64(std::numeric_limits<std::int64_t>::min()),
+            "-9223372036854775808");
+}
+
+TEST(NumIoFormat, HexDoubleRoundTripsBitExactly) {
+  for (const double v :
+       {0.1, -3.0, 1.0 / 3.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::lowest() / 3.0}) {
+    const std::string text = format_hex_double(v);
+    SCOPED_TRACE(text);
+    const std::optional<double> back = parse_double(text);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*back),
+              std::bit_cast<std::uint64_t>(v));
+  }
+  EXPECT_EQ(format_hex_double(3.0), "0x1.8p+1");
+  EXPECT_EQ(format_hex_double(-0.0), "-0x0p+0");
+  EXPECT_EQ(format_hex_double(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(format_hex_double(-std::numeric_limits<double>::infinity()),
+            "-inf");
+}
+
+TEST(NumIoFormat, ShortestAndG17RoundTrip) {
+  EXPECT_EQ(format_double_shortest(0.1), "0.1");
+  EXPECT_EQ(format_double_g17(0.1), "0.10000000000000001");
+  for (const double v : {0.1, 2.0 / 3.0, -1e-300, 6.02214076e23, 12345.0}) {
+    EXPECT_EQ(parse_double(format_double_shortest(v)),
+              std::optional<double>(v));
+    EXPECT_EQ(parse_double(format_double_g17(v)), std::optional<double>(v));
+  }
+}
+
+TEST(NumIoFormat, FixedMatchesPrintfStyleEvenPastTheStackBuffer) {
+  EXPECT_EQ(format_double_fixed(3.14159, 3), "3.142");
+  EXPECT_EQ(format_double_fixed(2.5, 2), "2.50");
+  EXPECT_EQ(format_double_fixed(-1.0, 0), "-1");
+  // DBL_MAX has 309 integer digits; at 400 decimals the text outgrows the
+  // 512-byte stack buffer and takes the heap retry.
+  const std::string big =
+      format_double_fixed(std::numeric_limits<double>::max(), 400);
+  EXPECT_EQ(big.size(), 309u + 1u + 400u);
+  EXPECT_EQ(big.substr(0, 6), "179769");
+  EXPECT_EQ(big.substr(309), "." + std::string(400, '0'));
+}
+
+TEST(StrictDoubleParse, AcceptsInfAndNanRejectsOutOfRange) {
+  EXPECT_EQ(parse_double("inf"),
+            std::optional<double>(std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(parse_double("-inf"),
+            std::optional<double>(-std::numeric_limits<double>::infinity()));
+  const std::optional<double> nan = parse_double("nan");
+  ASSERT_TRUE(nan.has_value());
+  EXPECT_TRUE(std::isnan(*nan));
+  EXPECT_FALSE(parse_double("1e400").has_value());
+  EXPECT_FALSE(parse_double("0x").has_value());
+  EXPECT_FALSE(parse_double("0xg").has_value());
 }
 
 }  // namespace

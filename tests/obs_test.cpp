@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -134,6 +135,20 @@ TEST(TraceExport, ChromeTraceJsonMatchesGoldenFile) {
 TEST(TraceExport, ChromeTraceJsonOfEmptyTraceIsStillValid) {
   const std::string json = chrome_trace_json({});
   EXPECT_EQ(json, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n");
+}
+
+TEST(TraceExport, WriteChromeTraceCreatesParentDirectories) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ritcs_obs_trace";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "nested" / "trace.json").string();
+  write_chrome_trace(path, golden_events());
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), chrome_trace_json(golden_events()));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TraceExport, PhaseBreakdownComputesSelfTime) {
@@ -394,6 +409,25 @@ TEST(Metrics, ToJsonRendersEverySection) {
   EXPECT_NE(json.find("\"test.histo\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"count\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"mean\""), std::string::npos) << json;
+}
+
+
+TEST(Metrics, WriteMetricsJsonWritesToJson) {
+  Registry r;
+  r.counter("test.count").add(3);
+  r.stat("test.stat").observe(1.5);
+  const MetricsSnapshot snap = r.snapshot();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ritcs_obs_metrics";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "nested" / "metrics.json").string();
+  write_metrics_json(path, snap);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), snap.to_json());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -104,7 +104,7 @@ TEST_F(PerfFixture, AllocHookCountsHeapTrafficOnlyWhileArmed) {
   (void)before;
 }
 
-void spin_span(const char* name, int laps) {
+void spin_span([[maybe_unused]] const char* name, int laps) {
   RIT_TRACE_SPAN(name);
   volatile double sink = 0.0;
   for (int i = 0; i < laps; ++i) sink = sink + static_cast<double>(i);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
 #include "sim/population_io.h"
@@ -55,6 +58,40 @@ TEST(PopulationIo, RejectsMalformedRows) {
   std::istringstream empty("# nothing\n");
   EXPECT_THROW(read_population(empty), CheckFailure);
   EXPECT_THROW(read_population_file("/no/such/pop.csv"), CheckFailure);
+}
+
+
+TEST(PopulationIo, FileRoundTripsBitExactly) {
+  Scenario s;
+  s.num_users = 60;
+  s.num_types = 3;
+  rng::Rng rng(2);
+  const Population pop = generate_population(s, rng);
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "ritcs_population.csv")
+          .string();
+  write_population_file(pop, path);
+  const Population back = read_population_file(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(back.size(), pop.size());
+  for (std::size_t j = 0; j < pop.size(); ++j) {
+    EXPECT_EQ(back.truthful_asks[j], pop.truthful_asks[j]);
+    EXPECT_EQ(back.costs[j], pop.costs[j]);
+  }
+}
+
+TEST(PopulationIo, WriteUnderAFileRejected) {
+  Scenario s;
+  s.num_users = 5;
+  rng::Rng rng(3);
+  const Population pop = generate_population(s, rng);
+  // The parent "directory" is a regular file, so no directory can be made.
+  const std::filesystem::path blocker =
+      std::filesystem::path(::testing::TempDir()) / "ritcs_population_blocker";
+  std::ofstream(blocker) << "not a directory\n";
+  EXPECT_THROW(write_population_file(pop, (blocker / "pop.csv").string()),
+               CheckFailure);
+  std::filesystem::remove(blocker);
 }
 
 }  // namespace

@@ -312,6 +312,59 @@ TEST(Rit, AuctionPhaseOfRunRitMatchesStandalone) {
   EXPECT_EQ(full.auction_payment, phase1.auction_payment);
 }
 
+TEST(Rit, AuctionThenPaymentPhaseEqualsRunRitInto) {
+  RitWorkspace ws;
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    ComfortableInstance inst(seed);
+    rng::Rng a(seed * 7);
+    rng::Rng b(seed * 7);
+    RitResult whole;
+    run_rit_into(inst.job, inst.asks, inst.tree, completion_config(), a, ws,
+                 whole);
+    RitResult split;
+    run_auction_phase_into(inst.job, inst.asks, completion_config(), b, ws,
+                           split);
+    run_payment_phase_into(inst.asks, inst.tree, completion_config(), ws,
+                           split);
+    ASSERT_TRUE(whole.success);
+    EXPECT_EQ(split.success, whole.success);
+    EXPECT_EQ(split.allocation, whole.allocation);
+    EXPECT_EQ(split.auction_payment, whole.auction_payment);
+    EXPECT_EQ(split.payment, whole.payment);
+    // The payment phase draws nothing: both streams stand at the same spot.
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
+}
+
+TEST(Rit, PaymentPhaseLeavesAFailedResultAsItIs) {
+  const Job job = Job::uniform(1, 1000);
+  std::vector<Ask> asks{{TaskType{0}, 2, 1.0}, {TaskType{0}, 3, 2.0}};
+  const auto tree = tree::flat_tree(2);
+  RitWorkspace ws;
+  rng::Rng rng(5);
+  RitResult r;
+  run_auction_phase_into(job, asks, RitConfig{}, rng, ws, r);
+  ASSERT_FALSE(r.success);
+  const RitResult before = r;
+  run_payment_phase_into(asks, tree, RitConfig{}, ws, r);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.allocation, before.allocation);
+  EXPECT_EQ(r.auction_payment, before.auction_payment);
+  EXPECT_EQ(r.payment, before.payment);
+}
+
+TEST(Rit, PaymentPhaseRejectsTreeSizeMismatch) {
+  ComfortableInstance inst(24);
+  RitWorkspace ws;
+  rng::Rng rng(6);
+  RitResult r;
+  run_auction_phase_into(inst.job, inst.asks, completion_config(), rng, ws, r);
+  const auto small_tree = tree::flat_tree(3);
+  EXPECT_THROW(
+      run_payment_phase_into(inst.asks, small_tree, completion_config(), ws, r),
+      CheckFailure);
+}
+
 TEST(Rit, FlatTreePaysExactlyAuctionPayments) {
   ComfortableInstance inst(15);
   const auto flat = tree::flat_tree(static_cast<std::uint32_t>(inst.asks.size()));

@@ -9,6 +9,7 @@
 #include "rng/rng.h"
 #include "sim/guarded.h"
 #include "sim/metrics.h"
+#include "sim/parallel.h"
 #include "sim/progress.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
@@ -50,6 +51,20 @@ TEST(Scenario, GraphKindRoundTrip) {
     EXPECT_EQ(parse_graph_kind(to_string(k)), k);
   }
   EXPECT_THROW(parse_graph_kind("nope"), CheckFailure);
+}
+
+TEST(Scenario, DefaultMechanismRunsToCompletion) {
+  const core::RitConfig cfg = Scenario::completion_mechanism();
+  EXPECT_EQ(cfg.round_budget_policy, core::RoundBudgetPolicy::kRunToCompletion);
+  EXPECT_EQ(Scenario{}.mechanism.round_budget_policy,
+            core::RoundBudgetPolicy::kRunToCompletion);
+  // Only the round budget departs from the mechanism defaults.
+  const core::RitConfig paper;
+  EXPECT_EQ(cfg.h, paper.h);
+  EXPECT_EQ(cfg.discount_base, paper.discount_base);
+  EXPECT_EQ(cfg.consensus_log_base, paper.consensus_log_base);
+  EXPECT_EQ(cfg.price_mode, paper.price_mode);
+  EXPECT_EQ(cfg.stall_round_limit, paper.stall_round_limit);
 }
 
 TEST(Scenario, TrialSeedsAreDistinctAcrossTrialsAndComponents) {
@@ -133,12 +148,7 @@ TEST(Workload, TreeCoversEveryUser) {
   const Scenario s = small_scenario();
   rng::Rng rng(6);
   const graph::Graph g = generate_graph(s, rng);
-  const TreeResult tr = generate_tree(s, g);
-  EXPECT_EQ(tr.tree.num_participants(), s.num_users);
-  // The participant->graph-node map is a permutation.
-  std::set<std::uint32_t> nodes(tr.graph_node_of_participant.begin(),
-                                tr.graph_node_of_participant.end());
-  EXPECT_EQ(nodes.size(), s.num_users);
+  EXPECT_EQ(generate_tree(s, g).num_participants(), s.num_users);
 }
 
 TEST(Runner, InstanceIsDeterministic) {
@@ -167,7 +177,7 @@ TEST(Runner, InstanceTreeMatchesGraphBfs) {
       rng::Rng graph_rng(s.trial_seed(trial, 0));
       const graph::Graph g = generate_graph(s, graph_rng);
       EXPECT_EQ(make_instance(s, trial).tree.parents(),
-                generate_tree(s, g).tree.parents())
+                generate_tree(s, g).parents())
           << to_string(kind) << " trial " << trial;
     }
   }
@@ -389,6 +399,54 @@ TEST(Runner, ParallelHandlesEdgeThreadCounts) {
   EXPECT_EQ(more_threads_than_trials.trials, 2u);
   const AggregateMetrics zero = sweep(s, 0, 4);
   EXPECT_EQ(zero.trials, 0u);
+}
+
+TEST(ParallelTrials, EachTrialRunsOnceInItsStrideWorkersContext) {
+  for (const unsigned workers : {1u, 3u}) {
+    SCOPED_TRACE(workers);
+    std::vector<std::vector<std::uint64_t>> contexts(workers);
+    parallel_trials(10, contexts,
+                    [](std::vector<std::uint64_t>& seen, std::uint64_t t) {
+                      seen.push_back(t);
+                    });
+    for (unsigned w = 0; w < workers; ++w) {
+      std::vector<std::uint64_t> expected;
+      for (std::uint64_t t = w; t < 10; t += workers) expected.push_back(t);
+      EXPECT_EQ(contexts[w], expected) << "worker " << w;
+    }
+  }
+}
+
+TEST(ParallelTrials, ProgressIsMonotoneAndEndsAtTheTotal) {
+  std::vector<std::uint64_t> reported;
+  std::vector<int> contexts(2, 0);
+  parallel_trials(
+      9, contexts, [](int& ran, std::uint64_t) { ++ran; },
+      [&reported](std::uint64_t done, std::uint64_t total) {
+        EXPECT_EQ(total, 9u);
+        reported.push_back(done);
+      });
+  EXPECT_EQ(contexts[0] + contexts[1], 9);
+  ASSERT_FALSE(reported.empty());
+  for (std::size_t i = 1; i < reported.size(); ++i) {
+    EXPECT_LT(reported[i - 1], reported[i]);
+  }
+  EXPECT_EQ(reported.back(), 9u);
+}
+
+TEST(SharedProgress, ResumedCountStartsFromTheCursor) {
+  std::vector<std::uint64_t> reported;
+  SharedProgress progress(
+      [&reported](std::uint64_t done, std::uint64_t) {
+        reported.push_back(done);
+      },
+      10, 7);
+  for (int i = 0; i < 3; ++i) progress.tick();
+  ASSERT_FALSE(reported.empty());
+  EXPECT_EQ(reported.front(), 8u);  // the first tick after the cursor
+  EXPECT_EQ(reported.back(), 10u);
+  SharedProgress silent({}, 3);
+  silent.tick();  // no callback: ticking is a no-op
 }
 
 TEST(ProgressThrottle, FakeClockDrivesAcceptance) {

@@ -81,6 +81,56 @@ TEST(OnlineStats, Ci95ShrinksWithSamples) {
   EXPECT_GT(small.ci95_half_width(), large.ci95_half_width());
 }
 
+TEST(OnlineStats, RestoreRoundTripsRawStateBitExactly) {
+  OnlineStats s;
+  for (int i = 0; i < 50; ++i) s.add(std::cos(i) * 3.0 + 0.1 * i);
+  const OnlineStats r = OnlineStats::restore(s.count(), s.raw_mean(),
+                                             s.raw_m2(), s.raw_min(),
+                                             s.raw_max());
+  EXPECT_EQ(r.count(), s.count());
+  EXPECT_EQ(r.raw_mean(), s.raw_mean());
+  EXPECT_EQ(r.raw_m2(), s.raw_m2());
+  EXPECT_EQ(r.raw_min(), s.raw_min());
+  EXPECT_EQ(r.raw_max(), s.raw_max());
+  EXPECT_EQ(r.variance(), s.variance());
+  EXPECT_EQ(r.ci95_half_width(), s.ci95_half_width());
+}
+
+TEST(OnlineStats, RestoredAccumulatorContinuesLikeTheOriginal) {
+  // Checkpoint/resume: restore a cut, keep adding, and land on exactly the
+  // accumulator that never stopped.
+  OnlineStats original;
+  for (int i = 0; i < 20; ++i) original.add(std::sin(i) * 7.0);
+  OnlineStats resumed = OnlineStats::restore(
+      original.count(), original.raw_mean(), original.raw_m2(),
+      original.raw_min(), original.raw_max());
+  for (int i = 20; i < 45; ++i) {
+    original.add(std::sin(i) * 7.0);
+    resumed.add(std::sin(i) * 7.0);
+  }
+  EXPECT_EQ(resumed.count(), original.count());
+  EXPECT_EQ(resumed.raw_mean(), original.raw_mean());
+  EXPECT_EQ(resumed.raw_m2(), original.raw_m2());
+  EXPECT_EQ(resumed.min(), original.min());
+  EXPECT_EQ(resumed.max(), original.max());
+}
+
+TEST(OnlineStats, RestoredEmptyAccumulatorStillReportsZeros) {
+  const OnlineStats empty;
+  EXPECT_TRUE(std::isinf(empty.raw_min()));
+  EXPECT_TRUE(std::isinf(empty.raw_max()));
+  OnlineStats r = OnlineStats::restore(0, empty.raw_mean(), empty.raw_m2(),
+                                       empty.raw_min(), empty.raw_max());
+  EXPECT_EQ(r.count(), 0u);
+  EXPECT_EQ(r.min(), 0.0);
+  EXPECT_EQ(r.max(), 0.0);
+  EXPECT_EQ(r.sum(), 0.0);
+  // The ±infinity sentinels survive, so the first sample sets both bounds.
+  r.add(-2.5);
+  EXPECT_EQ(r.min(), -2.5);
+  EXPECT_EQ(r.max(), -2.5);
+}
+
 TEST(Percentile, MedianOfOddAndEven) {
   const std::vector<double> odd{5.0, 1.0, 3.0};
   EXPECT_DOUBLE_EQ(median(odd), 3.0);
@@ -226,6 +276,19 @@ TEST(Timer, ElapsedNsAgreesWithElapsedMs) {
   EXPECT_LE(static_cast<double>(ns) / 1e6, ms);
   // ...but the two readings bracket the same interval: within 100ms slack.
   EXPECT_GE(static_cast<double>(ns) / 1e6, ms - 100.0);
+}
+
+TEST(Timer, ElapsedSecondsAgreesWithElapsedMs) {
+  Timer t;
+  double sink = 0.0;
+  for (int i = 0; i < 100000; ++i) sink = sink + i * 1e-9;
+  const double s = t.elapsed_s();
+  const double ms = t.elapsed_ms();
+  EXPECT_GT(s, 0.0) << sink;
+  // s was read first, so it must not exceed the later ms reading...
+  EXPECT_LE(s * 1000.0, ms);
+  // ...and both bracket the same interval: within 100ms slack.
+  EXPECT_GE(s * 1000.0, ms - 100.0);
 }
 
 TEST(ScopedTimer, ReportsIntoOnlineStatsOnDestruction) {

@@ -149,6 +149,66 @@ TEST(ShardWorker, MalformedPayloadIsRejected) {
   EXPECT_NE(back.error.find("malformed"), std::string::npos);
 }
 
+TEST(Breadcrumb, BeginTrialPublishesTrialSeedAndPhase) {
+  BreadcrumbPage page;
+  page.begin_trial(41, 9001);
+  std::uint64_t trial = 0;
+  std::uint64_t seed = 0;
+  std::string phase;
+  page.snapshot(&trial, &seed, &phase);
+  EXPECT_EQ(trial, 41u);
+  EXPECT_EQ(seed, 9001u);
+  EXPECT_EQ(phase, "trial");
+  EXPECT_EQ(page.seq.load() % 2, 0u);  // no write left in flight
+  EXPECT_EQ(page.heartbeat.load(), 1u);
+  EXPECT_EQ(page.done.load(), 1u);
+}
+
+TEST(Breadcrumb, NotePhaseKeepsTheTrialAndBumpsOnlyTheHeartbeat) {
+  BreadcrumbPage page;
+  page.begin_trial(7, 77);
+  page.note_phase("make_instance");
+  std::uint64_t trial = 0;
+  std::uint64_t seed = 0;
+  std::string phase;
+  page.snapshot(&trial, &seed, &phase);
+  EXPECT_EQ(trial, 7u);
+  EXPECT_EQ(seed, 77u);
+  EXPECT_EQ(phase, "make_instance");
+  EXPECT_EQ(page.heartbeat.load(), 2u);
+  EXPECT_EQ(page.done.load(), 1u);
+}
+
+TEST(Breadcrumb, LongPhaseLabelIsTruncatedToTheBuffer) {
+  BreadcrumbPage page;
+  const std::string label(100, 'x');
+  page.note_phase(label.c_str());
+  std::uint64_t trial = 1;
+  std::uint64_t seed = 1;
+  std::string phase;
+  page.snapshot(&trial, &seed, &phase);
+  EXPECT_EQ(phase, std::string(sizeof(page.phase) - 1, 'x'));
+  EXPECT_EQ(trial, 0u);
+  EXPECT_EQ(seed, 0u);
+}
+
+TEST(Breadcrumb, FreeNotePhaseFollowsTheCurrentPage) {
+  ASSERT_EQ(current_breadcrumb(), nullptr);  // outside any shard worker
+  note_phase("ignored");                     // no page: a no-op
+  BreadcrumbPage page;
+  set_current_breadcrumb(&page);
+  EXPECT_EQ(current_breadcrumb(), &page);
+  note_phase("run_trial");
+  set_current_breadcrumb(nullptr);
+  note_phase("after");
+  std::uint64_t trial = 0;
+  std::uint64_t seed = 0;
+  std::string phase;
+  page.snapshot(&trial, &seed, &phase);
+  EXPECT_EQ(phase, "run_trial");
+  EXPECT_EQ(page.heartbeat.load(), 1u);
+}
+
 TEST(Supervisor, UndisturbedMatchesInProcessBitExactly) {
   const std::uint64_t trials = 13;
   for (const unsigned shards : {1u, 2u, 8u}) {

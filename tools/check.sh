@@ -78,7 +78,7 @@ for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
     --help|-h)
-      sed -n '2,66p' "$0" | sed 's/^# \{0,1\}//'
+      awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' "$0"
       exit 0
       ;;
     *)

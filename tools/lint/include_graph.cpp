@@ -22,7 +22,7 @@ const ModuleLayer kLayers[] = {
     {"core", 2},     {"stats", 2},                      //
     {"obs", 3},      {"sim", 3},                        //
     {"attack", 4},   {"baselines", 4},                  //
-    {"extensions", 4}, {"platform", 4}, {"testkit", 4},  //
+    {"platform", 4}, {"testkit", 4},                    //
     {"bench", 5},    {"cli", 5},      {"examples", 5},  //
     {"tests", 5},    {"tools", 5},
 };
@@ -223,7 +223,7 @@ void run_layering_rule(const std::vector<Prepped>& prepped,
                "' (tier " + std::to_string(to_layer) +
                "), which sits above it in the declared layering DAG "
                "(common/rng -> graph/tree -> core/stats -> sim/obs -> "
-               "attack/baselines/extensions/platform -> cli/bench/tools); "
+               "attack/baselines/platform -> cli/bench/tools); "
                "invert the dependency or move the shared code down",
            Severity::kError, out);
     }

@@ -9,7 +9,7 @@
 //   tier 1: graph, tree
 //   tier 2: core, stats
 //   tier 3: sim, obs
-//   tier 4: attack, baselines, extensions, platform
+//   tier 4: attack, baselines, platform, testkit
 //   tier 5: cli, bench, tests, tools, examples
 //
 // Two declared instrumentation edges cut across the tiers: tree -> obs and

@@ -400,8 +400,9 @@ bool iterates(const std::string& line, const std::string& ident) {
   return false;
 }
 
-// A .cpp sees declarations from its same-stem header (Ledger's balances_
-// lives in ledger.h; the hash-order iteration lived in ledger.cpp).
+// A .cpp sees declarations from its same-stem header: a container member
+// declared in src/sim/report.h and iterated in src/sim/report.cpp is
+// caught in the .cpp.
 std::string sibling_header(const std::string& path) {
   const std::size_t dot = path.rfind('.');
   if (dot == std::string::npos) return {};
@@ -647,7 +648,7 @@ std::vector<RuleInfo> rule_infos() {
       "Hash order differs between runs, platforms and standard-library "
       "versions, so iterating an unordered container while emitting rows "
       "— or while summing floats that get reported — makes results "
-      "nondeterministic. The Ledger::balanced() conservation sum was "
+      "nondeterministic. A money ledger's conservation sum once had "
       "exactly this bug. Sort keys at the boundary or use std::map."});
   infos.push_back(RuleInfo{
       "no-bare-catch-all",
@@ -686,8 +687,7 @@ std::vector<RuleInfo> rule_infos() {
       "layer-violation",
       "an #include whose target module sits above the includer in the "
       "declared layering DAG (common/rng -> graph/tree -> core/stats -> "
-      "sim/obs -> attack/baselines/extensions/platform -> "
-      "cli/bench/tools)",
+      "sim/obs -> attack/baselines/platform -> cli/bench/tools)",
       "The layering DAG keeps the mechanism core free of sim/IO "
       "dependencies: core must stay a pure function of (config, seed) so "
       "the paper's guarantees are auditable in isolation, and lower "

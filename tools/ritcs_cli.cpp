@@ -114,12 +114,12 @@ int run_with_population(const sim::Scenario& base, const std::string& path) {
   s.num_types = std::max(s.num_types, num_types);
   rng::Rng graph_rng(s.trial_seed(0, 0));
   const graph::Graph g = sim::generate_graph(s, graph_rng);
-  const sim::TreeResult tr = sim::generate_tree(s, g);
+  const tree::IncentiveTree incentive_tree = sim::generate_tree(s, g);
   rng::Rng job_rng(s.trial_seed(0, 2));
   const core::Job job = sim::generate_job(s, job_rng);
   rng::Rng rng(s.trial_seed(0, 3));
   const core::RitResult r =
-      core::run_rit(job, pop.truthful_asks, tr.tree, s.mechanism, rng);
+      core::run_rit(job, pop.truthful_asks, incentive_tree, s.mechanism, rng);
   std::cout << pop.size() << " users from " << path << ", "
             << job.total_tasks() << " tasks: "
             << (r.success ? "cleared" : "ALLOCATION FAILED") << "\n";
