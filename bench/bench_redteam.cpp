@@ -16,7 +16,9 @@
 int main(int argc, char** argv) {
   using namespace rit;
   using namespace rit::bench;
-  const BenchOptions opts = parse_options(argc, argv, "redteam", 40);
+  // The search compares paired seeds, so it needs at least two trials.
+  const BenchOptions opts =
+      parse_options(argc, argv, "redteam", 40, /*min_trials=*/2);
 
   sim::Scenario s;
   s.num_users = scaled(5000, opts.scale, 200);

@@ -9,8 +9,7 @@
 // computed during the graph draws (tree::barabasi_albert_forest).
 //
 // This is the harness behind docs/scaling.md: combine with
-// --perf-counters for per-phase hardware counters, and --history-out to
-// append the run to the perf-regression ledger for ritcs-bench-diff.
+// --perf-counters for per-phase hardware counters.
 // --intra-threads=N is accepted but reaches no parallel pass: every pass
 // inside a trial is serial.
 #include "bench_support.h"

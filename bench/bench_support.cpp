@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 
 #include "cli/svg_chart.h"
 #include "common/check.h"
@@ -15,7 +14,6 @@
 #include "common/format_util.h"
 #include "common/log.h"
 #include "common/num_io.h"
-#include "obs/history.h"
 #include "obs/obs.h"
 #include "obs/perf_counters.h"
 #include "obs/trace_export.h"
@@ -28,7 +26,8 @@ namespace {
 // Reads and validates the standard flags; throws CheckFailure on an
 // unknown flag, a malformed value or a bad combination.
 BenchOptions read_flags(int argc, char** argv, const std::string& name,
-                        std::uint64_t default_trials) {
+                        std::uint64_t default_trials,
+                        std::uint64_t min_trials) {
   cli::Args args(argc, argv);
   BenchOptions opts;
   opts.name = name;
@@ -63,11 +62,6 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   const std::string summary =
       args.get_string("json", "bench_results/BENCH_" + name + ".json");
   opts.summary_path = summary == "none" ? "" : summary;
-  // Bare `--history-out` (no value) parses as "true": use the ledger's
-  // conventional location.
-  std::string history = args.get_string("history-out", "none");
-  if (history == "true") history = "bench/history/" + name + ".jsonl";
-  opts.history_path = history == "none" ? "" : history;
   opts.perf_counters = args.get_bool("perf-counters", false);
   if (args.get_bool("json-logs", false)) {
     log::set_format(log::Format::kJson);
@@ -78,7 +72,8 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   args.finish();
   RIT_CHECK_MSG(opts.scale >= 1.0, "--scale must be >= 1");
   RIT_CHECK_MSG(opts.points >= 2, "--points must be >= 2");
-  RIT_CHECK_MSG(opts.trials >= 1, "--trials must be >= 1");
+  RIT_CHECK_MSG(opts.trials >= min_trials,
+                "--trials must be >= " << min_trials);
   RIT_CHECK_MSG(opts.checkpoint_path.empty() ? !opts.resume : true,
                 "--resume requires --checkpoint=PATH");
   RIT_CHECK_MSG(opts.checkpoint_path.empty() ? opts.checkpoint_every == 0
@@ -97,10 +92,11 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
 }  // namespace
 
 BenchOptions parse_options(int argc, char** argv, const std::string& name,
-                           std::uint64_t default_trials) {
+                           std::uint64_t default_trials,
+                           std::uint64_t min_trials) {
   BenchOptions opts;
   try {
-    opts = read_flags(argc, argv, name, default_trials);
+    opts = read_flags(argc, argv, name, default_trials, min_trials);
   } catch (const CheckFailure& e) {
     // A bad flag is a usage error: report it the way `ritcs` does.
     std::cerr << "error: " << e.what() << "\n";
@@ -113,7 +109,7 @@ BenchOptions parse_options(int argc, char** argv, const std::string& name,
   obs::start_tracing();
   // Counter profiling must be armed before any worker thread exists so the
   // inherited run-level set covers them. Unavailability is fine: spans just
-  // skip the sampling and the ledger marks the counters absent.
+  // skip the sampling and the counter table prints "-" for them.
   if (opts.perf_counters) obs::start_perf_counters();
   opts.start_ns = obs::trace_now_ns();
   return opts;
@@ -445,62 +441,6 @@ void finish(const BenchOptions& opts) {
   if (!opts.summary_path.empty()) {
     write_summary_json(opts, wall_ms, phases, metrics);
     std::cout << "summary: " << opts.summary_path << "\n";
-  }
-  if (!opts.history_path.empty()) {
-    obs::HistoryRecord rec;
-    rec.bench = opts.name;
-    rec.env = obs::collect_env_fingerprint();
-    rec.threads = static_cast<std::uint32_t>(
-        rit::resolve_threads(opts.threads, opts.trials));
-    rec.trials = opts.trials;
-    rec.scale = opts.scale;
-    rec.points = opts.points;
-    rec.wall_ms = wall_ms;
-    std::map<std::string, const obs::PerfPhaseStat*> perf_by_name;
-    for (const obs::PerfPhaseStat& pp : perf_phases) {
-      perf_by_name[pp.name] = &pp;
-    }
-    for (const obs::PhaseStat& ph : phases) {
-      obs::HistoryPhase hp;
-      hp.name = ph.name;
-      hp.count = ph.count;
-      hp.total_ms = ph.total_ms;
-      hp.self_ms = ph.self_ms;
-      // Absence-means-unmeasured: only counters that actually opened are
-      // recorded, so a no-perf container never writes fake zeros.
-      const auto it = perf_by_name.find(ph.name);
-      if (it != perf_by_name.end()) {
-        for (std::size_t i = 0; i < obs::kPerfNumCounters; ++i) {
-          if (perf_avail.counter[i]) {
-            hp.counters.emplace_back(obs::perf_counter_name(i),
-                                     it->second->totals[i]);
-          }
-        }
-        if (perf_avail.alloc_hook) {
-          hp.counters.emplace_back("alloc_count", it->second->alloc_count);
-          hp.counters.emplace_back("alloc_bytes", it->second->alloc_bytes);
-        }
-      }
-      rec.phases.push_back(std::move(hp));
-    }
-    if (opts.perf_counters) {
-      const obs::PerfRunTotals rt = obs::perf_run_totals();
-      for (std::size_t i = 0; i < obs::kPerfNumCounters; ++i) {
-        if (perf_avail.counter[i]) {
-          rec.run_counters.emplace_back(obs::perf_counter_name(i),
-                                        rt.totals[i]);
-        }
-      }
-      if (perf_avail.alloc_hook) {
-        rec.run_counters.emplace_back("alloc_count", rt.alloc_count);
-        rec.run_counters.emplace_back("alloc_bytes", rt.alloc_bytes);
-      }
-    }
-    for (const auto& [stat_name, s] : metrics.stats) {
-      if (s.count() > 0) rec.stats[stat_name] = obs::HistoryStat::from(s);
-    }
-    obs::append_history(opts.history_path, rec);
-    std::cout << "history: " << opts.history_path << " (+1 record)\n";
   }
   std::cout << "\n";
 }

@@ -65,9 +65,6 @@
 //                       cache/branch misses, task-clock) per phase via
 //                       perf_event_open; degrades to absent fields when the
 //                       syscall is unpermitted (containers, non-Linux)
-//   --history-out[=P]   append this run to the perf-regression ledger
-//                       (bare flag = bench/history/<name>.jsonl; compare
-//                       ledgers with ritcs-bench-diff)
 //
 // Every bench prints a per-phase timing breakdown table at exit (finish()).
 #pragma once
@@ -121,8 +118,6 @@ struct BenchOptions {
   std::string metrics_path;
   /// Machine-readable run summary path (--json, empty = disabled).
   std::string summary_path;
-  /// Perf-regression ledger path (--history-out, empty = disabled).
-  std::string history_path;
   /// Sample hardware counters per phase (--perf-counters).
   bool perf_counters{false};
   /// Steady-clock ns at parse_options; finish() measures end-to-end from it.
@@ -149,9 +144,12 @@ struct BenchOptions {
   std::shared_ptr<SweepState> sweep{std::make_shared<SweepState>()};
 };
 
-/// Parses the standard flags; `name` picks the default CSV path.
+/// Parses the standard flags; `name` picks the default CSV path. A bad
+/// flag, including --trials below `min_trials`, prints one `error:` line
+/// and exits 2.
 BenchOptions parse_options(int argc, char** argv, const std::string& name,
-                           std::uint64_t default_trials);
+                           std::uint64_t default_trials,
+                           std::uint64_t min_trials = 1);
 
 /// Applies the shared knobs (graph kind, seed, budget policy) to a scenario.
 void apply_options(const BenchOptions& opts, sim::Scenario& scenario);

@@ -15,7 +15,7 @@
 // entirely. Every entry point works in that case — the phase table still
 // carries span counts and allocation stats, and each unavailable counter
 // is reported absent (perf_availability()) rather than zero-but-present,
-// so the history ledger (obs/history.h) never records fake hardware data.
+// so no report ever shows fake hardware data.
 //
 // Threading: counter file descriptors are per-thread (opened lazily on a
 // thread's first profiled span) and the per-phase tables are thread-local,
@@ -45,8 +45,7 @@ enum PerfCounterId : std::size_t {
 };
 
 /// Stable snake_case name for counter `id` ("cycles", "instructions",
-/// "cache_refs", "cache_misses", "branch_misses", "task_clock_ns") —
-/// these are the keys the history ledger and bench_diff use.
+/// "cache_refs", "cache_misses", "branch_misses", "task_clock_ns").
 const char* perf_counter_name(std::size_t id);
 
 /// What this process can actually measure. `counter[i]` reflects whether

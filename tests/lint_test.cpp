@@ -74,8 +74,6 @@ const FixtureCase kFixtures[] = {
      "no_std_shuffle_allowed.cpp", "src/sim/scratch.cpp"},
     {"no-wallclock-in-results", "no_wallclock_in_results_bad.cpp",
      "no_wallclock_in_results_allowed.cpp", "src/sim/scratch.cpp"},
-    {"no-wallclock-in-history", "no_wallclock_in_history_bad.cpp",
-     "no_wallclock_in_history_allowed.cpp", "src/obs/history_scratch.cpp"},
     {"no-locale-numeric", "no_locale_numeric_bad.cpp",
      "no_locale_numeric_allowed.cpp", "src/core/result_io_scratch.cpp"},
     {"no-fast-math", "no_fast_math_bad.cmake", "no_fast_math_allowed.cmake",
@@ -193,20 +191,6 @@ TEST(LintScan, RandomDeviceAllowedInsideRngDir) {
       rit::lint::scan_file(SourceFile{"src/rng/entropy.cpp", body}).empty());
   EXPECT_FALSE(
       rit::lint::scan_file(SourceFile{"src/sim/entropy.cpp", body}).empty());
-}
-
-TEST(LintScan, HistoryRuleIsPathScoped) {
-  // The same wall-clock read is fine outside the history ledger path (a
-  // plain src/ file that is not a result path) and flagged inside it.
-  const std::string body =
-      "#include <ctime>\n"
-      "long stamp() { return static_cast<long>(std::time(nullptr)); }\n";
-  EXPECT_TRUE(
-      rit::lint::scan_file(SourceFile{"src/sim/scratch.cpp", body}).empty());
-  const std::vector<Finding> findings =
-      rit::lint::scan_file(SourceFile{"src/obs/history_scratch.cpp", body});
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].rule, "no-wallclock-in-history");
 }
 
 // --- Structural rules ------------------------------------------------------

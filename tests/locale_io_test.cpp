@@ -2,9 +2,8 @@
 // crosses a file boundary.
 //
 // The first half runs the round-trip suites under a comma-decimal locale
-// (de_DE-style): results, configs, populations and ledger lines must
-// serialize and parse byte-identically whether the host locale writes
-// "0.5" or "0,5". Containers frequently ship only the C locale, so these
+// (de_DE-style): results, configs and populations must serialize and
+// parse byte-identically whether the host locale writes "0.5" or "0,5". Containers frequently ship only the C locale, so these
 // skip (rather than fail) when no comma-decimal locale is installed — the
 // strictness tests in the second half run everywhere.
 //
@@ -30,7 +29,6 @@
 #include "common/num_io.h"
 #include "core/result_io.h"
 #include "core/rit.h"
-#include "obs/history.h"
 #include "rng/rng.h"
 #include "sim/config_io.h"
 #include "sim/population_io.h"
@@ -156,30 +154,6 @@ TEST_F(CommaLocaleTest, PopulationRoundTripsBitExactly) {
   for (std::size_t j = 0; j < pop.truthful_asks.size(); ++j) {
     EXPECT_EQ(back.truthful_asks[j], pop.truthful_asks[j]);
   }
-}
-
-TEST_F(CommaLocaleTest, HistoryRecordRoundTripsBitExactly) {
-  obs::HistoryRecord rec;
-  rec.bench = "locale";
-  rec.trials = 3;
-  rec.scale = 12.5;
-  rec.points = 2;
-  rec.wall_ms = 0.1 + 0.2;
-  obs::HistoryPhase ph;
-  ph.name = "phase";
-  ph.count = 1;
-  ph.total_ms = 1.0 / 3.0;
-  ph.self_ms = 2.0 / 7.0;
-  rec.phases.push_back(ph);
-
-  const std::string line = obs::history_record_json(rec);
-  obs::HistoryRecord back;
-  std::string error;
-  ASSERT_TRUE(obs::parse_history_record(line, back, error)) << error;
-  EXPECT_EQ(back.wall_ms, rec.wall_ms);
-  ASSERT_EQ(back.phases.size(), 1u);
-  EXPECT_EQ(back.phases[0].total_ms, rec.phases[0].total_ms);
-  EXPECT_EQ(back.phases[0].self_ms, rec.phases[0].self_ms);
 }
 
 TEST_F(CommaLocaleTest, FormatUtilUsesDotRadix) {

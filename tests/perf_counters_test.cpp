@@ -28,8 +28,7 @@ class PerfFixture : public testing::Test {
 };
 
 TEST_F(PerfFixture, CounterNamesAreStable) {
-  // The history schema and the diff tool key on these strings; renaming one
-  // silently orphans every ledger recorded so far.
+  // Diagnostics label counters by these strings; keep them stable.
   EXPECT_STREQ(perf_counter_name(kPerfCycles), "cycles");
   EXPECT_STREQ(perf_counter_name(kPerfInstructions), "instructions");
   EXPECT_STREQ(perf_counter_name(kPerfCacheRefs), "cache_refs");

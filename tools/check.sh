@@ -11,7 +11,9 @@
 #                 -Wdouble-promotion, -Werror)
 #   3. tests      ctest over the full suite (includes `ctest -L lint`:
 #                 rit_lint rule fixtures + the live-tree scan + the
-#                 header self-sufficiency object library)
+#                 header self-sufficiency object library, and `ctest -L
+#                 bench`: every bench binary run end to end at toy size
+#                 with --perf-counters=true)
 #   4. lint       rit_lint --root . --baseline tools/lint/lint_baseline.txt
 #                 (explicit, so the finding list prints even when invoked
 #                 outside ctest; the checked-in baseline is empty — the
@@ -24,34 +26,22 @@
 #   8. chaos      ctest -L chaos on the main build (fault containment,
 #                 checkpoint corruption rejection, the kill/resume matrix
 #                 — see docs/robustness.md)
-#   9. perf-smoke pinned micro-bench run twice into fresh ledgers, then
-#                 ritcs-bench-diff gates the pair: identical binaries must
-#                 not regress against themselves (generous thresholds keep
-#                 the leg honest on noisy machines; skipped with a notice
-#                 when the kernel refuses perf_event_open)
-#  10. scale-smoke pinned small-N bench_scale ladder (--scale=1000, tops
-#                 out at 10k users) run twice into fresh ledgers +
-#                 ritcs-bench-diff self-diff — keeps the million-user scale
-#                 path (the forest built during the graph draws, flat hot
-#                 structures, the ladder harness itself) exercised end to
-#                 end in every gate run
-#  11. asan+ubsan RIT_SANITIZE=address,undefined build + full ctest
+#   9. asan+ubsan RIT_SANITIZE=address,undefined build + full ctest
 #                 (memory errors and UB in every code path the suite
 #                 reaches; skipped with a notice when the toolchain cannot
 #                 link the sanitizer runtimes)
-#  12. supervisor-smoke  SIGKILL a supervised, checkpointed bench_scale
+#  10. supervisor-smoke  SIGKILL a supervised, checkpointed bench_scale
 #                 mid-sweep (the forked shard workers die with it via
 #                 PR_SET_PDEATHSIG), resume it, and require the resumed
 #                 CSV's deterministic columns to byte-match an undisturbed
-#                 reference run; then ritcs-bench-diff self-diffs the two
-#                 ledgers — see docs/robustness.md
-#  13. fuzz-smoke pinned-seed differential fuzz budget (iteration-keyed,
+#                 reference run — see docs/robustness.md
+#  11. fuzz-smoke pinned-seed differential fuzz budget (iteration-keyed,
 #                 never wall-clock) on the clean mechanism, plus the
 #                 harness self-test: each RIT_TESTKIT_INJECT_BUG variant
 #                 (ritcs-fuzz-bug1..3) must catch its planted bug inside
 #                 the same budget, and the committed golden repro must
 #                 replay both ways — see docs/testing.md
-#  14. stream-identity smoke  the repo benchmark's paper_sweep and
+#  12. stream-identity smoke  the repo benchmark's paper_sweep and
 #                 tight_market workloads for one second at seed 1
 #                 (perfbench/run.py builds its own binary; every trial
 #                 passes its correctness gate or the run exits 1) must print
@@ -61,7 +51,7 @@
 #                 then tools/trace_coverage.sh runs one traced paper_sweep
 #                 (seed 1) and fails if library spans cover less than 98%
 #                 of traced trial time
-#  15. pinned-CSV smoke  tools/pinned_csvs.sh: the fig6a,
+#  13. pinned-CSV smoke  tools/pinned_csvs.sh: the fig6a,
 #                 ablation_consensus and ablation_graph CSVs at a fixed
 #                 seed must hash to their pinned sha256 at --threads=1 and
 #                 --threads=4, so a refactor that moves an output bit (or
@@ -93,6 +83,10 @@ ROOT="$(pwd)"
 BUILD_ROOT="${RIT_CHECK_BUILD_DIR:-build-check}"
 
 step() { echo; echo "=== check.sh: $* ==="; }
+
+# Scratch space for the smoke legs' CSVs, logs and corpora.
+CHECK_TMP="$(mktemp -d "${TMPDIR:-/tmp}/ritcs-check.XXXXXX")"
+trap 'rm -rf "$CHECK_TMP"' EXIT
 
 # --- 1. format (check-only; self-skips without clang-format) ---------------
 step "format check"
@@ -146,54 +140,7 @@ ctest --test-dir "$BUILD_ROOT/tsan" -L parallel --output-on-failure -j "$JOBS"
 step "ctest -L chaos (fault injection + kill/resume matrix)"
 ctest --test-dir "$BUILD_ROOT/main" -L chaos --output-on-failure -j "$JOBS"
 
-# --- 9. perf smoke: identical binaries must not regress against themselves --
-step "perf smoke (ledger self-diff on a pinned micro-bench)"
-BENCH_DIFF="$BUILD_ROOT/main/tools/ritcs-bench-diff"
-PERF_FLAG="--perf-counters=true"
-if "$BENCH_DIFF" --probe-perf; then
-  :
-else
-  probe_status=$?
-  if [[ $probe_status -eq 3 ]]; then
-    echo "check.sh: perf_event_open unavailable — counters off for this leg" \
-         "(timings and allocation counts still gate)"
-    PERF_FLAG="--perf-counters=false"
-  else
-    echo "check.sh: ritcs-bench-diff --probe-perf failed (exit $probe_status)" >&2
-    exit 1
-  fi
-fi
-PERF_TMP="$(mktemp -d "${TMPDIR:-/tmp}/ritcs-perf-smoke.XXXXXX")"
-trap 'rm -rf "$PERF_TMP"' EXIT
-for ledger in a b; do
-  "$BUILD_ROOT/main/bench/bench_fig6a_utility_vs_users" \
-    --trials=2 --scale=2000 --points=2 --threads=2 \
-    --csv=none --json=none "$PERF_FLAG" \
-    --history-out="$PERF_TMP/$ledger.jsonl" > "$PERF_TMP/$ledger.log"
-done
-# Generous thresholds: this leg exists to catch gross regressions (and to
-# exercise the record/diff path end to end), not to chase scheduler noise
-# on a loaded CI box.
-"$BENCH_DIFF" --threshold=0.6 --abs-floor-ms=250 \
-  "$PERF_TMP/a.jsonl" "$PERF_TMP/b.jsonl"
-
-# --- 10. scale smoke: the million-user path at toy size, self-diffed --------
-# Same record/diff discipline as leg 9, but through bench_scale: the pinned
-# --scale=1000 ladder tops out at 10k users, small enough for CI while still
-# running the graph draws, the forest and the payment pass end to end
-# (--intra-threads=2 reaches no parallel pass: every pass inside a trial
-# is serial, so only the timings vary between the two runs).
-step "scale smoke (bench_scale ledger self-diff)"
-for ledger in scale_a scale_b; do
-  "$BUILD_ROOT/main/bench/bench_scale" \
-    --trials=1 --scale=1000 --intra-threads=2 \
-    --csv=none --json=none "$PERF_FLAG" \
-    --history-out="$PERF_TMP/$ledger.jsonl" > "$PERF_TMP/$ledger.log"
-done
-"$BENCH_DIFF" --threshold=0.6 --abs-floor-ms=250 \
-  "$PERF_TMP/scale_a.jsonl" "$PERF_TMP/scale_b.jsonl"
-
-# --- 11. ASan+UBSan over the full suite --------------------------------------
+# --- 9. ASan+UBSan over the full suite --------------------------------------
 # TSan (leg 7) covers data races but is incompatible with ASan, so the
 # memory/UB leg is a separate build tree. Probe first: some toolchains
 # (minimal containers, odd cross setups) compile -fsanitize=address but
@@ -216,26 +163,25 @@ else
        "— leg skipped (install the compiler's sanitizer runtimes to enable)"
 fi
 
-# --- 12. supervisor smoke: SIGKILL a supervised sweep, resume, compare ------
+# --- 10. supervisor smoke: SIGKILL a supervised sweep, resume, compare ------
 # The process-isolation path end to end, outside any test harness: a
 # supervised bench_scale run is SIGKILLed mid-sweep (taking its forked
 # shard workers with it via PR_SET_PDEATHSIG), then resumed from the shard
 # checkpoints. The deterministic CSV columns (users, tasks_per_type,
 # success_rate) must byte-match an undisturbed reference; the runtime
-# columns are wall clock and legitimately differ, so the ledger pair goes
-# through the same generous ritcs-bench-diff gate as legs 9/10.
+# columns are wall clock and legitimately differ.
 step "supervisor smoke (kill -9 a supervised sweep, resume, compare)"
-SUP_TMP="$PERF_TMP/supervisor"
+SUP_TMP="$CHECK_TMP/supervisor"
 mkdir -p "$SUP_TMP"
 "$BUILD_ROOT/main/bench/bench_scale" \
   --trials=4 --scale=1000 --supervised --shards=2 \
-  --csv="$SUP_TMP/ref.csv" --json=none "$PERF_FLAG" \
-  --history-out="$SUP_TMP/sup_ref.jsonl" > "$SUP_TMP/ref.log"
+  --csv="$SUP_TMP/ref.csv" --json=none --perf-counters=true \
+  > "$SUP_TMP/ref.log"
 "$BUILD_ROOT/main/bench/bench_scale" \
   --trials=4 --scale=1000 --supervised --shards=2 \
   --checkpoint="$SUP_TMP/sweep.ckpt" --checkpoint-every=1 \
-  --csv="$SUP_TMP/killed.csv" --json=none "$PERF_FLAG" \
-  --history-out="$SUP_TMP/sup_killed.jsonl" > "$SUP_TMP/killed.log" 2>&1 &
+  --csv="$SUP_TMP/killed.csv" --json=none --perf-counters=true \
+  > "$SUP_TMP/killed.log" 2>&1 &
 SUP_PID=$!
 # Wait for a shard checkpoint to exist (a point is in flight), then kill
 # the whole supervised run the hard way. If the run won the race and
@@ -251,8 +197,8 @@ wait "$SUP_PID" 2> /dev/null || true
 "$BUILD_ROOT/main/bench/bench_scale" \
   --trials=4 --scale=1000 --supervised --shards=2 \
   --checkpoint="$SUP_TMP/sweep.ckpt" --checkpoint-every=1 --resume=true \
-  --csv="$SUP_TMP/resumed.csv" --json=none "$PERF_FLAG" \
-  --history-out="$SUP_TMP/sup_resumed.jsonl" > "$SUP_TMP/resumed.log"
+  --csv="$SUP_TMP/resumed.csv" --json=none --perf-counters=true \
+  > "$SUP_TMP/resumed.log"
 cut -d, -f1,2,7 "$SUP_TMP/ref.csv" > "$SUP_TMP/ref.det"
 cut -d, -f1,2,7 "$SUP_TMP/resumed.csv" > "$SUP_TMP/resumed.det"
 if ! cmp "$SUP_TMP/ref.det" "$SUP_TMP/resumed.det"; then
@@ -260,17 +206,15 @@ if ! cmp "$SUP_TMP/ref.det" "$SUP_TMP/resumed.det"; then
   diff "$SUP_TMP/ref.det" "$SUP_TMP/resumed.det" >&2 || true
   exit 1
 fi
-"$BENCH_DIFF" --threshold=0.6 --abs-floor-ms=250 \
-  "$SUP_TMP/sup_ref.jsonl" "$SUP_TMP/sup_resumed.jsonl"
 
-# --- 13. fuzz smoke: differential fuzzer + planted-bug self-test -------------
+# --- 11. fuzz smoke: differential fuzzer + planted-bug self-test -------------
 # Already part of leg 3's full run (ctest -L fuzz); repeated by name, with
 # a larger clean budget, so a decayed harness (a planted bug no longer
 # caught, a nondeterministic corpus) is unmissable in the gate output.
 # Budgets are iteration counts at pinned seeds — identical work on any
 # machine, any load.
 step "fuzz smoke (differential oracle + planted-bug self-test)"
-FUZZ_TMP="$PERF_TMP/fuzz"
+FUZZ_TMP="$CHECK_TMP/fuzz"
 mkdir -p "$FUZZ_TMP"
 "$BUILD_ROOT/main/tools/ritcs-fuzz" --seed=42 --iterations=400 \
   --corpus-dir="$FUZZ_TMP/clean"
@@ -285,7 +229,7 @@ done
 "$BUILD_ROOT/main/tools/ritcs-fuzz-bug2" --expect-repro=true \
   --repro="$ROOT/tests/golden/fuzz_repro_bug2.ritcase"
 
-# --- 14. stream identity: pinned digest of a paper_sweep set-up instance ----
+# --- 12. stream identity: pinned digest of a paper_sweep set-up instance ----
 # The digest hashes the allocation and payments of one generated instance
 # (graph, forest, population, mechanism run), so it moves whenever any
 # layer's output or the random stream does. It is pinned for GCC builds;
@@ -296,7 +240,7 @@ step "stream-identity smoke (paper_sweep + tight_market digests at seed 1, trace
 for pinned in paper_sweep:f9ec0e50bb7b9c8f tight_market:802c6025883f6e5d; do
   workload="${pinned%%:*}"
   digest="${pinned#*:}"
-  STREAM_LOG="$PERF_TMP/stream_identity_$workload.log"
+  STREAM_LOG="$CHECK_TMP/stream_identity_$workload.log"
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
     --trace 0 > "$STREAM_LOG"
   grep -q "^digest $workload seed 1: allocation+payment fnv1a $digest$" \
@@ -308,7 +252,7 @@ for pinned in paper_sweep:f9ec0e50bb7b9c8f tight_market:802c6025883f6e5d; do
 done
 tools/trace_coverage.sh
 
-# --- 15. pinned-seed bench CSVs: byte-identical at one worker and four ----
+# --- 13. pinned-seed bench CSVs: byte-identical at one worker and four ----
 step "pinned-CSV smoke (fig6a + ablation_consensus + ablation_graph at --threads=1,4)"
 tools/pinned_csvs.sh "$BUILD_ROOT/main/bench"
 

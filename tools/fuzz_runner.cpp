@@ -24,7 +24,7 @@
 // reported as the stable signature class "crash" instead of taking the
 // fuzzer down.
 //
-// Exit status is the gate, tested like ritcs-bench-diff's:
+// Exit status is the gate (the fuzz_smoke_* ctests assert it):
 //   0  expectations met (no failures; or --expect-failures/--expect-repro
 //      was satisfied; or the determinism check matched)
 //   1  unexpected failure found (fuzz loop or repro replay)

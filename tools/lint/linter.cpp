@@ -46,11 +46,10 @@ struct TokenRule {
   // Restrict to "result path" files: path names a report/serialization
   // boundary, or the file mentions std::ostream / std::ofstream.
   bool result_path_only{false};
-  // When non-empty, the rule only applies to files whose repo-relative
-  // path contains at least one of these substrings. The default-initializer
-  // keeps the many rules that don't scope themselves warning-clean under
-  // -Wmissing-field-initializers.
-  std::vector<const char*> path_includes{};
+  // Restrict to the numeric-IO boundary files (numeric_io_paths()). The
+  // default-initializer keeps the many rules that don't scope themselves
+  // warning-clean under -Wmissing-field-initializers.
+  bool numeric_io_only{false};
 };
 
 // The numeric-IO boundary files: everything that writes or parses numbers
@@ -59,9 +58,10 @@ struct TokenRule {
 // the remaining formatting to route through common/num_io.h).
 const std::vector<const char*>& numeric_io_paths() {
   static const std::vector<const char*> kPaths = {
-      "result_io",  "config_io",   "checkpoint", "population_io",
-      "cli/args",   "obs/history", "format_util", "num_io",
-      "bench_diff", "bench_support", "testkit/fuzz_case", "fuzz_runner"};
+      "result_io",     "config_io",     "checkpoint",
+      "population_io", "cli/args",      "format_util",
+      "num_io",        "bench_support", "testkit/fuzz_case",
+      "fuzz_runner"};
   return kPaths;
 }
 
@@ -147,23 +147,6 @@ const std::vector<TokenRule>& token_rules() {
        {},
        {},
        /*result_path_only=*/true},
-      {"no-wallclock-in-history",
-       "wall-clock reads in the perf-history ledger path would timestamp "
-       "records, breaking the contract that re-running the same binary "
-       "yields byte-comparable records; identify records by git SHA + env "
-       "fingerprint + file position instead",
-       "The perf ledger's regression gate byte-compares records across "
-       "runs; a timestamp would make every record unique and the diff "
-       "meaningless. Records are identified by git SHA, environment "
-       "fingerprint and file position instead of time.",
-       FileClass::kCpp,
-       {"system_clock", "std::time", "time(nullptr)", "time(NULL)",
-        "gettimeofday", "localtime", "gmtime", "strftime", "asctime",
-        "ctime("},
-       {},
-       {},
-       /*result_path_only=*/false,
-       /*path_includes=*/{"history"}},
       {"no-locale-numeric",
        "the strtod/snprintf family reads the global locale's radix "
        "character, so a result written under de_DE prints \"0,5\" and the "
@@ -185,9 +168,9 @@ const std::vector<TokenRule>& token_rules() {
        {},
        {},
        /*result_path_only=*/false,
-       /*path_includes=*/{}},  // bound to numeric_io_paths() below
+       /*numeric_io_only=*/true},
       {"boundary-io-num-io",
-       "float/number formatting in the result/config/checkpoint/history "
+       "float/number formatting in the result/config/checkpoint "
        "IO paths must route through common/num_io.h (format_double_*, "
        "format_u64, parse_*) — std::to_string(double) and stream float "
        "manipulators are locale- or precision-lossy, and raw "
@@ -208,7 +191,7 @@ const std::vector<TokenRule>& token_rules() {
        {},
        {"common/num_io"},
        /*result_path_only=*/false,
-       /*path_includes=*/{}},  // bound to numeric_io_paths() below
+       /*numeric_io_only=*/true},
       {"no-fast-math",
        "-ffast-math / -Ofast license reassociation and FTZ, so the same "
        "seed stops reproducing the same floats across compilers",
@@ -271,17 +254,6 @@ const std::vector<TokenRule>& token_rules() {
   return kRules;
 }
 
-// Effective path_includes for a rule: the two numeric-IO rules share the
-// boundary list without duplicating it in the table.
-const std::vector<const char*>& effective_path_includes(
-    const TokenRule& rule) {
-  const std::string id = rule.id;
-  if (id == "no-locale-numeric" || id == "boundary-io-num-io") {
-    return numeric_io_paths();
-  }
-  return rule.path_includes;
-}
-
 // ---------------------------------------------------------------------------
 // Token + regex rules
 // ---------------------------------------------------------------------------
@@ -293,9 +265,8 @@ void run_token_rules(const Prepped& p, std::vector<Finding>* out) {
     if (internal::path_contains_any(p.src->path, rule.path_excludes)) {
       continue;
     }
-    const std::vector<const char*>& includes = effective_path_includes(rule);
-    if (!includes.empty() &&
-        !internal::path_contains_any(p.src->path, includes)) {
+    if (rule.numeric_io_only &&
+        !internal::path_contains_any(p.src->path, numeric_io_paths())) {
       continue;
     }
     std::vector<std::regex> regexes;
