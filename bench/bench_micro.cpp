@@ -92,33 +92,8 @@ void BM_ConsensusRoundDown(benchmark::State& state) {
 }
 BENCHMARK(BM_ConsensusRoundDown);
 
-// Baseline vs workspace arms of the CRA round: identical draws and results
-// (cra_test pins that); the heap_allocs_per_round counter is the point.
-// The baseline's convenience overload rebuilds its order/chosen/sampling
-// buffers every round; the workspace arm reuses them and must report ~0 at
-// steady state.
-void BM_CraRoundBaseline(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto asks = make_asks(n, 2);
-  rng::Rng rng(3);
-  core::CraParams params;
-  params.q = static_cast<std::uint32_t>(n / 8 + 1);
-  params.m_i = static_cast<std::uint32_t>(n / 8 + 1);
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_cra(asks, params, rng));
-  }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_round"] = benchmark::Counter(
-      state.iterations() > 0
-          ? static_cast<double>(after - before) /
-                static_cast<double>(state.iterations())
-          : 0.0);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_CraRoundBaseline)->Arg(1000)->Arg(10000)->Arg(100000);
-
+// The CRA round through the unit-vector API on all-distinct asks, with a
+// reused workspace: heap_allocs_per_round must be ~0 at steady state.
 void BM_CraRoundWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto asks = make_asks(n, 2);
@@ -147,45 +122,53 @@ void BM_CraRoundWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_CraRoundWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// The CRA round on an Extract-shaped alpha: one run of k ~ U{1..20} equal
-// values per user, users in order, which is what phase 2's run-level sort
-// is built for (the arms above use all-distinct values). Arg 0 is the user
-// count; arg 1 the target band ratio in percent, i.e. the share of unit
-// asks at or below the threshold: q + m_i is set to that share of |alpha|
-// (the sample minimum sits near rank q + m_i), and 100 sets it to 1000
-// |alpha| so the sample is almost always empty and the whole book is the
-// band. Reports the measured band ratio and heap allocations per round,
-// which must be 0: the buffers whose size follows the round's random n_s
-// are reserved to |alpha| up front (their high-water mark), and the
-// warm-up lets every branch (thinning, step-5 sampling) size the rest.
+// The CRA round in the run form RIT calls (run_cra_runs) on an Extract-
+// shaped book: one run of k ~ U{1..20} equal asks per user, users in order,
+// pairwise-distinct values. Arg 0 is the user count; arg 1 the target band
+// ratio in percent, i.e. the share of unit asks at or below the threshold:
+// q + m_i is set to that share of |alpha| (the sample minimum sits near
+// rank q + m_i), and 100 sets it to 1000 |alpha| so the sample is almost
+// always empty and the whole book is the band. Arg 2, when nonzero, is
+// m_i instead, with q = m_i (the first round of a type). Reports the
+// measured band ratio and heap allocations per round, which must be 0: the
+// buffers whose size follows the round's random n_s are reserved to
+// |alpha| up front (their high-water mark), and the warm-up lets every
+// branch (thinning, step-5 sampling) size the rest.
 void BM_CraRoundUnitRuns(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
   const auto band_pct = static_cast<std::uint64_t>(state.range(1));
   rng::Rng gen(5);
-  std::vector<double> asks;
+  std::vector<core::AskRun> book;
+  std::uint32_t units = 0;
   for (std::size_t u = 0; u < users; ++u) {
     const double v = gen.uniform_real_left_open(0.0, 10.0);
-    asks.insert(asks.end(), static_cast<std::size_t>(gen.uniform_int(1, 20)),
-                v);
+    const auto len = static_cast<std::uint32_t>(gen.uniform_int(1, 20));
+    book.push_back(core::AskRun{v, units, len});
+    units += len;
   }
-  const std::uint64_t budget =
-      band_pct >= 100 ? 1000 * asks.size() : asks.size() * band_pct / 100;
   core::CraParams params;
-  params.q = static_cast<std::uint32_t>(budget / 2);
-  params.m_i = static_cast<std::uint32_t>(budget - budget / 2);
+  if (state.range(2) > 0) {
+    params.m_i = static_cast<std::uint32_t>(state.range(2));
+    params.q = params.m_i;
+  } else {
+    const std::uint64_t budget =
+        band_pct >= 100 ? 1000 * std::uint64_t{units} : units * band_pct / 100;
+    params.q = static_cast<std::uint32_t>(budget / 2);
+    params.m_i = static_cast<std::uint32_t>(budget - budget / 2);
+  }
   rng::Rng rng(6);
   core::CraWorkspace ws;
   core::CraOutcome out;
-  ws.chosen.reserve(asks.size());
-  out.winners.reserve(asks.size());
-  ws.sample_pool.reserve(asks.size());
+  ws.sample_pool.reserve(units);
+  ws.thinned.reserve(units / 64 + 1);
+  ws.sampled.reserve(units / 64 + 1);
   for (int warm = 0; warm < 64; ++warm) {
-    core::run_cra(asks, params, rng, ws, out);
+    core::run_cra_runs(book, params, rng, ws, out);
   }
   std::uint64_t band_asks = 0;
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    core::run_cra(asks, params, rng, ws, out);
+    core::run_cra_runs(book, params, rng, ws, out);
     band_asks += out.raw_count;
     benchmark::DoNotOptimize(out.num_winners);
   }
@@ -195,19 +178,21 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
       rounds > 0 ? static_cast<double>(after - before) / rounds : 0.0);
   state.counters["band_ratio"] = benchmark::Counter(
       rounds > 0 ? static_cast<double>(band_asks) /
-                       (rounds * static_cast<double>(asks.size()))
+                       (rounds * static_cast<double>(units))
                  : 0.0);
-  state.counters["unit_asks"] =
-      benchmark::Counter(static_cast<double>(asks.size()));
+  state.counters["unit_asks"] = benchmark::Counter(static_cast<double>(units));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(asks.size()));
+                          static_cast<std::int64_t>(units));
 }
 // 60000/1 is the shape of the bench_scale 1M rung: about 1% of the book
-// is in the band and the rest only replays its draws.
+// is in the band and the rest only replays its draws. 8000 users at
+// q = m_i = 66,000 is one type of perfbench's tight_market, whose whole
+// book can win.
 BENCHMARK(BM_CraRoundUnitRuns)
-    ->Args({6000, 14})
-    ->Args({6000, 100})
-    ->Args({60000, 1});
+    ->Args({6000, 14, 0})
+    ->Args({6000, 100, 0})
+    ->Args({60000, 1, 0})
+    ->Args({8000, 0, 66000});
 
 std::vector<core::Ask> make_market(std::size_t users, std::uint64_t seed) {
   rng::Rng rng(seed);
@@ -261,10 +246,10 @@ void BM_AuctionPhaseWorkspace(benchmark::State& state) {
   std::vector<std::size_t> supply(10, 0);
   for (const core::Ask& a : asks) supply[a.type.value] += a.quantity;
   const std::size_t alpha = *std::max_element(supply.begin(), supply.end());
-  ws.cra.chosen.reserve(alpha);
   ws.cra.sample_pool.reserve(alpha);
   ws.cra.sample_out.reserve(alpha);
-  ws.round.winners.reserve(alpha);
+  ws.cra.thinned.reserve(alpha / 64 + 1);
+  ws.cra.sampled.reserve(alpha / 64 + 1);
   for (int warm = 0; warm < 4; ++warm) {
     core::run_auction_phase_into(job, asks, cfg, rng, ws, out);
   }
@@ -322,20 +307,16 @@ void BM_PaymentPhaseReference(benchmark::State& state) {
 }
 BENCHMARK(BM_PaymentPhaseReference)->Arg(1000)->Arg(10000);
 
-// Payment pass through a reused workspace at `threads` = {1, 2, 4}. The
-// pass is one serial preorder scan that ignores `threads`, so the three
-// arms must read the same; heap_allocs_per_run must be 0 once the
-// workspace has grown.
+// Payment pass through a reused workspace: heap_allocs_per_run must be 0
+// once the workspace has grown.
 void BM_PaymentPhaseWorkspace(benchmark::State& state) {
   const auto d = make_payment_data(static_cast<std::uint32_t>(state.range(0)));
-  const auto threads = static_cast<unsigned>(state.range(1));
   core::PaymentWorkspace ws;
   std::vector<double> out;
-  core::tree_payments_into(d.tree, d.types, d.payments, 0.5, threads, ws, out);
+  core::tree_payments_into(d.tree, d.types, d.payments, 0.5, 1, ws, out);
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    core::tree_payments_into(d.tree, d.types, d.payments, 0.5, threads, ws,
-                             out);
+    core::tree_payments_into(d.tree, d.types, d.payments, 0.5, 1, ws, out);
     benchmark::DoNotOptimize(out.data());
   }
   const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
@@ -345,10 +326,7 @@ void BM_PaymentPhaseWorkspace(benchmark::State& state) {
                 static_cast<double>(state.iterations())
           : 0.0);
 }
-BENCHMARK(BM_PaymentPhaseWorkspace)
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 4});
+BENCHMARK(BM_PaymentPhaseWorkspace)->Arg(100000);
 
 void BM_BarabasiAlbert(benchmark::State& state) {
   rng::Rng rng(6);

@@ -24,7 +24,8 @@ namespace rit::bench {
 namespace {
 
 // Reads and validates the standard flags; throws CheckFailure on an
-// unknown flag, a malformed value or a bad combination.
+// unknown flag, a malformed value or a bad combination. --help prints the
+// flags on stdout and exits 0.
 BenchOptions read_flags(int argc, char** argv, const std::string& name,
                         std::uint64_t default_trials,
                         std::uint64_t min_trials) {
@@ -69,6 +70,11 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   // Benches are interactive tools: surface info-level progress (the default
   // sink level is warn, tuned for library use).
   log::set_level(log::Level::kInfo);
+  if (args.get_bool("help", false)) {
+    std::cout << "usage: bench_" << name << " [--flag=value ...]\nflags:\n"
+              << args.usage();
+    std::exit(0);
+  }
   args.finish();
   RIT_CHECK_MSG(opts.scale >= 1.0, "--scale must be >= 1");
   RIT_CHECK_MSG(opts.points >= 2, "--points must be >= 2");

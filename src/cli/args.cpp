@@ -64,8 +64,18 @@ std::string Args::get_string(const std::string& key, const std::string& def) {
 
 void Args::finish() const {
   for (const auto& [key, value] : values_) {
-    RIT_CHECK_MSG(recognized_.count(key) > 0, "unknown flag --" << key);
+    // A usage error, not a broken invariant: the message names the flag
+    // only.
+    if (recognized_.count(key) == 0) {
+      throw CheckFailure("unknown flag --" + key);
+    }
   }
+}
+
+std::string Args::usage() const {
+  std::string out;
+  for (const std::string& key : recognized_) out += "  --" + key + "\n";
+  return out;
 }
 
 }  // namespace rit::cli

@@ -4,6 +4,8 @@
 //   cli::Args args(argc, argv);
 //   const auto trials = args.get_u64("trials", 10);
 //   args.finish();  // throws on unrecognized flags (catches typos)
+//
+// A bench's --help prints usage() (every flag it queried) and exits 0.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +28,12 @@ class Args {
 
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
-  /// Throws CheckFailure if any provided flag was never queried.
+  /// Throws CheckFailure("unknown flag --KEY") if a provided flag was
+  /// never queried.
   void finish() const;
+
+  /// The flags queried so far, one "  --key" line each, sorted.
+  std::string usage() const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -121,6 +121,49 @@ void replay_above_band(std::span<CraWorkspace::ValueRun> above,
   }
 }
 
+// Consumes the tie-shuffle draws of `seg`, sorted runs that are each their
+// own tie group: a run of len asks takes uniform_index(len), ..., (2).
+// Such a shuffle only permutes the run's equal asks, so the draws are
+// skipped when lcm(2..longest run) is under the cap and no raw draw hits
+// its filter; otherwise they are replayed in order.
+void skip_run_shuffles(std::span<const CraWorkspace::ValueRun> seg,
+                       rng::Rng& rng) {
+  std::uint32_t max_len = 1;
+  std::uint64_t draws = 0;
+  for (const CraWorkspace::ValueRun& run : seg) {
+    max_len = std::max(max_len, run.len);
+    draws += run.len - 1;
+  }
+  if (draws == 0) return;
+  const std::uint64_t lcm = lcm_up_to(max_len);
+  if (lcm != 0 && rng.skip_uniform_indices(draws, lcm)) return;
+  for (const CraWorkspace::ValueRun& run : seg) {
+    for (std::size_t i = run.len; i > 1; --i) (void)rng.uniform_index(i);
+  }
+}
+
+// Fills ws.runs with the book's runs: those with value <= `limit` (the
+// band) first, then the rest. Returns the band's run count.
+std::size_t split_band(std::span<const AskRun> book, double limit,
+                       CraWorkspace& ws) {
+  ws.runs.resize(book.size());
+  std::size_t band = 0;
+  std::size_t above = book.size();
+  for (std::uint32_t r = 0; r < book.size(); ++r) {
+    ws.runs[book[r].value <= limit ? band++ : --above] =
+        CraWorkspace::ValueRun{book[r].value, r, book[r].len};
+  }
+  return band;
+}
+
+// End of the tie group (maximal run of equal values) that starts at r.
+std::size_t tie_group_end(std::span<const CraWorkspace::ValueRun> runs,
+                          std::size_t r) {
+  std::size_t e = r + 1;
+  while (e < runs.size() && runs[e].value == runs[r].value) ++e;
+  return e;
+}
+
 // Ascending-value order of the band's unit asks with ties shuffled
 // uniformly: equal asks must be treated equally ("anonymity"), otherwise
 // "the smallest n asks" would systematically favour whichever user Extract
@@ -128,27 +171,18 @@ void replay_above_band(std::span<CraWorkspace::ValueRun> above,
 // (value, index), shuffle each maximal group of equal values, groups in
 // ascending value order.
 //
-// It is built from runs instead of unit asks. The runs tile alpha in
-// order, so sorting them by (value, run index) and expanding them gives
-// exactly the (value, index) order. Only runs with value <= `limit` (the
-// band) are sorted and written to `order`, each unit as (run, offset).
-// Every band group precedes every group above the limit in the full
-// order, so the draws above it come last and are consumed by
-// replay_above_band.
-void sorted_band_with_shuffled_ties(std::span<const AskRun> book,
-                                    double limit, std::uint64_t units,
-                                    CraWorkspace& ws, rng::Rng& rng) {
+// It is kept in run form. The runs tile alpha in order, so sorting the
+// band's runs (ws.runs[0, band)) by (value, run index) gives the (value,
+// index) order. A tie group that is one run needs no expansion: its
+// shuffle only permutes equal asks, and skip_run_shuffles consumes its
+// draws. A group of several runs is expanded into ws.ties (one index into
+// ws.runs per unit ask) and shuffled for real. Every band group precedes
+// every group above s in the full order, so the draws above it come last
+// and are consumed by replay_above_band.
+void order_band(std::size_t band, CraWorkspace& ws, rng::Rng& rng) {
   using ValueRun = CraWorkspace::ValueRun;
-  std::vector<ValueRun>& runs = ws.runs;
-  runs.resize(book.size());
-  std::size_t band = 0;
-  std::size_t above = book.size();
-  for (std::uint32_t r = 0; r < book.size(); ++r) {
-    runs[book[r].value <= limit ? band++ : --above] =
-        ValueRun{book[r].value, r, book[r].len};
-  }
-  const auto band_end = runs.begin() + static_cast<std::ptrdiff_t>(band);
-  std::sort(runs.begin(), band_end, [](const ValueRun& a, const ValueRun& b) {
+  const std::span<ValueRun> runs(ws.runs.data(), band);
+  std::sort(runs.begin(), runs.end(), [](const ValueRun& a, const ValueRun& b) {
     if (a.value != b.value) return a.value < b.value;
 #if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
     return a.run > b.run;  // planted: ties enter the shuffle reversed
@@ -156,29 +190,172 @@ void sorted_band_with_shuffled_ties(std::span<const AskRun> book,
     return a.run < b.run;
 #endif
   });
-
-  std::vector<UnitAsk>& order = ws.order;
-  order.clear();
-  order.reserve(units);  // no regrowth when a later band is wider
-  for (auto r = runs.begin(); r != band_end;) {
-    auto e = r + 1;
-    while (e != band_end && e->value == r->value) ++e;
-    const std::size_t first = order.size();
-    for (auto k = r; k != e; ++k) {
-      for (std::uint32_t u = 0; u < k->len; ++u) {
-#if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
-        order.push_back(UnitAsk{k->run, k->len - 1 - u});
-#else
-        order.push_back(UnitAsk{k->run, u});
-#endif
+  ws.ties.clear();
+  std::size_t segment = 0;  // first run not yet drawn for
+  for (std::size_t r = 0; r < band;) {
+    const std::size_t e = tie_group_end(runs, r);
+    if (e - r > 1) {
+      skip_run_shuffles(runs.subspan(segment, r - segment), rng);
+      const std::size_t first = ws.ties.size();
+      for (std::size_t k = r; k < e; ++k) {
+        ws.ties.insert(ws.ties.end(), runs[k].len,
+                       static_cast<std::uint32_t>(k));
       }
+      rng.shuffle(std::span<std::uint32_t>(ws.ties).subspan(first));
+      segment = e;
     }
-    const std::size_t group = order.size() - first;
-    if (group > 1) rng.shuffle(std::span<UnitAsk>(&order[first], group));
     r = e;
   }
-  replay_above_band(std::span<ValueRun>(band_end, runs.end()), runs.size(),
-                    ws, rng);
+  skip_run_shuffles(runs.subspan(segment), rng);
+  replay_above_band(std::span<ValueRun>(ws.runs).subspan(band),
+                    ws.runs.size(), ws, rng);
+}
+
+// When the book's values are pairwise distinct, every tie group is one run
+// and the order of phase 2 leaves nothing to draw: consumes all of the
+// shuffle draws (units - runs of them, each bound at most `max_len`) in
+// one skip and returns true. Returns false with the stream untouched on a
+// tie, an lcm over the cap or a filter hit.
+bool skip_every_shuffle(std::uint64_t units, std::uint32_t max_len,
+                        CraWorkspace& ws, rng::Rng& rng) {
+  const std::uint64_t lcm = lcm_up_to(max_len);
+  return lcm != 0 &&
+         values_pairwise_distinct(ws.runs, ws.runs.size(), ws.value_set) &&
+         rng.skip_uniform_indices(units - ws.runs.size(), lcm);
+}
+
+// The n cheapest unit asks of `band` (pairwise-distinct values, at least n
+// asks) as run wins, without a sort: a weighted quickselect. They are every
+// run cheaper than the run holding the n-th cheapest ask, plus part of
+// that run. Each step partitions the live range at its middle with
+// nth_element and keeps the half that holds the boundary: expected
+// O(band).
+void cheapest_units(std::span<CraWorkspace::ValueRun> band, std::uint64_t n,
+                    std::vector<RunWin>& winners) {
+  using ValueRun = CraWorkspace::ValueRun;
+  auto lo = band.begin();
+  auto hi = band.end();
+  std::uint64_t need = n;  // asks still to take from [lo, hi)
+  for (;;) {
+    const auto mid = lo + (hi - lo) / 2;
+    std::nth_element(lo, mid, hi, [](const ValueRun& a, const ValueRun& b) {
+      return a.value < b.value;
+    });
+    std::uint64_t below = 0;
+    for (auto r = lo; r != mid; ++r) below += r->len;
+    if (below >= need) {
+      hi = mid;
+    } else if (below + mid->len >= need) {
+      for (auto r = band.begin(); r != mid; ++r) {
+        winners.push_back(RunWin{r->run, r->len});
+      }
+      winners.push_back(
+          RunWin{mid->run, static_cast<std::uint32_t>(need - below)});
+      return;
+    } else {
+      need -= below + mid->len;
+      lo = mid + 1;
+    }
+  }
+}
+
+// The value at unit position `pos` of the band's order. A tie group shares
+// one value, so the shuffle within it does not matter.
+double value_at(std::span<const CraWorkspace::ValueRun> band,
+                std::uint64_t pos) {
+  for (const CraWorkspace::ValueRun& run : band) {
+    if (pos < run.len) return run.value;
+    pos -= run.len;
+  }
+  RIT_CHECK_MSG(false, "position past the band");
+  return 0.0;  // unreachable
+}
+
+void set_bit(std::vector<std::uint64_t>& bits, std::uint64_t i) {
+  bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+}
+
+// Set bits in [begin, begin + len).
+std::uint64_t count_bits(std::span<const std::uint64_t> bits,
+                         std::uint64_t begin, std::uint64_t len) {
+  std::uint64_t count = 0;
+  for (const std::uint64_t end = begin + len; begin < end;) {
+    const std::uint64_t shift = begin & 63;
+    const std::uint64_t take = std::min<std::uint64_t>(64 - shift, end - begin);
+    std::uint64_t word = bits[begin >> 6] >> shift;
+    if (take < 64) word &= (std::uint64_t{1} << take) - 1;
+    count += static_cast<std::uint64_t>(std::popcount(word));
+    begin += take;
+  }
+  return count;
+}
+
+// Position of set bit number k (from 0); the bitmap has more than k.
+std::uint64_t select_bit(std::span<const std::uint64_t> bits,
+                         std::uint64_t k) {
+  for (std::size_t w = 0;; ++w) {
+    std::uint64_t word = bits[w];
+    const auto count = static_cast<std::uint64_t>(std::popcount(word));
+    if (k < count) {
+      for (; k > 0; --k) word &= word - 1;
+      return 64 * w + static_cast<std::uint64_t>(std::countr_zero(word));
+    }
+    k -= count;
+  }
+}
+
+// Step 5: a uniform q-subset of the `chosen` indices, as a bitmap in
+// ws.sampled.
+void sample_chosen(std::uint64_t chosen, std::uint32_t q, CraWorkspace& ws,
+                   rng::Rng& rng) {
+  rng.sample_without_replacement_into(chosen, q, ws.sample_pool,
+                                      ws.sample_out);
+  ws.sampled.assign((chosen + 63) / 64, 0);
+  for (const std::size_t i : ws.sample_out) set_bit(ws.sampled, i);
+}
+
+// Steps 3-5 as run wins, walking the band's order run by run. The chosen
+// asks are the positions [0, end), or only those set in ws.thinned when it
+// is non-empty; the winners are the chosen asks whose chosen index is set
+// in ws.sampled when it is non-empty, and every chosen ask otherwise.
+void count_wins(std::size_t band, std::uint64_t end, CraWorkspace& ws,
+                std::vector<RunWin>& winners) {
+  const std::span<const CraWorkspace::ValueRun> runs(ws.runs.data(), band);
+  std::uint64_t chosen = 0;  // chosen asks before the current position
+  const auto wins_in = [&](std::uint64_t pos, std::uint64_t len) {
+    const std::uint64_t c =
+        ws.thinned.empty() ? len : count_bits(ws.thinned, pos, len);
+    const std::uint64_t w =
+        ws.sampled.empty() ? c : count_bits(ws.sampled, chosen, c);
+    chosen += c;
+    return static_cast<std::uint32_t>(w);
+  };
+  std::uint64_t pos = 0;
+  const std::uint32_t* tie = ws.ties.data();
+  for (std::size_t r = 0; r < band && pos < end;) {
+    const std::size_t e = tie_group_end(runs, r);
+    if (e - r == 1) {
+      const std::uint32_t w =
+          wins_in(pos, std::min<std::uint64_t>(runs[r].len, end - pos));
+      if (w > 0) winners.push_back(RunWin{runs[r].run, w});
+      pos += runs[r].len;
+    } else {
+      ws.tie_wins.assign(e - r, 0);
+      std::uint64_t group = 0;
+      for (std::size_t k = r; k < e; ++k) group += runs[k].len;
+      for (std::uint64_t u = 0; u < group && pos + u < end; ++u) {
+        ws.tie_wins[tie[u] - r] += wins_in(pos + u, 1);
+      }
+      for (std::size_t k = r; k < e; ++k) {
+        if (ws.tie_wins[k - r] > 0) {
+          winners.push_back(RunWin{runs[k].run, ws.tie_wins[k - r]});
+        }
+      }
+      tie += group;
+      pos += group;
+    }
+    r = e;
+  }
 }
 
 }  // namespace
@@ -200,32 +377,35 @@ void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
       static_cast<std::uint64_t>(params.q) + params.m_i;
   RIT_CHECK(budget > 0);
   std::uint64_t units = 0;  // |alpha|
+  std::uint32_t max_len = 1;
   double max_value = -std::numeric_limits<double>::infinity();
   for (const AskRun& run : runs) {
     RIT_DCHECK(run.len > 0 && run.start == units);
     units += run.len;
+    max_len = std::max(max_len, run.len);
     max_value = std::max(max_value, run.value);
   }
+  out.winners.reserve(runs.size());  // one entry per winning run at most
 
   if (params.price_mode == PriceMode::kOrderStatistic) {
     // Ablation arm: a plain (q+m_i+1)-st lowest price round. Needs at least
     // budget+1 asks to define the price; ties shuffled like the main path.
     if (units < budget + 1) return;
-    sorted_band_with_shuffled_ties(
-        runs, std::numeric_limits<double>::infinity(), units, ws, rng);
-    const double price = runs[ws.order[budget].run].value;
+    const std::size_t band = split_band(
+        runs, std::numeric_limits<double>::infinity(), ws);
+    order_band(band, ws, rng);
+    const double price = value_at({ws.runs.data(), band}, budget);
     out.sample_min = price;
     out.raw_count = budget;
     out.consensus_count = budget;
-    rng.sample_without_replacement_into(budget, params.q, ws.sample_pool,
-                                        ws.sample_out);
-    for (std::size_t i : ws.sample_out) out.winners.push_back(ws.order[i]);
+    ws.thinned.clear();
+    sample_chosen(budget, params.q, ws, rng);
+    count_wins(band, budget, ws, out.winners);
     out.num_winners = params.q;
     out.clearing_price = price;
     RIT_COUNTER_ADD("cra.winners", out.num_winners);
     return;
   }
-
   // Phase 1 of the CRA round: threshold sampling plus consensus rounding of
   // the below-threshold count (steps 1-2 of the paper's Algorithm 2).
   std::uint64_t n_s = 0;
@@ -270,75 +450,76 @@ void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
 
   // Phase 2 of the CRA round: winner selection and pricing (steps 3-5).
   RIT_TRACE_SPAN("cra.phase2");
-  sorted_band_with_shuffled_ties(runs, s, units, ws, rng);
-  RIT_CHECK(ws.order.size() == out.raw_count);  // n_s <= raw: in the band
+  const std::size_t band = split_band(runs, s, ws);
 
-  // Step 3: potential winners, in ascending-value order.
-  std::vector<UnitAsk>& chosen = ws.chosen;
-  chosen.clear();
-  if (n_s <= budget) {
-    chosen.assign(ws.order.begin(),
-                  ws.order.begin() + static_cast<std::ptrdiff_t>(n_s));
-  } else {
+  // Every chosen ask wins: no thinning (n_s <= q+m_i), no budget price and
+  // no step-5 sample (n_s <= q). The winners are the n_s cheapest asks
+  // whatever the tie shuffles draw, so with pairwise-distinct values they
+  // are found without a sort.
+  if (n_s <= budget && n_s <= params.q &&
+      skip_every_shuffle(units, max_len, ws, rng)) {
+    cheapest_units({ws.runs.data(), band}, n_s, out.winners);
+    out.num_winners = static_cast<std::uint32_t>(n_s);
+    out.clearing_price = s;
+    RIT_COUNTER_ADD("cra.winners", out.num_winners);
+    return;
+  }
+  order_band(band, ws, rng);
+
+  // Step 3: the potential winners are the n_s cheapest asks, or each of
+  // them independently with probability (q+m_i)/(2 n_s) when n_s exceeds
+  // the budget; positions [0, end) of the order hold them.
+  std::uint64_t end = n_s;
+  std::uint64_t chosen = n_s;
+  ws.thinned.clear();
+  if (n_s > budget) {
     const double keep_p =
         static_cast<double>(budget) / (2.0 * static_cast<double>(n_s));
-    chosen.reserve(n_s);
+    ws.thinned.assign((n_s + 63) / 64, 0);
+    chosen = 0;
     for (std::uint64_t i = 0; i < n_s; ++i) {
-      if (rng.bernoulli(keep_p)) chosen.push_back(ws.order[i]);
+      if (rng.bernoulli(keep_p)) {
+        set_bit(ws.thinned, i);
+        ++chosen;
+      }
     }
   }
 
   // Step 4: if over the potential-winner budget, keep the cheapest q+m_i and
   // reprice at the first excluded ask (a (q+m_i+1)-st price auction).
   double price = s;
-  if (chosen.size() > budget) {
-    price = runs[chosen[budget].run].value;  // (q+m_i+1)-st smallest chosen
-    chosen.resize(budget);
+  if (chosen > budget) {
+    end = select_bit(ws.thinned, budget);  // (q+m_i+1)-st smallest chosen
+    price = value_at({ws.runs.data(), band}, end);
+    chosen = budget;
     out.used_budget_price = true;
   }
 
   // Step 5: if more than q survive, q winners uniformly at random.
-  if (chosen.size() > params.q) {
-    rng.sample_without_replacement_into(chosen.size(), params.q,
-                                        ws.sample_pool, ws.sample_out);
-    for (std::size_t i : ws.sample_out) out.winners.push_back(chosen[i]);
-  } else {
-    out.winners.assign(chosen.begin(), chosen.end());
-  }
+  ws.sampled.clear();
+  if (chosen > params.q) sample_chosen(chosen, params.q, ws, rng);
+  count_wins(band, end, ws, out.winners);
 
   // Lemma 6.1: winners never outbid the price.
   RIT_DCHECK(std::all_of(
       out.winners.begin(), out.winners.end(),
-      [&](const UnitAsk& w) { return runs[w.run].value <= price; }));
-  out.num_winners = static_cast<std::uint32_t>(out.winners.size());
-  out.clearing_price = out.winners.empty() ? 0.0 : price;
+      [&](const RunWin& w) { return runs[w.run].value <= price; }));
+  out.num_winners =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(chosen, params.q));
+  out.clearing_price = out.num_winners == 0 ? 0.0 : price;
   RIT_COUNTER_ADD("cra.winners", out.num_winners);
 }
 
 void run_cra(std::span<const double> asks, const CraParams& params,
              rng::Rng& rng, CraWorkspace& ws, CraOutcome& out) {
   std::vector<AskRun>& book = ws.unit_runs;
-  book.clear();
-  const auto n = static_cast<std::uint32_t>(asks.size());
-  for (std::uint32_t i = 0; i < n;) {
-    std::uint32_t j = i + 1;
-    while (j < n && asks[j] == asks[i]) ++j;
-    book.push_back(AskRun{asks[i], i, j - i});
-    i = j;
+  book.resize(asks.size());
+  for (std::uint32_t i = 0; i < asks.size(); ++i) {
+    book[i] = AskRun{asks[i], i, 1};
   }
   run_cra_runs(book, params, rng, ws, out);
   out.won.assign(asks.size(), false);
-  for (const UnitAsk& w : out.winners) {
-    out.won[book[w.run].start + w.offset] = true;
-  }
-}
-
-CraOutcome run_cra(std::span<const double> asks, const CraParams& params,
-                   rng::Rng& rng) {
-  CraWorkspace ws;
-  CraOutcome out;
-  run_cra(asks, params, rng, ws, out);
-  return out;
+  for (const RunWin& w : out.winners) out.won[w.run] = true;
 }
 
 }  // namespace rit::core

@@ -20,6 +20,11 @@
 // Winners are each allocated one task and paid the clearing price; losers
 // get nothing. The clearing price is >= every winning ask value, which
 // gives per-round individual rationality (Lemma 6.1).
+//
+// A user's asks for one type are equal (Extract writes them as one run), so
+// steps 3-5 only decide how many of each run's asks win, at one price. The
+// round therefore reports its winners as per-run counts, and phase 2 never
+// expands a run into unit asks unless its value ties with another run's.
 #pragma once
 
 #include <cstdint>
@@ -51,17 +56,18 @@ struct CraParams {
   double consensus_grid_base = 2.0;
 };
 
-/// A unit ask: the index of its run and its offset in that run (its alpha
-/// index is runs[run].start + offset), so a winner's owner and value are
-/// one lookup away.
-struct UnitAsk {
+/// One run's share of a round's winners: `count` of the unit asks of run
+/// `run` won. Which of the run's asks won is not recorded: they are equal,
+/// so no allocation or payment depends on it.
+struct RunWin {
   std::uint32_t run;
-  std::uint32_t offset;
+  std::uint32_t count;
 };
 
 struct CraOutcome {
-  /// The unit asks allocated one task each this round (at most q).
-  std::vector<UnitAsk> winners;
+  /// The runs that won this round, each once with its win count (at most
+  /// q in total), in no particular order.
+  std::vector<RunWin> winners;
   /// won[w]: whether unit ask w won (only the unit-vector run_cra).
   std::vector<bool> won;
   /// Payment per winning ask (the paper's s; 0 when there are no winners).
@@ -80,13 +86,13 @@ struct CraOutcome {
   bool used_budget_price{false};
 };
 
-/// Reusable scratch for run_cra. RIT runs one CRA round per type per
-/// round-budget step, and a sweep runs millions of rounds; without reuse
-/// every round rebuilds the `order`/`chosen` vectors (plus the Fisher-Yates
-/// sampling pool) on the heap. Keep one workspace per thread and pass it to
-/// every round: at steady state (buffers grown to the population size) a
-/// round performs no heap allocation. Contents are scratch only — nothing
-/// in here carries state between rounds.
+/// Reusable scratch for run_cra_runs. RIT runs one CRA round per type per
+/// round-budget step, and a sweep runs millions of rounds; keep one
+/// workspace per thread and pass it to every round. At steady state
+/// (buffers grown to the book's size) a round performs no heap allocation.
+/// Contents are scratch only: nothing in here carries state between
+/// rounds. Phase 2 holds no per-unit vector except `ties` (the expansion
+/// of the band's multi-run tie groups) and the step-5 sampling pool.
 struct CraWorkspace {
   /// An input run as phase 2 sorts or replays it; `run` is its index.
   struct ValueRun {
@@ -95,44 +101,54 @@ struct CraWorkspace {
     std::uint32_t len;
   };
   /// The band's runs (value <= s), then the runs above s. Only the band is
-  /// sorted: above s phase 2 needs the tie-group sizes, not the order.
+  /// sorted, and not even the band when every chosen ask wins: above s
+  /// phase 2 needs the tie-group sizes, not the order.
   std::vector<ValueRun> runs;
-  /// Open-addressing set of the above-s values (bit patterns): checks that
-  /// they are pairwise distinct without sorting them.
+  /// Open-addressing set of run values (bit patterns): checks that they
+  /// are pairwise distinct without sorting them.
   std::vector<std::uint64_t> value_set;
-  std::vector<UnitAsk> order;
-  std::vector<UnitAsk> chosen;
+  /// The unit asks of each band tie group of several runs, as indices into
+  /// `runs`, shuffled; the groups follow each other in ascending value.
+  std::vector<std::uint32_t> ties;
+  /// Win counts of one such group's runs while they are summed.
+  std::vector<std::uint32_t> tie_wins;
+  /// Step 3's thinning over unit positions and step 5's sample over chosen
+  /// indices, one bit each.
+  std::vector<std::uint64_t> thinned;
+  std::vector<std::uint64_t> sampled;
   std::vector<std::size_t> sample_pool;
   std::vector<std::size_t> sample_out;
-  /// The unit-vector run_cra's maximal runs of equal adjacent values.
+  /// The unit-vector run_cra's book: one run per unit ask.
   std::vector<AskRun> unit_runs;
 };
 
 /// Runs one CRA round over the unit asks that `runs` describe: run r is
 /// runs[r].len > 0 asks of value runs[r].value, and the runs tile alpha in
 /// order (equal values may recur in neighbouring runs). Draw for draw the
-/// round on the expanded unit-ask vector; `won` is left empty.
+/// round on the expanded unit-ask vector, with the winners counted per run
+/// (`out.winners`); `won` is left empty.
 ///
 /// Cost: O(users + draws) per round (one run per user), plus
 /// O(r_b log r_b) for the r_b runs at or below the threshold s (the band).
 /// Phase 1 compares the paper's one raw draw per unit ask with an integer
-/// threshold in a flat loop; the rest of it is per run. Phase 2 sorts and
-/// expands only the band. Above s it needs just the draw count of the tie
-/// shuffles: with pairwise-distinct values there it skips those draws
-/// unsorted (rng::Rng::skip_uniform_indices), otherwise it sorts the runs
-/// and replays them, so the stream equals a full sort of every unit ask.
+/// threshold in a flat loop; the rest of it is per run. Phase 2 works on
+/// runs too. The tie shuffle of a group that is one run only permutes that
+/// run's asks, so its draws are skipped (rng::Rng::skip_uniform_indices);
+/// only a group of several equal-valued runs is expanded to unit asks and
+/// shuffled for real. When every chosen ask wins (n_s <= q + m_i and
+/// n_s <= q) and the book's values are pairwise distinct, the winners are
+/// the n_s cheapest asks, found by a weighted quickselect without a sort.
+/// Otherwise the band is sorted, and steps 3-5 walk its unit positions run
+/// by run, with bitmaps for the thinning and the step-5 sample.
 void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
                   rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);
 
 /// The round over a unit-ask vector (the span Extract's alpha): runs
-/// run_cra_runs on its maximal runs of equal adjacent values and marks the
+/// run_cra_runs with each unit ask its own run, so equal asks form tie
+/// groups of several runs whose shuffle is drawn for real, and marks the
 /// winners in `out.won`. All scratch lives in `ws`; `out` is reused.
 void run_cra(std::span<const double> asks, const CraParams& params,
              rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);
-
-/// Convenience form of the above with a fresh workspace.
-CraOutcome run_cra(std::span<const double> asks, const CraParams& params,
-                   rng::Rng& rng);
 
 /// The consensus rounding of Lemma 6.2 in isolation: the largest value
 /// base^(z+y) <= count (z integer), or 0 if count == 0 or every such value

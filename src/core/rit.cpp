@@ -148,13 +148,19 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
       params.consensus_grid_base = config.consensus_log_base;
       run_cra_runs(alpha.runs, params, rng, ws.cra, ws.round);
       const CraOutcome& round = ws.round;
-      // Write-back visits only the winners (at most q).
-      for (const UnitAsk& w : round.winners) {
+      // Write-back visits only the winning runs. An owner's payment still
+      // takes one addition of the price per task it won, summed in a
+      // register, so it matches a per-task write-back bit for bit.
+      for (const RunWin& w : round.winners) {
         const std::uint32_t owner = alpha.owner[w.run];
-        res.allocation[owner] += 1;
-        res.auction_payment[owner] += round.clearing_price;
-        RIT_DCHECK(remaining[owner] > 0);
-        remaining[owner] -= 1;
+        res.allocation[owner] += w.count;
+        RIT_DCHECK(remaining[owner] >= w.count);
+        remaining[owner] -= w.count;
+        double paid = res.auction_payment[owner];
+        for (std::uint32_t c = 0; c < w.count; ++c) {
+          paid += round.clearing_price;
+        }
+        res.auction_payment[owner] = paid;
       }
       RIT_DCHECK(round.num_winners <= q);
       q -= round.num_winners;

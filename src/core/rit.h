@@ -119,7 +119,7 @@ struct RitResult {
 /// Reusable scratch for run_rit / run_auction_phase. One mechanism run
 /// executes many CRA rounds, and a sweep executes many mechanism runs;
 /// keeping one workspace per thread means the per-round buffers (extract's
-/// runs, CRA's order/chosen scratch, the remaining-quantity vector) are
+/// runs, CRA's run buffers and bitmaps, the remaining-quantity vector) are
 /// heap-allocated once and then reused at their high-water capacity.
 /// Contents are scratch only — nothing carries state between runs.
 struct RitWorkspace {

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/cra.h"
@@ -13,6 +15,15 @@
 
 namespace rit::core {
 namespace {
+
+/// One round through a fresh workspace.
+CraOutcome run_round(std::span<const double> asks, const CraParams& params,
+                     rng::Rng& rng) {
+  CraWorkspace ws;
+  CraOutcome out;
+  run_cra(asks, params, rng, ws, out);
+  return out;
+}
 
 std::uint32_t count_winners(const CraOutcome& o) {
   std::uint32_t c = 0;
@@ -156,7 +167,7 @@ TEST(ConsensusRoundDown, CoalitionInfluenceMeasureMatchesLemma62) {
 
 TEST(Cra, EmptyAsksNoWinners) {
   rng::Rng rng(3);
-  const CraOutcome o = run_cra({}, {.q = 5, .m_i = 5}, rng);
+  const CraOutcome o = run_round({}, {.q = 5, .m_i = 5}, rng);
   EXPECT_EQ(o.num_winners, 0u);
   EXPECT_TRUE(o.won.empty());
 }
@@ -164,7 +175,7 @@ TEST(Cra, EmptyAsksNoWinners) {
 TEST(Cra, ZeroTasksNoWinners) {
   rng::Rng rng(4);
   const std::vector<double> asks{1.0, 2.0, 3.0};
-  const CraOutcome o = run_cra(asks, {.q = 0, .m_i = 5}, rng);
+  const CraOutcome o = run_round(asks, {.q = 0, .m_i = 5}, rng);
   EXPECT_EQ(count_winners(o), 0u);
 }
 
@@ -173,7 +184,7 @@ TEST(Cra, NeverAllocatesMoreThanQ) {
   std::vector<double> asks;
   for (int i = 0; i < 500; ++i) asks.push_back(0.1 + 0.01 * i);
   for (int trial = 0; trial < 200; ++trial) {
-    const CraOutcome o = run_cra(asks, {.q = 7, .m_i = 10}, rng);
+    const CraOutcome o = run_round(asks, {.q = 7, .m_i = 10}, rng);
     EXPECT_LE(count_winners(o), 7u);
     EXPECT_EQ(count_winners(o), o.num_winners);
   }
@@ -190,7 +201,7 @@ TEST(Cra, WinnersNeverOutbidTheClearingPrice) {
     }
     const auto q = static_cast<std::uint32_t>(1 + ask_rng.uniform_index(20));
     const auto m = static_cast<std::uint32_t>(q + ask_rng.uniform_index(50));
-    const CraOutcome o = run_cra(asks, {.q = q, .m_i = m}, rng);
+    const CraOutcome o = run_round(asks, {.q = q, .m_i = m}, rng);
     for (std::size_t w = 0; w < asks.size(); ++w) {
       if (o.won[w]) {
         EXPECT_LE(asks[w], o.clearing_price)
@@ -208,13 +219,13 @@ TEST(Cra, DeterministicGivenRngState) {
   for (int i = 0; i < 100; ++i) asks.push_back(1.0 + i * 0.05);
   rng::Rng a(8);
   rng::Rng b(8);
-  const CraOutcome oa = run_cra(asks, {.q = 10, .m_i = 20}, a);
-  const CraOutcome ob = run_cra(asks, {.q = 10, .m_i = 20}, b);
+  const CraOutcome oa = run_round(asks, {.q = 10, .m_i = 20}, a);
+  const CraOutcome ob = run_round(asks, {.q = 10, .m_i = 20}, b);
   EXPECT_EQ(oa.won, ob.won);
   EXPECT_EQ(oa.clearing_price, ob.clearing_price);
 }
 
-TEST(Cra, WorkspaceOverloadMatchesAllocatingOverload) {
+TEST(Cra, ReusedWorkspaceMatchesFreshWorkspace) {
   // Same rng state in, bit-identical outcome out — including when the
   // workspace is reused across rounds of different sizes, so stale capacity
   // can never leak into the result.
@@ -227,7 +238,7 @@ TEST(Cra, WorkspaceOverloadMatchesAllocatingOverload) {
     const CraParams params{.q = n / 3 + 1, .m_i = n / 2 + 1};
     rng::Rng a(21);
     rng::Rng b(21);
-    const CraOutcome fresh = run_cra(view, params, a);
+    const CraOutcome fresh = run_round(view, params, a);
     run_cra(view, params, b, ws, reused);
     EXPECT_EQ(reused.won, fresh.won);
     EXPECT_EQ(reused.num_winners, fresh.num_winners);
@@ -245,7 +256,7 @@ TEST(Cra, WinnersAreAmongTheCheapestRawCount) {
   std::vector<double> asks;
   for (int i = 0; i < 400; ++i) asks.push_back(0.5 + 0.01 * i);
   for (int trial = 0; trial < 100; ++trial) {
-    const CraOutcome o = run_cra(asks, {.q = 20, .m_i = 40}, rng);
+    const CraOutcome o = run_round(asks, {.q = 20, .m_i = 40}, rng);
     for (std::size_t w = 0; w < asks.size(); ++w) {
       if (o.won[w]) {
         EXPECT_LE(asks[w], o.sample_min);
@@ -264,7 +275,7 @@ TEST(Cra, EmptySamplePolicyNoWinnersCanYieldZero) {
                    .empty_sample = EmptySamplePolicy::kNoWinners};
   int winners = 0;
   for (int t = 0; t < 50; ++t) {
-    winners += count_winners(run_cra(asks, params, rng));
+    winners += count_winners(run_round(asks, params, rng));
   }
   EXPECT_EQ(winners, 0);
 }
@@ -276,7 +287,7 @@ TEST(Cra, EmptySamplePolicyAllAsksStaysProductiveAndIr) {
                    .empty_sample = EmptySamplePolicy::kAllAsks};
   bool any = false;
   for (int t = 0; t < 50; ++t) {
-    const CraOutcome o = run_cra(asks, params, rng);
+    const CraOutcome o = run_round(asks, params, rng);
     for (std::size_t w = 0; w < asks.size(); ++w) {
       if (o.won[w]) {
         any = true;
@@ -297,7 +308,7 @@ TEST(Cra, SingleAskCannotClearTheConsensusHurdle) {
   rng::Rng rng(12);
   int wins = 0;
   for (int t = 0; t < 200; ++t) {
-    wins += count_winners(run_cra(asks, {.q = 1, .m_i = 1}, rng));
+    wins += count_winners(run_round(asks, {.q = 1, .m_i = 1}, rng));
   }
   EXPECT_EQ(wins, 0);
 }
@@ -311,7 +322,7 @@ TEST(Cra, BudgetPriceKicksInWhenConsensusExceedsBudget) {
   rng::Rng rng(13);
   bool saw_budget_price = false;
   for (int t = 0; t < 300; ++t) {
-    const CraOutcome o = run_cra(asks, {.q = 3, .m_i = 4}, rng);
+    const CraOutcome o = run_round(asks, {.q = 3, .m_i = 4}, rng);
     EXPECT_LE(count_winners(o), 3u);
     if (o.used_budget_price) {
       saw_budget_price = true;
@@ -327,7 +338,7 @@ TEST(CraOrderStatistic, WinnersAndPriceAreDeterministic) {
   rng::Rng rng(20);
   CraParams params{.q = 1, .m_i = 2,
                    .price_mode = PriceMode::kOrderStatistic};
-  const CraOutcome o = run_cra(asks, params, rng);
+  const CraOutcome o = run_round(asks, params, rng);
   // budget = 3: potential winners are asks 1.0, 2.0, 3.0; price = 4.0.
   EXPECT_EQ(o.num_winners, 1u);
   EXPECT_DOUBLE_EQ(o.clearing_price, 4.0);
@@ -343,7 +354,8 @@ TEST(CraOrderStatistic, NoPriceWithoutEnoughAsks) {
   rng::Rng rng(21);
   CraParams params{.q = 1, .m_i = 2,
                    .price_mode = PriceMode::kOrderStatistic};
-  const CraOutcome o = run_cra(asks, params, rng);  // needs budget+1 = 4 asks
+  // Needs budget + 1 = 4 asks.
+  const CraOutcome o = run_round(asks, params, rng);
   EXPECT_EQ(o.num_winners, 0u);
 }
 
@@ -368,7 +380,7 @@ double attacker_cra_utility(const CraParams& params, int units,
   std::vector<double> asks = book;
   for (int u = 0; u < units; ++u) asks.push_back(4.0);
   rng::Rng rng(seed);
-  const CraOutcome o = run_cra(asks, params, rng);
+  const CraOutcome o = run_round(asks, params, rng);
   double utility = 0.0;
   for (std::size_t w = book.size(); w < asks.size(); ++w) {
     if (o.won[w]) utility += o.clearing_price - 4.0;
@@ -432,7 +444,7 @@ TEST(Cra, ComparativeStaticsCheaperBooksClearCheaper) {
     double sum = 0.0;
     int priced = 0;
     for (int t = 0; t < 2000; ++t) {
-      const CraOutcome o = run_cra(book, params, rng);
+      const CraOutcome o = run_round(book, params, rng);
       if (o.num_winners > 0) {
         sum += o.clearing_price;
         ++priced;
@@ -461,7 +473,7 @@ TEST(Cra, MoreSupplyLowersExpectedPrice) {
     double sum = 0.0;
     int priced = 0;
     for (int t = 0; t < 3000; ++t) {
-      const CraOutcome o = run_cra(book, params, rng);
+      const CraOutcome o = run_round(book, params, rng);
       if (o.num_winners > 0) {
         sum += o.clearing_price;
         ++priced;
@@ -479,7 +491,7 @@ TEST(Cra, UniformWinnerSelectionAmongChosen) {
   std::array<int, 4> wins{};
   int total = 0;
   for (int t = 0; t < 20000; ++t) {
-    const CraOutcome o = run_cra(asks, {.q = 1, .m_i = 1}, rng);
+    const CraOutcome o = run_round(asks, {.q = 1, .m_i = 1}, rng);
     for (int w = 0; w < 4; ++w) {
       if (o.won[w]) {
         ++wins[w];
@@ -494,8 +506,8 @@ TEST(Cra, UniformWinnerSelectionAmongChosen) {
 }
 
 // --- Equivalence with a full sort of every unit ask -----------------------
-// run_cra sorts runs of equal adjacent values and expands only the band at
-// or below the threshold. The reference below is the straightforward
+// run_cra orders only the band at or below the threshold, in run form,
+// and skips the draws above it. The reference below is the straightforward
 // definition it must reproduce draw for draw: sort every unit ask by
 // (value, index), shuffle each group of equal values, then run steps 3-5.
 
@@ -729,7 +741,7 @@ double mean_band_ratio(std::span<const double> asks, const CraParams& params,
   double sum = 0.0;
   for (int r = 0; r < rounds; ++r) {
     rng::Rng rng(900 + static_cast<std::uint64_t>(r));
-    sum += static_cast<double>(run_cra(asks, params, rng).raw_count) /
+    sum += static_cast<double>(run_round(asks, params, rng).raw_count) /
            static_cast<double>(asks.size());
   }
   return sum / rounds;
@@ -775,9 +787,10 @@ TEST(CraFullSortEquivalence, CrossUserTiesAboveThresholdFallBack) {
 }
 
 TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
-  // One user above s with more units than the skip's lcm cap allows:
-  // lcm(2..28) < 2^40 < lcm(2..29), so 28 takes the skip and 29 and 40
-  // fall back to the sorted replay.
+  // One user above s with 28, 29 or 40 equal asks. Through the unit API
+  // each ask is its own run, so the block is a tie group of several runs
+  // and takes the sorted replay at every length;
+  // CraRunKernel.LongRunAboveThresholdPastTheLcmCap covers the lcm cap.
   for (const std::size_t len : {28u, 29u, 40u}) {
     rng::Rng gen(39);
     std::vector<double> asks = extract_shaped_book(1500, 0, gen);
@@ -790,10 +803,11 @@ TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
 }
 
 // --- The run kernel on per-user runs ---------------------------------------
-// RIT calls run_cra_runs with one run per user, so neighbouring users with
-// equal values stay separate runs (the unit-vector run_cra merges them).
-// Above s such ties send the draw replay down the sorted fallback. Each
-// book below must give the reference's outcome and stream bit for bit.
+// RIT calls run_cra_runs with one run per user, so users with equal values
+// are separate runs of one tie group: in the band their asks are shuffled
+// for real, and above s they send the draw replay down the sorted
+// fallback. Each book below must give the reference's winners counted per
+// run, and its other fields and stream bit for bit.
 
 struct UserBook {
   std::vector<AskRun> runs;
@@ -821,11 +835,15 @@ UserBook per_user_book(std::size_t users, int levels, double repeat,
 }
 
 /// Runs `rounds` rounds of run_cra_runs (one reused workspace) and of the
-/// reference from matched rng states. The winners, marked per unit, and
-/// every other field and the next draw must be identical; each winner's
-/// offset must lie in its run. Returns how many rounds had winners.
-int expect_runs_match_full_sort(const UserBook& book, const CraParams& params,
-                                int rounds, std::uint64_t seed) {
+/// reference from matched rng states. Each run's win count must equal the
+/// reference's winners among that run's unit asks, each run must appear at
+/// most once among the winners, and every other field and the next draw
+/// must be identical. `on_round`, if set, sees each round's outcome.
+/// Returns how many rounds had winners.
+int expect_runs_match_full_sort(
+    const UserBook& book, const CraParams& params, int rounds,
+    std::uint64_t seed,
+    const std::function<void(const CraOutcome&)>& on_round = {}) {
   CraWorkspace ws;
   CraOutcome got;
   int productive = 0;
@@ -835,19 +853,27 @@ int expect_runs_match_full_sort(const UserBook& book, const CraParams& params,
     run_cra_runs(book.runs, params, a, ws, got);
     const CraOutcome want = reference_run_cra(book.asks, params, b);
     EXPECT_TRUE(got.won.empty()) << "round " << r;
-    std::vector<bool> won(book.asks.size(), false);
-    for (const UnitAsk& w : got.winners) {
+    std::vector<std::uint32_t> got_wins(book.runs.size(), 0);
+    std::uint64_t total = 0;
+    for (const RunWin& w : got.winners) {
       if (w.run >= book.runs.size()) {
         ADD_FAILURE() << "run index out of range, round " << r;
         return productive;
       }
-      const AskRun& run = book.runs[w.run];
-      EXPECT_LT(w.offset, run.len) << "round " << r;
-      EXPECT_FALSE(won[run.start + w.offset]) << "won twice, round " << r;
-      won[run.start + w.offset] = true;
+      EXPECT_EQ(got_wins[w.run], 0u) << "run listed twice, round " << r;
+      EXPECT_GT(w.count, 0u) << "empty win, round " << r;
+      got_wins[w.run] += w.count;
+      total += w.count;
     }
-    EXPECT_EQ(won, want.won) << "round " << r;
-    EXPECT_EQ(got.num_winners, got.winners.size()) << "round " << r;
+    std::vector<std::uint32_t> want_wins(book.runs.size(), 0);
+    for (std::size_t k = 0; k < book.runs.size(); ++k) {
+      const AskRun& run = book.runs[k];
+      for (std::uint32_t u = 0; u < run.len; ++u) {
+        want_wins[k] += want.won[run.start + u] ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(got_wins, want_wins) << "round " << r;
+    EXPECT_EQ(got.num_winners, total) << "round " << r;
     EXPECT_EQ(got.num_winners, want.num_winners) << "round " << r;
     EXPECT_EQ(got.clearing_price, want.clearing_price) << "round " << r;
     EXPECT_EQ(got.sample_min, want.sample_min) << "round " << r;
@@ -855,9 +881,190 @@ int expect_runs_match_full_sort(const UserBook& book, const CraParams& params,
     EXPECT_EQ(got.consensus_count, want.consensus_count) << "round " << r;
     EXPECT_EQ(got.used_budget_price, want.used_budget_price) << "round " << r;
     EXPECT_EQ(a.next_u64(), b.next_u64()) << "stream diverged, round " << r;
+    if (on_round) on_round(got);
     productive += got.num_winners > 0 ? 1 : 0;
   }
   return productive;
+}
+
+/// A book from (value, len) runs, in book order.
+UserBook book_of(std::span<const std::pair<double, std::uint32_t>> runs) {
+  UserBook book;
+  for (const auto& [value, len] : runs) {
+    book.runs.push_back(
+        AskRun{value, static_cast<std::uint32_t>(book.asks.size()), len});
+    book.asks.insert(book.asks.end(), len, value);
+  }
+  return book;
+}
+
+/// `users` runs of len U{min_len..max_len} with distinct values drawn from
+/// (lo, hi], appended to `runs`.
+void add_distinct_runs(std::vector<std::pair<double, std::uint32_t>>& runs,
+                       int users, double lo, double hi,
+                       std::uint32_t min_len, std::uint32_t max_len,
+                       rng::Rng& gen) {
+  for (int u = 0; u < users; ++u) {
+    runs.emplace_back(gen.uniform_real_left_open(lo, hi),
+                      static_cast<std::uint32_t>(gen.uniform_int(
+                          min_len, max_len)));
+  }
+}
+
+/// Wins of the runs with value `tie` in one outcome.
+std::uint64_t wins_at_value(const UserBook& book, const CraOutcome& o,
+                            double tie) {
+  std::uint64_t wins = 0;
+  for (const RunWin& w : o.winners) {
+    if (book.runs[w.run].value == tie) wins += w.count;
+  }
+  return wins;
+}
+
+TEST(CraRunKernel, AllWinBoundaryFallsInsideARun) {
+  // Distinct values and q >= |alpha| >= n_s: every chosen ask wins, so the
+  // winners are the n_s cheapest asks (the sort-free path). Every run is at
+  // least 2 long, so the boundary usually cuts a run.
+  rng::Rng gen(46);
+  std::vector<std::pair<double, std::uint32_t>> runs;
+  add_distinct_runs(runs, 400, 0.0, 10.0, 2, 20, gen);
+  const UserBook book = book_of(runs);
+  const auto units = static_cast<std::uint32_t>(book.asks.size());
+  int partial = 0;
+  const int productive = expect_runs_match_full_sort(
+      book, {.q = units, .m_i = units}, 60, 960, [&](const CraOutcome& o) {
+        EXPECT_EQ(o.num_winners, o.consensus_count);
+        for (const RunWin& w : o.winners) {
+          partial += w.count < book.runs[w.run].len ? 1 : 0;
+        }
+      });
+  EXPECT_GT(productive, 0);
+  EXPECT_GT(partial, 0);
+}
+
+TEST(CraRunKernel, TieGroupStraddlesTheWinnerBoundary) {
+  // A tie group of 60 users at 5.0 spread through the book, between 40
+  // cheaper and 40 dearer users: the n_s boundary often falls inside it,
+  // so which of its runs win depends on the real shuffle.
+  rng::Rng gen(47);
+  std::vector<std::pair<double, std::uint32_t>> runs;
+  add_distinct_runs(runs, 40, 0.0, 4.0, 1, 20, gen);
+  add_distinct_runs(runs, 40, 6.0, 10.0, 1, 20, gen);
+  for (int u = 0; u < 60; ++u) {
+    runs.emplace_back(5.0, static_cast<std::uint32_t>(gen.uniform_int(1, 20)));
+  }
+  gen.shuffle(std::span<std::pair<double, std::uint32_t>>(runs));
+  const UserBook book = book_of(runs);
+  std::uint64_t tie_units = 0;
+  for (const double a : book.asks) tie_units += a == 5.0 ? 1 : 0;
+  const auto units = static_cast<std::uint32_t>(book.asks.size());
+  int straddled = 0;
+  EXPECT_GT(expect_runs_match_full_sort(
+                book, {.q = units, .m_i = units}, 60, 980,
+                [&](const CraOutcome& o) {
+                  const std::uint64_t tie = wins_at_value(book, o, 5.0);
+                  straddled += tie > 0 && tie < tie_units ? 1 : 0;
+                }),
+            0);
+  EXPECT_GT(straddled, 0);
+}
+
+TEST(CraRunKernel, TieGroupBetweenSkippedSegments) {
+  // Distinct runs, then a tie group of 8 users, then distinct runs: the
+  // band's draws are a skipped segment, a real shuffle and a skipped
+  // segment, and q = 10 sends the winners through the step-5 sample. With
+  // runs of up to 40 asks the lcm is over the cap, so both segments are
+  // replayed in order instead.
+  for (const std::uint32_t max_len : {20u, 40u}) {
+    rng::Rng gen(48);
+    std::vector<std::pair<double, std::uint32_t>> runs;
+    add_distinct_runs(runs, 30, 0.0, 4.0, 2, max_len, gen);
+    for (int u = 0; u < 8; ++u) {
+      runs.emplace_back(
+          5.0, static_cast<std::uint32_t>(gen.uniform_int(1, 20)));
+    }
+    add_distinct_runs(runs, 30, 6.0, 10.0, 2, max_len, gen);
+    const UserBook book = book_of(runs);
+    const auto units = static_cast<std::uint32_t>(book.asks.size());
+    int tie_won = 0;
+    EXPECT_EQ(expect_runs_match_full_sort(
+                  book, {.q = 10, .m_i = 1000000}, 60, 1000,
+                  [&](const CraOutcome& o) {
+                    EXPECT_EQ(o.raw_count, units);  // s is the top ask
+                    tie_won += wins_at_value(book, o, 5.0) > 0 ? 1 : 0;
+                  }),
+              60)
+        << "max_len " << max_len;
+    EXPECT_GT(tie_won, 0) << "max_len " << max_len;
+  }
+}
+
+TEST(CraRunKernel, ThinningWithTheBudgetPrice) {
+  // q + m_i = 3 puts s near the cheapest asks, and a raw count above twice
+  // the budget makes n_s exceed it: step 3 thins the band, and when more
+  // than 3 asks survive, step 4 reprices at the 4th. On the book of short
+  // runs the 4th survivor often sits in a cheaper run than s.
+  rng::Rng gen(49);
+  std::vector<std::pair<double, std::uint32_t>> short_runs;
+  add_distinct_runs(short_runs, 600, 0.0, 10.0, 1, 2, gen);
+  const std::pair<UserBook, int> books[] = {
+      {per_user_book(300, 0, 0.3, gen), 400}, {book_of(short_runs), 2000}};
+  const CraParams params{.q = 1, .m_i = 2};
+  int thinned = 0;
+  int repriced = 0;
+  int repriced_below_s = 0;
+  for (const auto& [book, rounds] : books) {
+    EXPECT_GT(expect_runs_match_full_sort(
+                  book, params, rounds, 1020,
+                  [&](const CraOutcome& o) {
+                    thinned += o.consensus_count > 3 ? 1 : 0;
+                    repriced += o.used_budget_price ? 1 : 0;
+                    repriced_below_s +=
+                        o.used_budget_price && o.clearing_price < o.sample_min
+                            ? 1
+                            : 0;
+                  }),
+              0);
+  }
+  EXPECT_GT(thinned, 0);
+  EXPECT_GT(repriced, 0);
+  EXPECT_GT(repriced_below_s, 0);
+}
+
+TEST(CraRunKernel, EmptySampleAllAsksWinsWithoutASort) {
+  // kAllAsks with an empty sample: s is the top ask, the band is the whole
+  // book, and with distinct values and q above |alpha| the n_s cheapest
+  // asks win on the sort-free path.
+  rng::Rng gen(50);
+  const UserBook book = per_user_book(60, 0, 0.0, gen);
+  const auto units = static_cast<std::uint32_t>(book.asks.size());
+  const CraParams params{.q = 1000000, .m_i = 1000000,
+                         .empty_sample = EmptySamplePolicy::kAllAsks};
+  int empty = 0;
+  EXPECT_GT(expect_runs_match_full_sort(
+                book, params, 40, 1040,
+                [&](const CraOutcome& o) {
+                  empty += o.raw_count == units ? 1 : 0;
+                  EXPECT_EQ(o.num_winners, o.consensus_count);
+                }),
+            0);
+  EXPECT_GT(empty, 0);
+}
+
+TEST(CraRunKernel, LongRunAboveThresholdPastTheLcmCap) {
+  // One user above s with more asks than the skip's lcm cap allows:
+  // lcm(2..28) < 2^40 < lcm(2..29), so 28 takes the skip and 29 and 40
+  // fall back to the sorted replay.
+  for (const std::uint32_t len : {28u, 29u, 40u}) {
+    rng::Rng gen(51);
+    std::vector<std::pair<double, std::uint32_t>> runs{{10.5, len}};
+    add_distinct_runs(runs, 1500, 0.0, 10.0, 1, 20, gen);
+    const UserBook book = book_of(runs);
+    EXPECT_GT(expect_runs_match_full_sort(
+                  book, params_for_band(book.asks.size(), 0.05), 60, 1060),
+              0)
+        << "len " << len;
+  }
 }
 
 TEST(CraRunKernel, NeighbouringEqualUsersStaySeparateRuns) {
