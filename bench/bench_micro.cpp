@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -93,7 +94,8 @@ void BM_ConsensusRoundDown(benchmark::State& state) {
 BENCHMARK(BM_ConsensusRoundDown);
 
 // The CRA round through the unit-vector API on all-distinct asks, with a
-// reused workspace: heap_allocs_per_round must be ~0 at steady state.
+// reused workspace; each call sorts its asks. heap_allocs_per_round must be
+// ~0 at steady state.
 void BM_CraRoundWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto asks = make_asks(n, 2);
@@ -133,7 +135,8 @@ BENCHMARK(BM_CraRoundWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
 // measured band ratio and heap allocations per round, which must be 0: the
 // buffers whose size follows the round's random n_s are reserved to
 // |alpha| up front (their high-water mark), and the warm-up lets every
-// branch (thinning, step-5 sampling) size the rest.
+// branch (thinning, step-5 sampling) size the rest. The book's value order
+// is built once, outside the timed loop, as RIT builds it once per auction.
 void BM_CraRoundUnitRuns(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
   const auto band_pct = static_cast<std::uint64_t>(state.range(1));
@@ -146,7 +149,14 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
     book.push_back(core::AskRun{v, units, len});
     units += len;
   }
+  std::vector<std::uint32_t> by_value(book.size());
+  std::iota(by_value.begin(), by_value.end(), 0u);
+  std::stable_sort(by_value.begin(), by_value.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return book[a].value < book[b].value;
+                   });
   core::CraParams params;
+  params.distinct_values = true;  // as RIT declares a book without ties
   if (state.range(2) > 0) {
     params.m_i = static_cast<std::uint32_t>(state.range(2));
     params.q = params.m_i;
@@ -163,12 +173,12 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
   ws.thinned.reserve(units / 64 + 1);
   ws.sampled.reserve(units / 64 + 1);
   for (int warm = 0; warm < 64; ++warm) {
-    core::run_cra_runs(book, params, rng, ws, out);
+    core::run_cra_runs(book, by_value, params, rng, ws, out);
   }
   std::uint64_t band_asks = 0;
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    core::run_cra_runs(book, params, rng, ws, out);
+    core::run_cra_runs(book, by_value, params, rng, ws, out);
     band_asks += out.raw_count;
     benchmark::DoNotOptimize(out.num_winners);
   }
@@ -207,8 +217,9 @@ std::vector<core::Ask> make_market(std::size_t users, std::uint64_t seed) {
   return asks;
 }
 
-// Extract in the run form RIT's auction loop uses: one type's runs from the
-// per-type index, every user at full capacity (the first round).
+// Extract in the run form RIT's auction loop uses: one type's runs and
+// their value order from the per-type index, every user at full capacity
+// (the first round).
 void BM_Extract(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::vector<core::Ask> asks = make_market(n, 4);
@@ -225,6 +236,30 @@ void BM_Extract(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Extract)->Arg(10000)->Arg(100000);
+
+// The per-auction index build: the per-type CSR and each type's value
+// sort, on a warm index (10 types, k ~ U{1..20}, continuous values).
+// heap_allocs_per_build must be 0: every buffer keeps its capacity.
+void BM_TypeIndexBuild(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<core::Ask> asks = make_market(n, 4);
+  core::AskTypeIndex index;
+  index.build(10, asks);
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    index.build(10, asks);
+    benchmark::DoNotOptimize(index.by_value.data());
+  }
+  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  state.counters["heap_allocs_per_build"] = benchmark::Counter(
+      state.iterations() > 0
+          ? static_cast<double>(after - before) /
+                static_cast<double>(state.iterations())
+          : 0.0);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_TypeIndexBuild)->Arg(80000);
 
 // The whole auction phase (Extract, CRA rounds, write-back) on a warm
 // workspace and result, at the repo benchmark's market shapes: 80k users

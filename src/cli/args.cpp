@@ -5,11 +5,18 @@
 
 namespace rit::cli {
 
+namespace {
+// A usage error, not a broken invariant: the message has no check site.
+void require(bool ok, const std::string& what) {
+  if (!ok) throw CheckFailure(what);
+}
+}  // namespace
+
 Args::Args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    RIT_CHECK_MSG(arg.rfind("--", 0) == 0,
-                  "expected --key=value argument, got: " << arg);
+    require(arg.rfind("--", 0) == 0,
+            "expected --key=value argument, got: " + arg);
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq == std::string::npos) {
@@ -25,9 +32,9 @@ std::uint64_t Args::get_u64(const std::string& key, std::uint64_t def) {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   const auto v = rit::parse_u64(it->second);
-  RIT_CHECK_MSG(v.has_value(), "flag --" << key
-                                         << " wants an unsigned integer, got '"
-                                         << it->second << "'");
+  require(v.has_value(), "flag --" + key +
+                             " wants an unsigned integer, got '" +
+                             it->second + "'");
   return *v;
 }
 
@@ -36,8 +43,8 @@ double Args::get_double(const std::string& key, double def) {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   const auto v = rit::parse_double(it->second);
-  RIT_CHECK_MSG(v.has_value(), "flag --" << key << " wants a number, got '"
-                                         << it->second << "'");
+  require(v.has_value(),
+          "flag --" + key + " wants a number, got '" + it->second + "'");
   return *v;
 }
 
@@ -51,9 +58,8 @@ bool Args::get_bool(const std::string& key, bool def) {
   if (it->second == "false" || it->second == "0" || it->second == "no") {
     return false;
   }
-  RIT_CHECK_MSG(false, "flag --" << key << " wants a boolean, got '"
-                                 << it->second << "'");
-  return def;  // unreachable
+  throw CheckFailure("flag --" + key + " wants a boolean, got '" +
+                     it->second + "'");
 }
 
 std::string Args::get_string(const std::string& key, const std::string& def) {
@@ -64,11 +70,7 @@ std::string Args::get_string(const std::string& key, const std::string& def) {
 
 void Args::finish() const {
   for (const auto& [key, value] : values_) {
-    // A usage error, not a broken invariant: the message names the flag
-    // only.
-    if (recognized_.count(key) == 0) {
-      throw CheckFailure("unknown flag --" + key);
-    }
+    require(recognized_.count(key) > 0, "unknown flag --" + key);
   }
 }
 

@@ -38,7 +38,7 @@ std::uint64_t consensus_round_down(std::uint64_t count, double y,
 
 namespace {
 
-// Largest lcm(2..len) the unsorted skip accepts. A raw draw fails the lcm
+// Largest lcm(2..len) the draw skip accepts. A raw draw fails the lcm
 // filter with probability lcm / 2^64, so 2^40 (every run of up to 28 unit
 // asks) keeps a million-draw skip at about a 6% fallback rate; Extract's
 // runs are at most k_max = 20 long.
@@ -54,218 +54,74 @@ std::uint64_t lcm_up_to(std::uint32_t max_len) {
   return lcm;
 }
 
-// Whether the runs' values are pairwise distinct, by inserting their bit
-// patterns into an open-addressing set (no sort). Zero is normalized so
-// that 0.0 and -0.0, which compare equal, collide. `max_runs` bounds the
-// run count of any round on this book, so the set's buffer is sized once.
-bool values_pairwise_distinct(std::span<const CraWorkspace::ValueRun> runs,
-                              std::size_t max_runs,
-                              std::vector<std::uint64_t>& set) {
-  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};  // a NaN pattern
-  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(
-      16, 2 * runs.size()));
-  const int shift = 64 - std::countr_zero(capacity);
-  set.reserve(std::bit_ceil(std::max<std::size_t>(16, 2 * max_runs)));
-  set.assign(capacity, kEmpty);
-  for (const CraWorkspace::ValueRun& run : runs) {
-    const std::uint64_t key =
-        std::bit_cast<std::uint64_t>(run.value == 0.0 ? 0.0 : run.value);
-    if (key == kEmpty) return false;
-    std::size_t slot =
-        static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift);
-    while (set[slot] != kEmpty) {
-      if (set[slot] == key) return false;
-      slot = (slot + 1) & (capacity - 1);
-    }
-    set[slot] = key;
-  }
-  return true;
-}
+// A round's runs in ascending (value, run) order: the book's by_value.
+struct Order {
+  std::span<const AskRun> runs;
+  std::span<const std::uint32_t> by_value;
 
-// Consumes the draws that shuffling the tie groups of the runs above s
-// (`above`, in any order) would take in a full sort: a group of g equal
-// asks takes uniform_index(g), ..., (2). When the runs have pairwise-
-// distinct values each group is one run, every bound is at most the
-// longest run, and the draws are skipped in any order; a tie, an lcm over
-// the cap or a filter hit falls back to sorting the runs by value and
-// replaying the draws group by group.
-void replay_above_band(std::span<CraWorkspace::ValueRun> above,
-                       std::size_t max_runs, CraWorkspace& ws,
-                       rng::Rng& rng) {
-  using ValueRun = CraWorkspace::ValueRun;
-  if (above.empty()) return;
-  std::uint32_t max_len = 1;
-  std::uint64_t draws = 0;
-  for (const ValueRun& run : above) {
-    max_len = std::max(max_len, run.len);
-    draws += run.len - 1;
+  const AskRun& operator[](std::size_t k) const { return runs[by_value[k]]; }
+  std::size_t size() const { return by_value.size(); }
+  // End of the tie group (maximal run of equal values) that starts at k.
+  std::size_t group_end(std::size_t k) const {
+    std::size_t e = k + 1;
+    while (e < size() && (*this)[e].value == (*this)[k].value) ++e;
+    return e;
   }
-  const std::uint64_t lcm = lcm_up_to(max_len);
-  if (lcm != 0 && values_pairwise_distinct(above, max_runs, ws.value_set) &&
-      rng.skip_uniform_indices(draws, lcm)) {
-    return;
-  }
-  std::sort(above.begin(), above.end(),
-            [](const ValueRun& a, const ValueRun& b) {
-              return a.value < b.value;
-            });
-  for (std::size_t r = 0; r < above.size();) {
-    std::size_t e = r + 1;
-    std::size_t group = above[r].len;
-    while (e < above.size() && above[e].value == above[r].value) {
-      group += above[e].len;
-      ++e;
-    }
-    for (std::size_t i = group; i > 1; --i) (void)rng.uniform_index(i);
-    r = e;
-  }
-}
-
-// Consumes the tie-shuffle draws of `seg`, sorted runs that are each their
-// own tie group: a run of len asks takes uniform_index(len), ..., (2).
-// Such a shuffle only permutes the run's equal asks, so the draws are
-// skipped when lcm(2..longest run) is under the cap and no raw draw hits
-// its filter; otherwise they are replayed in order.
-void skip_run_shuffles(std::span<const CraWorkspace::ValueRun> seg,
-                       rng::Rng& rng) {
-  std::uint32_t max_len = 1;
-  std::uint64_t draws = 0;
-  for (const CraWorkspace::ValueRun& run : seg) {
-    max_len = std::max(max_len, run.len);
-    draws += run.len - 1;
-  }
-  if (draws == 0) return;
-  const std::uint64_t lcm = lcm_up_to(max_len);
-  if (lcm != 0 && rng.skip_uniform_indices(draws, lcm)) return;
-  for (const CraWorkspace::ValueRun& run : seg) {
-    for (std::size_t i = run.len; i > 1; --i) (void)rng.uniform_index(i);
-  }
-}
-
-// Fills ws.runs with the book's runs: those with value <= `limit` (the
-// band) first, then the rest. Returns the band's run count.
-std::size_t split_band(std::span<const AskRun> book, double limit,
-                       CraWorkspace& ws) {
-  ws.runs.resize(book.size());
-  std::size_t band = 0;
-  std::size_t above = book.size();
-  for (std::uint32_t r = 0; r < book.size(); ++r) {
-    ws.runs[book[r].value <= limit ? band++ : --above] =
-        CraWorkspace::ValueRun{book[r].value, r, book[r].len};
-  }
-  return band;
-}
-
-// End of the tie group (maximal run of equal values) that starts at r.
-std::size_t tie_group_end(std::span<const CraWorkspace::ValueRun> runs,
-                          std::size_t r) {
-  std::size_t e = r + 1;
-  while (e < runs.size() && runs[e].value == runs[r].value) ++e;
-  return e;
-}
+};
 
 // Ascending-value order of the band's unit asks with ties shuffled
 // uniformly: equal asks must be treated equally ("anonymity"), otherwise
 // "the smallest n asks" would systematically favour whichever user Extract
 // happened to expand first. The order is defined as: sort unit indices by
 // (value, index), shuffle each maximal group of equal values, groups in
-// ascending value order.
+// ascending value order; a group of g asks draws uniform_index(g), ...,
+// (2).
 //
-// It is kept in run form. The runs tile alpha in order, so sorting the
-// band's runs (ws.runs[0, band)) by (value, run index) gives the (value,
-// index) order. A tie group that is one run needs no expansion: its
-// shuffle only permutes equal asks, and skip_run_shuffles consumes its
-// draws. A group of several runs is expanded into ws.ties (one index into
-// ws.runs per unit ask) and shuffled for real. Every band group precedes
-// every group above s in the full order, so the draws above it come last
-// and are consumed by replay_above_band.
-void order_band(std::size_t band, CraWorkspace& ws, rng::Rng& rng) {
-  using ValueRun = CraWorkspace::ValueRun;
-  const std::span<ValueRun> runs(ws.runs.data(), band);
-  std::sort(runs.begin(), runs.end(), [](const ValueRun& a, const ValueRun& b) {
-    if (a.value != b.value) return a.value < b.value;
-#if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
-    return a.run > b.run;  // planted: ties enter the shuffle reversed
-#else
-    return a.run < b.run;
-#endif
-  });
+// It is kept in run form. The runs tile alpha in order, so the book's
+// (value, run) order gives the (value, index) order. A tie group of
+// several runs in the band is expanded into ws.ties (one order position
+// per unit ask) and shuffled for real; any other group's shuffle is not
+// stored, only drawn. When the values are `distinct`, every group is one
+// run and its shuffle only permutes that run's equal asks, all of length
+// at most `max_len`: then the units - runs draws are skipped at once
+// (rng::Rng::skip_uniform_indices), unless lcm(2..max_len) is over the cap
+// or a raw draw hits the filter.
+void order_band(const Order& order, std::size_t band, bool distinct,
+                std::uint64_t units, std::uint32_t max_len, CraWorkspace& ws,
+                rng::Rng& rng) {
   ws.ties.clear();
-  std::size_t segment = 0;  // first run not yet drawn for
-  for (std::size_t r = 0; r < band;) {
-    const std::size_t e = tie_group_end(runs, r);
-    if (e - r > 1) {
-      skip_run_shuffles(runs.subspan(segment, r - segment), rng);
+  const std::uint64_t lcm = distinct ? lcm_up_to(max_len) : 0;
+  if (lcm != 0 && rng.skip_uniform_indices(units - order.size(), lcm)) {
+    return;
+  }
+  for (std::size_t r = 0; r < order.size();) {
+    const std::size_t e = order.group_end(r);
+    if (e - r > 1 && r < band) {
       const std::size_t first = ws.ties.size();
+#if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
+      for (std::size_t k = e; k-- > r;) {  // planted: the group reversed
+#else
       for (std::size_t k = r; k < e; ++k) {
-        ws.ties.insert(ws.ties.end(), runs[k].len,
+#endif
+        ws.ties.insert(ws.ties.end(), order[k].len,
                        static_cast<std::uint32_t>(k));
       }
       rng.shuffle(std::span<std::uint32_t>(ws.ties).subspan(first));
-      segment = e;
+    } else {
+      std::uint64_t group = 0;
+      for (std::size_t k = r; k < e; ++k) group += order[k].len;
+      for (std::uint64_t i = group; i > 1; --i) (void)rng.uniform_index(i);
     }
     r = e;
-  }
-  skip_run_shuffles(runs.subspan(segment), rng);
-  replay_above_band(std::span<ValueRun>(ws.runs).subspan(band),
-                    ws.runs.size(), ws, rng);
-}
-
-// When the book's values are pairwise distinct, every tie group is one run
-// and the order of phase 2 leaves nothing to draw: consumes all of the
-// shuffle draws (units - runs of them, each bound at most `max_len`) in
-// one skip and returns true. Returns false with the stream untouched on a
-// tie, an lcm over the cap or a filter hit.
-bool skip_every_shuffle(std::uint64_t units, std::uint32_t max_len,
-                        CraWorkspace& ws, rng::Rng& rng) {
-  const std::uint64_t lcm = lcm_up_to(max_len);
-  return lcm != 0 &&
-         values_pairwise_distinct(ws.runs, ws.runs.size(), ws.value_set) &&
-         rng.skip_uniform_indices(units - ws.runs.size(), lcm);
-}
-
-// The n cheapest unit asks of `band` (pairwise-distinct values, at least n
-// asks) as run wins, without a sort: a weighted quickselect. They are every
-// run cheaper than the run holding the n-th cheapest ask, plus part of
-// that run. Each step partitions the live range at its middle with
-// nth_element and keeps the half that holds the boundary: expected
-// O(band).
-void cheapest_units(std::span<CraWorkspace::ValueRun> band, std::uint64_t n,
-                    std::vector<RunWin>& winners) {
-  using ValueRun = CraWorkspace::ValueRun;
-  auto lo = band.begin();
-  auto hi = band.end();
-  std::uint64_t need = n;  // asks still to take from [lo, hi)
-  for (;;) {
-    const auto mid = lo + (hi - lo) / 2;
-    std::nth_element(lo, mid, hi, [](const ValueRun& a, const ValueRun& b) {
-      return a.value < b.value;
-    });
-    std::uint64_t below = 0;
-    for (auto r = lo; r != mid; ++r) below += r->len;
-    if (below >= need) {
-      hi = mid;
-    } else if (below + mid->len >= need) {
-      for (auto r = band.begin(); r != mid; ++r) {
-        winners.push_back(RunWin{r->run, r->len});
-      }
-      winners.push_back(
-          RunWin{mid->run, static_cast<std::uint32_t>(need - below)});
-      return;
-    } else {
-      need -= below + mid->len;
-      lo = mid + 1;
-    }
   }
 }
 
 // The value at unit position `pos` of the band's order. A tie group shares
 // one value, so the shuffle within it does not matter.
-double value_at(std::span<const CraWorkspace::ValueRun> band,
-                std::uint64_t pos) {
-  for (const CraWorkspace::ValueRun& run : band) {
-    if (pos < run.len) return run.value;
-    pos -= run.len;
+double value_at(const Order& order, std::size_t band, std::uint64_t pos) {
+  for (std::size_t k = 0; k < band; ++k) {
+    if (pos < order[k].len) return order[k].value;
+    pos -= order[k].len;
   }
   RIT_CHECK_MSG(false, "position past the band");
   return 0.0;  // unreachable
@@ -318,9 +174,8 @@ void sample_chosen(std::uint64_t chosen, std::uint32_t q, CraWorkspace& ws,
 // asks are the positions [0, end), or only those set in ws.thinned when it
 // is non-empty; the winners are the chosen asks whose chosen index is set
 // in ws.sampled when it is non-empty, and every chosen ask otherwise.
-void count_wins(std::size_t band, std::uint64_t end, CraWorkspace& ws,
-                std::vector<RunWin>& winners) {
-  const std::span<const CraWorkspace::ValueRun> runs(ws.runs.data(), band);
+void count_wins(const Order& order, std::size_t band, std::uint64_t end,
+                CraWorkspace& ws, std::vector<RunWin>& winners) {
   std::uint64_t chosen = 0;  // chosen asks before the current position
   const auto wins_in = [&](std::uint64_t pos, std::uint64_t len) {
     const std::uint64_t c =
@@ -333,22 +188,23 @@ void count_wins(std::size_t band, std::uint64_t end, CraWorkspace& ws,
   std::uint64_t pos = 0;
   const std::uint32_t* tie = ws.ties.data();
   for (std::size_t r = 0; r < band && pos < end;) {
-    const std::size_t e = tie_group_end(runs, r);
+    const std::size_t e = order.group_end(r);
     if (e - r == 1) {
+      const std::uint32_t len = order[r].len;
       const std::uint32_t w =
-          wins_in(pos, std::min<std::uint64_t>(runs[r].len, end - pos));
-      if (w > 0) winners.push_back(RunWin{runs[r].run, w});
-      pos += runs[r].len;
+          wins_in(pos, std::min<std::uint64_t>(len, end - pos));
+      if (w > 0) winners.push_back(RunWin{order.by_value[r], w});
+      pos += len;
     } else {
       ws.tie_wins.assign(e - r, 0);
       std::uint64_t group = 0;
-      for (std::size_t k = r; k < e; ++k) group += runs[k].len;
+      for (std::size_t k = r; k < e; ++k) group += order[k].len;
       for (std::uint64_t u = 0; u < group && pos + u < end; ++u) {
         ws.tie_wins[tie[u] - r] += wins_in(pos + u, 1);
       }
       for (std::size_t k = r; k < e; ++k) {
         if (ws.tie_wins[k - r] > 0) {
-          winners.push_back(RunWin{runs[k].run, ws.tie_wins[k - r]});
+          winners.push_back(RunWin{order.by_value[k], ws.tie_wins[k - r]});
         }
       }
       tie += group;
@@ -360,8 +216,10 @@ void count_wins(std::size_t band, std::uint64_t end, CraWorkspace& ws,
 
 }  // namespace
 
-void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
-                  rng::Rng& rng, CraWorkspace& ws, CraOutcome& out) {
+void run_cra_runs(std::span<const AskRun> runs,
+                  std::span<const std::uint32_t> by_value,
+                  const CraParams& params, rng::Rng& rng, CraWorkspace& ws,
+                  CraOutcome& out) {
   RIT_COUNTER_INC("cra.rounds");
   // Reset the outcome in place: `winners` keeps its capacity across rounds.
   out.winners.clear();
@@ -372,35 +230,43 @@ void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
   out.raw_count = 0;
   out.consensus_count = 0;
   out.used_budget_price = false;
+  RIT_CHECK(by_value.size() == runs.size());
   if (runs.empty() || params.q == 0) return;
   const std::uint64_t budget =
       static_cast<std::uint64_t>(params.q) + params.m_i;
   RIT_CHECK(budget > 0);
+  const Order order{runs, by_value};
   std::uint64_t units = 0;  // |alpha|
   std::uint32_t max_len = 1;
-  double max_value = -std::numeric_limits<double>::infinity();
   for (const AskRun& run : runs) {
     RIT_DCHECK(run.len > 0 && run.start == units);
     units += run.len;
     max_len = std::max(max_len, run.len);
-    max_value = std::max(max_value, run.value);
   }
+  // Ascending (value, run), and strictly ascending when the values are
+  // declared distinct.
+  RIT_DCHECK(std::adjacent_find(by_value.begin(), by_value.end(),
+                                [&](std::uint32_t a, std::uint32_t b) {
+                                  const double va = runs[a].value;
+                                  const double vb = runs[b].value;
+                                  return va > vb || (va == vb && (a > b ||
+                                         params.distinct_values));
+                                }) == by_value.end());
   out.winners.reserve(runs.size());  // one entry per winning run at most
 
   if (params.price_mode == PriceMode::kOrderStatistic) {
     // Ablation arm: a plain (q+m_i+1)-st lowest price round. Needs at least
     // budget+1 asks to define the price; ties shuffled like the main path.
     if (units < budget + 1) return;
-    const std::size_t band = split_band(
-        runs, std::numeric_limits<double>::infinity(), ws);
-    order_band(band, ws, rng);
-    const double price = value_at({ws.runs.data(), band}, budget);
+    const std::size_t band = order.size();
+    order_band(order, band, params.distinct_values, units, max_len, ws, rng);
+    const double price = value_at(order, band, budget);
     out.sample_min = price;
     out.raw_count = budget;
     out.consensus_count = budget;
     ws.thinned.clear();
     sample_chosen(budget, params.q, ws, rng);
-    count_wins(band, budget, ws, out.winners);
+    count_wins(order, band, budget, ws, out.winners);
     out.num_winners = params.q;
     out.clearing_price = price;
     RIT_COUNTER_ADD("cra.winners", out.num_winners);
@@ -431,7 +297,7 @@ void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
       // kAllAsks: act as if the threshold sits at the top of the book —
       // every ask is at or below it, and it is still a finite, IR-safe
       // price.
-      s = max_value;
+      s = order[order.size() - 1].value;
     }
     out.sample_min = s;
 
@@ -450,21 +316,11 @@ void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
 
   // Phase 2 of the CRA round: winner selection and pricing (steps 3-5).
   RIT_TRACE_SPAN("cra.phase2");
-  const std::size_t band = split_band(runs, s, ws);
-
-  // Every chosen ask wins: no thinning (n_s <= q+m_i), no budget price and
-  // no step-5 sample (n_s <= q). The winners are the n_s cheapest asks
-  // whatever the tie shuffles draw, so with pairwise-distinct values they
-  // are found without a sort.
-  if (n_s <= budget && n_s <= params.q &&
-      skip_every_shuffle(units, max_len, ws, rng)) {
-    cheapest_units({ws.runs.data(), band}, n_s, out.winners);
-    out.num_winners = static_cast<std::uint32_t>(n_s);
-    out.clearing_price = s;
-    RIT_COUNTER_ADD("cra.winners", out.num_winners);
-    return;
-  }
-  order_band(band, ws, rng);
+  const std::size_t band = static_cast<std::size_t>(
+      std::partition_point(by_value.begin(), by_value.end(),
+                           [&](std::uint32_t r) { return runs[r].value <= s; }) -
+      by_value.begin());
+  order_band(order, band, params.distinct_values, units, max_len, ws, rng);
 
   // Step 3: the potential winners are the n_s cheapest asks, or each of
   // them independently with probability (q+m_i)/(2 n_s) when n_s exceeds
@@ -490,7 +346,7 @@ void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
   double price = s;
   if (chosen > budget) {
     end = select_bit(ws.thinned, budget);  // (q+m_i+1)-st smallest chosen
-    price = value_at({ws.runs.data(), band}, end);
+    price = value_at(order, band, end);
     chosen = budget;
     out.used_budget_price = true;
   }
@@ -498,7 +354,7 @@ void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
   // Step 5: if more than q survive, q winners uniformly at random.
   ws.sampled.clear();
   if (chosen > params.q) sample_chosen(chosen, params.q, ws, rng);
-  count_wins(band, end, ws, out.winners);
+  count_wins(order, band, end, ws, out.winners);
 
   // Lemma 6.1: winners never outbid the price.
   RIT_DCHECK(std::all_of(
@@ -517,7 +373,21 @@ void run_cra(std::span<const double> asks, const CraParams& params,
   for (std::uint32_t i = 0; i < asks.size(); ++i) {
     book[i] = AskRun{asks[i], i, 1};
   }
-  run_cra_runs(book, params, rng, ws, out);
+  std::vector<std::uint32_t>& order = ws.unit_order;
+  order.resize(asks.size());
+  std::iota(order.begin(), order.end(), 0u);
+  // (value, index) is a strict order, so this is the stable sort by value
+  // without std::stable_sort's buffer allocation.
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return asks[a] < asks[b] || (asks[a] == asks[b] && a < b);
+  });
+  CraParams round = params;
+  round.distinct_values =
+      std::adjacent_find(order.begin(), order.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                           return asks[a] == asks[b];
+                         }) == order.end();
+  run_cra_runs(book, order, round, rng, ws, out);
   out.won.assign(asks.size(), false);
   for (const RunWin& w : out.winners) out.won[w.run] = true;
 }

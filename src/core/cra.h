@@ -25,6 +25,9 @@
 // steps 3-5 only decide how many of each run's asks win, at one price. The
 // round therefore reports its winners as per-run counts, and phase 2 never
 // expands a run into unit asks unless its value ties with another run's.
+// Values never change within an auction, so the ascending order that steps
+// 3-5 need is sorted once per auction (AskTypeIndex) and handed to every
+// round.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +57,10 @@ struct CraParams {
   /// rounding the winner count down more aggressively (fewer winners per
   /// round). bench_ablation_gridbase quantifies the trade-off.
   double consensus_grid_base = 2.0;
+  /// Set when no two runs share a value (AskTypeIndex::tied is 0): every
+  /// tie group is then one run, and phase 2 consumes all of the tie-shuffle
+  /// draws without looking for groups.
+  bool distinct_values = false;
 };
 
 /// One run's share of a round's winners: `count` of the unit asks of run
@@ -91,24 +98,13 @@ struct CraOutcome {
 /// workspace per thread and pass it to every round. At steady state
 /// (buffers grown to the book's size) a round performs no heap allocation.
 /// Contents are scratch only: nothing in here carries state between
-/// rounds. Phase 2 holds no per-unit vector except `ties` (the expansion
-/// of the band's multi-run tie groups) and the step-5 sampling pool.
+/// rounds. Phase 2 holds no per-run vector, and no per-unit vector except
+/// `ties` (the expansion of the band's multi-run tie groups) and the
+/// step-5 sampling pool.
 struct CraWorkspace {
-  /// An input run as phase 2 sorts or replays it; `run` is its index.
-  struct ValueRun {
-    double value;
-    std::uint32_t run;
-    std::uint32_t len;
-  };
-  /// The band's runs (value <= s), then the runs above s. Only the band is
-  /// sorted, and not even the band when every chosen ask wins: above s
-  /// phase 2 needs the tie-group sizes, not the order.
-  std::vector<ValueRun> runs;
-  /// Open-addressing set of run values (bit patterns): checks that they
-  /// are pairwise distinct without sorting them.
-  std::vector<std::uint64_t> value_set;
-  /// The unit asks of each band tie group of several runs, as indices into
-  /// `runs`, shuffled; the groups follow each other in ascending value.
+  /// The unit asks of each band tie group of several runs, as positions in
+  /// the value order, shuffled; the groups follow each other in ascending
+  /// value.
   std::vector<std::uint32_t> ties;
   /// Win counts of one such group's runs while they are summed.
   std::vector<std::uint32_t> tie_wins;
@@ -118,35 +114,42 @@ struct CraWorkspace {
   std::vector<std::uint64_t> sampled;
   std::vector<std::size_t> sample_pool;
   std::vector<std::size_t> sample_out;
-  /// The unit-vector run_cra's book: one run per unit ask.
+  /// The unit-vector run_cra's book (one run per unit ask) and its value
+  /// order.
   std::vector<AskRun> unit_runs;
+  std::vector<std::uint32_t> unit_order;
 };
 
 /// Runs one CRA round over the unit asks that `runs` describe: run r is
 /// runs[r].len > 0 asks of value runs[r].value, and the runs tile alpha in
-/// order (equal values may recur in neighbouring runs). Draw for draw the
-/// round on the expanded unit-ask vector, with the winners counted per run
-/// (`out.winners`); `won` is left empty.
+/// order (equal values may recur in neighbouring runs). `by_value` lists
+/// every run index once, in ascending (value, run) order (Extract's
+/// ExtractedRuns::by_value). Draw for draw the round on the expanded
+/// unit-ask vector, with the winners counted per run (`out.winners`);
+/// `won` is left empty.
 ///
-/// Cost: O(users + draws) per round (one run per user), plus
-/// O(r_b log r_b) for the r_b runs at or below the threshold s (the band).
-/// Phase 1 compares the paper's one raw draw per unit ask with an integer
-/// threshold in a flat loop; the rest of it is per run. Phase 2 works on
-/// runs too. The tie shuffle of a group that is one run only permutes that
-/// run's asks, so its draws are skipped (rng::Rng::skip_uniform_indices);
-/// only a group of several equal-valued runs is expanded to unit asks and
-/// shuffled for real. When every chosen ask wins (n_s <= q + m_i and
-/// n_s <= q) and the book's values are pairwise distinct, the winners are
-/// the n_s cheapest asks, found by a weighted quickselect without a sort.
-/// Otherwise the band is sorted, and steps 3-5 walk its unit positions run
-/// by run, with bitmaps for the thinning and the step-5 sample.
-void run_cra_runs(std::span<const AskRun> runs, const CraParams& params,
-                  rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);
+/// Cost: O(users + draws) per round (one run per user), with no sort: the
+/// order is given. Phase 1 compares the paper's one raw draw per unit ask
+/// with an integer threshold in a flat loop; the rest of it is per run.
+/// Phase 2 walks the order: the band (the runs at or below the threshold
+/// s) is its prefix, and a tie group is a stretch of equal values. The tie
+/// shuffle of a group that is one run only permutes that run's asks, so
+/// its draws are skipped (rng::Rng::skip_uniform_indices); only a group of
+/// several equal-valued runs is expanded to unit asks and shuffled for
+/// real, and above the band only its draws are replayed. Steps 3-5 walk
+/// the band's unit positions run by run, with bitmaps for the thinning and
+/// the step-5 sample.
+void run_cra_runs(std::span<const AskRun> runs,
+                  std::span<const std::uint32_t> by_value,
+                  const CraParams& params, rng::Rng& rng, CraWorkspace& ws,
+                  CraOutcome& out);
 
-/// The round over a unit-ask vector (the span Extract's alpha): runs
-/// run_cra_runs with each unit ask its own run, so equal asks form tie
-/// groups of several runs whose shuffle is drawn for real, and marks the
-/// winners in `out.won`. All scratch lives in `ws`; `out` is reused.
+/// The round over a unit-ask vector (the span Extract's alpha): sorts the
+/// asks by (value, index) and runs run_cra_runs with each unit ask its own
+/// run, so equal asks form tie groups of several runs whose shuffle is
+/// drawn for real, and marks the winners in `out.won`. Sets
+/// params.distinct_values itself. All scratch lives in `ws`; `out` is
+/// reused.
 void run_cra(std::span<const double> asks, const CraParams& params,
              rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);
 

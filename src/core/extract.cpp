@@ -1,8 +1,74 @@
 #include "core/extract.h"
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+
 namespace rit::core {
 
 namespace {
+
+// Marks a slot whose user has no capacity left in ExtractedRuns::run_of_slot.
+constexpr std::uint32_t kNoRun = ~std::uint32_t{0};
+
+// A bucket of the value sort holding more slots than this (heavy ties or
+// a skewed book) sends the type to std::sort instead of the insertion pass.
+constexpr std::uint32_t kMaxInsertionBucket = 32;
+
+// Writes the slots [begin, end) of `value` to out[0, n), n = end - begin,
+// in ascending (value, slot) order: a stable counting sort on the bucket
+// floor(value * n / max), which is monotone in the value, then one
+// insertion pass over the values in bucket order (`sorted`), which only
+// moves slots within their bucket. Returns whether two of the values are
+// equal. Values must be finite and > 0.
+bool sort_by_value(std::span<const double> value, std::uint32_t begin,
+                   std::uint32_t end, std::uint32_t* out,
+                   std::vector<std::uint32_t>& buckets,
+                   std::vector<double>& sorted) {
+  const std::uint32_t n = end - begin;
+  if (n == 0) return false;
+  const double max =
+      *std::max_element(value.begin() + begin, value.begin() + end);
+  // v * scale is at most about n; a max so small that n / max overflows
+  // puts every slot in one bucket.
+  const double scale = std::isfinite(n / max) ? n / max : 0.0;
+  const auto bucket_of = [&](std::uint32_t i) {
+    return std::min(n - 1, static_cast<std::uint32_t>(value[i] * scale));
+  };
+  buckets.assign(n + 1, 0);
+  bool crowded = false;
+  for (std::uint32_t i = begin; i < end; ++i) {
+    crowded |= ++buckets[bucket_of(i) + 1] > kMaxInsertionBucket;
+  }
+  std::partial_sum(buckets.begin(), buckets.end(), buckets.begin());
+  sorted.resize(n);
+  for (std::uint32_t i = begin; i < end; ++i) {  // ascending: stable
+    const std::uint32_t pos = buckets[bucket_of(i)]++;
+    out[pos] = i;
+    sorted[pos] = value[i];
+  }
+  if (crowded) {
+    std::sort(out, out + n, [&](std::uint32_t a, std::uint32_t b) {
+      return value[a] < value[b] || (value[a] == value[b] && a < b);
+    });
+    for (std::uint32_t p = 0; p < n; ++p) sorted[p] = value[out[p]];
+  }
+  // Insertion by value alone keeps equal values in slot order.
+  for (std::uint32_t i = 1; i < n; ++i) {
+    const double v = sorted[i];
+    const std::uint32_t slot = out[i];
+    std::uint32_t j = i;
+    for (; j > 0 && sorted[j - 1] > v; --j) {
+      out[j] = out[j - 1];
+      sorted[j] = sorted[j - 1];
+    }
+    out[j] = slot;
+    sorted[j] = v;
+  }
+  return std::adjacent_find(sorted.begin(), sorted.begin() + n) !=
+         sorted.begin() + n;
+}
+
 void extract_impl(TaskType type, std::span<const Ask> asks,
                   std::span<const std::uint32_t>* remaining,
                   ExtractedAsks& out) {
@@ -72,6 +138,13 @@ void AskTypeIndex::build(std::uint32_t types, std::span<const Ask> asks) {
   // The cursor walk advanced offsets[t] to offsets[t+1]; shift back.
   for (std::uint32_t t = types; t > 0; --t) offsets[t] = offsets[t - 1];
   offsets[0] = 0;
+  by_value.resize(asks.size());
+  tied.resize(types);
+  for (std::uint32_t t = 0; t < types; ++t) {
+    tied[t] = sort_by_value(value, offsets[t], offsets[t + 1],
+                            by_value.data() + offsets[t], buckets,
+                            sorted_value);
+  }
 }
 
 void extract_runs_into(TaskType type, const AskTypeIndex& index,
@@ -84,6 +157,7 @@ void extract_runs_into(TaskType type, const AskTypeIndex& index,
   const std::uint32_t end = index.offsets[type.value + 1];
   out.runs.reserve(end - begin);
   out.owner.reserve(end - begin);
+  out.run_of_slot.resize(end - begin);
   std::uint64_t start = 0;
   for (std::uint32_t i = begin; i < end; ++i) {
     const std::uint32_t j = index.user[i];
@@ -92,7 +166,11 @@ void extract_runs_into(TaskType type, const AskTypeIndex& index,
                   "remaining quantity " << k << " exceeds asked quantity "
                                         << index.quantity[i] << " for user "
                                         << j);
-    if (k == 0) continue;
+    if (k == 0) {
+      out.run_of_slot[i - begin] = kNoRun;
+      continue;
+    }
+    out.run_of_slot[i - begin] = static_cast<std::uint32_t>(out.runs.size());
     out.runs.push_back(AskRun{index.value[i],
                               static_cast<std::uint32_t>(start), k});
     out.owner.push_back(j);
@@ -100,6 +178,13 @@ void extract_runs_into(TaskType type, const AskTypeIndex& index,
   }
   RIT_CHECK_MSG(start <= UINT32_MAX,
                 start << " unit asks of one type exceed the 2^32 index space");
+  // The type's value order, restricted to the live runs.
+  out.by_value.resize(out.runs.size());
+  std::size_t next = 0;
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const std::uint32_t r = out.run_of_slot[index.by_value[i] - begin];
+    if (r != kNoRun) out.by_value[next++] = r;
+  }
 }
 
 }  // namespace rit::core

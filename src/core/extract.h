@@ -37,18 +37,29 @@ ExtractedAsks extract_remaining(TaskType type, std::span<const Ask> asks,
 /// instead of all N asks every round (the seed path's O(N * rounds * types)
 /// term, which dominates at millions of users). Within a type the users
 /// stay in ascending index order, so the runs lay out alpha exactly as the
-/// full-scan path does. build() reuses capacity across auctions.
+/// full-scan path does. Values never change during an auction, so build()
+/// also sorts each type's slots by value once, for every CRA round of the
+/// auction to walk. build() reuses capacity across auctions.
 struct AskTypeIndex {
   std::vector<std::uint32_t> offsets;   ///< per type: [offsets[t], offsets[t+1])
   std::vector<std::uint32_t> user;      ///< flat ask indices, ascending per type
   std::vector<double> value;            ///< value[i] = asks[user[i]].value
   std::vector<std::uint32_t> quantity;  ///< quantity[i] = asks[user[i]].quantity
+  /// Per type, the slots [offsets[t], offsets[t+1]) in ascending (value,
+  /// user) order: equal values keep their user order.
+  std::vector<std::uint32_t> by_value;
+  /// Per type, 1 when two of its asks have the same value.
+  std::vector<std::uint8_t> tied;
+  /// Scratch of the value sort: per-bucket counts, then bucket ends; and
+  /// one type's values in by_value order.
+  std::vector<std::uint32_t> buckets;
+  std::vector<double> sorted_value;
 
   std::uint32_t num_types() const {
     return offsets.empty() ? 0 : static_cast<std::uint32_t>(offsets.size() - 1);
   }
-  /// Rebuilds for `asks`; every ask's type must be < num_types (run
-  /// validate_asks first).
+  /// Rebuilds for `asks`; every ask's type must be < num_types and every
+  /// value finite and > 0 (run validate_asks first).
   void build(std::uint32_t num_types, std::span<const Ask> asks);
 };
 
@@ -57,12 +68,19 @@ struct AskTypeIndex {
 struct ExtractedRuns {
   std::vector<AskRun> runs;
   std::vector<std::uint32_t> owner;
+  /// The indices into `runs` in ascending (value, run) order: the type's
+  /// by_value order with the users that have no capacity left dropped.
+  std::vector<std::uint32_t> by_value;
+  /// Scratch: the run of each of the type's slots (all ones when its
+  /// user has no capacity left).
+  std::vector<std::uint32_t> run_of_slot;
 };
 
 /// Extract over the index in run form: one run per user of `type` with
 /// remaining_quantity > 0, users ascending, over the alpha indices of
-/// extract_remaining's unit vector. O(users of `type`) per round, no unit
-/// expansion; a reused `out` stops allocating (core::RitWorkspace).
+/// extract_remaining's unit vector, plus their value order. O(users of
+/// `type`) per round, no unit expansion and no sort; a reused `out` stops
+/// allocating (core::RitWorkspace).
 void extract_runs_into(TaskType type, const AskTypeIndex& index,
                        std::span<const std::uint32_t> remaining_quantity,
                        ExtractedRuns& out);

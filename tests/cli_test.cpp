@@ -45,6 +45,17 @@ TEST(Args, MalformedValuesThrow) {
   EXPECT_THROW(c.get_bool("flag", false), CheckFailure);
 }
 
+TEST(Args, ValueErrorsNameTheFlagOnly) {
+  // A usage error carries its message alone, with no check site.
+  Args args = make_args({"--trials=abc"});
+  try {
+    args.get_u64("trials", 1);
+    ADD_FAILURE() << "no throw";
+  } catch (const CheckFailure& e) {
+    EXPECT_STREQ(e.what(), "flag --trials wants an unsigned integer, got 'abc'");
+  }
+}
+
 TEST(Args, NonFlagArgumentRejected) {
   std::vector<const char*> argv{"prog", "positional"};
   EXPECT_THROW(Args(2, argv.data()), CheckFailure);

@@ -506,8 +506,9 @@ TEST(Cra, UniformWinnerSelectionAmongChosen) {
 }
 
 // --- Equivalence with a full sort of every unit ask -----------------------
-// run_cra orders only the band at or below the threshold, in run form,
-// and skips the draws above it. The reference below is the straightforward
+// run_cra works on runs in a given value order: it expands and shuffles
+// only the band's tie groups of several runs, and skips or replays every
+// other shuffle's draws. The reference below is the straightforward
 // definition it must reproduce draw for draw: sort every unit ask by
 // (value, index), shuffle each group of equal values, then run steps 3-5.
 
@@ -717,12 +718,12 @@ TEST(CraFullSortEquivalence, OrderStatisticArm) {
   }
 }
 
-// --- Shapes for each path of the draw replay above the threshold ---------
-// Above s, run_cra skips the tie-shuffle draws without sorting when the
-// runs there have pairwise-distinct values and lcm(2..longest run) is at
-// most 2^40, and otherwise sorts them and replays the draws. The books
-// below put the threshold at a chosen share of the book (the band ratio)
-// and plant the shapes that force each path.
+// --- Shapes for each path of the tie-shuffle draws ------------------------
+// run_cra skips every tie-shuffle draw at once when the values are
+// pairwise distinct and lcm(2..longest run) is at most 2^40, and otherwise
+// walks the value order and draws group by group. The books below put the
+// threshold at a chosen share of the book (the band ratio) and plant the
+// shapes that force each path.
 
 /// q + m_i as `band` of |alpha| (the sample minimum lands near rank
 /// q + m_i); band >= 1 sets it to 1000 |alpha|, so the sample is almost
@@ -748,8 +749,8 @@ double mean_band_ratio(std::span<const double> asks, const CraParams& params,
 }
 
 TEST(CraFullSortEquivalence, BandRatiosFromOnePercentToWholeBook) {
-  // Distinct values: above s every run is its own tie group, so these take
-  // the unsorted skip (at band 1 nothing is above s).
+  // Distinct values: every run is its own tie group, so these take the
+  // skip (at band 1 nothing is above s).
   rng::Rng gen(37);
   const std::vector<double> asks = extract_shaped_book(3000, 0, gen);
   for (const double band : {0.01, 0.14, 1.0}) {
@@ -789,7 +790,7 @@ TEST(CraFullSortEquivalence, CrossUserTiesAboveThresholdFallBack) {
 TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
   // One user above s with 28, 29 or 40 equal asks. Through the unit API
   // each ask is its own run, so the block is a tie group of several runs
-  // and takes the sorted replay at every length;
+  // and its draws are replayed at every length;
   // CraRunKernel.LongRunAboveThresholdPastTheLcmCap covers the lcm cap.
   for (const std::size_t len : {28u, 29u, 40u}) {
     rng::Rng gen(39);
@@ -805,14 +806,39 @@ TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
 // --- The run kernel on per-user runs ---------------------------------------
 // RIT calls run_cra_runs with one run per user, so users with equal values
 // are separate runs of one tie group: in the band their asks are shuffled
-// for real, and above s they send the draw replay down the sorted
-// fallback. Each book below must give the reference's winners counted per
-// run, and its other fields and stream bit for bit.
+// for real, and above s their draws are replayed. Each book below must
+// give the reference's winners counted per run, and its other fields and
+// stream bit for bit; a book with distinct values must give the same
+// round again when it is declared distinct.
 
 struct UserBook {
   std::vector<AskRun> runs;
   std::vector<double> asks;  // the same book expanded to unit asks
+  std::vector<std::uint32_t> by_value;  // see value_order
 };
+
+/// Whether no two of the book's runs share a value.
+bool distinct_values(const UserBook& book) {
+  for (std::size_t k = 1; k < book.by_value.size(); ++k) {
+    if (book.runs[book.by_value[k - 1]].value ==
+        book.runs[book.by_value[k]].value) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The run indices in ascending (value, run) order, as Extract hands them
+/// to run_cra_runs.
+std::vector<std::uint32_t> value_order(std::span<const AskRun> runs) {
+  std::vector<std::uint32_t> order(runs.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return runs[a].value < runs[b].value;
+                   });
+  return order;
+}
 
 /// One run of k ~ U{1..20} units per user. With probability `repeat` a
 /// user bids its predecessor's value, so neighbouring runs tie; otherwise
@@ -831,6 +857,7 @@ UserBook per_user_book(std::size_t users, int levels, double repeat,
         AskRun{value, static_cast<std::uint32_t>(book.asks.size()), len});
     book.asks.insert(book.asks.end(), len, value);
   }
+  book.by_value = value_order(book.runs);
   return book;
 }
 
@@ -850,7 +877,26 @@ int expect_runs_match_full_sort(
   for (int r = 0; r < rounds; ++r) {
     rng::Rng a(seed + static_cast<std::uint64_t>(r));
     rng::Rng b(seed + static_cast<std::uint64_t>(r));
-    run_cra_runs(book.runs, params, a, ws, got);
+    run_cra_runs(book.runs, book.by_value, params, a, ws, got);
+    if (distinct_values(book)) {
+      // Declaring the values distinct only skips the search for tie
+      // groups: the round must not change.
+      CraParams declared = params;
+      declared.distinct_values = true;
+      rng::Rng c(seed + static_cast<std::uint64_t>(r));
+      CraOutcome fast;
+      run_cra_runs(book.runs, book.by_value, declared, c, ws, fast);
+      EXPECT_EQ(fast.winners.size(), got.winners.size()) << "round " << r;
+      for (std::size_t i = 0;
+           i < std::min(fast.winners.size(), got.winners.size()); ++i) {
+        EXPECT_EQ(fast.winners[i].run, got.winners[i].run) << "round " << r;
+        EXPECT_EQ(fast.winners[i].count, got.winners[i].count)
+            << "round " << r;
+      }
+      EXPECT_EQ(fast.clearing_price, got.clearing_price) << "round " << r;
+      EXPECT_EQ(c.next_u64(), rng::Rng(a).next_u64())
+          << "stream diverged with distinct values, round " << r;
+    }
     const CraOutcome want = reference_run_cra(book.asks, params, b);
     EXPECT_TRUE(got.won.empty()) << "round " << r;
     std::vector<std::uint32_t> got_wins(book.runs.size(), 0);
@@ -895,6 +941,7 @@ UserBook book_of(std::span<const std::pair<double, std::uint32_t>> runs) {
         AskRun{value, static_cast<std::uint32_t>(book.asks.size()), len});
     book.asks.insert(book.asks.end(), len, value);
   }
+  book.by_value = value_order(book.runs);
   return book;
 }
 
@@ -923,8 +970,8 @@ std::uint64_t wins_at_value(const UserBook& book, const CraOutcome& o,
 
 TEST(CraRunKernel, AllWinBoundaryFallsInsideARun) {
   // Distinct values and q >= |alpha| >= n_s: every chosen ask wins, so the
-  // winners are the n_s cheapest asks (the sort-free path). Every run is at
-  // least 2 long, so the boundary usually cuts a run.
+  // winners are the n_s cheapest asks, a prefix of the value order. Every
+  // run is at least 2 long, so the boundary usually cuts a run.
   rng::Rng gen(46);
   std::vector<std::pair<double, std::uint32_t>> runs;
   add_distinct_runs(runs, 400, 0.0, 10.0, 2, 20, gen);
@@ -1034,7 +1081,7 @@ TEST(CraRunKernel, ThinningWithTheBudgetPrice) {
 TEST(CraRunKernel, EmptySampleAllAsksWinsWithoutASort) {
   // kAllAsks with an empty sample: s is the top ask, the band is the whole
   // book, and with distinct values and q above |alpha| the n_s cheapest
-  // asks win on the sort-free path.
+  // asks win.
   rng::Rng gen(50);
   const UserBook book = per_user_book(60, 0, 0.0, gen);
   const auto units = static_cast<std::uint32_t>(book.asks.size());
@@ -1054,7 +1101,7 @@ TEST(CraRunKernel, EmptySampleAllAsksWinsWithoutASort) {
 TEST(CraRunKernel, LongRunAboveThresholdPastTheLcmCap) {
   // One user above s with more asks than the skip's lcm cap allows:
   // lcm(2..28) < 2^40 < lcm(2..29), so 28 takes the skip and 29 and 40
-  // fall back to the sorted replay.
+  // fall back to replaying the draws.
   for (const std::uint32_t len : {28u, 29u, 40u}) {
     rng::Rng gen(51);
     std::vector<std::pair<double, std::uint32_t>> runs{{10.5, len}};
@@ -1101,7 +1148,7 @@ TEST(CraRunKernel, BudgetOneSamplesEveryAskWithoutDraws) {
   CraWorkspace ws;
   CraOutcome out;
   rng::Rng rng(901);
-  run_cra_runs(book.runs, params, rng, ws, out);
+  run_cra_runs(book.runs, book.by_value, params, rng, ws, out);
   EXPECT_EQ(out.sample_min,
             *std::min_element(book.asks.begin(), book.asks.end()));
 }
@@ -1132,12 +1179,26 @@ TEST(CraRunKernel, EmptyBookAndZeroDemandHaveNoWinners) {
   CraOutcome out;
   rng::Rng a(45);
   rng::Rng untouched(45);
-  run_cra_runs({}, {.q = 5, .m_i = 5}, a, ws, out);
+  run_cra_runs({}, {}, {.q = 5, .m_i = 5}, a, ws, out);
   EXPECT_TRUE(out.winners.empty());
   const std::vector<AskRun> runs{{2.0, 0, 3}};
-  run_cra_runs(runs, {.q = 0, .m_i = 5}, a, ws, out);
+  const std::vector<std::uint32_t> order{0};
+  run_cra_runs(runs, order, {.q = 0, .m_i = 5}, a, ws, out);
   EXPECT_TRUE(out.winners.empty());
   EXPECT_EQ(a.next_u64(), untouched.next_u64());
+}
+
+TEST(CraRunKernel, RejectsAValueOrderOfTheWrongSize) {
+  CraWorkspace ws;
+  CraOutcome out;
+  rng::Rng rng(46);
+  const std::vector<AskRun> runs{{2.0, 0, 3}, {1.0, 3, 2}};
+  const std::vector<std::uint32_t> short_order{1};
+  EXPECT_THROW(run_cra_runs(runs, short_order, {.q = 2, .m_i = 2}, rng, ws,
+                            out),
+               CheckFailure);
+  EXPECT_THROW(run_cra_runs({}, short_order, {.q = 2, .m_i = 2}, rng, ws, out),
+               CheckFailure);
 }
 
 }  // namespace

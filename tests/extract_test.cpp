@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include "common/check.h"
 #include "core/extract.h"
+#include "rng/rng.h"
 
 namespace rit::core {
 namespace {
@@ -127,6 +132,136 @@ TEST(ExtractRuns, RejectsRemainingAboveAsked) {
   const std::vector<std::uint32_t> remaining{3};
   EXPECT_THROW(extract_runs_into(TaskType{0}, index, remaining, runs),
                CheckFailure);
+}
+
+// --- The per-auction value order ------------------------------------------
+// AskTypeIndex::build sorts each type's slots by value once per auction
+// (a counting sort on value buckets, std::sort for crowded buckets); every
+// round's ExtractedRuns::by_value is that order over the live runs.
+
+/// Checks index.by_value against a per-type std::stable_sort of the slots
+/// by value, and index.tied against the sorted values.
+void expect_stable_value_order(const AskTypeIndex& index) {
+  ASSERT_EQ(index.by_value.size(), index.user.size());
+  for (std::uint32_t t = 0; t < index.num_types(); ++t) {
+    std::vector<std::uint32_t> want(index.offsets[t + 1] - index.offsets[t]);
+    std::iota(want.begin(), want.end(), index.offsets[t]);
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return index.value[a] < index.value[b];
+                     });
+    const std::vector<std::uint32_t> got(
+        index.by_value.begin() + index.offsets[t],
+        index.by_value.begin() + index.offsets[t + 1]);
+    EXPECT_EQ(got, want) << "type " << t;
+    const bool tied =
+        std::adjacent_find(want.begin(), want.end(),
+                           [&](std::uint32_t a, std::uint32_t b) {
+                             return index.value[a] == index.value[b];
+                           }) != want.end();
+    EXPECT_EQ(index.tied[t] != 0, tied) << "type " << t;
+  }
+}
+
+std::vector<Ask> random_book(std::uint32_t users, std::uint32_t types,
+                             double quantum, std::uint64_t seed) {
+  rng::Rng rng(seed);
+  std::vector<Ask> asks;
+  for (std::uint32_t j = 0; j < users; ++j) {
+    double v = rng.uniform_real_left_open(0.0, 10.0);
+    if (quantum > 0.0) v = std::ceil(v / quantum) * quantum;
+    asks.push_back(Ask{TaskType{static_cast<std::uint32_t>(
+                           rng.uniform_index(types))},
+                       static_cast<std::uint32_t>(rng.uniform_int(1, 20)),
+                       v});
+  }
+  return asks;
+}
+
+TEST(AskTypeIndexValueOrder, MatchesAStableSortOnRandomBooks) {
+  AskTypeIndex index;  // reused: build() must not keep stale order
+  for (const double quantum : {0.0, 0.5, 0.01}) {
+    for (const std::uint32_t users : {1u, 7u, 300u, 5000u}) {
+      index.build(4, random_book(users, 4, quantum, users));
+      expect_stable_value_order(index);
+    }
+  }
+}
+
+TEST(AskTypeIndexValueOrder, AllEqualValuesKeepUserOrder) {
+  std::vector<Ask> asks(500, Ask{TaskType{0}, 3, 2.5});
+  AskTypeIndex index;
+  index.build(1, asks);
+  std::vector<std::uint32_t> users(500);
+  std::iota(users.begin(), users.end(), 0u);
+  EXPECT_EQ(index.by_value, users);
+  expect_stable_value_order(index);
+}
+
+TEST(AskTypeIndexValueOrder, SkewedBookTakesTheFallbackSort) {
+  // One ask of 1e6 puts every other value in (0, 1] into the first bucket,
+  // far over the insertion limit. Ties in the crowded bucket must still
+  // keep user order.
+  rng::Rng rng(3);
+  std::vector<Ask> asks;
+  for (std::uint32_t j = 0; j < 2000; ++j) {
+    const double v = j % 5 == 0 ? 0.5 : rng.uniform_real_left_open(0.0, 1.0);
+    asks.push_back(Ask{TaskType{0}, 1, v});
+  }
+  asks[1234].value = 1e6;
+  AskTypeIndex index;
+  index.build(1, asks);
+  expect_stable_value_order(index);
+  EXPECT_EQ(index.by_value.back(), 1234u);
+}
+
+TEST(AskTypeIndexValueOrder, TypesWithZeroOrOneAsker) {
+  const std::vector<Ask> asks{
+      {TaskType{2}, 1, 4.0}, {TaskType{0}, 2, 3.0}, {TaskType{2}, 1, 1.0},
+      {TaskType{0}, 5, 3.0}, {TaskType{3}, 1, 9.0}};
+  AskTypeIndex index;
+  index.build(5, asks);  // type 1 and type 4 have no askers
+  expect_stable_value_order(index);
+  EXPECT_EQ(index.by_value,
+            (std::vector<std::uint32_t>{0, 1, 3, 2, 4}));
+  const std::vector<std::uint32_t> remaining{1, 2, 1, 5, 1};
+  ExtractedRuns runs;
+  extract_runs_into(TaskType{1}, index, remaining, runs);
+  EXPECT_TRUE(runs.runs.empty());
+  EXPECT_TRUE(runs.by_value.empty());
+  extract_runs_into(TaskType{3}, index, remaining, runs);
+  EXPECT_EQ(runs.by_value, (std::vector<std::uint32_t>{0}));
+}
+
+TEST(ExtractRuns, ValueOrderSkipsExhaustedUsers) {
+  AskTypeIndex index;
+  const std::vector<Ask> asks = random_book(3000, 3, 0.5, 17);
+  index.build(3, asks);
+  rng::Rng rng(18);
+  std::vector<std::uint32_t> remaining(asks.size());
+  for (std::size_t j = 0; j < asks.size(); ++j) {
+    // A third of the users are exhausted, a third partly used.
+    const std::uint64_t pick = rng.uniform_index(3);
+    remaining[j] = pick == 0 ? 0
+                   : pick == 1
+                       ? static_cast<std::uint32_t>(
+                             rng.uniform_index(asks[j].quantity + 1))
+                       : asks[j].quantity;
+  }
+  ExtractedRuns runs;
+  for (const std::uint32_t t : {0u, 1u, 2u}) {
+    extract_runs_into(TaskType{t}, index, remaining, runs);
+    std::vector<std::uint32_t> want(runs.runs.size());
+    std::iota(want.begin(), want.end(), 0u);
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return runs.runs[a].value < runs.runs[b].value;
+                     });
+    EXPECT_EQ(runs.by_value, want) << "type " << t;
+    for (const std::uint32_t r : runs.by_value) {
+      EXPECT_GT(remaining[runs.owner[r]], 0u);
+    }
+  }
 }
 
 TEST(JobType, UniformJobAndTotals) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -553,6 +554,78 @@ TEST(RunAuction, OrderStatisticMatchesOracle) {
   testkit::FuzzCase c = per_user_book_case(300, 0.14);
   c.config.price_mode = PriceMode::kOrderStatistic;
   EXPECT_GT(expect_oracle_agrees(c, 6), 0u);
+}
+
+// --- Stream pin on tie-heavy books ------------------------------------------
+// The perfbench digests and the pinned CSVs draw continuous costs, so no
+// tie group of several users ever reaches CRA's phase 2 on them. These
+// books round every value to a coarse or a fine grid, so most of a type's
+// band sits in multi-user tie groups whose shuffles are drawn for real.
+
+/// FNV-1a over 64-bit words.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void mix(std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// Mixes one run_rit_into outcome on a tie-heavy book into `hash`: four
+/// types, k ~ U{1..20}, values in (0, 10] rounded up to a multiple of
+/// `quantum`, and each type's demand `share` of its unit supply.
+void mix_tie_heavy_run(std::uint32_t users, double quantum, double share,
+                       PriceMode mode, Fnv1a& hash) {
+  rng::Rng gen(users + static_cast<std::uint64_t>(1.0 / quantum));
+  std::vector<Ask> asks;
+  std::vector<std::uint64_t> supply(4, 0);
+  for (std::uint32_t j = 0; j < users; ++j) {
+    const auto t = static_cast<std::uint32_t>(gen.uniform_index(4));
+    const auto k = static_cast<std::uint32_t>(gen.uniform_int(1, 20));
+    const double v =
+        std::ceil(gen.uniform_real_left_open(0.0, 10.0) / quantum) * quantum;
+    asks.push_back(Ask{TaskType{t}, k, v});
+    supply[t] += k;
+  }
+  std::vector<std::uint32_t> demand;
+  for (const std::uint64_t units : supply) {
+    demand.push_back(static_cast<std::uint32_t>(
+        share * static_cast<double>(units)));
+  }
+  const tree::IncentiveTree tree = tree::random_recursive_tree(users, 0.2, gen);
+  RitConfig cfg = completion_config();
+  cfg.price_mode = mode;
+  cfg.zero_on_failure = false;
+  rng::Rng rng(users * 7 + 1);
+  RitWorkspace ws;
+  RitResult res;
+  run_rit_into(Job(demand), asks, tree, cfg, rng, ws, res);
+  for (const std::uint32_t a : res.allocation) hash.mix(a);
+  for (const double p : res.auction_payment) {
+    hash.mix(std::bit_cast<std::uint64_t>(p));
+  }
+  for (const double p : res.payment) hash.mix(std::bit_cast<std::uint64_t>(p));
+  hash.mix(rng.next_u64());
+}
+
+TEST(RitStream, TieHeavyOutputPinned) {
+#if defined(__clang__) || !defined(__GNUC__)
+  GTEST_SKIP() << "pinned for GCC builds; another compiler may contract "
+                  "floating point differently";
+#endif
+  Fnv1a hash;
+  for (const std::uint32_t users : {2000u, 20000u}) {
+    for (const double quantum : {0.5, 0.01}) {
+      for (const double share : {0.79, 0.05}) {
+        mix_tie_heavy_run(users, quantum, share, PriceMode::kConsensus, hash);
+      }
+      mix_tie_heavy_run(users, quantum, 0.05, PriceMode::kOrderStatistic,
+                        hash);
+    }
+  }
+  EXPECT_EQ(hash.h, 0x921ff7fd8551045eULL);
 }
 
 }  // namespace
