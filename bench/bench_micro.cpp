@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -156,7 +157,6 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
                      return book[a].value < book[b].value;
                    });
   core::CraParams params;
-  params.distinct_values = true;  // as RIT declares a book without ties
   if (state.range(2) > 0) {
     params.m_i = static_cast<std::uint32_t>(state.range(2));
     params.q = params.m_i;
@@ -204,7 +204,10 @@ BENCHMARK(BM_CraRoundUnitRuns)
     ->Args({60000, 1, 0})
     ->Args({8000, 0, 66000});
 
-std::vector<core::Ask> make_market(std::size_t users, std::uint64_t seed) {
+// 10 types, k ~ U{1..20}, values in (0, 10]; with `cents` > 0 each value
+// is rounded up to a multiple of cents / 100, so users tie.
+std::vector<core::Ask> make_market(std::size_t users, std::uint64_t seed,
+                                   std::int64_t cents = 0) {
   rng::Rng rng(seed);
   std::vector<core::Ask> asks;
   asks.reserve(users);
@@ -213,6 +216,10 @@ std::vector<core::Ask> make_market(std::size_t users, std::uint64_t seed) {
         TaskType{static_cast<std::uint32_t>(rng.uniform_index(10))},
         static_cast<std::uint32_t>(rng.uniform_int(1, 20)),
         rng.uniform_real_left_open(0.0, 10.0)});
+    if (cents > 0) {
+      const double quantum = static_cast<double>(cents) / 100.0;
+      asks.back().value = std::ceil(asks.back().value / quantum) * quantum;
+    }
   }
   return asks;
 }
@@ -238,11 +245,12 @@ void BM_Extract(benchmark::State& state) {
 BENCHMARK(BM_Extract)->Arg(10000)->Arg(100000);
 
 // The per-auction index build: the per-type CSR and each type's value
-// sort, on a warm index (10 types, k ~ U{1..20}, continuous values).
+// sort, on a warm index (make_market; the second arg is its `cents`: 0 for
+// continuous values, 1 for values on a 0.01 grid, about 8 users a value).
 // heap_allocs_per_build must be 0: every buffer keeps its capacity.
 void BM_TypeIndexBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<core::Ask> asks = make_market(n, 4);
+  const std::vector<core::Ask> asks = make_market(n, 4, state.range(1));
   core::AskTypeIndex index;
   index.build(10, asks);
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
@@ -259,19 +267,21 @@ void BM_TypeIndexBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_TypeIndexBuild)->Arg(80000);
+BENCHMARK(BM_TypeIndexBuild)->Args({80000, 0})->Args({80000, 1});
 
 // The whole auction phase (Extract, CRA rounds, write-back) on a warm
 // workspace and result, at the repo benchmark's market shapes: 80k users
 // and 10 types with k ~ U{1..20}, run to completion, at m_i = 5000 (the
-// paper_sweep shape) and m_i = 66000 (tight_market). heap_allocs_per_run
-// must be 0: as in BM_CraRoundUnitRuns, the CRA buffers whose size follows
-// a round's random n_s are reserved to the largest |alpha| up front, and
-// the warm-up runs size the rest.
+// paper_sweep shape) and m_i = 66000 (tight_market). The third arg is
+// make_market's `cents`: at 1, users tie on a 0.01 grid, so phase 2 walks
+// real tie groups, which the continuous arms and the repo benchmark never
+// reach. heap_allocs_per_run must be 0: as in BM_CraRoundUnitRuns, the CRA
+// buffers whose size follows a round's random n_s are reserved to the
+// largest |alpha| up front, and the warm-up runs size the rest.
 void BM_AuctionPhaseWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto m_i = static_cast<std::uint32_t>(state.range(1));
-  const std::vector<core::Ask> asks = make_market(n, 10);
+  const std::vector<core::Ask> asks = make_market(n, 10, state.range(2));
   const core::Job job = core::Job::uniform(10, m_i);
   core::RitConfig cfg;
   cfg.round_budget_policy = core::RoundBudgetPolicy::kRunToCompletion;
@@ -301,8 +311,10 @@ void BM_AuctionPhaseWorkspace(benchmark::State& state) {
           : 0.0);
 }
 BENCHMARK(BM_AuctionPhaseWorkspace)
-    ->Args({80000, 5000})
-    ->Args({80000, 66000})
+    ->Args({80000, 5000, 0})
+    ->Args({80000, 66000, 0})
+    ->Args({80000, 5000, 1})
+    ->Args({80000, 66000, 1})
     ->Unit(benchmark::kMillisecond);
 
 struct PaymentFixtureData {

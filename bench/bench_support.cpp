@@ -24,12 +24,6 @@ namespace rit::bench {
 
 namespace {
 
-// A usage error, not a broken invariant: the message names the flags only,
-// with no check site.
-void require(bool ok, const std::string& what) {
-  if (!ok) throw CheckFailure(what);
-}
-
 // Reads and validates the standard flags; throws CheckFailure on an
 // unknown flag, a malformed value or a bad combination. --help prints the
 // flags on stdout and exits 0.
@@ -83,20 +77,21 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
     std::exit(0);
   }
   args.finish();
-  require(opts.scale >= 1.0, "--scale must be >= 1");
-  require(opts.points >= 2, "--points must be >= 2");
-  require(opts.trials >= min_trials,
-          "--trials must be >= " + format_u64(min_trials));
-  require(!opts.checkpoint_path.empty() || !opts.resume,
-          "--resume requires --checkpoint=PATH");
-  require(!opts.checkpoint_path.empty() || opts.checkpoint_every == 0,
-          "--checkpoint-every requires --checkpoint=PATH");
-  require(opts.trial_timeout_ms >= 0.0, "--trial-timeout-ms must be >= 0");
-  require(opts.supervised ||
-              (opts.shards == 0 && opts.shard_mem_mb == 0 &&
-               opts.shard_cpu_s == 0 && opts.heartbeat_timeout_ms == 0),
-          "--shards/--shard-mem-mb/--shard-cpu-s/"
-          "--heartbeat-timeout-ms require --supervised");
+  require_usage(opts.scale >= 1.0, "--scale must be >= 1");
+  require_usage(opts.points >= 2, "--points must be >= 2");
+  require_usage(opts.trials >= min_trials,
+                "--trials must be >= " + format_u64(min_trials));
+  require_usage(!opts.checkpoint_path.empty() || !opts.resume,
+                "--resume requires --checkpoint=PATH");
+  require_usage(!opts.checkpoint_path.empty() || opts.checkpoint_every == 0,
+                "--checkpoint-every requires --checkpoint=PATH");
+  require_usage(opts.trial_timeout_ms >= 0.0,
+                "--trial-timeout-ms must be >= 0");
+  require_usage(opts.supervised ||
+                    (opts.shards == 0 && opts.shard_mem_mb == 0 &&
+                     opts.shard_cpu_s == 0 && opts.heartbeat_timeout_ms == 0),
+                "--shards/--shard-mem-mb/--shard-cpu-s/"
+                "--heartbeat-timeout-ms require --supervised");
   return opts;
 }
 

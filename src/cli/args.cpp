@@ -5,18 +5,11 @@
 
 namespace rit::cli {
 
-namespace {
-// A usage error, not a broken invariant: the message has no check site.
-void require(bool ok, const std::string& what) {
-  if (!ok) throw CheckFailure(what);
-}
-}  // namespace
-
 Args::Args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    require(arg.rfind("--", 0) == 0,
-            "expected --key=value argument, got: " + arg);
+    require_usage(arg.rfind("--", 0) == 0,
+                  "expected --key=value argument, got: " + arg);
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq == std::string::npos) {
@@ -32,9 +25,9 @@ std::uint64_t Args::get_u64(const std::string& key, std::uint64_t def) {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   const auto v = rit::parse_u64(it->second);
-  require(v.has_value(), "flag --" + key +
-                             " wants an unsigned integer, got '" +
-                             it->second + "'");
+  require_usage(v.has_value(), "flag --" + key +
+                                   " wants an unsigned integer, got '" +
+                                   it->second + "'");
   return *v;
 }
 
@@ -43,8 +36,8 @@ double Args::get_double(const std::string& key, double def) {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   const auto v = rit::parse_double(it->second);
-  require(v.has_value(),
-          "flag --" + key + " wants a number, got '" + it->second + "'");
+  require_usage(v.has_value(), "flag --" + key + " wants a number, got '" +
+                                   it->second + "'");
   return *v;
 }
 
@@ -70,7 +63,7 @@ std::string Args::get_string(const std::string& key, const std::string& def) {
 
 void Args::finish() const {
   for (const auto& [key, value] : values_) {
-    require(recognized_.count(key) > 0, "unknown flag --" + key);
+    require_usage(recognized_.count(key) > 0, "unknown flag --" + key);
   }
 }
 

@@ -20,6 +20,12 @@ class CheckFailure : public std::logic_error {
   explicit CheckFailure(const std::string& what) : std::logic_error(what) {}
 };
 
+/// A usage error (a bad flag value or combination), not a broken
+/// invariant: throws CheckFailure with `what` alone, no check site.
+inline void require_usage(bool ok, const std::string& what) {
+  if (!ok) throw CheckFailure(what);
+}
+
 namespace detail {
 [[noreturn]] inline void check_failed(const char* expr, const char* file,
                                       int line, const std::string& msg) {

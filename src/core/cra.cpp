@@ -67,6 +67,13 @@ struct Order {
     while (e < size() && (*this)[e].value == (*this)[k].value) ++e;
     return e;
   }
+  // Whether every tie group is a single run.
+  bool distinct() const {
+    for (std::size_t k = 1; k < size(); ++k) {
+      if ((*this)[k].value == (*this)[k - 1].value) return false;
+    }
+    return true;
+  }
 };
 
 // Ascending-value order of the band's unit asks with ties shuffled
@@ -81,17 +88,17 @@ struct Order {
 // (value, run) order gives the (value, index) order. A tie group of
 // several runs in the band is expanded into ws.ties (one order position
 // per unit ask) and shuffled for real; any other group's shuffle is not
-// stored, only drawn. When the values are `distinct`, every group is one
+// stored, only drawn. When no two runs share a value, every group is one
 // run and its shuffle only permutes that run's equal asks, all of length
 // at most `max_len`: then the units - runs draws are skipped at once
 // (rng::Rng::skip_uniform_indices), unless lcm(2..max_len) is over the cap
 // or a raw draw hits the filter.
-void order_band(const Order& order, std::size_t band, bool distinct,
-                std::uint64_t units, std::uint32_t max_len, CraWorkspace& ws,
-                rng::Rng& rng) {
+void order_band(const Order& order, std::size_t band, std::uint64_t units,
+                std::uint32_t max_len, CraWorkspace& ws, rng::Rng& rng) {
   ws.ties.clear();
-  const std::uint64_t lcm = distinct ? lcm_up_to(max_len) : 0;
-  if (lcm != 0 && rng.skip_uniform_indices(units - order.size(), lcm)) {
+  const std::uint64_t lcm = lcm_up_to(max_len);
+  if (lcm != 0 && order.distinct() &&
+      rng.skip_uniform_indices(units - order.size(), lcm)) {
     return;
   }
   for (std::size_t r = 0; r < order.size();) {
@@ -199,6 +206,9 @@ void count_wins(const Order& order, std::size_t band, std::uint64_t end,
       ws.tie_wins.assign(e - r, 0);
       std::uint64_t group = 0;
       for (std::size_t k = r; k < e; ++k) group += order[k].len;
+      // order_band expanded every band group of several runs into ws.ties.
+      RIT_CHECK(static_cast<std::uint64_t>(ws.ties.data() + ws.ties.size() -
+                                           tie) >= group);
       for (std::uint64_t u = 0; u < group && pos + u < end; ++u) {
         ws.tie_wins[tie[u] - r] += wins_in(pos + u, 1);
       }
@@ -243,14 +253,12 @@ void run_cra_runs(std::span<const AskRun> runs,
     units += run.len;
     max_len = std::max(max_len, run.len);
   }
-  // Ascending (value, run), and strictly ascending when the values are
-  // declared distinct.
+  // Ascending (value, run).
   RIT_DCHECK(std::adjacent_find(by_value.begin(), by_value.end(),
                                 [&](std::uint32_t a, std::uint32_t b) {
                                   const double va = runs[a].value;
                                   const double vb = runs[b].value;
-                                  return va > vb || (va == vb && (a > b ||
-                                         params.distinct_values));
+                                  return va > vb || (va == vb && a > b);
                                 }) == by_value.end());
   out.winners.reserve(runs.size());  // one entry per winning run at most
 
@@ -259,7 +267,7 @@ void run_cra_runs(std::span<const AskRun> runs,
     // budget+1 asks to define the price; ties shuffled like the main path.
     if (units < budget + 1) return;
     const std::size_t band = order.size();
-    order_band(order, band, params.distinct_values, units, max_len, ws, rng);
+    order_band(order, band, units, max_len, ws, rng);
     const double price = value_at(order, band, budget);
     out.sample_min = price;
     out.raw_count = budget;
@@ -320,7 +328,7 @@ void run_cra_runs(std::span<const AskRun> runs,
       std::partition_point(by_value.begin(), by_value.end(),
                            [&](std::uint32_t r) { return runs[r].value <= s; }) -
       by_value.begin());
-  order_band(order, band, params.distinct_values, units, max_len, ws, rng);
+  order_band(order, band, units, max_len, ws, rng);
 
   // Step 3: the potential winners are the n_s cheapest asks, or each of
   // them independently with probability (q+m_i)/(2 n_s) when n_s exceeds
@@ -381,13 +389,7 @@ void run_cra(std::span<const double> asks, const CraParams& params,
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
     return asks[a] < asks[b] || (asks[a] == asks[b] && a < b);
   });
-  CraParams round = params;
-  round.distinct_values =
-      std::adjacent_find(order.begin(), order.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                           return asks[a] == asks[b];
-                         }) == order.end();
-  run_cra_runs(book, order, round, rng, ws, out);
+  run_cra_runs(book, order, params, rng, ws, out);
   out.won.assign(asks.size(), false);
   for (const RunWin& w : out.winners) out.won[w.run] = true;
 }

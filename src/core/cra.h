@@ -57,10 +57,6 @@ struct CraParams {
   /// rounding the winner count down more aggressively (fewer winners per
   /// round). bench_ablation_gridbase quantifies the trade-off.
   double consensus_grid_base = 2.0;
-  /// Set when no two runs share a value (AskTypeIndex::tied is 0): every
-  /// tie group is then one run, and phase 2 consumes all of the tie-shuffle
-  /// draws without looking for groups.
-  bool distinct_values = false;
 };
 
 /// One run's share of a round's winners: `count` of the unit asks of run
@@ -133,12 +129,13 @@ struct CraWorkspace {
 /// with an integer threshold in a flat loop; the rest of it is per run.
 /// Phase 2 walks the order: the band (the runs at or below the threshold
 /// s) is its prefix, and a tie group is a stretch of equal values. The tie
-/// shuffle of a group that is one run only permutes that run's asks, so
-/// its draws are skipped (rng::Rng::skip_uniform_indices); only a group of
-/// several equal-valued runs is expanded to unit asks and shuffled for
-/// real, and above the band only its draws are replayed. Steps 3-5 walk
-/// the band's unit positions run by run, with bitmaps for the thinning and
-/// the step-5 sample.
+/// shuffle of a group that is one run only permutes that run's asks, so it
+/// is drawn but not stored; when no two runs share a value (one pass over
+/// the order), all of those draws are skipped at once
+/// (rng::Rng::skip_uniform_indices). Only a band group of several
+/// equal-valued runs is expanded to unit asks and shuffled for real.
+/// Steps 3-5 walk the band's unit positions run by run, with bitmaps for
+/// the thinning and the step-5 sample.
 void run_cra_runs(std::span<const AskRun> runs,
                   std::span<const std::uint32_t> by_value,
                   const CraParams& params, rng::Rng& rng, CraWorkspace& ws,
@@ -147,9 +144,8 @@ void run_cra_runs(std::span<const AskRun> runs,
 /// The round over a unit-ask vector (the span Extract's alpha): sorts the
 /// asks by (value, index) and runs run_cra_runs with each unit ask its own
 /// run, so equal asks form tie groups of several runs whose shuffle is
-/// drawn for real, and marks the winners in `out.won`. Sets
-/// params.distinct_values itself. All scratch lives in `ws`; `out` is
-/// reused.
+/// drawn for real, and marks the winners in `out.won`. All scratch lives
+/// in `ws`; `out` is reused.
 void run_cra(std::span<const double> asks, const CraParams& params,
              rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);
 

@@ -11,62 +11,45 @@ namespace {
 // Marks a slot whose user has no capacity left in ExtractedRuns::run_of_slot.
 constexpr std::uint32_t kNoRun = ~std::uint32_t{0};
 
-// A bucket of the value sort holding more slots than this (heavy ties or
-// a skewed book) sends the type to std::sort instead of the insertion pass.
-constexpr std::uint32_t kMaxInsertionBucket = 32;
-
 // Writes the slots [begin, end) of `value` to out[0, n), n = end - begin,
-// in ascending (value, slot) order: a stable counting sort on the bucket
-// floor(value * n / max), which is monotone in the value, then one
-// insertion pass over the values in bucket order (`sorted`), which only
-// moves slots within their bucket. Returns whether two of the values are
-// equal. Values must be finite and > 0.
-bool sort_by_value(std::span<const double> value, std::uint32_t begin,
+// in ascending (value, slot) order. A stable counting sort on the bucket
+// floor(value * 2n / max), which is monotone in the value, leaves each
+// bucket's slots ascending; std::sort then orders each bucket of more than
+// one slot. With twice as many buckets as slots, a spread book leaves
+// most buckets empty or single, so this is about linear, with few
+// std::sort calls (BM_TypeIndexBuild times it); ties and skew only make
+// buckets bigger, up to one std::sort of the whole type. Values must be
+// finite and > 0.
+void sort_by_value(std::span<const double> value, std::uint32_t begin,
                    std::uint32_t end, std::uint32_t* out,
-                   std::vector<std::uint32_t>& buckets,
-                   std::vector<double>& sorted) {
+                   std::vector<std::uint32_t>& buckets) {
   const std::uint32_t n = end - begin;
-  if (n == 0) return false;
+  if (n == 0) return;
+  RIT_CHECK(n <= UINT32_MAX / 2);
   const double max =
       *std::max_element(value.begin() + begin, value.begin() + end);
-  // v * scale is at most about n; a max so small that n / max overflows
-  // puts every slot in one bucket.
-  const double scale = std::isfinite(n / max) ? n / max : 0.0;
+  const std::uint32_t nb = 2 * n;
+  // v * scale is at most about nb; a max so small that nb / max
+  // overflows puts every slot in one bucket.
+  const double scale = std::isfinite(nb / max) ? nb / max : 0.0;
   const auto bucket_of = [&](std::uint32_t i) {
-    return std::min(n - 1, static_cast<std::uint32_t>(value[i] * scale));
+    return std::min(nb - 1, static_cast<std::uint32_t>(value[i] * scale));
   };
-  buckets.assign(n + 1, 0);
-  bool crowded = false;
-  for (std::uint32_t i = begin; i < end; ++i) {
-    crowded |= ++buckets[bucket_of(i) + 1] > kMaxInsertionBucket;
-  }
+  buckets.assign(nb + 1, 0);
+  for (std::uint32_t i = begin; i < end; ++i) ++buckets[bucket_of(i) + 1];
   std::partial_sum(buckets.begin(), buckets.end(), buckets.begin());
-  sorted.resize(n);
-  for (std::uint32_t i = begin; i < end; ++i) {  // ascending: stable
-    const std::uint32_t pos = buckets[bucket_of(i)]++;
-    out[pos] = i;
-    sorted[pos] = value[i];
-  }
-  if (crowded) {
-    std::sort(out, out + n, [&](std::uint32_t a, std::uint32_t b) {
-      return value[a] < value[b] || (value[a] == value[b] && a < b);
-    });
-    for (std::uint32_t p = 0; p < n; ++p) sorted[p] = value[out[p]];
-  }
-  // Insertion by value alone keeps equal values in slot order.
-  for (std::uint32_t i = 1; i < n; ++i) {
-    const double v = sorted[i];
-    const std::uint32_t slot = out[i];
-    std::uint32_t j = i;
-    for (; j > 0 && sorted[j - 1] > v; --j) {
-      out[j] = out[j - 1];
-      sorted[j] = sorted[j - 1];
+  for (std::uint32_t i = begin; i < end; ++i) out[buckets[bucket_of(i)]++] = i;
+  // buckets[b] is now the end of bucket b, and the start of bucket b + 1.
+  std::uint32_t first = 0;
+  for (std::uint32_t b = 0; b < nb; ++b) {
+    if (buckets[b] - first > 1) {
+      std::sort(out + first, out + buckets[b],
+                [&](std::uint32_t a, std::uint32_t c) {
+                  return value[a] < value[c] || (value[a] == value[c] && a < c);
+                });
     }
-    out[j] = slot;
-    sorted[j] = v;
+    first = buckets[b];
   }
-  return std::adjacent_find(sorted.begin(), sorted.begin() + n) !=
-         sorted.begin() + n;
 }
 
 void extract_impl(TaskType type, std::span<const Ask> asks,
@@ -139,11 +122,9 @@ void AskTypeIndex::build(std::uint32_t types, std::span<const Ask> asks) {
   for (std::uint32_t t = types; t > 0; --t) offsets[t] = offsets[t - 1];
   offsets[0] = 0;
   by_value.resize(asks.size());
-  tied.resize(types);
   for (std::uint32_t t = 0; t < types; ++t) {
-    tied[t] = sort_by_value(value, offsets[t], offsets[t + 1],
-                            by_value.data() + offsets[t], buckets,
-                            sorted_value);
+    sort_by_value(value, offsets[t], offsets[t + 1],
+                  by_value.data() + offsets[t], buckets);
   }
 }
 

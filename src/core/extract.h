@@ -48,12 +48,8 @@ struct AskTypeIndex {
   /// Per type, the slots [offsets[t], offsets[t+1]) in ascending (value,
   /// user) order: equal values keep their user order.
   std::vector<std::uint32_t> by_value;
-  /// Per type, 1 when two of its asks have the same value.
-  std::vector<std::uint8_t> tied;
-  /// Scratch of the value sort: per-bucket counts, then bucket ends; and
-  /// one type's values in by_value order.
+  /// Scratch of the value sort: per-bucket counts, then bucket ends.
   std::vector<std::uint32_t> buckets;
-  std::vector<double> sorted_value;
 
   std::uint32_t num_types() const {
     return offsets.empty() ? 0 : static_cast<std::uint32_t>(offsets.size() - 1);

@@ -146,32 +146,22 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
       params.empty_sample = config.empty_sample;
       params.price_mode = config.price_mode;
       params.consensus_grid_base = config.consensus_log_base;
-      params.distinct_values = ws.type_index.tied[ti] == 0;
       run_cra_runs(alpha.runs, alpha.by_value, params, rng, ws.cra,
                    ws.round);
       const CraOutcome& round = ws.round;
-      // Write-back visits only the winning runs. An owner's payment takes
-      // one addition of the price per task it won, in order, so it matches
-      // a per-task write-back bit for bit. From a payment of 0.0 those sums
-      // are the same for every owner: sums[c] is c of them.
-      std::vector<double>& sums = ws.price_sums;
-      sums.assign(1, 0.0);
+      // Write-back visits only the winning runs. An owner's payment still
+      // takes one addition of the price per task it won, summed in a
+      // register, so it matches a per-task write-back bit for bit.
       for (const RunWin& w : round.winners) {
         const std::uint32_t owner = alpha.owner[w.run];
         res.allocation[owner] += w.count;
         RIT_DCHECK(remaining[owner] >= w.count);
         remaining[owner] -= w.count;
-        double& paid = res.auction_payment[owner];
-        if (paid == 0.0) {
-          while (sums.size() <= w.count) {
-            sums.push_back(sums.back() + round.clearing_price);
-          }
-          paid = sums[w.count];
-        } else {
-          for (std::uint32_t c = 0; c < w.count; ++c) {
-            paid += round.clearing_price;
-          }
+        double paid = res.auction_payment[owner];
+        for (std::uint32_t c = 0; c < w.count; ++c) {
+          paid += round.clearing_price;
         }
+        res.auction_payment[owner] = paid;
       }
       RIT_DCHECK(round.num_winners <= q);
       q -= round.num_winners;

@@ -132,9 +132,6 @@ struct RitWorkspace {
   AskTypeIndex type_index;
   PaymentWorkspace payment;
   std::vector<std::uint32_t> remaining;
-  /// The round's running sums of the clearing price: price_sums[c] is a
-  /// first-time winner's payment for c tasks.
-  std::vector<double> price_sums;
   std::vector<TaskType> types;
 };
 

@@ -808,25 +808,14 @@ TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
 // are separate runs of one tie group: in the band their asks are shuffled
 // for real, and above s their draws are replayed. Each book below must
 // give the reference's winners counted per run, and its other fields and
-// stream bit for bit; a book with distinct values must give the same
-// round again when it is declared distinct.
+// stream bit for bit. A book with distinct values takes the path that
+// skips every tie-shuffle draw at once.
 
 struct UserBook {
   std::vector<AskRun> runs;
   std::vector<double> asks;  // the same book expanded to unit asks
   std::vector<std::uint32_t> by_value;  // see value_order
 };
-
-/// Whether no two of the book's runs share a value.
-bool distinct_values(const UserBook& book) {
-  for (std::size_t k = 1; k < book.by_value.size(); ++k) {
-    if (book.runs[book.by_value[k - 1]].value ==
-        book.runs[book.by_value[k]].value) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// The run indices in ascending (value, run) order, as Extract hands them
 /// to run_cra_runs.
@@ -878,25 +867,6 @@ int expect_runs_match_full_sort(
     rng::Rng a(seed + static_cast<std::uint64_t>(r));
     rng::Rng b(seed + static_cast<std::uint64_t>(r));
     run_cra_runs(book.runs, book.by_value, params, a, ws, got);
-    if (distinct_values(book)) {
-      // Declaring the values distinct only skips the search for tie
-      // groups: the round must not change.
-      CraParams declared = params;
-      declared.distinct_values = true;
-      rng::Rng c(seed + static_cast<std::uint64_t>(r));
-      CraOutcome fast;
-      run_cra_runs(book.runs, book.by_value, declared, c, ws, fast);
-      EXPECT_EQ(fast.winners.size(), got.winners.size()) << "round " << r;
-      for (std::size_t i = 0;
-           i < std::min(fast.winners.size(), got.winners.size()); ++i) {
-        EXPECT_EQ(fast.winners[i].run, got.winners[i].run) << "round " << r;
-        EXPECT_EQ(fast.winners[i].count, got.winners[i].count)
-            << "round " << r;
-      }
-      EXPECT_EQ(fast.clearing_price, got.clearing_price) << "round " << r;
-      EXPECT_EQ(c.next_u64(), rng::Rng(a).next_u64())
-          << "stream diverged with distinct values, round " << r;
-    }
     const CraOutcome want = reference_run_cra(book.asks, params, b);
     EXPECT_TRUE(got.won.empty()) << "round " << r;
     std::vector<std::uint32_t> got_wins(book.runs.size(), 0);
