@@ -1,5 +1,7 @@
 #include "cli/args.h"
 
+#include <limits>
+
 #include "common/check.h"
 #include "common/num_io.h"
 
@@ -29,6 +31,14 @@ std::uint64_t Args::get_u64(const std::string& key, std::uint64_t def) {
                                    " wants an unsigned integer, got '" +
                                    it->second + "'");
   return *v;
+}
+
+std::uint32_t Args::get_u32(const std::string& key, std::uint32_t def) {
+  const std::uint64_t v = get_u64(key, def);
+  require_usage(v <= std::numeric_limits<std::uint32_t>::max(),
+                "flag --" + key + " wants at most 4294967295, got " +
+                    format_u64(v));
+  return static_cast<std::uint32_t>(v);
 }
 
 double Args::get_double(const std::string& key, double def) {

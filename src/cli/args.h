@@ -22,6 +22,9 @@ class Args {
   /// Typed getters; each records the key as recognized. A flag given
   /// without "=value" (e.g. --full) reads as boolean true.
   std::uint64_t get_u64(const std::string& key, std::uint64_t def);
+  /// get_u64 for a 32-bit setting: a value above 2^32 - 1 is a usage
+  /// error, never wrapped.
+  std::uint32_t get_u32(const std::string& key, std::uint32_t def);
   double get_double(const std::string& key, double def);
   bool get_bool(const std::string& key, bool def);
   std::string get_string(const std::string& key, const std::string& def);

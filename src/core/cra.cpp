@@ -286,21 +286,18 @@ void run_cra_runs(std::span<const AskRun> runs,
   {
     RIT_TRACE_SPAN("cra.phase1");
     // Step 1: Bernoulli(1/(q+m_i)) sample of every unit ask; s = min
-    // sampled value. The draws run flat over alpha; a hit (rare: about
-    // |alpha| / (q+m_i) of them) advances a cursor to its run.
-    const std::uint64_t sample_t =
-        rng::Rng::bernoulli_threshold(1.0 / static_cast<double>(budget));
+    // sampled value. The draws run flat over alpha in one scan; each hit
+    // (rare: about |alpha| / (q+m_i) of them) advances a cursor to its run.
+    rng.bernoulli_hits(
+        units, rng::Rng::bernoulli_threshold(1.0 / static_cast<double>(budget)),
+        ws.hits);
     double s = std::numeric_limits<double>::infinity();
-    bool sampled_any = false;
     std::size_t r = 0;
-    for (std::uint64_t u = 0;; ++u) {
-      u += rng.bernoulli_first_hit(units - u, sample_t);
-      if (u >= units) break;
+    for (const std::uint64_t u : ws.hits) {
       while (runs[r].start + runs[r].len <= u) ++r;
-      sampled_any = true;
       s = std::min(s, runs[r].value);
     }
-    if (!sampled_any) {
+    if (ws.hits.empty()) {
       if (params.empty_sample == EmptySamplePolicy::kNoWinners) return;
       // kAllAsks: act as if the threshold sits at the top of the book —
       // every ask is at or below it, and it is still a finite, IR-safe
@@ -339,14 +336,8 @@ void run_cra_runs(std::span<const AskRun> runs,
   if (n_s > budget) {
     const double keep_p =
         static_cast<double>(budget) / (2.0 * static_cast<double>(n_s));
-    ws.thinned.assign((n_s + 63) / 64, 0);
-    chosen = 0;
-    for (std::uint64_t i = 0; i < n_s; ++i) {
-      if (rng.bernoulli(keep_p)) {
-        set_bit(ws.thinned, i);
-        ++chosen;
-      }
-    }
+    chosen = rng.bernoulli_bits(
+        n_s, rng::Rng::bernoulli_threshold(keep_p), ws.thinned);
   }
 
   // Step 4: if over the potential-winner budget, keep the cheapest q+m_i and

@@ -104,6 +104,8 @@ struct CraWorkspace {
   std::vector<std::uint32_t> ties;
   /// Win counts of one such group's runs while they are summed.
   std::vector<std::uint32_t> tie_wins;
+  /// Step 1's sampled unit positions, ascending.
+  std::vector<std::uint64_t> hits;
   /// Step 3's thinning over unit positions and step 5's sample over chosen
   /// indices, one bit each.
   std::vector<std::uint64_t> thinned;
@@ -125,8 +127,9 @@ struct CraWorkspace {
 /// `won` is left empty.
 ///
 /// Cost: O(users + draws) per round (one run per user), with no sort: the
-/// order is given. Phase 1 compares the paper's one raw draw per unit ask
-/// with an integer threshold in a flat loop; the rest of it is per run.
+/// order is given. Phase 1 makes the paper's one raw draw per unit ask in
+/// one flat scan (rng::Rng::bernoulli_hits, SIMD lanes where the CPU has
+/// them) and visits only the sampled positions; the rest of it is per run.
 /// Phase 2 walks the order: the band (the runs at or below the threshold
 /// s) is its prefix, and a tie group is a stretch of equal values. The tie
 /// shuffle of a group that is one run only permutes that run's asks, so it
@@ -135,7 +138,8 @@ struct CraWorkspace {
 /// (rng::Rng::skip_uniform_indices). Only a band group of several
 /// equal-valued runs is expanded to unit asks and shuffled for real.
 /// Steps 3-5 walk the band's unit positions run by run, with bitmaps for
-/// the thinning and the step-5 sample.
+/// the thinning (one scan, rng::Rng::bernoulli_bits) and the step-5
+/// sample.
 void run_cra_runs(std::span<const AskRun> runs,
                   std::span<const std::uint32_t> by_value,
                   const CraParams& params, rng::Rng& rng, CraWorkspace& ws,

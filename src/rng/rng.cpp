@@ -4,18 +4,26 @@
 #include <cmath>
 #include <numeric>
 
+#include "rng/lanes.h"
+
 namespace rit::rng {
 
 bool Rng::skip_uniform_indices(std::uint64_t count, std::uint64_t lcm) {
   RIT_CHECK(lcm > 0);
-  // A local copy keeps the state in registers; on a filter hit it is
-  // dropped, which leaves engine_ unchanged.
-  Xoshiro256StarStar engine = engine_;
-  for (std::uint64_t d = 0; d < count; ++d) {
-    if (engine() * lcm < lcm) return false;  // low 64 bits of x * lcm
-  }
-  engine_ = engine;
-  return true;
+  return detail::skip_filtered(engine_, count, lcm, detail::host_kernel());
+}
+
+void Rng::bernoulli_hits(std::uint64_t count, std::uint64_t threshold,
+                         std::vector<std::uint64_t>& hits) {
+  detail::bernoulli_hits(engine_, count, threshold, hits,
+                         detail::host_kernel());
+}
+
+std::uint64_t Rng::bernoulli_bits(std::uint64_t count,
+                                  std::uint64_t threshold,
+                                  std::vector<std::uint64_t>& bits) {
+  return detail::bernoulli_bits(engine_, count, threshold, bits,
+                                detail::host_kernel());
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

@@ -73,7 +73,8 @@ class Rng {
   /// draw passes the lcm filter, no call would have rejected, and skipping
   /// `count` raw draws is exact. On a filter hit returns false and leaves
   /// the state unchanged; the caller then replays the calls in order.
-  /// The chance of a hit is about count * lcm / 2^64.
+  /// The chance of a hit is about count * lcm / 2^64. The raw draws run
+  /// in SIMD lanes where the CPU has them (rng/lanes.h).
   bool skip_uniform_indices(std::uint64_t count, std::uint64_t lcm);
 
   /// Uniform double in [0, 1) with 53 bits of precision.
@@ -98,21 +99,18 @@ class Rng {
   /// k * 2^-53 < p exactly when k < ceil(p * 2^53), and p * 2^53 is exact.
   static constexpr std::uint64_t kBernoulliCertain = std::uint64_t{1} << 53;
   static std::uint64_t bernoulli_threshold(double p);
-  /// Makes bernoulli(p) trials, T = bernoulli_threshold(p), until one
-  /// succeeds or `count` have been made, with exactly their draws (none for
-  /// p <= 0 or p >= 1), and returns how many failed first (`count` when
-  /// none succeeded). The engine runs on a local copy, so the loop keeps
-  /// its state in registers instead of memory.
-  std::uint64_t bernoulli_first_hit(std::uint64_t count,
-                                    std::uint64_t threshold) {
-    if (threshold == 0) return count;
-    if (threshold >= kBernoulliCertain || count == 0) return 0;
-    Xoshiro256StarStar engine = engine_;
-    std::uint64_t i = 0;
-    while (i < count && (engine() >> 11) >= threshold) ++i;
-    engine_ = engine;
-    return i;
-  }
+  /// Makes `count` bernoulli(p) trials, T = bernoulli_threshold(p), one
+  /// raw draw each, and lists the positions of the successes in `hits`,
+  /// ascending. For p <= 0 (T = 0) no trial succeeds and for p >= 1 every
+  /// one does; neither takes a draw. The draws run in SIMD lanes where the
+  /// CPU has them (rng/lanes.h), with the exact stream.
+  void bernoulli_hits(std::uint64_t count, std::uint64_t threshold,
+                      std::vector<std::uint64_t>& hits);
+  /// The same trials as a bitmap: bit i of bits[i / 64] is trial i, and
+  /// `bits` is resized to (count + 63) / 64 words. Returns the number of
+  /// successes.
+  std::uint64_t bernoulli_bits(std::uint64_t count, std::uint64_t threshold,
+                               std::vector<std::uint64_t>& bits);
 
   /// In-place Fisher-Yates shuffle.
   template <typename T>

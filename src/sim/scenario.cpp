@@ -12,8 +12,8 @@ GraphKind parse_graph_kind(const std::string& name) {
   if (name == "cm") return GraphKind::kConfigurationModel;
   if (name == "star") return GraphKind::kStar;
   if (name == "path") return GraphKind::kPath;
-  RIT_CHECK_MSG(false, "unknown graph kind: " << name
-                                              << " (want ba|er|ws|cm|star|path)");
+  require_usage(false, "unknown graph kind '" + name +
+                           "' (want ba|er|ws|cm|star|path)");
   return GraphKind::kBarabasiAlbert;  // unreachable
 }
 

@@ -1,5 +1,6 @@
 #include "sim/workload.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/check.h"
@@ -70,6 +71,22 @@ graph::Graph generate_graph(const Scenario& scenario, rng::Rng& rng) {
   }
   RIT_CHECK_MSG(false, "unhandled graph kind");
   return graph::star(1);  // unreachable
+}
+
+std::uint64_t min_users(const Scenario& scenario) {
+  switch (scenario.graph) {
+    case GraphKind::kBarabasiAlbert:
+      return std::uint64_t{scenario.ba_edges_per_node} + 1;
+    case GraphKind::kWattsStrogatz:
+      return std::max<std::uint64_t>(3, std::uint64_t{scenario.ws_k} + 1);
+    case GraphKind::kConfigurationModel:
+      return 2;
+    case GraphKind::kErdosRenyi:
+    case GraphKind::kStar:
+    case GraphKind::kPath:
+      break;
+  }
+  return 1;
 }
 
 tree::IncentiveTree generate_tree(const Scenario& scenario,

@@ -34,6 +34,11 @@ core::Job generate_job(const Scenario& scenario, rng::Rng& rng);
 /// Generates the social graph of the scenario's GraphKind.
 graph::Graph generate_graph(const Scenario& scenario, rng::Rng& rng);
 
+/// The fewest users the scenario's graph kind accepts with its parameters
+/// (Barabási–Albert needs more than ba_edges_per_node, Watts–Strogatz more
+/// than ws_k and at least 3).
+std::uint64_t min_users(const Scenario& scenario);
+
 /// Builds the incentive tree: spanning forest of `g` seeded by the
 /// scenario's initial joiners, unreached users attached to the platform
 /// (every user participates, as in the paper's simulations).

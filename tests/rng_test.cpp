@@ -5,12 +5,15 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "rng/lanes.h"
 #include "rng/rng.h"
 #include "rng/splitmix64.h"
 #include "rng/xoshiro256.h"
@@ -360,7 +363,7 @@ TEST(Rng, SkipUniformIndicesOfNothingIsANoOp) {
 }
 
 // --- Threshold form of bernoulli -------------------------------------------
-// One trial of the threshold form, bernoulli_first_hit(1, T) == 0 with
+// One trial of the threshold form, bernoulli_hits(1, T, hits) with
 // T = bernoulli_threshold(p), must take the same draws with the same results
 // as bernoulli(p). uniform01() < p is monotone in the raw
 // value k = x >> 11, so it is enough that the boundary sits at T: k = T - 1
@@ -373,7 +376,9 @@ bool uniform01_below(std::uint64_t k, double p) {
 
 /// One trial of the threshold form.
 bool threshold_trial(Rng& rng, std::uint64_t t) {
-  return rng.bernoulli_first_hit(1, t) == 0;
+  std::vector<std::uint64_t> hits;
+  rng.bernoulli_hits(1, t, hits);
+  return !hits.empty();
 }
 
 /// Draws `draws` times from matched streams through both forms and checks
@@ -435,11 +440,16 @@ TEST(Rng, BernoulliThresholdJustBelowOne) {
 }
 
 TEST(Rng, BernoulliThresholdOutsideUnitIntervalTakesNoDraw) {
+  std::vector<std::uint64_t> hits;
+  std::vector<std::uint64_t> bits;
   for (const double p : {0.0, -0.0, -1.0, -1e300}) {
     EXPECT_EQ(Rng::bernoulli_threshold(p), 0u) << p;
     Rng a(79);
     Rng untouched(79);
-    EXPECT_EQ(a.bernoulli_first_hit(5, Rng::bernoulli_threshold(p)), 5u);
+    a.bernoulli_hits(5, Rng::bernoulli_threshold(p), hits);
+    EXPECT_TRUE(hits.empty());
+    EXPECT_EQ(a.bernoulli_bits(70, Rng::bernoulli_threshold(p), bits), 0u);
+    EXPECT_EQ(bits, (std::vector<std::uint64_t>{0, 0}));
     EXPECT_EQ(a.next_u64(), untouched.next_u64()) << p;
     expect_threshold_form_matches(p, 16, 79);
   }
@@ -447,28 +457,280 @@ TEST(Rng, BernoulliThresholdOutsideUnitIntervalTakesNoDraw) {
     EXPECT_EQ(Rng::bernoulli_threshold(p), Rng::kBernoulliCertain) << p;
     Rng a(80);
     Rng untouched(80);
-    EXPECT_EQ(a.bernoulli_first_hit(5, Rng::bernoulli_threshold(p)), 0u);
+    a.bernoulli_hits(5, Rng::bernoulli_threshold(p), hits);
+    EXPECT_EQ(hits, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(a.bernoulli_bits(70, Rng::bernoulli_threshold(p), bits), 70u);
+    EXPECT_EQ(bits, (std::vector<std::uint64_t>{~std::uint64_t{0}, 0x3f}));
     EXPECT_EQ(a.next_u64(), untouched.next_u64()) << p;
     expect_threshold_form_matches(p, 16, 80);
   }
 }
 
-TEST(Rng, BernoulliFirstHitMatchesSequentialCalls) {
+TEST(Rng, BernoulliHitsAndBitsMatchSequentialCalls) {
+  std::vector<std::uint64_t> hits;
+  std::vector<std::uint64_t> bits;
   for (const double p : {1e-4, 0.01, 0.2, 0.7}) {
     const std::uint64_t t = Rng::bernoulli_threshold(p);
     Rng a(81);
     Rng b(81);
-    for (const std::uint64_t count : {0u, 1u, 7u, 50u, 1000u}) {
-      for (int rep = 0; rep < 20; ++rep) {
-        std::uint64_t failures = 0;
-        while (failures < count && !a.bernoulli(p)) ++failures;
-        ASSERT_EQ(b.bernoulli_first_hit(count, t), failures)
-            << "p " << p << " count " << count;
+    for (const std::uint64_t count : {0u, 1u, 7u, 50u, 1000u, 20000u}) {
+      for (int rep = 0; rep < 5; ++rep) {
+        std::vector<std::uint64_t> want;
+        for (std::uint64_t i = 0; i < count; ++i) {
+          if (a.bernoulli(p)) want.push_back(i);
+        }
+        b.bernoulli_hits(count, t, hits);
+        ASSERT_EQ(hits, want) << "p " << p << " count " << count;
+        std::vector<std::uint64_t> want_bits((count + 63) / 64, 0);
+        std::uint64_t set = 0;
+        for (std::uint64_t i = 0; i < count; ++i) {
+          if (a.bernoulli(p)) {
+            want_bits[i / 64] |= std::uint64_t{1} << (i % 64);
+            ++set;
+          }
+        }
+        ASSERT_EQ(b.bernoulli_bits(count, t, bits), set);
+        ASSERT_EQ(bits, want_bits) << "p " << p << " count " << count;
       }
     }
     EXPECT_EQ(a.next_u64(), b.next_u64()) << "p " << p;
   }
 }
+
+// --- Jump-ahead and lane scans (rng/lanes.h) --------------------------------
+
+using detail::LaneKernel;
+
+}  // namespace
+
+namespace detail {
+// Names the kernel in test names and failure messages.
+void PrintTo(LaneKernel kernel, std::ostream* os) {
+  switch (kernel) {
+    case LaneKernel::kAvx2:
+      *os << "avx2";
+      return;
+    case LaneKernel::kAvx512:
+      *os << "avx512";
+      return;
+    case LaneKernel::kPlain:
+      break;
+  }
+  *os << "plain";
+}
+}  // namespace detail
+
+namespace {
+
+TEST(LaneJump, CharacteristicPolynomialGivesTheAuthorsJump) {
+  EXPECT_EQ(detail::x_pow2_mod_p(128), Xoshiro256StarStar::kJump);
+}
+
+TEST(LaneJump, PowerOfTwoJumpsEqualStepping) {
+  Xoshiro256StarStar stepped(21);
+  std::uint64_t steps = 0;
+  for (unsigned e = 0; e <= 16; ++e) {
+    for (; steps < (std::uint64_t{1} << e); ++steps) (void)stepped();
+    Xoshiro256StarStar jumped(21);
+    jumped.jump_by(detail::x_pow2_mod_p(e));
+    Xoshiro256StarStar probe = stepped;
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(jumped(), probe()) << "2^" << e;
+  }
+}
+
+TEST(LaneJump, LaneOffsetsEqualStepping) {
+  const Xoshiro256StarStar start(22);
+  for (unsigned m = detail::kMinLaneLog2; m <= detail::kMaxLaneLog2; ++m) {
+    Xoshiro256StarStar stepped = start;
+    for (unsigned k = 0; k < 8; ++k) {
+      if (k > 0) {
+        for (std::uint64_t i = 0; i < (std::uint64_t{1} << m); ++i) {
+          (void)stepped();
+        }
+      }
+      Xoshiro256StarStar jumped = detail::lane_start(start, m, k);
+      Xoshiro256StarStar probe = stepped;
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(jumped(), probe()) << "m " << m << " k " << k;
+      }
+    }
+  }
+}
+
+// One draw at a time, the semantics every kernel must reproduce.
+std::vector<std::uint64_t> reference_hits(Xoshiro256StarStar& e,
+                                          std::uint64_t count,
+                                          std::uint64_t t) {
+  std::vector<std::uint64_t> hits;
+  if (t == 0) return hits;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (t >= Rng::kBernoulliCertain || (e() >> 11) < t) hits.push_back(i);
+  }
+  return hits;
+}
+
+std::vector<std::uint64_t> to_bits(const std::vector<std::uint64_t>& hits,
+                                   std::uint64_t count) {
+  std::vector<std::uint64_t> bits((count + 63) / 64, 0);
+  for (const std::uint64_t i : hits) {
+    bits[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  return bits;
+}
+
+bool reference_skip(Xoshiro256StarStar& engine, std::uint64_t count,
+                    std::uint64_t lcm) {
+  Xoshiro256StarStar e = engine;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (e() * lcm < lcm) return false;
+  }
+  engine = e;
+  return true;
+}
+
+void expect_same_state(Xoshiro256StarStar a, Xoshiro256StarStar b,
+                       const std::string& what) {
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(a(), b()) << what;
+}
+
+// The raw draw at stream position `pos` of `engine`.
+std::uint64_t draw_at(Xoshiro256StarStar engine, std::uint64_t pos) {
+  for (std::uint64_t i = 0; i < pos; ++i) (void)engine();
+  return engine();
+}
+
+class LaneScan : public ::testing::TestWithParam<LaneKernel> {
+ protected:
+  void SetUp() override {
+    if (!detail::supports(GetParam())) {
+      GTEST_SKIP() << "this CPU lacks " << detail::required_isa(GetParam());
+    }
+  }
+
+  // Hits, bits and the next state against the reference, from `seed`.
+  void expect_trials_match(std::uint64_t seed, std::uint64_t count,
+                           std::uint64_t t) {
+    const std::string what = "seed " + std::to_string(seed) + " count " +
+                             std::to_string(count) + " t " + std::to_string(t);
+    Xoshiro256StarStar want(seed);
+    const std::vector<std::uint64_t> want_hits = reference_hits(want, count, t);
+    Xoshiro256StarStar got(seed);
+    std::vector<std::uint64_t> hits{7};  // cleared, not appended to
+    detail::bernoulli_hits(got, count, t, hits, GetParam());
+    ASSERT_EQ(hits, want_hits) << what;
+    expect_same_state(got, want, what);
+    Xoshiro256StarStar got_bits(seed);
+    std::vector<std::uint64_t> bits(3, 1);
+    ASSERT_EQ(detail::bernoulli_bits(got_bits, count, t, bits, GetParam()),
+              want_hits.size())
+        << what;
+    ASSERT_EQ(bits, to_bits(want_hits, count)) << what;
+    expect_same_state(got_bits, want, what);
+  }
+
+  // The skip against the reference, from `seed`; returns whether it
+  // skipped.
+  bool expect_skip_matches(std::uint64_t seed, std::uint64_t count,
+                           std::uint64_t lcm) {
+    const std::string what = "seed " + std::to_string(seed) + " count " +
+                             std::to_string(count) + " lcm " +
+                             std::to_string(lcm);
+    Xoshiro256StarStar want(seed);
+    const bool skipped = reference_skip(want, count, lcm);
+    Xoshiro256StarStar got(seed);
+    EXPECT_EQ(detail::skip_filtered(got, count, lcm, GetParam()), skipped)
+        << what;
+    expect_same_state(got, want, what);
+    return skipped;
+  }
+};
+
+// Block edges of both lane widths (L * 2^m for L = 4, 8 and m = 9..14),
+// one off each way, sums of blocks, and one scan past the largest block.
+std::vector<std::uint64_t> edge_counts() {
+  std::vector<std::uint64_t> counts = {0, 1, 63, 64, 65, 200000};
+  for (std::uint64_t block = 2048; block <= (std::uint64_t{8} << 14);
+       block *= 2) {
+    for (const std::uint64_t c : {block - 1, block, block + 1}) {
+      counts.push_back(c);
+    }
+  }
+  counts.push_back((std::uint64_t{8} << 14) + 4096 + 2048 + 1);
+  return counts;
+}
+
+TEST_P(LaneScan, TrialsMatchOneDrawAtATime) {
+  const std::uint64_t certain = Rng::kBernoulliCertain;
+  for (const std::uint64_t count : edge_counts()) {
+    for (const std::uint64_t t :
+         {std::uint64_t{0}, std::uint64_t{1}, certain / 10000, certain / 3,
+          certain - 1, certain}) {
+      expect_trials_match(90 + count % 7, count, t);
+    }
+  }
+}
+
+TEST_P(LaneScan, HitsAtLaneBoundaries) {
+  // With T one above the top 53 bits of the draw at a lane's first or last
+  // position, that position is a hit; with T equal to them, a miss.
+  const std::uint64_t seed = 23;
+  for (const std::uint64_t lane_len : {512u, 1024u, 4096u}) {
+    const std::uint64_t count = 8 * lane_len;
+    for (std::uint64_t k = 1; k < 8; ++k) {
+      for (const std::uint64_t pos : {k * lane_len - 1, k * lane_len}) {
+        const std::uint64_t top = draw_at(Xoshiro256StarStar(seed), pos) >> 11;
+        ASSERT_LT(top + 1, Rng::kBernoulliCertain);
+        expect_trials_match(seed, count, top);
+        expect_trials_match(seed, count, top + 1);
+      }
+    }
+  }
+}
+
+TEST_P(LaneScan, SkipMatchesOneDrawAtATime) {
+  for (const std::uint64_t count : edge_counts()) {
+    // lcm(2..20) fails the filter with probability 2^-36 per draw; 2^63
+    // fails on every even draw.
+    EXPECT_TRUE(expect_skip_matches(31 + count % 5, count, 232792560));
+    EXPECT_EQ(expect_skip_matches(31, count, std::uint64_t{1} << 63),
+              count == 0);
+  }
+}
+
+TEST_P(LaneScan, FilterHitInTheLastLaneLeavesStateUnchanged) {
+  // With lcm = 2^52 a draw fails the filter with probability 2^-12. Search
+  // seeds for a scan whose only failing draw lies in the last lane of the
+  // first block (positions 3584..4095 of 4096), or in the plain tail after
+  // one block (4096..4159 of 4160).
+  const std::uint64_t lcm = std::uint64_t{1} << 52;
+  for (const auto& [count, first] :
+       {std::pair<std::uint64_t, std::uint64_t>{4096, 3584}, {4160, 4096}}) {
+    std::uint64_t found = 0;
+    for (std::uint64_t seed = 0; found < 3; ++seed) {
+      ASSERT_LT(seed, 100000u);
+      Xoshiro256StarStar e(seed);
+      std::uint64_t filtered = 0;
+      bool only_late = true;
+      for (std::uint64_t i = 0; i < count; ++i) {
+        if (e() * lcm < lcm) {
+          ++filtered;
+          only_late = only_late && i >= first;
+        }
+      }
+      if (filtered == 0 || !only_late) continue;
+      ++found;
+      EXPECT_FALSE(expect_skip_matches(seed, count, lcm));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, LaneScan,
+    ::testing::Values(LaneKernel::kPlain, LaneKernel::kAvx2,
+                      LaneKernel::kAvx512),
+    [](const ::testing::TestParamInfo<LaneKernel>& kernel) {
+      return ::testing::PrintToString(kernel.param);
+    });
 
 }  // namespace
 }  // namespace rit::rng

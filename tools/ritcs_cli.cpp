@@ -43,6 +43,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "attack/strategy_search.h"
 #include "attack/sybil_apply.h"
@@ -52,6 +53,7 @@
 #include "common/check.h"
 #include "common/format_util.h"
 #include "common/hash.h"
+#include "common/num_io.h"
 #include "common/parallel.h"
 #include "core/audit.h"
 #include "core/result_io.h"
@@ -62,6 +64,7 @@
 #include "sim/population_io.h"
 #include "sim/report.h"
 #include "sim/runner.h"
+#include "sim/workload.h"
 #include "stats/online_stats.h"
 #include "tree/dot_export.h"
 
@@ -73,11 +76,10 @@ sim::Scenario scenario_from_args(cli::Args& args) {
   sim::Scenario s;
   const std::string config = args.get_string("config", "");
   if (!config.empty()) s = sim::read_scenario_file(config);
-  s.num_users = static_cast<std::uint32_t>(args.get_u64("users", s.num_users));
-  s.num_types = static_cast<std::uint32_t>(args.get_u64("types", s.num_types));
-  s.tasks_per_type =
-      static_cast<std::uint32_t>(args.get_u64("tasks", s.tasks_per_type));
-  s.k_max = static_cast<std::uint32_t>(args.get_u64("kmax", s.k_max));
+  s.num_users = args.get_u32("users", s.num_users);
+  s.num_types = args.get_u32("types", s.num_types);
+  s.tasks_per_type = args.get_u32("tasks", s.tasks_per_type);
+  s.k_max = args.get_u32("kmax", s.k_max);
   s.mechanism.h = args.get_double("h", s.mechanism.h);
   s.graph = sim::parse_graph_kind(
       args.get_string("graph", sim::to_string(s.graph)));
@@ -87,12 +89,36 @@ sim::Scenario scenario_from_args(cli::Args& args) {
                         core::RoundBudgetPolicy::kTheoretical
                     ? "theoretical"
                     : "completion");
-  RIT_CHECK_MSG(policy == "theoretical" || policy == "completion",
-                "--policy wants theoretical|completion");
+  require_usage(policy == "theoretical" || policy == "completion",
+                "flag --policy wants theoretical|completion, got '" + policy +
+                    "'");
   s.mechanism.round_budget_policy =
       policy == "theoretical" ? core::RoundBudgetPolicy::kTheoretical
                               : core::RoundBudgetPolicy::kRunToCompletion;
+  // What make_instance and run_rit would refuse later, inside a trial.
+  const std::uint64_t min_users = sim::min_users(s);
+  require_usage(s.num_users >= min_users,
+                "flag --users wants at least " + std::to_string(min_users) +
+                    " with graph " + sim::to_string(s.graph) + ", got " +
+                    std::to_string(s.num_users));
+  require_usage(s.num_types >= 1, "flag --types wants at least 1, got 0");
+  require_usage(s.tasks_per_type >= 1 || s.demand_hi > 0,
+                "flag --tasks wants at least 1, got 0");
+  require_usage(s.k_max >= 1, "flag --kmax wants at least 1, got 0");
+  require_usage(s.mechanism.h > 0.0 && s.mechanism.h < 1.0,
+                "flag --h wants a value in (0, 1), got " +
+                    format_double_shortest(s.mechanism.h));
   return s;
+}
+
+// A flag naming a user must name one of the scenario's, checked before any
+// trial runs.
+void require_user(const char* flag, std::uint64_t user,
+                  const sim::Scenario& s) {
+  require_usage(user < s.num_users,
+                std::string("flag --") + flag + " wants a user below " +
+                    std::to_string(s.num_users) + ", got " +
+                    std::to_string(user));
 }
 
 int mode_config() {
@@ -147,17 +173,17 @@ int mode_run(cli::Args& args) {
           "checkpoint", "checkpoint-every", "resume", "supervised", "shards",
           "shard-mem-mb", "shard-cpu-s", "shard-retries",
           "heartbeat-timeout-ms"}) {
-      RIT_CHECK_MSG(!args.has(flag),
-                    "--" << flag
-                         << " does not apply to --population (one trial, "
-                            "no sweep)");
+      require_usage(!args.has(flag),
+                    std::string("--") + flag +
+                        " does not apply to --population (one trial, no "
+                        "sweep)");
     }
     args.finish();
     return run_with_population(s, population);
   }
   const std::uint64_t trials = args.get_u64("trials", 5);
   // 0 = hardware concurrency; 1 = the engine on one worker.
-  const auto threads = static_cast<unsigned>(args.get_u64("threads", 0));
+  const unsigned threads = args.get_u32("threads", 0);
   sim::GuardPolicy policy;
   policy.max_trial_failures = args.get_u64("max-trial-failures", 0);
   policy.trial_timeout_ms = args.get_double("trial-timeout-ms", 0.0);
@@ -165,21 +191,20 @@ int mode_run(cli::Args& args) {
   const std::uint64_t checkpoint_every = args.get_u64("checkpoint-every", 0);
   const bool resume = args.get_bool("resume", false);
   const bool supervised = args.get_bool("supervised", false);
-  const auto shards = static_cast<unsigned>(args.get_u64("shards", 0));
+  const unsigned shards = args.get_u32("shards", 0);
   const std::uint64_t shard_mem_mb = args.get_u64("shard-mem-mb", 0);
   const std::uint64_t shard_cpu_s = args.get_u64("shard-cpu-s", 0);
-  const auto shard_retries =
-      static_cast<unsigned>(args.get_u64("shard-retries", 2));
+  const unsigned shard_retries = args.get_u32("shard-retries", 2);
   const std::uint64_t heartbeat_timeout_ms =
       args.get_u64("heartbeat-timeout-ms", 0);
   args.finish();
-  RIT_CHECK_MSG(checkpoint.empty() ? !resume : true,
+  require_usage(checkpoint.empty() ? !resume : true,
                 "--resume requires --checkpoint=PATH");
-  RIT_CHECK_MSG(checkpoint.empty() ? checkpoint_every == 0 : true,
+  require_usage(checkpoint.empty() ? checkpoint_every == 0 : true,
                 "--checkpoint-every requires --checkpoint=PATH");
-  RIT_CHECK_MSG(policy.trial_timeout_ms >= 0.0,
+  require_usage(policy.trial_timeout_ms >= 0.0,
                 "--trial-timeout-ms must be >= 0");
-  RIT_CHECK_MSG(supervised ||
+  require_usage(supervised ||
                     (shards == 0 && shard_mem_mb == 0 && shard_cpu_s == 0 &&
                      heartbeat_timeout_ms == 0),
                 "--shards/--shard-mem-mb/--shard-cpu-s/"
@@ -268,6 +293,7 @@ int mode_explain(cli::Args& args) {
   const sim::Scenario s = scenario_from_args(args);
   const std::uint64_t user_flag = args.get_u64("user", ~std::uint64_t{0});
   args.finish();
+  if (user_flag != ~std::uint64_t{0}) require_user("user", user_flag, s);
 
   const sim::TrialInstance inst = sim::make_instance(s, 0);
   rng::Rng rng(inst.mechanism_seed);
@@ -280,7 +306,6 @@ int mode_explain(cli::Args& args) {
   }
   std::uint32_t user = 0;
   if (user_flag != ~std::uint64_t{0}) {
-    RIT_CHECK_MSG(user_flag < inst.population.size(), "--user out of range");
     user = static_cast<std::uint32_t>(user_flag);
   } else {
     for (std::uint32_t j = 1; j < inst.population.size(); ++j) {
@@ -311,17 +336,16 @@ int mode_explain(cli::Args& args) {
 int mode_attack(cli::Args& args) {
   sim::Scenario s = scenario_from_args(args);
   const std::uint64_t trials = args.get_u64("trials", 50);
-  const auto identities =
-      static_cast<std::uint32_t>(args.get_u64("identities", 4));
+  const std::uint32_t identities = args.get_u32("identities", 4);
   const double ask = args.get_double("ask", 0.0);  // 0 = truthful
   const std::uint64_t victim_flag = args.get_u64("victim", 0);
   args.finish();
+  require_user("victim", victim_flag, s);
 
   stats::OnlineStats honest;
   stats::OnlineStats attacked_stats;
   for (std::uint64_t trial = 0; trial < trials; ++trial) {
     sim::TrialInstance inst = sim::make_instance(s, trial);
-    RIT_CHECK_MSG(victim_flag < inst.population.size(), "--victim out of range");
     const auto victim = static_cast<std::uint32_t>(victim_flag);
     auto& vask = inst.population.truthful_asks[victim];
     if (vask.quantity < identities) vask.quantity = identities;
@@ -418,9 +442,9 @@ int mode_redteam(cli::Args& args) {
   const double cost = args.get_double("cost", 2.0);
   const std::uint64_t trials = args.get_u64("trials", 40);
   args.finish();
+  require_user("victim", victim_flag, s);
 
   sim::TrialInstance inst = sim::make_instance(s, 0);
-  RIT_CHECK_MSG(victim_flag < inst.population.size(), "--victim out of range");
   const auto victim = static_cast<std::uint32_t>(victim_flag);
   inst.population.truthful_asks[victim].quantity = std::max<std::uint32_t>(
       inst.population.truthful_asks[victim].quantity, 6);
@@ -512,7 +536,7 @@ int mode_save(cli::Args& args) {
 int mode_audit(cli::Args& args) {
   const std::string in_path = args.get_string("in", "");
   args.finish();
-  RIT_CHECK_MSG(!in_path.empty(), "--mode=audit needs --in=FILE");
+  require_usage(!in_path.empty(), "--mode=audit needs --in=FILE");
   const core::ExperimentRecord rec = core::read_record_file(in_path);
   const core::AuditReport report = core::audit_payments(
       rec.tree(), rec.asks, rec.result, rec.discount_base);
