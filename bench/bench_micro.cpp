@@ -98,20 +98,29 @@ BENCHMARK(BM_ConsensusRoundDown);
 // The raw-draw scans of one CRA round at paper_sweep's size (about 8k
 // users of a type, k ~ U{1..20}): phase 1's Bernoulli(1/(q+m_i)) sample
 // with q + m_i = 10000 and the tie-shuffle skip with lcm(2..20). Each runs
-// on the CPU's lane kernel (rng/lanes.h) and, in the *Plain arms, on the
-// one-draw-at-a-time loop, which makes the same draws.
-void rng_hits(benchmark::State& state, rng::detail::LaneKernel kernel) {
+// on the CPU's lane kernel (rng/lanes.h) and, in the *Avx2 and *Plain
+// arms, on the 4-lane kernel and on the one-draw-at-a-time loop, which
+// make the same draws. An arm whose kernel the CPU lacks is skipped.
+bool kernel_runs(benchmark::State& state, rng::detail::LaneKernel kernel) {
+  if (rng::detail::supports(kernel)) return true;
+  state.SkipWithError("this CPU lacks the kernel's instruction set");
+  return false;
+}
+
+void rng_bits(benchmark::State& state, rng::detail::LaneKernel kernel) {
+  if (!kernel_runs(state, kernel)) return;
   const auto count = static_cast<std::uint64_t>(state.range(0));
   const std::uint64_t t = rng::Rng::bernoulli_threshold(1.0 / 10000.0);
   rng::Xoshiro256StarStar engine(3);
-  std::vector<std::uint64_t> hits;
+  std::vector<std::uint64_t> bits;
   for (auto _ : state) {
-    rng::detail::bernoulli_hits(engine, count, t, hits, kernel);
-    benchmark::DoNotOptimize(hits.data());
+    benchmark::DoNotOptimize(
+        rng::detail::bernoulli_bits(engine, count, t, bits, kernel));
   }
 }
 
 void rng_skip(benchmark::State& state, rng::detail::LaneKernel kernel) {
+  if (!kernel_runs(state, kernel)) return;
   const auto count = static_cast<std::uint64_t>(state.range(0));
   rng::Xoshiro256StarStar engine(4);
   for (auto _ : state) {
@@ -120,21 +129,29 @@ void rng_skip(benchmark::State& state, rng::detail::LaneKernel kernel) {
   }
 }
 
-void BM_RngBernoulliHits(benchmark::State& state) {
-  rng_hits(state, rng::detail::host_kernel());
+void BM_RngBernoulliBits(benchmark::State& state) {
+  rng_bits(state, rng::detail::host_kernel());
 }
-void BM_RngBernoulliHitsPlain(benchmark::State& state) {
-  rng_hits(state, rng::detail::LaneKernel::kPlain);
+void BM_RngBernoulliBitsAvx2(benchmark::State& state) {
+  rng_bits(state, rng::detail::LaneKernel::kAvx2);
+}
+void BM_RngBernoulliBitsPlain(benchmark::State& state) {
+  rng_bits(state, rng::detail::LaneKernel::kPlain);
 }
 void BM_RngSkipUniformIndices(benchmark::State& state) {
   rng_skip(state, rng::detail::host_kernel());
 }
+void BM_RngSkipUniformIndicesAvx2(benchmark::State& state) {
+  rng_skip(state, rng::detail::LaneKernel::kAvx2);
+}
 void BM_RngSkipUniformIndicesPlain(benchmark::State& state) {
   rng_skip(state, rng::detail::LaneKernel::kPlain);
 }
-BENCHMARK(BM_RngBernoulliHits)->Arg(84000)->Arg(63000);
-BENCHMARK(BM_RngBernoulliHitsPlain)->Arg(84000)->Arg(63000);
+BENCHMARK(BM_RngBernoulliBits)->Arg(84000)->Arg(63000);
+BENCHMARK(BM_RngBernoulliBitsAvx2)->Arg(84000)->Arg(63000);
+BENCHMARK(BM_RngBernoulliBitsPlain)->Arg(84000)->Arg(63000);
 BENCHMARK(BM_RngSkipUniformIndices)->Arg(76000);
+BENCHMARK(BM_RngSkipUniformIndicesAvx2)->Arg(76000);
 BENCHMARK(BM_RngSkipUniformIndicesPlain)->Arg(76000);
 
 // The CRA round through the unit-vector API on all-distinct asks, with a
@@ -213,7 +230,6 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
   core::CraWorkspace ws;
   core::CraOutcome out;
   ws.sample_pool.reserve(units);
-  ws.hits.reserve(units);
   ws.thinned.reserve(units / 64 + 1);
   ws.sampled.reserve(units / 64 + 1);
   for (int warm = 0; warm < 64; ++warm) {
@@ -337,7 +353,6 @@ void BM_AuctionPhaseWorkspace(benchmark::State& state) {
   const std::size_t alpha = *std::max_element(supply.begin(), supply.end());
   ws.cra.sample_pool.reserve(alpha);
   ws.cra.sample_out.reserve(alpha);
-  ws.cra.hits.reserve(alpha);
   ws.cra.thinned.reserve(alpha / 64 + 1);
   ws.cra.sampled.reserve(alpha / 64 + 1);
   for (int warm = 0; warm < 4; ++warm) {

@@ -286,18 +286,23 @@ void run_cra_runs(std::span<const AskRun> runs,
   {
     RIT_TRACE_SPAN("cra.phase1");
     // Step 1: Bernoulli(1/(q+m_i)) sample of every unit ask; s = min
-    // sampled value. The draws run flat over alpha in one scan; each hit
-    // (rare: about |alpha| / (q+m_i) of them) advances a cursor to its run.
-    rng.bernoulli_hits(
+    // sampled value. The draws run flat over alpha in one scan into a
+    // bitmap; each set bit (rare: about |alpha| / (q+m_i) of them) advances
+    // a cursor to its run.
+    const std::uint64_t sampled = rng.bernoulli_bits(
         units, rng::Rng::bernoulli_threshold(1.0 / static_cast<double>(budget)),
-        ws.hits);
+        ws.thinned);
     double s = std::numeric_limits<double>::infinity();
     std::size_t r = 0;
-    for (const std::uint64_t u : ws.hits) {
-      while (runs[r].start + runs[r].len <= u) ++r;
-      s = std::min(s, runs[r].value);
+    for (std::size_t w = 0; w < ws.thinned.size(); ++w) {
+      for (std::uint64_t word = ws.thinned[w]; word != 0; word &= word - 1) {
+        const std::uint64_t u =
+            64 * w + static_cast<std::uint64_t>(std::countr_zero(word));
+        while (runs[r].start + runs[r].len <= u) ++r;
+        s = std::min(s, runs[r].value);
+      }
     }
-    if (ws.hits.empty()) {
+    if (sampled == 0) {
       if (params.empty_sample == EmptySamplePolicy::kNoWinners) return;
       // kAllAsks: act as if the threshold sits at the top of the book —
       // every ask is at or below it, and it is still a finite, IR-safe

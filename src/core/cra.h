@@ -104,10 +104,9 @@ struct CraWorkspace {
   std::vector<std::uint32_t> ties;
   /// Win counts of one such group's runs while they are summed.
   std::vector<std::uint32_t> tie_wins;
-  /// Step 1's sampled unit positions, ascending.
-  std::vector<std::uint64_t> hits;
-  /// Step 3's thinning over unit positions and step 5's sample over chosen
-  /// indices, one bit each.
+  /// Step 1's sample over unit positions, then step 3's thinning over
+  /// value-order positions, and step 5's sample over chosen indices, one
+  /// bit each.
   std::vector<std::uint64_t> thinned;
   std::vector<std::uint64_t> sampled;
   std::vector<std::size_t> sample_pool;
@@ -128,8 +127,9 @@ struct CraWorkspace {
 ///
 /// Cost: O(users + draws) per round (one run per user), with no sort: the
 /// order is given. Phase 1 makes the paper's one raw draw per unit ask in
-/// one flat scan (rng::Rng::bernoulli_hits, SIMD lanes where the CPU has
-/// them) and visits only the sampled positions; the rest of it is per run.
+/// one flat scan into a bitmap (rng::Rng::bernoulli_bits, SIMD lanes where
+/// the CPU has them) and visits only its set bits; the rest of it is per
+/// run.
 /// Phase 2 walks the order: the band (the runs at or below the threshold
 /// s) is its prefix, and a tie group is a stretch of equal values. The tie
 /// shuffle of a group that is one run only permutes that run's asks, so it

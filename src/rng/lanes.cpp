@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <numeric>
 
 #include "common/check.h"
 #include "rng/rng.h"
@@ -76,13 +75,6 @@ std::uint64_t plain_word(Xoshiro256StarStar& e, std::uint64_t n,
     word |= std::uint64_t{(e() >> 11) < threshold} << j;
   }
   return word;
-}
-
-void append_hits(std::uint64_t word, std::uint64_t first,
-                 std::vector<std::uint64_t>& hits) {
-  for (; word != 0; word &= word - 1) {
-    hits.push_back(first + static_cast<std::uint64_t>(std::countr_zero(word)));
-  }
 }
 
 // The SIMD kernels. The vector types appear only in functions that are
@@ -222,32 +214,6 @@ template <int L>
   }
 }
 
-template <int L>
-[[gnu::always_inline]] inline void hits_scan(
-    Xoshiro256StarStar& e, std::uint64_t count, std::uint64_t threshold,
-    std::vector<std::uint64_t>& hits) {
-  std::uint64_t done = 0;
-  if constexpr (L > 1) {
-    if (block_log2<L>(count) != 0) {
-      // One block's bitmap, read back in stream order.
-      std::array<std::uint64_t, (std::uint64_t{L} << kMaxLaneLog2) / 64>
-          words{};
-      for (unsigned m; (m = block_log2<L>(count - done)) != 0;
-           done += std::uint64_t{L} << m) {
-        bits_block<L>(e, m, threshold, words.data());
-        for (std::uint64_t w = 0; w < (std::uint64_t{L} << m) / 64; ++w) {
-          append_hits(words[w], done + 64 * w, hits);
-        }
-      }
-    }
-  }
-  for (; done < count; done += 64) {
-    append_hits(
-        plain_word(e, std::min<std::uint64_t>(64, count - done), threshold),
-        done, hits);
-  }
-}
-
 #if defined(__x86_64__)
 __attribute__((target("avx512f,avx512dq"))) bool skip_avx512(
     Xoshiro256StarStar& e, std::uint64_t count, std::uint64_t lcm) {
@@ -268,16 +234,6 @@ __attribute__((target("avx2"))) void bits_avx2(Xoshiro256StarStar& e,
                                                std::uint64_t threshold,
                                                std::uint64_t* bits) {
   bits_scan<4>(e, count, threshold, bits);
-}
-__attribute__((target("avx512f,avx512dq"))) void hits_avx512(
-    Xoshiro256StarStar& e, std::uint64_t count, std::uint64_t threshold,
-    std::vector<std::uint64_t>& hits) {
-  hits_scan<8>(e, count, threshold, hits);
-}
-__attribute__((target("avx2"))) void hits_avx2(
-    Xoshiro256StarStar& e, std::uint64_t count, std::uint64_t threshold,
-    std::vector<std::uint64_t>& hits) {
-  hits_scan<4>(e, count, threshold, hits);
 }
 #endif
 
@@ -350,29 +306,6 @@ bool skip_filtered(Xoshiro256StarStar& engine, std::uint64_t count,
 #endif
     default:
       return skip_scan<1>(engine, count, lcm);
-  }
-}
-
-void bernoulli_hits(Xoshiro256StarStar& engine, std::uint64_t count,
-                    std::uint64_t threshold,
-                    std::vector<std::uint64_t>& hits, LaneKernel kernel) {
-  RIT_CHECK(supports(kernel));
-  hits.clear();
-  if (threshold == 0) return;
-  if (threshold >= Rng::kBernoulliCertain) {
-    hits.resize(count);
-    std::iota(hits.begin(), hits.end(), std::uint64_t{0});
-    return;
-  }
-  switch (kernel) {
-#if defined(__x86_64__)
-    case LaneKernel::kAvx512:
-      return hits_avx512(engine, count, threshold, hits);
-    case LaneKernel::kAvx2:
-      return hits_avx2(engine, count, threshold, hits);
-#endif
-    default:
-      return hits_scan<1>(engine, count, threshold, hits);
   }
 }
 

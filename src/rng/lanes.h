@@ -15,9 +15,9 @@
 // left; the plain loop draws the rest, and every draw on a CPU without
 // AVX2. The kernel is picked once from the CPU (host_kernel).
 //
-// rng::Rng's skip_uniform_indices, bernoulli_hits and bernoulli_bits are
-// these functions on the host kernel. The `kernel` argument lets a test
-// run each variant the CPU supports.
+// rng::Rng's skip_uniform_indices and bernoulli_bits are these functions
+// on the host kernel. The `kernel` argument lets a test run each variant
+// the CPU supports.
 #pragma once
 
 #include <cstdint>
@@ -54,17 +54,11 @@ Xoshiro256StarStar lane_start(Xoshiro256StarStar engine, unsigned m,
 bool skip_filtered(Xoshiro256StarStar& engine, std::uint64_t count,
                    std::uint64_t lcm, LaneKernel kernel);
 
-/// rng::Rng::bernoulli_hits: `count` trials (x >> 11) < threshold, one
-/// draw each; `hits` receives the positions of the successes, ascending.
+/// rng::Rng::bernoulli_bits: `count` trials (x >> 11) < threshold, one
+/// draw each, as a bitmap: bit i of bits[i / 64] for trial i, with `bits`
+/// resized to (count + 63) / 64 words. Returns the number of successes.
 /// Takes no draw when threshold is 0 (no success) or at least 2^53 (every
 /// trial succeeds).
-void bernoulli_hits(Xoshiro256StarStar& engine, std::uint64_t count,
-                    std::uint64_t threshold,
-                    std::vector<std::uint64_t>& hits, LaneKernel kernel);
-
-/// rng::Rng::bernoulli_bits: the same trials as a bitmap, bit i of
-/// bits[i / 64] for trial i, with `bits` resized to (count + 63) / 64
-/// words; returns the number of successes.
 std::uint64_t bernoulli_bits(Xoshiro256StarStar& engine, std::uint64_t count,
                              std::uint64_t threshold,
                              std::vector<std::uint64_t>& bits,

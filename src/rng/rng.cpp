@@ -13,12 +13,6 @@ bool Rng::skip_uniform_indices(std::uint64_t count, std::uint64_t lcm) {
   return detail::skip_filtered(engine_, count, lcm, detail::host_kernel());
 }
 
-void Rng::bernoulli_hits(std::uint64_t count, std::uint64_t threshold,
-                         std::vector<std::uint64_t>& hits) {
-  detail::bernoulli_hits(engine_, count, threshold, hits,
-                         detail::host_kernel());
-}
-
 std::uint64_t Rng::bernoulli_bits(std::uint64_t count,
                                   std::uint64_t threshold,
                                   std::vector<std::uint64_t>& bits) {

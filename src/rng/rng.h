@@ -100,15 +100,11 @@ class Rng {
   static constexpr std::uint64_t kBernoulliCertain = std::uint64_t{1} << 53;
   static std::uint64_t bernoulli_threshold(double p);
   /// Makes `count` bernoulli(p) trials, T = bernoulli_threshold(p), one
-  /// raw draw each, and lists the positions of the successes in `hits`,
-  /// ascending. For p <= 0 (T = 0) no trial succeeds and for p >= 1 every
+  /// raw draw each, as a bitmap: bit i of bits[i / 64] is trial i, and
+  /// `bits` is resized to (count + 63) / 64 words. Returns the number of
+  /// successes. For p <= 0 (T = 0) no trial succeeds and for p >= 1 every
   /// one does; neither takes a draw. The draws run in SIMD lanes where the
   /// CPU has them (rng/lanes.h), with the exact stream.
-  void bernoulli_hits(std::uint64_t count, std::uint64_t threshold,
-                      std::vector<std::uint64_t>& hits);
-  /// The same trials as a bitmap: bit i of bits[i / 64] is trial i, and
-  /// `bits` is resized to (count + 63) / 64 words. Returns the number of
-  /// successes.
   std::uint64_t bernoulli_bits(std::uint64_t count, std::uint64_t threshold,
                                std::vector<std::uint64_t>& bits);
 

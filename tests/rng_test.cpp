@@ -363,7 +363,7 @@ TEST(Rng, SkipUniformIndicesOfNothingIsANoOp) {
 }
 
 // --- Threshold form of bernoulli -------------------------------------------
-// One trial of the threshold form, bernoulli_hits(1, T, hits) with
+// One trial of the threshold form, bernoulli_bits(1, T, bits) with
 // T = bernoulli_threshold(p), must take the same draws with the same results
 // as bernoulli(p). uniform01() < p is monotone in the raw
 // value k = x >> 11, so it is enough that the boundary sits at T: k = T - 1
@@ -376,9 +376,8 @@ bool uniform01_below(std::uint64_t k, double p) {
 
 /// One trial of the threshold form.
 bool threshold_trial(Rng& rng, std::uint64_t t) {
-  std::vector<std::uint64_t> hits;
-  rng.bernoulli_hits(1, t, hits);
-  return !hits.empty();
+  std::vector<std::uint64_t> bits;
+  return rng.bernoulli_bits(1, t, bits) == 1;
 }
 
 /// Draws `draws` times from matched streams through both forms and checks
@@ -440,14 +439,11 @@ TEST(Rng, BernoulliThresholdJustBelowOne) {
 }
 
 TEST(Rng, BernoulliThresholdOutsideUnitIntervalTakesNoDraw) {
-  std::vector<std::uint64_t> hits;
   std::vector<std::uint64_t> bits;
   for (const double p : {0.0, -0.0, -1.0, -1e300}) {
     EXPECT_EQ(Rng::bernoulli_threshold(p), 0u) << p;
     Rng a(79);
     Rng untouched(79);
-    a.bernoulli_hits(5, Rng::bernoulli_threshold(p), hits);
-    EXPECT_TRUE(hits.empty());
     EXPECT_EQ(a.bernoulli_bits(70, Rng::bernoulli_threshold(p), bits), 0u);
     EXPECT_EQ(bits, (std::vector<std::uint64_t>{0, 0}));
     EXPECT_EQ(a.next_u64(), untouched.next_u64()) << p;
@@ -457,8 +453,6 @@ TEST(Rng, BernoulliThresholdOutsideUnitIntervalTakesNoDraw) {
     EXPECT_EQ(Rng::bernoulli_threshold(p), Rng::kBernoulliCertain) << p;
     Rng a(80);
     Rng untouched(80);
-    a.bernoulli_hits(5, Rng::bernoulli_threshold(p), hits);
-    EXPECT_EQ(hits, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
     EXPECT_EQ(a.bernoulli_bits(70, Rng::bernoulli_threshold(p), bits), 70u);
     EXPECT_EQ(bits, (std::vector<std::uint64_t>{~std::uint64_t{0}, 0x3f}));
     EXPECT_EQ(a.next_u64(), untouched.next_u64()) << p;
@@ -466,8 +460,7 @@ TEST(Rng, BernoulliThresholdOutsideUnitIntervalTakesNoDraw) {
   }
 }
 
-TEST(Rng, BernoulliHitsAndBitsMatchSequentialCalls) {
-  std::vector<std::uint64_t> hits;
+TEST(Rng, BernoulliBitsMatchSequentialCalls) {
   std::vector<std::uint64_t> bits;
   for (const double p : {1e-4, 0.01, 0.2, 0.7}) {
     const std::uint64_t t = Rng::bernoulli_threshold(p);
@@ -475,12 +468,6 @@ TEST(Rng, BernoulliHitsAndBitsMatchSequentialCalls) {
     Rng b(81);
     for (const std::uint64_t count : {0u, 1u, 7u, 50u, 1000u, 20000u}) {
       for (int rep = 0; rep < 5; ++rep) {
-        std::vector<std::uint64_t> want;
-        for (std::uint64_t i = 0; i < count; ++i) {
-          if (a.bernoulli(p)) want.push_back(i);
-        }
-        b.bernoulli_hits(count, t, hits);
-        ASSERT_EQ(hits, want) << "p " << p << " count " << count;
         std::vector<std::uint64_t> want_bits((count + 63) / 64, 0);
         std::uint64_t set = 0;
         for (std::uint64_t i = 0; i < count; ++i) {
@@ -607,7 +594,8 @@ class LaneScan : public ::testing::TestWithParam<LaneKernel> {
     }
   }
 
-  // Hits, bits and the next state against the reference, from `seed`.
+  // The bitmap, its count and the next state against the reference, from
+  // `seed`.
   void expect_trials_match(std::uint64_t seed, std::uint64_t count,
                            std::uint64_t t) {
     const std::string what = "seed " + std::to_string(seed) + " count " +
@@ -615,17 +603,12 @@ class LaneScan : public ::testing::TestWithParam<LaneKernel> {
     Xoshiro256StarStar want(seed);
     const std::vector<std::uint64_t> want_hits = reference_hits(want, count, t);
     Xoshiro256StarStar got(seed);
-    std::vector<std::uint64_t> hits{7};  // cleared, not appended to
-    detail::bernoulli_hits(got, count, t, hits, GetParam());
-    ASSERT_EQ(hits, want_hits) << what;
-    expect_same_state(got, want, what);
-    Xoshiro256StarStar got_bits(seed);
-    std::vector<std::uint64_t> bits(3, 1);
-    ASSERT_EQ(detail::bernoulli_bits(got_bits, count, t, bits, GetParam()),
+    std::vector<std::uint64_t> bits(3, 1);  // overwritten, not or-ed into
+    ASSERT_EQ(detail::bernoulli_bits(got, count, t, bits, GetParam()),
               want_hits.size())
         << what;
     ASSERT_EQ(bits, to_bits(want_hits, count)) << what;
-    expect_same_state(got_bits, want, what);
+    expect_same_state(got, want, what);
   }
 
   // The skip against the reference, from `seed`; returns whether it
