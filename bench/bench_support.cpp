@@ -35,12 +35,11 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   opts.name = name;
   opts.trials = args.get_u64("trials", default_trials);
   opts.scale = args.get_double("scale", 10.0);
-  opts.points = static_cast<std::uint32_t>(args.get_u64("points", 5));
+  opts.points = args.get_u32("points", 5);
   opts.seed = args.get_u64("seed", 42);
   opts.graph = sim::parse_graph_kind(args.get_string("graph", "ba"));
-  opts.threads = static_cast<unsigned>(args.get_u64("threads", 0));
-  opts.intra_threads =
-      static_cast<unsigned>(args.get_u64("intra-threads", 1));
+  opts.threads = args.get_u32("threads", 0);
+  opts.intra_threads = args.get_u32("intra-threads", 1);
   opts.theoretical = args.get_bool("theoretical", false);
   opts.paper_ratio = args.get_bool("paper-ratio", false);
   opts.paper_kmax = args.get_bool("paper-kmax", false);
@@ -55,11 +54,10 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   opts.checkpoint_every = args.get_u64("checkpoint-every", 0);
   opts.resume = args.get_bool("resume", false);
   opts.supervised = args.get_bool("supervised", false);
-  opts.shards = static_cast<unsigned>(args.get_u64("shards", 0));
+  opts.shards = args.get_u32("shards", 0);
   opts.shard_mem_mb = args.get_u64("shard-mem-mb", 0);
   opts.shard_cpu_s = args.get_u64("shard-cpu-s", 0);
-  opts.shard_retries =
-      static_cast<unsigned>(args.get_u64("shard-retries", 2));
+  opts.shard_retries = args.get_u32("shard-retries", 2);
   opts.heartbeat_timeout_ms = args.get_u64("heartbeat-timeout-ms", 0);
   const std::string summary =
       args.get_string("json", "bench_results/BENCH_" + name + ".json");

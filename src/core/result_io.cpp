@@ -1,51 +1,66 @@
 #include "core/result_io.h"
 
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/num_io.h"
+#include "common/record.h"
 
 namespace rit::core {
 
 namespace {
 constexpr const char* kHeader = "ritcs-record v1";
 
-std::string hex_double(double v) { return rit::format_hex_double(v); }
-
-double parse_hex_double(const std::string& token, const char* what) {
-  const auto v = rit::parse_double(token);
-  RIT_CHECK_MSG(v.has_value(),
-                "record: bad double for " << what << ": '" << token << "'");
-  return *v;
-}
-
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  const auto v = rit::parse_u64(token);
-  RIT_CHECK_MSG(v.has_value(),
-                "record: bad integer for " << what << ": '" << token << "'");
-  return *v;
-}
-
-/// Reads the next non-empty line and checks it starts with `key`, returning
-/// the remainder tokenized.
-std::vector<std::string> expect_line(std::istream& in, const char* key) {
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) break;
+ExperimentRecord read_record_text(std::string_view text,
+                                  const std::string& label) {
+  RecordReader r(text, label);
+  r.header(kHeader);
+  ExperimentRecord rec;
+  rec.discount_base = r.hex_double("discount");
+  {
+    const auto t = r.tokens("job");
+    if (t.empty()) r.fail("job needs at least one type");
+    std::vector<std::uint32_t> demand;
+    for (const auto& w : t) demand.push_back(r.as_u32(w, "job"));
+    rec.job = Job(std::move(demand));
   }
-  RIT_CHECK_MSG(!line.empty(), "record: unexpected end of file, wanted '"
-                                   << key << "'");
-  std::istringstream ls(line);
-  std::string head;
-  ls >> head;
-  RIT_CHECK_MSG(head == key, "record: expected '" << key << "', found '"
-                                                  << head << "'");
-  std::vector<std::string> tokens;
-  std::string tok;
-  while (ls >> tok) tokens.push_back(tok);
-  return tokens;
+  const std::size_t n = r.count(r.u64("users"), "users");
+  rec.asks.reserve(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto t = r.tokens("ask");
+    if (t.size() != 3) r.fail("ask wants 3 fields");
+    rec.asks.push_back(Ask{TaskType{r.as_u32(t[0], "ask type")},
+                           r.as_u32(t[1], "ask quantity"),
+                           r.as_double(t[2], "ask value")});
+  }
+  const auto tree = r.tokens("tree");
+  if (tree.size() != n + 1) r.fail("tree size mismatch");
+  for (const auto& w : tree) rec.tree_parents.push_back(r.as_u32(w, "tree"));
+  RitResult& res = rec.result;
+  res.success = r.u64("success") != 0;
+  res.eta = r.hex_double("eta");
+  res.k_max = r.u32("kmax");
+  res.probability_degraded = r.u64("degraded") != 0;
+  res.achieved_probability = r.hex_double("achieved");
+  const auto per_user = [&](std::string_view key) {
+    const auto t = r.tokens(key);
+    if (t.size() != n) r.fail(std::string(key) + " size mismatch");
+    return t;
+  };
+  for (const auto& w : per_user("allocation")) {
+    res.allocation.push_back(r.as_u32(w, "allocation"));
+  }
+  for (const auto& w : per_user("auction_payment")) {
+    res.auction_payment.push_back(r.as_double(w, "auction_payment"));
+  }
+  for (const auto& w : per_user("payment")) {
+    res.payment.push_back(r.as_double(w, "payment"));
+  }
+  // Structural sanity: the tree must parse (throws otherwise).
+  (void)rec.tree();
+  return rec;
 }
 }  // namespace
 
@@ -59,32 +74,32 @@ void write_record(const ExperimentRecord& record, std::ostream& out) {
   RIT_CHECK(record.result.payment.size() == n);
 
   out << kHeader << "\n";
-  out << "discount " << hex_double(record.discount_base) << "\n";
+  out << "discount " << format_hex_double(record.discount_base) << "\n";
   out << "job";
   for (std::uint32_t d : record.job.demand_vector()) out << ' ' << d;
   out << "\n";
   out << "users " << n << "\n";
   for (const Ask& a : record.asks) {
     out << "ask " << a.type.value << ' ' << a.quantity << ' '
-        << hex_double(a.value) << "\n";
+        << format_hex_double(a.value) << "\n";
   }
   out << "tree";
   for (std::uint32_t p : record.tree_parents) out << ' ' << p;
   out << "\n";
   const RitResult& r = record.result;
   out << "success " << (r.success ? 1 : 0) << "\n";
-  out << "eta " << hex_double(r.eta) << "\n";
+  out << "eta " << format_hex_double(r.eta) << "\n";
   out << "kmax " << r.k_max << "\n";
   out << "degraded " << (r.probability_degraded ? 1 : 0) << "\n";
-  out << "achieved " << hex_double(r.achieved_probability) << "\n";
+  out << "achieved " << format_hex_double(r.achieved_probability) << "\n";
   out << "allocation";
   for (std::uint32_t x : r.allocation) out << ' ' << x;
   out << "\n";
   out << "auction_payment";
-  for (double p : r.auction_payment) out << ' ' << hex_double(p);
+  for (double p : r.auction_payment) out << ' ' << format_hex_double(p);
   out << "\n";
   out << "payment";
-  for (double p : r.payment) out << ' ' << hex_double(p);
+  for (double p : r.payment) out << ' ' << format_hex_double(p);
   out << "\n";
 }
 
@@ -98,91 +113,13 @@ void write_record_file(const ExperimentRecord& record,
 }
 
 ExperimentRecord read_record(std::istream& in) {
-  std::string header;
-  std::getline(in, header);
-  RIT_CHECK_MSG(header == kHeader,
-                "record: bad header '" << header << "' (want '" << kHeader
-                                       << "')");
-  ExperimentRecord rec;
-  {
-    const auto tokens = expect_line(in, "discount");
-    RIT_CHECK(tokens.size() == 1);
-    rec.discount_base = parse_hex_double(tokens[0], "discount");
-  }
-  {
-    const auto tokens = expect_line(in, "job");
-    RIT_CHECK_MSG(!tokens.empty(), "record: job needs at least one type");
-    std::vector<std::uint32_t> demand;
-    for (const auto& t : tokens) {
-      demand.push_back(static_cast<std::uint32_t>(parse_u64(t, "job")));
-    }
-    rec.job = Job(std::move(demand));
-  }
-  std::size_t n = 0;
-  {
-    const auto tokens = expect_line(in, "users");
-    RIT_CHECK(tokens.size() == 1);
-    n = parse_u64(tokens[0], "users");
-  }
-  rec.asks.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto tokens = expect_line(in, "ask");
-    RIT_CHECK_MSG(tokens.size() == 3, "record: ask wants 3 fields");
-    rec.asks.push_back(
-        Ask{TaskType{static_cast<std::uint32_t>(parse_u64(tokens[0], "ask type"))},
-            static_cast<std::uint32_t>(parse_u64(tokens[1], "ask quantity")),
-            parse_hex_double(tokens[2], "ask value")});
-  }
-  {
-    const auto tokens = expect_line(in, "tree");
-    RIT_CHECK_MSG(tokens.size() == n + 1,
-                  "record: tree wants " << n + 1 << " parents, found "
-                                        << tokens.size());
-    for (const auto& t : tokens) {
-      rec.tree_parents.push_back(
-          static_cast<std::uint32_t>(parse_u64(t, "tree")));
-    }
-  }
-  RitResult& r = rec.result;
-  r.success = parse_u64(expect_line(in, "success").at(0), "success") != 0;
-  r.eta = parse_hex_double(expect_line(in, "eta").at(0), "eta");
-  r.k_max =
-      static_cast<std::uint32_t>(parse_u64(expect_line(in, "kmax").at(0), "kmax"));
-  r.probability_degraded =
-      parse_u64(expect_line(in, "degraded").at(0), "degraded") != 0;
-  r.achieved_probability =
-      parse_hex_double(expect_line(in, "achieved").at(0), "achieved");
-  {
-    const auto tokens = expect_line(in, "allocation");
-    RIT_CHECK_MSG(tokens.size() == n, "record: allocation size mismatch");
-    for (const auto& t : tokens) {
-      r.allocation.push_back(
-          static_cast<std::uint32_t>(parse_u64(t, "allocation")));
-    }
-  }
-  {
-    const auto tokens = expect_line(in, "auction_payment");
-    RIT_CHECK_MSG(tokens.size() == n, "record: auction_payment size mismatch");
-    for (const auto& t : tokens) {
-      r.auction_payment.push_back(parse_hex_double(t, "auction_payment"));
-    }
-  }
-  {
-    const auto tokens = expect_line(in, "payment");
-    RIT_CHECK_MSG(tokens.size() == n, "record: payment size mismatch");
-    for (const auto& t : tokens) {
-      r.payment.push_back(parse_hex_double(t, "payment"));
-    }
-  }
-  // Structural sanity: the tree must parse (throws otherwise).
-  (void)rec.tree();
-  return rec;
+  return read_record_text(slurp(in), "record");
 }
 
 ExperimentRecord read_record_file(const std::string& path) {
-  std::ifstream in(path);
-  RIT_CHECK_MSG(in.good(), "cannot open record file: " << path);
-  return read_record(in);
+  const std::optional<std::string> text = slurp_file(path);
+  if (!text) throw CheckFailure("cannot open record file: " + path);
+  return read_record_text(*text, "record '" + path + "'");
 }
 
 }  // namespace rit::core

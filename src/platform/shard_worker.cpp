@@ -9,9 +9,9 @@
 #include <cstddef>
 #include <exception>
 #include <memory>
-#include <sstream>
 
 #include "common/check.h"
+#include "common/record.h"
 
 namespace rit::platform {
 
@@ -98,11 +98,7 @@ std::string serialize_shard_result(const sim::GuardedResult& result) {
 }
 
 std::string serialize_shard_error(const std::string& what) {
-  std::string flat = what;
-  for (char& ch : flat) {
-    if (ch == '\n' || ch == '\r') ch = ' ';
-  }
-  return std::string("ritcs-shard-error v1\n") + flat + "\n";
+  return "ritcs-shard-error v1\n" + one_line(what) + "\n";
 }
 
 ShardPayload parse_shard_payload(const std::string& content) {
@@ -120,8 +116,8 @@ ShardPayload parse_shard_payload(const std::string& content) {
     return out;
   }
   if (content.compare(0, error_header.size(), error_header) == 0) {
-    std::istringstream in(content.substr(error_header.size()));
-    std::getline(in, out.error);
+    const std::size_t end = content.find('\n', error_header.size());
+    out.error = content.substr(error_header.size(), end - error_header.size());
     return out;
   }
   out.error = "malformed shard payload (" +

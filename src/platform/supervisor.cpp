@@ -10,14 +10,15 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/parallel.h"
+#include "common/record.h"
 #include "obs/obs.h"
 #include "platform/shard_worker.h"
 #include "sim/runner.h"
@@ -147,12 +148,9 @@ void prepare_shard_file(const ShardSlot& slot, const SupervisorOptions& opts,
     ::unlink(slot.path.c_str());
     return;
   }
-  std::ifstream in(slot.path, std::ios::binary);
-  if (!in) return;  // nothing durable yet
-  std::ostringstream content;
-  content << in.rdbuf();
-  const sim::CheckpointData data =
-      sim::parse_checkpoint(content.str(), slot.path);
+  const std::optional<std::string> content = slurp_file(slot.path);
+  if (!content) return;  // nothing durable yet
+  const sim::CheckpointData data = sim::parse_checkpoint(*content, slot.path);
   if (data.config_hash != slot.shard_hash || data.seed != opts.seed ||
       data.threads != 1 || data.trials != slot.local_trials) {
     ::unlink(slot.path.c_str());

@@ -2,15 +2,15 @@
 
 #include <csignal>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <new>
-#include <sstream>
+#include <optional>
 #include <vector>
 
 #include "common/atomic_file.h"
 #include "common/check.h"
+#include "common/record.h"
 #include "rng/rng.h"
 #include "stats/timer.h"
 
@@ -19,11 +19,9 @@ namespace rit::sim::chaos {
 namespace {
 
 std::string read_all(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  RIT_CHECK_MSG(in.good(), "chaos: cannot read '" << path << "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  std::optional<std::string> content = slurp_file(path);
+  RIT_CHECK_MSG(content.has_value(), "chaos: cannot read '" << path << "'");
+  return std::move(*content);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 #include "sim/checkpoint.h"
 
-#include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "common/atomic_file.h"
 #include "common/check.h"
-#include "common/hash.h"
 #include "common/num_io.h"
+#include "common/record.h"
 #include "obs/obs.h"
 
 namespace rit::sim {
@@ -14,122 +16,64 @@ namespace rit::sim {
 namespace {
 
 constexpr const char* kHeader = "ritcs-checkpoint v1";
+constexpr const char* kAbortedHeader = "ritcs-aborted v1";
 
-// Field-coverage guard mirroring metrics.cpp: the (de)serializers below
-// enumerate every AggregateMetrics field by hand, so a shape change must
-// update them or resumed sweeps would silently drop the new field.
+// Field-coverage guard mirroring metrics.cpp: the tables below list every
+// AggregateMetrics field, so a shape change must extend them or resumed
+// sweeps would silently drop the new field.
 static_assert(sizeof(AggregateMetrics) ==
                   8 * sizeof(stats::OnlineStats) + 5 * sizeof(std::uint64_t),
-              "AggregateMetrics changed shape: update write_agg()/read_agg() "
-              "in checkpoint.cpp (and this static_assert)");
+              "AggregateMetrics changed shape: update kCounters/kStats in "
+              "checkpoint.cpp (and this static_assert)");
 
-std::string hex_double(double v) { return rit::format_hex_double(v); }
+using Agg = AggregateMetrics;
+// The `agg` line's counters and the `stat` lines, in file order.
+constexpr std::uint64_t Agg::*kCounters[] = {
+    &Agg::trials, &Agg::successes, &Agg::degraded_trials,
+    &Agg::failed_trials, &Agg::quarantined_trials};
+constexpr std::pair<const char*, stats::OnlineStats Agg::*> kStats[] = {
+    {"avg_utility_auction", &Agg::avg_utility_auction},
+    {"avg_utility_rit", &Agg::avg_utility_rit},
+    {"total_payment_auction", &Agg::total_payment_auction},
+    {"total_payment_rit", &Agg::total_payment_rit},
+    {"runtime_auction_ms", &Agg::runtime_auction_ms},
+    {"runtime_rit_ms", &Agg::runtime_rit_ms},
+    {"solicitation_premium", &Agg::solicitation_premium},
+    {"tasks_allocated", &Agg::tasks_allocated}};
+// One worker is at least 11 lines: its index, agg, the stats and faults.
+constexpr std::size_t kWorkerLines = 3 + std::size(kStats);
 
-double parse_hex_double(const std::string& token, const std::string& what) {
-  const auto v = rit::parse_double(token);
-  RIT_CHECK_MSG(v.has_value(), "checkpoint: bad double for "
-                                   << what << ": '" << token << "'");
-  return *v;
-}
-
-std::uint64_t parse_u64(const std::string& token, const std::string& what) {
-  const auto v = rit::parse_u64(token);
-  RIT_CHECK_MSG(v.has_value(), "checkpoint: bad integer for "
-                                   << what << ": '" << token << "'");
-  return *v;
-}
-
-/// Strict line reader over the (already checksum-verified) body.
-class Reader {
- public:
-  explicit Reader(const std::string& content) : in_(content) {}
-
-  /// Next line, which must start with `key`; returns the remainder after
-  /// the single separating space ("" when the line is just the key).
-  std::string expect_raw(const char* key) {
-    std::string line;
-    RIT_CHECK_MSG(static_cast<bool>(std::getline(in_, line)),
-                  "checkpoint: unexpected end of file, wanted '" << key
-                                                                 << "'");
-    const std::string k(key);
-    RIT_CHECK_MSG(
-        line.compare(0, k.size(), k) == 0 &&
-            (line.size() == k.size() || line[k.size()] == ' '),
-        "checkpoint: expected '" << key << "', found '" << line << "'");
-    return line.size() > k.size() ? line.substr(k.size() + 1) : std::string();
+void write_agg(std::ostream& os, const Agg& a) {
+  os << "agg";
+  for (const auto field : kCounters) os << ' ' << a.*field;
+  os << "\n";
+  for (const auto& [name, field] : kStats) {
+    const stats::OnlineStats& s = a.*field;
+    os << "stat " << name << ' ' << s.count();
+    for (double v : {s.raw_mean(), s.raw_m2(), s.raw_min(), s.raw_max()}) {
+      os << ' ' << format_hex_double(v);
+    }
+    os << "\n";
   }
-
-  std::vector<std::string> expect(const char* key) {
-    std::istringstream ls(expect_raw(key));
-    std::vector<std::string> tokens;
-    std::string tok;
-    while (ls >> tok) tokens.push_back(tok);
-    return tokens;
-  }
-
-  std::uint64_t expect_u64(const char* key) {
-    const auto tokens = expect(key);
-    RIT_CHECK_MSG(tokens.size() == 1, "checkpoint: '" << key
-                                                      << "' wants one value");
-    return parse_u64(tokens[0], key);
-  }
-
-  /// Optional read: false at end of input.
-  bool try_line(std::string* line) {
-    return static_cast<bool>(std::getline(in_, *line));
-  }
-
- private:
-  std::istringstream in_;
-};
-
-void write_stat(std::ostream& os, const char* name,
-                const stats::OnlineStats& s) {
-  os << "stat " << name << ' ' << s.count() << ' ' << hex_double(s.raw_mean())
-     << ' ' << hex_double(s.raw_m2()) << ' ' << hex_double(s.raw_min()) << ' '
-     << hex_double(s.raw_max()) << "\n";
 }
 
-stats::OnlineStats read_stat(Reader& r, const char* name) {
-  const auto tokens = r.expect("stat");
-  RIT_CHECK_MSG(tokens.size() == 6 && tokens[0] == name,
-                "checkpoint: expected stat '" << name << "'");
-  return stats::OnlineStats::restore(
-      static_cast<std::size_t>(parse_u64(tokens[1], name)),
-      parse_hex_double(tokens[2], name), parse_hex_double(tokens[3], name),
-      parse_hex_double(tokens[4], name), parse_hex_double(tokens[5], name));
-}
-
-void write_agg(std::ostream& os, const AggregateMetrics& a) {
-  os << "agg " << a.trials << ' ' << a.successes << ' ' << a.degraded_trials
-     << ' ' << a.failed_trials << ' ' << a.quarantined_trials << "\n";
-  write_stat(os, "avg_utility_auction", a.avg_utility_auction);
-  write_stat(os, "avg_utility_rit", a.avg_utility_rit);
-  write_stat(os, "total_payment_auction", a.total_payment_auction);
-  write_stat(os, "total_payment_rit", a.total_payment_rit);
-  write_stat(os, "runtime_auction_ms", a.runtime_auction_ms);
-  write_stat(os, "runtime_rit_ms", a.runtime_rit_ms);
-  write_stat(os, "solicitation_premium", a.solicitation_premium);
-  write_stat(os, "tasks_allocated", a.tasks_allocated);
-}
-
-AggregateMetrics read_agg(Reader& r) {
-  const auto tokens = r.expect("agg");
-  RIT_CHECK_MSG(tokens.size() == 5, "checkpoint: 'agg' wants five counters");
-  AggregateMetrics a;
-  a.trials = parse_u64(tokens[0], "trials");
-  a.successes = parse_u64(tokens[1], "successes");
-  a.degraded_trials = parse_u64(tokens[2], "degraded_trials");
-  a.failed_trials = parse_u64(tokens[3], "failed_trials");
-  a.quarantined_trials = parse_u64(tokens[4], "quarantined_trials");
-  a.avg_utility_auction = read_stat(r, "avg_utility_auction");
-  a.avg_utility_rit = read_stat(r, "avg_utility_rit");
-  a.total_payment_auction = read_stat(r, "total_payment_auction");
-  a.total_payment_rit = read_stat(r, "total_payment_rit");
-  a.runtime_auction_ms = read_stat(r, "runtime_auction_ms");
-  a.runtime_rit_ms = read_stat(r, "runtime_rit_ms");
-  a.solicitation_premium = read_stat(r, "solicitation_premium");
-  a.tasks_allocated = read_stat(r, "tasks_allocated");
+Agg read_agg(RecordReader& r) {
+  Agg a;
+  const auto t = r.tokens("agg");
+  if (t.size() != std::size(kCounters)) r.fail("'agg' wants five counters");
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    a.*kCounters[i] = r.as_u64(t[i], "agg");
+  }
+  for (const auto& [name, field] : kStats) {
+    const auto w = r.tokens("stat");
+    if (w.size() != 6 || w[0] != name) {
+      r.fail(std::string("expected stat '") + name + "'");
+    }
+    a.*field = stats::OnlineStats::restore(
+        static_cast<std::size_t>(r.as_u64(w[1], name)),
+        r.as_double(w[2], name), r.as_double(w[3], name),
+        r.as_double(w[4], name), r.as_double(w[5], name));
+  }
   return a;
 }
 
@@ -141,40 +85,45 @@ void write_faults(std::ostream& os, const FaultLedger& ledger) {
   }
 }
 
-FaultLedger read_faults(Reader& r) {
-  const std::uint64_t count = r.expect_u64("faults");
+FaultLedger read_faults(RecordReader& r) {
+  const std::uint64_t count = r.count(r.u64("faults"), "faults");
   FaultLedger ledger;
   ledger.entries.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string rest = r.expect_raw("fault");
-    std::istringstream ls(rest);
-    std::string trial, seed, kind, phase;
-    RIT_CHECK_MSG(static_cast<bool>(ls >> trial >> seed >> kind >> phase),
-                  "checkpoint: malformed fault entry '" << rest << "'");
-    std::string reason;
-    std::getline(ls, reason);
-    if (!reason.empty() && reason.front() == ' ') reason.erase(0, 1);
-    TrialFault f;
-    f.trial = parse_u64(trial, "fault trial");
-    f.seed = parse_u64(seed, "fault seed");
-    f.kind = parse_fault_kind(kind);
-    f.phase = phase == "-" ? std::string() : phase;
-    f.reason = std::move(reason);
-    ledger.entries.push_back(std::move(f));
+    // trial seed kind phase, then the free-text reason after one space.
+    const std::string_view rest = r.line("fault");
+    const auto t = split_words(rest);
+    if (t.size() < 4) r.fail("malformed fault entry");
+    std::string_view reason = rest.substr(
+        static_cast<std::size_t>(t[3].data() + t[3].size() - rest.data()));
+    if (!reason.empty() && reason.front() == ' ') reason.remove_prefix(1);
+    ledger.entries.push_back(TrialFault{
+        r.as_u64(t[0], "fault trial"), r.as_u64(t[1], "fault seed"),
+        parse_fault_kind(std::string(t[2])),
+        t[3] == "-" ? std::string() : std::string(t[3]), std::string(reason)});
   }
   return ledger;
 }
 
-void write_worker(std::ostream& os, const WorkerCheckpoint& w) {
-  write_agg(os, w.agg);
-  write_faults(os, w.faults);
+void write_workers(std::ostream& os, const char* key,
+                   const std::vector<WorkerCheckpoint>& workers) {
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    os << key << ' ' << i << "\n";
+    write_agg(os, workers[i].agg);
+    write_faults(os, workers[i].faults);
+  }
 }
 
-WorkerCheckpoint read_worker(Reader& r) {
-  WorkerCheckpoint w;
-  w.agg = read_agg(r);
-  w.faults = read_faults(r);
-  return w;
+/// `n` workers, each after a `<key> <index>` line.
+std::vector<WorkerCheckpoint> read_workers(RecordReader& r, std::uint64_t n,
+                                           const char* key) {
+  std::vector<WorkerCheckpoint> workers;
+  workers.reserve(r.count(n, key, kWorkerLines));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (r.u64(key) != i) r.fail(std::string(key) + "s out of order");
+    workers.push_back(WorkerCheckpoint{read_agg(r), read_faults(r)});
+  }
+  return workers;
 }
 
 }  // namespace
@@ -188,123 +137,57 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   os << "trials " << data.trials << "\n";
   os << "every " << data.every << "\n";
   os << "completed " << data.completed.size() << "\n";
-  for (std::size_t i = 0; i < data.completed.size(); ++i) {
-    os << "point " << i << "\n";
-    write_worker(os, data.completed[i]);
-  }
+  write_workers(os, "point", data.completed);
   if (data.has_partial) {
     os << "partial " << data.partial_point << ' ' << data.partial_cursor
        << ' ' << data.partial_workers.size() << "\n";
-    for (std::size_t w = 0; w < data.partial_workers.size(); ++w) {
-      os << "worker " << w << "\n";
-      write_worker(os, data.partial_workers[w]);
-    }
+    write_workers(os, "worker", data.partial_workers);
   }
-  std::string body = os.str();
-  body += "checksum " + format_u64(fnv1a64(body)) + "\n";
-  return body;
+  return seal(os.str());
 }
 
-CheckpointData parse_checkpoint(const std::string& content,
+CheckpointData parse_checkpoint(std::string_view content,
                                 const std::string& path_for_errors) {
-  // Checksum first: a truncated or bit-flipped file must be rejected with
-  // one clear message before the structured parse sees it.
-  const std::size_t at = content.rfind("\nchecksum ");
-  RIT_CHECK_MSG(at != std::string::npos && content.back() == '\n',
-                "checkpoint '" << path_for_errors
-                               << "': missing checksum footer (truncated "
-                                  "file?); refusing to resume");
-  const std::string body = content.substr(0, at + 1);
-  const std::string footer = content.substr(at + 1);
-  std::istringstream fs(footer);
-  std::string key, value;
-  fs >> key >> value;
-  const std::uint64_t want = parse_u64(value, "checksum");
-  RIT_CHECK_MSG(fnv1a64(body) == want,
-                "checkpoint '" << path_for_errors
-                               << "': checksum mismatch (corrupt file); "
-                                  "refusing to resume");
-
-  Reader r(body);
-  const std::string header = r.expect_raw(kHeader);
-  RIT_CHECK_MSG(header.empty(), "checkpoint '"
-                                    << path_for_errors
-                                    << "': bad header; refusing to resume");
-  CheckpointData data;
-  data.config_hash = r.expect_u64("config");
-  data.seed = r.expect_u64("seed");
-  data.threads = static_cast<unsigned>(r.expect_u64("threads"));
-  data.trials = r.expect_u64("trials");
-  data.every = r.expect_u64("every");
-  const std::uint64_t completed = r.expect_u64("completed");
-  data.completed.reserve(completed);
-  for (std::uint64_t i = 0; i < completed; ++i) {
-    const std::uint64_t point = r.expect_u64("point");
-    RIT_CHECK_MSG(point == i, "checkpoint '" << path_for_errors
-                                             << "': points out of order");
-    data.completed.push_back(read_worker(r));
-  }
-  std::string line;
-  if (r.try_line(&line)) {
-    std::istringstream ls(line);
-    std::string pkey, ppoint, pcursor, pworkers;
-    RIT_CHECK_MSG(
-        static_cast<bool>(ls >> pkey >> ppoint >> pcursor >> pworkers) &&
-            pkey == "partial",
-        "checkpoint '" << path_for_errors << "': unexpected trailing line '"
-                       << line << "'");
+  const std::string label = "checkpoint '" + path_for_errors + "'";
+  try {
+    // Checksum first: a truncated or bit-flipped file is rejected with one
+    // clear message before the structured parse sees it.
+    RecordReader r(unseal(content, label), label);
+    r.header(kHeader);
+    CheckpointData data;
+    data.config_hash = r.u64("config");
+    data.seed = r.u64("seed");
+    data.threads = r.u32("threads");
+    data.trials = r.u64("trials");
+    data.every = r.u64("every");
+    data.completed = read_workers(r, r.u64("completed"), "point");
+    if (r.done()) return data;
+    const auto t = r.tokens("partial");
+    if (t.size() < 3) r.fail("'partial' wants point, cursor and workers");
     data.has_partial = true;
-    data.partial_point = parse_u64(ppoint, "partial point");
-    data.partial_cursor = parse_u64(pcursor, "partial cursor");
-    RIT_CHECK_MSG(data.partial_point == data.completed.size(),
-                  "checkpoint '" << path_for_errors
-                                 << "': partial point out of order");
-    const std::uint64_t worker_count = parse_u64(pworkers, "partial workers");
-    data.partial_workers.reserve(worker_count);
-    for (std::uint64_t w = 0; w < worker_count; ++w) {
-      const std::uint64_t index = r.expect_u64("worker");
-      RIT_CHECK_MSG(index == w, "checkpoint '" << path_for_errors
-                                               << "': workers out of order");
-      data.partial_workers.push_back(read_worker(r));
+    data.partial_point = r.as_u64(t[0], "partial point");
+    data.partial_cursor = r.as_u64(t[1], "partial cursor");
+    if (data.partial_point != data.completed.size()) {
+      r.fail("partial point out of order");
     }
-    RIT_CHECK_MSG(!r.try_line(&line),
-                  "checkpoint '" << path_for_errors
-                                 << "': trailing data after partial state");
+    data.partial_workers =
+        read_workers(r, r.as_u64(t[2], "partial workers"), "worker");
+    if (!r.done()) r.fail("trailing data after partial state");
+    return data;
+  } catch (const CheckFailure& e) {
+    throw CheckFailure(std::string(e.what()) + "; refusing to resume");
   }
-  return data;
 }
 
-namespace {
-
-constexpr const char* kAbortedHeader = "ritcs-aborted v1";
-
-}  // namespace
-
-AbortedRecord parse_aborted(const std::string& content,
+AbortedRecord parse_aborted(std::string_view content,
                             const std::string& path_for_errors) {
-  std::istringstream in(content);
-  std::string header, point_line, reason_line;
-  RIT_CHECK_MSG(static_cast<bool>(std::getline(in, header)) &&
-                    header == kAbortedHeader,
-                "aborted record '" << path_for_errors
-                                   << "': bad header '" << header << "'");
-  RIT_CHECK_MSG(static_cast<bool>(std::getline(in, point_line)) &&
-                    point_line.compare(0, 6, "point ") == 0,
-                "aborted record '" << path_for_errors
-                                   << "': missing point line");
-  RIT_CHECK_MSG(static_cast<bool>(std::getline(in, reason_line)) &&
-                    reason_line.compare(0, 7, "reason ") == 0,
-                "aborted record '" << path_for_errors
-                                   << "': missing reason line");
+  RecordReader r(content, "aborted record '" + path_for_errors + "'");
+  r.header(kAbortedHeader);
   AbortedRecord rec;
-  rec.point = parse_u64(point_line.substr(6), "aborted point");
-  rec.reason = reason_line.substr(7);
-  std::ostringstream rest;
-  rest << in.rdbuf();
-  const CheckpointData data = parse_checkpoint(rest.str(), path_for_errors);
-  RIT_CHECK_MSG(data.completed.size() == 1,
-                "aborted record '" << path_for_errors
-                                   << "': wants exactly one partial result");
+  rec.point = r.u64("point");
+  rec.reason = std::string(r.line("reason"));
+  const CheckpointData data = parse_checkpoint(r.rest(), path_for_errors);
+  if (data.completed.size() != 1) r.fail("wants exactly one partial result");
   rec.partial.metrics = data.completed[0].agg;
   rec.partial.faults = data.completed[0].faults;
   return rec;
@@ -332,11 +215,9 @@ CheckpointSession::CheckpointSession(Params params)
   data_.trials = params_.trials;
   data_.every = params_.every;
   if (!params_.resume) return;
-  std::ifstream in(params_.path, std::ios::binary);
-  if (!in.good()) return;  // --resume with no file yet: fresh start
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  CheckpointData loaded = parse_checkpoint(ss.str(), params_.path);
+  const std::optional<std::string> text = slurp_file(params_.path);
+  if (!text) return;  // --resume with no file yet: fresh start
+  CheckpointData loaded = parse_checkpoint(*text, params_.path);
   // The file must describe the exact run being resumed: same config, same
   // seed, same thread count (the strided partition — and hence bit-exact
   // per-worker state — is a function of it), same trial count + interval.
@@ -403,21 +284,14 @@ void CheckpointSession::save_aborted(std::uint64_t point,
   // One completed-point image carries the partial merge; the surrounding
   // header pins the point index and the human-readable reason. The reason
   // is flattened to one line (the record is line-oriented).
-  CheckpointData data;
-  data.config_hash = params_.config_hash;
-  data.seed = params_.seed;
-  data.threads = params_.threads;
-  data.trials = params_.trials;
-  data.every = params_.every;
-  data.completed.push_back(WorkerCheckpoint{partial.metrics, partial.faults});
-  std::string flat = reason;
-  for (char& ch : flat) {
-    if (ch == '\n' || ch == '\r') ch = ' ';
-  }
+  CheckpointData data = data_;  // this run's bindings
+  data.completed = {WorkerCheckpoint{partial.metrics, partial.faults}};
+  data.has_partial = false;
+  data.partial_workers.clear();
   std::ostringstream os;
   os << kAbortedHeader << "\n"
      << "point " << point << "\n"
-     << "reason " << flat << "\n"
+     << "reason " << one_line(reason) << "\n"
      << serialize_checkpoint(data);
   write_file_atomic(aborted_path(), os.str());
   RIT_COUNTER_INC("sim.aborts_flushed");

@@ -7,10 +7,10 @@
 // those worker states and continuing produces bit-identical final
 // aggregates to an uninterrupted run — see docs/robustness.md.
 //
-// Format "ritcs-checkpoint v1": line-oriented text, doubles as C hex-floats
-// (%a, bit-exact — the result_io idiom), a header binding the file to
-// (config hash, seed, threads, trials, checkpoint interval), and an FNV-1a
-// checksum footer. Files are only ever replaced via write-fsync-rename
+// Format "ritcs-checkpoint v1" (codec: common/record.h): line-oriented
+// text, doubles as C hex-floats (%a, bit-exact), a header binding the file
+// to (config hash, seed, threads, trials, checkpoint interval), and an
+// FNV-1a checksum footer. Files are only ever replaced via write-fsync-rename
 // (common/atomic_file.h), so a killed process leaves the previous complete
 // checkpoint, never a torn one. Loading validates version, checksum, and
 // every header binding; any mismatch refuses to resume with a clear error.
@@ -20,6 +20,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/fault.h"
@@ -61,7 +62,7 @@ struct CheckpointData {
 /// Serializes/parses the format (exposed for tests; parse validates the
 /// checksum and structure, throwing CheckFailure on any corruption).
 std::string serialize_checkpoint(const CheckpointData& data);
-CheckpointData parse_checkpoint(const std::string& content,
+CheckpointData parse_checkpoint(std::string_view content,
                                 const std::string& path_for_errors);
 
 /// Forensic record of an aborted sweep point: the partial aggregate and
@@ -78,7 +79,7 @@ struct AbortedRecord {
 /// Parses the `.aborted` artifact (header + reason + a checksummed
 /// checkpoint body carrying the partial result); throws CheckFailure on
 /// any corruption.
-AbortedRecord parse_aborted(const std::string& content,
+AbortedRecord parse_aborted(std::string_view content,
                             const std::string& path_for_errors);
 
 /// One sweep's checkpoint lifecycle: load-or-create, per-point queries,

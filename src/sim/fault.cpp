@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/record.h"
 
 namespace rit::sim {
 
@@ -42,10 +43,8 @@ void FaultLedger::record(std::uint64_t trial, std::uint64_t seed,
                          std::string reason) {
   // Reasons land in line-oriented formats (checkpoint, CSV, markdown);
   // flatten any embedded newlines an exception message might carry.
-  std::replace(reason.begin(), reason.end(), '\n', ' ');
-  std::replace(reason.begin(), reason.end(), '\r', ' ');
   entries.push_back(TrialFault{trial, seed, kind, std::move(phase),
-                               std::move(reason)});
+                               one_line(std::move(reason))});
 }
 
 void FaultLedger::merge(const FaultLedger& other) {

@@ -1,27 +1,36 @@
 #include "testkit/fuzz_case.h"
 
-#include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/num_io.h"
+#include "common/record.h"
 
 namespace rit::testkit {
 namespace {
 
 constexpr const char* kMagic = "ritcs-fuzzcase v1";
 
-const char* price_name(core::PriceMode m) {
-  return m == core::PriceMode::kConsensus ? "consensus" : "order";
-}
-const char* policy_name(core::RoundBudgetPolicy p) {
-  return p == core::RoundBudgetPolicy::kTheoretical ? "theoretical"
-                                                    : "completion";
-}
-const char* empty_name(core::EmptySamplePolicy p) {
-  return p == core::EmptySamplePolicy::kAllAsks ? "all" : "none";
+// Each enum's on-disk names, shared by the writer and the reader.
+template <typename E>
+using Names = std::pair<std::string_view, E>[2];
+constexpr Names<core::PriceMode> kPriceNames = {
+    {"consensus", core::PriceMode::kConsensus},
+    {"order", core::PriceMode::kOrderStatistic}};
+constexpr Names<core::RoundBudgetPolicy> kPolicyNames = {
+    {"theoretical", core::RoundBudgetPolicy::kTheoretical},
+    {"completion", core::RoundBudgetPolicy::kRunToCompletion}};
+constexpr Names<core::EmptySamplePolicy> kEmptyNames = {
+    {"all", core::EmptySamplePolicy::kAllAsks},
+    {"none", core::EmptySamplePolicy::kNoWinners}};
+
+template <typename E>
+std::string_view name_of(const Names<E>& names, E e) {
+  return names[0].second == e ? names[0].first : names[1].first;
 }
 
 /// Everything after the checksum line except the signature line. The
@@ -45,9 +54,10 @@ std::string payload_text(const FuzzCase& c) {
   out << "discount " << format_hex_double(c.config.discount_base) << "\n";
   out << "gridbase " << format_hex_double(c.config.consensus_log_base)
       << "\n";
-  out << "price " << price_name(c.config.price_mode) << "\n";
-  out << "policy " << policy_name(c.config.round_budget_policy) << "\n";
-  out << "empty " << empty_name(c.config.empty_sample) << "\n";
+  out << "price " << name_of(kPriceNames, c.config.price_mode) << "\n";
+  out << "policy " << name_of(kPolicyNames, c.config.round_budget_policy)
+      << "\n";
+  out << "empty " << name_of(kEmptyNames, c.config.empty_sample) << "\n";
   out << "stall " << format_u64(c.config.stall_round_limit) << "\n";
   out << "clamp " << format_u64(c.config.clamp_min_one_round ? 1 : 0)
       << "\n";
@@ -61,20 +71,86 @@ std::string payload_text(const FuzzCase& c) {
   return out.str();
 }
 
-/// Splits `line` on single spaces into fields.
-std::vector<std::string> fields_of(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const std::size_t space = line.find(' ', start);
-    if (space == std::string::npos) {
-      fields.push_back(line.substr(start));
-      break;
+template <typename E>
+E read_enum(RecordReader& r, std::string_view key, const Names<E>& names) {
+  const std::string_view v = r.value(key);
+  if (v != names[0].first && v != names[1].first) r.fail("unknown value");
+  return v == names[0].first ? names[0].second : names[1].second;
+}
+
+/// parse_case's reader: lines in any order, CheckFailure on any defect.
+FuzzCase read_case(std::string_view text) {
+  RecordReader r(text, "fuzz case");
+  r.header(kMagic);
+  const std::uint64_t checksum = r.u64("checksum");
+  FuzzCase c;
+  core::RitConfig& cfg = c.config;
+  std::string payload;
+  std::optional<std::uint64_t> asks;
+  const auto flag = [&r](std::string_view key) {
+    const std::uint64_t v = r.u64(key);
+    if (v > 1) r.fail(std::string(key) + " wants 0 or 1");
+    return v == 1;
+  };
+  while (!r.done()) {
+    const auto words = split_words(r.peek());
+    const std::string key(words.empty() ? "" : words.front());
+    if (key == "sig") {
+      c.signature = std::string(r.line(key));
+      continue;  // metadata: outside the checksummed payload
     }
-    fields.push_back(line.substr(start, space - start));
-    start = space + 1;
+    payload.append(r.peek()).push_back('\n');
+    if (key == "seed") {
+      c.mech_seed = r.u64(key);
+    } else if (key == "demand") {
+      const auto t = r.tokens(key);
+      if (t.empty() || r.as_u64(t[0], key) != t.size() - 1) {
+        r.fail("demand count does not match its values");
+      }
+      for (std::size_t i = 1; i < t.size(); ++i) {
+        c.demand.push_back(r.as_u32(t[i], key));
+      }
+    } else if (key == "asks") {
+      asks = r.u64(key);
+    } else if (key == "ask") {
+      const auto t = r.tokens(key);
+      if (t.size() != 5) r.fail("ask wants 5 fields");
+      c.asks.push_back(core::Ask{TaskType{r.as_u32(t[0], "ask type")},
+                                 r.as_u32(t[1], "ask quantity"),
+                                 r.as_double(t[2], "ask value")});
+      c.costs.push_back(r.as_double(t[3], "ask cost"));
+      c.parents.push_back(r.as_u32(t[4], "ask parent"));
+    } else if (key == "h") {
+      cfg.h = r.hex_double(key);
+    } else if (key == "discount") {
+      cfg.discount_base = r.hex_double(key);
+    } else if (key == "gridbase") {
+      cfg.consensus_log_base = r.hex_double(key);
+    } else if (key == "price") {
+      cfg.price_mode = read_enum(r, key, kPriceNames);
+    } else if (key == "policy") {
+      cfg.round_budget_policy = read_enum(r, key, kPolicyNames);
+    } else if (key == "empty") {
+      cfg.empty_sample = read_enum(r, key, kEmptyNames);
+    } else if (key == "stall") {
+      cfg.stall_round_limit = r.u32(key);
+    } else if (key == "clamp") {
+      cfg.clamp_min_one_round = flag(key);
+    } else if (key == "zero") {
+      cfg.zero_on_failure = flag(key);
+    } else if (key == "kmax") {
+      const std::string_view v = r.value(key);
+      cfg.k_max_override.reset();
+      if (v != "none") cfg.k_max_override = r.as_u32(v, key);
+    } else if (key == "threads") {
+      cfg.intra_threads = r.u32(key);
+    } else {
+      r.fail("unknown key '" + key + "'");
+    }
   }
-  return fields;
+  if (!asks || c.asks.size() != *asks) r.fail("asks count mismatch");
+  if (fnv1a64(payload) != checksum) r.fail("checksum mismatch");
+  return c;
 }
 
 }  // namespace
@@ -96,136 +172,17 @@ std::uint64_t case_hash(const FuzzCase& c) {
 }
 
 std::optional<FuzzCase> parse_case(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) return std::nullopt;
-  if (!std::getline(in, line)) return std::nullopt;
-  auto checksum_fields = fields_of(line);
-  if (checksum_fields.size() != 2 || checksum_fields[0] != "checksum") {
+  try {
+    return read_case(text);
+  } catch (const CheckFailure&) {
     return std::nullopt;
   }
-  const auto stored_checksum = parse_u64(checksum_fields[1]);
-  if (!stored_checksum) return std::nullopt;
-
-  FuzzCase c;
-  std::string payload;
-  std::uint64_t asks_expected = 0;
-  bool saw_asks_header = false;
-  while (std::getline(in, line)) {
-    const auto f = fields_of(line);
-    if (f.empty() || f[0].empty()) return std::nullopt;
-    const std::string& key = f[0];
-    if (key == "sig") {
-      c.signature = line.size() > 4 ? line.substr(4) : std::string{};
-      continue;  // metadata: outside the checksummed payload
-    }
-    payload += line;
-    payload += "\n";
-    if (key == "seed" && f.size() == 2) {
-      const auto v = parse_u64(f[1]);
-      if (!v) return std::nullopt;
-      c.mech_seed = *v;
-    } else if (key == "demand" && f.size() >= 2) {
-      const auto count = parse_u64(f[1]);
-      if (!count || f.size() != 2 + *count) return std::nullopt;
-      for (std::size_t i = 0; i < *count; ++i) {
-        const auto d = parse_u32(f[2 + i]);
-        if (!d) return std::nullopt;
-        c.demand.push_back(*d);
-      }
-    } else if (key == "asks" && f.size() == 2) {
-      const auto n = parse_u64(f[1]);
-      if (!n) return std::nullopt;
-      asks_expected = *n;
-      saw_asks_header = true;
-    } else if (key == "ask" && f.size() == 6) {
-      const auto type = parse_u32(f[1]);
-      const auto quantity = parse_u32(f[2]);
-      const auto value = parse_double(f[3]);
-      const auto cost = parse_double(f[4]);
-      const auto parent = parse_u32(f[5]);
-      if (!type || !quantity || !value || !cost || !parent.has_value()) {
-        return std::nullopt;
-      }
-      c.asks.push_back(core::Ask{TaskType{*type}, *quantity, *value});
-      c.costs.push_back(*cost);
-      c.parents.push_back(*parent);
-    } else if (key == "h" && f.size() == 2) {
-      const auto v = parse_double(f[1]);
-      if (!v) return std::nullopt;
-      c.config.h = *v;
-    } else if (key == "discount" && f.size() == 2) {
-      const auto v = parse_double(f[1]);
-      if (!v) return std::nullopt;
-      c.config.discount_base = *v;
-    } else if (key == "gridbase" && f.size() == 2) {
-      const auto v = parse_double(f[1]);
-      if (!v) return std::nullopt;
-      c.config.consensus_log_base = *v;
-    } else if (key == "price" && f.size() == 2) {
-      if (f[1] == "consensus") {
-        c.config.price_mode = core::PriceMode::kConsensus;
-      } else if (f[1] == "order") {
-        c.config.price_mode = core::PriceMode::kOrderStatistic;
-      } else {
-        return std::nullopt;
-      }
-    } else if (key == "policy" && f.size() == 2) {
-      if (f[1] == "theoretical") {
-        c.config.round_budget_policy = core::RoundBudgetPolicy::kTheoretical;
-      } else if (f[1] == "completion") {
-        c.config.round_budget_policy =
-            core::RoundBudgetPolicy::kRunToCompletion;
-      } else {
-        return std::nullopt;
-      }
-    } else if (key == "empty" && f.size() == 2) {
-      if (f[1] == "all") {
-        c.config.empty_sample = core::EmptySamplePolicy::kAllAsks;
-      } else if (f[1] == "none") {
-        c.config.empty_sample = core::EmptySamplePolicy::kNoWinners;
-      } else {
-        return std::nullopt;
-      }
-    } else if (key == "stall" && f.size() == 2) {
-      const auto v = parse_u32(f[1]);
-      if (!v) return std::nullopt;
-      c.config.stall_round_limit = *v;
-    } else if (key == "clamp" && f.size() == 2) {
-      const auto v = parse_u64(f[1]);
-      if (!v || *v > 1) return std::nullopt;
-      c.config.clamp_min_one_round = *v == 1;
-    } else if (key == "zero" && f.size() == 2) {
-      const auto v = parse_u64(f[1]);
-      if (!v || *v > 1) return std::nullopt;
-      c.config.zero_on_failure = *v == 1;
-    } else if (key == "kmax" && f.size() == 2) {
-      if (f[1] == "none") {
-        c.config.k_max_override.reset();
-      } else {
-        const auto v = parse_u32(f[1]);
-        if (!v) return std::nullopt;
-        c.config.k_max_override = *v;
-      }
-    } else if (key == "threads" && f.size() == 2) {
-      const auto v = parse_u32(f[1]);
-      if (!v) return std::nullopt;
-      c.config.intra_threads = *v;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (!saw_asks_header || c.asks.size() != asks_expected) return std::nullopt;
-  if (fnv1a64(payload) != *stored_checksum) return std::nullopt;
-  return c;
 }
 
 std::optional<FuzzCase> load_case_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_case(ss.str());
+  const std::optional<std::string> text = slurp_file(path);
+  if (!text) return std::nullopt;
+  return parse_case(*text);
 }
 
 void write_case_file(const std::string& path, const FuzzCase& c) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "aggregate_bits.h"
+#include "hostile_input.h"
 #include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/hash.h"
@@ -255,6 +256,32 @@ TEST(CheckpointFormat, WrongVersionIsRejectedEvenWithValidChecksum) {
   EXPECT_THROW(parse_checkpoint(body, "test"), CheckFailure);
 }
 
+TEST(CheckpointFormat, HostileBodiesEndInCheckFailure) {
+  // Each probe is re-sealed: the checksum passes, so the structured parse
+  // must reject it on its own, and with nothing but CheckFailure.
+  const std::string body =
+      hostile::without_footer(serialize_checkpoint(make_data()));
+  const hostile::Probe probes[] = {
+      {"scalar key with no value", "seed", "seed"},
+      {"completed count 2^60", "completed", "completed " + hostile::kHugeCount},
+      {"faults count 2^60", "faults", "faults " + hostile::kHugeCount},
+      {"partial workers 2^60", "partial",
+       "partial 2 30 " + hostile::kHugeCount},
+      {"threads 2^32", "threads", "threads " + hostile::kU32Overflow},
+      {"threads 2^32+1", "threads", "threads " + hostile::kU32Wrap},
+  };
+  for (const auto& p : probes) {
+    const std::string text =
+        hostile::with_footer(hostile::replace_key(body, p.key, p.line));
+    EXPECT_EQ(hostile::read_outcome([&] {
+                parse_checkpoint(text, "test");
+                return true;
+              }),
+              "CheckFailure")
+        << p.name;
+  }
+}
+
 CheckpointSession::Params base_params(const std::string& path) {
   CheckpointSession::Params p;
   p.path = path;
@@ -361,6 +388,28 @@ TEST(CheckpointSession, CorruptFileRefusesToResume) {
     EXPECT_NE(what.find("refusing to resume"), std::string::npos) << what;
     EXPECT_NE(what.find(path), std::string::npos) << what;
   }
+}
+
+TEST(CheckpointSession, WrappedThreadCountDoesNotBindAOneThreadRun) {
+  // `threads 2^32+1` once narrowed to 1 and passed a 1-thread binding.
+  const fs::path dir = scratch("wrapped_threads");
+  const std::string path = (dir / "sweep.ckpt").string();
+  CheckpointSession::Params p = base_params(path);
+  p.threads = 1;
+  {
+    CheckpointSession a(p);
+    a.complete_point(0, GuardedResult{make_agg(1.0), FaultLedger{}});
+  }
+  write_file_atomic(
+      path, hostile::with_footer(hostile::replace_key(
+                hostile::without_footer(read_all(path)), "threads",
+                "threads " + hostile::kU32Wrap)));
+  p.resume = true;
+  EXPECT_EQ(hostile::read_outcome([&] {
+              CheckpointSession resumed(p);
+              return true;
+            }),
+            "CheckFailure");
 }
 
 TEST(CheckpointSession, ResumeWithNoFileIsAFreshStart) {

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+
+#include "hostile_input.h"
 
 #include "common/check.h"
 #include "core/audit.h"
@@ -179,6 +182,42 @@ TEST(ResultIo, GoldenFormatV1IsStable) {
   std::ostringstream out;
   write_record(rec, out);
   EXPECT_EQ(out.str(), golden);
+}
+
+TEST(ResultIo, HostileRecordsEndInCheckFailure) {
+  const std::string record =
+      "ritcs-record v1\n"
+      "discount 0x1p-1\n"
+      "job 2 1\n"
+      "users 2\n"
+      "ask 0 2 0x1.8p+1\n"
+      "ask 1 1 0x1p+2\n"
+      "tree 0 0 1\n"
+      "success 1\n"
+      "eta 0x1.999999999999ap-1\n"
+      "kmax 2\n"
+      "degraded 0\n"
+      "achieved 0x1.8p-1\n"
+      "allocation 2 1\n"
+      "auction_payment 0x1.cp+2 0x1.2p+2\n"
+      "payment 0x1.cp+2 0x1.cap+2\n";
+  const hostile::Probe probes[] = {
+      {"scalar key with no value", "success", "success"},
+      {"users count 2^60", "users", "users " + hostile::kHugeCount},
+      {"tree parent 2^32", "tree", "tree 0 " + hostile::kU32Overflow + " 1"},
+      {"demand 2^32+1", "job", "job " + hostile::kU32Wrap + " 1"},
+      {"ask type 2^32", "ask", "ask " + hostile::kU32Overflow + " 2 0x1p+0"},
+      {"kmax 2^32", "kmax", "kmax " + hostile::kU32Overflow},
+  };
+  for (const auto& p : probes) {
+    std::istringstream in(hostile::replace_key(record, p.key, p.line));
+    EXPECT_EQ(hostile::read_outcome([&] {
+                read_record(in);
+                return true;
+              }),
+              "CheckFailure")
+        << p.name;
+  }
 }
 
 TEST(ResultIo, FileRoundTrip) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "aggregate_bits.h"
+#include "hostile_input.h"
 #include "common/check.h"
 #include "platform/shard_worker.h"
 #include "platform/supervisor.h"
@@ -147,6 +148,32 @@ TEST(ShardWorker, MalformedPayloadIsRejected) {
   const ShardPayload back = parse_shard_payload("not a payload\n");
   EXPECT_FALSE(back.ok);
   EXPECT_NE(back.error.find("malformed"), std::string::npos);
+}
+
+TEST(ShardWorker, HostileResultPayloadsAreRejected) {
+  GuardedResult r;
+  r.metrics.add(synthetic_trial(1));
+  r.faults.record(1, seed_of(1), FaultKind::kException, "run_trial", "x");
+  const std::string payload = serialize_shard_result(r);
+  const std::string header = payload.substr(0, payload.find('\n') + 1);
+  const std::string body =
+      hostile::without_footer(payload.substr(header.size()));
+  const hostile::Probe probes[] = {
+      {"scalar key with no value", "seed", "seed"},
+      {"completed count 2^60", "completed", "completed " + hostile::kHugeCount},
+      {"faults count 2^60", "faults", "faults " + hostile::kHugeCount},
+      {"threads 2^32", "threads", "threads " + hostile::kU32Overflow},
+      {"threads 2^32+1", "threads", "threads " + hostile::kU32Wrap},
+  };
+  for (const auto& p : probes) {
+    const std::string text =
+        header +
+        hostile::with_footer(hostile::replace_key(body, p.key, p.line));
+    const std::string outcome = hostile::read_outcome(
+        [&] { return parse_shard_payload(text).ok; });
+    EXPECT_TRUE(outcome == "CheckFailure" || outcome == "rejected")
+        << p.name << ": " << outcome;
+  }
 }
 
 TEST(Breadcrumb, BeginTrialPublishesTrialSeedAndPhase) {

@@ -13,7 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "hostile_input.h"
 #include "common/check.h"
+#include "common/hash.h"
+#include "common/num_io.h"
 #include "core/payment.h"
 #include "core/rit.h"
 #include "rng/rng.h"
@@ -76,6 +79,33 @@ TEST(FuzzCaseIo, RejectsCorruptInput) {
 
   // Unknown keys are rejected, not skipped.
   EXPECT_FALSE(parse_case(text + "mystery 1\n").has_value());
+}
+
+TEST(FuzzCaseIo, HostileCasesAreRejected) {
+  // A .ritcase carries its checksum on line 2, over the payload after it;
+  // each probe is re-checksummed so the parse must reject it on its own.
+  rng::Rng rng(23);
+  const std::string text = serialize_case(random_case(rng));
+  const std::size_t payload_at = text.find('\n', text.find('\n') + 1) + 1;
+  const std::string payload = text.substr(payload_at);
+  const hostile::Probe probes[] = {
+      {"scalar key with no value", "seed", "seed"},
+      {"asks count 2^60", "asks", "asks " + hostile::kHugeCount},
+      {"demand count 2^60", "demand", "demand " + hostile::kHugeCount + " 1"},
+      {"ask type 2^32", "ask",
+       "ask " + hostile::kU32Overflow + " 1 0x1p+0 0x1p-1 0"},
+      {"threads 2^32+1", "threads", "threads " + hostile::kU32Wrap},
+      {"stall 2^32", "stall", "stall " + hostile::kU32Overflow},
+  };
+  for (const auto& p : probes) {
+    const std::string probe = hostile::replace_key(payload, p.key, p.line);
+    const std::string sealed = "ritcs-fuzzcase v1\nchecksum " +
+                               format_u64(fnv1a64(probe)) + "\n" + probe;
+    EXPECT_EQ(hostile::read_outcome(
+                  [&] { return parse_case(sealed).has_value(); }),
+              "rejected")
+        << p.name;
+  }
 }
 
 TEST(FuzzCaseIo, FileRoundTripIsByteExact) {

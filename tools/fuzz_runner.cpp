@@ -38,7 +38,6 @@
 // within the smoke iteration budget (--expect-failures=true).
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -50,6 +49,7 @@
 #include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/num_io.h"
+#include "common/record.h"
 #include "platform/supervisor.h"
 #include "rng/rng.h"
 #include "sim/guarded.h"
@@ -242,10 +242,8 @@ bool corpora_identical(const std::string& dir_a, const std::string& dir_b) {
     std::map<std::string, std::string> files;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
       if (!entry.is_regular_file()) continue;
-      std::ifstream in(entry.path(), std::ios::binary);
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      files[entry.path().filename().string()] = ss.str();
+      files[entry.path().filename().string()] =
+          rit::slurp_file(entry.path().string()).value_or("");
     }
     return files;
   };

@@ -61,7 +61,7 @@ const std::vector<const char*>& numeric_io_paths() {
       "result_io",     "config_io",     "checkpoint",
       "population_io", "cli/args",      "format_util",
       "num_io",        "bench_support", "testkit/fuzz_case",
-      "fuzz_runner"};
+      "fuzz_runner",   "common/record"};
   return kPaths;
 }
 
