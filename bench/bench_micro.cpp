@@ -18,6 +18,7 @@
 #include <cstring>
 #include <new>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -336,7 +337,8 @@ BENCHMARK(BM_TypeIndexBuild)->Args({80000, 0})->Args({80000, 1});
 // make_market's `cents`: at 1, users tie on a 0.01 grid, so phase 2 walks
 // real tie groups, which the continuous arms and the repo benchmark never
 // reach. heap_allocs_per_run must be 0: as in BM_CraRoundUnitRuns, the CRA
-// buffers whose size follows a round's random n_s are reserved to the
+// buffers whose size follows a round's random n_s or band (the step-5
+// pool, the bitmaps and the band's tie expansion) are reserved to the
 // largest |alpha| up front, and the warm-up runs size the rest.
 void BM_AuctionPhaseWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -352,7 +354,7 @@ void BM_AuctionPhaseWorkspace(benchmark::State& state) {
   for (const core::Ask& a : asks) supply[a.type.value] += a.quantity;
   const std::size_t alpha = *std::max_element(supply.begin(), supply.end());
   ws.cra.sample_pool.reserve(alpha);
-  ws.cra.sample_out.reserve(alpha);
+  ws.cra.ties.reserve(alpha);
   ws.cra.thinned.reserve(alpha / 64 + 1);
   ws.cra.sampled.reserve(alpha / 64 + 1);
   for (int warm = 0; warm < 4; ++warm) {
@@ -482,6 +484,49 @@ BENCHMARK_CAPTURE(BM_SpanningForest, ba, false)
     ->Arg(50000)
     ->Arg(80000);
 BENCHMARK_CAPTURE(BM_SpanningForest, path, true)->Arg(100000);
+
+// The trial's forest, built during the Barabási–Albert draws with the
+// paper defaults (m = 3, 10 initial joiners): draws, waves, join order and
+// the IncentiveTree layout. BM_BarabasiAlbert and BM_SpanningForest/ba
+// time the graph CSR and BFS path, which the trial does not take.
+void BM_BarabasiAlbertForest(benchmark::State& state) {
+  rng::Rng rng(8);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree::barabasi_albert_forest(n, 3, 10, rng));
+  }
+}
+BENCHMARK(BM_BarabasiAlbertForest)->Arg(80000)->Arg(1000000)->Unit(
+    benchmark::kMillisecond);
+
+// The IncentiveTree constructor alone on an 80k trial forest's parent
+// vector: `topological` as the builder emits it (every parent below its
+// child), `general` with the participants relabeled by a random
+// permutation, so most parents point forward and the stack DFS runs.
+void BM_IncentiveTreeLayout(benchmark::State& state, bool topological) {
+  rng::Rng rng(8);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  std::vector<std::uint32_t> parents =
+      tree::barabasi_albert_forest(n, 3, 10, rng).parents();
+  if (!topological) {
+    std::vector<std::uint32_t> relabel(parents.size());
+    std::iota(relabel.begin(), relabel.end(), std::uint32_t{0});
+    rng.shuffle(std::span<std::uint32_t>(relabel).subspan(1));
+    std::vector<std::uint32_t> shuffled(parents.size(), 0);
+    for (std::size_t v = 1; v < parents.size(); ++v) {
+      shuffled[relabel[v]] = relabel[parents[v]];
+    }
+    parents = std::move(shuffled);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<std::uint32_t> copy = parents;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(tree::IncentiveTree(std::move(copy)));
+  }
+}
+BENCHMARK_CAPTURE(BM_IncentiveTreeLayout, topological, true)->Arg(80000);
+BENCHMARK_CAPTURE(BM_IncentiveTreeLayout, general, false)->Arg(80000);
 
 // A whole trial instance with the paper defaults (BA, m = 3, 10 initial
 // joiners): the forest built during the graph draws, then population and

@@ -176,9 +176,7 @@ std::uint64_t sweep_config_hash(const BenchOptions& opts) {
   return fnv1a64(fp);
 }
 
-}  // namespace
-
-sim::AggregateMetrics run_point(
+sim::AggregateMetrics run_sweep_point(
     const BenchOptions& opts, const sim::Scenario& scenario,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
   SweepState& sweep = *opts.sweep;
@@ -226,6 +224,21 @@ sim::AggregateMetrics run_point(
   ++sweep.next_point;
   sweep.faults.merge(r.faults);
   return r.metrics;
+}
+
+}  // namespace
+
+sim::AggregateMetrics run_point(
+    const BenchOptions& opts, const sim::Scenario& scenario,
+    const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
+  try {
+    return run_sweep_point(opts, scenario, progress);
+  } catch (const CheckFailure& e) {
+    // A refused checkpoint or a sweep over its failure budget ends the
+    // bench the way `ritcs` ends: one error line and exit code 2.
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 void emit(const std::string& title, const BenchOptions& opts,

@@ -134,10 +134,6 @@ double value_at(const Order& order, std::size_t band, std::uint64_t pos) {
   return 0.0;  // unreachable
 }
 
-void set_bit(std::vector<std::uint64_t>& bits, std::uint64_t i) {
-  bits[i >> 6] |= std::uint64_t{1} << (i & 63);
-}
-
 // Set bits in [begin, begin + len).
 std::uint64_t count_bits(std::span<const std::uint64_t> bits,
                          std::uint64_t begin, std::uint64_t len) {
@@ -165,16 +161,6 @@ std::uint64_t select_bit(std::span<const std::uint64_t> bits,
     }
     k -= count;
   }
-}
-
-// Step 5: a uniform q-subset of the `chosen` indices, as a bitmap in
-// ws.sampled.
-void sample_chosen(std::uint64_t chosen, std::uint32_t q, CraWorkspace& ws,
-                   rng::Rng& rng) {
-  rng.sample_without_replacement_into(chosen, q, ws.sample_pool,
-                                      ws.sample_out);
-  ws.sampled.assign((chosen + 63) / 64, 0);
-  for (const std::size_t i : ws.sample_out) set_bit(ws.sampled, i);
 }
 
 // Steps 3-5 as run wins, walking the band's order run by run. The chosen
@@ -273,7 +259,8 @@ void run_cra_runs(std::span<const AskRun> runs,
     out.raw_count = budget;
     out.consensus_count = budget;
     ws.thinned.clear();
-    sample_chosen(budget, params.q, ws, rng);
+    rng.sample_without_replacement_bits(budget, params.q, ws.sample_pool,
+                                        ws.sampled);
     count_wins(order, band, budget, ws, out.winners);
     out.num_winners = params.q;
     out.clearing_price = price;
@@ -355,9 +342,13 @@ void run_cra_runs(std::span<const AskRun> runs,
     out.used_budget_price = true;
   }
 
-  // Step 5: if more than q survive, q winners uniformly at random.
+  // Step 5: if more than q survive, q winners uniformly at random, as a
+  // bitmap over the chosen indices.
   ws.sampled.clear();
-  if (chosen > params.q) sample_chosen(chosen, params.q, ws, rng);
+  if (chosen > params.q) {
+    rng.sample_without_replacement_bits(chosen, params.q, ws.sample_pool,
+                                        ws.sampled);
+  }
   count_wins(order, band, end, ws, out.winners);
 
   // Lemma 6.1: winners never outbid the price.

@@ -109,8 +109,8 @@ struct CraWorkspace {
   /// bit each.
   std::vector<std::uint64_t> thinned;
   std::vector<std::uint64_t> sampled;
-  std::vector<std::size_t> sample_pool;
-  std::vector<std::size_t> sample_out;
+  /// Step 5's Fisher-Yates scratch, one slot per chosen ask.
+  std::vector<std::uint32_t> sample_pool;
   /// The unit-vector run_cra's book (one run per unit ask) and its value
   /// order.
   std::vector<AskRun> unit_runs;

@@ -17,11 +17,9 @@
 // families exist for the graph-sensitivity ablation.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "graph/graph.h"
 #include "rng/rng.h"
@@ -59,29 +57,33 @@ void barabasi_albert_draws(std::uint32_t num_nodes,
 
   // Draw from a local copy of the stream, so the engine state stays in
   // registers; `rng` gets it back at the end, after exactly the same draws.
+  // The picks live in one buffer of edges_per_node slots: a draw is always
+  // written to the next free slot and counted only if it is new.
   rng::Rng draws = rng;
-  std::vector<std::uint32_t> picked;
-  picked.reserve(edges_per_node);
-  const auto add_if_new = [&picked](std::uint32_t u) {
-    if (std::find(picked.begin(), picked.end(), u) == picked.end()) {
-      picked.push_back(u);
-    }
+  const auto picked =
+      std::make_unique_for_overwrite<std::uint32_t[]>(edges_per_node);
+  std::uint32_t count = 0;
+  const auto add_if_new = [&picked, &count](std::uint32_t u) {
+    bool seen = false;
+    for (std::uint32_t k = 0; k < count; ++k) seen |= picked[k] == u;
+    picked[count] = u;
+    count += seen ? 0 : 1;
   };
   for (std::uint32_t v = seed_n; v < num_nodes; ++v) {
-    picked.clear();
+    count = 0;
     // Draw edges_per_node distinct influencers, degree-proportionally.
     std::size_t guard = 0;
-    while (picked.size() < edges_per_node) {
+    while (count < edges_per_node) {
       add_if_new(endpoints[draws.uniform_index(filled)]);
       // Degenerate protection: with tiny seed graphs rejection can loop; fall
       // back to uniform over all existing nodes after excessive rejections.
-      if (++guard > 64ull * edges_per_node && picked.size() < edges_per_node) {
+      if (++guard > 64ull * edges_per_node && count < edges_per_node) {
         add_if_new(static_cast<std::uint32_t>(draws.uniform_index(v)));
       }
     }
-    sink(v, std::span<const std::uint32_t>(picked));
-    for (std::uint32_t u : picked) {
-      endpoints[filled++] = u;
+    sink(v, std::span<const std::uint32_t>(picked.get(), count));
+    for (std::uint32_t k = 0; k < count; ++k) {
+      endpoints[filled++] = picked[k];
       endpoints[filled++] = v;
     }
   }

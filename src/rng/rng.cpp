@@ -55,24 +55,35 @@ std::uint64_t Rng::bernoulli_threshold(double p) {
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
-  std::vector<std::size_t> pool;
-  std::vector<std::size_t> out;
-  sample_without_replacement_into(n, k, pool, out);
-  return out;
-}
-
-void Rng::sample_without_replacement_into(std::size_t n, std::size_t k,
-                                          std::vector<std::size_t>& pool,
-                                          std::vector<std::size_t>& out) {
   RIT_CHECK_MSG(k <= n, "cannot sample " << k << " from " << n);
-  pool.resize(n);
+  std::vector<std::size_t> pool(n);
   std::iota(pool.begin(), pool.end(), std::size_t{0});
-  out.clear();
+  std::vector<std::size_t> out;
   out.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
     std::size_t j = i + uniform_index(n - i);
     std::swap(pool[i], pool[j]);
     out.push_back(pool[i]);
+  }
+  return out;
+}
+
+void Rng::sample_without_replacement_bits(std::uint64_t n, std::uint64_t k,
+                                          std::vector<std::uint32_t>& pool,
+                                          std::vector<std::uint64_t>& bits) {
+  RIT_CHECK_MSG(k <= n, "cannot sample " << k << " from " << n);
+  RIT_CHECK_MSG(n <= std::uint64_t{1} << 32,
+                "cannot sample from " << n << " indices (at most 2^32)");
+  pool.resize(n);
+  std::iota(pool.begin(), pool.end(), std::uint32_t{0});
+  bits.assign((n + 63) / 64, 0);
+  // The partial Fisher-Yates of sample_without_replacement; slot i is never
+  // read again, so the pick only moves slot i's entry into slot j.
+  for (std::uint64_t i = 0; i < k; ++i) {
+    const std::uint64_t j = i + uniform_index(n - i);
+    const std::uint32_t pick = pool[j];
+    pool[j] = pool[i];
+    bits[pick >> 6] |= std::uint64_t{1} << (pick & 63);
   }
 }
 

@@ -124,13 +124,15 @@ class Rng {
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
 
-  /// Same draws, but fills caller-owned buffers: `pool` is the O(n)
-  /// Fisher-Yates scratch and `out` receives the k selected indices. At
-  /// steady state (buffers at capacity) the call is allocation-free, which
-  /// is what the CRA round hot path needs (core::CraWorkspace).
-  void sample_without_replacement_into(std::size_t n, std::size_t k,
-                                       std::vector<std::size_t>& pool,
-                                       std::vector<std::size_t>& out);
+  /// The draws of sample_without_replacement(n, k) (n <= 2^32), kept as a
+  /// bitmap: bit i of bits[i / 64] is set when index i is chosen, and
+  /// `bits` is resized to (n + 63) / 64 words. `pool` is the O(n)
+  /// Fisher-Yates scratch. At steady state (buffers at capacity) the call
+  /// is allocation-free, which is what the CRA round hot path needs
+  /// (core::CraWorkspace).
+  void sample_without_replacement_bits(std::uint64_t n, std::uint64_t k,
+                                       std::vector<std::uint32_t>& pool,
+                                       std::vector<std::uint64_t>& bits);
 
  private:
   Xoshiro256StarStar engine_;

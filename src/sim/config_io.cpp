@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -25,6 +26,15 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value) {
                                                  "got '"
                                               << value << "'");
   return *v;
+}
+
+// A u32 key is refused past 2^32-1, never narrowed.
+std::uint32_t parse_u32(const std::string& key, const std::string& value) {
+  const std::uint64_t v = parse_u64(key, value);
+  require_usage(v <= std::numeric_limits<std::uint32_t>::max(),
+                "config key '" + key + "' wants at most 4294967295, got " +
+                    value);
+  return static_cast<std::uint32_t>(v);
 }
 
 double parse_double(const std::string& key, const std::string& value) {
@@ -53,17 +63,17 @@ Scenario read_scenario(std::istream& in) {
     const std::string value = trim(line.substr(eq + 1));
 
     if (key == "users") {
-      s.num_users = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.num_users = parse_u32(key, value);
     } else if (key == "types") {
-      s.num_types = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.num_types = parse_u32(key, value);
     } else if (key == "tasks_per_type") {
-      s.tasks_per_type = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.tasks_per_type = parse_u32(key, value);
     } else if (key == "demand_lo") {
-      s.demand_lo = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.demand_lo = parse_u32(key, value);
     } else if (key == "demand_hi") {
-      s.demand_hi = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.demand_hi = parse_u32(key, value);
     } else if (key == "k_max") {
-      s.k_max = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.k_max = parse_u32(key, value);
     } else if (key == "cost_max") {
       s.cost_max = parse_double(key, value);
     } else if (key == "h") {
@@ -83,19 +93,19 @@ Scenario read_scenario(std::istream& in) {
     } else if (key == "graph") {
       s.graph = parse_graph_kind(value);
     } else if (key == "ba_edges") {
-      s.ba_edges_per_node = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.ba_edges_per_node = parse_u32(key, value);
     } else if (key == "er_degree") {
       s.er_degree = parse_double(key, value);
     } else if (key == "ws_k") {
-      s.ws_k = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.ws_k = parse_u32(key, value);
     } else if (key == "ws_beta") {
       s.ws_beta = parse_double(key, value);
     } else if (key == "cm_exponent") {
       s.cm_exponent = parse_double(key, value);
     } else if (key == "cm_max_degree") {
-      s.cm_max_degree = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.cm_max_degree = parse_u32(key, value);
     } else if (key == "initial_joiners") {
-      s.initial_joiners = static_cast<std::uint32_t>(parse_u64(key, value));
+      s.initial_joiners = parse_u32(key, value);
     } else if (key == "seed") {
       s.seed = parse_u64(key, value);
     } else {

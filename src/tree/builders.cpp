@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <memory>
 #include <span>
 #include <utility>
 
@@ -35,14 +36,16 @@ constexpr std::uint32_t kBaRootInviter =
 /// The BFS waves of a Barabási–Albert forest, one entry per graph node in
 /// ascending id.
 struct BaWaves {
-  std::vector<std::uint32_t> depth;      // wave the node joins in
-  std::vector<std::uint32_t> inviter;    // who recruited it; kBaRootInviter
-  std::vector<std::uint32_t> wave_size;  // how many nodes join in each wave
+  std::uint32_t num_nodes{0};
+  std::unique_ptr<std::uint32_t[]> depth;    // wave the node joins in
+  std::unique_ptr<std::uint32_t[]> inviter;  // who recruited it, or
+                                             // kBaRootInviter
+  std::vector<std::uint32_t> wave_size;      // how many join in each wave
 
-  /// Appends the next graph node.
-  void join(std::uint32_t d, std::uint32_t by) {
-    depth.push_back(d);
-    inviter.push_back(by);
+  /// Records graph node v.
+  void join(std::uint32_t v, std::uint32_t d, std::uint32_t by) {
+    depth[v] = d;
+    inviter[v] = by;
     if (d >= wave_size.size()) wave_size.resize(d + 1, 0);
     ++wave_size[d];
   }
@@ -53,21 +56,22 @@ BaWaves draw_ba_waves(std::uint32_t num_nodes, std::uint32_t edges_per_node,
                       std::uint32_t seeds, rng::Rng& rng) {
   RIT_TRACE_SPAN("graph.generate");
   BaWaves w;
-  w.depth.reserve(num_nodes);
-  w.inviter.reserve(num_nodes);
+  w.num_nodes = num_nodes;
+  w.depth = std::make_unique_for_overwrite<std::uint32_t[]>(num_nodes);
+  w.inviter = std::make_unique_for_overwrite<std::uint32_t[]>(num_nodes);
   // The seed clique: node 0 is a seed and reaches every other clique node.
   for (std::uint32_t v = 0; v <= edges_per_node && v < num_nodes; ++v) {
     if (v < seeds) {
-      w.join(0, kBaRootInviter);
+      w.join(v, 0, kBaRootInviter);
     } else {
-      w.join(1, 0);
+      w.join(v, 1, 0);
     }
   }
   graph::barabasi_albert_draws(
       num_nodes, edges_per_node, rng,
       [&w, seeds](std::uint32_t v, std::span<const std::uint32_t> picked) {
         if (v < seeds) {
-          w.join(0, kBaRootInviter);
+          w.join(v, 0, kBaRootInviter);
           return;
         }
         // The least (depth, id) among the picks, as one branch-free
@@ -76,7 +80,7 @@ BaWaves draw_ba_waves(std::uint32_t num_nodes, std::uint32_t edges_per_node,
         for (std::uint32_t u : picked) {
           best = std::min(best, std::uint64_t{w.depth[u]} << 32 | u);
         }
-        w.join(static_cast<std::uint32_t>(best >> 32) + 1,
+        w.join(v, static_cast<std::uint32_t>(best >> 32) + 1,
                static_cast<std::uint32_t>(best));
       });
   return w;
@@ -93,7 +97,7 @@ std::vector<std::uint32_t> ba_forest_parents(BaWaves w) {
   }
   // Every inviter is below the node it invites, so inviter[] can be
   // overwritten with tree node ids in the same ascending pass that reads it.
-  const auto n = static_cast<std::uint32_t>(w.depth.size());
+  const std::uint32_t n = w.num_nodes;
   std::vector<std::uint32_t> parents(std::size_t{n} + 1, 0);
   for (std::uint32_t v = 0; v < n; ++v) {
     const std::uint32_t by = w.inviter[v];

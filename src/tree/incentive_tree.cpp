@@ -9,6 +9,51 @@ IncentiveTree::IncentiveTree(std::vector<std::uint32_t> parents)
   const std::uint32_t n = num_nodes();
   RIT_CHECK_MSG(n >= 1, "tree must contain at least the platform root");
   parents_[0] = 0;  // normalize the ignored root slot
+  bool topological = true;
+  for (std::uint32_t v = 1; v < n; ++v) topological &= parents_[v] < v;
+  if (topological) {
+    layout_topological();
+  } else {
+    layout_general();
+  }
+}
+
+void IncentiveTree::layout_topological() {
+  // Every parent precedes its children, so the tree is acyclic and
+  // connected by construction and no DFS is needed.
+  const std::uint32_t n = num_nodes();
+  const std::uint32_t* parent = parents_.data();
+  subtree_size_.assign(n, 1);
+  for (std::uint32_t v = n - 1; v > 0; --v) {
+    subtree_size_[parent[v]] += subtree_size_[v];
+  }
+  // One ascending pass places each node at its parent's cursor, the next
+  // free preorder slot under the parent, so siblings come in ascending id
+  // as in the DFS. The cursor lives in preorder_pos_: it starts one past
+  // the node's own slot and ends at pos + size once every child is placed.
+  depths_.resize(n);
+  preorder_.resize(n);
+  preorder_pos_.resize(n);
+  depths_[0] = 0;
+  preorder_[0] = 0;
+  preorder_pos_[0] = 1;
+  std::uint32_t max_depth = 0;
+  for (std::uint32_t v = 1; v < n; ++v) {
+    const std::uint32_t p = parent[v];
+    const std::uint32_t d = depths_[p] + 1;
+    depths_[v] = d;
+    max_depth = std::max(max_depth, d);
+    const std::uint32_t pos = preorder_pos_[p];
+    preorder_pos_[p] = pos + subtree_size_[v];
+    preorder_pos_[v] = pos + 1;
+    preorder_[pos] = v;
+  }
+  for (std::uint32_t v = 0; v < n; ++v) preorder_pos_[v] -= subtree_size_[v];
+  max_depth_ = max_depth;
+}
+
+void IncentiveTree::layout_general() {
+  const std::uint32_t n = num_nodes();
   for (std::uint32_t v = 1; v < n; ++v) {
     RIT_CHECK_MSG(parents_[v] < n,
                   "node " << v << " has out-of-range parent " << parents_[v]);
@@ -16,18 +61,15 @@ IncentiveTree::IncentiveTree(std::vector<std::uint32_t> parents)
   }
 
   // Children adjacency (CSR), ordered by child id for determinism.
-  child_offsets_.assign(std::size_t{n} + 1, 0);
-  for (std::uint32_t v = 1; v < n; ++v) ++child_offsets_[parents_[v] + 1];
-  for (std::uint32_t i = 1; i <= n; ++i) child_offsets_[i] += child_offsets_[i - 1];
-  // Scatter with child_offsets_[p] as the bucket cursor: afterwards it holds
-  // the end of p's bucket, so shifting by one restores the starts.
-  child_targets_.resize(n - 1);
-  for (std::uint32_t v = 1; v < n; ++v) {
-    child_targets_[child_offsets_[parents_[v]]++] = v;
-  }
-  std::copy_backward(child_offsets_.begin(), child_offsets_.end() - 1,
-                     child_offsets_.end());
-  child_offsets_[0] = 0;
+  std::vector<std::uint32_t> offsets(std::size_t{n} + 1, 0);
+  for (std::uint32_t v = 1; v < n; ++v) ++offsets[parents_[v] + 1];
+  for (std::uint32_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
+  // Scatter with offsets[p] as the bucket cursor: afterwards it holds the
+  // end of p's bucket, so shifting by one restores the starts.
+  std::vector<std::uint32_t> targets(n - 1);
+  for (std::uint32_t v = 1; v < n; ++v) targets[offsets[parents_[v]]++] = v;
+  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+  offsets[0] = 0;
 
   // Iterative preorder DFS from the root; doubles as the acyclicity /
   // connectivity check (every node must be visited exactly once).
@@ -41,10 +83,9 @@ IncentiveTree::IncentiveTree(std::vector<std::uint32_t> parents)
     stack.pop_back();
     preorder_pos_[v] = static_cast<std::uint32_t>(preorder_.size());
     preorder_.push_back(v);
-    auto kids = children(v);
     // Push in reverse so children are visited in ascending id order.
-    for (std::size_t i = kids.size(); i > 0; --i) {
-      const std::uint32_t c = kids[i - 1];
+    for (std::uint32_t i = offsets[v + 1]; i > offsets[v]; --i) {
+      const std::uint32_t c = targets[i - 1];
       depths_[c] = depths_[v] + 1;
       stack.push_back(c);
     }
@@ -60,6 +101,19 @@ IncentiveTree::IncentiveTree(std::vector<std::uint32_t> parents)
     const std::uint32_t v = preorder_[i - 1];
     subtree_size_[parents_[v]] += subtree_size_[v];
   }
+}
+
+std::vector<std::uint32_t> IncentiveTree::children(std::uint32_t node) const {
+  RIT_CHECK(node < num_nodes());
+  // The children start right after the node in preorder, each one's
+  // subtree after the previous one's.
+  std::vector<std::uint32_t> out;
+  const std::uint32_t end = preorder_pos_[node] + subtree_size_[node];
+  for (std::uint32_t i = preorder_pos_[node] + 1; i < end;
+       i += subtree_size_[preorder_[i]]) {
+    out.push_back(preorder_[i]);
+  }
+  return out;
 }
 
 std::vector<std::uint32_t> IncentiveTree::descendants(

@@ -25,6 +25,10 @@ class IncentiveTree {
   /// i >= 1; parents[0] is ignored (root). Parents may reference any node id
   /// (forward or backward); the constructor validates that the structure is
   /// a single tree rooted at 0 and computes depths and a preorder layout.
+  /// A topologically numbered vector (every parents[v] < v, as every
+  /// builder in tree/builders.h emits) is laid out in linear passes over
+  /// ids; any other one by a stack DFS over a temporary child list. Both
+  /// give the same layout: children are visited in ascending id.
   explicit IncentiveTree(std::vector<std::uint32_t> parents);
 
   /// Convenience: a tree with only the platform root.
@@ -41,11 +45,9 @@ class IncentiveTree {
     return parents_[node];
   }
 
-  std::span<const std::uint32_t> children(std::uint32_t node) const {
-    RIT_CHECK(node < num_nodes());
-    return {child_targets_.data() + child_offsets_[node],
-            child_offsets_[node + 1] - child_offsets_[node]};
-  }
+  /// The children of `node` in ascending id, read off the preorder in
+  /// O(number of children).
+  std::vector<std::uint32_t> children(std::uint32_t node) const;
 
   /// Distance r_j from node to the root; depth(root) == 0, so users who
   /// joined at the very beginning have depth 1, matching the paper's r_j.
@@ -80,9 +82,10 @@ class IncentiveTree {
   const std::vector<std::uint32_t>& parents() const { return parents_; }
 
  private:
+  void layout_topological();
+  void layout_general();
+
   std::vector<std::uint32_t> parents_;
-  std::vector<std::uint32_t> child_offsets_;  // size num_nodes()+1
-  std::vector<std::uint32_t> child_targets_;
   std::vector<std::uint32_t> depths_;
   std::vector<std::uint32_t> preorder_;
   std::vector<std::uint32_t> preorder_pos_;

@@ -104,6 +104,25 @@ TEST(ConfigIo, RejectsBadValues) {
   EXPECT_THROW(read_scenario(d), CheckFailure);
 }
 
+TEST(ConfigIo, RejectsU32KeysPast32Bits) {
+  // 2^32 + 100 once narrowed to 100 users; every u32 key is width-checked.
+  for (const char* key :
+       {"users", "types", "tasks_per_type", "demand_lo", "demand_hi", "k_max",
+        "ba_edges", "ws_k", "cm_max_degree", "initial_joiners"}) {
+    std::istringstream in(std::string(key) + " = 4294967396\n");
+    try {
+      read_scenario(in);
+      ADD_FAILURE() << key << " accepted 4294967396";
+    } catch (const CheckFailure& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "config key '" + std::string(key) +
+                    "' wants at most 4294967295, got 4294967396");
+    }
+  }
+  std::istringstream max("users = 4294967295\n");
+  EXPECT_EQ(read_scenario(max).num_users, 4294967295u);
+}
+
 TEST(ConfigIo, ShippedConfigsAllParse) {
   // The configs/ directory is part of the public interface; every file in
   // it must parse against the current schema.

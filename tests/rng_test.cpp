@@ -209,10 +209,11 @@ TEST(Rng, SampleWithoutReplacementKZeroConsumesNoDraws) {
   // "anything to sample?" and the branch must not desynchronize replay.
   Rng a(83);
   Rng b(83);
-  std::vector<std::size_t> pool;
-  std::vector<std::size_t> out{1, 2, 3};
-  a.sample_without_replacement_into(17, 0, pool, out);
-  EXPECT_TRUE(out.empty());  // cleared, not left over from the caller
+  std::vector<std::uint32_t> pool;
+  std::vector<std::uint64_t> bits{~std::uint64_t{0}};
+  a.sample_without_replacement_bits(17, 0, pool, bits);
+  // Cleared, not left over from the caller.
+  EXPECT_EQ(bits, std::vector<std::uint64_t>{0});
   for (int i = 0; i < 8; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
@@ -238,29 +239,38 @@ TEST(Rng, SampleWithoutReplacementFullSetIsAPermutation) {
   EXPECT_NE(rng.next_u64(), untouched.next_u64());  // draws were consumed
 }
 
-TEST(Rng, SampleWithoutReplacementIntoMatchesAllocatingForm) {
-  // The buffer-reusing form consumes the same draws and produces the same
-  // selection, including when the buffers are reused across differently
+TEST(Rng, SampleWithoutReplacementBitsMatchesAllocatingForm) {
+  // The bitmap form consumes the same draws and sets exactly the selected
+  // indices, including when the buffers are reused across differently
   // sized requests (capacity must never leak into the result).
   Rng a(67);
   Rng b(67);
-  std::vector<std::size_t> pool;
-  std::vector<std::size_t> out;
+  std::vector<std::uint32_t> pool;
+  std::vector<std::uint64_t> bits;
   const std::pair<std::size_t, std::size_t> requests[] = {
-      {100, 30}, {10, 10}, {100, 1}, {5, 0}};
+      {100, 30}, {10, 10}, {100, 1}, {5, 0}, {200, 199}, {64, 64}, {65, 3}};
   for (const auto& [n, k] : requests) {
     const auto fresh = a.sample_without_replacement(n, k);
-    b.sample_without_replacement_into(n, k, pool, out);
-    EXPECT_EQ(out, fresh) << "n=" << n << " k=" << k;
+    b.sample_without_replacement_bits(n, k, pool, bits);
+    std::vector<std::uint64_t> want((n + 63) / 64, 0);
+    for (std::size_t i : fresh) want[i / 64] |= std::uint64_t{1} << (i % 64);
+    EXPECT_EQ(bits, want) << "n=" << n << " k=" << k;
   }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
-TEST(Rng, SampleWithoutReplacementIntoRejectsOverdraw) {
+TEST(Rng, SampleWithoutReplacementBitsRejectsOverdraw) {
   Rng rng(71);
-  std::vector<std::size_t> pool;
-  std::vector<std::size_t> out;
-  EXPECT_THROW(rng.sample_without_replacement_into(3, 4, pool, out),
+  std::vector<std::uint32_t> pool;
+  std::vector<std::uint64_t> bits;
+  EXPECT_THROW(rng.sample_without_replacement_bits(3, 4, pool, bits),
                CheckFailure);
+  // Pool slots are 32-bit: more than 2^32 indices is refused before any
+  // buffer grows.
+  EXPECT_THROW(rng.sample_without_replacement_bits(
+                   (std::uint64_t{1} << 32) + 1, 1, pool, bits),
+               CheckFailure);
+  EXPECT_TRUE(pool.empty());
 }
 
 TEST(Rng, SampleWithoutReplacementIsUniform) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/check.h"
 #include "forest_reference.h"
@@ -267,6 +269,142 @@ TEST(BarabasiAlbertForest, SeedCountRule) {
   EXPECT_EQ(initial_seed_count(0, 50), 1u);
   EXPECT_EQ(initial_seed_count(10, 50), 10u);
   EXPECT_EQ(initial_seed_count(60, 50), 50u);
+}
+
+// The layout the constructor must produce, by the textbook route: child
+// lists in ascending id, a stack DFS that visits them in that order, and
+// subtree sizes summed in reverse preorder.
+struct ReferenceLayout {
+  std::vector<std::vector<std::uint32_t>> children;
+  std::vector<std::uint32_t> depth;
+  std::vector<std::uint32_t> subtree_size;
+  std::vector<std::uint32_t> preorder;
+  std::vector<std::uint32_t> preorder_index;
+  std::uint32_t max_depth{0};
+};
+
+ReferenceLayout dfs_reference(const std::vector<std::uint32_t>& parents) {
+  const auto n = static_cast<std::uint32_t>(parents.size());
+  ReferenceLayout ref;
+  ref.children.resize(n);
+  for (std::uint32_t v = 1; v < n; ++v) ref.children[parents[v]].push_back(v);
+  ref.depth.assign(n, 0);
+  ref.preorder_index.assign(n, 0);
+  std::vector<std::uint32_t> stack{0};
+  while (!stack.empty()) {
+    const std::uint32_t v = stack.back();
+    stack.pop_back();
+    ref.preorder_index[v] = static_cast<std::uint32_t>(ref.preorder.size());
+    ref.preorder.push_back(v);
+    const auto& kids = ref.children[v];
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+      ref.depth[*it] = ref.depth[v] + 1;
+      stack.push_back(*it);
+    }
+  }
+  ref.subtree_size.assign(n, 1);
+  for (std::size_t i = ref.preorder.size(); i > 1; --i) {
+    const std::uint32_t v = ref.preorder[i - 1];
+    ref.subtree_size[parents[v]] += ref.subtree_size[v];
+  }
+  ref.max_depth = *std::max_element(ref.depth.begin(), ref.depth.end());
+  return ref;
+}
+
+void expect_layout_matches_reference(const IncentiveTree& t) {
+  const ReferenceLayout ref = dfs_reference(t.parents());
+  ASSERT_EQ(ref.preorder.size(), t.num_nodes());
+  EXPECT_EQ(t.max_depth(), ref.max_depth);
+  const auto pre = t.preorder();
+  ASSERT_EQ(pre.size(), ref.preorder.size());
+  EXPECT_TRUE(std::equal(pre.begin(), pre.end(), ref.preorder.begin()));
+  for (std::uint32_t v = 0; v < t.num_nodes(); ++v) {
+    ASSERT_EQ(t.depth(v), ref.depth[v]) << "node " << v;
+    ASSERT_EQ(t.subtree_size(v), ref.subtree_size[v]) << "node " << v;
+    ASSERT_EQ(t.preorder_index(v), ref.preorder_index[v]) << "node " << v;
+    ASSERT_EQ(t.children(v), ref.children[v]) << "node " << v;
+  }
+}
+
+TEST(TreeLayout, MatchesDfsOnRandomRecursiveTrees) {
+  for (const std::uint32_t n : {1u, 2u, 17u, 1000u, 30000u}) {
+    for (const double root_prob : {0.0, 0.05, 0.5, 1.0}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " p=" << root_prob
+                                        << " seed=" << seed);
+        rng::Rng rng(seed);
+        expect_layout_matches_reference(
+            random_recursive_tree(n, root_prob, rng));
+      }
+    }
+  }
+}
+
+TEST(TreeLayout, MatchesDfsOnBarabasiAlbertForests) {
+  for (const std::uint32_t m : {1u, 2u, 3u, 5u}) {
+    for (const std::uint32_t n : {m + 1, m + 2, 64u, 5000u, 40000u}) {
+      for (const std::uint32_t joiners : {1u, 4u, 100u}) {
+        for (const std::uint64_t seed : {5u, 6u, 7u}) {
+          SCOPED_TRACE(testing::Message() << "m=" << m << " n=" << n
+                                          << " joiners=" << joiners
+                                          << " seed=" << seed);
+          rng::Rng rng(seed);
+          expect_layout_matches_reference(
+              barabasi_albert_forest(n, m, joiners, rng));
+        }
+      }
+    }
+  }
+}
+
+TEST(TreeLayout, MatchesDfsOnChainFlatAndRootOnly) {
+  {
+    SCOPED_TRACE("chain of 10^5");
+    const IncentiveTree chain = chain_tree(100000);
+    EXPECT_EQ(chain.max_depth(), 100000u);
+    expect_layout_matches_reference(chain);
+  }
+  {
+    SCOPED_TRACE("flat");
+    expect_layout_matches_reference(flat_tree(5000));
+  }
+  {
+    SCOPED_TRACE("root only");
+    expect_layout_matches_reference(IncentiveTree::root_only());
+  }
+}
+
+TEST(TreeLayout, ForwardReferencingParentsMatchDfs) {
+  // Relabel random recursive trees by a random permutation of the
+  // participants, so most parents point forward: the general path must
+  // give the same layout as the reference.
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    rng::Rng rng(seed);
+    const IncentiveTree t = random_recursive_tree(3000, 0.05, rng);
+    std::vector<std::uint32_t> relabel(t.num_nodes());
+    for (std::uint32_t v = 0; v < t.num_nodes(); ++v) relabel[v] = v;
+    rng.shuffle(std::span<std::uint32_t>(relabel).subspan(1));
+    std::vector<std::uint32_t> parents(t.num_nodes(), 0);
+    for (std::uint32_t v = 1; v < t.num_nodes(); ++v) {
+      parents[relabel[v]] = relabel[t.parent(v)];
+    }
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    const IncentiveTree relabeled(parents);
+    expect_layout_matches_reference(relabeled);
+    for (std::uint32_t v = 0; v < t.num_nodes(); ++v) {
+      ASSERT_EQ(relabeled.depth(relabel[v]), t.depth(v));
+      ASSERT_EQ(relabeled.subtree_size(relabel[v]), t.subtree_size(v));
+    }
+  }
+}
+
+TEST(TreeLayout, RejectsUnreachableNodes) {
+  // 2 -> 3 -> 2 is a cycle, and node 1 hangs below it: neither reaches
+  // the root.
+  EXPECT_THROW(IncentiveTree({0, 2, 3, 2}), CheckFailure);
+  // A self-parent and an out-of-range parent behind a forward reference.
+  EXPECT_THROW(IncentiveTree({0, 2, 2}), CheckFailure);
+  EXPECT_THROW(IncentiveTree({0, 2, 0, 7}), CheckFailure);
 }
 
 TEST(Render, AsciiShowsStructure) {

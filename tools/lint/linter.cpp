@@ -120,11 +120,11 @@ const std::vector<TokenRule>& token_rules() {
       {"no-std-shuffle",
        "std::shuffle's permutation algorithm is implementation-defined "
        "for a given engine; use rng-based shuffling "
-       "(rng::sample_without_replacement_into / Fisher-Yates over Rng)",
+       "(rng::Rng::shuffle / Fisher-Yates over Rng)",
        "Which permutation std::shuffle produces for a given engine state "
        "is implementation-defined, so the same seed yields different "
        "orders on different standard libraries. Use Fisher-Yates over "
-       "rng::Rng (rng::sample_without_replacement_into), which pins the "
+       "rng::Rng (rng::Rng::shuffle), which pins the "
        "algorithm.",
        FileClass::kCpp,
        {"std::shuffle", "random_shuffle"},
