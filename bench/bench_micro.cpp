@@ -286,24 +286,40 @@ std::vector<core::Ask> make_market(std::size_t users, std::uint64_t seed,
 }
 
 // Extract in the run form RIT's auction loop uses: one type's runs and
-// their value order from the per-type index, every user at full capacity
-// (the first round).
+// their value order from the per-type index. The second arg picks the
+// round: 0 is the first, where nobody has won yet and the value order is
+// the index's, shifted; 1 is a later one, where a quarter of the users are
+// exhausted and drop out and another quarter are partly filled.
 void BM_Extract(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::vector<core::Ask> asks = make_market(n, 4);
   core::AskTypeIndex index;
   index.build(10, asks);
-  std::vector<std::uint32_t> remaining(n);
-  for (std::size_t j = 0; j < n; ++j) remaining[j] = asks[j].quantity;
+  std::vector<std::uint32_t> allocation(n, 0);
+  if (state.range(1) == 1) {
+    rng::Rng rng(5);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t pick = rng.uniform_index(4);
+      if (pick == 0) allocation[j] = asks[j].quantity;
+      if (pick == 1) {
+        allocation[j] =
+            static_cast<std::uint32_t>(rng.uniform_index(asks[j].quantity));
+      }
+    }
+  }
   core::ExtractedRuns out;
   for (auto _ : state) {
-    core::extract_runs_into(TaskType{3}, index, remaining, out);
+    core::extract_runs_into(TaskType{3}, index, allocation, out);
     benchmark::DoNotOptimize(out.runs.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Extract)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_Extract)
+    ->Args({10000, 0})
+    ->Args({80000, 0})
+    ->Args({80000, 1})
+    ->Args({100000, 0});
 
 // The per-auction index build: the per-type CSR and each type's value
 // sort, on a warm index (make_market; the second arg is its `cents`: 0 for
@@ -328,7 +344,10 @@ void BM_TypeIndexBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_TypeIndexBuild)->Args({80000, 0})->Args({80000, 1});
+BENCHMARK(BM_TypeIndexBuild)
+    ->Args({80000, 0})
+    ->Args({80000, 1})
+    ->Args({1000000, 0});
 
 // The whole auction phase (Extract, CRA rounds, write-back) on a warm
 // workspace and result, at the repo benchmark's market shapes: 80k users

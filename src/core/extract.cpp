@@ -129,43 +129,69 @@ void AskTypeIndex::build(std::uint32_t types, std::span<const Ask> asks) {
 }
 
 void extract_runs_into(TaskType type, const AskTypeIndex& index,
-                       std::span<const std::uint32_t> remaining_quantity,
+                       std::span<const std::uint32_t> allocation,
                        ExtractedRuns& out) {
   RIT_CHECK(type.value < index.num_types());
-  out.runs.clear();
-  out.owner.clear();
   const std::uint32_t begin = index.offsets[type.value];
   const std::uint32_t end = index.offsets[type.value + 1];
-  out.runs.reserve(end - begin);
-  out.owner.reserve(end - begin);
-  out.run_of_slot.resize(end - begin);
+  const std::uint32_t n = end - begin;
+  const std::uint32_t* user = index.user.data() + begin;
+  const std::uint32_t* quantity = index.quantity.data() + begin;
+  const double* value = index.value.data() + begin;
+  // Every slot is written at the cursor `live`, which only a user with
+  // capacity left advances, so the exhausted users drop out without a
+  // branch; their run_of_slot is live | (0 - 1), all ones (kNoRun).
+  // Shrinking afterwards keeps the capacity.
+  out.runs.resize(n);
+  out.owner.resize(n);
+  out.run_of_slot.resize(n);
+  AskRun* runs = out.runs.data();
+  std::uint32_t* owner = out.owner.data();
+  std::uint32_t* run_of_slot = out.run_of_slot.data();
+  std::uint32_t live = 0;
   std::uint64_t start = 0;
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const std::uint32_t j = index.user[i];
-    const std::uint32_t k = remaining_quantity[j];
-    RIT_CHECK_MSG(k <= index.quantity[i],
-                  "remaining quantity " << k << " exceeds asked quantity "
-                                        << index.quantity[i] << " for user "
-                                        << j);
-    if (k == 0) {
-      out.run_of_slot[i - begin] = kNoRun;
-      continue;
-    }
-    out.run_of_slot[i - begin] = static_cast<std::uint32_t>(out.runs.size());
-    out.runs.push_back(AskRun{index.value[i],
-                              static_cast<std::uint32_t>(start), k});
-    out.owner.push_back(j);
+  bool over = false;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t j = user[i];
+    const std::uint32_t won = allocation[j];
+    over |= won > quantity[i];
+    const std::uint32_t k = quantity[i] - won;
+    const std::uint32_t alive = k != 0 ? 1 : 0;
+    runs[live] = AskRun{value[i], static_cast<std::uint32_t>(start), k};
+    owner[live] = j;
+    run_of_slot[i] = live | (alive - 1);
+    live += alive;
     start += k;
+  }
+  if (over) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      RIT_CHECK_MSG(allocation[user[i]] <= quantity[i],
+                    "allocation " << allocation[user[i]]
+                                  << " exceeds asked quantity " << quantity[i]
+                                  << " for user " << user[i]);
+    }
   }
   RIT_CHECK_MSG(start <= UINT32_MAX,
                 start << " unit asks of one type exceed the 2^32 index space");
-  // The type's value order, restricted to the live runs.
-  out.by_value.resize(out.runs.size());
-  std::size_t next = 0;
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const std::uint32_t r = out.run_of_slot[index.by_value[i] - begin];
-    if (r != kNoRun) out.by_value[next++] = r;
+  // The type's value order, restricted to the live runs. With nobody
+  // exhausted, run r is slot begin + r. Otherwise each slot maps to its
+  // run, and the exhausted ones are written past the cursor and dropped.
+  out.by_value.resize(n);
+  std::uint32_t* by_value = out.by_value.data();
+  const std::uint32_t* order = index.by_value.data() + begin;
+  if (live == n) {
+    for (std::uint32_t r = 0; r < n; ++r) by_value[r] = order[r] - begin;
+  } else {
+    std::uint32_t next = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t run = run_of_slot[order[i] - begin];
+      by_value[next] = run;
+      next += run != kNoRun ? 1 : 0;
+    }
   }
+  out.runs.resize(live);
+  out.owner.resize(live);
+  out.by_value.resize(live);
 }
 
 }  // namespace rit::core

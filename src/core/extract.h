@@ -68,17 +68,19 @@ struct ExtractedRuns {
   /// by_value order with the users that have no capacity left dropped.
   std::vector<std::uint32_t> by_value;
   /// Scratch: the run of each of the type's slots (all ones when its
-  /// user has no capacity left).
+  /// user has no capacity left). Read only when some user is exhausted.
   std::vector<std::uint32_t> run_of_slot;
 };
 
 /// Extract over the index in run form: one run per user of `type` with
-/// remaining_quantity > 0, users ascending, over the alpha indices of
-/// extract_remaining's unit vector, plus their value order. O(users of
-/// `type`) per round, no unit expansion and no sort; a reused `out` stops
+/// capacity left, k'_j = asks[j].quantity - allocation[j] > 0, users
+/// ascending, over the alpha indices of extract_remaining's unit vector
+/// for those k'_j, plus their value order. `allocation[j]` is what user j
+/// already won and must not exceed its asked quantity. O(users of `type`)
+/// per round, no unit expansion and no sort; a reused `out` stops
 /// allocating (core::RitWorkspace).
 void extract_runs_into(TaskType type, const AskTypeIndex& index,
-                       std::span<const std::uint32_t> remaining_quantity,
+                       std::span<const std::uint32_t> allocation,
                        ExtractedRuns& out);
 
 }  // namespace rit::core

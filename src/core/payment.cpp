@@ -119,6 +119,11 @@ void tree_payments_into(const tree::IncentiveTree& tree,
   for (std::size_t pos = 1; pos < preorder.size(); ++pos) {  // 0 is the root
     close_until(pos);
     const std::uint32_t node = preorder[pos];
+    // The open subtrees are now exactly the node's ancestors below the
+    // root (an ancestor's subtree always has more than one node), so its
+    // depth needs no per-node read.
+    const auto depth = static_cast<std::uint32_t>(ws.open.size()) + 1;
+    RIT_DCHECK(depth == tree.depth(node));
     const std::uint32_t i = tree::participant_of_node(node);
     const std::uint32_t t = types[i].value;
     const std::uint32_t size = tree.subtree_size(node);
@@ -126,7 +131,7 @@ void tree_payments_into(const tree::IncentiveTree& tree,
       ws.open.push_back({i, static_cast<std::uint32_t>(pos) + size, sum,
                          ws.type_sum[t]});
     }
-    const double c = ws.depth_discount[tree.depth(node)] * auction_payments[i];
+    const double c = ws.depth_discount[depth] * auction_payments[i];
     sum += c;
 #if RIT_BUG_ENABLED(RIT_BUG_PREFIX_CARRY)
     // planted: each type's running sum forgets its first contribution

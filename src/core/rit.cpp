@@ -53,14 +53,6 @@ RoundBudget compute_round_budget(std::uint32_t m_i, std::uint32_t k_max,
   return out;
 }
 
-namespace {
-void zero_result(RitResult& r) {
-  std::fill(r.allocation.begin(), r.allocation.end(), 0u);
-  std::fill(r.auction_payment.begin(), r.auction_payment.end(), 0.0);
-  std::fill(r.payment.begin(), r.payment.end(), 0.0);
-}
-}  // namespace
-
 double RitResult::total_payment() const {
   double t = 0.0;
   for (double p : payment) t += p;
@@ -103,19 +95,18 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
   res.achieved_probability = 1.0;
   res.allocation.assign(n, 0);
   res.auction_payment.assign(n, 0.0);
-  res.payment.assign(n, 0.0);
   res.k_max = config.k_max_override.value_or(observed_k_max(asks));
   const std::uint32_t m = std::max<std::uint32_t>(job.num_demanded_types(), 1);
   res.eta = std::pow(config.h, 1.0 / static_cast<double>(m));
 
-  // k'_j: capability not yet consumed by earlier rounds.
-  std::vector<std::uint32_t>& remaining = ws.remaining;
-  remaining.resize(n);
-  for (std::uint32_t j = 0; j < n; ++j) remaining[j] = asks[j].quantity;
-
   // One per-type CSR build up front; each round then expands only its own
-  // type's askers instead of rescanning all N asks.
-  ws.type_index.build(job.num_types(), asks);
+  // type's askers instead of rescanning all N asks. A user's capability
+  // not yet consumed by earlier rounds (k'_j) is its quantity minus its
+  // allocation so far, which Extract reads.
+  {
+    RIT_TRACE_SPAN("rit.index_build");
+    ws.type_index.build(job.num_types(), asks);
+  }
 
   bool all_allocated = true;
   for (std::uint32_t ti = 0; ti < job.num_types(); ++ti) {
@@ -137,7 +128,7 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
       ExtractedRuns& alpha = ws.runs;
       {
         RIT_TRACE_SPAN("rit.extract");
-        extract_runs_into(type, ws.type_index, remaining, alpha);
+        extract_runs_into(type, ws.type_index, res.allocation, alpha);
       }
       if (alpha.runs.empty()) break;  // nobody left who can serve this type
       CraParams params;
@@ -149,19 +140,32 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
       run_cra_runs(alpha.runs, alpha.by_value, params, rng, ws.cra,
                    ws.round);
       const CraOutcome& round = ws.round;
-      // Write-back visits only the winning runs. An owner's payment still
-      // takes one addition of the price per task it won, summed in a
-      // register, so it matches a per-task write-back bit for bit.
-      for (const RunWin& w : round.winners) {
-        const std::uint32_t owner = alpha.owner[w.run];
-        res.allocation[owner] += w.count;
-        RIT_DCHECK(remaining[owner] >= w.count);
-        remaining[owner] -= w.count;
-        double paid = res.auction_payment[owner];
-        for (std::uint32_t c = 0; c < w.count; ++c) {
-          paid += round.clearing_price;
+      {
+        // Write-back visits only the winning runs. A winner's payment
+        // takes one addition of the price per task it won, so it matches
+        // a per-task write-back bit for bit. From 0.0 that chain is
+        // repeated[count], the price added count times, which the round
+        // extends as far as its largest first-time count; only a repeat
+        // winner adds its own chain onto what it already has.
+        RIT_TRACE_SPAN("rit.settle");
+        const double price = round.clearing_price;
+        std::vector<double>& repeated = ws.repeated;
+        repeated.assign(1, 0.0);
+        for (const RunWin& w : round.winners) {
+          const std::uint32_t owner = alpha.owner[w.run];
+          res.allocation[owner] += w.count;
+          RIT_DCHECK(res.allocation[owner] <= asks[owner].quantity);
+          double paid = res.auction_payment[owner];
+          if (paid == 0.0) {
+            while (repeated.size() <= w.count) {
+              repeated.push_back(repeated.back() + price);
+            }
+            paid = repeated[w.count];
+          } else {
+            for (std::uint32_t c = 0; c < w.count; ++c) paid += price;
+          }
+          res.auction_payment[owner] = paid;
         }
-        res.auction_payment[owner] = paid;
       }
       RIT_DCHECK(round.num_winners <= q);
       q -= round.num_winners;
@@ -195,11 +199,10 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
 
   res.success = all_allocated;
   if (!res.success && config.zero_on_failure) {
-    zero_result(res);
-  } else {
-    res.payment.assign(res.auction_payment.begin(),
-                       res.auction_payment.end());
+    std::fill(res.allocation.begin(), res.allocation.end(), 0u);
+    std::fill(res.auction_payment.begin(), res.auction_payment.end(), 0.0);
   }
+  res.payment.assign(res.auction_payment.begin(), res.auction_payment.end());
 }
 
 RitResult run_rit(const Job& job, std::span<const Ask> asks,

@@ -119,7 +119,7 @@ struct RitResult {
 /// Reusable scratch for run_rit / run_auction_phase. One mechanism run
 /// executes many CRA rounds, and a sweep executes many mechanism runs;
 /// keeping one workspace per thread means the per-round buffers (extract's
-/// runs, CRA's run buffers and bitmaps, the remaining-quantity vector) are
+/// runs, CRA's run buffers and bitmaps, the settle table) are
 /// heap-allocated once and then reused at their high-water capacity.
 /// Contents are scratch only — nothing carries state between runs.
 struct RitWorkspace {
@@ -131,7 +131,9 @@ struct RitWorkspace {
   /// round's extraction touches only its own type's askers.
   AskTypeIndex type_index;
   PaymentWorkspace payment;
-  std::vector<std::uint32_t> remaining;
+  /// The round's settle table: repeated[c] is its clearing price added c
+  /// times from 0.0, a first-time winner's payment for c tasks.
+  std::vector<double> repeated;
   std::vector<TaskType> types;
 };
 

@@ -20,25 +20,9 @@ std::uint64_t Rng::bernoulli_bits(std::uint64_t count,
                                 detail::host_kernel());
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  RIT_CHECK(lo <= hi);
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-  if (span == ~std::uint64_t{0}) return static_cast<std::int64_t>(next_u64());
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
-                                   uniform_u64(span + 1));
-}
-
 double Rng::uniform_real(double lo, double hi) {
   RIT_CHECK(lo < hi);
   return lo + (hi - lo) * uniform01();
-}
-
-double Rng::uniform_real_left_open(double lo, double hi) {
-  RIT_CHECK(lo < hi);
-  // 1 - U is in (0, 1]; scale into (lo, hi].
-  double u = 1.0 - uniform01();
-  return lo + (hi - lo) * u;
 }
 
 bool Rng::bernoulli(double p) {

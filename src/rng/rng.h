@@ -58,7 +58,16 @@ class Rng {
   }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    RIT_CHECK(lo <= hi);
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    if (span == ~std::uint64_t{0}) {
+      return static_cast<std::int64_t>(next_u64());
+    }
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                     uniform_u64(span + 1));
+  }
 
   /// Uniform size_t index in [0, n). Requires n > 0.
   std::size_t uniform_index(std::size_t n) {
@@ -87,7 +96,12 @@ class Rng {
 
   /// Uniform double in (lo, hi]: the paper draws costs from (0, 10] and
   /// capabilities from (0, 20], both half-open on the left.
-  double uniform_real_left_open(double lo, double hi);
+  double uniform_real_left_open(double lo, double hi) {
+    RIT_CHECK(lo < hi);
+    // 1 - U is in (0, 1]; scale into (lo, hi].
+    const double u = 1.0 - uniform01();
+    return lo + (hi - lo) * u;
+  }
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);

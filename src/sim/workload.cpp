@@ -17,17 +17,21 @@ Population generate_population(const Scenario& scenario, rng::Rng& rng) {
   RIT_CHECK(scenario.k_max >= 1);
   RIT_CHECK(scenario.cost_max > 0.0);
   Population pop;
-  pop.truthful_asks.reserve(scenario.num_users);
-  pop.costs.reserve(scenario.num_users);
+  pop.truthful_asks.resize(scenario.num_users);
+  pop.costs.resize(scenario.num_users);
+  // Draw from a local copy of the stream, so the engine state stays in
+  // registers; `rng` gets it back at the end, after exactly the same draws.
+  rng::Rng draws = rng;
   for (std::uint32_t j = 0; j < scenario.num_users; ++j) {
     const TaskType type{
-        static_cast<std::uint32_t>(rng.uniform_index(scenario.num_types))};
+        static_cast<std::uint32_t>(draws.uniform_index(scenario.num_types))};
     const auto quantity = static_cast<std::uint32_t>(
-        rng.uniform_int(1, static_cast<std::int64_t>(scenario.k_max)));
-    const double cost = rng.uniform_real_left_open(0.0, scenario.cost_max);
-    pop.truthful_asks.push_back(core::Ask{type, quantity, cost});
-    pop.costs.push_back(cost);
+        draws.uniform_int(1, static_cast<std::int64_t>(scenario.k_max)));
+    const double cost = draws.uniform_real_left_open(0.0, scenario.cost_max);
+    pop.truthful_asks[j] = core::Ask{type, quantity, cost};
+    pop.costs[j] = cost;
   }
+  rng = draws;
   return pop;
 }
 

@@ -91,6 +91,54 @@ TEST(Extract, PreservesSubmissionOrder) {
   EXPECT_EQ(e.owner, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
+/// The allocation that leaves asks[j] with remaining[j] units.
+std::vector<std::uint32_t> allocated(
+    const std::vector<Ask>& asks,
+    const std::vector<std::uint32_t>& remaining) {
+  std::vector<std::uint32_t> allocation(asks.size());
+  for (std::size_t j = 0; j < asks.size(); ++j) {
+    allocation[j] = asks[j].quantity - remaining[j];
+  }
+  return allocation;
+}
+
+/// extract_runs_into on `allocation` must lay out the unit vector that
+/// extract_remaining builds from the remaining quantities, value order
+/// included: run r expands to len copies of its value and owner, and
+/// by_value lists the runs as a stable sort by value does.
+void expect_runs_match_extract_remaining(
+    const std::vector<Ask>& asks, const AskTypeIndex& index,
+    const std::vector<std::uint32_t>& allocation) {
+  std::vector<std::uint32_t> remaining(asks.size());
+  for (std::size_t j = 0; j < asks.size(); ++j) {
+    remaining[j] = asks[j].quantity - allocation[j];
+  }
+  ExtractedRuns runs;
+  for (std::uint32_t t = 0; t < index.num_types(); ++t) {
+    extract_runs_into(TaskType{t}, index, allocation, runs);
+    ASSERT_EQ(runs.runs.size(), runs.owner.size());
+    ExtractedAsks expanded;
+    for (std::size_t r = 0; r < runs.runs.size(); ++r) {
+      const AskRun& run = runs.runs[r];
+      EXPECT_GT(run.len, 0u);
+      EXPECT_EQ(run.start, expanded.size());
+      EXPECT_EQ(run.len, remaining[runs.owner[r]]);
+      expanded.values.insert(expanded.values.end(), run.len, run.value);
+      expanded.owner.insert(expanded.owner.end(), run.len, runs.owner[r]);
+    }
+    const ExtractedAsks want = extract_remaining(TaskType{t}, asks, remaining);
+    EXPECT_EQ(expanded.values, want.values) << "type " << t;
+    EXPECT_EQ(expanded.owner, want.owner) << "type " << t;
+    std::vector<std::uint32_t> order(runs.runs.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return runs.runs[a].value < runs.runs[b].value;
+                     });
+    EXPECT_EQ(runs.by_value, order) << "type " << t;
+  }
+}
+
 // The run form lays out exactly the unit vector extract_remaining builds:
 // expanding each run to len copies of its value and owner must give alpha
 // and lambda back.
@@ -100,37 +148,24 @@ TEST(ExtractRuns, ExpandsToTheUnitVectorOfExtractRemaining) {
       {TaskType{0}, 5, 1.0}, {TaskType{1}, 1, 7.5}, {TaskType{1}, 6, 4.0},
   };
   const std::vector<std::uint32_t> remaining{4, 0, 2, 5, 0, 6};
+  const std::vector<std::uint32_t> allocation = allocated(asks, remaining);
   AskTypeIndex index;
   index.build(2, asks);
+  expect_runs_match_extract_remaining(asks, index, allocation);
   ExtractedRuns runs;
-  for (const std::uint32_t t : {0u, 1u}) {
-    extract_runs_into(TaskType{t}, index, remaining, runs);
-    ASSERT_EQ(runs.runs.size(), runs.owner.size());
-    ExtractedAsks expanded;
-    for (std::size_t r = 0; r < runs.runs.size(); ++r) {
-      const AskRun& run = runs.runs[r];
-      EXPECT_GT(run.len, 0u);
-      EXPECT_EQ(run.start, expanded.size());
-      expanded.values.insert(expanded.values.end(), run.len, run.value);
-      expanded.owner.insert(expanded.owner.end(), run.len, runs.owner[r]);
-    }
-    const ExtractedAsks want = extract_remaining(TaskType{t}, asks, remaining);
-    EXPECT_EQ(expanded.values, want.values) << "type " << t;
-    EXPECT_EQ(expanded.owner, want.owner) << "type " << t;
-  }
   // Users 0 and 2 bid the same value: they stay two runs.
-  extract_runs_into(TaskType{1}, index, remaining, runs);
+  extract_runs_into(TaskType{1}, index, allocation, runs);
   ASSERT_EQ(runs.runs.size(), 3u);
   EXPECT_EQ(runs.owner, (std::vector<std::uint32_t>{0, 2, 5}));
 }
 
-TEST(ExtractRuns, RejectsRemainingAboveAsked) {
-  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}};
+TEST(ExtractRuns, RejectsAllocationAboveAsked) {
+  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}, {TaskType{0}, 4, 2.0}};
   AskTypeIndex index;
   index.build(1, asks);
   ExtractedRuns runs;
-  const std::vector<std::uint32_t> remaining{3};
-  EXPECT_THROW(extract_runs_into(TaskType{0}, index, remaining, runs),
+  const std::vector<std::uint32_t> allocation{1, 5};
+  EXPECT_THROW(extract_runs_into(TaskType{0}, index, allocation, runs),
                CheckFailure);
 }
 
@@ -217,12 +252,12 @@ TEST(AskTypeIndexValueOrder, TypesWithZeroOrOneAsker) {
   expect_stable_value_order(index);
   EXPECT_EQ(index.by_value,
             (std::vector<std::uint32_t>{0, 1, 3, 2, 4}));
-  const std::vector<std::uint32_t> remaining{1, 2, 1, 5, 1};
+  const std::vector<std::uint32_t> allocation(asks.size(), 0);
   ExtractedRuns runs;
-  extract_runs_into(TaskType{1}, index, remaining, runs);
+  extract_runs_into(TaskType{1}, index, allocation, runs);
   EXPECT_TRUE(runs.runs.empty());
   EXPECT_TRUE(runs.by_value.empty());
-  extract_runs_into(TaskType{3}, index, remaining, runs);
+  extract_runs_into(TaskType{3}, index, allocation, runs);
   EXPECT_EQ(runs.by_value, (std::vector<std::uint32_t>{0}));
 }
 
@@ -241,9 +276,10 @@ TEST(ExtractRuns, ValueOrderSkipsExhaustedUsers) {
                              rng.uniform_index(asks[j].quantity + 1))
                        : asks[j].quantity;
   }
+  const std::vector<std::uint32_t> allocation = allocated(asks, remaining);
   ExtractedRuns runs;
   for (const std::uint32_t t : {0u, 1u, 2u}) {
-    extract_runs_into(TaskType{t}, index, remaining, runs);
+    extract_runs_into(TaskType{t}, index, allocation, runs);
     std::vector<std::uint32_t> want(runs.runs.size());
     std::iota(want.begin(), want.end(), 0u);
     std::stable_sort(want.begin(), want.end(),
@@ -254,6 +290,63 @@ TEST(ExtractRuns, ValueOrderSkipsExhaustedUsers) {
     for (const std::uint32_t r : runs.by_value) {
       EXPECT_GT(remaining[runs.owner[r]], 0u);
     }
+  }
+}
+
+// The first round of a type: nobody has won yet, so every user is a run
+// and the value order is the index's, shifted to the type.
+TEST(ExtractRuns, AllLiveRoundMatchesExtractRemaining) {
+  const std::vector<Ask> asks = random_book(3000, 3, 0.5, 41);
+  AskTypeIndex index;
+  index.build(3, asks);
+  expect_runs_match_extract_remaining(asks, index,
+                                      std::vector<std::uint32_t>(3000, 0));
+  // Partly filled users are still live: nobody is dropped.
+  std::vector<std::uint32_t> allocation(asks.size());
+  for (std::size_t j = 0; j < asks.size(); ++j) {
+    allocation[j] = asks[j].quantity - 1;
+  }
+  expect_runs_match_extract_remaining(asks, index, allocation);
+}
+
+// A later round: some users are exhausted and drop out, some are partly
+// filled, the rest untouched. Every first and last slot of a type is
+// exhausted in one of the books, so the compaction's ends are covered.
+TEST(ExtractRuns, LaterRoundMatchesExtractRemaining) {
+  AskTypeIndex index;
+  for (const std::uint64_t seed : {43u, 44u, 45u}) {
+    const std::vector<Ask> asks = random_book(2000, 3, 0.25, seed);
+    index.build(3, asks);
+    rng::Rng rng(seed);
+    std::vector<std::uint32_t> allocation(asks.size());
+    for (std::size_t j = 0; j < asks.size(); ++j) {
+      const std::uint64_t pick = rng.uniform_index(3);
+      allocation[j] =
+          pick == 0   ? asks[j].quantity
+          : pick == 1 ? static_cast<std::uint32_t>(
+                            rng.uniform_index(asks[j].quantity))
+                      : 0;
+    }
+    for (std::uint32_t t = 0; t < 3; ++t) {
+      const std::uint32_t end = seed == 43u ? index.offsets[t]
+                                            : index.offsets[t + 1] - 1;
+      allocation[index.user[end]] = asks[index.user[end]].quantity;
+    }
+    expect_runs_match_extract_remaining(asks, index, allocation);
+  }
+  // Everybody exhausted: no runs at all.
+  const std::vector<Ask> asks = random_book(300, 2, 0.0, 46);
+  index.build(2, asks);
+  std::vector<std::uint32_t> allocation(asks.size());
+  for (std::size_t j = 0; j < asks.size(); ++j) {
+    allocation[j] = asks[j].quantity;
+  }
+  ExtractedRuns runs;
+  for (const std::uint32_t t : {0u, 1u}) {
+    extract_runs_into(TaskType{t}, index, allocation, runs);
+    EXPECT_TRUE(runs.runs.empty());
+    EXPECT_TRUE(runs.owner.empty());
+    EXPECT_TRUE(runs.by_value.empty());
   }
 }
 

@@ -4,15 +4,17 @@
 // tree::build_spanning_forest orders each BFS wave through a bitmap when
 // the wave is dense; sorted_wave_forest below is the serial Sec. 7-A
 // forest with a comparison sort on every wave, which the builder must
-// reproduce exactly. ba_bfs_parents is the generic trial path for a
-// Barabási–Albert scenario (sim::generate_graph + sim::generate_tree), which
-// tree::barabasi_albert_forest must reproduce bit for bit without a graph.
+// reproduce exactly. expect_ba_forest_matches_bfs holds
+// tree::barabasi_albert_forest to the generic trial path for a
+// Barabási–Albert scenario (sim::generate_graph + sim::generate_tree), bit
+// for bit, without a graph.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "graph/graph.h"
@@ -103,33 +105,31 @@ inline void expect_forest_matches_reference(const graph::Graph& g,
   EXPECT_EQ(got.joined, ref.joined);
 }
 
-/// The generic trial path on a BA(n, m) scenario: generate_graph then
-/// generate_tree, drawing the graph from `rng`.
-inline std::vector<std::uint32_t> ba_bfs_parents(std::uint32_t n,
-                                                 std::uint32_t m,
-                                                 std::uint32_t initial_joiners,
-                                                 rng::Rng& rng) {
+/// barabasi_albert_forest on Rng(graph_seed) must equal the generic trial
+/// path on a BA(n, m) scenario, generate_graph then generate_tree on the
+/// same stream, for each rule in `initial_joiners`, and leave the stream
+/// where the graph draw leaves it. The rule only steers the BFS, so the
+/// reference graph is drawn once for all of them.
+inline void expect_ba_forest_matches_bfs(
+    std::uint32_t n, std::uint32_t m,
+    std::initializer_list<std::uint32_t> initial_joiners,
+    std::uint64_t graph_seed) {
   sim::Scenario s;
   s.graph = sim::GraphKind::kBarabasiAlbert;
   s.num_users = n;
   s.ba_edges_per_node = m;
-  s.initial_joiners = initial_joiners;
-  const graph::Graph g = sim::generate_graph(s, rng);
-  return sim::generate_tree(s, g).parents();
-}
-
-/// barabasi_albert_forest on Rng(graph_seed) must equal ba_bfs_parents on
-/// the same stream, and leave the stream where the graph draw leaves it.
-inline void expect_ba_forest_matches_bfs(std::uint32_t n, std::uint32_t m,
-                                         std::uint32_t initial_joiners,
-                                         std::uint64_t graph_seed) {
-  rng::Rng rng(graph_seed);
   rng::Rng ref_rng(graph_seed);
-  const IncentiveTree got = barabasi_albert_forest(n, m, initial_joiners, rng);
-  EXPECT_EQ(got.parents(), ba_bfs_parents(n, m, initial_joiners, ref_rng))
-      << "n=" << n << " m=" << m << " initial_joiners=" << initial_joiners
-      << " seed=" << graph_seed;
-  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64()) << "stream position";
+  const graph::Graph g = sim::generate_graph(s, ref_rng);
+  const std::uint64_t next_draw = ref_rng.next_u64();
+  for (const std::uint32_t joiners : initial_joiners) {
+    s.initial_joiners = joiners;
+    rng::Rng rng(graph_seed);
+    const IncentiveTree got = barabasi_albert_forest(n, m, joiners, rng);
+    EXPECT_EQ(got.parents(), sim::generate_tree(s, g).parents())
+        << "n=" << n << " m=" << m << " initial_joiners=" << joiners
+        << " seed=" << graph_seed;
+    EXPECT_EQ(rng.next_u64(), next_draw) << "stream position";
+  }
 }
 
 }  // namespace rit::tree::reference

@@ -2,12 +2,14 @@
 
 #include <bit>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
 #include "core/rit.h"
 #include "rng/rng.h"
 #include "testkit/harness.h"
+#include "testkit/oracle.h"
 #include "tree/builders.h"
 
 namespace rit::core {
@@ -554,6 +556,53 @@ TEST(RunAuction, OrderStatisticMatchesOracle) {
   testkit::FuzzCase c = per_user_book_case(300, 0.14);
   c.config.price_mode = PriceMode::kOrderStatistic;
   EXPECT_GT(expect_oracle_agrees(c, 6), 0u);
+}
+
+/// The users of `r` that won in two or more rounds: a single-round winner
+/// of x tasks is paid some round's price of its type added x times from
+/// 0.0, so a payment that no round's price gives is a repeat winner's.
+std::uint32_t repeat_winners(std::span<const Ask> asks, const RitResult& r) {
+  std::uint32_t count = 0;
+  for (std::size_t j = 0; j < asks.size(); ++j) {
+    if (r.allocation[j] == 0) continue;
+    bool one_round = false;
+    for (const RoundTrace& round : r.type_info[asks[j].type.value].rounds) {
+      double paid = 0.0;
+      for (std::uint32_t c = 0; c < r.allocation[j]; ++c) {
+        paid += round.clearing_price;
+      }
+      one_round |= paid == r.auction_payment[j];
+    }
+    count += one_round ? 0 : 1;
+  }
+  return count;
+}
+
+// The settle step credits a first-time winner from a per-round table of
+// price sums and a repeat winner task by task; both must equal the
+// oracle's one += per won task exactly, not within a tolerance, on books
+// where users win in several rounds.
+TEST(RunAuction, PaymentsEqualOraclePerTaskSumsBitForBit) {
+  std::uint32_t repeats = 0;
+  for (const double band : {0.14, 1.0}) {
+    testkit::FuzzCase c = per_user_book_case(400, band);
+    c.config.zero_on_failure = false;
+    c.config.record_round_trace = true;
+    for (std::uint64_t seed = 7100; seed < 7106; ++seed) {
+      c.mech_seed = seed;
+      const RitResult want = testkit::oracle_run_rit(c);
+      rng::Rng rng(seed);
+      const RitResult got =
+          run_auction_phase(Job(c.demand), c.asks, c.config, rng);
+      ASSERT_EQ(got.allocation, want.allocation) << "seed " << seed;
+      for (std::size_t j = 0; j < c.asks.size(); ++j) {
+        EXPECT_EQ(got.auction_payment[j], want.auction_payment[j])
+            << "band " << band << " seed " << seed << " user " << j;
+      }
+      repeats += repeat_winners(c.asks, got);
+    }
+  }
+  EXPECT_GT(repeats, 0u);
 }
 
 // --- Stream pin on tie-heavy books ------------------------------------------

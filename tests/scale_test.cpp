@@ -79,7 +79,7 @@ TEST(ScaleIdentity, CappedForestMatchesSortedReference) {
 TEST(ScaleIdentity, BarabasiAlbertForestMatchesGraphBfs) {
   // The trial path's forest, built during the draws, against the generic
   // graph + BFS path at 300k users with the paper defaults.
-  tree::reference::expect_ba_forest_matches_bfs(300000, 3, 10, 25);
+  tree::reference::expect_ba_forest_matches_bfs(300000, 3, {10}, 25);
 }
 
 TEST(ScaleIdentity, PaymentPassIdenticalAcrossThreads) {
