@@ -141,7 +141,10 @@ void extract_runs_into(TaskType type, const AskTypeIndex& index,
   // Every slot is written at the cursor `live`, which only a user with
   // capacity left advances, so the exhausted users drop out without a
   // branch; their run_of_slot is live | (0 - 1), all ones (kNoRun).
-  // Shrinking afterwards keeps the capacity.
+  // Shrinking afterwards keeps the capacity, but the next call's resize
+  // value-initializes the dropped tail again before the loop overwrites
+  // it: n - live stores into runs and owner, about 3.5% of
+  // BM_Extract/80000/1, where a quarter of the users are exhausted.
   out.runs.resize(n);
   out.owner.resize(n);
   out.run_of_slot.resize(n);
@@ -173,21 +176,17 @@ void extract_runs_into(TaskType type, const AskTypeIndex& index,
   }
   RIT_CHECK_MSG(start <= UINT32_MAX,
                 start << " unit asks of one type exceed the 2^32 index space");
-  // The type's value order, restricted to the live runs. With nobody
-  // exhausted, run r is slot begin + r. Otherwise each slot maps to its
-  // run, and the exhausted ones are written past the cursor and dropped.
+  // The type's value order, restricted to the live runs: each slot maps
+  // to its run, and the exhausted ones are written past the cursor and
+  // dropped.
   out.by_value.resize(n);
   std::uint32_t* by_value = out.by_value.data();
   const std::uint32_t* order = index.by_value.data() + begin;
-  if (live == n) {
-    for (std::uint32_t r = 0; r < n; ++r) by_value[r] = order[r] - begin;
-  } else {
-    std::uint32_t next = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t run = run_of_slot[order[i] - begin];
-      by_value[next] = run;
-      next += run != kNoRun ? 1 : 0;
-    }
+  std::uint32_t next = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t run = run_of_slot[order[i] - begin];
+    by_value[next] = run;
+    next += run != kNoRun ? 1 : 0;
   }
   out.runs.resize(live);
   out.owner.resize(live);

@@ -68,7 +68,7 @@ struct ExtractedRuns {
   /// by_value order with the users that have no capacity left dropped.
   std::vector<std::uint32_t> by_value;
   /// Scratch: the run of each of the type's slots (all ones when its
-  /// user has no capacity left). Read only when some user is exhausted.
+  /// user has no capacity left), which by_value is gathered through.
   std::vector<std::uint32_t> run_of_slot;
 };
 
