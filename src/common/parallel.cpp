@@ -32,24 +32,4 @@ void parallel_for_strided(
   for (std::thread& worker : workers) worker.join();
 }
 
-void parallel_for_blocked(
-    std::uint64_t items, unsigned threads,
-    const std::function<void(std::uint64_t, std::uint64_t, unsigned)>& body) {
-  const unsigned t = resolve_threads(threads, items);
-  if (t <= 1) {
-    if (items > 0) body(0, items, 0);
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(t);
-  for (unsigned w = 0; w < t; ++w) {
-    const std::uint64_t begin = items * w / t;
-    const std::uint64_t end = items * (w + 1) / t;
-    workers.emplace_back([&body, begin, end, w]() {
-      if (begin < end) body(begin, end, w);
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-}
-
 }  // namespace rit

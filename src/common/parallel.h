@@ -28,15 +28,4 @@ void parallel_for_strided(
     std::uint64_t items, unsigned threads,
     const std::function<void(std::uint64_t, unsigned)>& body);
 
-/// Runs body(begin, end, worker) over contiguous blocks that partition
-/// [0, items): worker w gets [w*items/T, (w+1)*items/T). The partition is a
-/// pure function of (items, threads), so per-worker results merged in
-/// worker-index order are scheduling-independent, and a body with disjoint
-/// per-index writes is bit-identical to the serial loop at any thread
-/// count. Prefer this over the strided form for cache-contiguous array
-/// passes (SoA hot paths); with a resolved count of 1 it runs inline.
-void parallel_for_blocked(
-    std::uint64_t items, unsigned threads,
-    const std::function<void(std::uint64_t, std::uint64_t, unsigned)>& body);
-
 }  // namespace rit

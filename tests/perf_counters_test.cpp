@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,6 +102,23 @@ TEST_F(PerfFixture, AllocHookCountsHeapTrafficOnlyWhileArmed) {
   { std::vector<std::string> idle(32, std::string(128, 'x')); }
   EXPECT_EQ(perf_run_totals().alloc_count, during.alloc_count);
   (void)before;
+}
+
+TEST_F(PerfFixture, AllocHookCountsNothrowNew) {
+  // The hook replaces the nothrow forms too, so they count like the
+  // throwing ones and pair with the hook's delete.
+  ASSERT_TRUE(perf_availability().alloc_hook);
+  start_perf_counters();
+  void* one = ::operator new(512, std::nothrow);
+  void* many = ::operator new[](1024, std::nothrow);
+  ASSERT_NE(one, nullptr);
+  ASSERT_NE(many, nullptr);
+  ::operator delete(one, std::nothrow);
+  ::operator delete[](many, std::nothrow);
+  stop_perf_counters();
+  const PerfRunTotals totals = perf_run_totals();
+  EXPECT_GE(totals.alloc_count, 2u);
+  EXPECT_GE(totals.alloc_bytes, 512u + 1024u);
 }
 
 void spin_span([[maybe_unused]] const char* name, int laps) {

@@ -14,10 +14,8 @@
 #                 header self-sufficiency object library, and `ctest -L
 #                 bench`: every bench binary run end to end at toy size
 #                 with --perf-counters=true)
-#   4. lint       rit_lint --root . --baseline tools/lint/lint_baseline.txt
-#                 (explicit, so the finding list prints even when invoked
-#                 outside ctest; the checked-in baseline is empty — the
-#                 flag keeps the gate honest about the adoption mechanism)
+#   4. lint       rit_lint --root . (explicit, so the finding list prints
+#                 even when invoked outside ctest)
 #   5. tidy       clang-tidy build via -DRIT_TIDY=ON (skipped: no clang-tidy)
 #   6. obs-off    RIT_OBS_ENABLED=OFF compile leg (tracing macros must
 #                 compile away cleanly)
@@ -26,10 +24,11 @@
 #   8. chaos      ctest -L chaos on the main build (fault containment,
 #                 checkpoint corruption rejection, the kill/resume matrix
 #                 — see docs/robustness.md)
-#   9. asan+ubsan RIT_SANITIZE=address,undefined build + full ctest
-#                 (memory errors and UB in every code path the suite
-#                 reaches; skipped with a notice when the toolchain cannot
-#                 link the sanitizer runtimes)
+#   9. asan+ubsan RIT_SANITIZE=address,undefined build (-Werror, like
+#                 every leg) + full ctest (memory errors and UB in every
+#                 code path the suite reaches, the lint engine and the
+#                 allocation-counting hook included; skipped with a notice
+#                 when the toolchain cannot link the sanitizer runtimes)
 #  10. supervisor-smoke  SIGKILL a supervised, checkpointed bench_scale
 #                 mid-sweep (the forked shard workers die with it via
 #                 PR_SET_PDEATHSIG), resume it, and require the resumed
@@ -103,8 +102,7 @@ ctest --test-dir "$BUILD_ROOT/main" --output-on-failure -j "$JOBS"
 
 # --- 4. repo lint, explicitly ----------------------------------------------
 step "rit_lint (live tree)"
-"$BUILD_ROOT/main/tools/lint/rit_lint" --root "$ROOT" \
-  --baseline "$ROOT/tools/lint/lint_baseline.txt"
+"$BUILD_ROOT/main/tools/lint/rit_lint" --root "$ROOT"
 
 if [[ $FAST -eq 1 ]]; then
   echo

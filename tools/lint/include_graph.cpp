@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <regex>
 #include <set>
 
 namespace rit::lint::internal {
@@ -225,7 +224,7 @@ void run_layering_rule(const std::vector<Prepped>& prepped,
                "(common/rng -> graph/tree -> core/stats -> sim/obs -> "
                "attack/baselines/platform -> cli/bench/tools); "
                "invert the dependency or move the shared code down",
-           Severity::kError, out);
+           out);
     }
   }
 }
@@ -261,12 +260,12 @@ void run_include_cycle_rule(const IncludeGraph& graph,
              "module boundary between them is fiction — break the cycle "
              "with a forward declaration or by moving the shared type down "
              "a layer",
-         Severity::kError, out);
+         out);
   }
 }
 
 // ---------------------------------------------------------------------------
-// unused-include (IWYU-lite, report-only)
+// unused-include (IWYU-lite)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -285,40 +284,40 @@ void collect_markers(const IncludeGraph& graph, int node,
   std::set<std::string>& markers = (*memo)[node];
   const Prepped& p = *graph.files[node];
 
-  static const std::regex kTypeRe(R"(\b(?:class|struct|enum|union)\s+(\w+))");
-  static const std::regex kUsingRe(R"(\busing\s+(\w+)\s*=)");
-  static const std::regex kCallishRe(R"((\w+)\s*\()");
+  static const std::set<std::string> kTypeKeywords = {"class", "struct",
+                                                      "enum", "union"};
   static const std::set<std::string> kNoise = {
       "if",     "for",    "while",  "switch",   "return", "sizeof",
       "catch",  "defined", "alignof", "decltype", "static_assert",
       "assert", "class",  "struct", "enum",     "union",  "explicit",
       "operator"};
 
-  for (const std::string& line : p.lines) {
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), kTypeRe);
-         it != std::sregex_iterator(); ++it) {
-      markers.insert((*it)[1].str());
-    }
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), kUsingRe);
-         it != std::sregex_iterator(); ++it) {
-      markers.insert((*it)[1].str());
-    }
-    if (line.find("#include") == std::string::npos) {
-      for (auto it =
-               std::sregex_iterator(line.begin(), line.end(), kCallishRe);
-           it != std::sregex_iterator(); ++it) {
-        const std::string name = (*it)[1].str();
-        if (kNoise.count(name) == 0) markers.insert(name);
-      }
+  const std::vector<Token>& t = p.tokens;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    // Markers never span lines.
+    const auto at = [&](std::size_t k) -> const std::string& {
+      return text_on_line(t, k, t[i].line);
+    };
+    const bool line_start = i == 0 || t[i - 1].line != t[i].line;
+    if (kTypeKeywords.count(t[i].text) != 0 && is_word_token(at(i + 1))) {
+      // `class X`; the name is consumed, so `enum class X` yields "class".
+      markers.insert(at(i + 1));
+      ++i;
+    } else if (t[i].text == "using" && is_word_token(at(i + 1)) &&
+               at(i + 2) == "=") {
+      markers.insert(at(i + 1));
+    } else if (line_start && t[i].text == "#" && at(i + 1) == "define" &&
+               is_word_token(at(i + 2))) {
+      markers.insert(at(i + 2));
     }
   }
-  // Macro names come from the raw content: stripping erases neither
-  // `#define` nor the name, but this is cheap insurance against future
-  // strip changes and picks up conditional definitions too.
-  static const std::regex kDefineRe(R"(^\s*#\s*define\s+(\w+))");
-  for (const std::string& raw : split_lines(p.src->content)) {
-    std::smatch m;
-    if (std::regex_search(raw, m, kDefineRe)) markers.insert(m[1].str());
+  // Call-like names `name(`, outside #include lines.
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (is_word_token(t[i].text) && text_on_line(t, i + 1, t[i].line) == "(" &&
+        kNoise.count(t[i].text) == 0 &&
+        p.lines[t[i].line - 1].find("#include") == std::string::npos) {
+      markers.insert(t[i].text);
+    }
   }
 
   for (const auto& [line, to] : graph.edges[node]) {
@@ -335,6 +334,18 @@ std::string stem_of(const std::string& path) {
   const std::size_t dot = path.rfind('.');
   if (dot == std::string::npos || dot < from) return path.substr(from);
   return path.substr(from, dot - from);
+}
+
+// Every word the file mentions outside its #include lines.
+std::set<std::string> mentioned_words(const Prepped& p) {
+  std::set<std::string> words;
+  for (const Token& t : p.tokens) {
+    if (is_word_token(t.text) &&
+        p.lines[t.line - 1].find("#include") == std::string::npos) {
+      words.insert(t.text);
+    }
+  }
+  return words;
 }
 
 }  // namespace
@@ -355,6 +366,7 @@ void run_unused_include_rule(const IncludeGraph& graph,
         path.size() > 4 && (path.compare(path.size() - 4, 4, ".cpp") == 0 ||
                             path.compare(path.size() - 3, 3, ".cc") == 0);
     if (!is_cpp_tu || graph.edges[i].empty()) continue;
+    std::set<std::string> words;
 
     for (const auto& [line, to] : graph.edges[i]) {
       const Prepped& target = *graph.files[to];
@@ -363,15 +375,12 @@ void run_unused_include_rule(const IncludeGraph& graph,
       collect_markers(graph, to, &markers, &state);
       const std::set<std::string>& exported = markers[to];
       if (exported.empty()) continue;
+      if (words.empty()) words = mentioned_words(p);
       bool used = false;
-      for (std::size_t ln = 0; ln < p.lines.size() && !used; ++ln) {
-        const std::string& text = p.lines[ln];
-        if (text.find("#include") != std::string::npos) continue;
-        for (const std::string& name : exported) {
-          if (text.size() >= name.size() && line_has_token(text, name)) {
-            used = true;
-            break;
-          }
+      for (const std::string& name : exported) {
+        if (words.count(name) != 0) {
+          used = true;
+          break;
         }
       }
       if (!used) {
@@ -379,7 +388,7 @@ void run_unused_include_rule(const IncludeGraph& graph,
              "no name exported by \"" + target.src->path +
                  "\" appears in this file (IWYU-lite heuristic); drop the "
                  "include or annotate why it is load-bearing",
-             Severity::kNote, out);
+             out);
       }
     }
   }

@@ -21,8 +21,8 @@
 // Rules implemented on the graph:
 //   layer-violation  an include whose target module sits in a higher tier
 //   include-cycle    a strongly connected component in the file graph
-//   unused-include   (report-only note) IWYU-lite: a .cpp includes a repo
-//                    header none of whose exported names it mentions
+//   unused-include   IWYU-lite: a .cpp includes a repo header none of
+//                    whose exported names it mentions
 #pragma once
 
 #include <string>

@@ -1,14 +1,13 @@
 // The rule layer of rit_lint: the declarative token-rule table, the
 // structural rules, and scan() orchestration. Lexical machinery lives in
 // scanner.cpp; the include-graph rules live in include_graph.cpp; output
-// rendering and baselines live in output.cpp / baseline.cpp.
+// rendering lives in output.cpp.
 #include "linter.h"
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 
@@ -21,12 +20,13 @@ namespace {
 using internal::FileClass;
 using internal::line_has_token;
 using internal::Prepped;
+using internal::Token;
 using internal::token_matches_at;
 
 // ---------------------------------------------------------------------------
 // Rule table. Token rules are pure data; the structural rules
 // (no-unordered-iteration-in-results, no-bare-catch-all,
-// merge-coverage-guard, no-rng-in-parallel-region) and the include-graph
+// merge-coverage-guard) and the include-graph
 // rules (layer-violation, include-cycle, unused-include) are engine checks
 // registered at the bottom of rule_infos().
 // ---------------------------------------------------------------------------
@@ -39,8 +39,8 @@ struct TokenRule {
   // Word-bounded literal tokens: a match only counts when the characters
   // adjacent to word-character token edges are non-word.
   std::vector<const char*> tokens;
-  // ECMAScript regexes for patterns a literal token cannot express.
-  std::vector<const char*> regexes;
+  // Also flags any word token longer than this suffix that ends with it.
+  const char* word_suffix;
   // Repo-relative path substrings exempt from this rule.
   std::vector<const char*> path_excludes;
   // Restrict to "result path" files: path names a report/serialization
@@ -101,7 +101,7 @@ const std::vector<TokenRule>& token_rules() {
        "stream.",
        FileClass::kCpp,
        {},
-       {R"(\b\w+_distribution\b)"},
+       "_distribution",
        {}},
       {"no-std-engine",
        "std engines (mt19937, minstd_rand, ...) invite std::shuffle / "
@@ -255,8 +255,13 @@ const std::vector<TokenRule>& token_rules() {
 }
 
 // ---------------------------------------------------------------------------
-// Token + regex rules
+// Token rules
 // ---------------------------------------------------------------------------
+
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
 
 void run_token_rules(const Prepped& p, std::vector<Finding>* out) {
   for (const TokenRule& rule : token_rules()) {
@@ -269,33 +274,26 @@ void run_token_rules(const Prepped& p, std::vector<Finding>* out) {
         !internal::path_contains_any(p.src->path, numeric_io_paths())) {
       continue;
     }
-    std::vector<std::regex> regexes;
-    regexes.reserve(rule.regexes.size());
-    for (const char* r : rule.regexes) regexes.emplace_back(r);
+    const auto report = [&](std::size_t line, const std::string& what) {
+      internal::emit(p, line, rule.id, "'" + what + "': " + rule.summary,
+                     out);
+    };
     for (std::size_t i = 0; i < p.lines.size(); ++i) {
-      const std::string& line = p.lines[i];
-      bool hit = false;
-      std::string what;
       for (const char* token : rule.tokens) {
-        if (line_has_token(line, token)) {
-          hit = true;
-          what = token;
+        if (line_has_token(p.lines[i], token)) {
+          report(i + 1, token);
           break;
         }
       }
-      if (!hit) {
-        for (std::size_t r = 0; r < regexes.size(); ++r) {
-          std::smatch m;
-          if (std::regex_search(line, m, regexes[r])) {
-            hit = true;
-            what = m.str(0);
-            break;
-          }
-        }
-      }
-      if (hit) {
-        internal::emit(p, i + 1, rule.id, "'" + what + "': " + rule.summary,
-                       Severity::kError, out);
+    }
+    if (rule.word_suffix == nullptr) continue;
+    const std::string suffix = rule.word_suffix;
+    std::size_t last_line = 0;  // one finding per line, naming the first hit
+    for (const Token& t : p.tokens) {
+      if (t.line != last_line && t.text.size() > suffix.size() &&
+          ends_with(t.text, suffix)) {
+        report(t.line, t.text);
+        last_line = t.line;
       }
     }
   }
@@ -407,7 +405,7 @@ void run_unordered_iteration_rule(
                 "platforms, so emitted reports / accumulated floats are "
                 "nondeterministic; sort keys first or use std::map at the "
                 "boundary",
-            Severity::kError, out);
+            out);
         break;
       }
     }
@@ -427,131 +425,37 @@ void run_unordered_iteration_rule(
 // its justification.
 void run_bare_catch_all_rule(const Prepped& p, std::vector<Finding>* out) {
   static const char* kId = "no-bare-catch-all";
-  if (p.file_class != FileClass::kCpp) return;
-  std::string joined;
-  for (const std::string& line : p.lines) {
-    joined += line;
-    joined += '\n';
-  }
-  const auto skip_blank = [&joined](std::size_t i) {
-    while (i < joined.size() && (joined[i] == ' ' || joined[i] == '\n')) ++i;
-    return i;
-  };
-  std::size_t line_no = 1;
-  std::size_t scanned = 0;  // joined[0, scanned) already counted into line_no
-  for (std::size_t at = joined.find("catch"); at != std::string::npos;
-       at = joined.find("catch", at + 5)) {
-    if (!token_matches_at(joined, at, "catch")) continue;
-    std::size_t i = skip_blank(at + 5);
-    if (i >= joined.size() || joined[i] != '(') continue;
-    i = skip_blank(i + 1);
-    if (joined.compare(i, 3, "...") != 0) continue;
-    i = skip_blank(i + 3);
-    if (i >= joined.size() || joined[i] != ')') continue;
-    i = joined.find('{', i);
-    if (i == std::string::npos) continue;
-    // Brace-match the handler body (comments/strings are already stripped,
-    // so every brace is code).
-    const std::size_t body_begin = i;
-    int depth = 0;
-    for (; i < joined.size(); ++i) {
-      if (joined[i] == '{') ++depth;
-      if (joined[i] == '}' && --depth == 0) break;
+  static const char* const kEvidence[] = {"throw", "record", "ledger",
+                                          "fault", "log",    "abort",
+                                          "error", "fail",   "note"};
+  const std::vector<Token>& t = p.tokens;
+  for (std::size_t at = 0; at + 3 < t.size(); ++at) {
+    if (t[at].text != "catch" || t[at + 1].text != "(" ||
+        t[at + 2].text != "..." || t[at + 3].text != ")") {
+      continue;
     }
-    std::string body = joined.substr(body_begin, i - body_begin);
-    for (char& c : body) c = static_cast<char>(std::tolower(
-        static_cast<unsigned char>(c)));
-    static const char* const kEvidence[] = {"throw", "record", "ledger",
-                                            "fault", "log",    "abort",
-                                            "error", "fail",   "note"};
+    std::size_t open = at + 4;
+    while (open < t.size() && t[open].text != "{") ++open;
+    if (open == t.size()) continue;
+    // Comments and strings are stripped, so every brace token is code.
+    const std::size_t close = internal::matching_close(t, open, "{", "}");
     bool handled = false;
-    for (const char* ev : kEvidence) {
-      if (body.find(ev) != std::string::npos) {
-        handled = true;
-        break;
+    for (std::size_t i = open; i < close && !handled; ++i) {
+      std::string word = t[i].text;
+      for (char& c : word) {
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      }
+      for (const char* ev : kEvidence) {
+        if (word.find(ev) != std::string::npos) handled = true;
       }
     }
     if (handled) continue;
-    line_no += static_cast<std::size_t>(
-        std::count(joined.begin() + static_cast<std::ptrdiff_t>(scanned),
-                   joined.begin() + static_cast<std::ptrdiff_t>(at), '\n'));
-    scanned = at;
     internal::emit(
-        p, line_no, kId,
+        p, t[at].line, kId,
         "'catch (...)' swallows the exception without rethrowing or "
         "recording it; contain faults visibly (rethrow, or record into a "
         "ledger/log) or annotate the intent with rit-lint: allow",
-        Severity::kError, out);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Structural rule: no-rng-in-parallel-region
-// ---------------------------------------------------------------------------
-
-// The intra-trial parallel passes (docs/scaling.md) are bit-identical to
-// serial only because every Rng draw happens OUTSIDE the
-// parallel_for_blocked callbacks: the blocked partition reorders execution
-// across workers, so a shared stream drawn inside a callback would consume
-// values in a thread-count-dependent order. Lexically: within the argument
-// extent of a parallel_for_blocked(...) call, any mention of the Rng type
-// or an rng-named object (rng, probe_rng, trial_rng, ...) is flagged.
-void run_rng_in_parallel_region_rule(const Prepped& p,
-                                     std::vector<Finding>* out) {
-  static const char* kId = "no-rng-in-parallel-region";
-  if (p.file_class != FileClass::kCpp) return;
-  std::string joined;
-  std::vector<std::size_t> line_start;  // offset of each line in `joined`
-  for (const std::string& line : p.lines) {
-    line_start.push_back(joined.size());
-    joined += line;
-    joined += '\n';
-  }
-  const auto line_of = [&line_start](std::size_t off) {
-    std::size_t lo = 0, hi = line_start.size();
-    while (lo + 1 < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      (line_start[mid] <= off ? lo : hi) = mid;
-    }
-    return lo + 1;  // 1-based
-  };
-
-  static const std::regex kRngRe(R"(\b\w*[Rr]ng\b)");
-  static const std::string kCall = "parallel_for_blocked";
-  for (std::size_t at = joined.find(kCall); at != std::string::npos;
-       at = joined.find(kCall, at + kCall.size())) {
-    if (!token_matches_at(joined, at, kCall)) continue;
-    std::size_t i = at + kCall.size();
-    while (i < joined.size() && (joined[i] == ' ' || joined[i] == '\n')) ++i;
-    if (i >= joined.size() || joined[i] != '(') continue;
-    // Paren-match the full argument extent (comments/strings stripped, so
-    // every paren is code). This covers the callback body wherever the
-    // lambda sits in the argument list.
-    const std::size_t args_begin = i;
-    int depth = 0;
-    for (; i < joined.size(); ++i) {
-      if (joined[i] == '(') ++depth;
-      if (joined[i] == ')' && --depth == 0) break;
-    }
-    const std::string extent =
-        joined.substr(args_begin, i >= joined.size() ? std::string::npos
-                                                     : i - args_begin);
-    for (auto it =
-             std::sregex_iterator(extent.begin(), extent.end(), kRngRe);
-         it != std::sregex_iterator(); ++it) {
-      const std::size_t off =
-          args_begin + static_cast<std::size_t>(it->position(0));
-      internal::emit(
-          p, line_of(off), kId,
-          "'" + it->str(0) +
-              "' inside a parallel_for_blocked callback: the blocked "
-              "partition reorders execution across workers, so drawing "
-              "from (or capturing) an Rng here consumes the stream in a "
-              "thread-count-dependent order and breaks bit-identical "
-              "parallelism (docs/scaling.md); draw everything the region "
-              "needs before the parallel call",
-          Severity::kError, out);
-    }
+        out);
   }
 }
 
@@ -572,34 +476,40 @@ struct MergeDef {
 
 void collect_merge_info(const Prepped& p, std::vector<MergeDef>* defs,
                         std::set<std::string>* guarded) {
-  if (p.file_class != FileClass::kCpp) return;
-  static const std::regex kMergeRe(
-      R"(\bvoid\s+(?:(\w+)\s*::\s*)?merge\s*\(\s*const\s+(\w+)\s*&)");
-  static const std::regex kSizeofRe(R"(sizeof\s*\(\s*(\w+)\s*\))");
-  for (std::size_t i = 0; i < p.lines.size(); ++i) {
-    std::smatch m;
-    if (std::regex_search(p.lines[i], m, kMergeRe)) {
-      // Only self-merges: merge(const T&) inside T, or T::merge(const T&).
-      // Cross-type folds (e.g. Stat::merge_in(const OnlineStats&)) are a
-      // different shape and carry no field-coverage obligation here.
-      if (!m[1].matched || m[1].str() == m[2].str()) {
-        defs->push_back(MergeDef{&p, i + 1, m[2].str()});
-      }
+  const std::vector<Token>& t = p.tokens;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].text != "void") continue;
+    // `void [Owner::]merge(const T&`, all on the line of `void`.
+    const auto at = [&](std::size_t k) -> const std::string& {
+      return internal::text_on_line(t, k, t[i].line);
+    };
+    std::size_t k = i + 1;
+    std::string owner;
+    if (internal::is_word_token(at(k)) && at(k + 1) == "::") {
+      owner = at(k);
+      k += 2;
+    }
+    if (at(k) != "merge" || at(k + 1) != "(" || at(k + 2) != "const" ||
+        !internal::is_word_token(at(k + 3)) || at(k + 4) != "&") {
+      continue;
+    }
+    // Only self-merges: merge(const T&) inside T, or T::merge(const T&).
+    // Cross-type folds (e.g. Stat::merge_in(const OnlineStats&)) are a
+    // different shape and carry no field-coverage obligation here.
+    if (owner.empty() || owner == at(k + 3)) {
+      defs->push_back(MergeDef{&p, t[i].line, at(k + 3)});
     }
   }
-  // static_assert(sizeof(T) ...) may wrap across lines; search a window
-  // after each static_assert in the line-joined content.
-  std::string joined;
-  for (const std::string& line : p.lines) {
-    joined += line;
-    joined += '\n';
-  }
-  for (std::size_t at = joined.find("static_assert");
-       at != std::string::npos; at = joined.find("static_assert", at + 1)) {
-    const std::string window = joined.substr(at, 300);
-    auto begin = std::sregex_iterator(window.begin(), window.end(), kSizeofRe);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      guarded->insert((*it)[1].str());
+  // `sizeof(T)` anywhere inside a static_assert's parentheses, which may
+  // wrap across lines.
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].text != "static_assert" || t[i + 1].text != "(") continue;
+    const std::size_t close = internal::matching_close(t, i + 1, "(", ")");
+    for (std::size_t k = i + 2; k + 3 < close; ++k) {
+      if (t[k].text == "sizeof" && t[k + 1].text == "(" &&
+          internal::is_word_token(t[k + 2].text) && t[k + 3].text == ")") {
+        guarded->insert(t[k + 2].text);
+      }
     }
   }
 }
@@ -642,19 +552,6 @@ std::vector<RuleInfo> rule_infos() {
       "PR 2. A static_assert on sizeof(T) next to the merge forces the "
       "author of the new field to revisit the merge."});
   infos.push_back(RuleInfo{
-      "no-rng-in-parallel-region",
-      "no Rng capture or draw inside a parallel_for_blocked callback — "
-      "the blocked partition reorders execution across workers, so RNG "
-      "order must stay serial (docs/scaling.md)",
-      "The intra-trial parallel passes are bit-identical to serial only "
-      "because every Rng draw happens before the parallel region: "
-      "parallel_for_blocked partitions work across workers, so a stream "
-      "drawn inside the callback would consume values in a "
-      "thread-count-dependent order, and the same seed would produce "
-      "different results at different --intra-threads. Draw everything "
-      "the region needs up front (the Graph constructor keeps its edge "
-      "draws serial for exactly this reason)."});
-  infos.push_back(RuleInfo{
       "layer-violation",
       "an #include whose target module sits above the includer in the "
       "declared layering DAG (common/rng -> graph/tree -> core/stats -> "
@@ -680,13 +577,13 @@ std::vector<RuleInfo> rule_infos() {
       "declarations or by moving the shared type down a layer."});
   infos.push_back(RuleInfo{
       "unused-include",
-      "(report-only) IWYU-lite: a .cpp includes a repo header none of "
-      "whose exported names appear in the file",
+      "IWYU-lite: a .cpp includes a repo header none of whose exported "
+      "names appear in the file",
       "Every unnecessary include is a false dependency edge: it widens "
       "rebuilds and quietly erodes the layering the DAG rules enforce. "
       "The heuristic is lexical (does the includer mention any name the "
-      "header or its re-exports declare?) and deliberately report-only: "
-      "it never gates, it just points at candidates for removal."});
+      "header or its re-exports declare?); a load-bearing include it "
+      "cannot see through takes an annotated rit-lint: allow."});
   return infos;
 }
 
@@ -705,7 +602,6 @@ std::vector<Finding> scan(const std::vector<SourceFile>& files) {
     run_token_rules(p, &findings);
     run_unordered_iteration_rule(p, by_path, &findings);
     run_bare_catch_all_rule(p, &findings);
-    run_rng_in_parallel_region_rule(p, &findings);
     collect_merge_info(p, &merge_defs, &guarded_types);
   }
   for (const MergeDef& def : merge_defs) {
@@ -716,7 +612,7 @@ std::vector<Finding> scan(const std::vector<SourceFile>& files) {
             def.type +
             ") == ...) coverage guard; add one next to the merge "
             "definition so new fields cannot be dropped from aggregation",
-        Severity::kError, &findings);
+        &findings);
   }
 
   // Architecture rules over the whole scan set.
@@ -754,16 +650,7 @@ std::vector<EscapeRecord> collect_escapes(
   for (const RuleInfo& info : rule_infos()) known.insert(info.id);
   std::vector<EscapeRecord> records;
   for (const SourceFile& f : files) {
-    // Blank string literals but keep comments: a directive in a comment is
-    // a real escape; directive-shaped *data* in a string literal (the lint
-    // self-tests) is not. Build files have no string/comment ambiguity
-    // that matters here — directives ride '#' comments.
-    const std::string view =
-        internal::classify(f.path) == internal::FileClass::kBuild
-            ? f.content
-            : internal::strip_strings_keep_comments(f.content);
-    const internal::AllowSet allows =
-        internal::parse_allows(internal::split_lines(view));
+    const internal::AllowSet allows = internal::parse_allows(f);
     for (const auto& [line, rules] : allows.lines) {
       for (const std::string& rule : rules) {
         if (known.count(rule) == 0) continue;
@@ -791,15 +678,11 @@ std::vector<SourceFile> collect_tree(const std::string& root) {
   auto want = [](const std::string& rel) {
     if (rel.find("tests/golden") != std::string::npos) return false;
     if (rel.find("tests/lint_fixtures") != std::string::npos) return false;
-    auto ends_with = [&](const char* suf) {
-      const std::string s(suf);
-      return rel.size() >= s.size() &&
-             rel.compare(rel.size() - s.size(), s.size(), s) == 0;
-    };
-    return ends_with(".h") || ends_with(".hpp") || ends_with(".cpp") ||
-           ends_with(".cc") || ends_with(".cxx") ||
-           ends_with("CMakeLists.txt") || ends_with(".cmake") ||
-           ends_with(".sh");
+    for (const char* ext : {".h", ".hpp", ".cpp", ".cc", ".cxx",
+                            "CMakeLists.txt", ".cmake", ".sh"}) {
+      if (ends_with(rel, ext)) return true;
+    }
+    return false;
   };
 
   auto add = [&](const fs::path& p) {

@@ -9,22 +9,22 @@
 // field that merge() silently drops. This linter turns those conventions
 // into machine-checked invariants.
 //
-// The engine has four layers (one file each under tools/lint/):
-//   scanner.{h,cpp}        lexical: comment/string stripping, tokens,
-//                          allowlist directives, per-file preprocessing
+// The engine has three layers plus a renderer (one file each under
+// tools/lint/):
+//   scanner.{h,cpp}        lexical: the one comment/string stripper, the
+//                          per-file token stream, allowlist directives
 //   include_graph.{h,cpp}  architectural: the #include dependency graph,
 //                          the declared module layering DAG, cycle
 //                          detection, the IWYU-lite heuristic
 //   linter.{h,cpp}         the rule table and scan orchestration (this
 //                          public surface)
-//   output.{h,cpp} +       text/json/sarif rendering and the baseline
-//   baseline.{h,cpp}       adoption machinery for the CLI
+//   output.{h,cpp}         text and SARIF rendering for the CLI
 //
-// Line-scoped rules stay deliberately lexical: strip comments and string
-// literals, then match word-bounded tokens and a few structural patterns.
-// That keeps rules declarative (see kRules in linter.cpp), fast, and free
-// of a compiler dependency — at the cost of heuristic precision, which
-// the allowlist escape hatch compensates for:
+// Rules stay deliberately lexical: strip comments and string literals,
+// then match word-bounded tokens per line and a few structural patterns
+// over the token stream. That keeps rules declarative (see kRules in
+// linter.cpp), fast, and free of a compiler dependency — at the cost of
+// heuristic precision, which the allowlist escape hatch compensates for:
 //
 //   some_call();  // rit-lint: allow(<rule-id>)     (this line + the next)
 //   // rit-lint: allow-file(<rule-id>)              (whole file)
@@ -42,19 +42,13 @@
 
 namespace rit::lint {
 
-/// Finding severity. Errors gate (exit status, baselines, CI); notes are
-/// report-only — today just the IWYU-lite unused-include heuristic, whose
-/// precision is deliberately below gating quality.
-enum class Severity { kError, kNote };
-
-/// One violation. `line` is 1-based; `rule` is the stable rule id used in
-/// allowlist directives and baselines.
+/// One violation; every finding is an error and fails the gate. `line` is
+/// 1-based; `rule` is the stable rule id used in allowlist directives.
 struct Finding {
   std::string file;
   std::size_t line{0};
   std::string rule;
   std::string message;
-  Severity severity{Severity::kError};
 };
 
 /// Static description of a rule: `summary` is the one-line message shown
@@ -111,9 +105,12 @@ std::vector<EscapeRecord> collect_escapes(
 /// the result are repo-relative.
 std::vector<SourceFile> collect_tree(const std::string& root);
 
-/// Strips //, /* */ comments and "..."/'...' literals (incl. simple raw
-/// strings), preserving line structure, so rule tokens never match inside
-/// prose. Exposed for the self-tests.
-std::string strip_comments_and_strings(const std::string& content);
+/// Blanks //, /* */ comments and "..."/'...' literals (incl. simple raw
+/// strings) to spaces, preserving line structure, so rule tokens never
+/// match inside prose. With `keep_comments` the comments pass through
+/// verbatim: that is the view allow directives are parsed from. Exposed
+/// for the self-tests.
+std::string strip_comments_and_strings(const std::string& content,
+                                       bool keep_comments = false);
 
 }  // namespace rit::lint

@@ -5,29 +5,10 @@
 namespace rit::lint {
 namespace {
 
-const char* severity_name(Severity s) {
-  return s == Severity::kNote ? "note" : "error";
-}
-
 std::string u64(std::size_t v) {
   // Independent of common/num_io.h on purpose: the lint engine must stay
   // dependency-free so it can lint the tree that builds it.
   return std::to_string(v);
-}
-
-}  // namespace
-
-bool parse_output_format(const std::string& name, OutputFormat* out) {
-  if (name == "text") {
-    *out = OutputFormat::kText;
-  } else if (name == "json") {
-    *out = OutputFormat::kJson;
-  } else if (name == "sarif") {
-    *out = OutputFormat::kSarif;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 std::string json_escape(const std::string& s) {
@@ -64,32 +45,25 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+}  // namespace
+
+bool parse_output_format(const std::string& name, OutputFormat* out) {
+  if (name == "text") {
+    *out = OutputFormat::kText;
+  } else if (name == "sarif") {
+    *out = OutputFormat::kSarif;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 std::string render_text(const std::vector<Finding>& findings) {
   std::string out;
   for (const Finding& f : findings) {
-    out += f.file + ":" + u64(f.line) + ": ";
-    if (f.severity == Severity::kNote) out += "note: ";
-    out += "[" + f.rule + "] " + f.message + "\n";
+    out += f.file + ":" + u64(f.line) + ": [" + f.rule + "] " + f.message +
+           "\n";
   }
-  return out;
-}
-
-std::string render_json(const std::vector<Finding>& findings) {
-  std::size_t errors = 0, notes = 0;
-  std::string out = "{\n  \"findings\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    (f.severity == Severity::kNote ? notes : errors) += 1;
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"file\": \"" + json_escape(f.file) +
-           "\", \"line\": " + u64(f.line) + ", \"rule\": \"" +
-           json_escape(f.rule) + "\", \"severity\": \"" +
-           severity_name(f.severity) + "\", \"message\": \"" +
-           json_escape(f.message) + "\"}";
-  }
-  if (!findings.empty()) out += "\n  ";
-  out += "],\n  \"errors\": " + u64(errors) + ",\n  \"notes\": " +
-         u64(notes) + "\n}\n";
   return out;
 }
 
@@ -133,9 +107,8 @@ std::string render_sarif(const std::vector<Finding>& findings) {
     if (it != rule_index.end()) {
       out += ", \"ruleIndex\": " + u64(it->second);
     }
-    out += std::string(", \"level\": \"") +
-           (f.severity == Severity::kNote ? "note" : "error") +
-           "\", \"message\": {\"text\": \"" + json_escape(f.message) +
+    out += ", \"level\": \"error\", \"message\": {\"text\": \"" +
+           json_escape(f.message) +
            "\"}, \"locations\": [{\"physicalLocation\": "
            "{\"artifactLocation\": {\"uri\": \"" +
            json_escape(f.file) + "\"}, \"region\": {\"startLine\": " +

@@ -1,6 +1,6 @@
 // Output layer of the rit_lint engine: renders a finding list as plain
-// text (the developer loop), JSON (scripting), or SARIF 2.1.0 (GitHub
-// code-scanning upload for inline PR annotations).
+// text (the developer loop) or SARIF 2.1.0 (GitHub code-scanning upload
+// for inline PR annotations).
 #pragma once
 
 #include <cstddef>
@@ -11,26 +11,20 @@
 
 namespace rit::lint {
 
-enum class OutputFormat { kText, kJson, kSarif };
+enum class OutputFormat { kText, kSarif };
 
-/// Parses "text" / "json" / "sarif"; false on anything else.
+/// Parses "text" / "sarif"; false on anything else.
 bool parse_output_format(const std::string& name, OutputFormat* out);
 
-/// JSON string-body escaping (quotes, backslashes, control characters).
-std::string json_escape(const std::string& s);
-
-/// One line per finding: `file:line: [rule] message`, notes prefixed with
-/// `note:`. No trailing summary — the CLI appends its own.
+/// One line per finding: `file:line: [rule] message`. No trailing
+/// summary — the CLI appends its own.
 std::string render_text(const std::vector<Finding>& findings);
-
-/// {"findings": [{file, line, rule, severity, message}...],
-///  "errors": N, "notes": M}
-std::string render_json(const std::vector<Finding>& findings);
 
 /// A single-run SARIF 2.1.0 log. Every known rule is listed in
 /// tool.driver.rules (id, shortDescription, fullDescription) so GitHub can
 /// render rule help; results reference rules by index. URIs are
-/// repo-relative, which is what the code-scanning upload expects.
+/// repo-relative, which is what the code-scanning upload expects. Strings
+/// are JSON-escaped (quotes, backslashes, control characters).
 std::string render_sarif(const std::vector<Finding>& findings);
 
 }  // namespace rit::lint

@@ -3,15 +3,12 @@
 //
 //   rit_lint --root <repo>             scan src/ bench/ tests/ tools/ ...
 //   rit_lint --root <repo> a.cpp b.h   scan just those files (repo-relative)
-//   rit_lint --format=text|json|sarif  output format (default text)
-//   rit_lint --baseline <file>         suppress errors recorded in <file>
-//   rit_lint --update-baseline         rewrite <file> from current findings
+//   rit_lint --format=text|sarif       output format (default text)
 //   rit_lint --explain <rule>          print a rule's full rationale
 //   rit_lint --list-rules              print every rule id + summary
 //
-// Exit status: 0 clean (after baseline), 1 unbaselined errors, 2 usage/IO
-// error. Report-only notes never affect the exit status. With json/sarif
-// the findings go to stdout and the human summary to stderr, so the output
+// Exit status: 0 clean, 1 findings, 2 usage/IO error. With sarif the
+// findings go to stdout and the human summary to stderr, so the output
 // stays machine-parseable (CI uploads the SARIF verbatim). Wired into
 // ctest as the `lint_tree` test (label: lint) and into tools/check.sh.
 #include <cstring>
@@ -21,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline.h"
 #include "linter.h"
 #include "output.h"
 
@@ -29,8 +25,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--root <dir>] [--format=text|json|sarif]"
-               " [--baseline <file> [--update-baseline]]"
+            << " [--root <dir>] [--format=text|sarif]"
                " [--explain <rule>] [--list-rules] [file...]\n";
   return 2;
 }
@@ -39,12 +34,10 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string baseline_path;
   std::string explain_rule;
   std::vector<std::string> explicit_files;
   rit::lint::OutputFormat format = rit::lint::OutputFormat::kText;
   bool list_rules = false;
-  bool update_baseline = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -54,21 +47,16 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--format=", 0) == 0) {
       if (!rit::lint::parse_output_format(arg.substr(9), &format)) {
         std::cerr << "rit_lint: unknown format '" << arg.substr(9)
-                  << "' (expected text, json or sarif)\n";
+                  << "' (expected text or sarif)\n";
         return 2;
       }
     } else if (arg == "--format") {
       if (i + 1 >= argc) return usage(argv[0]);
       if (!rit::lint::parse_output_format(argv[++i], &format)) {
         std::cerr << "rit_lint: unknown format '" << argv[i]
-                  << "' (expected text, json or sarif)\n";
+                  << "' (expected text or sarif)\n";
         return 2;
       }
-    } else if (arg == "--baseline") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      baseline_path = argv[++i];
-    } else if (arg == "--update-baseline") {
-      update_baseline = true;
     } else if (arg == "--explain") {
       if (i + 1 >= argc) return usage(argv[0]);
       explain_rule = argv[++i];
@@ -83,11 +71,6 @@ int main(int argc, char** argv) {
     } else {
       explicit_files.push_back(arg);
     }
-  }
-
-  if (update_baseline && baseline_path.empty()) {
-    std::cerr << "rit_lint: --update-baseline requires --baseline <file>\n";
-    return 2;
   }
 
   if (!explain_rule.empty()) {
@@ -132,52 +115,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<rit::lint::Finding> findings = rit::lint::scan(files);
-
-  std::size_t suppressed = 0;
-  if (!baseline_path.empty()) {
-    if (update_baseline) {
-      std::ofstream out(baseline_path, std::ios::binary);
-      out << rit::lint::serialize_baseline(findings);
-      if (!out.good()) {
-        std::cerr << "rit_lint: cannot write baseline '" << baseline_path
-                  << "'\n";
-        return 2;
-      }
-    }
-    const auto baseline = rit::lint::load_baseline(baseline_path);
-    if (!baseline) {
-      std::cerr << "rit_lint: cannot read baseline '" << baseline_path
-                << "' (missing or malformed)\n";
-      return 2;
-    }
-    findings =
-        rit::lint::apply_baseline(*baseline, findings, &suppressed);
+  const std::vector<rit::lint::Finding> findings = rit::lint::scan(files);
+  if (format == rit::lint::OutputFormat::kSarif) {
+    std::cout << rit::lint::render_sarif(findings);
+  } else {
+    std::cout << rit::lint::render_text(findings);
   }
 
-  std::size_t errors = 0, notes = 0;
-  for (const rit::lint::Finding& f : findings) {
-    (f.severity == rit::lint::Severity::kNote ? notes : errors) += 1;
-  }
-
-  switch (format) {
-    case rit::lint::OutputFormat::kText:
-      std::cout << rit::lint::render_text(findings);
-      break;
-    case rit::lint::OutputFormat::kJson:
-      std::cout << rit::lint::render_json(findings);
-      break;
-    case rit::lint::OutputFormat::kSarif:
-      std::cout << rit::lint::render_sarif(findings);
-      break;
-  }
-
-  // Summary to stderr so json/sarif stdout stays machine-parseable.
+  // Summary to stderr so sarif stdout stays machine-parseable.
   std::ostream& summary =
       format == rit::lint::OutputFormat::kText ? std::cout : std::cerr;
-  summary << "rit_lint: " << errors << " error(s), " << notes
-          << " note(s) in " << files.size() << " file(s) scanned";
-  if (suppressed != 0) summary << " (" << suppressed << " baselined)";
-  summary << "\n";
-  return errors == 0 ? 0 : 1;
+  summary << "rit_lint: " << findings.size() << " error(s) in "
+          << files.size() << " file(s) scanned\n";
+  return findings.empty() ? 0 : 1;
 }

@@ -1,13 +1,17 @@
 #include "scanner.h"
 
 #include <cctype>
-#include <regex>
+#include <utility>
 
 namespace rit::lint {
 
-// The one public entry point implemented here: exposed through linter.h for
-// the engine self-tests, which pin comment/string stripping directly.
-std::string strip_comments_and_strings(const std::string& content) {
+// The one stripper: both the rule view (comments blanked) and the
+// directive view (comments kept) come from this state machine, so the two
+// can never disagree on where a string literal starts or ends. Every
+// blanked character becomes a space and every newline survives, so line
+// numbers and columns hold in both views.
+std::string strip_comments_and_strings(const std::string& content,
+                                       bool keep_comments) {
   std::string out;
   out.reserve(content.size());
   enum class State {
@@ -19,6 +23,14 @@ std::string strip_comments_and_strings(const std::string& content) {
     kRawString,
   } state = State::kCode;
   std::string raw_delim;  // for R"delim( ... )delim"
+  const auto blank = [&out](char c) { out += c == '\n' ? '\n' : ' '; };
+  const auto comment = [&](char c) {
+    if (keep_comments) {
+      out += c;
+    } else {
+      blank(c);
+    }
+  };
 
   const std::size_t n = content.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -26,24 +38,19 @@ std::string strip_comments_and_strings(const std::string& content) {
     const char next = i + 1 < n ? content[i + 1] : '\0';
     switch (state) {
       case State::kCode:
-        if (c == '/' && next == '/') {
-          state = State::kLineComment;
-          out += "  ";
-          ++i;
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          out += "  ";
+        if (c == '/' && (next == '/' || next == '*')) {
+          state = next == '/' ? State::kLineComment : State::kBlockComment;
+          comment(c);
+          comment(next);
           ++i;
         } else if (c == 'R' && next == '"' &&
                    (i == 0 || !internal::is_word(content[i - 1]))) {
           // Raw string: R"delim( ... )delim"
-          std::size_t paren = content.find('(', i + 2);
+          const std::size_t paren = content.find('(', i + 2);
           if (paren != std::string::npos) {
             raw_delim = ")" + content.substr(i + 2, paren - (i + 2)) + "\"";
             state = State::kRawString;
-            for (std::size_t k = i; k <= paren; ++k) {
-              out += content[k] == '\n' ? '\n' : ' ';
-            }
+            for (std::size_t k = i; k <= paren; ++k) blank(content[k]);
             i = paren;
           } else {
             out += c;
@@ -59,52 +66,39 @@ std::string strip_comments_and_strings(const std::string& content) {
         }
         break;
       case State::kLineComment:
-        if (c == '\n') {
-          state = State::kCode;
-          out += '\n';
-        } else {
-          out += ' ';
-        }
+        if (c == '\n') state = State::kCode;
+        comment(c);
         break;
       case State::kBlockComment:
         if (c == '*' && next == '/') {
           state = State::kCode;
-          out += "  ";
+          comment(c);
+          comment(next);
           ++i;
         } else {
-          out += c == '\n' ? '\n' : ' ';
+          comment(c);
         }
         break;
       case State::kString:
-        if (c == '\\') {
-          out += "  ";
-          ++i;
-          if (next == '\n') out.back() = '\n';
-        } else if (c == '"') {
-          state = State::kCode;
-          out += ' ';
-        } else {
-          out += c == '\n' ? '\n' : ' ';
-        }
-        break;
       case State::kChar:
         if (c == '\\') {
-          out += "  ";
+          blank(c);
+          blank(next);
           ++i;
-        } else if (c == '\'') {
+        } else if (c == (state == State::kString ? '"' : '\'')) {
           state = State::kCode;
           out += ' ';
         } else {
-          out += ' ';
+          blank(c);
         }
         break;
       case State::kRawString:
         if (content.compare(i, raw_delim.size(), raw_delim) == 0) {
-          for (std::size_t k = 0; k < raw_delim.size(); ++k) out += ' ';
+          out.append(raw_delim.size(), ' ');
           i += raw_delim.size() - 1;
           state = State::kCode;
         } else {
-          out += c == '\n' ? '\n' : ' ';
+          blank(c);
         }
         break;
     }
@@ -144,109 +138,6 @@ std::string strip_hash_comments(const std::string& content) {
       out += ' ';
     } else {
       out += in_comment ? ' ' : c;
-    }
-  }
-  return out;
-}
-
-std::string strip_strings_keep_comments(const std::string& content) {
-  // Same state machine as strip_comments_and_strings, but comments pass
-  // through verbatim: a `// rit-lint: allow(x)` directive survives while
-  // `"// rit-lint: allow(x)"` — directive-shaped *data* inside a string
-  // literal, as in the lint self-tests — is blanked.
-  std::string out;
-  out.reserve(content.size());
-  enum class State {
-    kCode,
-    kLineComment,
-    kBlockComment,
-    kString,
-    kChar,
-    kRawString,
-  } state = State::kCode;
-  std::string raw_delim;
-
-  const std::size_t n = content.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const char c = content[i];
-    const char next = i + 1 < n ? content[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '/' && next == '/') {
-          state = State::kLineComment;
-          out += "//";
-          ++i;
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          out += "/*";
-          ++i;
-        } else if (c == 'R' && next == '"' && (i == 0 || !is_word(content[i - 1]))) {
-          std::size_t paren = content.find('(', i + 2);
-          if (paren != std::string::npos) {
-            raw_delim = ")" + content.substr(i + 2, paren - (i + 2)) + "\"";
-            state = State::kRawString;
-            for (std::size_t k = i; k <= paren; ++k) {
-              out += content[k] == '\n' ? '\n' : ' ';
-            }
-            i = paren;
-          } else {
-            out += c;
-          }
-        } else if (c == '"') {
-          state = State::kString;
-          out += ' ';
-        } else if (c == '\'' && i > 0 && !is_word(content[i - 1])) {
-          state = State::kChar;
-          out += ' ';
-        } else {
-          out += c;
-        }
-        break;
-      case State::kLineComment:
-        if (c == '\n') state = State::kCode;
-        out += c;
-        break;
-      case State::kBlockComment:
-        if (c == '*' && next == '/') {
-          state = State::kCode;
-          out += "*/";
-          ++i;
-        } else {
-          out += c;
-        }
-        break;
-      case State::kString:
-        if (c == '\\') {
-          out += "  ";
-          ++i;
-          if (next == '\n') out.back() = '\n';
-        } else if (c == '"') {
-          state = State::kCode;
-          out += ' ';
-        } else {
-          out += c == '\n' ? '\n' : ' ';
-        }
-        break;
-      case State::kChar:
-        if (c == '\\') {
-          out += "  ";
-          ++i;
-        } else if (c == '\'') {
-          state = State::kCode;
-          out += ' ';
-        } else {
-          out += ' ';
-        }
-        break;
-      case State::kRawString:
-        if (content.compare(i, raw_delim.size(), raw_delim) == 0) {
-          for (std::size_t k = 0; k < raw_delim.size(); ++k) out += ' ';
-          i += raw_delim.size() - 1;
-          state = State::kCode;
-        } else {
-          out += c == '\n' ? '\n' : ' ';
-        }
-        break;
     }
   }
   return out;
@@ -304,6 +195,52 @@ bool line_has_token(const std::string& line, const std::string& token) {
   return false;
 }
 
+std::vector<Token> tokenize(const std::string& stripped) {
+  std::vector<Token> tokens;
+  std::size_t line = 1;
+  const std::size_t n = stripped.size();
+  for (std::size_t i = 0; i < n;) {
+    const char c = stripped[i];
+    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+      if (c == '\n') ++line;
+      ++i;
+      continue;
+    }
+    std::size_t len = 1;
+    if (is_word(c)) {
+      while (i + len < n && is_word(stripped[i + len])) ++len;
+    } else if (stripped.compare(i, 2, "::") == 0) {
+      len = 2;
+    } else if (stripped.compare(i, 3, "...") == 0) {
+      len = 3;
+    }
+    tokens.push_back(Token{stripped.substr(i, len), line});
+    i += len;
+  }
+  return tokens;
+}
+
+bool is_word_token(const std::string& text) {
+  return !text.empty() && is_word(text[0]);
+}
+
+const std::string& text_on_line(const std::vector<Token>& tokens,
+                                std::size_t k, std::size_t line) {
+  static const std::string kNone;
+  return k < tokens.size() && tokens[k].line == line ? tokens[k].text
+                                                     : kNone;
+}
+
+std::size_t matching_close(const std::vector<Token>& tokens, std::size_t open,
+                           const char* open_text, const char* close_text) {
+  int depth = 0;
+  for (std::size_t i = open; i < tokens.size(); ++i) {
+    if (tokens[i].text == open_text) ++depth;
+    if (tokens[i].text == close_text && --depth == 0) return i;
+  }
+  return tokens.size();
+}
+
 bool AllowSet::allows(const std::string& rule, std::size_t line) const {
   if (file_rules.count(rule) != 0 || file_rules.count("*") != 0) {
     return true;
@@ -337,10 +274,17 @@ void parse_rule_list(const std::string& text, std::set<std::string>* out) {
 
 }  // namespace
 
-AllowSet parse_allows(const std::vector<std::string>& raw_lines) {
+AllowSet parse_allows(const SourceFile& f) {
+  // Directives are parsed from a view with string literals blanked, so
+  // directive-shaped data in a literal (the lint self-tests) shields
+  // nothing. Build files have no string/comment ambiguity that matters.
+  const std::vector<std::string> lines = split_lines(
+      classify(f.path) == FileClass::kCpp
+          ? strip_comments_and_strings(f.content, /*keep_comments=*/true)
+          : f.content);
   AllowSet allows;
-  for (std::size_t i = 0; i < raw_lines.size(); ++i) {
-    const std::string& line = raw_lines[i];
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     const std::size_t tag = line.find("rit-lint:");
     if (tag == std::string::npos) continue;
     const std::string rest = line.substr(tag + 9);
@@ -369,10 +313,20 @@ const char* const kResultPathHints[] = {"report", "csv",    "json",
                                         "_io",    "export", "render",
                                         "statement", "svg", "table"};
 
-// Extracts `#include "..."` targets. The stripped line decides whether the
-// directive is live code (a commented-out include strips to blanks); the
-// raw line supplies the quoted path, which stripping blanked.
-const std::regex kIncludeRe(R"(^\s*#\s*include\s*"([^"]+)\")");
+// The quoted target of `#include "..."` on a raw line, or empty for
+// `#include <...>`. The tokens decide that the directive is live code (a
+// commented-out include has none); the raw line supplies the path, which
+// stripping blanked.
+std::string quoted_include_target(const std::string& raw) {
+  std::size_t at = raw.find("include");
+  if (at == std::string::npos) return {};
+  at += 7;
+  while (at < raw.size() && (raw[at] == ' ' || raw[at] == '\t')) ++at;
+  if (at >= raw.size() || raw[at] != '"') return {};
+  const std::size_t close = raw.find('"', at + 1);
+  if (close == std::string::npos) return {};
+  return raw.substr(at + 1, close - at - 1);
+}
 
 }  // namespace
 
@@ -380,23 +334,27 @@ Prepped prep(const SourceFile& f) {
   Prepped p;
   p.src = &f;
   p.file_class = classify(f.path);
-  const std::vector<std::string> raw_lines = split_lines(f.content);
-  p.allows = parse_allows(raw_lines);
-  const std::string stripped = p.file_class == FileClass::kBuild
-                                   ? strip_hash_comments(f.content)
-                                   : strip_comments_and_strings(f.content);
+  const bool cpp = p.file_class == FileClass::kCpp;
+  p.allows = parse_allows(f);
+  const std::string stripped = cpp ? strip_comments_and_strings(f.content)
+                                   : strip_hash_comments(f.content);
   for (const std::string& line : split_lines(stripped)) {
     p.lines.push_back(normalize_ws(line));
   }
-  if (p.file_class == FileClass::kCpp) {
-    for (std::size_t i = 0; i < p.lines.size() && i < raw_lines.size(); ++i) {
-      if (p.lines[i].find("#include") == std::string::npos &&
-          p.lines[i].find("# include") == std::string::npos) {
+  if (cpp) {
+    p.tokens = tokenize(stripped);
+    const std::vector<Token>& t = p.tokens;
+    std::vector<std::string> raw_lines;
+    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+      const bool line_start = i == 0 || t[i - 1].line != t[i].line;
+      if (!line_start || t[i].text != "#" || t[i + 1].text != "include" ||
+          t[i + 1].line != t[i].line) {
         continue;
       }
-      std::smatch m;
-      if (std::regex_search(raw_lines[i], m, kIncludeRe)) {
-        p.includes.push_back(IncludeDirective{i + 1, m[1].str()});
+      if (raw_lines.empty()) raw_lines = split_lines(f.content);
+      std::string target = quoted_include_target(raw_lines[t[i].line - 1]);
+      if (!target.empty()) {
+        p.includes.push_back(IncludeDirective{t[i].line, std::move(target)});
       }
     }
   }
@@ -424,10 +382,9 @@ bool path_contains_any(const std::string& path,
 }
 
 void emit(const Prepped& p, std::size_t line_no, const std::string& rule,
-          const std::string& message, Severity severity,
-          std::vector<Finding>* out) {
+          const std::string& message, std::vector<Finding>* out) {
   if (p.allows.allows(rule, line_no)) return;
-  out->push_back(Finding{p.src->path, line_no, rule, message, severity});
+  out->push_back(Finding{p.src->path, line_no, rule, message});
 }
 
 }  // namespace internal

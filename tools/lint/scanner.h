@@ -1,6 +1,7 @@
-// Internal lexical layer of the rit_lint engine: comment/string stripping,
-// line bookkeeping, word-bounded token matching, allowlist directives, and
-// the per-file preprocessed view (`Prepped`) every rule runs against.
+// Internal lexical layer of the rit_lint engine: the one comment/string
+// stripper, line bookkeeping, word-bounded line matching, the token
+// stream, allowlist directives, and the per-file view (`Prepped`) every
+// rule runs against.
 //
 // This header is internal to tools/lint/ — the public surface is linter.h.
 // The split keeps the engine honest about its layers: scanner (this file)
@@ -27,15 +28,9 @@ enum class FileClass { kCpp, kBuild };
 
 FileClass classify(const std::string& path);
 
-/// Build files (cmake, sh) only have '#' line comments — but a '#'
-/// directive line may itself carry a rit-lint allow, which is parsed from
-/// the raw content, so stripping to spaces here is safe.
+/// Build files (cmake, sh) only have '#' line comments; their allow
+/// directives are parsed from the raw content.
 std::string strip_hash_comments(const std::string& content);
-
-/// Blanks string/char literals but KEEPS comment text — the escape
-/// inventory (collect_escapes) needs directives that live in comments
-/// while ignoring directive-shaped test data inside string literals.
-std::string strip_strings_keep_comments(const std::string& content);
 
 std::vector<std::string> split_lines(const std::string& s);
 
@@ -49,7 +44,33 @@ bool token_matches_at(const std::string& line, std::size_t pos,
 bool line_has_token(const std::string& line, const std::string& token);
 
 // ---------------------------------------------------------------------------
-// Allowlist directives (parsed from RAW content, before stripping)
+// Token stream
+// ---------------------------------------------------------------------------
+
+/// One lexical token of stripped C++: a word (identifier, keyword or
+/// number: a maximal run of [A-Za-z0-9_]) or one punctuation character,
+/// except that `::` and `...` are single tokens. `line` is 1-based.
+struct Token {
+  std::string text;
+  std::size_t line{0};
+};
+
+std::vector<Token> tokenize(const std::string& stripped);
+
+bool is_word_token(const std::string& text);
+
+/// Text of tokens[k] when it sits on `line`, else "" (also past the end),
+/// for token patterns that must not span lines.
+const std::string& text_on_line(const std::vector<Token>& tokens,
+                                std::size_t k, std::size_t line);
+
+/// Index of the token closing the bracket opened at `open` (whose text is
+/// `open_text`), or tokens.size() when it never closes.
+std::size_t matching_close(const std::vector<Token>& tokens, std::size_t open,
+                           const char* open_text, const char* close_text);
+
+// ---------------------------------------------------------------------------
+// Allowlist directives
 // ---------------------------------------------------------------------------
 
 struct AllowSet {
@@ -58,10 +79,12 @@ struct AllowSet {
   bool allows(const std::string& rule, std::size_t line) const;
 };
 
-AllowSet parse_allows(const std::vector<std::string>& raw_lines);
+/// The file's allow directives, read from its comments: C++ string
+/// literals are blanked first, so directive-shaped data shields nothing.
+AllowSet parse_allows(const SourceFile& f);
 
 // ---------------------------------------------------------------------------
-// Per-file preprocessed view
+// Per-file view
 // ---------------------------------------------------------------------------
 
 /// One `#include "..."` directive. `target` is the quoted text verbatim
@@ -76,7 +99,8 @@ struct Prepped {
   const SourceFile* src{nullptr};
   FileClass file_class{FileClass::kCpp};
   std::vector<std::string> lines;  // stripped + whitespace-normalized
-  AllowSet allows;
+  std::vector<Token> tokens;       // C++ files only
+  AllowSet allows;                 // from comments, never string literals
   bool result_path{false};
   std::vector<IncludeDirective> includes;  // quoted includes only
 };
@@ -88,7 +112,6 @@ bool path_contains_any(const std::string& path,
 
 /// Appends a finding unless an allow directive shields it.
 void emit(const Prepped& p, std::size_t line_no, const std::string& rule,
-          const std::string& message, Severity severity,
-          std::vector<Finding>* out);
+          const std::string& message, std::vector<Finding>* out);
 
 }  // namespace rit::lint::internal
