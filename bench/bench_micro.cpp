@@ -12,11 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <numeric>
 #include <span>
 #include <string>
@@ -29,54 +26,32 @@
 #include "core/rit.h"
 #include "graph/generators.h"
 #include "obs/obs.h"
+#include "obs/perf_counters.h"
 #include "rng/lanes.h"
 #include "rng/rng.h"
 #include "sim/runner.h"
 #include "tree/builders.h"
 
-// --- Heap-allocation counter ----------------------------------------------
-// Replacing the global (non-aligned) operator new/delete pair lets the
-// BM_CraRound* arms report heap allocations per round as a hard number
-// instead of inferring them from timing. The throwing forms below are the
-// funnel every other default form (nothrow, array) reaches, so one counter
-// covers them all; the aligned forms are left alone (they stay internally
-// paired, and nothing on the CRA path is over-aligned).
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-// GCC pairs a replaced operator new with the replacement delete, then warns
-// that std::free does not match — but malloc/free is exactly the pair used.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 namespace {
 
 using namespace rit;
+
+// Heap allocations per call of `call`, averaged over `calls` calls outside
+// the timed loop. The allocation hook (rit_obs_alloc_hook) counts only
+// while the perf counters are armed, and armed counters make every span
+// sample, so they are armed here and never around a timed loop. The armed
+// warm-up calls let the per-thread span table grow its entries first.
+template <typename Call>
+double heap_allocs_per_call(benchmark::IterationCount calls, Call&& call) {
+  if (calls == 0) return 0.0;
+  obs::start_perf_counters();
+  for (int warm = 0; warm < 8; ++warm) call();
+  const std::uint64_t before = obs::perf_run_totals().alloc_count;
+  for (benchmark::IterationCount i = 0; i < calls; ++i) call();
+  const std::uint64_t after = obs::perf_run_totals().alloc_count;
+  obs::stop_perf_counters();
+  return static_cast<double>(after - before) / static_cast<double>(calls);
+}
 
 std::vector<double> make_asks(std::size_t n, std::uint64_t seed) {
   rng::Rng rng(seed);
@@ -170,17 +145,14 @@ void BM_CraRoundWorkspace(benchmark::State& state) {
   // One warm-up round grows every scratch buffer to its high-water mark;
   // from then on the hot path must not touch the heap.
   core::run_cra(asks, params, rng, ws, out);
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     core::run_cra(asks, params, rng, ws, out);
     benchmark::DoNotOptimize(out.num_winners);
   }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_round"] = benchmark::Counter(
-      state.iterations() > 0
-          ? static_cast<double>(after - before) /
-                static_cast<double>(state.iterations())
-          : 0.0);
+  state.counters["heap_allocs_per_round"] =
+      benchmark::Counter(heap_allocs_per_call(state.iterations(), [&] {
+        core::run_cra(asks, params, rng, ws, out);
+      }));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
@@ -237,16 +209,16 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
     core::run_cra_runs(book, by_value, params, rng, ws, out);
   }
   std::uint64_t band_asks = 0;
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     core::run_cra_runs(book, by_value, params, rng, ws, out);
     band_asks += out.raw_count;
     benchmark::DoNotOptimize(out.num_winners);
   }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   const double rounds = static_cast<double>(state.iterations());
-  state.counters["heap_allocs_per_round"] = benchmark::Counter(
-      rounds > 0 ? static_cast<double>(after - before) / rounds : 0.0);
+  state.counters["heap_allocs_per_round"] =
+      benchmark::Counter(heap_allocs_per_call(state.iterations(), [&] {
+        core::run_cra_runs(book, by_value, params, rng, ws, out);
+      }));
   state.counters["band_ratio"] = benchmark::Counter(
       rounds > 0 ? static_cast<double>(band_asks) /
                        (rounds * static_cast<double>(units))
@@ -330,17 +302,12 @@ void BM_TypeIndexBuild(benchmark::State& state) {
   const std::vector<core::Ask> asks = make_market(n, 4, state.range(1));
   core::AskTypeIndex index;
   index.build(10, asks);
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     index.build(10, asks);
     benchmark::DoNotOptimize(index.by_value.data());
   }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   state.counters["heap_allocs_per_build"] = benchmark::Counter(
-      state.iterations() > 0
-          ? static_cast<double>(after - before) /
-                static_cast<double>(state.iterations())
-          : 0.0);
+      heap_allocs_per_call(state.iterations(), [&] { index.build(10, asks); }));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
@@ -379,17 +346,14 @@ void BM_AuctionPhaseWorkspace(benchmark::State& state) {
   for (int warm = 0; warm < 4; ++warm) {
     core::run_auction_phase_into(job, asks, cfg, rng, ws, out);
   }
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     core::run_auction_phase_into(job, asks, cfg, rng, ws, out);
     benchmark::DoNotOptimize(out.auction_payment.data());
   }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_run"] = benchmark::Counter(
-      state.iterations() > 0
-          ? static_cast<double>(after - before) /
-                static_cast<double>(state.iterations())
-          : 0.0);
+  state.counters["heap_allocs_per_run"] =
+      benchmark::Counter(heap_allocs_per_call(state.iterations(), [&] {
+        core::run_auction_phase_into(job, asks, cfg, rng, ws, out);
+      }));
 }
 BENCHMARK(BM_AuctionPhaseWorkspace)
     ->Args({80000, 5000, 0})
@@ -442,17 +406,14 @@ void BM_PaymentPhaseWorkspace(benchmark::State& state) {
   core::PaymentWorkspace ws;
   std::vector<double> out;
   core::tree_payments_into(d.tree, d.types, d.payments, 0.5, 1, ws, out);
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     core::tree_payments_into(d.tree, d.types, d.payments, 0.5, 1, ws, out);
     benchmark::DoNotOptimize(out.data());
   }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_run"] = benchmark::Counter(
-      state.iterations() > 0
-          ? static_cast<double>(after - before) /
-                static_cast<double>(state.iterations())
-          : 0.0);
+  state.counters["heap_allocs_per_run"] =
+      benchmark::Counter(heap_allocs_per_call(state.iterations(), [&] {
+        core::tree_payments_into(d.tree, d.types, d.payments, 0.5, 1, ws, out);
+      }));
 }
 BENCHMARK(BM_PaymentPhaseWorkspace)->Arg(100000);
 
@@ -632,17 +593,14 @@ void BM_FullRitSteadyState(benchmark::State& state) {
   core::RitWorkspace ws;
   core::RitResult out;
   core::run_rit_into(job, asks, t, cfg, rng, ws, out);
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     core::run_rit_into(job, asks, t, cfg, rng, ws, out);
     benchmark::DoNotOptimize(out.payment.data());
   }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_trial"] = benchmark::Counter(
-      state.iterations() > 0
-          ? static_cast<double>(after - before) /
-                static_cast<double>(state.iterations())
-          : 0.0);
+  state.counters["heap_allocs_per_trial"] =
+      benchmark::Counter(heap_allocs_per_call(state.iterations(), [&] {
+        core::run_rit_into(job, asks, t, cfg, rng, ws, out);
+      }));
 }
 BENCHMARK(BM_FullRitSteadyState)->Arg(5000)->Arg(20000);
 

@@ -9,9 +9,8 @@
 // computed during the graph draws (tree::barabasi_albert_forest).
 //
 // This is the harness behind docs/scaling.md: combine with
-// --perf-counters for per-phase hardware counters.
-// --intra-threads=N is accepted but reaches no parallel pass: every pass
-// inside a trial is serial.
+// --perf-counters for per-phase hardware counters. Every pass inside a
+// trial is serial; --threads fans out whole trials.
 #include "bench_support.h"
 
 #include "common/log.h"
@@ -39,8 +38,7 @@ int main(int argc, char** argv) {
     const rit::log::Field fields[] = {
         {"n", std::to_string(paper_n)},
         {"users", std::to_string(s.num_users)},
-        {"tasks_per_type", std::to_string(s.tasks_per_type)},
-        {"intra_threads", std::to_string(opts.intra_threads)}};
+        {"tasks_per_type", std::to_string(s.tasks_per_type)}};
     rit::log::emit(rit::log::Level::kInfo, "scale rung", fields);
 
     const std::uint64_t t0 = rit::obs::trace_now_ns();

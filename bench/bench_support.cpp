@@ -39,7 +39,6 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   opts.seed = args.get_u64("seed", 42);
   opts.graph = sim::parse_graph_kind(args.get_string("graph", "ba"));
   opts.threads = args.get_u32("threads", 0);
-  opts.intra_threads = args.get_u32("intra-threads", 1);
   opts.theoretical = args.get_bool("theoretical", false);
   opts.paper_ratio = args.get_bool("paper-ratio", false);
   opts.paper_kmax = args.get_bool("paper-kmax", false);
@@ -122,7 +121,6 @@ BenchOptions parse_options(int argc, char** argv, const std::string& name,
 void apply_options(const BenchOptions& opts, sim::Scenario& scenario) {
   scenario.graph = opts.graph;
   scenario.seed = opts.seed;
-  scenario.mechanism.intra_threads = opts.intra_threads;
   scenario.mechanism.round_budget_policy =
       opts.theoretical ? core::RoundBudgetPolicy::kTheoretical
                        : core::RoundBudgetPolicy::kRunToCompletion;
@@ -170,9 +168,9 @@ std::uint64_t sweep_config_hash(const BenchOptions& opts) {
   field(opts.paper_kmax ? "paper-kmax" : "-");
   field(format_u64(opts.max_trial_failures));
   field(format_double(opts.trial_timeout_ms, 6));
-  // --threads and --intra-threads are deliberately NOT hashed: both knobs
-  // are bit-identical by construction (fixed partition, fixed merge order),
-  // so a checkpoint written at one setting resumes correctly at another.
+  // --threads is deliberately NOT hashed: it is bit-identical by
+  // construction (fixed partition, fixed merge order), so a checkpoint
+  // written at one setting resumes correctly at another.
   return fnv1a64(fp);
 }
 
@@ -312,8 +310,7 @@ void write_summary_json(const BenchOptions& opts, double wall_ms,
       << sim::to_string(opts.graph) << "\", \"budget\": \""
       << (opts.theoretical ? "theoretical" : "run-to-completion")
       << "\", \"threads\": " << opts.threads << ", \"threads_resolved\": "
-      << rit::resolve_threads(opts.threads, opts.trials)
-      << ", \"intra_threads\": " << opts.intra_threads << "},\n";
+      << rit::resolve_threads(opts.threads, opts.trials) << "},\n";
   out << "  \"wall_ms\": " << format_double(wall_ms, 3) << ",\n";
   out << "  \"dropped_spans\": " << obs::dropped_spans() << ",\n";
   out << "  \"phases\": [";

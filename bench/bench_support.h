@@ -13,11 +13,6 @@
 //                 in a fixed order, so counts/min/max/success rates are
 //                 identical for every N; means agree to ~1e-12 (Welford
 //                 merge-order rounding — see EXPERIMENTS.md)
-//   --intra-threads=N  sets core::RitConfig::intra_threads (default 1;
-//                 0 = hardware concurrency). Every pass inside a trial is
-//                 serial, so it changes neither output nor speed (see
-//                 docs/scaling.md). Deliberately excluded from checkpoint
-//                 identity.
 //   --csv=PATH    also dump the series as CSV (default bench_results/<name>.csv,
 //                 "none" disables)
 //   --theoretical use the paper's literal round budget instead of
@@ -101,8 +96,6 @@ struct BenchOptions {
   /// Worker threads for the trial fan-out (0 = hardware concurrency,
   /// 1 = one worker).
   unsigned threads{0};
-  /// core::RitConfig::intra_threads for every trial (no pass reads it).
-  unsigned intra_threads{1};
   std::string csv_path;  // empty = disabled
   bool theoretical{false};
   /// fig9 only: keep the paper's exact supply/demand ratio (--paper-ratio).

@@ -1,25 +1,15 @@
 // Mechanism configuration knobs.
 //
 // Defaults reproduce the paper (H = 0.8, discount base 1/2). The remaining
-// knobs parameterize the ambiguities catalogued in DESIGN.md §1 so the
-// ablation benches can quantify them.
+// knobs parameterize the ambiguities catalogued in DESIGN.md §1 that a
+// bench, tool or scenario file sets to a non-default value; the others
+// (the empty CRA sample, the zero-round budget, K_max, the stall limit)
+// are fixed in the code.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 namespace rit::core {
-
-/// What CRA does when its Bernoulli(1/(q+m_i)) sample S comes back empty
-/// (Alg. 1 line 2 leaves s = min S undefined in that case).
-enum class EmptySamplePolicy {
-  /// Treat the threshold as the largest ask value: the consensus count is
-  /// taken over all asks and the price stays finite and IR-safe. This keeps
-  /// the round productive and is the default.
-  kAllAsks,
-  /// Abort the round with no winners (a strictly conservative reading).
-  kNoWinners,
-};
 
 /// How many CRA rounds the auction phase may spend per task type.
 enum class RoundBudgetPolicy {
@@ -29,8 +19,8 @@ enum class RoundBudgetPolicy {
   /// (the run then fails closed) — see DESIGN.md ambiguity #3.
   kTheoretical,
   /// Keep running rounds until the demand is filled, supply is exhausted,
-  /// or `stall_round_limit` consecutive rounds make no progress. This is
-  /// the only reading under which the paper's Sec. 7 figures are
+  /// or kStallRoundLimit (rit.h) consecutive rounds make no progress. This
+  /// is the only reading under which the paper's Sec. 7 figures are
   /// reproducible; the achieved truthfulness bound (per-round bound ^
   /// rounds actually used) is reported in TypeAuctionInfo/RitResult so the
   /// weakening is visible rather than silent.
@@ -60,11 +50,6 @@ struct RitConfig {
 
   RoundBudgetPolicy round_budget_policy = RoundBudgetPolicy::kTheoretical;
 
-  /// kRunToCompletion only: give up on a type after this many consecutive
-  /// zero-winner rounds (e.g. a lone remaining ask can never clear the
-  /// consensus hurdle; see cra.h).
-  std::uint32_t stall_round_limit = 100;
-
   /// Base of the per-depth discount in the payment determination phase
   /// (Alg. 3 line 24 uses 1/2). Must be in (0, 1).
   double discount_base = 0.5;
@@ -76,19 +61,6 @@ struct RitConfig {
   /// (DESIGN.md ambiguity #1); larger bases buy collusion protection at
   /// the cost of coarser winner counts (bench_ablation_gridbase).
   double consensus_log_base = 2.0;
-
-  EmptySamplePolicy empty_sample = EmptySamplePolicy::kAllAsks;
-
-  /// The literal `max` formula of Alg. 3 line 7 yields 0 rounds whenever
-  /// m_i is small relative to K_max (e.g. the paper's own Fig. 9 setup);
-  /// clamping to one round keeps the mechanism productive at the cost of a
-  /// weaker probability bound (flagged in RitResult::probability_degraded).
-  /// See DESIGN.md ambiguity #3.
-  bool clamp_min_one_round = true;
-
-  /// Overrides the K_max used in the round-budget formula. By default the
-  /// platform uses max_j k_j over submitted asks.
-  std::optional<std::uint32_t> k_max_override;
 
   /// Record a per-round trace (price, winners, consensus diagnostics) in
   /// TypeAuctionInfo::rounds. Off by default: traces cost memory
@@ -104,10 +76,10 @@ struct RitConfig {
   /// Worker threads for intra-trial parallel passes of the mechanism. No
   /// mechanism pass parallelizes: the payment phase is one serial preorder
   /// scan that ignores this value, and tree construction is serial too.
-  /// The field stays because configs,
-  /// fuzz cases and perfbench set it and pass it through. 1 = serial
-  /// (default); 0 = one per hardware thread. Deliberately excluded from
-  /// result/checkpoint identity: it cannot change what a run computes.
+  /// The field stays because perfbench sets it and passes it through.
+  /// 1 = serial (default); 0 = one per hardware thread. Deliberately
+  /// excluded from result/checkpoint identity: it cannot change what a run
+  /// computes.
   unsigned intra_threads = 1;
 };
 

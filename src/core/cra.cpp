@@ -290,10 +290,9 @@ void run_cra_runs(std::span<const AskRun> runs,
       }
     }
     if (sampled == 0) {
-      if (params.empty_sample == EmptySamplePolicy::kNoWinners) return;
-      // kAllAsks: act as if the threshold sits at the top of the book —
-      // every ask is at or below it, and it is still a finite, IR-safe
-      // price.
+      // An empty sample leaves s = min S undefined (DESIGN.md ambiguity
+      // #6): act as if the threshold sits at the top of the book — every
+      // ask is at or below it, and it is still a finite, IR-safe price.
       s = order[order.size() - 1].value;
     }
     out.sample_min = s;

@@ -46,7 +46,6 @@ struct CraParams {
   /// m_i: the job's total demand for this type (potential-winner budget is
   /// q + m_i).
   std::uint32_t m_i{0};
-  EmptySamplePolicy empty_sample = EmptySamplePolicy::kAllAsks;
   /// kConsensus is the paper's Algorithm 1; kOrderStatistic replaces steps
   /// 1-4 with a deterministic (q+m_i+1)-st price rule (ablation only).
   PriceMode price_mode = PriceMode::kConsensus;
@@ -79,7 +78,7 @@ struct CraOutcome {
 
   // --- diagnostics (tests and the ablation benches read these) ---
   /// Threshold drawn in step 1; the largest ask value when the sample was
-  /// empty under EmptySamplePolicy::kAllAsks.
+  /// empty (DESIGN.md ambiguity #6).
   double sample_min{0.0};
   /// Raw count of asks <= sample_min (the paper's z_s(alpha)).
   std::uint64_t raw_count{0};

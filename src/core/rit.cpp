@@ -37,8 +37,9 @@ RoundBudget compute_round_budget(std::uint32_t m_i, std::uint32_t k_max,
 
   if (out.per_round_bound <= 0.0 || out.per_round_bound >= 1.0) {
     // The Lemma 6.2 bound is vacuous for these parameters; the paper's
-    // formula would allow zero rounds (and allocate nothing).
-    out.max_rounds = config.clamp_min_one_round ? 1 : 0;
+    // formula would allow zero rounds (and allocate nothing), so clamp to
+    // one (DESIGN.md ambiguity #3).
+    out.max_rounds = 1;
     out.degraded = true;
     return out;
   }
@@ -46,7 +47,7 @@ RoundBudget compute_round_budget(std::uint32_t m_i, std::uint32_t k_max,
   const double raw = std::log(eta) / std::log(out.per_round_bound);
   out.max_rounds = static_cast<std::uint32_t>(
       std::min(raw, 1e9));  // floor via truncation; raw >= 0 here
-  if (out.max_rounds == 0 && config.clamp_min_one_round) {
+  if (out.max_rounds == 0) {
     out.max_rounds = 1;
     out.degraded = true;
   }
@@ -95,7 +96,7 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
   res.achieved_probability = 1.0;
   res.allocation.assign(n, 0);
   res.auction_payment.assign(n, 0.0);
-  res.k_max = config.k_max_override.value_or(observed_k_max(asks));
+  res.k_max = observed_k_max(asks);
   const std::uint32_t m = std::max<std::uint32_t>(job.num_demanded_types(), 1);
   res.eta = std::pow(config.h, 1.0 / static_cast<double>(m));
 
@@ -124,7 +125,7 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
     std::uint32_t stalled = 0;
     while (q > 0) {
       if (!to_completion && info.rounds_used >= info.budget.max_rounds) break;
-      if (to_completion && stalled >= config.stall_round_limit) break;
+      if (to_completion && stalled >= kStallRoundLimit) break;
       ExtractedRuns& alpha = ws.runs;
       {
         RIT_TRACE_SPAN("rit.extract");
@@ -134,7 +135,6 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
       CraParams params;
       params.q = q;
       params.m_i = m_i;
-      params.empty_sample = config.empty_sample;
       params.price_mode = config.price_mode;
       params.consensus_grid_base = config.consensus_log_base;
       run_cra_runs(alpha.runs, alpha.by_value, params, rng, ws.cra,

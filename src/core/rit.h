@@ -29,6 +29,11 @@
 
 namespace rit::core {
 
+/// kRunToCompletion only: a type gives up after this many consecutive
+/// zero-winner rounds (e.g. a lone remaining ask can never clear the
+/// consensus hurdle; see cra.h).
+inline constexpr std::uint32_t kStallRoundLimit = 100;
+
 /// Round budget for one task type (Alg. 3 line 7 / Lemma 6.3).
 struct RoundBudget {
   /// Worst-case (q -> 0) per-round truthfulness lower bound of Lemma 6.2.
@@ -36,8 +41,8 @@ struct RoundBudget {
   /// Maximum number of CRA rounds for this type.
   std::uint32_t max_rounds{0};
   /// True when per_round_bound was non-positive or the floor() came out 0
-  /// and RitConfig::clamp_min_one_round forced a round anyway — the H
-  /// guarantee does not hold for such parameters (DESIGN.md ambiguity #3).
+  /// and the budget was clamped to one round anyway — the H guarantee does
+  /// not hold for such parameters (DESIGN.md ambiguity #3).
   bool degraded{false};
 };
 
@@ -89,7 +94,7 @@ struct RitResult {
   std::vector<TypeAuctionInfo> type_info;
   /// eta = H^(1/m) actually used.
   double eta{0.0};
-  /// K_max the budget formula used (observed max k_j unless overridden).
+  /// K_max the budget formula used: the observed max k_j over the asks.
   std::uint32_t k_max{0};
   /// True if any type's round budget was degraded (see RoundBudget) or, in
   /// kRunToCompletion mode, any type spent more rounds than the H-budget.

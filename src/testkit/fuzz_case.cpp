@@ -13,7 +13,7 @@
 namespace rit::testkit {
 namespace {
 
-constexpr const char* kMagic = "ritcs-fuzzcase v1";
+constexpr const char* kMagic = "ritcs-fuzzcase v2";
 
 // Each enum's on-disk names, shared by the writer and the reader.
 template <typename E>
@@ -24,9 +24,6 @@ constexpr Names<core::PriceMode> kPriceNames = {
 constexpr Names<core::RoundBudgetPolicy> kPolicyNames = {
     {"theoretical", core::RoundBudgetPolicy::kTheoretical},
     {"completion", core::RoundBudgetPolicy::kRunToCompletion}};
-constexpr Names<core::EmptySamplePolicy> kEmptyNames = {
-    {"all", core::EmptySamplePolicy::kAllAsks},
-    {"none", core::EmptySamplePolicy::kNoWinners}};
 
 template <typename E>
 std::string_view name_of(const Names<E>& names, E e) {
@@ -57,17 +54,7 @@ std::string payload_text(const FuzzCase& c) {
   out << "price " << name_of(kPriceNames, c.config.price_mode) << "\n";
   out << "policy " << name_of(kPolicyNames, c.config.round_budget_policy)
       << "\n";
-  out << "empty " << name_of(kEmptyNames, c.config.empty_sample) << "\n";
-  out << "stall " << format_u64(c.config.stall_round_limit) << "\n";
-  out << "clamp " << format_u64(c.config.clamp_min_one_round ? 1 : 0)
-      << "\n";
   out << "zero " << format_u64(c.config.zero_on_failure ? 1 : 0) << "\n";
-  out << "kmax "
-      << (c.config.k_max_override
-              ? format_u64(*c.config.k_max_override)
-              : std::string("none"))
-      << "\n";
-  out << "threads " << format_u64(c.config.intra_threads) << "\n";
   return out.str();
 }
 
@@ -87,11 +74,6 @@ FuzzCase read_case(std::string_view text) {
   core::RitConfig& cfg = c.config;
   std::string payload;
   std::optional<std::uint64_t> asks;
-  const auto flag = [&r](std::string_view key) {
-    const std::uint64_t v = r.u64(key);
-    if (v > 1) r.fail(std::string(key) + " wants 0 or 1");
-    return v == 1;
-  };
   while (!r.done()) {
     const auto words = split_words(r.peek());
     const std::string key(words.empty() ? "" : words.front());
@@ -130,20 +112,10 @@ FuzzCase read_case(std::string_view text) {
       cfg.price_mode = read_enum(r, key, kPriceNames);
     } else if (key == "policy") {
       cfg.round_budget_policy = read_enum(r, key, kPolicyNames);
-    } else if (key == "empty") {
-      cfg.empty_sample = read_enum(r, key, kEmptyNames);
-    } else if (key == "stall") {
-      cfg.stall_round_limit = r.u32(key);
-    } else if (key == "clamp") {
-      cfg.clamp_min_one_round = flag(key);
     } else if (key == "zero") {
-      cfg.zero_on_failure = flag(key);
-    } else if (key == "kmax") {
-      const std::string_view v = r.value(key);
-      cfg.k_max_override.reset();
-      if (v != "none") cfg.k_max_override = r.as_u32(v, key);
-    } else if (key == "threads") {
-      cfg.intra_threads = r.u32(key);
+      const std::uint64_t v = r.u64(key);
+      if (v > 1) r.fail("zero wants 0 or 1");
+      cfg.zero_on_failure = v == 1;
     } else {
       r.fail("unknown key '" + key + "'");
     }

@@ -5,7 +5,7 @@
 // vector, the asks, each participant's true unit cost (for the IR
 // invariant), the tree's parent vector, the full RitConfig, and the
 // mechanism seed. The on-disk format is a line-keyed text file
-// ("ritcs-fuzzcase v1") with hex-float doubles and an FNV-1a checksum, so
+// ("ritcs-fuzzcase v2") with hex-float doubles and an FNV-1a checksum, so
 // a committed repro reloads bit-identically on any platform and a corrupt
 // or hand-mangled file is rejected rather than silently misreplayed.
 #pragma once
@@ -40,7 +40,7 @@ struct FuzzCase {
   std::string signature;
 };
 
-/// Serializes to the "ritcs-fuzzcase v1" text format. Deterministic:
+/// Serializes to the "ritcs-fuzzcase v2" text format. Deterministic:
 /// identical cases serialize to identical bytes.
 std::string serialize_case(const FuzzCase& c);
 

@@ -91,18 +91,7 @@ core::RitConfig random_config(rng::Rng& rng) {
   config.round_budget_policy = rng.bernoulli(0.6)
                                    ? core::RoundBudgetPolicy::kRunToCompletion
                                    : core::RoundBudgetPolicy::kTheoretical;
-  config.empty_sample = rng.bernoulli(0.7)
-                            ? core::EmptySamplePolicy::kAllAsks
-                            : core::EmptySamplePolicy::kNoWinners;
-  config.stall_round_limit =
-      5 + static_cast<std::uint32_t>(rng.uniform_index(20));
-  config.clamp_min_one_round = rng.bernoulli(0.9);
   config.zero_on_failure = rng.bernoulli(0.8);
-  if (rng.bernoulli(0.1)) {
-    config.k_max_override =
-        1 + static_cast<std::uint32_t>(rng.uniform_index(20));
-  }
-  config.intra_threads = rng.bernoulli(0.15) ? 2u : 1u;
   return config;
 }
 
@@ -249,7 +238,7 @@ FuzzCase apply_mutation(const FuzzCase& base, Mutation mutation,
       break;
     }
     case Mutation::kTweakConfig: {
-      switch (rng.uniform_index(7)) {
+      switch (rng.uniform_index(6)) {
         case 0: c.config.h = rng.uniform_real(0.2, 0.9); break;
         case 1: c.config.discount_base = rng.uniform_real(0.1, 0.9); break;
         case 2:
@@ -267,12 +256,6 @@ FuzzCase apply_mutation(const FuzzCase& base, Mutation mutation,
                       core::RoundBudgetPolicy::kTheoretical
                   ? core::RoundBudgetPolicy::kRunToCompletion
                   : core::RoundBudgetPolicy::kTheoretical;
-          break;
-        case 5:
-          c.config.empty_sample = c.config.empty_sample ==
-                                          core::EmptySamplePolicy::kAllAsks
-                                      ? core::EmptySamplePolicy::kNoWinners
-                                      : core::EmptySamplePolicy::kAllAsks;
           break;
         default: c.config.zero_on_failure = !c.config.zero_on_failure; break;
       }

@@ -15,7 +15,6 @@ namespace {
 
 using core::Ask;
 using core::CraParams;
-using core::EmptySamplePolicy;
 using core::Job;
 using core::PriceMode;
 using core::RitConfig;
@@ -120,10 +119,7 @@ NaiveRound naive_cra(const std::vector<double>& values,
       s = std::min(s, v);
     }
   }
-  if (!sampled_any) {
-    if (params.empty_sample == EmptySamplePolicy::kNoWinners) return out;
-    s = *std::max_element(values.begin(), values.end());
-  }
+  if (!sampled_any) s = *std::max_element(values.begin(), values.end());
 
   // Step 2: consensus-round the count of asks at or below the threshold.
   const double y = rng.uniform01();
@@ -193,7 +189,7 @@ RitResult oracle_run_rit(const FuzzCase& c) {
   res.allocation.assign(n, 0);
   res.auction_payment.assign(n, 0.0);
   res.payment.assign(n, 0.0);
-  res.k_max = config.k_max_override.value_or(core::observed_k_max(asks));
+  res.k_max = core::observed_k_max(asks);
   const std::uint32_t m = std::max<std::uint32_t>(job.num_demanded_types(), 1);
   res.eta = std::pow(config.h, 1.0 / static_cast<double>(m));
   res.achieved_probability = 1.0;
@@ -217,13 +213,12 @@ RitResult oracle_run_rit(const FuzzCase& c) {
     std::uint32_t stalled = 0;
     while (q > 0) {
       if (!to_completion && info.rounds_used >= info.budget.max_rounds) break;
-      if (to_completion && stalled >= config.stall_round_limit) break;
+      if (to_completion && stalled >= core::kStallRoundLimit) break;
       const NaiveAlpha alpha = naive_extract(type, asks, remaining);
       if (alpha.values.empty()) break;
       CraParams params;
       params.q = q;
       params.m_i = m_i;
-      params.empty_sample = config.empty_sample;
       params.price_mode = config.price_mode;
       params.consensus_grid_base = config.consensus_log_base;
       const NaiveRound round = naive_cra(alpha.values, params, rng);
@@ -269,20 +264,12 @@ RitResult oracle_run_rit(const FuzzCase& c) {
     return res;
   }
 
-  // Payment determination, the O(Σdepth) way: every participant receives
-  // its auction payment plus the depth-discounted auction payments of its
-  // different-type strict descendants (Alg. 3 line 24).
-  res.payment = res.auction_payment;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t node = tree::node_of_participant(i);
-    for (std::uint32_t d : tree.descendants(node)) {
-      const std::uint32_t j = tree::participant_of_node(d);
-      if (asks[j].type == asks[i].type) continue;
-      res.payment[i] += std::pow(config.discount_base,
-                                 static_cast<double>(tree.depth(d))) *
-                        res.auction_payment[j];
-    }
-  }
+  // Payment determination through the shared O(Σdepth) reference, which
+  // pushes each contribution up its ancestor chain (Alg. 3 line 24).
+  std::vector<TaskType> types(n);
+  for (std::uint32_t j = 0; j < n; ++j) types[j] = asks[j].type;
+  res.payment = core::tree_payments_reference(tree, types, res.auction_payment,
+                                              config.discount_base);
   return res;
 }
 

@@ -6,10 +6,11 @@
 // a per-user scan with push_backs, the CRA round (Alg. 1) re-sorts with
 // std::stable_sort and finds the consensus grid point by walking the
 // exponent ladder one step at a time, and the payment determination phase
-// is the O(Σdepth) ancestor recursion over tree.descendants(). None of the
-// production shortcuts (CSR type index, prefix-sum subtree queries, depth
-// memos, workspace reuse) appear here — which is the point: a bug in any
-// of them shows up as a field mismatch.
+// is core::tree_payments_reference, the O(Σdepth) ancestor walk that
+// core/audit also checks against. None of the production shortcuts (CSR
+// type index, preorder running sums, depth memos, workspace reuse) appear
+// here — which is the point: a bug in any of them shows up as a field
+// mismatch.
 //
 // The one thing the oracle shares with production is the RNG draw
 // *sequence*: both consume the same rng::Rng stream in the same order
@@ -17,7 +18,7 @@
 // outputs are comparable draw for draw. The round-budget formula
 // (compute_round_budget) is also shared — it is closed-form double
 // arithmetic with no algorithmic shortcuts to cross-check, and sharing it
-// keeps the comparison exact.
+// keeps the comparison exact. So is the stall limit (kStallRoundLimit).
 #pragma once
 
 #include <string>
@@ -44,8 +45,9 @@ core::RitResult oracle_run_rit(const FuzzCase& c);
 /// Compares production vs oracle results. Counters, allocations and flags
 /// are compared exactly; auction payments and derived probabilities with a
 /// 1e-12 relative tolerance (same-order sums of identical terms); final
-/// tree payments with `payment_tolerance` (the oracle's ancestor walk sums
-/// contributions in a different order than the preorder running-sum scan).
+/// tree payments with `payment_tolerance` (the reference's ancestor walk
+/// sums contributions in a different order than the preorder running-sum
+/// scan).
 OracleDiff diff_results(const core::RitResult& prod,
                         const core::RitResult& oracle,
                         double payment_tolerance = 1e-9);

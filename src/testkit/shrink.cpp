@@ -180,19 +180,8 @@ bool pass_canonicalize_config(const std::string& signature,
     cfg.round_budget_policy = defaults.round_budget_policy;
   });
   try_knob([&](core::RitConfig& cfg) {
-    cfg.empty_sample = defaults.empty_sample;
-  });
-  try_knob([&](core::RitConfig& cfg) {
-    cfg.stall_round_limit = defaults.stall_round_limit;
-  });
-  try_knob([&](core::RitConfig& cfg) {
-    cfg.clamp_min_one_round = defaults.clamp_min_one_round;
-  });
-  try_knob([&](core::RitConfig& cfg) {
     cfg.zero_on_failure = defaults.zero_on_failure;
   });
-  try_knob([&](core::RitConfig& cfg) { cfg.k_max_override.reset(); });
-  try_knob([&](core::RitConfig& cfg) { cfg.intra_threads = 1; });
   return progress;
 }
 

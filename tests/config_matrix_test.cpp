@@ -1,9 +1,8 @@
 // Configuration-matrix invariants: the paper's pathwise guarantees must
 // hold under EVERY supported configuration, not just the defaults. This
-// suite sweeps (empty-sample policy x discount base x round-budget policy x
-// graph family) and asserts, per cell: individual rationality, the budget
-// bound, payment monotonicity, exact job coverage on success, and a clean
-// audit report.
+// suite sweeps (discount base x round-budget policy x graph family) and
+// asserts, per cell: individual rationality, the budget bound, payment
+// monotonicity, exact job coverage on success, and a clean audit report.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -18,16 +17,13 @@ namespace rit {
 namespace {
 
 using MatrixParam =
-    std::tuple<core::EmptySamplePolicy, double, core::RoundBudgetPolicy,
-               sim::GraphKind>;
+    std::tuple<double, core::RoundBudgetPolicy, sim::GraphKind>;
 
 class ConfigMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Cells, ConfigMatrix,
     ::testing::Combine(
-        ::testing::Values(core::EmptySamplePolicy::kAllAsks,
-                          core::EmptySamplePolicy::kNoWinners),
         ::testing::Values(0.25, 0.5),
         ::testing::Values(core::RoundBudgetPolicy::kTheoretical,
                           core::RoundBudgetPolicy::kRunToCompletion),
@@ -43,10 +39,9 @@ sim::Scenario matrix_scenario(const MatrixParam& p) {
   s.k_max = 5;
   s.initial_joiners = 4;
   s.seed = 97;
-  s.mechanism.empty_sample = std::get<0>(p);
-  s.mechanism.discount_base = std::get<1>(p);
-  s.mechanism.round_budget_policy = std::get<2>(p);
-  s.graph = std::get<3>(p);
+  s.mechanism.discount_base = std::get<0>(p);
+  s.mechanism.round_budget_policy = std::get<1>(p);
+  s.graph = std::get<2>(p);
   return s;
 }
 

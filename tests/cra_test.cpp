@@ -266,25 +266,12 @@ TEST(Cra, WinnersAreAmongTheCheapestRawCount) {
   }
 }
 
-TEST(Cra, EmptySamplePolicyNoWinnersCanYieldZero) {
+TEST(Cra, EmptySampleStaysProductiveAndIr) {
   // With q + m_i astronomically large, the per-ask sample probability is
-  // ~0, so the sample is (almost) always empty.
-  std::vector<double> asks{1.0, 2.0, 3.0};
-  rng::Rng rng(10);
-  CraParams params{.q = 1000000, .m_i = 1000000,
-                   .empty_sample = EmptySamplePolicy::kNoWinners};
-  int winners = 0;
-  for (int t = 0; t < 50; ++t) {
-    winners += count_winners(run_round(asks, params, rng));
-  }
-  EXPECT_EQ(winners, 0);
-}
-
-TEST(Cra, EmptySamplePolicyAllAsksStaysProductiveAndIr) {
+  // ~0, so the sample is (almost) always empty and s is the top ask.
   std::vector<double> asks{1.0, 2.0, 3.0};
   rng::Rng rng(11);
-  CraParams params{.q = 1000000, .m_i = 1000000,
-                   .empty_sample = EmptySamplePolicy::kAllAsks};
+  CraParams params{.q = 1000000, .m_i = 1000000};
   bool any = false;
   for (int t = 0; t < 50; ++t) {
     const CraOutcome o = run_round(asks, params, rng);
@@ -303,7 +290,7 @@ TEST(Cra, SingleAskCannotClearTheConsensusHurdle) {
   // With z_s = 1 the consensus value 2^(z+y) <= 1 floors to 0 for every
   // y > 0, so a lone ask (almost) never wins — the mechanism needs real
   // competition per Remark 6.1. This is the faithful reading of Alg. 1 and
-  // the reason RitConfig::stall_round_limit exists.
+  // the reason core::kStallRoundLimit exists.
   std::vector<double> asks{2.5};
   rng::Rng rng(12);
   int wins = 0;
@@ -561,10 +548,7 @@ CraOutcome reference_run_cra(std::span<const double> asks,
       s = std::min(s, v);
     }
   }
-  if (!sampled_any) {
-    if (params.empty_sample == EmptySamplePolicy::kNoWinners) return out;
-    s = *std::max_element(asks.begin(), asks.end());
-  }
+  if (!sampled_any) s = *std::max_element(asks.begin(), asks.end());
   out.sample_min = s;
   const double y = rng.uniform01();
   out.raw_count = static_cast<std::uint64_t>(std::count_if(
@@ -680,12 +664,11 @@ TEST(CraFullSortEquivalence, ExtractShapedContinuousValues) {
 }
 
 TEST(CraFullSortEquivalence, EmptySampleTakesTheWholeBook) {
-  // q + m_i far above |alpha|: the sample is almost always empty, so under
-  // kAllAsks s is the largest ask and the band is every unit ask.
+  // q + m_i far above |alpha|: the sample is almost always empty, so s is
+  // the largest ask and the band is every unit ask.
   rng::Rng gen(34);
   const std::vector<double> asks = extract_shaped_book(40, 5, gen);
-  const CraParams params{.q = 1000000, .m_i = 1000000,
-                         .empty_sample = EmptySamplePolicy::kAllAsks};
+  const CraParams params{.q = 1000000, .m_i = 1000000};
   EXPECT_GT(expect_matches_full_sort(asks, params, 50, 500), 0);
 }
 
@@ -1049,14 +1032,12 @@ TEST(CraRunKernel, ThinningWithTheBudgetPrice) {
 }
 
 TEST(CraRunKernel, EmptySampleAllAsksWinsWithoutASort) {
-  // kAllAsks with an empty sample: s is the top ask, the band is the whole
-  // book, and with distinct values and q above |alpha| the n_s cheapest
-  // asks win.
+  // An empty sample: s is the top ask, the band is the whole book, and
+  // with distinct values and q above |alpha| the n_s cheapest asks win.
   rng::Rng gen(50);
   const UserBook book = per_user_book(60, 0, 0.0, gen);
   const auto units = static_cast<std::uint32_t>(book.asks.size());
-  const CraParams params{.q = 1000000, .m_i = 1000000,
-                         .empty_sample = EmptySamplePolicy::kAllAsks};
+  const CraParams params{.q = 1000000, .m_i = 1000000};
   int empty = 0;
   EXPECT_GT(expect_runs_match_full_sort(
                 book, params, 40, 1040,
@@ -1123,15 +1104,12 @@ TEST(CraRunKernel, BudgetOneSamplesEveryAskWithoutDraws) {
             *std::min_element(book.asks.begin(), book.asks.end()));
 }
 
-TEST(CraRunKernel, EmptySampleUnderBothPolicies) {
+TEST(CraRunKernel, EmptySampleMatchesFullSort) {
   // q + m_i far above |alpha|: the sample is almost always empty.
   rng::Rng gen(43);
   const UserBook book = per_user_book(40, 5, 0.5, gen);
-  CraParams params{.q = 1000000, .m_i = 1000000,
-                   .empty_sample = EmptySamplePolicy::kAllAsks};
+  const CraParams params{.q = 1000000, .m_i = 1000000};
   EXPECT_GT(expect_runs_match_full_sort(book, params, 40, 920), 0);
-  params.empty_sample = EmptySamplePolicy::kNoWinners;
-  EXPECT_LT(expect_runs_match_full_sort(book, params, 40, 920), 40);
 }
 
 TEST(CraRunKernel, OrderStatisticArm) {

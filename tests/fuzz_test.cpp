@@ -74,13 +74,8 @@ FuzzInstance make_fuzz_instance(rng::Rng& rng) {
   inst.config.round_budget_policy = rng.bernoulli(0.5)
                                         ? RoundBudgetPolicy::kTheoretical
                                         : RoundBudgetPolicy::kRunToCompletion;
-  inst.config.empty_sample = rng.bernoulli(0.5)
-                                 ? EmptySamplePolicy::kAllAsks
-                                 : EmptySamplePolicy::kNoWinners;
   inst.config.price_mode = rng.bernoulli(0.25) ? PriceMode::kOrderStatistic
                                                : PriceMode::kConsensus;
-  inst.config.stall_round_limit =
-      static_cast<std::uint32_t>(1 + rng.uniform_index(30));
   inst.config.record_round_trace = rng.bernoulli(0.3);
   return inst;
 }

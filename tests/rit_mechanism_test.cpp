@@ -75,14 +75,6 @@ TEST(RoundBudget, DegradesWhenConsensusTermBlowsUp) {
   EXPECT_EQ(b.max_rounds, 1u);
 }
 
-TEST(RoundBudget, UnclampedAllowsZeroRounds) {
-  RitConfig cfg;
-  cfg.clamp_min_one_round = false;
-  const RoundBudget b = compute_round_budget(30, 20, 0.978, cfg);
-  EXPECT_TRUE(b.degraded);
-  EXPECT_EQ(b.max_rounds, 0u);
-}
-
 TEST(RoundBudget, ZeroDemandNeedsNoRounds) {
   RitConfig cfg;
   const RoundBudget b = compute_round_budget(0, 20, 0.978, cfg);
@@ -187,15 +179,6 @@ TEST(AuctionPhase, FailureKeepsDiagnostics) {
   ASSERT_EQ(r.type_info.size(), 1u);
   EXPECT_EQ(r.type_info[0].demanded, 1000u);
   EXPECT_LT(r.type_info[0].allocated, 1000u);
-}
-
-TEST(AuctionPhase, KMaxOverrideRespected) {
-  ComfortableInstance inst(9);
-  rng::Rng rng(99);
-  RitConfig cfg;
-  cfg.k_max_override = 17;
-  const RitResult r = run_auction_phase(inst.job, inst.asks, cfg, rng);
-  EXPECT_EQ(r.k_max, 17u);
 }
 
 TEST(AuctionPhase, RejectsBadH) {
@@ -426,13 +409,11 @@ TEST(Rit, StallLimitTerminatesHopelessTypes) {
   // without the stall limit.
   const Job job(std::vector<std::uint32_t>{2});
   std::vector<Ask> asks{{TaskType{0}, 1, 1.0}};
-  RitConfig cfg = completion_config();
-  cfg.stall_round_limit = 25;
   rng::Rng rng(9);
-  const RitResult r = run_auction_phase(job, asks, cfg, rng);
+  const RitResult r = run_auction_phase(job, asks, completion_config(), rng);
   EXPECT_FALSE(r.success);
   ASSERT_EQ(r.type_info.size(), 1u);
-  EXPECT_LE(r.type_info[0].rounds_used, 25u + 2u);
+  EXPECT_LE(r.type_info[0].rounds_used, kStallRoundLimit + 2u);
 }
 
 TEST(Rit, OrderStatisticModeFlagsDegradedProbability) {
@@ -544,12 +525,8 @@ TEST(RunAuction, SmallestBudgetMatchesOracle) {
   EXPECT_GT(expect_oracle_agrees(per_user_book_case(200, 0.0, 1), 10), 0u);
 }
 
-TEST(RunAuction, EmptySampleUnderBothPoliciesMatchesOracle) {
-  testkit::FuzzCase c = per_user_book_case(60, 1.0);
-  c.config.empty_sample = EmptySamplePolicy::kAllAsks;
-  EXPECT_GT(expect_oracle_agrees(c, 6), 0u);
-  c.config.empty_sample = EmptySamplePolicy::kNoWinners;
-  expect_oracle_agrees(c, 6);
+TEST(RunAuction, EmptySampleMatchesOracle) {
+  EXPECT_GT(expect_oracle_agrees(per_user_book_case(60, 1.0), 6), 0u);
 }
 
 TEST(RunAuction, OrderStatisticMatchesOracle) {

@@ -64,7 +64,6 @@ TEST(Scenario, DefaultMechanismRunsToCompletion) {
   EXPECT_EQ(cfg.discount_base, paper.discount_base);
   EXPECT_EQ(cfg.consensus_log_base, paper.consensus_log_base);
   EXPECT_EQ(cfg.price_mode, paper.price_mode);
-  EXPECT_EQ(cfg.stall_round_limit, paper.stall_round_limit);
 }
 
 TEST(Scenario, TrialSeedsAreDistinctAcrossTrialsAndComponents) {

@@ -94,12 +94,13 @@ TEST(FuzzCaseIo, HostileCasesAreRejected) {
       {"demand count 2^60", "demand", "demand " + hostile::kHugeCount + " 1"},
       {"ask type 2^32", "ask",
        "ask " + hostile::kU32Overflow + " 1 0x1p+0 0x1p-1 0"},
-      {"threads 2^32+1", "threads", "threads " + hostile::kU32Wrap},
-      {"stall 2^32", "stall", "stall " + hostile::kU32Overflow},
+      {"ask quantity 2^32+1", "ask",
+       "ask 0 " + hostile::kU32Wrap + " 0x1p+0 0x1p-1 0"},
+      {"demand value 2^32", "demand", "demand 1 " + hostile::kU32Overflow},
   };
   for (const auto& p : probes) {
     const std::string probe = hostile::replace_key(payload, p.key, p.line);
-    const std::string sealed = "ritcs-fuzzcase v1\nchecksum " +
+    const std::string sealed = "ritcs-fuzzcase v2\nchecksum " +
                                format_u64(fnv1a64(probe)) + "\n" + probe;
     EXPECT_EQ(hostile::read_outcome(
                   [&] { return parse_case(sealed).has_value(); }),
