@@ -1,8 +1,9 @@
 // Configuration-matrix invariants: the paper's pathwise guarantees must
 // hold under EVERY supported configuration, not just the defaults. This
-// suite sweeps (discount base x round-budget policy x graph family) and
-// asserts, per cell: individual rationality, the budget bound, payment
-// monotonicity, exact job coverage on success, and a clean audit report.
+// suite sweeps (price mode x discount base x round-budget policy x graph
+// family) and asserts, per cell: individual rationality, the budget bound,
+// payment monotonicity, exact job coverage on success, and a clean audit
+// report.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -16,14 +17,16 @@
 namespace rit {
 namespace {
 
-using MatrixParam =
-    std::tuple<double, core::RoundBudgetPolicy, sim::GraphKind>;
+using MatrixParam = std::tuple<core::PriceMode, double,
+                               core::RoundBudgetPolicy, sim::GraphKind>;
 
 class ConfigMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Cells, ConfigMatrix,
     ::testing::Combine(
+        ::testing::Values(core::PriceMode::kConsensus,
+                          core::PriceMode::kOrderStatistic),
         ::testing::Values(0.25, 0.5),
         ::testing::Values(core::RoundBudgetPolicy::kTheoretical,
                           core::RoundBudgetPolicy::kRunToCompletion),
@@ -39,9 +42,10 @@ sim::Scenario matrix_scenario(const MatrixParam& p) {
   s.k_max = 5;
   s.initial_joiners = 4;
   s.seed = 97;
-  s.mechanism.discount_base = std::get<0>(p);
-  s.mechanism.round_budget_policy = std::get<1>(p);
-  s.graph = std::get<2>(p);
+  s.mechanism.price_mode = std::get<0>(p);
+  s.mechanism.discount_base = std::get<1>(p);
+  s.mechanism.round_budget_policy = std::get<2>(p);
+  s.graph = std::get<3>(p);
   return s;
 }
 

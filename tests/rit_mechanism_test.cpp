@@ -75,6 +75,26 @@ TEST(RoundBudget, DegradesWhenConsensusTermBlowsUp) {
   EXPECT_EQ(b.max_rounds, 1u);
 }
 
+TEST(RoundBudget, VacuousBoundStillRunsOneRound) {
+  // 2*K_max >= m_i makes the Lemma 6.2 bound vacuous. The formula alone
+  // would allow zero rounds; the clamp makes the theoretical budget spend
+  // exactly one CRA round on the type instead (DESIGN.md ambiguity #3).
+  const Job job(std::vector<std::uint32_t>{4});
+  std::vector<Ask> asks;
+  for (std::uint32_t j = 0; j < 6; ++j) {
+    asks.push_back(Ask{TaskType{0}, 3, 1.0 + j});
+  }
+  RitConfig cfg;
+  cfg.zero_on_failure = false;
+  rng::Rng rng(5);
+  const RitResult r = run_auction_phase(job, asks, cfg, rng);
+  ASSERT_EQ(r.type_info.size(), 1u);
+  EXPECT_TRUE(r.type_info[0].budget.degraded);
+  EXPECT_EQ(r.type_info[0].budget.max_rounds, 1u);
+  EXPECT_EQ(r.type_info[0].rounds_used, 1u);
+  EXPECT_TRUE(r.probability_degraded);
+}
+
 TEST(RoundBudget, ZeroDemandNeedsNoRounds) {
   RitConfig cfg;
   const RoundBudget b = compute_round_budget(0, 20, 0.978, cfg);
@@ -179,6 +199,26 @@ TEST(AuctionPhase, FailureKeepsDiagnostics) {
   ASSERT_EQ(r.type_info.size(), 1u);
   EXPECT_EQ(r.type_info[0].demanded, 1000u);
   EXPECT_LT(r.type_info[0].allocated, 1000u);
+}
+
+TEST(AuctionPhase, KMaxIsTheObservedMaximum) {
+  // K_max is always the largest quantity any ask claims: raising one ask's
+  // quantity raises it, and the per-round bound of every type falls.
+  ComfortableInstance inst(9);
+  rng::Rng rng(99);
+  const RitResult r = run_auction_phase(inst.job, inst.asks, RitConfig{}, rng);
+  EXPECT_EQ(r.k_max, observed_k_max(inst.asks));
+  EXPECT_EQ(r.k_max, 3u);
+  inst.asks[0].quantity = 17;
+  rng::Rng again(99);
+  const RitResult big =
+      run_auction_phase(inst.job, inst.asks, RitConfig{}, again);
+  EXPECT_EQ(big.k_max, 17u);
+  ASSERT_EQ(big.type_info.size(), r.type_info.size());
+  for (std::size_t t = 0; t < r.type_info.size(); ++t) {
+    EXPECT_LT(big.type_info[t].budget.per_round_bound,
+              r.type_info[t].budget.per_round_bound);
+  }
 }
 
 TEST(AuctionPhase, RejectsBadH) {
