@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -167,28 +168,30 @@ BENCHMARK(BM_CraRoundWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
 // always empty and the whole book is the band. Arg 2, when nonzero, is
 // m_i instead, with q = m_i (the first round of a type). Reports the
 // measured band ratio and heap allocations per round, which must be 0: the
-// buffers whose size follows the round's random n_s are reserved to
-// |alpha| up front (their high-water mark), and the warm-up lets every
-// branch (thinning, step-5 sampling) size the rest. The book's value order
-// is built once, outside the timed loop, as RIT builds it once per auction.
+// round reserves the buffers whose fill follows its random draws to their
+// bounds. The book is complete (core::complete_book): its value order is
+// sorted once, outside the timed loop, so the arms time the round itself,
+// without the gather and bucket sorts an Extract book does as it goes.
 void BM_CraRoundUnitRuns(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
   const auto band_pct = static_cast<std::uint64_t>(state.range(1));
   rng::Rng gen(5);
-  std::vector<core::AskRun> book;
+  core::ExtractedRuns book;
   std::uint32_t units = 0;
   for (std::size_t u = 0; u < users; ++u) {
     const double v = gen.uniform_real_left_open(0.0, 10.0);
     const auto len = static_cast<std::uint32_t>(gen.uniform_int(1, 20));
-    book.push_back(core::AskRun{v, units, len});
+    book.runs.push_back(core::AskRun{v, units, len});
     units += len;
   }
-  std::vector<std::uint32_t> by_value(book.size());
+  std::vector<std::uint32_t>& by_value = book.by_value;
+  by_value.resize(book.runs.size());
   std::iota(by_value.begin(), by_value.end(), 0u);
   std::stable_sort(by_value.begin(), by_value.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return book[a].value < book[b].value;
+                     return book.runs[a].value < book.runs[b].value;
                    });
+  core::complete_book(book);
   core::CraParams params;
   if (state.range(2) > 0) {
     params.m_i = static_cast<std::uint32_t>(state.range(2));
@@ -202,22 +205,17 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
   rng::Rng rng(6);
   core::CraWorkspace ws;
   core::CraOutcome out;
-  ws.sample_pool.reserve(units);
-  ws.thinned.reserve(units / 64 + 1);
-  ws.sampled.reserve(units / 64 + 1);
-  for (int warm = 0; warm < 64; ++warm) {
-    core::run_cra_runs(book, by_value, params, rng, ws, out);
-  }
+  core::run_cra_runs(book, params, rng, ws, out);
   std::uint64_t band_asks = 0;
   for (auto _ : state) {
-    core::run_cra_runs(book, by_value, params, rng, ws, out);
+    core::run_cra_runs(book, params, rng, ws, out);
     band_asks += out.raw_count;
     benchmark::DoNotOptimize(out.num_winners);
   }
   const double rounds = static_cast<double>(state.iterations());
   state.counters["heap_allocs_per_round"] =
       benchmark::Counter(heap_allocs_per_call(state.iterations(), [&] {
-        core::run_cra_runs(book, by_value, params, rng, ws, out);
+        core::run_cra_runs(book, params, rng, ws, out);
       }));
   state.counters["band_ratio"] = benchmark::Counter(
       rounds > 0 ? static_cast<double>(band_asks) /
@@ -294,8 +292,11 @@ BENCHMARK(BM_Extract)
     ->Args({100000, 0});
 
 // The per-auction index build: the per-type CSR and each type's value
-// sort, on a warm index (make_market; the second arg is its `cents`: 0 for
-// continuous values, 1 for values on a 0.01 grid, about 8 users a value).
+// bucket scatter and tie check, on a warm index (make_market; the second
+// arg is its `cents`: 0 for continuous values, 1 for values on a 0.01
+// grid, about 8 users a value). The buckets of at most 8 slots are sorted
+// later, as CRA bands reach them; BM_TypeIndexSortAll adds sorting all of
+// them, what a round whose band is the whole book asks for.
 // heap_allocs_per_build must be 0: every buffer keeps its capacity.
 void BM_TypeIndexBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -316,16 +317,41 @@ BENCHMARK(BM_TypeIndexBuild)
     ->Args({80000, 1})
     ->Args({1000000, 0});
 
+void BM_TypeIndexSortAll(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<core::Ask> asks = make_market(n, 4, state.range(1));
+  core::AskTypeIndex index;
+  const auto build_sorted = [&] {
+    index.build(10, asks);
+    for (std::uint32_t t = 0; t < 10; ++t) {
+      index.sort_through(t, std::numeric_limits<double>::infinity());
+    }
+  };
+  build_sorted();
+  for (auto _ : state) {
+    build_sorted();
+    benchmark::DoNotOptimize(index.by_value.data());
+  }
+  state.counters["heap_allocs_per_build"] = benchmark::Counter(
+      heap_allocs_per_call(state.iterations(), build_sorted));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_TypeIndexSortAll)
+    ->Args({80000, 0})
+    ->Args({80000, 1})
+    ->Args({1000000, 0});
+
 // The whole auction phase (Extract, CRA rounds, write-back) on a warm
 // workspace and result, at the repo benchmark's market shapes: 80k users
 // and 10 types with k ~ U{1..20}, run to completion, at m_i = 5000 (the
 // paper_sweep shape) and m_i = 66000 (tight_market). The third arg is
 // make_market's `cents`: at 1, users tie on a 0.01 grid, so phase 2 walks
 // real tie groups, which the continuous arms and the repo benchmark never
-// reach. heap_allocs_per_run must be 0: as in BM_CraRoundUnitRuns, the CRA
-// buffers whose size follows a round's random n_s or band (the step-5
-// pool, the bitmaps and the band's tie expansion) are reserved to the
-// largest |alpha| up front, and the warm-up runs size the rest.
+// reach. heap_allocs_per_run must be 0: as in BM_CraRoundUnitRuns, each
+// CRA round reserves the buffers whose fill follows its random draws (the
+// step-5 pool, the bitmaps and the band's tie expansion) to their bounds,
+// and the warm-up run sizes the rest.
 void BM_AuctionPhaseWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto m_i = static_cast<std::uint32_t>(state.range(1));
@@ -336,16 +362,7 @@ void BM_AuctionPhaseWorkspace(benchmark::State& state) {
   rng::Rng rng(11);
   core::RitWorkspace ws;
   core::RitResult out;
-  std::vector<std::size_t> supply(10, 0);
-  for (const core::Ask& a : asks) supply[a.type.value] += a.quantity;
-  const std::size_t alpha = *std::max_element(supply.begin(), supply.end());
-  ws.cra.sample_pool.reserve(alpha);
-  ws.cra.ties.reserve(alpha);
-  ws.cra.thinned.reserve(alpha / 64 + 1);
-  ws.cra.sampled.reserve(alpha / 64 + 1);
-  for (int warm = 0; warm < 4; ++warm) {
-    core::run_auction_phase_into(job, asks, cfg, rng, ws, out);
-  }
+  core::run_auction_phase_into(job, asks, cfg, rng, ws, out);
   for (auto _ : state) {
     core::run_auction_phase_into(job, asks, cfg, rng, ws, out);
     benchmark::DoNotOptimize(out.auction_payment.data());

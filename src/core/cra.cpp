@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
 
@@ -54,14 +55,18 @@ std::uint64_t lcm_up_to(std::uint32_t max_len) {
   return lcm;
 }
 
-// A round's runs in ascending (value, run) order: the book's by_value.
+// A round's runs in ascending (value, run) order, as far as the book has
+// gathered them.
 struct Order {
   std::span<const AskRun> runs;
   std::span<const std::uint32_t> by_value;
 
+  explicit Order(const ExtractedRuns& book)
+      : runs(book.runs), by_value(book.by_value.data(), book.ordered) {}
   const AskRun& operator[](std::size_t k) const { return runs[by_value[k]]; }
   std::size_t size() const { return by_value.size(); }
   // End of the tie group (maximal run of equal values) that starts at k.
+  // A band group ends inside the band: every run of its value is in it.
   std::size_t group_end(std::size_t k) const {
     std::size_t e = k + 1;
     while (e < size() && (*this)[e].value == (*this)[k].value) ++e;
@@ -75,6 +80,24 @@ struct Order {
     return true;
   }
 };
+
+// Whether the book's first `band` ordered runs are the first `band` of
+// its whole order, sorted from scratch, and a false tie flag holds on it
+// (debug checks).
+[[maybe_unused]] bool band_matches_full_order(const ExtractedRuns& book,
+                                              std::size_t band) {
+  std::vector<std::uint32_t> full(book.runs.size());
+  std::iota(full.begin(), full.end(), 0u);
+  std::stable_sort(full.begin(), full.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return book.runs[a].value < book.runs[b].value;
+                   });
+  for (std::size_t k = 1; k < full.size() && !book.tied; ++k) {
+    if (book.runs[full[k]].value == book.runs[full[k - 1]].value) return false;
+  }
+  return band <= book.ordered &&
+         std::equal(full.begin(), full.begin() + band, book.by_value.begin());
+}
 
 // Ascending-value order of the band's unit asks with ties shuffled
 // uniformly: equal asks must be treated equally ("anonymity"), otherwise
@@ -90,15 +113,23 @@ struct Order {
 // per unit ask) and shuffled for real; any other group's shuffle is not
 // stored, only drawn. When no two runs share a value, every group is one
 // run and its shuffle only permutes that run's equal asks, all of length
-// at most `max_len`: then the units - runs draws are skipped at once
-// (rng::Rng::skip_uniform_indices), unless lcm(2..max_len) is over the cap
-// or a raw draw hits the filter.
-void order_band(const Order& order, std::size_t band, std::uint64_t units,
-                std::uint32_t max_len, CraWorkspace& ws, rng::Rng& rng) {
+// at most the book's max_len: then the units - runs draws are skipped at
+// once (rng::Rng::skip_uniform_indices), unless lcm(2..max_len) is over
+// the cap or a raw draw hits the filter. A book without tied values skips
+// without reading its order; any other takes the whole order, and a tied
+// book scans it for equal neighbours first, since its exhausted users may
+// have taken the tie with them.
+void order_band(ExtractedRuns& book, std::size_t band, CraWorkspace& ws,
+                rng::Rng& rng) {
   ws.ties.clear();
-  const std::uint64_t lcm = lcm_up_to(max_len);
-  if (lcm != 0 && order.distinct() &&
-      rng.skip_uniform_indices(units - order.size(), lcm)) {
+  const std::uint64_t lcm = lcm_up_to(book.max_len);
+  const std::uint64_t draws = book.units - book.runs.size();
+  if (lcm != 0 && !book.tied && rng.skip_uniform_indices(draws, lcm)) return;
+  book.order_through(std::numeric_limits<double>::infinity());
+  RIT_DCHECK(band_matches_full_order(book, book.ordered));
+  const Order order(book);
+  if (lcm != 0 && book.tied && order.distinct() &&
+      rng.skip_uniform_indices(draws, lcm)) {
     return;
   }
   for (std::size_t r = 0; r < order.size();) {
@@ -212,10 +243,8 @@ void count_wins(const Order& order, std::size_t band, std::uint64_t end,
 
 }  // namespace
 
-void run_cra_runs(std::span<const AskRun> runs,
-                  std::span<const std::uint32_t> by_value,
-                  const CraParams& params, rng::Rng& rng, CraWorkspace& ws,
-                  CraOutcome& out) {
+void run_cra_runs(ExtractedRuns& book, const CraParams& params, rng::Rng& rng,
+                  CraWorkspace& ws, CraOutcome& out) {
   RIT_COUNTER_INC("cra.rounds");
   // Reset the outcome in place: `winners` keeps its capacity across rounds.
   out.winners.clear();
@@ -226,34 +255,38 @@ void run_cra_runs(std::span<const AskRun> runs,
   out.raw_count = 0;
   out.consensus_count = 0;
   out.used_budget_price = false;
-  RIT_CHECK(by_value.size() == runs.size());
+  const std::span<const AskRun> runs = book.runs;
+  RIT_CHECK(book.index != nullptr || book.ordered == runs.size());
   if (runs.empty() || params.q == 0) return;
   const std::uint64_t budget =
       static_cast<std::uint64_t>(params.q) + params.m_i;
   RIT_CHECK(budget > 0);
-  const Order order{runs, by_value};
-  std::uint64_t units = 0;  // |alpha|
-  std::uint32_t max_len = 1;
-  for (const AskRun& run : runs) {
-    RIT_DCHECK(run.len > 0 && run.start == units);
-    units += run.len;
-    max_len = std::max(max_len, run.len);
+  const std::uint64_t units = book.units;  // |alpha|
+  RIT_CHECK(runs.back().start + std::uint64_t{runs.back().len} == units);
+  // Reserve what the random draws fill to its bound, so that a warm
+  // workspace never grows: at most min(q+m_i, |alpha|) asks are chosen
+  // (step 5's pool and bitmap), the bitmaps of phase 1 and step 3 cover
+  // at most |alpha| positions, and a tied book's band ties expand at most
+  // its |alpha| asks over its runs.
+  const std::uint64_t chosen_max = std::min(budget, units);
+  ws.sample_pool.reserve(chosen_max);
+  ws.sampled.reserve((chosen_max + 63) / 64);
+  ws.thinned.reserve((units + 63) / 64);
+  if (book.tied) {
+    ws.ties.reserve(units);
+    ws.tie_wins.reserve(runs.size());
   }
-  // Ascending (value, run).
-  RIT_DCHECK(std::adjacent_find(by_value.begin(), by_value.end(),
-                                [&](std::uint32_t a, std::uint32_t b) {
-                                  const double va = runs[a].value;
-                                  const double vb = runs[b].value;
-                                  return va > vb || (va == vb && a > b);
-                                }) == by_value.end());
   out.winners.reserve(runs.size());  // one entry per winning run at most
 
+  constexpr double kTop = std::numeric_limits<double>::infinity();
   if (params.price_mode == PriceMode::kOrderStatistic) {
     // Ablation arm: a plain (q+m_i+1)-st lowest price round. Needs at least
     // budget+1 asks to define the price; ties shuffled like the main path.
     if (units < budget + 1) return;
-    const std::size_t band = order.size();
-    order_band(order, band, units, max_len, ws, rng);
+    const std::size_t band = book.order_through(kTop);
+    RIT_DCHECK(band_matches_full_order(book, band));
+    order_band(book, band, ws, rng);
+    const Order order(book);
     const double price = value_at(order, band, budget);
     out.sample_min = price;
     out.raw_count = budget;
@@ -270,39 +303,42 @@ void run_cra_runs(std::span<const AskRun> runs,
   // Phase 1 of the CRA round: threshold sampling plus consensus rounding of
   // the below-threshold count (steps 1-2 of the paper's Algorithm 2).
   std::uint64_t n_s = 0;
+  std::size_t band = 0;
   {
     RIT_TRACE_SPAN("cra.phase1");
     // Step 1: Bernoulli(1/(q+m_i)) sample of every unit ask; s = min
     // sampled value. The draws run flat over alpha in one scan into a
-    // bitmap; each set bit (rare: about |alpha| / (q+m_i) of them) advances
-    // a cursor to its run.
+    // bitmap; each set bit (rare: about |alpha| / (q+m_i) of them) is
+    // found in its run by binary search on the runs' starts.
     const std::uint64_t sampled = rng.bernoulli_bits(
         units, rng::Rng::bernoulli_threshold(1.0 / static_cast<double>(budget)),
         ws.thinned);
-    double s = std::numeric_limits<double>::infinity();
-    std::size_t r = 0;
+    double s = kTop;
     for (std::size_t w = 0; w < ws.thinned.size(); ++w) {
       for (std::uint64_t word = ws.thinned[w]; word != 0; word &= word - 1) {
         const std::uint64_t u =
             64 * w + static_cast<std::uint64_t>(std::countr_zero(word));
-        while (runs[r].start + runs[r].len <= u) ++r;
-        s = std::min(s, runs[r].value);
+        const auto run = std::upper_bound(
+            runs.begin(), runs.end(), u,
+            [](std::uint64_t pos, const AskRun& r) { return pos < r.start; });
+        s = std::min(s, std::prev(run)->value);
       }
     }
     if (sampled == 0) {
       // An empty sample leaves s = min S undefined (DESIGN.md ambiguity
       // #6): act as if the threshold sits at the top of the book — every
       // ask is at or below it, and it is still a finite, IR-safe price.
-      s = order[order.size() - 1].value;
+      book.order_through(kTop);
+      s = runs[book.by_value[book.ordered - 1]].value;
     }
     out.sample_min = s;
 
-    // Step 2: consensus-round the count of asks <= s.
+    // Step 2: consensus-round the count of asks <= s, the band's units.
     const double y = rng.uniform01();
+    band = book.order_through(s);
+    RIT_DCHECK(band_matches_full_order(book, band));
     std::uint64_t raw = 0;
-    for (const AskRun& run : runs) {
-      if (run.value <= s) raw += run.len;
-    }
+    for (std::size_t k = 0; k < band; ++k) raw += runs[book.by_value[k]].len;
     out.raw_count = raw;
     n_s = consensus_round_down(raw, y, params.consensus_grid_base);
     out.consensus_count = n_s;
@@ -312,11 +348,8 @@ void run_cra_runs(std::span<const AskRun> runs,
 
   // Phase 2 of the CRA round: winner selection and pricing (steps 3-5).
   RIT_TRACE_SPAN("cra.phase2");
-  const std::size_t band = static_cast<std::size_t>(
-      std::partition_point(by_value.begin(), by_value.end(),
-                           [&](std::uint32_t r) { return runs[r].value <= s; }) -
-      by_value.begin());
-  order_band(order, band, units, max_len, ws, rng);
+  order_band(book, band, ws, rng);
+  const Order order(book);
 
   // Step 3: the potential winners are the n_s cheapest asks, or each of
   // them independently with probability (q+m_i)/(2 n_s) when n_s exceeds
@@ -362,12 +395,12 @@ void run_cra_runs(std::span<const AskRun> runs,
 
 void run_cra(std::span<const double> asks, const CraParams& params,
              rng::Rng& rng, CraWorkspace& ws, CraOutcome& out) {
-  std::vector<AskRun>& book = ws.unit_runs;
-  book.resize(asks.size());
+  ExtractedRuns& book = ws.unit_book;
+  book.runs.resize(asks.size());
   for (std::uint32_t i = 0; i < asks.size(); ++i) {
-    book[i] = AskRun{asks[i], i, 1};
+    book.runs[i] = AskRun{asks[i], i, 1};
   }
-  std::vector<std::uint32_t>& order = ws.unit_order;
+  std::vector<std::uint32_t>& order = book.by_value;
   order.resize(asks.size());
   std::iota(order.begin(), order.end(), 0u);
   // (value, index) is a strict order, so this is the stable sort by value
@@ -375,7 +408,8 @@ void run_cra(std::span<const double> asks, const CraParams& params,
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
     return asks[a] < asks[b] || (asks[a] == asks[b] && a < b);
   });
-  run_cra_runs(book, order, params, rng, ws, out);
+  complete_book(book);
+  run_cra_runs(book, params, rng, ws, out);
   out.won.assign(asks.size(), false);
   for (const RunWin& w : out.winners) out.won[w.run] = true;
 }

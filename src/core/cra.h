@@ -26,8 +26,8 @@
 // round therefore reports its winners as per-run counts, and phase 2 never
 // expands a run into unit asks unless its value ties with another run's.
 // Values never change within an auction, so the ascending order that steps
-// 3-5 need is sorted once per auction (AskTypeIndex) and handed to every
-// round.
+// 3-5 need comes from one per-auction index (AskTypeIndex); each round
+// gathers it only as far as its band, the runs at or below s.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/extract.h"
 #include "core/types.h"
 #include "rng/rng.h"
 
@@ -90,8 +91,10 @@ struct CraOutcome {
 
 /// Reusable scratch for run_cra_runs. RIT runs one CRA round per type per
 /// round-budget step, and a sweep runs millions of rounds; keep one
-/// workspace per thread and pass it to every round. At steady state
-/// (buffers grown to the book's size) a round performs no heap allocation.
+/// workspace per thread and pass it to every round. A round reserves the
+/// buffers whose fill follows its random draws to their bounds, so once a
+/// round has run on a book at least as big, the next performs no heap
+/// allocation.
 /// Contents are scratch only: nothing in here carries state between
 /// rounds. Phase 2 holds no per-run vector, and no per-unit vector except
 /// `ties` (the expansion of the band's multi-run tie groups) and the
@@ -110,44 +113,44 @@ struct CraWorkspace {
   std::vector<std::uint64_t> sampled;
   /// Step 5's Fisher-Yates scratch, one slot per chosen ask.
   std::vector<std::uint32_t> sample_pool;
-  /// The unit-vector run_cra's book (one run per unit ask) and its value
-  /// order.
-  std::vector<AskRun> unit_runs;
-  std::vector<std::uint32_t> unit_order;
+  /// The unit-vector run_cra's complete book: one run per unit ask.
+  ExtractedRuns unit_book;
 };
 
-/// Runs one CRA round over the unit asks that `runs` describe: run r is
-/// runs[r].len > 0 asks of value runs[r].value, and the runs tile alpha in
-/// order (equal values may recur in neighbouring runs). `by_value` lists
-/// every run index once, in ascending (value, run) order (Extract's
-/// ExtractedRuns::by_value). Draw for draw the round on the expanded
-/// unit-ask vector, with the winners counted per run (`out.winners`);
-/// `won` is left empty.
+/// Runs one CRA round over the unit asks of `book` (Extract's, or a
+/// complete_book): run r is runs[r].len > 0 asks of value runs[r].value,
+/// and the runs tile alpha in order (equal values may recur in
+/// neighbouring runs). Draw for draw the round on the expanded unit-ask
+/// vector, with the winners counted per run (`out.winners`); `won` is left
+/// empty. The round extends the book's value order as far as it reads it.
 ///
-/// Cost: O(users + draws) per round (one run per user), with no sort: the
-/// order is given. Phase 1 makes the paper's one raw draw per unit ask in
-/// one flat scan into a bitmap (rng::Rng::bernoulli_bits, SIMD lanes where
-/// the CPU has them) and visits only its set bits; the rest of it is per
-/// run.
-/// Phase 2 walks the order: the band (the runs at or below the threshold
-/// s) is its prefix, and a tie group is a stretch of equal values. The tie
-/// shuffle of a group that is one run only permutes that run's asks, so it
-/// is drawn but not stored; when no two runs share a value (one pass over
-/// the order), all of those draws are skipped at once
-/// (rng::Rng::skip_uniform_indices). Only a band group of several
-/// equal-valued runs is expanded to unit asks and shuffled for real.
-/// Steps 3-5 walk the band's unit positions run by run, with bitmaps for
-/// the thinning (one scan, rng::Rng::bernoulli_bits) and the step-5
-/// sample.
-void run_cra_runs(std::span<const AskRun> runs,
-                  std::span<const std::uint32_t> by_value,
-                  const CraParams& params, rng::Rng& rng, CraWorkspace& ws,
-                  CraOutcome& out);
+/// Cost: O(draws + band) per round, plus O(users) in the cases listed
+/// below; the book brings |alpha|, its longest run and its tie flag, so
+/// the round makes no pass over all runs of its own. Phase 1 makes the
+/// paper's one raw draw per unit ask in one flat scan into a bitmap
+/// (rng::Rng::bernoulli_bits, SIMD lanes where the CPU has them) and maps
+/// each of its few set bits to its run by binary search on `start`. The
+/// band (the runs at or below the threshold s) is the prefix of the value
+/// order that the book gathers through s, and the raw count is its unit
+/// sum. A tie group is a stretch of equal values. The tie shuffle of a
+/// group that is one run only permutes that run's asks, so it is drawn but
+/// not stored; when the book has no tied values, all of those draws are
+/// skipped at once (rng::Rng::skip_uniform_indices) and nothing above the
+/// band is read. Only a band group of several equal-valued runs is
+/// expanded to unit asks and shuffled for real. The round reads the whole
+/// order (and, for a tied book, scans it for equal neighbours) in four
+/// cases: the order-statistic arm, a tied book, an empty sample (s is the
+/// top of the book) and a skip that the lcm filter refuses. Steps 3-5
+/// walk the band's unit positions run by run, with bitmaps for the
+/// thinning (one scan, rng::Rng::bernoulli_bits) and the step-5 sample.
+void run_cra_runs(ExtractedRuns& book, const CraParams& params, rng::Rng& rng,
+                  CraWorkspace& ws, CraOutcome& out);
 
 /// The round over a unit-ask vector (the span Extract's alpha): sorts the
-/// asks by (value, index) and runs run_cra_runs with each unit ask its own
-/// run, so equal asks form tie groups of several runs whose shuffle is
-/// drawn for real, and marks the winners in `out.won`. All scratch lives
+/// asks by (value, index) and runs run_cra_runs on that complete book with
+/// each unit ask its own run, so equal asks form tie groups of several
+/// runs whose shuffle is drawn for real, and marks the winners in
+/// `out.won`. All scratch lives
 /// in `ws`; `out` is reused.
 void run_cra(std::span<const double> asks, const CraParams& params,
              rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);

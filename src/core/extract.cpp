@@ -11,20 +11,43 @@ namespace {
 // Marks a slot whose user has no capacity left in ExtractedRuns::run_of_slot.
 constexpr std::uint32_t kNoRun = ~std::uint32_t{0};
 
+// The bucket of value v out of nb: floor(v * scale), the values at or
+// above the top in the last one.
+std::uint32_t bucket_of(double v, double scale, std::uint32_t nb) {
+  return std::min(nb - 1, static_cast<std::uint32_t>(v * scale));
+}
+
+// Ascending (value, slot): equal values keep their user order.
+struct ByValue {
+  const double* value;
+  bool operator()(std::uint32_t a, std::uint32_t c) const {
+    return value[a] < value[c] || (value[a] == value[c] && a < c);
+  }
+};
+
+// Whether two of `values` are equal, from a sorted copy (debug checks).
+[[maybe_unused]] bool has_equal_values(std::span<const double> values) {
+  std::vector<double> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+}
+
 // Writes the slots [begin, end) of `value` to out[0, n), n = end - begin,
-// in ascending (value, slot) order. A stable counting sort on the bucket
-// floor(value * 2n / max), which is monotone in the value, leaves each
-// bucket's slots ascending; std::sort then orders each bucket of more than
-// one slot. With twice as many buckets as slots, a spread book leaves
-// most buckets empty or single, so this is about linear, with few
-// std::sort calls (BM_TypeIndexBuild times it); ties and skew only make
-// buckets bigger, up to one std::sort of the whole type. Values must be
+// grouped by bucket floor(value * 2n / max), which is monotone in the
+// value, with each bucket's slots ascending (a stable counting sort), and
+// returns the scale. A bucket of more than two slots is sorted here; a
+// pair is left for sort_through. With twice as many buckets as slots, a
+// spread book leaves most buckets empty or single and few of more than
+// two; ties and skew only make buckets bigger, up to one std::sort of the
+// whole type. Then every tie is between neighbours in `out`, since equal
+// values share a bucket, and `tied` is one pass over them. Values must be
 // finite and > 0.
-void sort_by_value(std::span<const double> value, std::uint32_t begin,
-                   std::uint32_t end, std::uint32_t* out,
-                   std::vector<std::uint32_t>& buckets) {
+double scatter_by_value(std::span<const double> value, std::uint32_t begin,
+                        std::uint32_t end, std::uint32_t* out,
+                        std::vector<std::uint32_t>& buckets, bool& tied) {
+  tied = false;
   const std::uint32_t n = end - begin;
-  if (n == 0) return;
+  if (n == 0) return 0.0;
   RIT_CHECK(n <= UINT32_MAX / 2);
   const double max =
       *std::max_element(value.begin() + begin, value.begin() + end);
@@ -32,24 +55,26 @@ void sort_by_value(std::span<const double> value, std::uint32_t begin,
   // v * scale is at most about nb; a max so small that nb / max
   // overflows puts every slot in one bucket.
   const double scale = std::isfinite(nb / max) ? nb / max : 0.0;
-  const auto bucket_of = [&](std::uint32_t i) {
-    return std::min(nb - 1, static_cast<std::uint32_t>(value[i] * scale));
-  };
   buckets.assign(nb + 1, 0);
-  for (std::uint32_t i = begin; i < end; ++i) ++buckets[bucket_of(i) + 1];
+  for (std::uint32_t i = begin; i < end; ++i) {
+    ++buckets[bucket_of(value[i], scale, nb) + 1];
+  }
   std::partial_sum(buckets.begin(), buckets.end(), buckets.begin());
-  for (std::uint32_t i = begin; i < end; ++i) out[buckets[bucket_of(i)]++] = i;
+  for (std::uint32_t i = begin; i < end; ++i) {
+    out[buckets[bucket_of(value[i], scale, nb)]++] = i;
+  }
   // buckets[b] is now the end of bucket b, and the start of bucket b + 1.
   std::uint32_t first = 0;
   for (std::uint32_t b = 0; b < nb; ++b) {
-    if (buckets[b] - first > 1) {
-      std::sort(out + first, out + buckets[b],
-                [&](std::uint32_t a, std::uint32_t c) {
-                  return value[a] < value[c] || (value[a] == value[c] && a < c);
-                });
+    if (buckets[b] - first > 2) {
+      std::sort(out + first, out + buckets[b], ByValue{value.data()});
     }
     first = buckets[b];
   }
+  for (std::uint32_t k = 1; k < n && !tied; ++k) {
+    tied = value[out[k]] == value[out[k - 1]];
+  }
+  return scale;
 }
 
 void extract_impl(TaskType type, std::span<const Ask> asks,
@@ -122,13 +147,59 @@ void AskTypeIndex::build(std::uint32_t types, std::span<const Ask> asks) {
   for (std::uint32_t t = types; t > 0; --t) offsets[t] = offsets[t - 1];
   offsets[0] = 0;
   by_value.resize(asks.size());
+  sorted_end.assign(offsets.begin(), offsets.end() - 1);
+  scale.resize(types);
+  tied.resize(types);
   for (std::uint32_t t = 0; t < types; ++t) {
-    sort_by_value(value, offsets[t], offsets[t + 1],
-                  by_value.data() + offsets[t], buckets);
+    bool t_tied = false;
+    scale[t] = scatter_by_value(value, offsets[t], offsets[t + 1],
+                                by_value.data() + offsets[t], buckets, t_tied);
+    tied[t] = t_tied ? 1 : 0;
   }
 }
 
-void extract_runs_into(TaskType type, const AskTypeIndex& index,
+std::uint32_t AskTypeIndex::sort_through(std::uint32_t t, double s) {
+  RIT_CHECK(t < num_types());
+  const std::uint32_t begin = offsets[t];
+  const std::uint32_t end = offsets[t + 1];
+  std::uint32_t* order = by_value.data();
+  // Every bucket left unsorted is a pair, and slots of different buckets
+  // are already in order, so one compare-and-swap of each pair of
+  // neighbours sorts the rest: after the one at (k, k + 1), slot k holds
+  // its final entry. The larger of the two is carried in registers to
+  // the next compare. The walk stops at the first final entry above s.
+  std::uint32_t k = sorted_end[t];
+  if (k < end) {
+    std::uint32_t carried = order[k];
+    double carried_value = value[carried];
+    for (;; ++k) {
+      if (k + 1 == end) {
+        order[k] = carried;
+        if (carried_value <= s) ++k;
+        break;
+      }
+      const std::uint32_t next = order[k + 1];
+      const double next_value = value[next];
+      const bool swap = next_value < carried_value ||
+                        (next_value == carried_value && next < carried);
+      order[k] = swap ? next : carried;
+      const double final_value = swap ? next_value : carried_value;
+      carried = swap ? carried : next;
+      carried_value = swap ? carried_value : next_value;
+      if (final_value > s) {
+        order[k + 1] = carried;
+        break;
+      }
+    }
+    sorted_end[t] = k;
+  }
+  return static_cast<std::uint32_t>(
+      std::partition_point(order + begin, order + k,
+                           [&](std::uint32_t i) { return value[i] <= s; }) -
+      order);
+}
+
+void extract_runs_into(TaskType type, AskTypeIndex& index,
                        std::span<const std::uint32_t> allocation,
                        ExtractedRuns& out) {
   RIT_CHECK(type.value < index.num_types());
@@ -153,6 +224,7 @@ void extract_runs_into(TaskType type, const AskTypeIndex& index,
   std::uint32_t* run_of_slot = out.run_of_slot.data();
   std::uint32_t live = 0;
   std::uint64_t start = 0;
+  std::uint32_t max_len = 1;
   bool over = false;
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t j = user[i];
@@ -165,6 +237,7 @@ void extract_runs_into(TaskType type, const AskTypeIndex& index,
     run_of_slot[i] = live | (alive - 1);
     live += alive;
     start += k;
+    max_len = std::max(max_len, k);
   }
   if (over) {
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -176,21 +249,76 @@ void extract_runs_into(TaskType type, const AskTypeIndex& index,
   }
   RIT_CHECK_MSG(start <= UINT32_MAX,
                 start << " unit asks of one type exceed the 2^32 index space");
-  // The type's value order, restricted to the live runs: each slot maps
-  // to its run, and the exhausted ones are written past the cursor and
-  // dropped.
-  out.by_value.resize(n);
-  std::uint32_t* by_value = out.by_value.data();
-  const std::uint32_t* order = index.by_value.data() + begin;
-  std::uint32_t next = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t run = run_of_slot[order[i] - begin];
-    by_value[next] = run;
-    next += run != kNoRun ? 1 : 0;
-  }
   out.runs.resize(live);
   out.owner.resize(live);
-  out.by_value.resize(live);
+  out.units = start;
+  out.max_len = max_len;
+  out.tied = index.tied[type.value] != 0;
+  // Exact for the type: the flag equals a scan of its sorted values.
+  RIT_DCHECK(out.tied == has_equal_values({value, n}));
+  // by_value is gathered by order_through, at most one entry per slot.
+  out.by_value.resize(n);
+  out.ordered = 0;
+  out.index = &index;
+  out.type = type;
+  out.slots_read = 0;
+}
+
+std::uint32_t ExtractedRuns::order_through(double s) {
+  if (index != nullptr && slots_read < run_of_slot.size()) {
+    // The type's value order, restricted to the live runs: each slot maps
+    // to its run, and the exhausted ones are written past the cursor and
+    // dropped.
+    RIT_CHECK_MSG(type.value < index->num_types() &&
+                      index->offsets[type.value + 1] -
+                              index->offsets[type.value] ==
+                          run_of_slot.size(),
+                  "the index was rebuilt after this book was extracted");
+    const std::uint32_t begin = index->offsets[type.value];
+    const std::uint32_t stop = index->sort_through(type.value, s) - begin;
+    const std::uint32_t* order = index->by_value.data() + begin;
+    std::uint32_t* out = by_value.data();
+    std::uint32_t next = ordered;
+    for (std::uint32_t i = slots_read; i < stop; ++i) {
+      const std::uint32_t run = run_of_slot[order[i] - begin];
+      out[next] = run;
+      next += run != kNoRun ? 1 : 0;
+    }
+    ordered = next;
+    slots_read = std::max(slots_read, stop);
+  }
+  return static_cast<std::uint32_t>(
+      std::partition_point(by_value.begin(), by_value.begin() + ordered,
+                           [&](std::uint32_t r) { return runs[r].value <= s; }) -
+      by_value.begin());
+}
+
+void complete_book(ExtractedRuns& book) {
+  RIT_CHECK_MSG(book.by_value.size() == book.runs.size(),
+                "value order of " << book.by_value.size() << " for "
+                                  << book.runs.size() << " runs");
+  std::uint64_t units = 0;
+  std::uint32_t max_len = 1;
+  for (const AskRun& run : book.runs) {
+    RIT_CHECK(run.len > 0 && run.start == units);
+    units += run.len;
+    max_len = std::max(max_len, run.len);
+  }
+  const auto value_of = [&](std::uint32_t r) { return book.runs[r].value; };
+  bool tied = false;
+  for (std::size_t k = 1; k < book.by_value.size(); ++k) {
+    const std::uint32_t a = book.by_value[k - 1];
+    const std::uint32_t c = book.by_value[k];
+    RIT_DCHECK(value_of(a) < value_of(c) ||
+               (value_of(a) == value_of(c) && a < c));
+    tied |= value_of(a) == value_of(c);
+  }
+  book.units = units;
+  book.max_len = max_len;
+  book.tied = tied;
+  book.ordered = static_cast<std::uint32_t>(book.by_value.size());
+  book.index = nullptr;
+  book.slots_read = 0;
 }
 
 }  // namespace rit::core

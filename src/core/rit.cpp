@@ -109,6 +109,9 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
     ws.type_index.build(job.num_types(), asks);
   }
 
+  // The settle table's longest chain: no run is longer than k_max.
+  ws.repeated.reserve(std::size_t{res.k_max} + 1);
+
   bool all_allocated = true;
   for (std::uint32_t ti = 0; ti < job.num_types(); ++ti) {
     const TaskType type{ti};
@@ -137,8 +140,7 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
       params.m_i = m_i;
       params.price_mode = config.price_mode;
       params.consensus_grid_base = config.consensus_log_base;
-      run_cra_runs(alpha.runs, alpha.by_value, params, rng, ws.cra,
-                   ws.round);
+      run_cra_runs(alpha, params, rng, ws.cra, ws.round);
       const CraOutcome& round = ws.round;
       {
         // Write-back visits only the winning runs. A winner's payment

@@ -130,10 +130,12 @@ struct RitResult {
 struct RitWorkspace {
   CraWorkspace cra;
   CraOutcome round;
-  /// The round's alpha in run form: one run per user with capacity left.
+  /// The round's book: one run per user with capacity left, and the value
+  /// order the round gathers from type_index as far as it reads it.
   ExtractedRuns runs;
   /// Per-type CSR over the ask vector, rebuilt once per auction so each
-  /// round's extraction touches only its own type's askers.
+  /// round's extraction touches only its own type's askers; its value
+  /// buckets are sorted as the rounds' bands reach them.
   AskTypeIndex type_index;
   PaymentWorkspace payment;
   /// The round's settle table: repeated[c] is its clearing price added c

@@ -40,6 +40,7 @@ std::atomic<std::uint64_t> g_alloc_bytes{0};
 // thread startup, before any dynamic TLS constructor would have run.
 thread_local std::uint64_t t_alloc_count = 0;
 thread_local std::uint64_t t_alloc_bytes = 0;
+thread_local bool t_alloc_uncounted = false;  // see UncountedAllocs
 
 #ifdef __linux__
 
@@ -326,7 +327,10 @@ void perf_span_end(const char* name, const PerfSpanToken& token) {
   ThreadPerf& tp = thread_perf();
   std::uint64_t now[kPerfNumCounters];
   read_all(tp, now);
-  PhaseAccum& accum = tp.phases[name];
+  PhaseAccum& accum = [&]() -> PhaseAccum& {
+    const UncountedAllocs first_entry;
+    return tp.phases[name];
+  }();
   ++accum.count;
   for (std::size_t i = 0; i < kPerfNumCounters; ++i) {
     // Counters are monotone per fd; the guard protects against a counter
@@ -340,6 +344,7 @@ void perf_span_end(const char* name, const PerfSpanToken& token) {
 
 void note_alloc(std::size_t bytes) noexcept {
   if (!g_perf_active.load(std::memory_order_relaxed)) return;
+  if (t_alloc_uncounted) return;
   t_alloc_count += 1;
   t_alloc_bytes += bytes;
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
@@ -349,6 +354,12 @@ void note_alloc(std::size_t bytes) noexcept {
 void mark_alloc_hook_linked() noexcept {
   g_alloc_hook_linked.store(true, std::memory_order_relaxed);
 }
+
+UncountedAllocs::UncountedAllocs() noexcept : was_(t_alloc_uncounted) {
+  t_alloc_uncounted = true;
+}
+
+UncountedAllocs::~UncountedAllocs() { t_alloc_uncounted = was_; }
 
 }  // namespace detail
 

@@ -122,6 +122,23 @@ namespace detail {
 /// must stay trivially cheap when profiling is idle: one relaxed load.
 void note_alloc(std::size_t bytes) noexcept;
 void mark_alloc_hook_linked() noexcept;
+
+/// While one is alive on a thread, that thread's allocations are not
+/// counted. The instrumentation holds one around its own bookkeeping (a
+/// span's first entry in the thread's table, a trace buffer growing), so
+/// that those allocations show in no span around them: a worker thread's
+/// first spans would otherwise charge their table nodes to the code they
+/// measure.
+class UncountedAllocs {
+ public:
+  UncountedAllocs() noexcept;
+  ~UncountedAllocs();
+  UncountedAllocs(const UncountedAllocs&) = delete;
+  UncountedAllocs& operator=(const UncountedAllocs&) = delete;
+
+ private:
+  bool was_;
+};
 }  // namespace detail
 
 }  // namespace rit::obs

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <mutex>
 
+#include "obs/perf_counters.h"
+
 namespace rit::obs {
 
 namespace detail {
@@ -115,6 +117,7 @@ namespace detail {
 
 void record_span(const char* name, std::uint64_t begin_ns,
                  std::uint64_t end_ns) {
+  const UncountedAllocs bookkeeping;  // the buffer's growth
   ThreadBuffer& buf = local_buffer();
   if (buf.events.size() >= g_capacity.load(std::memory_order_relaxed)) {
     g_dropped.fetch_add(1, std::memory_order_relaxed);

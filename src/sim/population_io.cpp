@@ -1,5 +1,6 @@
 #include "sim/population_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -46,9 +47,15 @@ Population read_population(std::istream& in) {
     RIT_CHECK_MSG(cost.has_value(), "population line " << line_no
                                                        << ": bad cost '"
                                                        << cost_tok << "'");
-    RIT_CHECK_MSG(*quantity >= 1 && *cost > 0.0,
-                  "population line " << line_no
-                                     << ": quantity/cost out of range");
+    // The mechanism's own bounds (core::validate_asks), checked here so
+    // the error names the line.
+    RIT_CHECK_MSG(*quantity >= 1 && *quantity <= core::kMaxAskQuantity,
+                  "population line " << line_no << ": quantity " << *quantity
+                                     << " outside [1, "
+                                     << core::kMaxAskQuantity << "]");
+    RIT_CHECK_MSG(std::isfinite(*cost) && *cost > 0.0,
+                  "population line " << line_no << ": cost '" << cost_tok
+                                     << "' is not finite and > 0");
     pop.truthful_asks.push_back(core::Ask{TaskType{*type}, *quantity, *cost});
     pop.costs.push_back(*cost);
   }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/cra.h"
+#include "core/extract.h"
 #include "rng/rng.h"
 
 namespace rit::core {
@@ -794,14 +795,13 @@ TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
 // stream bit for bit. A book with distinct values takes the path that
 // skips every tie-shuffle draw at once.
 
-struct UserBook {
-  std::vector<AskRun> runs;
+/// A complete book (complete_book) and its unit asks.
+struct UserBook : ExtractedRuns {
   std::vector<double> asks;  // the same book expanded to unit asks
-  std::vector<std::uint32_t> by_value;  // see value_order
 };
 
-/// The run indices in ascending (value, run) order, as Extract hands them
-/// to run_cra_runs.
+/// The run indices in ascending (value, run) order, as a complete book
+/// lists them.
 std::vector<std::uint32_t> value_order(std::span<const AskRun> runs) {
   std::vector<std::uint32_t> order(runs.size());
   std::iota(order.begin(), order.end(), 0u);
@@ -830,27 +830,35 @@ UserBook per_user_book(std::size_t users, int levels, double repeat,
     book.asks.insert(book.asks.end(), len, value);
   }
   book.by_value = value_order(book.runs);
+  complete_book(book);
   return book;
 }
 
-/// Runs `rounds` rounds of run_cra_runs (one reused workspace) and of the
-/// reference from matched rng states. Each run's win count must equal the
-/// reference's winners among that run's unit asks, each run must appear at
-/// most once among the winners, and every other field and the next draw
-/// must be identical. `on_round`, if set, sees each round's outcome.
-/// Returns how many rounds had winners.
-int expect_runs_match_full_sort(
-    const UserBook& book, const CraParams& params, int rounds,
-    std::uint64_t seed,
-    const std::function<void(const CraOutcome&)>& on_round = {}) {
+/// Runs `rounds` rounds of run_cra_runs (one reused workspace) on the
+/// book `book_for_round` hands each round, and of the reference on that
+/// book's unit asks, from matched rng states. Each run's win count must
+/// equal the reference's winners among that run's unit asks, each run must
+/// appear at most once among the winners, and every other field and the
+/// next draw must be identical. `on_round`, if set, sees each round's book
+/// and outcome. Returns how many rounds had winners.
+int expect_books_match_full_sort(
+    const std::function<ExtractedRuns&()>& book_for_round,
+    const CraParams& params, int rounds, std::uint64_t seed,
+    const std::function<void(const ExtractedRuns&, const CraOutcome&)>&
+        on_round = {}) {
   CraWorkspace ws;
   CraOutcome got;
   int productive = 0;
   for (int r = 0; r < rounds; ++r) {
+    ExtractedRuns& book = book_for_round();
+    std::vector<double> asks;
+    for (const AskRun& run : book.runs) {
+      asks.insert(asks.end(), run.len, run.value);
+    }
     rng::Rng a(seed + static_cast<std::uint64_t>(r));
     rng::Rng b(seed + static_cast<std::uint64_t>(r));
-    run_cra_runs(book.runs, book.by_value, params, a, ws, got);
-    const CraOutcome want = reference_run_cra(book.asks, params, b);
+    run_cra_runs(book, params, a, ws, got);
+    const CraOutcome want = reference_run_cra(asks, params, b);
     EXPECT_TRUE(got.won.empty()) << "round " << r;
     std::vector<std::uint32_t> got_wins(book.runs.size(), 0);
     std::uint64_t total = 0;
@@ -880,10 +888,23 @@ int expect_runs_match_full_sort(
     EXPECT_EQ(got.consensus_count, want.consensus_count) << "round " << r;
     EXPECT_EQ(got.used_budget_price, want.used_budget_price) << "round " << r;
     EXPECT_EQ(a.next_u64(), b.next_u64()) << "stream diverged, round " << r;
-    if (on_round) on_round(got);
+    if (on_round) on_round(book, got);
     productive += got.num_winners > 0 ? 1 : 0;
   }
   return productive;
+}
+
+/// expect_books_match_full_sort on one complete book, every round.
+int expect_runs_match_full_sort(
+    const UserBook& book, const CraParams& params, int rounds,
+    std::uint64_t seed,
+    const std::function<void(const CraOutcome&)>& on_round = {}) {
+  ExtractedRuns runs = book;
+  return expect_books_match_full_sort(
+      [&]() -> ExtractedRuns& { return runs; }, params, rounds, seed,
+      [&](const ExtractedRuns&, const CraOutcome& got) {
+        if (on_round) on_round(got);
+      });
 }
 
 /// A book from (value, len) runs, in book order.
@@ -895,6 +916,7 @@ UserBook book_of(std::span<const std::pair<double, std::uint32_t>> runs) {
     book.asks.insert(book.asks.end(), len, value);
   }
   book.by_value = value_order(book.runs);
+  complete_book(book);
   return book;
 }
 
@@ -1099,7 +1121,8 @@ TEST(CraRunKernel, BudgetOneSamplesEveryAskWithoutDraws) {
   CraWorkspace ws;
   CraOutcome out;
   rng::Rng rng(901);
-  run_cra_runs(book.runs, book.by_value, params, rng, ws, out);
+  ExtractedRuns runs = book;
+  run_cra_runs(runs, params, rng, ws, out);
   EXPECT_EQ(out.sample_min,
             *std::min_element(book.asks.begin(), book.asks.end()));
 }
@@ -1122,16 +1145,191 @@ TEST(CraRunKernel, OrderStatisticArm) {
   }
 }
 
+// --- The kernel on Extract's books ------------------------------------------
+// An Extract book gathers its value order from the per-auction index only
+// as far as the round reads it, sorting the index's buckets as it goes, and
+// takes its type's tie flag. Each round below extracts the book afresh over
+// one index, as RIT does, and credits the round's winners before the next,
+// so later rounds see exhausted users and a partly sorted index.
+
+/// One type's asks, its index and the allocation so far.
+struct IndexedBook {
+  std::vector<Ask> asks;
+  AskTypeIndex index;
+  std::vector<std::uint32_t> allocation;
+  ExtractedRuns runs;
+
+  explicit IndexedBook(std::span<const std::pair<double, std::uint32_t>> book) {
+    for (const auto& [value, len] : book) {
+      asks.push_back(Ask{TaskType{0}, len, value});
+    }
+    index.build(1, asks);
+    allocation.assign(asks.size(), 0);
+  }
+  std::uint64_t supply() const {
+    std::uint64_t units = 0;
+    for (const Ask& a : asks) units += a.quantity;
+    return units;
+  }
+  /// Extract's book for the next round.
+  ExtractedRuns& next() {
+    extract_runs_into(TaskType{0}, index, allocation, runs);
+    return runs;
+  }
+  /// Credits a round's winners, as RIT's settle step does.
+  void credit(const ExtractedRuns& book, const CraOutcome& round) {
+    for (const RunWin& w : round.winners) {
+      allocation[book.owner[w.run]] += w.count;
+    }
+  }
+};
+
+/// `rounds` rounds on `book` against the reference, crediting winners in
+/// between; `on_round` sees each round's book and outcome as well.
+int expect_extract_rounds_match_full_sort(
+    IndexedBook& book, const CraParams& params, int rounds,
+    std::uint64_t seed,
+    const std::function<void(const ExtractedRuns&, const CraOutcome&)>&
+        on_round = {}) {
+  return expect_books_match_full_sort(
+      [&]() -> ExtractedRuns& { return book.next(); }, params, rounds, seed,
+      [&](const ExtractedRuns& runs, const CraOutcome& got) {
+        if (on_round) on_round(runs, got);
+        book.credit(runs, got);
+      });
+}
+
+TEST(CraExtractBook, NoTiesAtEveryBandRatio) {
+  rng::Rng gen(71);
+  std::vector<std::pair<double, std::uint32_t>> runs;
+  add_distinct_runs(runs, 2000, 0.0, 10.0, 1, 20, gen);
+  for (const double band : {0.01, 0.14, 1.0}) {
+    IndexedBook book(runs);
+    ASSERT_FALSE(book.next().tied);
+    EXPECT_GT(expect_extract_rounds_match_full_sort(
+                  book, params_for_band(book.supply(), band), 30, 1200),
+              0)
+        << "band " << band;
+  }
+}
+
+TEST(CraExtractBook, TiesOnlyAboveTheBand) {
+  // Distinct values in (0, 5], then pairs of users tied in (9, 10]: the
+  // book is tied, but a band of a few percent never reaches the pairs.
+  rng::Rng gen(72);
+  std::vector<std::pair<double, std::uint32_t>> runs;
+  add_distinct_runs(runs, 2000, 0.0, 5.0, 1, 20, gen);
+  for (int p = 0; p < 40; ++p) {
+    const double v = gen.uniform_real_left_open(9.0, 10.0);
+    runs.emplace_back(v, 3);
+    runs.emplace_back(v, 5);
+  }
+  IndexedBook book(runs);
+  ASSERT_TRUE(book.next().tied);
+  int below_ties = 0;
+  EXPECT_GT(expect_extract_rounds_match_full_sort(
+                book, params_for_band(book.supply(), 0.05), 30, 1220,
+                [&](const ExtractedRuns&, const CraOutcome& got) {
+                  below_ties += got.sample_min < 9.0 ? 1 : 0;
+                }),
+            0);
+  EXPECT_GT(below_ties, 0);
+}
+
+TEST(CraExtractBook, TiesInsideTheBand) {
+  // Values on a grid of 40 levels: most of every band is tie groups of
+  // several users, expanded and shuffled for real.
+  rng::Rng gen(73);
+  std::vector<std::pair<double, std::uint32_t>> runs;
+  for (int u = 0; u < 1500; ++u) {
+    runs.emplace_back(static_cast<double>(gen.uniform_int(1, 40)) / 4.0,
+                      static_cast<std::uint32_t>(gen.uniform_int(1, 20)));
+  }
+  for (const double band : {0.05, 0.14, 1.0}) {
+    IndexedBook book(runs);
+    ASSERT_TRUE(book.next().tied);
+    EXPECT_GT(expect_extract_rounds_match_full_sort(
+                  book, params_for_band(book.supply(), band), 30, 1240),
+              0)
+        << "band " << band;
+  }
+}
+
+TEST(CraExtractBook, EmptySampleTakesTheWholeBook) {
+  rng::Rng gen(74);
+  for (const bool tied : {false, true}) {
+    std::vector<std::pair<double, std::uint32_t>> runs;
+    add_distinct_runs(runs, 40, 0.0, 10.0, 1, 20, gen);
+    if (tied) runs.emplace_back(runs.front().first, 4);
+    IndexedBook book(runs);
+    int empty = 0;
+    EXPECT_GT(expect_extract_rounds_match_full_sort(
+                  book, {.q = 1000000, .m_i = 1000000}, 20, 1260,
+                  [&](const ExtractedRuns& runs_book, const CraOutcome& got) {
+                    double top = 0.0;
+                    for (const AskRun& run : runs_book.runs) {
+                      top = std::max(top, run.value);
+                    }
+                    empty += got.sample_min == top ? 1 : 0;
+                  }),
+              0)
+        << "tied " << tied;
+    EXPECT_GT(empty, 0) << "tied " << tied;
+  }
+}
+
+TEST(CraExtractBook, OrderStatisticArm) {
+  rng::Rng gen(75);
+  for (const bool tied : {false, true}) {
+    std::vector<std::pair<double, std::uint32_t>> runs;
+    add_distinct_runs(runs, 300, 0.0, 10.0, 1, 20, gen);
+    if (tied) {
+      for (int u = 0; u < 60; ++u) runs.emplace_back(runs[u].first, 2);
+    }
+    IndexedBook book(runs);
+    const CraParams params{.q = 25, .m_i = 60,
+                           .price_mode = PriceMode::kOrderStatistic};
+    EXPECT_GT(expect_extract_rounds_match_full_sort(book, params, 20, 1280),
+              0)
+        << "tied " << tied;
+  }
+}
+
+TEST(CraExtractBook, TypeDownToItsLastLiveUser) {
+  // Every user but one is exhausted, among them the one that tied with
+  // it: the book keeps its type's tie flag while its one run is distinct.
+  rng::Rng gen(76);
+  std::vector<std::pair<double, std::uint32_t>> runs;
+  add_distinct_runs(runs, 200, 0.0, 10.0, 1, 20, gen);
+  runs.emplace_back(runs[17].first, 6);
+  for (const CraParams params :
+       {CraParams{.q = 1, .m_i = 1}, CraParams{.q = 3, .m_i = 8},
+        CraParams{.q = 1000, .m_i = 1000}}) {
+    IndexedBook book(runs);
+    for (std::size_t j = 0; j + 1 < book.asks.size(); ++j) {
+      book.allocation[j] = book.asks[j].quantity;
+    }
+    ExtractedRuns& last = book.next();
+    ASSERT_EQ(last.runs.size(), 1u);
+    ASSERT_TRUE(last.tied);
+    expect_extract_rounds_match_full_sort(book, params, 20, 1300);
+  }
+}
+
 TEST(CraRunKernel, EmptyBookAndZeroDemandHaveNoWinners) {
   CraWorkspace ws;
   CraOutcome out;
   rng::Rng a(45);
   rng::Rng untouched(45);
-  run_cra_runs({}, {}, {.q = 5, .m_i = 5}, a, ws, out);
+  ExtractedRuns empty;
+  complete_book(empty);
+  run_cra_runs(empty, {.q = 5, .m_i = 5}, a, ws, out);
   EXPECT_TRUE(out.winners.empty());
-  const std::vector<AskRun> runs{{2.0, 0, 3}};
-  const std::vector<std::uint32_t> order{0};
-  run_cra_runs(runs, order, {.q = 0, .m_i = 5}, a, ws, out);
+  ExtractedRuns one;
+  one.runs = {{2.0, 0, 3}};
+  one.by_value = {0};
+  complete_book(one);
+  run_cra_runs(one, {.q = 0, .m_i = 5}, a, ws, out);
   EXPECT_TRUE(out.winners.empty());
   EXPECT_EQ(a.next_u64(), untouched.next_u64());
 }
@@ -1140,13 +1338,28 @@ TEST(CraRunKernel, RejectsAValueOrderOfTheWrongSize) {
   CraWorkspace ws;
   CraOutcome out;
   rng::Rng rng(46);
-  const std::vector<AskRun> runs{{2.0, 0, 3}, {1.0, 3, 2}};
-  const std::vector<std::uint32_t> short_order{1};
-  EXPECT_THROW(run_cra_runs(runs, short_order, {.q = 2, .m_i = 2}, rng, ws,
-                            out),
+  ExtractedRuns book;
+  book.runs = {{2.0, 0, 3}, {1.0, 3, 2}};
+  book.by_value = {1};
+  EXPECT_THROW(complete_book(book), CheckFailure);
+  book.runs.clear();
+  EXPECT_THROW(complete_book(book), CheckFailure);
+  // A book without an index must hold its whole order.
+  book.runs = {{2.0, 0, 3}, {1.0, 3, 2}};
+  book.by_value = {1, 0};
+  complete_book(book);
+  book.ordered = 1;
+  EXPECT_THROW(run_cra_runs(book, {.q = 2, .m_i = 2}, rng, ws, out),
                CheckFailure);
-  EXPECT_THROW(run_cra_runs({}, short_order, {.q = 2, .m_i = 2}, rng, ws, out),
-               CheckFailure);
+}
+
+TEST(CraRunKernel, RejectsRunsThatDoNotTileAlpha) {
+  ExtractedRuns book;
+  book.runs = {{2.0, 0, 3}, {1.0, 4, 2}};
+  book.by_value = {1, 0};
+  EXPECT_THROW(complete_book(book), CheckFailure);
+  book.runs = {{2.0, 0, 3}, {1.0, 3, 0}};
+  EXPECT_THROW(complete_book(book), CheckFailure);
 }
 
 }  // namespace

@@ -102,12 +102,31 @@ std::vector<std::uint32_t> allocated(
   return allocation;
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The runs the book has put in value order so far.
+std::vector<std::uint32_t> ordered_runs(const ExtractedRuns& book) {
+  return {book.by_value.begin(), book.by_value.begin() + book.ordered};
+}
+
+/// The book's runs in ascending (value, run) order, from a stable sort.
+std::vector<std::uint32_t> stable_run_order(const ExtractedRuns& book) {
+  std::vector<std::uint32_t> order(book.runs.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return book.runs[a].value < book.runs[b].value;
+                   });
+  return order;
+}
+
 /// extract_runs_into on `allocation` must lay out the unit vector that
 /// extract_remaining builds from the remaining quantities, value order
-/// included: run r expands to len copies of its value and owner, and
-/// by_value lists the runs as a stable sort by value does.
+/// included: run r expands to len copies of its value and owner, |alpha|
+/// and the longest run are the expansion's, and the whole value order
+/// lists the runs as a stable sort by value does.
 void expect_runs_match_extract_remaining(
-    const std::vector<Ask>& asks, const AskTypeIndex& index,
+    const std::vector<Ask>& asks, AskTypeIndex& index,
     const std::vector<std::uint32_t>& allocation) {
   std::vector<std::uint32_t> remaining(asks.size());
   for (std::size_t j = 0; j < asks.size(); ++j) {
@@ -129,13 +148,13 @@ void expect_runs_match_extract_remaining(
     const ExtractedAsks want = extract_remaining(TaskType{t}, asks, remaining);
     EXPECT_EQ(expanded.values, want.values) << "type " << t;
     EXPECT_EQ(expanded.owner, want.owner) << "type " << t;
-    std::vector<std::uint32_t> order(runs.runs.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return runs.runs[a].value < runs.runs[b].value;
-                     });
-    EXPECT_EQ(runs.by_value, order) << "type " << t;
+    EXPECT_EQ(runs.units, expanded.size()) << "type " << t;
+    std::uint32_t max_len = 1;
+    for (const AskRun& run : runs.runs) max_len = std::max(max_len, run.len);
+    EXPECT_EQ(runs.max_len, max_len) << "type " << t;
+    EXPECT_EQ(runs.ordered, 0u) << "type " << t;
+    EXPECT_EQ(runs.order_through(kInf), runs.runs.size()) << "type " << t;
+    EXPECT_EQ(ordered_runs(runs), stable_run_order(runs)) << "type " << t;
   }
 }
 
@@ -170,14 +189,16 @@ TEST(ExtractRuns, RejectsAllocationAboveAsked) {
 }
 
 // --- The per-auction value order ------------------------------------------
-// AskTypeIndex::build sorts each type's slots by value once per auction;
+// AskTypeIndex::build scatters each type's slots into value buckets once
+// per auction, and sort_through sorts them as far as a round reads;
 // every round's ExtractedRuns::by_value is that order over the live runs.
 
-/// Checks index.by_value against a per-type std::stable_sort of the slots
-/// by value.
-void expect_stable_value_order(const AskTypeIndex& index) {
+/// Sorts every type through and checks index.by_value against a per-type
+/// std::stable_sort of the slots by value.
+void expect_stable_value_order(AskTypeIndex& index) {
   ASSERT_EQ(index.by_value.size(), index.user.size());
   for (std::uint32_t t = 0; t < index.num_types(); ++t) {
+    EXPECT_EQ(index.sort_through(t, kInf), index.offsets[t + 1]);
     std::vector<std::uint32_t> want(index.offsets[t + 1] - index.offsets[t]);
     std::iota(want.begin(), want.end(), index.offsets[t]);
     std::stable_sort(want.begin(), want.end(),
@@ -220,6 +241,7 @@ TEST(AskTypeIndexValueOrder, AllEqualValuesKeepUserOrder) {
   std::vector<Ask> asks(500, Ask{TaskType{0}, 3, 2.5});
   AskTypeIndex index;
   index.build(1, asks);
+  EXPECT_EQ(index.tied[0], 1u);
   std::vector<std::uint32_t> users(500);
   std::iota(users.begin(), users.end(), 0u);
   EXPECT_EQ(index.by_value, users);
@@ -256,9 +278,14 @@ TEST(AskTypeIndexValueOrder, TypesWithZeroOrOneAsker) {
   ExtractedRuns runs;
   extract_runs_into(TaskType{1}, index, allocation, runs);
   EXPECT_TRUE(runs.runs.empty());
-  EXPECT_TRUE(runs.by_value.empty());
+  EXPECT_EQ(runs.order_through(kInf), 0u);
+  EXPECT_EQ(runs.units, 0u);
   extract_runs_into(TaskType{3}, index, allocation, runs);
-  EXPECT_EQ(runs.by_value, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(runs.order_through(kInf), 1u);
+  EXPECT_EQ(ordered_runs(runs), (std::vector<std::uint32_t>{0}));
+  EXPECT_FALSE(runs.tied);
+  extract_runs_into(TaskType{0}, index, allocation, runs);
+  EXPECT_TRUE(runs.tied);  // users 1 and 3 both ask 3.0
 }
 
 TEST(ExtractRuns, ValueOrderSkipsExhaustedUsers) {
@@ -280,14 +307,9 @@ TEST(ExtractRuns, ValueOrderSkipsExhaustedUsers) {
   ExtractedRuns runs;
   for (const std::uint32_t t : {0u, 1u, 2u}) {
     extract_runs_into(TaskType{t}, index, allocation, runs);
-    std::vector<std::uint32_t> want(runs.runs.size());
-    std::iota(want.begin(), want.end(), 0u);
-    std::stable_sort(want.begin(), want.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return runs.runs[a].value < runs.runs[b].value;
-                     });
-    EXPECT_EQ(runs.by_value, want) << "type " << t;
-    for (const std::uint32_t r : runs.by_value) {
+    runs.order_through(kInf);
+    EXPECT_EQ(ordered_runs(runs), stable_run_order(runs)) << "type " << t;
+    for (const std::uint32_t r : ordered_runs(runs)) {
       EXPECT_GT(remaining[runs.owner[r]], 0u);
     }
   }
@@ -346,8 +368,168 @@ TEST(ExtractRuns, LaterRoundMatchesExtractRemaining) {
     extract_runs_into(TaskType{t}, index, allocation, runs);
     EXPECT_TRUE(runs.runs.empty());
     EXPECT_TRUE(runs.owner.empty());
-    EXPECT_TRUE(runs.by_value.empty());
+    EXPECT_EQ(runs.units, 0u);
+    EXPECT_EQ(runs.order_through(kInf), 0u);
   }
+}
+
+// --- Sorting only as far as a round's band reads ---------------------------
+// build() leaves each bucket of a few slots unsorted until a round's band
+// reaches it, and takes each type's tie flag from its buckets, since equal
+// values share one. Neither may change the order a round sees.
+
+/// Whether two slots of type t share a value, from a sorted copy.
+bool type_has_ties(const AskTypeIndex& index, std::uint32_t t) {
+  std::vector<double> values(index.value.begin() + index.offsets[t],
+                             index.value.begin() + index.offsets[t + 1]);
+  std::sort(values.begin(), values.end());
+  return std::adjacent_find(values.begin(), values.end()) != values.end();
+}
+
+TEST(AskTypeIndexTies, FlagEqualsASortedScanOfEachType) {
+  AskTypeIndex index;
+  int tied = 0;
+  int untied = 0;
+  for (const double quantum : {0.0, 0.5, 0.01, 0.001}) {
+    for (const std::uint32_t users : {1u, 2u, 9u, 300u, 5000u}) {
+      index.build(4, random_book(users, 4, quantum, users + 7));
+      for (std::uint32_t t = 0; t < 4; ++t) {
+        EXPECT_EQ(index.tied[t] != 0, type_has_ties(index, t))
+            << "quantum " << quantum << " users " << users << " type " << t;
+        (index.tied[t] != 0 ? tied : untied) += 1;
+      }
+    }
+  }
+  EXPECT_GT(tied, 0);
+  EXPECT_GT(untied, 0);
+}
+
+TEST(AskTypeIndexTies, TiesInSmallAndBigBucketsAndAtTheTop) {
+  const auto flag_of = [](const std::vector<double>& values) {
+    std::vector<Ask> asks;
+    for (const double v : values) asks.push_back(Ask{TaskType{0}, 1, v});
+    AskTypeIndex index;
+    index.build(1, asks);
+    return index.tied[0] != 0;
+  };
+  std::vector<double> spread;
+  for (int i = 1; i <= 100; ++i) spread.push_back(i);
+  EXPECT_FALSE(flag_of(spread));
+  std::vector<double> pair = spread;
+  pair.push_back(50.0);  // a bucket of two
+  EXPECT_TRUE(flag_of(pair));
+  std::vector<double> top = spread;
+  top.push_back(100.0);  // the clamped last bucket
+  EXPECT_TRUE(flag_of(top));
+  // Twenty distinct values inside one bucket, which build() sorts whole.
+  std::vector<double> cluster = spread;
+  for (int i = 0; i < 20; ++i) cluster.push_back(50.25 + 1e-9 * i);
+  EXPECT_FALSE(flag_of(cluster));
+  cluster.push_back(50.25 + 1e-9 * 7);
+  EXPECT_TRUE(flag_of(cluster));
+}
+
+TEST(AskTypeIndexSortThrough, PrefixMatchesAStableSortAndStaysLazy) {
+  AskTypeIndex index;
+  for (const double quantum : {0.0, 0.01}) {
+    index.build(2, random_book(8000, 2, quantum, 51));
+    for (std::uint32_t t = 0; t < 2; ++t) {
+      const std::uint32_t begin = index.offsets[t];
+      const std::uint32_t n = index.offsets[t + 1] - begin;
+      std::vector<std::uint32_t> want(n);
+      std::iota(want.begin(), want.end(), begin);
+      std::stable_sort(want.begin(), want.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return index.value[a] < index.value[b];
+                       });
+      for (const std::uint32_t rank : {10u, 800u, n / 2, n - 1}) {
+        const double s = index.value[want[rank]];
+        const std::uint32_t end = index.sort_through(t, s);
+        const auto below = static_cast<std::uint32_t>(std::count_if(
+            want.begin(), want.end(),
+            [&](std::uint32_t i) { return index.value[i] <= s; }));
+        ASSERT_EQ(end - begin, below) << "type " << t << " rank " << rank;
+        EXPECT_TRUE(std::equal(want.begin(), want.begin() + below,
+                               index.by_value.begin() + begin))
+            << "type " << t << " rank " << rank;
+        if (rank == 10) {
+          // A band of ten slots sorts a few buckets, not the type.
+          EXPECT_LT(index.sorted_end[t] - begin, n / 8) << "type " << t;
+        }
+      }
+    }
+    expect_stable_value_order(index);
+  }
+}
+
+TEST(ExtractRuns, OrderThroughGathersTheBandThenTheRest) {
+  AskTypeIndex index;
+  for (const double quantum : {0.0, 0.25}) {
+    const std::vector<Ask> asks = random_book(3000, 2, quantum, 61);
+    index.build(2, asks);
+    rng::Rng rng(62);
+    std::vector<std::uint32_t> allocation(asks.size());
+    for (std::size_t j = 0; j < asks.size(); ++j) {
+      // A third of the users exhausted, a third partly filled.
+      const std::uint64_t pick = rng.uniform_index(3);
+      allocation[j] = pick == 0   ? asks[j].quantity
+                      : pick == 1 ? static_cast<std::uint32_t>(
+                                        rng.uniform_index(asks[j].quantity))
+                                  : 0;
+    }
+    ExtractedRuns runs;
+    for (const std::uint32_t t : {0u, 1u}) {
+      extract_runs_into(TaskType{t}, index, allocation, runs);
+      const std::vector<std::uint32_t> full = stable_run_order(runs);
+      for (const std::size_t rank : {std::size_t{0}, std::size_t{40},
+                                     full.size() / 3, full.size() - 1}) {
+        const double s = runs.runs[full[rank]].value;
+        const auto below = static_cast<std::uint32_t>(std::count_if(
+            full.begin(), full.end(),
+            [&](std::uint32_t r) { return runs.runs[r].value <= s; }));
+        EXPECT_EQ(runs.order_through(s), below) << "rank " << rank;
+        EXPECT_EQ(runs.ordered, below) << "rank " << rank;
+        EXPECT_EQ(ordered_runs(runs),
+                  std::vector<std::uint32_t>(full.begin(), full.begin() + below))
+            << "quantum " << quantum << " type " << t << " rank " << rank;
+      }
+      EXPECT_EQ(runs.order_through(kInf), full.size());
+      EXPECT_EQ(ordered_runs(runs), full);
+      EXPECT_EQ(runs.tied, quantum > 0.0) << "type " << t;
+    }
+  }
+}
+
+TEST(ExtractRuns, OrderThroughRejectsARebuiltIndex) {
+  AskTypeIndex index;
+  index.build(2, random_book(300, 2, 0.0, 81));
+  ExtractedRuns runs;
+  extract_runs_into(TaskType{0}, index, std::vector<std::uint32_t>(300, 0),
+                    runs);
+  index.build(1, random_book(200, 1, 0.0, 82));
+  EXPECT_THROW(runs.order_through(kInf), CheckFailure);
+}
+
+// A type down to its last live user: one run, whose order is itself, and
+// the type's tie flag, which the exhausted users left set.
+TEST(ExtractRuns, LastLiveUserOfATiedType) {
+  const std::vector<Ask> asks{{TaskType{0}, 3, 2.0},
+                              {TaskType{0}, 4, 2.0},
+                              {TaskType{0}, 2, 1.0},
+                              {TaskType{1}, 5, 9.0}};
+  AskTypeIndex index;
+  index.build(2, asks);
+  const std::vector<std::uint32_t> allocation{3, 1, 2, 0};
+  ExtractedRuns runs;
+  extract_runs_into(TaskType{0}, index, allocation, runs);
+  ASSERT_EQ(runs.runs.size(), 1u);
+  EXPECT_EQ(runs.owner[0], 1u);
+  EXPECT_EQ(runs.units, 3u);
+  EXPECT_EQ(runs.max_len, 3u);
+  EXPECT_TRUE(runs.tied);
+  EXPECT_EQ(runs.order_through(1.5), 0u);
+  EXPECT_EQ(runs.order_through(2.0), 1u);
+  EXPECT_EQ(ordered_runs(runs), (std::vector<std::uint32_t>{0}));
 }
 
 TEST(JobType, UniformJobAndTotals) {

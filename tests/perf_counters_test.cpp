@@ -127,6 +127,31 @@ void spin_span([[maybe_unused]] const char* name, int laps) {
   for (int i = 0; i < laps; ++i) sink = sink + static_cast<double>(i);
 }
 
+// The instrumentation's own allocations (a span's first table entry on a
+// thread, the trace buffer growing) are not the measured code's: a fresh
+// thread's first spans must charge none of them to the span around them.
+TEST_F(PerfFixture, BookkeepingAllocationsChargeNoSpan) {
+  ASSERT_TRUE(perf_availability().alloc_hook);
+  start_perf_counters();
+  start_tracing();
+  std::thread worker([] {
+    RIT_TRACE_SPAN("bookkeeping.outer");
+    spin_span("bookkeeping.a", 10);
+    spin_span("bookkeeping.b", 10);
+    spin_span("bookkeeping.c", 10);
+  });
+  worker.join();
+  stop_tracing();
+  stop_perf_counters();
+  int seen = 0;
+  for (const PerfPhaseStat& p : collect_perf_phase_stats()) {
+    if (p.name.rfind("bookkeeping.", 0) != 0) continue;
+    ++seen;
+    EXPECT_EQ(p.alloc_count, 0u) << p.name;
+  }
+  EXPECT_EQ(seen, 4);
+}
+
 // S3: multithreaded span collection. The container may expose a single core,
 // so the worker counts are explicit std::thread spawns, not hardware-derived.
 class PerfThreadsTest : public PerfFixture,

@@ -60,6 +60,28 @@ TEST(PopulationIo, RejectsMalformedRows) {
   EXPECT_THROW(read_population_file("/no/such/pop.csv"), CheckFailure);
 }
 
+/// The message read_population throws for `text`, or "" when it accepts it.
+std::string rejection(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read_population(in);
+  } catch (const CheckFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Costs and quantities the mechanism would refuse (core::validate_asks)
+// are refused here, naming the line, instead of far from the file.
+TEST(PopulationIo, RejectsCostsAndQuantitiesTheMechanismRefuses) {
+  for (const char* row : {"0,1,nan", "0,1,1e400", "0,1,inf", "0,1,-inf",
+                          "0,1,-1.5", "0,4000000000,1.5", "0,1000001,1.5"}) {
+    const std::string error = rejection(std::string("0,2,1.5\n") + row + "\n");
+    EXPECT_NE(error.find("population line 2"), std::string::npos)
+        << row << ": " << error;
+  }
+  EXPECT_EQ(rejection("0,1000000,1.5\n0,1,0x1p-1074\n"), "");
+}
 
 TEST(PopulationIo, FileRoundTripsBitExactly) {
   Scenario s;

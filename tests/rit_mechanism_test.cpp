@@ -575,6 +575,149 @@ TEST(RunAuction, OrderStatisticMatchesOracle) {
   EXPECT_GT(expect_oracle_agrees(c, 6), 0u);
 }
 
+// --- run_rit_into on the book shapes of the round's band gather ----------
+// Each round gathers its type's value order only through its threshold s,
+// and reads the whole order for a tied type, an empty sample or the
+// order-statistic arm. run_rit_into with one reused workspace must agree
+// with the oracle on each of those shapes: allocations, auction payments
+// and rounds bit for bit, tree payments within diff_results' tolerance.
+
+/// Two types, k ~ U{1..20}, each type's demand `share` of its unit
+/// supply (`share` >= 1 demands 1000 times the supply). Values are
+/// continuous in (0, 10], except that users past index `tie_from` bid one
+/// of `tie_levels` values above 9 (no ties when `tie_levels` is 0), and a
+/// `grid` > 0 rounds every value up to a multiple of it.
+testkit::FuzzCase shaped_case(std::uint32_t users, double share,
+                              std::uint32_t tie_from, int tie_levels,
+                              double grid, std::uint64_t seed) {
+  rng::Rng rng(seed);
+  testkit::FuzzCase c;
+  std::uint64_t supply[2] = {0, 0};
+  for (std::uint32_t j = 0; j < users; ++j) {
+    const std::uint32_t t = j % 2;
+    double v = rng.uniform_real_left_open(0.0, 10.0);
+    if (j >= tie_from && tie_levels > 0) {
+      v = 9.0 + static_cast<double>(rng.uniform_int(1, tie_levels)) /
+                    static_cast<double>(tie_levels);
+    }
+    if (grid > 0.0) v = std::ceil(v / grid) * grid;
+    const auto k = static_cast<std::uint32_t>(rng.uniform_int(1, 20));
+    supply[t] += k;
+    c.asks.push_back(Ask{TaskType{t}, k, v});
+    c.costs.push_back(v);
+    c.parents.push_back(static_cast<std::uint32_t>(rng.uniform_index(j + 1)));
+  }
+  for (const std::uint64_t units : supply) {
+    const double m = share >= 1.0 ? 1000.0 * static_cast<double>(units)
+                                  : share * static_cast<double>(units);
+    c.demand.push_back(std::max<std::uint32_t>(1, static_cast<std::uint32_t>(m)));
+  }
+  c.config.round_budget_policy = RoundBudgetPolicy::kRunToCompletion;
+  c.config.zero_on_failure = false;
+  return c;
+}
+
+/// run_rit_into through `ws` against the oracle at `seeds` seeds; returns
+/// the rounds run over all of them.
+std::uint32_t expect_run_rit_into_matches_oracle(testkit::FuzzCase c,
+                                                 int seeds, RitWorkspace& ws) {
+  std::vector<std::uint32_t> tree_parents(c.parents.size() + 1, 0);
+  for (std::size_t j = 0; j < c.parents.size(); ++j) {
+    tree_parents[j + 1] = c.parents[j];
+  }
+  const tree::IncentiveTree tree(tree_parents);
+  std::uint32_t rounds = 0;
+  RitResult got;
+  for (int s = 0; s < seeds; ++s) {
+    c.mech_seed = 7200 + static_cast<std::uint64_t>(s);
+    const RitResult want = testkit::oracle_run_rit(c);
+    rng::Rng rng(c.mech_seed);
+    run_rit_into(Job(c.demand), c.asks, tree, c.config, rng, ws, got);
+    EXPECT_EQ(got.allocation, want.allocation) << "seed " << c.mech_seed;
+    EXPECT_EQ(got.auction_payment.size(), want.auction_payment.size());
+    if (got.auction_payment.size() != want.auction_payment.size()) break;
+    for (std::size_t j = 0; j < got.auction_payment.size(); ++j) {
+      EXPECT_EQ(got.auction_payment[j], want.auction_payment[j])
+          << "seed " << c.mech_seed << " user " << j;
+    }
+    EXPECT_EQ(got.type_info.size(), want.type_info.size());
+    if (got.type_info.size() != want.type_info.size()) break;
+    for (std::size_t t = 0; t < got.type_info.size(); ++t) {
+      EXPECT_EQ(got.type_info[t].rounds_used, want.type_info[t].rounds_used)
+          << "seed " << c.mech_seed << " type " << t;
+      rounds += got.type_info[t].rounds_used;
+    }
+    const testkit::OracleDiff diff = testkit::diff_results(got, want);
+    EXPECT_TRUE(diff.match) << "seed " << c.mech_seed << ": " << diff.field
+                            << " " << diff.detail;
+  }
+  return rounds;
+}
+
+TEST(RitBandGather, NoTiesMatchesOracle) {
+  RitWorkspace ws;
+  for (const double share : {0.01, 0.07, 0.4}) {
+    EXPECT_GT(expect_run_rit_into_matches_oracle(
+                  shaped_case(600, share, 600, 0, 0.0, 31), 4, ws),
+              0u)
+        << "share " << share;
+  }
+}
+
+TEST(RitBandGather, TiesOnlyAboveTheBandMatchOracle) {
+  // The last fifth of the users tie on ten values above 9; a demand of a
+  // few percent keeps the band below them until the cheap users run out.
+  RitWorkspace ws;
+  EXPECT_GT(expect_run_rit_into_matches_oracle(
+                shaped_case(800, 0.03, 640, 10, 0.0, 32), 4, ws),
+            0u);
+}
+
+TEST(RitBandGather, TiesInsideTheBandMatchOracle) {
+  RitWorkspace ws;
+  for (const double share : {0.05, 0.5}) {
+    EXPECT_GT(expect_run_rit_into_matches_oracle(
+                  shaped_case(600, share, 600, 0, 0.25, 33), 4, ws),
+              0u)
+        << "share " << share;
+  }
+}
+
+TEST(RitBandGather, EmptySampleMatchesOracle) {
+  RitWorkspace ws;
+  for (const double grid : {0.0, 0.5}) {
+    EXPECT_GT(expect_run_rit_into_matches_oracle(
+                  shaped_case(80, 1.0, 80, 0, grid, 34), 4, ws),
+              0u)
+        << "grid " << grid;
+  }
+}
+
+TEST(RitBandGather, OrderStatisticMatchesOracle) {
+  RitWorkspace ws;
+  for (const double grid : {0.0, 0.25}) {
+    testkit::FuzzCase c = shaped_case(500, 0.1, 500, 0, grid, 35);
+    c.config.price_mode = PriceMode::kOrderStatistic;
+    EXPECT_GT(expect_run_rit_into_matches_oracle(c, 4, ws), 0u)
+        << "grid " << grid;
+  }
+}
+
+TEST(RitBandGather, TypeDownToItsLastLiveUserMatchesOracle) {
+  // Demand equal to the whole supply: each type runs until its last live
+  // users, then stalls on a lone ask that cannot clear the consensus
+  // hurdle, with and without ties among the exhausted users.
+  RitWorkspace ws;
+  for (const double grid : {0.0, 0.5}) {
+    testkit::FuzzCase c = shaped_case(60, 0.0, 60, 0, grid, 36);
+    std::uint32_t supply[2] = {0, 0};
+    for (const Ask& a : c.asks) supply[a.type.value] += a.quantity;
+    c.demand = {supply[0], supply[1]};
+    EXPECT_GT(expect_run_rit_into_matches_oracle(c, 4, ws), 0u)
+        << "grid " << grid;
+  }
+}
+
 /// The users of `r` that won in two or more rounds: a single-round winner
 /// of x tasks is paid some round's price of its type added x times from
 /// 0.0, so a payment that no round's price gives is a repeat winner's.
