@@ -8,12 +8,15 @@
 // --metrics-out=PATH and --json=PATH (summary, default
 // bench_results/BENCH_micro.json, "none" disables). Tracing is off by
 // default here so span recording cannot perturb the numbers; --trace-out
-// turns it on.
+// turns it on. The bench's own report (phase breakdown, artifact paths)
+// goes to stderr, so --benchmark_format=json leaves one JSON document on
+// stdout.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -434,6 +437,38 @@ void BM_PaymentPhaseWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_PaymentPhaseWorkspace)->Arg(100000);
 
+// The payment pass (payment.extract) on the workloads' tree shape: a
+// Barabási–Albert forest (m = 3, 10 initial joiners), 10 task types, and a
+// tight-market share of winners (80% of users paid, in (0, 10]), through a
+// reused workspace. heap_allocs_per_run must be 0.
+void BM_PaymentPhaseBaForest(benchmark::State& state) {
+  rng::Rng rng(9);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const tree::IncentiveTree tree = tree::barabasi_albert_forest(n, 3, 10, rng);
+  std::vector<TaskType> types(n);
+  std::vector<double> payments(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    types[i] = TaskType{static_cast<std::uint32_t>(rng.uniform_index(10))};
+    payments[i] = rng.bernoulli(0.8) ? rng.uniform01() * 10.0 : 0.0;
+  }
+  core::PaymentWorkspace ws;
+  std::vector<double> out;
+  const auto run = [&] {
+    core::tree_payments_into(tree, types, payments, 0.5, 1, ws, out);
+  };
+  run();
+  for (auto _ : state) {
+    run();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["heap_allocs_per_run"] =
+      benchmark::Counter(heap_allocs_per_call(state.iterations(), run));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PaymentPhaseBaForest)->Arg(80000)->Arg(1000000)->Unit(
+    benchmark::kMillisecond);
+
 void BM_BarabasiAlbert(benchmark::State& state) {
   rng::Rng rng(6);
   const auto n = static_cast<std::uint32_t>(state.range(0));
@@ -700,6 +735,6 @@ int main(int argc, char** argv) {
   if (!opts.trace_path.empty()) rit::obs::start_tracing();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  rit::bench::finish(opts);
+  rit::bench::finish(opts, std::cerr);
   return 0;
 }

@@ -1,9 +1,11 @@
 // Million-user scale ladder: one full trial (forest -> RIT) at
 // each population rung N in {1e5, 3e5, 1e6, 3e6, 1e7} divided by --scale
 // (default 10, so the stock run tops out at one million users; --scale=1
-// climbs to ten million). Demand scales with the population (m_i = N/200,
-// i.e. total demand = 5% of users) so every rung exercises the same
-// supply/demand regime and the series isolates how runtime grows with N.
+// climbs to ten million). --points=P runs the first P rungs (2 to 5,
+// default 5), so --points=3 --scale=1 stops at one million users. Demand
+// scales with the population (m_i = N/200, i.e. total demand = 5% of
+// users) so every rung exercises the same supply/demand regime and the
+// series isolates how runtime grows with N.
 //
 // The default Barabási–Albert graph is never built: the trial's forest is
 // computed during the graph draws (tree::barabasi_albert_forest).
@@ -12,6 +14,10 @@
 // --perf-counters for per-phase hardware counters. Every pass inside a
 // trial is serial; --threads fans out whole trials.
 #include "bench_support.h"
+
+#include <iostream>
+#include <iterator>
+#include <span>
 
 #include "common/log.h"
 #include "obs/trace.h"
@@ -22,9 +28,15 @@ int main(int argc, char** argv) {
 
   constexpr std::uint64_t kPaperLadder[] = {100000, 300000, 1000000, 3000000,
                                             10000000};
+  if (opts.points > std::size(kPaperLadder)) {
+    // A usage error, reported like the ones parse_options finds.
+    std::cerr << "error: --points must be <= " << std::size(kPaperLadder)
+              << "\n";
+    return 2;
+  }
 
   std::vector<std::vector<double>> rows;
-  for (std::uint64_t paper_n : kPaperLadder) {
+  for (std::uint64_t paper_n : std::span(kPaperLadder).first(opts.points)) {
     rit::sim::Scenario s;
     s.num_types = 10;
     s.k_max = 20;

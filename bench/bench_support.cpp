@@ -329,7 +329,10 @@ void write_summary_json(const BenchOptions& opts, double wall_ms,
 
 }  // namespace
 
-void finish(const BenchOptions& opts) {
+void finish(const BenchOptions& opts) { finish(opts, std::cout); }
+
+
+void finish(const BenchOptions& opts, std::ostream& out) {
   const double wall_ms =
       static_cast<double>(obs::trace_now_ns() - opts.start_ns) / 1e6;
   obs::stop_tracing();
@@ -343,7 +346,7 @@ void finish(const BenchOptions& opts) {
                          : std::vector<obs::PerfPhaseStat>{};
 
   if (phases.empty()) {
-    std::cout << "(no spans recorded"
+    out << "(no spans recorded"
 #if !RIT_OBS_ENABLED
               << "; observability compiled out (RIT_OBS_ENABLED=0)"
 #endif
@@ -351,7 +354,7 @@ void finish(const BenchOptions& opts) {
   } else {
     double instrumented_ms = 0.0;
     for (const obs::PhaseStat& ph : phases) instrumented_ms += ph.self_ms;
-    std::cout << "=== per-phase breakdown — " << opts.name << " ===\n";
+    out << "=== per-phase breakdown — " << opts.name << " ===\n";
     cli::Table table({"phase", "count", "total_ms", "self_ms", "self_%"});
     for (const obs::PhaseStat& ph : phases) {
       table.add_row({ph.name, format_u64(ph.count),
@@ -362,8 +365,8 @@ void finish(const BenchOptions& opts) {
                                        : 0.0,
                                    1)});
     }
-    table.print(std::cout);
-    std::cout << "phases sum to " << format_double(instrumented_ms, 1)
+    table.print(out);
+    out << "phases sum to " << format_double(instrumented_ms, 1)
               << " ms of " << format_double(wall_ms, 1)
               << " ms end-to-end ("
               << format_double(wall_ms > 0.0
@@ -372,16 +375,16 @@ void finish(const BenchOptions& opts) {
                                1)
               << "% coverage)";
     if (obs::dropped_spans() > 0) {
-      std::cout << "; " << obs::dropped_spans()
+      out << "; " << obs::dropped_spans()
                 << " spans dropped (buffer full — raise "
                    "obs::set_trace_capacity)";
     }
-    std::cout << "\n";
+    out << "\n";
   }
 
   if (opts.perf_counters) {
     if (!perf_avail.any()) {
-      std::cout << "(perf counters requested but unavailable: "
+      out << "(perf counters requested but unavailable: "
                    "perf_event_open unpermitted and no alloc hook — "
                    "timings only)\n";
     } else if (!perf_phases.empty()) {
@@ -389,7 +392,7 @@ void finish(const BenchOptions& opts) {
         return avail ? format_with_commas(static_cast<long long>(v))
                      : std::string("-");
       };
-      std::cout << "=== per-phase counters — " << opts.name << " ===\n";
+      out << "=== per-phase counters — " << opts.name << " ===\n";
       cli::Table table({"phase", "spans", "cycles", "instructions", "ipc",
                         "cache_miss%", "branch_miss", "allocs"});
       for (const obs::PerfPhaseStat& pp : perf_phases) {
@@ -419,7 +422,7 @@ void finish(const BenchOptions& opts) {
                   pp.totals[obs::kPerfBranchMisses]),
              cell(perf_avail.alloc_hook, pp.alloc_count)});
       }
-      table.print(std::cout);
+      table.print(out);
     }
   }
 
@@ -427,7 +430,7 @@ void finish(const BenchOptions& opts) {
   // default runs stay byte-identical), loud when anything was contained.
   const sim::FaultLedger& faults = opts.sweep->faults;
   if (!faults.empty()) {
-    std::cout << "=== quarantined faults — " << opts.name << " ===\n"
+    out << "=== quarantined faults — " << opts.name << " ===\n"
               << faults.markdown();
     if (!opts.csv_path.empty()) {
       std::filesystem::path p(opts.csv_path);
@@ -439,24 +442,24 @@ void finish(const BenchOptions& opts) {
                      sim::to_string(f.kind), f.phase, f.reason});
       }
       csv.close();
-      std::cout << "faults csv: " << p.string() << "\n";
+      out << "faults csv: " << p.string() << "\n";
     }
   }
 
   if (!opts.trace_path.empty()) {
     obs::write_chrome_trace(opts.trace_path, events);
-    std::cout << "trace: " << opts.trace_path
+    out << "trace: " << opts.trace_path
               << " (open in chrome://tracing or ui.perfetto.dev)\n";
   }
   if (!opts.metrics_path.empty()) {
     obs::write_metrics_json(opts.metrics_path, metrics);
-    std::cout << "metrics: " << opts.metrics_path << "\n";
+    out << "metrics: " << opts.metrics_path << "\n";
   }
   if (!opts.summary_path.empty()) {
     write_summary_json(opts, wall_ms, phases, metrics);
-    std::cout << "summary: " << opts.summary_path << "\n";
+    out << "summary: " << opts.summary_path << "\n";
   }
-  std::cout << "\n";
+  out << "\n";
 }
 
 }  // namespace rit::bench

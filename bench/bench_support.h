@@ -65,6 +65,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -184,6 +185,9 @@ void emit_svg(const std::string& title, const BenchOptions& opts,
 /// timing breakdown (self time, i.e. phases are disjoint and sum to the
 /// instrumented wall time), and writes the --trace-out / --metrics-out /
 /// --json artifacts that were requested. Call once at the end of main().
+/// The report goes to stdout, or to `out`: bench_micro sends it to stderr,
+/// so that its stdout holds only google-benchmark's output.
 void finish(const BenchOptions& opts);
+void finish(const BenchOptions& opts, std::ostream& out);
 
 }  // namespace rit::bench

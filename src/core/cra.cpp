@@ -165,9 +165,22 @@ double value_at(const Order& order, std::size_t band, std::uint64_t pos) {
   return 0.0;  // unreachable
 }
 
-// Set bits in [begin, begin + len).
+// Set bits in [begin, begin + len). Up to 64 positions lie in the window
+// of two words that starts at begin's word, so a run takes one masked
+// popcount; a longer stretch takes a word at a time. `bits` is not empty.
 std::uint64_t count_bits(std::span<const std::uint64_t> bits,
                          std::uint64_t begin, std::uint64_t len) {
+  if (len <= 64) {
+    // An empty stretch may start one past the last word: any word will do.
+    const std::size_t w = std::min<std::size_t>(begin >> 6, bits.size() - 1);
+    const unsigned shift = begin & 63;
+    const std::uint64_t next = w + 1 < bits.size() ? bits[w + 1] : 0;
+    const std::uint64_t window =
+        (bits[w] >> shift) | ((next << 1) << (63 - shift));
+    const std::uint64_t mask =
+        len < 64 ? (std::uint64_t{1} << len) - 1 : ~std::uint64_t{0};
+    return static_cast<std::uint64_t>(std::popcount(window & mask));
+  }
   std::uint64_t count = 0;
   for (const std::uint64_t end = begin + len; begin < end;) {
     const std::uint64_t shift = begin & 63;
@@ -197,9 +210,11 @@ std::uint64_t select_bit(std::span<const std::uint64_t> bits,
 // Steps 3-5 as run wins, walking the band's order run by run. The chosen
 // asks are the positions [0, end), or only those set in ws.thinned when it
 // is non-empty; the winners are the chosen asks whose chosen index is set
-// in ws.sampled when it is non-empty, and every chosen ask otherwise.
+// in ws.sampled when it is non-empty, and every chosen ask otherwise. An
+// untied book's tie groups are single runs (its flag is exact), so only a
+// tied one looks for the end of each group.
 void count_wins(const Order& order, std::size_t band, std::uint64_t end,
-                CraWorkspace& ws, std::vector<RunWin>& winners) {
+                bool tied, CraWorkspace& ws, std::vector<RunWin>& winners) {
   std::uint64_t chosen = 0;  // chosen asks before the current position
   const auto wins_in = [&](std::uint64_t pos, std::uint64_t len) {
     const std::uint64_t c =
@@ -212,7 +227,7 @@ void count_wins(const Order& order, std::size_t band, std::uint64_t end,
   std::uint64_t pos = 0;
   const std::uint32_t* tie = ws.ties.data();
   for (std::size_t r = 0; r < band && pos < end;) {
-    const std::size_t e = order.group_end(r);
+    const std::size_t e = tied ? order.group_end(r) : r + 1;
     if (e - r == 1) {
       const std::uint32_t len = order[r].len;
       const std::uint32_t w =
@@ -294,7 +309,7 @@ void run_cra_runs(ExtractedRuns& book, const CraParams& params, rng::Rng& rng,
     ws.thinned.clear();
     rng.sample_without_replacement_bits(budget, params.q, ws.sample_pool,
                                         ws.sampled);
-    count_wins(order, band, budget, ws, out.winners);
+    count_wins(order, band, budget, book.tied, ws, out.winners);
     out.num_winners = params.q;
     out.clearing_price = price;
     RIT_COUNTER_ADD("cra.winners", out.num_winners);
@@ -333,12 +348,16 @@ void run_cra_runs(ExtractedRuns& book, const CraParams& params, rng::Rng& rng,
     }
     out.sample_min = s;
 
-    // Step 2: consensus-round the count of asks <= s, the band's units.
+    // Step 2: consensus-round the count of asks <= s, the band's units
+    // (|alpha| when the band holds every run).
     const double y = rng.uniform01();
     band = book.order_through(s);
     RIT_DCHECK(band_matches_full_order(book, band));
-    std::uint64_t raw = 0;
-    for (std::size_t k = 0; k < band; ++k) raw += runs[book.by_value[k]].len;
+    std::uint64_t raw = units;
+    if (band < runs.size()) {
+      raw = 0;
+      for (std::size_t k = 0; k < band; ++k) raw += runs[book.by_value[k]].len;
+    }
     out.raw_count = raw;
     n_s = consensus_round_down(raw, y, params.consensus_grid_base);
     out.consensus_count = n_s;
@@ -381,7 +400,7 @@ void run_cra_runs(ExtractedRuns& book, const CraParams& params, rng::Rng& rng,
     rng.sample_without_replacement_bits(chosen, params.q, ws.sample_pool,
                                         ws.sampled);
   }
-  count_wins(order, band, end, ws, out.winners);
+  count_wins(order, band, end, book.tied, ws, out.winners);
 
   // Lemma 6.1: winners never outbid the price.
   RIT_DCHECK(std::all_of(

@@ -132,7 +132,8 @@ struct CraWorkspace {
 /// each of its few set bits to its run by binary search on `start`. The
 /// band (the runs at or below the threshold s) is the prefix of the value
 /// order that the book gathers through s, and the raw count is its unit
-/// sum. A tie group is a stretch of equal values. The tie shuffle of a
+/// sum (|alpha|, read off the book, when the band holds every run). A tie
+/// group is a stretch of equal values. The tie shuffle of a
 /// group that is one run only permutes that run's asks, so it is drawn but
 /// not stored; when the book has no tied values, all of those draws are
 /// skipped at once (rng::Rng::skip_uniform_indices) and nothing above the
@@ -142,7 +143,9 @@ struct CraWorkspace {
 /// cases: the order-statistic arm, a tied book, an empty sample (s is the
 /// top of the book) and a skip that the lcm filter refuses. Steps 3-5
 /// walk the band's unit positions run by run, with bitmaps for the
-/// thinning (one scan, rng::Rng::bernoulli_bits) and the step-5 sample.
+/// thinning (one scan, rng::Rng::bernoulli_bits) and the step-5 sample;
+/// a run of up to 64 asks counts its bits in each with one masked
+/// popcount, and only a tied book looks for the end of each tie group.
 void run_cra_runs(ExtractedRuns& book, const CraParams& params, rng::Rng& rng,
                   CraWorkspace& ws, CraOutcome& out);
 

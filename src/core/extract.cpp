@@ -1,6 +1,7 @@
 #include "core/extract.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -32,25 +33,25 @@ struct ByValue {
   return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
 }
 
-// Writes the slots [begin, end) of `value` to out[0, n), n = end - begin,
-// grouped by bucket floor(value * 2n / max), which is monotone in the
-// value, with each bucket's slots ascending (a stable counting sort), and
-// returns the scale. A bucket of more than two slots is sorted here; a
-// pair is left for sort_through. With twice as many buckets as slots, a
-// spread book leaves most buckets empty or single and few of more than
-// two; ties and skew only make buckets bigger, up to one std::sort of the
-// whole type. Then every tie is between neighbours in `out`, since equal
-// values share a bucket, and `tied` is one pass over them. Values must be
-// finite and > 0.
-double scatter_by_value(std::span<const double> value, std::uint32_t begin,
-                        std::uint32_t end, std::uint32_t* out,
+// Writes the slots [begin, end) of `value`, whose largest is `max`, to
+// order[begin, end), grouped by bucket floor(value * 2n / max), n = end -
+// begin, which is monotone in the value, with each bucket's slots
+// ascending (a stable counting sort), and returns the scale. A bucket of
+// more than two slots is sorted here; a pair is left for sort_through, and
+// its first position is set in `pair_start`. With twice as many buckets
+// as slots, a spread book leaves most buckets empty or single and few of
+// more than two; ties and skew only make buckets bigger, up to one
+// std::sort of the whole type. Then every tie is between neighbours in
+// `order`, since equal values share a bucket, and `tied` is one pass over
+// them. Values must be finite and > 0.
+double scatter_by_value(std::span<const double> value, double max,
+                        std::uint32_t begin, std::uint32_t end,
+                        std::uint32_t* order, std::uint64_t* pair_start,
                         std::vector<std::uint32_t>& buckets, bool& tied) {
   tied = false;
   const std::uint32_t n = end - begin;
   if (n == 0) return 0.0;
   RIT_CHECK(n <= UINT32_MAX / 2);
-  const double max =
-      *std::max_element(value.begin() + begin, value.begin() + end);
   const std::uint32_t nb = 2 * n;
   // v * scale is at most about nb; a max so small that nb / max
   // overflows puts every slot in one bucket.
@@ -59,20 +60,39 @@ double scatter_by_value(std::span<const double> value, std::uint32_t begin,
   for (std::uint32_t i = begin; i < end; ++i) {
     ++buckets[bucket_of(value[i], scale, nb) + 1];
   }
-  std::partial_sum(buckets.begin(), buckets.end(), buckets.begin());
+  // The prefix sum turns the counts into bucket starts, and notes each
+  // bucket of two at its start; one word's bits gather in `bits` until
+  // the starts leave it. The empty buckets at the top start at `end`,
+  // which can be one word past pair_start, but set no bit there.
+  std::uint32_t start = begin;
+  std::uint32_t word = begin >> 6;
+  std::uint64_t bits = 0;
+  buckets[0] = begin;
+  for (std::uint32_t b = 1; b <= nb; ++b) {
+    const std::uint32_t count = buckets[b];
+    if (start >> 6 != word) {
+      if (bits != 0) pair_start[word] |= bits;
+      word = start >> 6;
+      bits = 0;
+    }
+    bits |= std::uint64_t{count == 2} << (start & 63);
+    start += count;
+    buckets[b] = start;
+  }
+  if (bits != 0) pair_start[word] |= bits;
   for (std::uint32_t i = begin; i < end; ++i) {
-    out[buckets[bucket_of(value[i], scale, nb)]++] = i;
+    order[buckets[bucket_of(value[i], scale, nb)]++] = i;
   }
   // buckets[b] is now the end of bucket b, and the start of bucket b + 1.
-  std::uint32_t first = 0;
+  std::uint32_t first = begin;
   for (std::uint32_t b = 0; b < nb; ++b) {
     if (buckets[b] - first > 2) {
-      std::sort(out + first, out + buckets[b], ByValue{value.data()});
+      std::sort(order + first, order + buckets[b], ByValue{value.data()});
     }
     first = buckets[b];
   }
-  for (std::uint32_t k = 1; k < n && !tied; ++k) {
-    tied = value[out[k]] == value[out[k - 1]];
+  for (std::uint32_t k = begin + 1; k < end && !tied; ++k) {
+    tied = value[order[k]] == value[order[k - 1]];
   }
   return scale;
 }
@@ -127,11 +147,14 @@ void AskTypeIndex::build(std::uint32_t types, std::span<const Ask> asks) {
   user.resize(asks.size());
   value.resize(asks.size());
   quantity.resize(asks.size());
+  // scale[t] holds the type's largest value until its scatter below.
+  scale.assign(types, 0.0);
   for (const Ask& a : asks) {
     RIT_CHECK_MSG(a.type.value < types, "ask type " << a.type.value
                                                     << " outside job's "
                                                     << types << " types");
     offsets[a.type.value + 1] += 1;
+    scale[a.type.value] = std::max(scale[a.type.value], a.value);
   }
   for (std::uint32_t t = 0; t < types; ++t) offsets[t + 1] += offsets[t];
   // Second pass places each ask at its group cursor; iterating j ascending
@@ -147,13 +170,14 @@ void AskTypeIndex::build(std::uint32_t types, std::span<const Ask> asks) {
   for (std::uint32_t t = types; t > 0; --t) offsets[t] = offsets[t - 1];
   offsets[0] = 0;
   by_value.resize(asks.size());
+  pair_start.assign((asks.size() + 63) / 64, 0);
   sorted_end.assign(offsets.begin(), offsets.end() - 1);
-  scale.resize(types);
   tied.resize(types);
   for (std::uint32_t t = 0; t < types; ++t) {
     bool t_tied = false;
-    scale[t] = scatter_by_value(value, offsets[t], offsets[t + 1],
-                                by_value.data() + offsets[t], buckets, t_tied);
+    scale[t] = scatter_by_value(value, scale[t], offsets[t], offsets[t + 1],
+                                by_value.data(), pair_start.data(), buckets,
+                                t_tied);
     tied[t] = t_tied ? 1 : 0;
   }
 }
@@ -163,33 +187,34 @@ std::uint32_t AskTypeIndex::sort_through(std::uint32_t t, double s) {
   const std::uint32_t begin = offsets[t];
   const std::uint32_t end = offsets[t + 1];
   std::uint32_t* order = by_value.data();
-  // Every bucket left unsorted is a pair, and slots of different buckets
-  // are already in order, so one compare-and-swap of each pair of
-  // neighbours sorts the rest: after the one at (k, k + 1), slot k holds
-  // its final entry. The larger of the two is carried in registers to
-  // the next compare. The walk stops at the first final entry above s.
+  // Every unsorted entry is in a pair, and the buckets are in value order,
+  // so one compare-and-swap per pair sorts the rest. The pairs come in
+  // ascending value: the walk stops at the first whose smaller value is
+  // above s, since every entry from there on is too.
   std::uint32_t k = sorted_end[t];
   if (k < end) {
-    std::uint32_t carried = order[k];
-    double carried_value = value[carried];
-    for (;; ++k) {
-      if (k + 1 == end) {
-        order[k] = carried;
-        if (carried_value <= s) ++k;
+    std::size_t w = k >> 6;
+    std::uint64_t word = pair_start[w] & (~std::uint64_t{0} << (k & 63));
+    const std::size_t words = (std::size_t{end} + 63) >> 6;
+    k = end;
+    for (;;) {
+      while (word == 0 && ++w < words) word = pair_start[w];
+      if (word == 0) break;
+      const auto p = static_cast<std::uint32_t>(
+          64 * w + static_cast<std::size_t>(std::countr_zero(word)));
+      if (p >= end) break;  // the next type's pairs
+      // The pair is in slot order, so only a strictly smaller second
+      // value swaps it: equal values keep their user order.
+      const std::uint32_t a = order[p];
+      const std::uint32_t c = order[p + 1];
+      const bool swap = value[c] < value[a];
+      if ((swap ? value[c] : value[a]) > s) {
+        k = p;
         break;
       }
-      const std::uint32_t next = order[k + 1];
-      const double next_value = value[next];
-      const bool swap = next_value < carried_value ||
-                        (next_value == carried_value && next < carried);
-      order[k] = swap ? next : carried;
-      const double final_value = swap ? next_value : carried_value;
-      carried = swap ? carried : next;
-      carried_value = swap ? carried_value : next_value;
-      if (final_value > s) {
-        order[k + 1] = carried;
-        break;
-      }
+      order[p] = swap ? c : a;
+      order[p + 1] = swap ? a : c;
+      word &= word - 1;
     }
     sorted_end[t] = k;
   }

@@ -40,8 +40,9 @@ ExtractedAsks extract_remaining(TaskType type, std::span<const Ask> asks,
 /// full-scan path does. Values never change during an auction, so each
 /// type's slots are put in value order once per auction, and only as far
 /// as a CRA round reads them: build() scatters them into value buckets,
-/// and sort_through() sorts a bucket when a round's band first reaches
-/// it. build() reuses capacity across auctions.
+/// sorts the buckets of more than two and lists the pairs, and
+/// sort_through() orders a pair when a round's band first reaches it.
+/// build() reuses capacity across auctions.
 struct AskTypeIndex {
   std::vector<std::uint32_t> offsets;   ///< per type: [offsets[t], offsets[t+1])
   std::vector<std::uint32_t> user;      ///< flat ask indices, ascending per type
@@ -54,7 +55,16 @@ struct AskTypeIndex {
   /// the value, so up to sorted_end[t] this is the ascending (value, user)
   /// order: equal values keep their user order.
   std::vector<std::uint32_t> by_value;
-  /// Per type: the end of by_value's sorted prefix.
+  /// The pair list, one bit per by_value position: set at the first of
+  /// the two slots of each bucket of two, which are the only unsorted
+  /// entries build() leaves (about 15% of a spread book's slots). Its
+  /// size is fixed by the ask count, 1/8 byte per ask, so a rebuild of an
+  /// index at least as big keeps its capacity.
+  std::vector<std::uint64_t> pair_start;
+  /// Per type: where sort_through() resumes. Every pair before it is
+  /// sorted, so by_value[offsets[t], sorted_end[t]) is in final order;
+  /// after a sort_through() it is the first unsorted pair, or the type's
+  /// end once all are sorted.
   std::vector<std::uint32_t> sorted_end;
   /// Per type: the bucket scale, 2n / max value (0 when that overflows,
   /// which puts every slot in one bucket).
@@ -74,7 +84,9 @@ struct AskTypeIndex {
   void build(std::uint32_t num_types, std::span<const Ask> asks);
   /// Sorts type t's by_value through every slot of value <= s (all of
   /// them at s = +inf), and returns the end of those slots, which are
-  /// then a sorted prefix.
+  /// then a sorted prefix. It compare-and-swaps each pair whose smaller
+  /// value is <= s and finds the end by binary search below sorted_end[t];
+  /// any s is allowed, in any order.
   std::uint32_t sort_through(std::uint32_t t, double s);
 };
 

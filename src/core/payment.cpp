@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 // rit-lint: allow-file(testkit-only-injection)
 #include "common/bug_inject.h"
@@ -100,11 +101,19 @@ void tree_payments_into(const tree::IncentiveTree& tree,
 #if RIT_BUG_ENABLED(RIT_BUG_PREFIX_CARRY)
   std::vector<bool> type_seen(num_types, false);
 #endif
-  ws.open.clear();
+  // The stack holds a sentinel that never closes at the bottom, then the
+  // open subtrees, then the entry of the node being visited: a node at
+  // depth d has d - 1 open ancestors below the root, so max_depth + 1
+  // entries suffice. Every node's entry is written, and the top advances
+  // over it only when it has descendants.
+  ws.open.resize(static_cast<std::size_t>(tree.max_depth()) + 1);
+  PaymentWorkspace::OpenSubtree* open = ws.open.data();
+  open[0] = {0, std::numeric_limits<std::uint32_t>::max(), 0.0, 0.0};
+  std::size_t top = 0;
   double sum = 0.0;
-  const auto close_until = [&](std::size_t pos) {
-    while (!ws.open.empty() && ws.open.back().end <= pos) {
-      const PaymentWorkspace::OpenSubtree& o = ws.open.back();
+  const auto close_until = [&](std::uint32_t pos) {
+    for (; open[top].end <= pos; --top) {
+      const PaymentWorkspace::OpenSubtree& o = open[top];
       const double total = sum - o.sum_at_entry;
       const double same_type =
           ws.type_sum[types[o.participant].value] - o.type_sum_at_entry;
@@ -112,25 +121,24 @@ void tree_payments_into(const tree::IncentiveTree& tree,
       // running-sum subtraction can dip a few ulps below zero, which must
       // not leak into a payment below p_i^A.
       out[o.participant] += std::max(0.0, total - same_type);
-      ws.open.pop_back();
     }
   };
-  const auto preorder = tree.preorder();
-  for (std::size_t pos = 1; pos < preorder.size(); ++pos) {  // 0 is the root
+  const std::span<const std::uint32_t> preorder = tree.preorder();
+  const std::span<const std::uint32_t> sizes = tree.subtree_sizes();
+  const auto nodes = static_cast<std::uint32_t>(preorder.size());
+  for (std::uint32_t pos = 1; pos < nodes; ++pos) {  // 0 is the root
     close_until(pos);
     const std::uint32_t node = preorder[pos];
     // The open subtrees are now exactly the node's ancestors below the
     // root (an ancestor's subtree always has more than one node), so its
     // depth needs no per-node read.
-    const auto depth = static_cast<std::uint32_t>(ws.open.size()) + 1;
+    const auto depth = static_cast<std::uint32_t>(top) + 1;
     RIT_DCHECK(depth == tree.depth(node));
     const std::uint32_t i = tree::participant_of_node(node);
     const std::uint32_t t = types[i].value;
-    const std::uint32_t size = tree.subtree_size(node);
-    if (size > 1) {  // a leaf has no descendants and no reward
-      ws.open.push_back({i, static_cast<std::uint32_t>(pos) + size, sum,
-                         ws.type_sum[t]});
-    }
+    const std::uint32_t size = sizes[pos];
+    open[top + 1] = {i, pos + size, sum, ws.type_sum[t]};
+    top += size > 1 ? 1 : 0;  // a leaf has no descendants and no reward
     const double c = ws.depth_discount[depth] * auction_payments[i];
     sum += c;
 #if RIT_BUG_ENABLED(RIT_BUG_PREFIX_CARRY)
@@ -141,7 +149,7 @@ void tree_payments_into(const tree::IncentiveTree& tree,
     ws.type_sum[t] += c;
 #endif
   }
-  close_until(preorder.size());
+  close_until(nodes);
 }
 
 double solicitation_premium(std::span<const double> payments,

@@ -44,7 +44,8 @@ std::vector<double> tree_payments(const tree::IncentiveTree& tree,
 
 /// Reusable scratch for tree_payments_into: the depth-discount memo, one
 /// running contribution sum per task type, and the stack of subtrees the
-/// preorder scan has opened but not yet closed (at most max_depth deep).
+/// preorder scan has opened but not yet closed, with a sentinel below
+/// them (max_depth + 1 entries).
 /// All buffers regrow to high-water capacity once and are then reused, so
 /// a steady-state payment pass performs no allocations.
 struct PaymentWorkspace {
@@ -59,7 +60,8 @@ struct PaymentWorkspace {
   std::vector<OpenSubtree> open;
 };
 
-/// Scratch-reusing form of tree_payments: one O(N) preorder scan. Writes
+/// Scratch-reusing form of tree_payments: one O(N) preorder scan, which
+/// reads the tree's subtree sizes in sequence (by preorder position). Writes
 /// the final payments into `out` (resized to the participant count,
 /// reusing capacity); bit-identical to tree_payments(). The scan is
 /// serial and `threads` is ignored: it stays in the signature only for

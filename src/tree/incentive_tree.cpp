@@ -23,6 +23,7 @@ void IncentiveTree::layout_topological() {
   // connected by construction and no DFS is needed.
   const std::uint32_t n = num_nodes();
   const std::uint32_t* parent = parents_.data();
+  // Subtree sizes by id, until the last pass below.
   subtree_size_.assign(n, 1);
   for (std::uint32_t v = n - 1; v > 0; --v) {
     subtree_size_[parent[v]] += subtree_size_[v];
@@ -48,8 +49,15 @@ void IncentiveTree::layout_topological() {
     preorder_pos_[v] = pos + 1;
     preorder_[pos] = v;
   }
-  for (std::uint32_t v = 0; v < n; ++v) preorder_pos_[v] -= subtree_size_[v];
   max_depth_ = max_depth;
+  // One pass in preorder turns each node's cursor end, pos + size, into
+  // its size at its position and its position; the sizes by id are not
+  // read again, so they are overwritten in place.
+  for (std::uint32_t pos = 0; pos < n; ++pos) {
+    const std::uint32_t v = preorder_[pos];
+    subtree_size_[pos] = preorder_pos_[v] - pos;
+    preorder_pos_[v] = pos;
+  }
 }
 
 void IncentiveTree::layout_general() {
@@ -95,11 +103,11 @@ void IncentiveTree::layout_general() {
                 "visited " << preorder_.size() << " of " << n << " nodes");
   max_depth_ = *std::max_element(depths_.begin(), depths_.end());
 
-  // Subtree sizes via reverse-preorder accumulation.
+  // Subtree sizes by position, via reverse-preorder accumulation.
   subtree_size_.assign(n, 1);
-  for (std::size_t i = preorder_.size(); i > 1; --i) {
-    const std::uint32_t v = preorder_[i - 1];
-    subtree_size_[parents_[v]] += subtree_size_[v];
+  for (std::uint32_t pos = n - 1; pos > 0; --pos) {
+    subtree_size_[preorder_pos_[parents_[preorder_[pos]]]] +=
+        subtree_size_[pos];
   }
 }
 
@@ -108,9 +116,9 @@ std::vector<std::uint32_t> IncentiveTree::children(std::uint32_t node) const {
   // The children start right after the node in preorder, each one's
   // subtree after the previous one's.
   std::vector<std::uint32_t> out;
-  const std::uint32_t end = preorder_pos_[node] + subtree_size_[node];
-  for (std::uint32_t i = preorder_pos_[node] + 1; i < end;
-       i += subtree_size_[preorder_[i]]) {
+  const std::uint32_t begin = preorder_pos_[node];
+  const std::uint32_t end = begin + subtree_size_[begin];
+  for (std::uint32_t i = begin + 1; i < end; i += subtree_size_[i]) {
     out.push_back(preorder_[i]);
   }
   return out;
@@ -120,7 +128,7 @@ std::vector<std::uint32_t> IncentiveTree::descendants(
     std::uint32_t node) const {
   RIT_CHECK(node < num_nodes());
   const std::uint32_t begin = preorder_pos_[node];
-  const std::uint32_t size = subtree_size_[node];
+  const std::uint32_t size = subtree_size_[begin];
   std::vector<std::uint32_t> out;
   out.reserve(size - 1);
   for (std::uint32_t i = begin + 1; i < begin + size; ++i) {
@@ -135,7 +143,7 @@ bool IncentiveTree::is_ancestor(std::uint32_t anc, std::uint32_t node) const {
   if (anc == node) return false;
   const std::uint32_t begin = preorder_pos_[anc];
   const std::uint32_t pos = preorder_pos_[node];
-  return pos > begin && pos < begin + subtree_size_[anc];
+  return pos > begin && pos < begin + subtree_size_[begin];
 }
 
 }  // namespace rit::tree

@@ -24,11 +24,13 @@ class IncentiveTree {
   /// Builds from a parent vector: parents[i] is the parent of node i, for
   /// i >= 1; parents[0] is ignored (root). Parents may reference any node id
   /// (forward or backward); the constructor validates that the structure is
-  /// a single tree rooted at 0 and computes depths and a preorder layout.
-  /// A topologically numbered vector (every parents[v] < v, as every
-  /// builder in tree/builders.h emits) is laid out in linear passes over
-  /// ids; any other one by a stack DFS over a temporary child list. Both
-  /// give the same layout: children are visited in ascending id.
+  /// a single tree rooted at 0 and computes depths and a preorder layout:
+  /// the nodes in preorder, each node's preorder position, and the subtree
+  /// sizes stored by preorder position, so a scan of preorder() reads them
+  /// in sequence. A topologically numbered vector (every parents[v] < v,
+  /// as every builder in tree/builders.h emits) is laid out in linear
+  /// passes; any other one by a stack DFS over a temporary child list.
+  /// Both give the same layout: children are visited in ascending id.
   explicit IncentiveTree(std::vector<std::uint32_t> parents);
 
   /// Convenience: a tree with only the platform root.
@@ -70,7 +72,13 @@ class IncentiveTree {
   /// Size of the subtree rooted at `node`, including the node itself.
   std::uint32_t subtree_size(std::uint32_t node) const {
     RIT_CHECK(node < num_nodes());
-    return subtree_size_[node];
+    return subtree_size_[preorder_pos_[node]];
+  }
+
+  /// Subtree sizes in preorder: subtree_sizes()[k] is the size of the
+  /// subtree rooted at preorder()[k], which spans positions [k, k + size).
+  std::span<const std::uint32_t> subtree_sizes() const {
+    return subtree_size_;
   }
 
   /// The paper's T_j: strict descendants of `node` (excluding the node).
@@ -89,7 +97,7 @@ class IncentiveTree {
   std::vector<std::uint32_t> depths_;
   std::vector<std::uint32_t> preorder_;
   std::vector<std::uint32_t> preorder_pos_;
-  std::vector<std::uint32_t> subtree_size_;
+  std::vector<std::uint32_t> subtree_size_;  ///< by preorder position
   std::uint32_t max_depth_{0};
 };
 

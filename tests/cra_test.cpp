@@ -1316,6 +1316,63 @@ TEST(CraExtractBook, TypeDownToItsLastLiveUser) {
   }
 }
 
+TEST(CraExtractBook, UntiedBookThinsTheBand) {
+  // q + m_i is 2% of the supply, so n_s often exceeds it and step 3 keeps
+  // each band ask with probability (q + m_i) / (2 n_s); the win counts of
+  // an untied book come from its runs without any tie-group probe.
+  rng::Rng gen(77);
+  std::vector<std::pair<double, std::uint32_t>> runs;
+  add_distinct_runs(runs, 2000, 0.0, 10.0, 1, 20, gen);
+  IndexedBook book(runs);
+  ASSERT_FALSE(book.next().tied);
+  const CraParams params = params_for_band(book.supply(), 0.02);
+  int thinned = 0;
+  EXPECT_GT(expect_extract_rounds_match_full_sort(
+                book, params, 60, 1320,
+                [&](const ExtractedRuns&, const CraOutcome& got) {
+                  thinned += got.consensus_count > params.q + params.m_i;
+                }),
+            0);
+  EXPECT_GT(thinned, 0);
+}
+
+TEST(CraExtractBook, UntiedBookSamplesStepFive) {
+  // q = 3 of a potential-winner budget of 403: step 5 draws the q winners
+  // from the chosen asks as a bitmap over their indices.
+  rng::Rng gen(78);
+  std::vector<std::pair<double, std::uint32_t>> runs;
+  add_distinct_runs(runs, 2000, 0.0, 10.0, 1, 20, gen);
+  IndexedBook book(runs);
+  ASSERT_FALSE(book.next().tied);
+  const CraParams params{.q = 3, .m_i = 400};
+  int sampled = 0;
+  EXPECT_GT(expect_extract_rounds_match_full_sort(
+                book, params, 60, 1340,
+                [&](const ExtractedRuns&, const CraOutcome& got) {
+                  sampled += got.consensus_count > params.q &&
+                             got.num_winners == params.q;
+                }),
+            0);
+  EXPECT_GT(sampled, 0);
+}
+
+TEST(CraExtractBook, RunsLongerThanAWordWithThinningAndSampling) {
+  // Runs of up to 300 asks span more than the two-word window that counts
+  // a run's bits, so their thinning and sample bits are counted word by
+  // word; the short runs between them still take the window.
+  rng::Rng gen(79);
+  std::vector<std::pair<double, std::uint32_t>> runs;
+  add_distinct_runs(runs, 600, 0.0, 10.0, 1, 20, gen);
+  add_distinct_runs(runs, 60, 0.0, 10.0, 64, 300, gen);
+  for (const CraParams params :
+       {CraParams{.q = 40, .m_i = 300}, CraParams{.q = 5, .m_i = 2000}}) {
+    IndexedBook book(runs);
+    ASSERT_FALSE(book.next().tied);
+    EXPECT_GT(expect_extract_rounds_match_full_sort(book, params, 40, 1360),
+              0);
+  }
+}
+
 TEST(CraRunKernel, EmptyBookAndZeroDemandHaveNoWinners) {
   CraWorkspace ws;
   CraOutcome out;

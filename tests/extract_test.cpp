@@ -462,6 +462,140 @@ TEST(AskTypeIndexSortThrough, PrefixMatchesAStableSortAndStaysLazy) {
   }
 }
 
+/// sort_through(t, s) against a stable sort of type t's slots: it returns
+/// the end of the slots of value <= s, by_value holds them in that order,
+/// by_value is final through sorted_end[t], and every slot stays listed.
+void expect_sorted_through(AskTypeIndex& index, std::uint32_t t, double s) {
+  const std::uint32_t begin = index.offsets[t];
+  const std::uint32_t end = index.offsets[t + 1];
+  std::vector<std::uint32_t> want(end - begin);
+  std::iota(want.begin(), want.end(), begin);
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::uint32_t a, std::uint32_t c) {
+                     return index.value[a] < index.value[c];
+                   });
+  const auto below = static_cast<std::uint32_t>(
+      std::count_if(want.begin(), want.end(),
+                    [&](std::uint32_t i) { return index.value[i] <= s; }));
+  ASSERT_EQ(index.sort_through(t, s), begin + below) << "s " << s;
+  const std::uint32_t sorted = index.sorted_end[t];
+  ASSERT_GE(sorted, begin + below) << "s " << s;
+  ASSERT_LE(sorted, end) << "s " << s;
+  EXPECT_TRUE(std::equal(want.begin(), want.begin() + (sorted - begin),
+                         index.by_value.begin() + begin))
+      << "s " << s;
+  std::vector<std::uint32_t> listed(index.by_value.begin() + begin,
+                                    index.by_value.begin() + end);
+  std::sort(listed.begin(), listed.end());
+  std::vector<std::uint32_t> slots(end - begin);
+  std::iota(slots.begin(), slots.end(), begin);
+  EXPECT_EQ(listed, slots) << "s " << s;
+}
+
+/// One type's index over `values`, user j asking values[j].
+AskTypeIndex index_of(const std::vector<double>& values) {
+  std::vector<Ask> asks;
+  for (const double v : values) asks.push_back(Ask{TaskType{0}, 1, v});
+  AskTypeIndex index;
+  index.build(1, asks);
+  return index;
+}
+
+/// Whether by_value position `pos` starts one of the index's pairs.
+bool pair_at(const AskTypeIndex& index, std::uint32_t pos) {
+  return (index.pair_start[pos >> 6] >> (pos & 63) & 1) != 0;
+}
+
+// Ten values, max 10: 20 buckets of width 0.5. Users 3 and 4 ask 3.3 and
+// 3.1, a bucket of two in descending slot order, which only the pair's
+// compare-and-swap puts right.
+const std::vector<double> kPairBook{1.0, 2.0, 2.6, 3.3, 3.1,
+                                    4.0, 5.0, 6.0, 8.0, 10.0};
+
+TEST(AskTypeIndexSortThrough, ThresholdsAtBetweenAndAroundAPair) {
+  for (const double s : {0.5, 3.0, 3.1, 3.2, 3.3, 3.5, 9.0, kInf}) {
+    AskTypeIndex index = index_of(kPairBook);
+    ASSERT_TRUE(pair_at(index, 3));
+    expect_sorted_through(index, 0, s);
+    // The walk stops at the first pair whose smaller value is above s.
+    if (s < 3.1) {
+      EXPECT_EQ(index.sorted_end[0], 3u) << "s " << s;
+    } else {
+      EXPECT_EQ(index.by_value[3], 4u) << "s " << s;
+    }
+  }
+}
+
+TEST(AskTypeIndexSortThrough, RepeatedAndDecreasingThresholds) {
+  // One index, so each call resumes where the last one stopped.
+  AskTypeIndex index = index_of(kPairBook);
+  for (const double s : {0.5, 3.0, 3.0, 3.2, 3.1, 1.0, 3.3, 2.0, kInf, 3.2,
+                         kInf}) {
+    expect_sorted_through(index, 0, s);
+  }
+  EXPECT_EQ(index.sorted_end[0], 10u);
+}
+
+TEST(AskTypeIndexSortThrough, EqualValuedPairKeepsSlotOrder) {
+  std::vector<double> values = kPairBook;
+  values[4] = 3.3;  // users 3 and 4 tie
+  for (const double s : {3.2, 3.3, kInf}) {
+    AskTypeIndex index = index_of(values);
+    ASSERT_TRUE(pair_at(index, 3));
+    EXPECT_EQ(index.tied[0], 1u);
+    expect_sorted_through(index, 0, s);
+  }
+}
+
+TEST(AskTypeIndexSortThrough, PairInTheClippedTopBucket) {
+  // 10 * scale is the bucket count itself, clipped into the last bucket,
+  // where 9.8 joins it: that pair is listed in slot order (10, 9.8).
+  std::vector<double> values{1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 9.8};
+  for (const double s : {9.7, 9.8, 9.9, 10.0, kInf}) {
+    AskTypeIndex index = index_of(values);
+    ASSERT_TRUE(pair_at(index, 8));
+    expect_sorted_through(index, 0, s);
+  }
+}
+
+TEST(AskTypeIndexSortThrough, ZeroScaleMakesTheTypeOnePair) {
+  // 4 / 2e-310 overflows, so scale is 0 and both slots share bucket 0.
+  for (const double s : {5e-311, 1e-310, 1.5e-310, 2e-310, kInf}) {
+    AskTypeIndex index = index_of({2e-310, 1e-310});
+    ASSERT_EQ(index.scale[0], 0.0);
+    ASSERT_TRUE(pair_at(index, 0));
+    expect_sorted_through(index, 0, s);
+  }
+}
+
+TEST(AskTypeIndexSortThrough, BooksOfWholeWords) {
+  // 64 and 128 slots: the empty buckets at the top start one word past
+  // the pair list, which they must not touch.
+  for (const std::uint32_t users : {64u, 128u}) {
+    AskTypeIndex index;
+    index.build(1, random_book(users, 1, 0.0, users));
+    ASSERT_EQ(index.pair_start.size(), users / 64);
+    for (const double s : {1.0, 5.0, kInf}) expect_sorted_through(index, 0, s);
+  }
+}
+
+TEST(AskTypeIndexSortThrough, ManyTypesAndRandomThresholds) {
+  // Types share pair_start words, so a walk must stop at its type's end.
+  AskTypeIndex index;
+  rng::Rng rng(91);
+  for (const double quantum : {0.0, 0.01}) {
+    for (const std::uint32_t users : {2u, 40u, 700u, 6000u}) {
+      index.build(7, random_book(users, 7, quantum, users + 90));
+      for (int call = 0; call < 12; ++call) {
+        const auto t = static_cast<std::uint32_t>(rng.uniform_index(7));
+        const double s = call == 11 ? kInf : rng.uniform_real(0.0, 10.5);
+        expect_sorted_through(index, t, s);
+      }
+      expect_stable_value_order(index);
+    }
+  }
+}
+
 TEST(ExtractRuns, OrderThroughGathersTheBandThenTheRest) {
   AskTypeIndex index;
   for (const double quantum : {0.0, 0.25}) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -326,6 +327,89 @@ TEST(PaymentScan, BitIdenticalToPrefixSumPassOnRandomTrees) {
                   types, pa);
     expect_matches_prefix_sum_pass(t, types, pa);
   }
+}
+
+TEST(PaymentScan, BitIdenticalToPrefixSumPassOnAChainOf100k) {
+  // 10^5 open subtrees on the stack at once, every one closed by the
+  // sentinel-bottomed scan's final pass.
+  rng::Rng rng(506);
+  const tree::IncentiveTree t = tree::chain_tree(100000);
+  ASSERT_EQ(t.max_depth(), 100000u);
+  std::vector<TaskType> types;
+  std::vector<double> pa;
+  random_market(100000, 3, rng, types, pa);
+  expect_matches_prefix_sum_pass(t, types, pa);
+}
+
+TEST(PaymentScan, RootOnlyTreeHasNoPayments) {
+  PaymentWorkspace ws;
+  std::vector<double> out{1.0, 2.0};
+  tree_payments_into(tree::IncentiveTree::root_only(), {}, {}, 0.5, 1, ws,
+                     out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(PaymentScan, BitIdenticalToPrefixSumPassOnDrawnBaForests) {
+  // The trial's own tree: shallow and wide, most nodes leaves.
+  for (const std::uint32_t m : {1u, 3u}) {
+    for (const std::uint32_t n : {m + 1, 50u, 20000u}) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " n=" << n);
+      rng::Rng rng(507 + m);
+      const tree::IncentiveTree t = tree::barabasi_albert_forest(n, m, 10, rng);
+      std::vector<TaskType> types;
+      std::vector<double> pa;
+      random_market(n, 10, rng, types, pa);
+      expect_matches_prefix_sum_pass(t, types, pa);
+    }
+  }
+}
+
+/// A spine 1 -> 3 -> 5 -> ... of `depth` nodes under the root, each with
+/// a leaf child of the next lower id: a leaf precedes the rest of the spine
+/// in preorder, so the last preorder node is the spine's bottom, which
+/// closes every open subtree at once.
+std::vector<std::uint32_t> spine_with_leaves(std::uint32_t depth) {
+  std::vector<std::uint32_t> parents(2 * std::size_t{depth}, 0);
+  for (std::uint32_t i = 1; i < depth; ++i) {
+    parents[2 * i] = 2 * i - 1;      // the leaf of spine node 2i - 1
+    parents[2 * i + 1] = 2 * i - 1;  // the next spine node
+  }
+  return parents;
+}
+
+TEST(PaymentScan, LastPreorderNodeClosesEveryOpenSubtree) {
+  for (const std::uint32_t depth : {1u, 2u, 7u, 3000u}) {
+    SCOPED_TRACE(testing::Message() << "depth=" << depth);
+    const tree::IncentiveTree t(spine_with_leaves(depth));
+    ASSERT_EQ(t.preorder().back(), 2 * depth - 1);
+    ASSERT_EQ(t.depth(t.preorder().back()), depth);
+    rng::Rng rng(509);
+    std::vector<TaskType> types;
+    std::vector<double> pa;
+    random_market(t.num_participants(), 4, rng, types, pa);
+    expect_matches_prefix_sum_pass(t, types, pa);
+    std::fill(pa.begin(), pa.end(), 1.0);  // every contributor pays
+    expect_matches_prefix_sum_pass(t, types, pa);
+  }
+}
+
+TEST(PaymentScan, BitIdenticalToPrefixSumPassOnForwardReferencingTrees) {
+  // The general layout path: participants relabeled so most parents point
+  // forward; the sizes it stores by position feed the same scan.
+  rng::Rng rng(510);
+  const tree::IncentiveTree base = tree::random_recursive_tree(4000, 0.05, rng);
+  std::vector<std::uint32_t> relabel(base.num_nodes());
+  std::iota(relabel.begin(), relabel.end(), 0u);
+  rng.shuffle(std::span<std::uint32_t>(relabel).subspan(1));
+  std::vector<std::uint32_t> parents(base.num_nodes(), 0);
+  for (std::uint32_t v = 1; v < base.num_nodes(); ++v) {
+    parents[relabel[v]] = relabel[base.parent(v)];
+  }
+  const tree::IncentiveTree t(parents);
+  std::vector<TaskType> types;
+  std::vector<double> pa;
+  random_market(4000, 5, rng, types, pa);
+  expect_matches_prefix_sum_pass(t, types, pa);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <span>
 #include <vector>
@@ -316,11 +317,27 @@ void expect_layout_matches_reference(const IncentiveTree& t) {
   const auto pre = t.preorder();
   ASSERT_EQ(pre.size(), ref.preorder.size());
   EXPECT_TRUE(std::equal(pre.begin(), pre.end(), ref.preorder.begin()));
+  const auto sizes = t.subtree_sizes();
+  ASSERT_EQ(sizes.size(), t.num_nodes());
+  // descendants() copies a whole subtree: check it where the subtrees sum
+  // to a few million nodes (not on a 10^5 chain).
+  const std::uint64_t listed = std::accumulate(
+      ref.subtree_size.begin(), ref.subtree_size.end(), std::uint64_t{0});
   for (std::uint32_t v = 0; v < t.num_nodes(); ++v) {
     ASSERT_EQ(t.depth(v), ref.depth[v]) << "node " << v;
     ASSERT_EQ(t.subtree_size(v), ref.subtree_size[v]) << "node " << v;
     ASSERT_EQ(t.preorder_index(v), ref.preorder_index[v]) << "node " << v;
+    ASSERT_EQ(sizes[ref.preorder_index[v]], ref.subtree_size[v])
+        << "node " << v;
     ASSERT_EQ(t.children(v), ref.children[v]) << "node " << v;
+    if (listed <= 4000000) {
+      const std::uint32_t begin = ref.preorder_index[v];
+      ASSERT_EQ(t.descendants(v),
+                std::vector<std::uint32_t>(
+                    ref.preorder.begin() + begin + 1,
+                    ref.preorder.begin() + begin + ref.subtree_size[v]))
+          << "node " << v;
+    }
   }
 }
 
