@@ -57,11 +57,18 @@ double heap_allocs_per_call(benchmark::IterationCount calls, Call&& call) {
   return static_cast<double>(after - before) / static_cast<double>(calls);
 }
 
-std::vector<double> make_asks(std::size_t n, std::uint64_t seed) {
-  rng::Rng rng(seed);
-  std::vector<double> asks(n);
-  for (auto& a : asks) a = rng.uniform_real_left_open(0.0, 10.0);
-  return asks;
+/// Makes `book` complete (core::complete_book), with its value order
+/// sorted here once, so an arm times the round without the gather and
+/// bucket sorts an Extract book does as it goes.
+void complete_sorted(core::ExtractedRuns& book) {
+  std::vector<std::uint32_t>& by_value = book.by_value;
+  by_value.resize(book.runs.size());
+  std::iota(by_value.begin(), by_value.end(), 0u);
+  std::stable_sort(by_value.begin(), by_value.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return book.runs[a].value < book.runs[b].value;
+                   });
+  core::complete_book(book);
 }
 
 void BM_ConsensusRoundDown(benchmark::State& state) {
@@ -134,28 +141,34 @@ BENCHMARK(BM_RngSkipUniformIndices)->Arg(76000);
 BENCHMARK(BM_RngSkipUniformIndicesAvx2)->Arg(76000);
 BENCHMARK(BM_RngSkipUniformIndicesPlain)->Arg(76000);
 
-// The CRA round through the unit-vector API on all-distinct asks, with a
-// reused workspace; each call sorts its asks. heap_allocs_per_round must be
-// ~0 at steady state.
+// The CRA round on n all-distinct unit asks, each a one-unit run of a
+// complete book built outside the timed loop, with a reused workspace.
+// heap_allocs_per_round must be ~0 at steady state.
 void BM_CraRoundWorkspace(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto asks = make_asks(n, 2);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  rng::Rng gen(2);
+  core::ExtractedRuns book;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    book.runs.push_back(
+        core::AskRun{gen.uniform_real_left_open(0.0, 10.0), i, 1});
+  }
+  complete_sorted(book);
   rng::Rng rng(3);
   core::CraParams params;
-  params.q = static_cast<std::uint32_t>(n / 8 + 1);
-  params.m_i = static_cast<std::uint32_t>(n / 8 + 1);
+  params.q = n / 8 + 1;
+  params.m_i = n / 8 + 1;
   core::CraWorkspace ws;
   core::CraOutcome out;
   // One warm-up round grows every scratch buffer to its high-water mark;
   // from then on the hot path must not touch the heap.
-  core::run_cra(asks, params, rng, ws, out);
+  core::run_cra_runs(book, params, rng, ws, out);
   for (auto _ : state) {
-    core::run_cra(asks, params, rng, ws, out);
+    core::run_cra_runs(book, params, rng, ws, out);
     benchmark::DoNotOptimize(out.num_winners);
   }
   state.counters["heap_allocs_per_round"] =
       benchmark::Counter(heap_allocs_per_call(state.iterations(), [&] {
-        core::run_cra(asks, params, rng, ws, out);
+        core::run_cra_runs(book, params, rng, ws, out);
       }));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -172,9 +185,7 @@ BENCHMARK(BM_CraRoundWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
 // m_i instead, with q = m_i (the first round of a type). Reports the
 // measured band ratio and heap allocations per round, which must be 0: the
 // round reserves the buffers whose fill follows its random draws to their
-// bounds. The book is complete (core::complete_book): its value order is
-// sorted once, outside the timed loop, so the arms time the round itself,
-// without the gather and bucket sorts an Extract book does as it goes.
+// bounds. The book is complete (complete_sorted), outside the timed loop.
 void BM_CraRoundUnitRuns(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
   const auto band_pct = static_cast<std::uint64_t>(state.range(1));
@@ -187,14 +198,7 @@ void BM_CraRoundUnitRuns(benchmark::State& state) {
     book.runs.push_back(core::AskRun{v, units, len});
     units += len;
   }
-  std::vector<std::uint32_t>& by_value = book.by_value;
-  by_value.resize(book.runs.size());
-  std::iota(by_value.begin(), by_value.end(), 0u);
-  std::stable_sort(by_value.begin(), by_value.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return book.runs[a].value < book.runs[b].value;
-                   });
-  core::complete_book(book);
+  complete_sorted(book);
   core::CraParams params;
   if (state.range(2) > 0) {
     params.m_i = static_cast<std::uint32_t>(state.range(2));
@@ -401,11 +405,14 @@ PaymentFixtureData make_payment_data(std::uint32_t n) {
   return d;
 }
 
+// The production pass with a fresh workspace and output per call.
 void BM_PaymentPhaseFast(benchmark::State& state) {
   const auto d = make_payment_data(static_cast<std::uint32_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::tree_payments(d.tree, d.types, d.payments, 0.5));
+    core::PaymentWorkspace ws;
+    std::vector<double> out;
+    core::tree_payments_into(d.tree, d.types, d.payments, 0.5, 1, ws, out);
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_PaymentPhaseFast)->Arg(1000)->Arg(10000)->Arg(100000);

@@ -11,8 +11,9 @@
 // computed during the graph draws (tree::barabasi_albert_forest).
 //
 // This is the harness behind docs/scaling.md: combine with
-// --perf-counters for per-phase hardware counters. Every pass inside a
-// trial is serial; --threads fans out whole trials.
+// --perf-counters for per-phase hardware counters. Each rung prints its
+// own per-phase breakdown as it ends, and finish() the whole ladder's.
+// Every pass inside a trial is serial; --threads fans out whole trials.
 #include "bench_support.h"
 
 #include <iostream>
@@ -57,6 +58,10 @@ int main(int argc, char** argv) {
     const rit::sim::AggregateMetrics m = run_point(opts, s);
     const double rung_wall_ms =
         static_cast<double>(rit::obs::trace_now_ns() - t0) / 1e6;
+    print_breakdown_since("scale, rung " + std::to_string(rows.size() + 1) +
+                              " of " + std::to_string(opts.points) + ": " +
+                              std::to_string(s.num_users) + " users",
+                          t0);
 
     rows.push_back({static_cast<double>(s.num_users),
                     static_cast<double>(s.tasks_per_type),

@@ -327,10 +327,58 @@ void write_summary_json(const BenchOptions& opts, double wall_ms,
   out << "}\n";
 }
 
+// Prints the per-phase self-time table of `phases` under `title`, and
+// how much of `wall_ms` the phases cover.
+void print_breakdown(std::ostream& out, const std::string& title,
+                     const std::vector<obs::PhaseStat>& phases,
+                     double wall_ms) {
+  if (phases.empty()) {
+    out << "(no spans recorded"
+#if !RIT_OBS_ENABLED
+        << "; observability compiled out (RIT_OBS_ENABLED=0)"
+#endif
+        << ")\n";
+    return;
+  }
+  double instrumented_ms = 0.0;
+  for (const obs::PhaseStat& ph : phases) instrumented_ms += ph.self_ms;
+  out << "=== per-phase breakdown — " << title << " ===\n";
+  cli::Table table({"phase", "count", "total_ms", "self_ms", "self_%"});
+  for (const obs::PhaseStat& ph : phases) {
+    table.add_row({ph.name, format_u64(ph.count),
+                   format_double(ph.total_ms, 3), format_double(ph.self_ms, 3),
+                   format_double(instrumented_ms > 0.0
+                                     ? 100.0 * ph.self_ms / instrumented_ms
+                                     : 0.0,
+                                 1)});
+  }
+  table.print(out);
+  out << "phases sum to " << format_double(instrumented_ms, 1) << " ms of "
+      << format_double(wall_ms, 1) << " ms end-to-end ("
+      << format_double(wall_ms > 0.0 ? 100.0 * instrumented_ms / wall_ms : 0.0,
+                       1)
+      << "% coverage)";
+  if (obs::dropped_spans() > 0) {
+    out << "; " << obs::dropped_spans()
+        << " spans dropped (buffer full — raise obs::set_trace_capacity)";
+  }
+  out << "\n";
+}
+
 }  // namespace
 
 void finish(const BenchOptions& opts) { finish(opts, std::cout); }
 
+void print_breakdown_since(const std::string& title, std::uint64_t since_ns) {
+  const double wall_ms =
+      static_cast<double>(obs::trace_now_ns() - since_ns) / 1e6;
+  std::vector<obs::TraceEvent> events = obs::collect_trace();
+  std::erase_if(events, [&](const obs::TraceEvent& e) {
+    return e.begin_ns < since_ns;
+  });
+  print_breakdown(std::cout, title, obs::phase_breakdown(std::move(events)),
+                  wall_ms);
+}
 
 void finish(const BenchOptions& opts, std::ostream& out) {
   const double wall_ms =
@@ -345,42 +393,7 @@ void finish(const BenchOptions& opts, std::ostream& out) {
       opts.perf_counters ? obs::collect_perf_phase_stats()
                          : std::vector<obs::PerfPhaseStat>{};
 
-  if (phases.empty()) {
-    out << "(no spans recorded"
-#if !RIT_OBS_ENABLED
-              << "; observability compiled out (RIT_OBS_ENABLED=0)"
-#endif
-              << ")\n";
-  } else {
-    double instrumented_ms = 0.0;
-    for (const obs::PhaseStat& ph : phases) instrumented_ms += ph.self_ms;
-    out << "=== per-phase breakdown — " << opts.name << " ===\n";
-    cli::Table table({"phase", "count", "total_ms", "self_ms", "self_%"});
-    for (const obs::PhaseStat& ph : phases) {
-      table.add_row({ph.name, format_u64(ph.count),
-                     format_double(ph.total_ms, 3),
-                     format_double(ph.self_ms, 3),
-                     format_double(instrumented_ms > 0.0
-                                       ? 100.0 * ph.self_ms / instrumented_ms
-                                       : 0.0,
-                                   1)});
-    }
-    table.print(out);
-    out << "phases sum to " << format_double(instrumented_ms, 1)
-              << " ms of " << format_double(wall_ms, 1)
-              << " ms end-to-end ("
-              << format_double(wall_ms > 0.0
-                                   ? 100.0 * instrumented_ms / wall_ms
-                                   : 0.0,
-                               1)
-              << "% coverage)";
-    if (obs::dropped_spans() > 0) {
-      out << "; " << obs::dropped_spans()
-                << " spans dropped (buffer full — raise "
-                   "obs::set_trace_capacity)";
-    }
-    out << "\n";
-  }
+  print_breakdown(out, opts.name, phases, wall_ms);
 
   if (opts.perf_counters) {
     if (!perf_avail.any()) {

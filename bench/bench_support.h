@@ -181,6 +181,13 @@ void emit_svg(const std::string& title, const BenchOptions& opts,
               const std::vector<std::vector<double>>& rows,
               const std::vector<std::size_t>& series_columns);
 
+/// Prints to stdout the per-phase breakdown table of the spans that began
+/// at or after `since_ns` (obs::trace_now_ns()), under `title`, with their
+/// coverage of the wall time since then. Call it between runs, when no
+/// worker is recording: bench_scale prints one per rung, since finish()'s
+/// table sums every rung it ran.
+void print_breakdown_since(const std::string& title, std::uint64_t since_ns);
+
 /// End-of-run observability report: stops tracing, prints the per-phase
 /// timing breakdown (self time, i.e. phases are disjoint and sum to the
 /// instrumented wall time), and writes the --trace-out / --metrics-out /

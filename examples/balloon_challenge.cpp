@@ -72,11 +72,13 @@ int main() {
   // depth, and a user's own identities (same type) contribute nothing.
   std::cout << "== The same story under RIT's payment rule ==\n\n";
   const double base = 0.5;
+  core::PaymentWorkspace ws;
+  std::vector<double> p;
   {
     const tree::IncentiveTree t = tree::IncentiveTree({0, 0, 1});
     const std::vector<TaskType> types{TaskType{0}, TaskType{1}};
     const std::vector<double> pa{0.0, 2000.0};
-    const auto p = core::tree_payments(t, types, pa, base);
+    core::tree_payments_into(t, types, pa, base, /*threads=*/1, ws, p);
     std::cout << "honest:  Bob $" << format_double(p[1], 0) << ", Alice $"
               << format_double(p[0], 0) << " (Bob at depth 2: Alice gets "
               << "(1/2)^2 * 2000)\n";
@@ -87,7 +89,7 @@ int main() {
     // share Bob's type (Sec. 3-B).
     const std::vector<TaskType> types{TaskType{0}, TaskType{1}, TaskType{1}};
     const std::vector<double> pa{0.0, 0.0, 2000.0};
-    const auto p = core::tree_payments(t, types, pa, base);
+    core::tree_payments_into(t, types, pa, base, /*threads=*/1, ws, p);
     std::cout << "sybil:   Bob $" << format_double(p[1] + p[2], 0)
               << " (Bob1+Bob2 — identities share Bob's type, so they feed "
                  "him nothing)\n";

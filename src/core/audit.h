@@ -7,8 +7,8 @@
 // audit_payments() re-derives every payment from first principles (the
 // O(N * depth) definition) and checks the paper's invariants, returning a
 // machine-checkable report; tests run it after every mechanism test
-// scenario, and it doubles as a differential oracle for the fast
-// tree_payments() implementation.
+// scenario, and it doubles as a differential oracle for the production
+// preorder scan, tree_payments_into().
 #pragma once
 
 #include <span>

@@ -263,7 +263,6 @@ void run_cra_runs(ExtractedRuns& book, const CraParams& params, rng::Rng& rng,
   RIT_COUNTER_INC("cra.rounds");
   // Reset the outcome in place: `winners` keeps its capacity across rounds.
   out.winners.clear();
-  out.won.clear();
   out.clearing_price = 0.0;
   out.num_winners = 0;
   out.sample_min = 0.0;
@@ -410,27 +409,6 @@ void run_cra_runs(ExtractedRuns& book, const CraParams& params, rng::Rng& rng,
       static_cast<std::uint32_t>(std::min<std::uint64_t>(chosen, params.q));
   out.clearing_price = out.num_winners == 0 ? 0.0 : price;
   RIT_COUNTER_ADD("cra.winners", out.num_winners);
-}
-
-void run_cra(std::span<const double> asks, const CraParams& params,
-             rng::Rng& rng, CraWorkspace& ws, CraOutcome& out) {
-  ExtractedRuns& book = ws.unit_book;
-  book.runs.resize(asks.size());
-  for (std::uint32_t i = 0; i < asks.size(); ++i) {
-    book.runs[i] = AskRun{asks[i], i, 1};
-  }
-  std::vector<std::uint32_t>& order = book.by_value;
-  order.resize(asks.size());
-  std::iota(order.begin(), order.end(), 0u);
-  // (value, index) is a strict order, so this is the stable sort by value
-  // without std::stable_sort's buffer allocation.
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return asks[a] < asks[b] || (asks[a] == asks[b] && a < b);
-  });
-  complete_book(book);
-  run_cra_runs(book, params, rng, ws, out);
-  out.won.assign(asks.size(), false);
-  for (const RunWin& w : out.winners) out.won[w.run] = true;
 }
 
 }  // namespace rit::core

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -71,8 +70,6 @@ struct CraOutcome {
   /// The runs that won this round, each once with its win count (at most
   /// q in total), in no particular order.
   std::vector<RunWin> winners;
-  /// won[w]: whether unit ask w won (only the unit-vector run_cra).
-  std::vector<bool> won;
   /// Payment per winning ask (the paper's s; 0 when there are no winners).
   double clearing_price{0.0};
   std::uint32_t num_winners{0};
@@ -113,16 +110,14 @@ struct CraWorkspace {
   std::vector<std::uint64_t> sampled;
   /// Step 5's Fisher-Yates scratch, one slot per chosen ask.
   std::vector<std::uint32_t> sample_pool;
-  /// The unit-vector run_cra's complete book: one run per unit ask.
-  ExtractedRuns unit_book;
 };
 
 /// Runs one CRA round over the unit asks of `book` (Extract's, or a
 /// complete_book): run r is runs[r].len > 0 asks of value runs[r].value,
 /// and the runs tile alpha in order (equal values may recur in
 /// neighbouring runs). Draw for draw the round on the expanded unit-ask
-/// vector, with the winners counted per run (`out.winners`); `won` is left
-/// empty. The round extends the book's value order as far as it reads it.
+/// vector, with the winners counted per run (`out.winners`). The round
+/// extends the book's value order as far as it reads it.
 ///
 /// Cost: O(draws + band) per round, plus O(users) in the cases listed
 /// below; the book brings |alpha|, its longest run and its tie flag, so
@@ -148,15 +143,6 @@ struct CraWorkspace {
 /// popcount, and only a tied book looks for the end of each tie group.
 void run_cra_runs(ExtractedRuns& book, const CraParams& params, rng::Rng& rng,
                   CraWorkspace& ws, CraOutcome& out);
-
-/// The round over a unit-ask vector (the span Extract's alpha): sorts the
-/// asks by (value, index) and runs run_cra_runs on that complete book with
-/// each unit ask its own run, so equal asks form tie groups of several
-/// runs whose shuffle is drawn for real, and marks the winners in
-/// `out.won`. All scratch lives
-/// in `ws`; `out` is reused.
-void run_cra(std::span<const double> asks, const CraParams& params,
-             rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);
 
 /// The consensus rounding of Lemma 6.2 in isolation: the largest value
 /// base^(z+y) <= count (z integer), or 0 if count == 0 or every such value

@@ -97,48 +97,21 @@ double scatter_by_value(std::span<const double> value, double max,
   return scale;
 }
 
-void extract_impl(TaskType type, std::span<const Ask> asks,
-                  std::span<const std::uint32_t>* remaining,
-                  ExtractedAsks& out) {
-  out.values.clear();
-  out.owner.clear();
-  // Reserve pass keeps the expansion allocation-free in the hot loop.
-  std::size_t total = 0;
-  for (std::size_t j = 0; j < asks.size(); ++j) {
-    if (asks[j].type != type) continue;
-    total += remaining ? (*remaining)[j] : asks[j].quantity;
-  }
-  out.values.reserve(total);
-  out.owner.reserve(total);
-  for (std::size_t j = 0; j < asks.size(); ++j) {
-    if (asks[j].type != type) continue;
-    const std::uint32_t k = remaining ? (*remaining)[j] : asks[j].quantity;
-    if (remaining) {
-      RIT_CHECK_MSG(k <= asks[j].quantity,
-                    "remaining quantity " << k << " exceeds asked quantity "
-                                          << asks[j].quantity << " for user "
-                                          << j);
-    }
-    for (std::uint32_t f = 0; f < k; ++f) {
-      out.values.push_back(asks[j].value);
-      out.owner.push_back(static_cast<std::uint32_t>(j));
-    }
-  }
-}
 }  // namespace
 
 ExtractedAsks extract(TaskType type, std::span<const Ask> asks) {
   ExtractedAsks out;
-  extract_impl(type, asks, nullptr, out);
-  return out;
-}
-
-ExtractedAsks extract_remaining(
-    TaskType type, std::span<const Ask> asks,
-    std::span<const std::uint32_t> remaining_quantity) {
-  RIT_CHECK(remaining_quantity.size() == asks.size());
-  ExtractedAsks out;
-  extract_impl(type, asks, &remaining_quantity, out);
+  // Reserve pass keeps the expansion to one allocation per vector.
+  std::size_t total = 0;
+  for (const Ask& a : asks) total += a.type == type ? a.quantity : 0;
+  out.values.reserve(total);
+  out.owner.reserve(total);
+  for (std::size_t j = 0; j < asks.size(); ++j) {
+    if (asks[j].type != type) continue;
+    out.values.insert(out.values.end(), asks[j].quantity, asks[j].value);
+    out.owner.insert(out.owner.end(), asks[j].quantity,
+                     static_cast<std::uint32_t>(j));
+  }
   return out;
 }
 

@@ -26,12 +26,6 @@ struct ExtractedAsks {
 /// asks[j].type == type.
 ExtractedAsks extract(TaskType type, std::span<const Ask> asks);
 
-/// Expands ask j into remaining_quantity[j] unit asks (the paper's k'_j,
-/// capability not yet consumed by earlier CRA rounds), which must be
-/// elementwise <= the asked quantity.
-ExtractedAsks extract_remaining(TaskType type, std::span<const Ask> asks,
-                                std::span<const std::uint32_t> remaining_quantity);
-
 /// Per-type CSR over one ask vector, built once per auction so the
 /// multi-round loop can extract type tau_i by scanning only tau_i's askers
 /// instead of all N asks every round (the seed path's O(N * rounds * types)
@@ -129,8 +123,9 @@ struct ExtractedRuns {
 
 /// Extract over the index in run form: one run per user of `type` with
 /// capacity left, k'_j = asks[j].quantity - allocation[j] > 0, users
-/// ascending, over the alpha indices of extract_remaining's unit vector
-/// for those k'_j, with |alpha|, the longest run and the type's tie flag.
+/// ascending, over the alpha indices of Algorithm 2's unit vector for
+/// those k'_j (testkit::naive_extract), with |alpha|, the longest run and
+/// the type's tie flag.
 /// The value order is left to the round (ExtractedRuns::order_through).
 /// `allocation[j]` is what user j already won and must not exceed its
 /// asked quantity. O(users of `type`) per round, no unit expansion and no
@@ -143,7 +138,7 @@ void extract_runs_into(TaskType type, AskTypeIndex& index,
 /// (`by_value`, every run once in ascending (value, run) order) are set,
 /// and this checks that the runs tile alpha and the order has one entry
 /// per run, then fills in |alpha|, the longest run and the exact tie flag.
-/// run_cra hands its unit vector to run_cra_runs this way.
+/// Books built outside Extract (cra_test, bench_micro) are made this way.
 void complete_book(ExtractedRuns& book);
 
 }  // namespace rit::core

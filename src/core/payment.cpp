@@ -50,17 +50,6 @@ std::vector<double> tree_payments_reference(
   return p;
 }
 
-std::vector<double> tree_payments(const tree::IncentiveTree& tree,
-                                  std::span<const TaskType> types,
-                                  std::span<const double> auction_payments,
-                                  double discount_base) {
-  PaymentWorkspace ws;
-  std::vector<double> p;
-  tree_payments_into(tree, types, auction_payments, discount_base,
-                     /*threads=*/1, ws, p);
-  return p;
-}
-
 void tree_payments_into(const tree::IncentiveTree& tree,
                         std::span<const TaskType> types,
                         std::span<const double> auction_payments,

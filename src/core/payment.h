@@ -29,18 +29,11 @@
 namespace rit::core {
 
 /// Reference implementation: for every participant, walk its ancestors and
-/// push its contribution up. O(sum of depths); used by tests and tiny demos.
+/// push its contribution up. O(sum of depths); audit_payments (audit.h)
+/// and the testkit oracle check the scan below against it.
 std::vector<double> tree_payments_reference(
     const tree::IncentiveTree& tree, std::span<const TaskType> types,
     std::span<const double> auction_payments, double discount_base);
-
-/// Production implementation: one preorder scan with a running sum per
-/// task type; O(N) time, O(num_types + max_depth) scratch. Returns the
-/// final payment vector p (participant-indexed, like the inputs).
-std::vector<double> tree_payments(const tree::IncentiveTree& tree,
-                                  std::span<const TaskType> types,
-                                  std::span<const double> auction_payments,
-                                  double discount_base);
 
 /// Reusable scratch for tree_payments_into: the depth-discount memo, one
 /// running contribution sum per task type, and the stack of subtrees the
@@ -60,12 +53,13 @@ struct PaymentWorkspace {
   std::vector<OpenSubtree> open;
 };
 
-/// Scratch-reusing form of tree_payments: one O(N) preorder scan, which
-/// reads the tree's subtree sizes in sequence (by preorder position). Writes
-/// the final payments into `out` (resized to the participant count,
-/// reusing capacity); bit-identical to tree_payments(). The scan is
-/// serial and `threads` is ignored: it stays in the signature only for
-/// existing callers such as perfbench, which passes
+/// Production implementation: one O(N) preorder scan with a running sum
+/// per task type, which reads the tree's subtree sizes in sequence (by
+/// preorder position), with O(num_types + max_depth) scratch in `ws`.
+/// Writes the final payment vector p (participant-indexed, like the
+/// inputs) into `out`, resized to the participant count, reusing
+/// capacity. The scan is serial and `threads` is ignored: it stays in the
+/// signature only for existing callers such as perfbench, which passes
 /// RitConfig::intra_threads.
 void tree_payments_into(const tree::IncentiveTree& tree,
                         std::span<const TaskType> types,

@@ -66,14 +66,6 @@ double RitResult::total_auction_payment() const {
   return t;
 }
 
-RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
-                            const RitConfig& config, rng::Rng& rng) {
-  RitWorkspace ws;
-  RitResult res;
-  run_auction_phase_into(job, asks, config, rng, ws, res);
-  return res;
-}
-
 void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
                             const RitConfig& config, rng::Rng& rng,
                             RitWorkspace& ws, RitResult& res) {

@@ -121,11 +121,11 @@ struct RitResult {
   double total_auction_payment() const;
 };
 
-/// Reusable scratch for run_rit / run_auction_phase. One mechanism run
-/// executes many CRA rounds, and a sweep executes many mechanism runs;
-/// keeping one workspace per thread means the per-round buffers (extract's
-/// runs, CRA's run buffers and bitmaps, the settle table) are
-/// heap-allocated once and then reused at their high-water capacity.
+/// Reusable scratch for run_rit_into. One mechanism run executes many CRA
+/// rounds, and a sweep executes many mechanism runs; keeping one
+/// workspace per thread means the per-round buffers (extract's runs,
+/// CRA's run buffers and bitmaps, the settle table) are heap-allocated
+/// once and then reused at their high-water capacity.
 /// Contents are scratch only — nothing carries state between runs.
 struct RitWorkspace {
   CraWorkspace cra;
@@ -151,24 +151,21 @@ RitResult run_rit(const Job& job, std::span<const Ask> asks,
                   const tree::IncentiveTree& tree, const RitConfig& config,
                   rng::Rng& rng);
 
-/// Runs only the auction phase (both result payment vectors are set to the
-/// auction payments). Used by baselines and by the Sec. 4 experiments that
-/// need a tree-free truthful auction; run_rit composes this with
-/// tree_payments().
-RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
-                            const RitConfig& config, rng::Rng& rng);
-
-/// Scratch- and result-reusing forms: identical draws and values, but all
+/// Scratch- and result-reusing form: identical draws and values, but all
 /// per-round buffers live in `ws` (see RitWorkspace) and the result's
 /// vectors are refilled in place, so a sweep that keeps one of each per
-/// worker performs no steady-state allocations in either phase. The
-/// RitResult-returning overloads delegate here with a fresh workspace.
+/// worker performs no steady-state allocations in either phase. run_rit
+/// delegates here with a fresh workspace.
 void run_rit_into(const Job& job, std::span<const Ask> asks,
                   const tree::IncentiveTree& tree, const RitConfig& config,
                   rng::Rng& rng, RitWorkspace& ws, RitResult& out);
 
-/// See run_rit_into. run_rit_into is exactly this followed by
-/// run_payment_phase_into on the same result.
+/// Runs only the auction phase, through `ws` into `out` like
+/// run_rit_into; both result payment vectors are set to the auction
+/// payments. The sweep runner calls the two phases apart to time each.
+/// run_rit_into is exactly this followed by run_payment_phase_into on the
+/// same result, so run_rit on a flat tree (tree::flat_tree) gives this
+/// result, payments included: the tree-free truthful auction.
 void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
                             const RitConfig& config, rng::Rng& rng,
                             RitWorkspace& ws, RitResult& out);

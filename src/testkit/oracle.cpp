@@ -21,27 +21,6 @@ using core::RitConfig;
 using core::RitResult;
 using core::RoundBudgetPolicy;
 
-/// Alg. 2, verbatim: scan every user in index order, emit one unit ask per
-/// remaining task of the requested type. (Production goes through a
-/// per-type CSR that preserves exactly this order.)
-struct NaiveAlpha {
-  std::vector<double> values;
-  std::vector<std::uint32_t> owner;
-};
-
-NaiveAlpha naive_extract(TaskType type, std::span<const Ask> asks,
-                         const std::vector<std::uint32_t>& remaining) {
-  NaiveAlpha alpha;
-  for (std::uint32_t j = 0; j < asks.size(); ++j) {
-    if (asks[j].type != type) continue;
-    for (std::uint32_t k = 0; k < remaining[j]; ++k) {
-      alpha.values.push_back(asks[j].value);
-      alpha.owner.push_back(j);
-    }
-  }
-  return alpha;
-}
-
 /// The consensus grid point by ladder walk: start far below any
 /// representable count and climb one exponent at a time while the next
 /// rung still fits. Uses the same std::pow(base, z + y) probes as the
@@ -65,8 +44,8 @@ std::uint64_t naive_consensus_round_down(std::uint64_t count, double y,
 /// from sorted runs of equal adjacent values. Production writes only the
 /// band at or below the threshold and replays the shuffle draws of the tie
 /// groups above it, so both consume identical draws.
-std::vector<std::uint32_t> naive_sorted_shuffled(
-    const std::vector<double>& values, rng::Rng& rng) {
+std::vector<std::uint32_t> naive_sorted_shuffled(std::span<const double> values,
+                                                 rng::Rng& rng) {
   std::vector<std::uint32_t> order(values.size());
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
@@ -82,15 +61,24 @@ std::vector<std::uint32_t> naive_sorted_shuffled(
   return order;
 }
 
-struct NaiveRound {
-  std::vector<bool> won;
-  double clearing_price{0.0};
-  std::uint32_t num_winners{0};
-};
+}  // namespace
 
-/// Alg. 1, step by step, drawing from `rng` in production's order.
-NaiveRound naive_cra(const std::vector<double>& values,
-                     const CraParams& params, rng::Rng& rng) {
+NaiveAlpha naive_extract(TaskType type, std::span<const Ask> asks,
+                         std::span<const std::uint32_t> remaining) {
+  RIT_CHECK(remaining.size() == asks.size());
+  NaiveAlpha alpha;
+  for (std::uint32_t j = 0; j < asks.size(); ++j) {
+    if (asks[j].type != type) continue;
+    for (std::uint32_t k = 0; k < remaining[j]; ++k) {
+      alpha.values.push_back(asks[j].value);
+      alpha.owner.push_back(j);
+    }
+  }
+  return alpha;
+}
+
+NaiveRound naive_cra(std::span<const double> values, const CraParams& params,
+                     rng::Rng& rng) {
   NaiveRound out;
   out.won.assign(values.size(), false);
   if (values.empty() || params.q == 0) return out;
@@ -102,6 +90,9 @@ NaiveRound naive_cra(const std::vector<double>& values,
     const std::vector<std::uint32_t> order =
         naive_sorted_shuffled(values, rng);
     const double price = values[order[budget]];
+    out.sample_min = price;
+    out.raw_count = budget;
+    out.consensus_count = budget;
     const std::vector<std::size_t> sample =
         rng.sample_without_replacement(budget, params.q);
     for (std::size_t i : sample) out.won[order[i]] = true;
@@ -120,6 +111,7 @@ NaiveRound naive_cra(const std::vector<double>& values,
     }
   }
   if (!sampled_any) s = *std::max_element(values.begin(), values.end());
+  out.sample_min = s;
 
   // Step 2: consensus-round the count of asks at or below the threshold.
   const double y = rng.uniform01();
@@ -129,6 +121,8 @@ NaiveRound naive_cra(const std::vector<double>& values,
   }
   const std::uint64_t n_s =
       naive_consensus_round_down(raw, y, params.consensus_grid_base);
+  out.raw_count = raw;
+  out.consensus_count = n_s;
   if (n_s == 0) return out;
 
   const std::vector<std::uint32_t> order = naive_sorted_shuffled(values, rng);
@@ -151,6 +145,7 @@ NaiveRound naive_cra(const std::vector<double>& values,
   if (chosen.size() > budget) {
     price = values[chosen[budget]];
     chosen.resize(budget);
+    out.used_budget_price = true;
   }
 
   // Step 5: if more than q survive, q winners uniformly at random.
@@ -167,8 +162,6 @@ NaiveRound naive_cra(const std::vector<double>& values,
   out.clearing_price = chosen.empty() ? 0.0 : price;
   return out;
 }
-
-}  // namespace
 
 RitResult oracle_run_rit(const FuzzCase& c) {
   const Job job(c.demand);

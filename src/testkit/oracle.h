@@ -1,6 +1,10 @@
 // The differential-testing oracle: a deliberately naive re-implementation
 // of the mechanism, written for obviousness rather than speed, compared
-// field-by-field against the optimized production path.
+// field-by-field against the optimized production path. It is the one
+// naive reference per algorithm: ritcs-fuzz compares whole runs against
+// oracle_run_rit, and the unit tests compare rounds against its Extract
+// (extract_test, against core::extract_runs_into) and its CRA round
+// (cra_test, against core::run_cra_runs).
 //
 // The oracle mirrors the paper's pseudocode directly: Extract (Alg. 2) is
 // a per-user scan with push_backs, the CRA round (Alg. 1) re-sorts with
@@ -21,12 +25,46 @@
 // keeps the comparison exact. So is the stall limit (kStallRoundLimit).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/rit.h"
+#include "rng/rng.h"
 #include "testkit/fuzz_case.h"
 
 namespace rit::testkit {
+
+/// Alg. 2's unit-ask vector for one type: alpha and its owner map lambda.
+struct NaiveAlpha {
+  std::vector<double> values;
+  std::vector<std::uint32_t> owner;
+};
+
+/// Alg. 2, verbatim: scans every user in index order and emits one unit
+/// ask per remaining task of `type`, remaining[j] (the paper's k'_j) for
+/// user j. Production's per-type CSR keeps exactly this order.
+NaiveAlpha naive_extract(TaskType type, std::span<const core::Ask> asks,
+                         std::span<const std::uint32_t> remaining);
+
+/// One naive CRA round: which unit asks won, at what price, and the
+/// diagnostics core::CraOutcome reports for the same round.
+struct NaiveRound {
+  std::vector<bool> won;
+  double clearing_price{0.0};
+  std::uint32_t num_winners{0};
+  double sample_min{0.0};
+  std::uint64_t raw_count{0};
+  std::uint64_t consensus_count{0};
+  bool used_budget_price{false};
+};
+
+/// Alg. 1, step by step, over the unit asks `values`, drawing from `rng`
+/// in production's order: every ask is sorted by value with each group of
+/// equal values shuffled, whatever the threshold.
+NaiveRound naive_cra(std::span<const double> values,
+                     const core::CraParams& params, rng::Rng& rng);
 
 /// First field where production and oracle disagree (match == true means
 /// none). `field` is a stable identifier ("allocation", "payment", ...)

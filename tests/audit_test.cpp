@@ -47,7 +47,9 @@ TEST(ExplainPayment, MatchesTreePayments) {
         TaskType{static_cast<std::uint32_t>(rng.uniform_index(4))});
     pa.push_back(rng.bernoulli(0.4) ? rng.uniform01() * 10.0 : 0.0);
   }
-  const auto payments = tree_payments(t, types, pa, 0.5);
+  PaymentWorkspace ws;
+  std::vector<double> payments;
+  tree_payments_into(t, types, pa, 0.5, 1, ws, payments);
   for (std::uint32_t j = 0; j < n; j += 13) {
     const PaymentExplanation e = explain_payment(t, types, pa, 0.5, j);
     EXPECT_NEAR(e.total(), payments[j], 1e-9 * (1.0 + payments[j]))

@@ -16,6 +16,7 @@
 #include "core/rit.h"
 #include "rng/rng.h"
 #include "stats/online_stats.h"
+#include "tree/builders.h"
 
 namespace rit::core {
 namespace {
@@ -24,6 +25,8 @@ struct CoalitionInstance {
   Job job{std::vector<std::uint32_t>{120}};
   std::vector<Ask> asks;
   std::vector<std::uint32_t> coalition;  // user indices
+  // RIT on a flat tree pays exactly the auction payments.
+  tree::IncentiveTree flat = tree::flat_tree(250);
 
   explicit CoalitionInstance(std::uint64_t seed, std::uint32_t coalition_size) {
     rng::Rng rng(seed);
@@ -66,13 +69,13 @@ double mean_gain(const CoalitionInstance& inst,
     {
       rng::Rng rng(seed);
       const RitResult r =
-          run_auction_phase(inst.job, inst.asks, RitConfig{}, rng);
+          run_rit(inst.job, inst.asks, inst.flat, RitConfig{}, rng);
       truthful_u = inst.coalition_utility(r);
     }
     {
       rng::Rng rng(seed);
       const RitResult r =
-          run_auction_phase(inst.job, deviated, RitConfig{}, rng);
+          run_rit(inst.job, deviated, inst.flat, RitConfig{}, rng);
       // Utilities still measured against true costs from inst.asks.
       double u = 0.0;
       for (std::uint32_t j : inst.coalition) {
@@ -141,7 +144,7 @@ TEST(Collusion, DeterministicKthPriceContrast) {
   rng::Rng rng(1);
   RitConfig cfg;
   cfg.zero_on_failure = false;
-  const RitResult r = run_auction_phase(job, asks, cfg, rng);
+  const RitResult r = run_rit(job, asks, tree::flat_tree(2), cfg, rng);
   if (r.allocation[0] == 1) {
     // Winner's payment is bounded by the book, not set by the partner.
     EXPECT_LE(r.auction_payment[0], 6.0);

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -13,20 +12,54 @@
 #include "core/cra.h"
 #include "core/extract.h"
 #include "rng/rng.h"
+#include "testkit/oracle.h"
 
 namespace rit::core {
 namespace {
 
-/// One round through a fresh workspace.
-CraOutcome run_round(std::span<const double> asks, const CraParams& params,
-                     rng::Rng& rng) {
-  CraWorkspace ws;
-  CraOutcome out;
-  run_cra(asks, params, rng, ws, out);
+/// The run indices in ascending (value, run) order, as a complete book
+/// lists them.
+std::vector<std::uint32_t> value_order(std::span<const AskRun> runs) {
+  std::vector<std::uint32_t> order(runs.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return runs[a].value < runs[b].value;
+                   });
+  return order;
+}
+
+/// A round's outcome with its winners marked per unit ask.
+struct UnitOutcome : CraOutcome {
+  std::vector<bool> won;
+};
+
+/// One round on the unit asks `asks`, each its own run of a complete book,
+/// so equal asks form tie groups of several runs whose shuffle is drawn
+/// for real. All scratch lives in `ws`.
+UnitOutcome run_round(std::span<const double> asks, const CraParams& params,
+                      rng::Rng& rng, CraWorkspace& ws) {
+  ExtractedRuns book;
+  for (std::uint32_t i = 0; i < asks.size(); ++i) {
+    book.runs.push_back(AskRun{asks[i], i, 1});
+  }
+  book.by_value = value_order(book.runs);
+  complete_book(book);
+  UnitOutcome out;
+  run_cra_runs(book, params, rng, ws, out);
+  out.won.assign(asks.size(), false);
+  for (const RunWin& w : out.winners) out.won[w.run] = true;
   return out;
 }
 
-std::uint32_t count_winners(const CraOutcome& o) {
+/// One round through a fresh workspace.
+UnitOutcome run_round(std::span<const double> asks, const CraParams& params,
+                      rng::Rng& rng) {
+  CraWorkspace ws;
+  return run_round(asks, params, rng, ws);
+}
+
+std::uint32_t count_winners(const UnitOutcome& o) {
   std::uint32_t c = 0;
   for (bool w : o.won) c += w ? 1 : 0;
   return c;
@@ -168,7 +201,7 @@ TEST(ConsensusRoundDown, CoalitionInfluenceMeasureMatchesLemma62) {
 
 TEST(Cra, EmptyAsksNoWinners) {
   rng::Rng rng(3);
-  const CraOutcome o = run_round({}, {.q = 5, .m_i = 5}, rng);
+  const UnitOutcome o = run_round({}, {.q = 5, .m_i = 5}, rng);
   EXPECT_EQ(o.num_winners, 0u);
   EXPECT_TRUE(o.won.empty());
 }
@@ -176,7 +209,7 @@ TEST(Cra, EmptyAsksNoWinners) {
 TEST(Cra, ZeroTasksNoWinners) {
   rng::Rng rng(4);
   const std::vector<double> asks{1.0, 2.0, 3.0};
-  const CraOutcome o = run_round(asks, {.q = 0, .m_i = 5}, rng);
+  const UnitOutcome o = run_round(asks, {.q = 0, .m_i = 5}, rng);
   EXPECT_EQ(count_winners(o), 0u);
 }
 
@@ -185,7 +218,7 @@ TEST(Cra, NeverAllocatesMoreThanQ) {
   std::vector<double> asks;
   for (int i = 0; i < 500; ++i) asks.push_back(0.1 + 0.01 * i);
   for (int trial = 0; trial < 200; ++trial) {
-    const CraOutcome o = run_round(asks, {.q = 7, .m_i = 10}, rng);
+    const UnitOutcome o = run_round(asks, {.q = 7, .m_i = 10}, rng);
     EXPECT_LE(count_winners(o), 7u);
     EXPECT_EQ(count_winners(o), o.num_winners);
   }
@@ -202,7 +235,7 @@ TEST(Cra, WinnersNeverOutbidTheClearingPrice) {
     }
     const auto q = static_cast<std::uint32_t>(1 + ask_rng.uniform_index(20));
     const auto m = static_cast<std::uint32_t>(q + ask_rng.uniform_index(50));
-    const CraOutcome o = run_round(asks, {.q = q, .m_i = m}, rng);
+    const UnitOutcome o = run_round(asks, {.q = q, .m_i = m}, rng);
     for (std::size_t w = 0; w < asks.size(); ++w) {
       if (o.won[w]) {
         EXPECT_LE(asks[w], o.clearing_price)
@@ -220,8 +253,8 @@ TEST(Cra, DeterministicGivenRngState) {
   for (int i = 0; i < 100; ++i) asks.push_back(1.0 + i * 0.05);
   rng::Rng a(8);
   rng::Rng b(8);
-  const CraOutcome oa = run_round(asks, {.q = 10, .m_i = 20}, a);
-  const CraOutcome ob = run_round(asks, {.q = 10, .m_i = 20}, b);
+  const UnitOutcome oa = run_round(asks, {.q = 10, .m_i = 20}, a);
+  const UnitOutcome ob = run_round(asks, {.q = 10, .m_i = 20}, b);
   EXPECT_EQ(oa.won, ob.won);
   EXPECT_EQ(oa.clearing_price, ob.clearing_price);
 }
@@ -233,14 +266,13 @@ TEST(Cra, ReusedWorkspaceMatchesFreshWorkspace) {
   std::vector<double> asks;
   for (int i = 0; i < 150; ++i) asks.push_back(0.5 + 0.02 * i);
   CraWorkspace ws;
-  CraOutcome reused;
   for (const std::uint32_t n : {150u, 40u, 150u, 7u}) {
     const auto view = std::span<const double>(asks).first(n);
     const CraParams params{.q = n / 3 + 1, .m_i = n / 2 + 1};
     rng::Rng a(21);
     rng::Rng b(21);
-    const CraOutcome fresh = run_round(view, params, a);
-    run_cra(view, params, b, ws, reused);
+    const UnitOutcome fresh = run_round(view, params, a);
+    const UnitOutcome reused = run_round(view, params, b, ws);
     EXPECT_EQ(reused.won, fresh.won);
     EXPECT_EQ(reused.num_winners, fresh.num_winners);
     EXPECT_EQ(reused.clearing_price, fresh.clearing_price);
@@ -257,7 +289,7 @@ TEST(Cra, WinnersAreAmongTheCheapestRawCount) {
   std::vector<double> asks;
   for (int i = 0; i < 400; ++i) asks.push_back(0.5 + 0.01 * i);
   for (int trial = 0; trial < 100; ++trial) {
-    const CraOutcome o = run_round(asks, {.q = 20, .m_i = 40}, rng);
+    const UnitOutcome o = run_round(asks, {.q = 20, .m_i = 40}, rng);
     for (std::size_t w = 0; w < asks.size(); ++w) {
       if (o.won[w]) {
         EXPECT_LE(asks[w], o.sample_min);
@@ -275,7 +307,7 @@ TEST(Cra, EmptySampleStaysProductiveAndIr) {
   CraParams params{.q = 1000000, .m_i = 1000000};
   bool any = false;
   for (int t = 0; t < 50; ++t) {
-    const CraOutcome o = run_round(asks, params, rng);
+    const UnitOutcome o = run_round(asks, params, rng);
     for (std::size_t w = 0; w < asks.size(); ++w) {
       if (o.won[w]) {
         any = true;
@@ -310,7 +342,7 @@ TEST(Cra, BudgetPriceKicksInWhenConsensusExceedsBudget) {
   rng::Rng rng(13);
   bool saw_budget_price = false;
   for (int t = 0; t < 300; ++t) {
-    const CraOutcome o = run_round(asks, {.q = 3, .m_i = 4}, rng);
+    const UnitOutcome o = run_round(asks, {.q = 3, .m_i = 4}, rng);
     EXPECT_LE(count_winners(o), 3u);
     if (o.used_budget_price) {
       saw_budget_price = true;
@@ -326,7 +358,7 @@ TEST(CraOrderStatistic, WinnersAndPriceAreDeterministic) {
   rng::Rng rng(20);
   CraParams params{.q = 1, .m_i = 2,
                    .price_mode = PriceMode::kOrderStatistic};
-  const CraOutcome o = run_round(asks, params, rng);
+  const UnitOutcome o = run_round(asks, params, rng);
   // budget = 3: potential winners are asks 1.0, 2.0, 3.0; price = 4.0.
   EXPECT_EQ(o.num_winners, 1u);
   EXPECT_DOUBLE_EQ(o.clearing_price, 4.0);
@@ -343,7 +375,7 @@ TEST(CraOrderStatistic, NoPriceWithoutEnoughAsks) {
   CraParams params{.q = 1, .m_i = 2,
                    .price_mode = PriceMode::kOrderStatistic};
   // Needs budget + 1 = 4 asks.
-  const CraOutcome o = run_round(asks, params, rng);
+  const UnitOutcome o = run_round(asks, params, rng);
   EXPECT_EQ(o.num_winners, 0u);
 }
 
@@ -368,7 +400,7 @@ double attacker_cra_utility(const CraParams& params, int units,
   std::vector<double> asks = book;
   for (int u = 0; u < units; ++u) asks.push_back(4.0);
   rng::Rng rng(seed);
-  const CraOutcome o = run_round(asks, params, rng);
+  const UnitOutcome o = run_round(asks, params, rng);
   double utility = 0.0;
   for (std::size_t w = book.size(); w < asks.size(); ++w) {
     if (o.won[w]) utility += o.clearing_price - 4.0;
@@ -432,7 +464,7 @@ TEST(Cra, ComparativeStaticsCheaperBooksClearCheaper) {
     double sum = 0.0;
     int priced = 0;
     for (int t = 0; t < 2000; ++t) {
-      const CraOutcome o = run_round(book, params, rng);
+      const UnitOutcome o = run_round(book, params, rng);
       if (o.num_winners > 0) {
         sum += o.clearing_price;
         ++priced;
@@ -461,7 +493,7 @@ TEST(Cra, MoreSupplyLowersExpectedPrice) {
     double sum = 0.0;
     int priced = 0;
     for (int t = 0; t < 3000; ++t) {
-      const CraOutcome o = run_round(book, params, rng);
+      const UnitOutcome o = run_round(book, params, rng);
       if (o.num_winners > 0) {
         sum += o.clearing_price;
         ++priced;
@@ -479,7 +511,7 @@ TEST(Cra, UniformWinnerSelectionAmongChosen) {
   std::array<int, 4> wins{};
   int total = 0;
   for (int t = 0; t < 20000; ++t) {
-    const CraOutcome o = run_round(asks, {.q = 1, .m_i = 1}, rng);
+    const UnitOutcome o = run_round(asks, {.q = 1, .m_i = 1}, rng);
     for (int w = 0; w < 4; ++w) {
       if (o.won[w]) {
         ++wins[w];
@@ -494,102 +526,12 @@ TEST(Cra, UniformWinnerSelectionAmongChosen) {
 }
 
 // --- Equivalence with a full sort of every unit ask -----------------------
-// run_cra works on runs in a given value order: it expands and shuffles
-// only the band's tie groups of several runs, and skips or replays every
-// other shuffle's draws. The reference below is the straightforward
-// definition it must reproduce draw for draw: sort every unit ask by
-// (value, index), shuffle each group of equal values, then run steps 3-5.
-
-void full_sort_with_shuffled_ties(std::span<const double> asks,
-                                  std::vector<std::uint32_t>& order,
-                                  rng::Rng& rng) {
-  order.resize(asks.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (asks[a] != asks[b]) return asks[a] < asks[b];
-              return a < b;
-            });
-  for (std::size_t i = 0; i < order.size();) {
-    std::size_t j = i + 1;
-    while (j < order.size() && asks[order[j]] == asks[order[i]]) ++j;
-    if (j - i > 1) rng.shuffle(std::span<std::uint32_t>(&order[i], j - i));
-    i = j;
-  }
-}
-
-CraOutcome reference_run_cra(std::span<const double> asks,
-                             const CraParams& params, rng::Rng& rng) {
-  CraOutcome out;
-  out.won.assign(asks.size(), false);
-  if (asks.empty() || params.q == 0) return out;
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(params.q) + params.m_i;
-  std::vector<std::uint32_t> order;
-  if (params.price_mode == PriceMode::kOrderStatistic) {
-    if (asks.size() < budget + 1) return out;
-    full_sort_with_shuffled_ties(asks, order, rng);
-    const double price = asks[order[budget]];
-    out.sample_min = price;
-    out.raw_count = budget;
-    out.consensus_count = budget;
-    for (std::size_t i : rng.sample_without_replacement(budget, params.q)) {
-      out.won[order[i]] = true;
-    }
-    out.num_winners = params.q;
-    out.clearing_price = price;
-    return out;
-  }
-  const double sample_p = 1.0 / static_cast<double>(budget);
-  double s = std::numeric_limits<double>::infinity();
-  bool sampled_any = false;
-  for (double v : asks) {
-    if (rng.bernoulli(sample_p)) {
-      sampled_any = true;
-      s = std::min(s, v);
-    }
-  }
-  if (!sampled_any) s = *std::max_element(asks.begin(), asks.end());
-  out.sample_min = s;
-  const double y = rng.uniform01();
-  out.raw_count = static_cast<std::uint64_t>(std::count_if(
-      asks.begin(), asks.end(), [&](double v) { return v <= s; }));
-  const std::uint64_t n_s =
-      consensus_round_down(out.raw_count, y, params.consensus_grid_base);
-  out.consensus_count = n_s;
-  if (n_s == 0) return out;
-
-  full_sort_with_shuffled_ties(asks, order, rng);
-  std::vector<std::uint32_t> chosen;
-  if (n_s <= budget) {
-    chosen.assign(order.begin(),
-                  order.begin() + static_cast<std::ptrdiff_t>(n_s));
-  } else {
-    const double keep_p =
-        static_cast<double>(budget) / (2.0 * static_cast<double>(n_s));
-    for (std::uint64_t i = 0; i < n_s; ++i) {
-      if (rng.bernoulli(keep_p)) chosen.push_back(order[i]);
-    }
-  }
-  double price = s;
-  if (chosen.size() > budget) {
-    price = asks[chosen[budget]];
-    chosen.resize(budget);
-    out.used_budget_price = true;
-  }
-  if (chosen.size() > params.q) {
-    std::vector<std::uint32_t> winners;
-    for (std::size_t i :
-         rng.sample_without_replacement(chosen.size(), params.q)) {
-      winners.push_back(chosen[i]);
-    }
-    chosen = std::move(winners);
-  }
-  for (std::uint32_t w : chosen) out.won[w] = true;
-  out.num_winners = static_cast<std::uint32_t>(chosen.size());
-  out.clearing_price = chosen.empty() ? 0.0 : price;
-  return out;
-}
+// run_cra_runs works on runs in a given value order: it expands and
+// shuffles only the band's tie groups of several runs, and skips or
+// replays every other shuffle's draws. The oracle's round
+// (testkit::naive_cra) is the straightforward definition it must
+// reproduce draw for draw: sort every unit ask by value, shuffle each
+// group of equal values, then run steps 3-5.
 
 /// An Extract-shaped alpha vector: one run of k ~ U{1..20} equal values per
 /// user, users in ascending order. With `levels` > 0 values are drawn from
@@ -607,20 +549,19 @@ std::vector<double> extract_shaped_book(std::size_t users, int levels,
   return asks;
 }
 
-/// Runs `rounds` rounds from matched rng states through run_cra (one
-/// reused workspace) and the reference; outcomes and the next draw after
+/// Runs `rounds` rounds from matched rng states through run_round (one
+/// reused workspace) and the oracle; outcomes and the next draw after
 /// each call must be identical. Returns how many rounds had winners.
 int expect_matches_full_sort(std::span<const double> asks,
                              const CraParams& params, int rounds,
                              std::uint64_t seed) {
   CraWorkspace ws;
-  CraOutcome got;
   int productive = 0;
   for (int r = 0; r < rounds; ++r) {
     rng::Rng a(seed + static_cast<std::uint64_t>(r));
     rng::Rng b(seed + static_cast<std::uint64_t>(r));
-    run_cra(asks, params, a, ws, got);
-    const CraOutcome want = reference_run_cra(asks, params, b);
+    const UnitOutcome got = run_round(asks, params, a, ws);
+    const testkit::NaiveRound want = testkit::naive_cra(asks, params, b);
     EXPECT_EQ(got.won, want.won) << "round " << r;
     EXPECT_EQ(got.num_winners, want.num_winners) << "round " << r;
     EXPECT_EQ(got.clearing_price, want.clearing_price) << "round " << r;
@@ -681,12 +622,11 @@ TEST(CraFullSortEquivalence, ConsensusAboveBudgetThinsTheBand) {
   asks.insert(asks.end(), 7, 9.0);
   const CraParams params{.q = 3, .m_i = 4};
   CraWorkspace ws;
-  CraOutcome o;
   bool thinned = false;
   for (std::uint64_t r = 0; r < 200 && !thinned; ++r) {
     rng::Rng rng(600 + r);
-    run_cra(asks, params, rng, ws, o);
-    thinned = o.consensus_count > params.q + params.m_i;
+    thinned = run_round(asks, params, rng, ws).consensus_count >
+              params.q + params.m_i;
   }
   EXPECT_TRUE(thinned);
   expect_matches_full_sort(asks, params, 200, 600);
@@ -703,7 +643,7 @@ TEST(CraFullSortEquivalence, OrderStatisticArm) {
 }
 
 // --- Shapes for each path of the tie-shuffle draws ------------------------
-// run_cra skips every tie-shuffle draw at once when the values are
+// run_cra_runs skips every tie-shuffle draw at once when the values are
 // pairwise distinct and lcm(2..longest run) is at most 2^40, and otherwise
 // walks the value order and draws group by group. The books below put the
 // threshold at a chosen share of the book (the band ratio) and plant the
@@ -772,7 +712,7 @@ TEST(CraFullSortEquivalence, CrossUserTiesAboveThresholdFallBack) {
 }
 
 TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
-  // One user above s with 28, 29 or 40 equal asks. Through the unit API
+  // One user above s with 28, 29 or 40 equal asks. Through run_round
   // each ask is its own run, so the block is a tie group of several runs
   // and its draws are replayed at every length;
   // CraRunKernel.LongRunAboveThresholdPastTheLcmCap covers the lcm cap.
@@ -791,7 +731,7 @@ TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
 // RIT calls run_cra_runs with one run per user, so users with equal values
 // are separate runs of one tie group: in the band their asks are shuffled
 // for real, and above s their draws are replayed. Each book below must
-// give the reference's winners counted per run, and its other fields and
+// give the oracle's winners counted per run, and its other fields and
 // stream bit for bit. A book with distinct values takes the path that
 // skips every tie-shuffle draw at once.
 
@@ -799,18 +739,6 @@ TEST(CraFullSortEquivalence, LongRunAboveThresholdPastTheLcmCap) {
 struct UserBook : ExtractedRuns {
   std::vector<double> asks;  // the same book expanded to unit asks
 };
-
-/// The run indices in ascending (value, run) order, as a complete book
-/// lists them.
-std::vector<std::uint32_t> value_order(std::span<const AskRun> runs) {
-  std::vector<std::uint32_t> order(runs.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return runs[a].value < runs[b].value;
-                   });
-  return order;
-}
 
 /// One run of k ~ U{1..20} units per user. With probability `repeat` a
 /// user bids its predecessor's value, so neighbouring runs tie; otherwise
@@ -835,9 +763,9 @@ UserBook per_user_book(std::size_t users, int levels, double repeat,
 }
 
 /// Runs `rounds` rounds of run_cra_runs (one reused workspace) on the
-/// book `book_for_round` hands each round, and of the reference on that
+/// book `book_for_round` hands each round, and of the oracle on that
 /// book's unit asks, from matched rng states. Each run's win count must
-/// equal the reference's winners among that run's unit asks, each run must
+/// equal the oracle's winners among that run's unit asks, each run must
 /// appear at most once among the winners, and every other field and the
 /// next draw must be identical. `on_round`, if set, sees each round's book
 /// and outcome. Returns how many rounds had winners.
@@ -858,8 +786,7 @@ int expect_books_match_full_sort(
     rng::Rng a(seed + static_cast<std::uint64_t>(r));
     rng::Rng b(seed + static_cast<std::uint64_t>(r));
     run_cra_runs(book, params, a, ws, got);
-    const CraOutcome want = reference_run_cra(asks, params, b);
-    EXPECT_TRUE(got.won.empty()) << "round " << r;
+    const testkit::NaiveRound want = testkit::naive_cra(asks, params, b);
     std::vector<std::uint32_t> got_wins(book.runs.size(), 0);
     std::uint64_t total = 0;
     for (const RunWin& w : got.winners) {
@@ -1184,7 +1111,7 @@ struct IndexedBook {
   }
 };
 
-/// `rounds` rounds on `book` against the reference, crediting winners in
+/// `rounds` rounds on `book` against the oracle, crediting winners in
 /// between; `on_round` sees each round's book and outcome as well.
 int expect_extract_rounds_match_full_sort(
     IndexedBook& book, const CraParams& params, int rounds,

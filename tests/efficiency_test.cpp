@@ -7,6 +7,7 @@
 #include "core/efficiency.h"
 #include "core/rit.h"
 #include "rng/rng.h"
+#include "tree/builders.h"
 
 namespace rit::core {
 namespace {
@@ -77,7 +78,7 @@ TEST(Efficiency, RitPaysAnAllocativePriceForRandomization) {
   int successes = 0;
   for (int t = 0; t < 30; ++t) {
     rng::Rng rng(100 + t);
-    const RitResult r = run_auction_phase(job, asks, cfg, rng);
+    const RitResult r = run_rit(job, asks, tree::flat_tree(300), cfg, rng);
     if (!r.success) continue;
     ++successes;
     const double eff = cost_efficiency(job, asks, r.allocation);

@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "core/extract.h"
 #include "rng/rng.h"
+#include "testkit/oracle.h"
 
 namespace rit::core {
 namespace {
@@ -49,35 +50,6 @@ TEST(Extract, NoMatchingTypeGivesEmpty) {
 TEST(Extract, EmptyAskVector) {
   const ExtractedAsks e = extract(TaskType{0}, std::vector<Ask>{});
   EXPECT_TRUE(e.empty());
-}
-
-TEST(ExtractRemaining, UsesRemainingNotAskedQuantity) {
-  const std::vector<Ask> asks{
-      {TaskType{0}, 5, 1.5},
-      {TaskType{0}, 3, 2.5},
-  };
-  const std::vector<std::uint32_t> remaining{2, 0};
-  const ExtractedAsks e = extract_remaining(TaskType{0}, asks, remaining);
-  EXPECT_EQ(e.values, (std::vector<double>{1.5, 1.5}));
-  EXPECT_EQ(e.owner, (std::vector<std::uint32_t>{0, 0}));
-}
-
-TEST(ExtractRemaining, ZeroRemainingEverywhereGivesEmpty) {
-  const std::vector<Ask> asks{{TaskType{0}, 5, 1.5}};
-  const std::vector<std::uint32_t> remaining{0};
-  EXPECT_TRUE(extract_remaining(TaskType{0}, asks, remaining).empty());
-}
-
-TEST(ExtractRemaining, RejectsRemainingAboveAsked) {
-  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}};
-  const std::vector<std::uint32_t> remaining{3};
-  EXPECT_THROW(extract_remaining(TaskType{0}, asks, remaining), CheckFailure);
-}
-
-TEST(ExtractRemaining, RejectsSizeMismatch) {
-  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}};
-  const std::vector<std::uint32_t> remaining{1, 1};
-  EXPECT_THROW(extract_remaining(TaskType{0}, asks, remaining), CheckFailure);
 }
 
 TEST(Extract, PreservesSubmissionOrder) {
@@ -121,11 +93,11 @@ std::vector<std::uint32_t> stable_run_order(const ExtractedRuns& book) {
 }
 
 /// extract_runs_into on `allocation` must lay out the unit vector that
-/// extract_remaining builds from the remaining quantities, value order
-/// included: run r expands to len copies of its value and owner, |alpha|
+/// the oracle's Extract (testkit::naive_extract) builds from the remaining
+/// quantities, value order included: run r expands to len copies of its value and owner, |alpha|
 /// and the longest run are the expansion's, and the whole value order
 /// lists the runs as a stable sort by value does.
-void expect_runs_match_extract_remaining(
+void expect_runs_match_naive_extract(
     const std::vector<Ask>& asks, AskTypeIndex& index,
     const std::vector<std::uint32_t>& allocation) {
   std::vector<std::uint32_t> remaining(asks.size());
@@ -145,7 +117,8 @@ void expect_runs_match_extract_remaining(
       expanded.values.insert(expanded.values.end(), run.len, run.value);
       expanded.owner.insert(expanded.owner.end(), run.len, runs.owner[r]);
     }
-    const ExtractedAsks want = extract_remaining(TaskType{t}, asks, remaining);
+    const testkit::NaiveAlpha want =
+        testkit::naive_extract(TaskType{t}, asks, remaining);
     EXPECT_EQ(expanded.values, want.values) << "type " << t;
     EXPECT_EQ(expanded.owner, want.owner) << "type " << t;
     EXPECT_EQ(runs.units, expanded.size()) << "type " << t;
@@ -158,10 +131,10 @@ void expect_runs_match_extract_remaining(
   }
 }
 
-// The run form lays out exactly the unit vector extract_remaining builds:
+// The run form lays out exactly the unit vector the oracle's Extract builds:
 // expanding each run to len copies of its value and owner must give alpha
 // and lambda back.
-TEST(ExtractRuns, ExpandsToTheUnitVectorOfExtractRemaining) {
+TEST(ExtractRuns, ExpandsToTheUnitVectorOfNaiveExtract) {
   const std::vector<Ask> asks{
       {TaskType{1}, 4, 2.0}, {TaskType{0}, 2, 3.0}, {TaskType{1}, 3, 2.0},
       {TaskType{0}, 5, 1.0}, {TaskType{1}, 1, 7.5}, {TaskType{1}, 6, 4.0},
@@ -170,7 +143,7 @@ TEST(ExtractRuns, ExpandsToTheUnitVectorOfExtractRemaining) {
   const std::vector<std::uint32_t> allocation = allocated(asks, remaining);
   AskTypeIndex index;
   index.build(2, asks);
-  expect_runs_match_extract_remaining(asks, index, allocation);
+  expect_runs_match_naive_extract(asks, index, allocation);
   ExtractedRuns runs;
   // Users 0 and 2 bid the same value: they stay two runs.
   extract_runs_into(TaskType{1}, index, allocation, runs);
@@ -317,24 +290,24 @@ TEST(ExtractRuns, ValueOrderSkipsExhaustedUsers) {
 
 // The first round of a type: nobody has won yet, so every user is a run
 // and the value order is the index's, shifted to the type.
-TEST(ExtractRuns, AllLiveRoundMatchesExtractRemaining) {
+TEST(ExtractRuns, AllLiveRoundMatchesNaiveExtract) {
   const std::vector<Ask> asks = random_book(3000, 3, 0.5, 41);
   AskTypeIndex index;
   index.build(3, asks);
-  expect_runs_match_extract_remaining(asks, index,
+  expect_runs_match_naive_extract(asks, index,
                                       std::vector<std::uint32_t>(3000, 0));
   // Partly filled users are still live: nobody is dropped.
   std::vector<std::uint32_t> allocation(asks.size());
   for (std::size_t j = 0; j < asks.size(); ++j) {
     allocation[j] = asks[j].quantity - 1;
   }
-  expect_runs_match_extract_remaining(asks, index, allocation);
+  expect_runs_match_naive_extract(asks, index, allocation);
 }
 
 // A later round: some users are exhausted and drop out, some are partly
 // filled, the rest untouched. Every first and last slot of a type is
 // exhausted in one of the books, so the compaction's ends are covered.
-TEST(ExtractRuns, LaterRoundMatchesExtractRemaining) {
+TEST(ExtractRuns, LaterRoundMatchesNaiveExtract) {
   AskTypeIndex index;
   for (const std::uint64_t seed : {43u, 44u, 45u}) {
     const std::vector<Ask> asks = random_book(2000, 3, 0.25, seed);
@@ -354,7 +327,7 @@ TEST(ExtractRuns, LaterRoundMatchesExtractRemaining) {
                                             : index.offsets[t + 1] - 1;
       allocation[index.user[end]] = asks[index.user[end]].quantity;
     }
-    expect_runs_match_extract_remaining(asks, index, allocation);
+    expect_runs_match_naive_extract(asks, index, allocation);
   }
   // Everybody exhausted: no runs at all.
   const std::vector<Ask> asks = random_book(300, 2, 0.0, 46);

@@ -17,6 +17,16 @@
 namespace rit::core {
 namespace {
 
+/// The production pass (tree_payments_into) through a fresh workspace.
+std::vector<double> fast_payments(const tree::IncentiveTree& t,
+                                  std::span<const TaskType> types,
+                                  std::span<const double> pa, double base) {
+  PaymentWorkspace ws;
+  std::vector<double> out;
+  tree_payments_into(t, types, pa, base, /*threads=*/1, ws, out);
+  return out;
+}
+
 // platform -> {P1, P2}, P1 -> {P3, P4}, P4 -> {P5} (participants 0..4).
 tree::IncentiveTree example_tree() {
   return tree::IncentiveTree({0, 0, 0, 1, 1, 4});
@@ -84,7 +94,7 @@ TEST(PaymentFast, MatchesReferenceOnExample) {
   const std::vector<TaskType> types{TaskType{0}, TaskType{1}, TaskType{1},
                                     TaskType{1}, TaskType{0}};
   const std::vector<double> pa{10.0, 20.0, 8.0, 4.0, 16.0};
-  EXPECT_EQ(tree_payments(t, types, pa, 0.5),
+  EXPECT_EQ(fast_payments(t, types, pa, 0.5),
             tree_payments_reference(t, types, pa, 0.5));
 }
 
@@ -103,7 +113,7 @@ TEST(PaymentFast, MatchesReferenceOnRandomTrees) {
       pa.push_back(rng.bernoulli(0.3) ? 0.0
                                       : rng.uniform_real_left_open(0.0, 50.0));
     }
-    const auto fast = tree_payments(t, types, pa, 0.5);
+    const auto fast = fast_payments(t, types, pa, 0.5);
     const auto ref = tree_payments_reference(t, types, pa, 0.5);
     ASSERT_EQ(fast.size(), ref.size());
     for (std::size_t i = 0; i < fast.size(); ++i) {
@@ -124,7 +134,7 @@ TEST(PaymentFast, MatchesReferenceOnDeepChain) {
     types.push_back(TaskType{i % 2});
     pa.push_back(1.0);
   }
-  const auto fast = tree_payments(t, types, pa, 0.5);
+  const auto fast = fast_payments(t, types, pa, 0.5);
   const auto ref = tree_payments_reference(t, types, pa, 0.5);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(fast[i], ref[i], 1e-12) << i;
@@ -141,7 +151,7 @@ TEST(PaymentFast, PaymentsAtLeastAuctionPayments) {
         TaskType{static_cast<std::uint32_t>(rng.uniform_index(4))});
     pa.push_back(rng.uniform01() * 10.0);
   }
-  const auto p = tree_payments(t, types, pa, 0.5);
+  const auto p = fast_payments(t, types, pa, 0.5);
   for (std::size_t i = 0; i < p.size(); ++i) {
     EXPECT_GE(p[i], pa[i]);
   }
@@ -164,26 +174,26 @@ TEST(PaymentFast, BudgetBoundPremiumAtMostTotalAuctionPayment) {
       pa.push_back(rng.uniform01() * 10.0);
       total_pa += pa.back();
     }
-    const auto p = tree_payments(t, types, pa, 0.5);
+    const auto p = fast_payments(t, types, pa, 0.5);
     EXPECT_LE(solicitation_premium(p, pa), total_pa + 1e-9);
   }
 }
 
 TEST(PaymentFast, EmptyTreeNoParticipants) {
   const auto t = tree::IncentiveTree::root_only();
-  EXPECT_TRUE(tree_payments(t, {}, {}, 0.5).empty());
+  EXPECT_TRUE(fast_payments(t, {}, {}, 0.5).empty());
 }
 
 TEST(Payment, RejectsBadInputs) {
   const auto t = tree::flat_tree(2);
   const std::vector<TaskType> types{TaskType{0}, TaskType{0}};
   const std::vector<double> pa{1.0, 1.0};
-  EXPECT_THROW(tree_payments(t, types, std::vector<double>{1.0}, 0.5),
+  EXPECT_THROW(fast_payments(t, types, std::vector<double>{1.0}, 0.5),
                CheckFailure);
-  EXPECT_THROW(tree_payments(t, types, pa, 0.0), CheckFailure);
-  EXPECT_THROW(tree_payments(t, types, pa, 1.0), CheckFailure);
+  EXPECT_THROW(fast_payments(t, types, pa, 0.0), CheckFailure);
+  EXPECT_THROW(fast_payments(t, types, pa, 1.0), CheckFailure);
   const std::vector<TaskType> too_few{TaskType{0}};
-  EXPECT_THROW(tree_payments(t, too_few, pa, 0.5), CheckFailure);
+  EXPECT_THROW(fast_payments(t, too_few, pa, 0.5), CheckFailure);
 }
 
 TEST(PaymentFast, IsLinearInAuctionPayments) {
@@ -202,16 +212,16 @@ TEST(PaymentFast, IsLinearInAuctionPayments) {
     a[i] = rng.uniform01() * 5.0;
     b[i] = rng.uniform01() * 7.0;
   }
-  const auto pa = tree_payments(t, types, a, 0.5);
-  const auto pb = tree_payments(t, types, b, 0.5);
+  const auto pa = fast_payments(t, types, a, 0.5);
+  const auto pb = fast_payments(t, types, b, 0.5);
   std::vector<double> sum(n);
   std::vector<double> scaled(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     sum[i] = a[i] + b[i];
     scaled[i] = 3.0 * a[i];
   }
-  const auto psum = tree_payments(t, types, sum, 0.5);
-  const auto pscaled = tree_payments(t, types, scaled, 0.5);
+  const auto psum = fast_payments(t, types, sum, 0.5);
+  const auto pscaled = fast_payments(t, types, scaled, 0.5);
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_NEAR(psum[i], pa[i] + pb[i], 1e-9 * (1.0 + psum[i]));
     EXPECT_NEAR(pscaled[i], 3.0 * pa[i], 1e-9 * (1.0 + pscaled[i]));

@@ -69,7 +69,7 @@ TEST_P(SeededProperty, AuctionPaymentsCoverCosts) {
   rng::Rng rng(GetParam() ^ 0x123456);
   RitConfig cfg;
   cfg.zero_on_failure = false;
-  const RitResult r = run_auction_phase(inst.job, inst.asks, cfg, rng);
+  const RitResult r = run_rit(inst.job, inst.asks, inst.tree, cfg, rng);
   for (std::uint32_t j = 0; j < inst.asks.size(); ++j) {
     EXPECT_GE(r.auction_payment[j],
               static_cast<double>(r.allocation[j]) * inst.costs[j] - 1e-9);
@@ -166,7 +166,7 @@ TEST_P(SeededProperty, AllocationRespectsClaimedQuantity) {
   rng::Rng rng(GetParam() ^ 0xd00d);
   RitConfig cfg;
   cfg.zero_on_failure = false;
-  const RitResult r = run_auction_phase(inst.job, inst.asks, cfg, rng);
+  const RitResult r = run_rit(inst.job, inst.asks, inst.tree, cfg, rng);
   for (std::size_t j = 0; j < inst.asks.size(); ++j) {
     EXPECT_LE(r.allocation[j], inst.asks[j].quantity);
   }

@@ -35,6 +35,14 @@ struct ComfortableInstance {
   }
 };
 
+/// The auction phase alone: RIT on a flat tree, whose payments are the
+/// auction payments bit for bit (Rit.FlatTreePaysExactlyAuctionPayments).
+RitResult run_auction(const Job& job, std::span<const Ask> asks,
+                      const RitConfig& cfg, rng::Rng& rng) {
+  const auto n = static_cast<std::uint32_t>(asks.size());
+  return run_rit(job, asks, tree::flat_tree(n), cfg, rng);
+}
+
 TEST(RoundBudget, HealthyParametersGiveMultipleRounds) {
   RitConfig cfg;
   const RoundBudget b = compute_round_budget(5000, 20, 0.978, cfg);
@@ -87,7 +95,7 @@ TEST(RoundBudget, VacuousBoundStillRunsOneRound) {
   RitConfig cfg;
   cfg.zero_on_failure = false;
   rng::Rng rng(5);
-  const RitResult r = run_auction_phase(job, asks, cfg, rng);
+  const RitResult r = run_auction(job, asks, cfg, rng);
   ASSERT_EQ(r.type_info.size(), 1u);
   EXPECT_TRUE(r.type_info[0].budget.degraded);
   EXPECT_EQ(r.type_info[0].budget.max_rounds, 1u);
@@ -115,7 +123,7 @@ TEST(AuctionPhase, AllocationNeverExceedsDemandOrClaims) {
     rng::Rng rng(seed * 7 + 1);
     RitConfig cfg;
     cfg.zero_on_failure = false;  // observe partial allocations too
-    const RitResult r = run_auction_phase(inst.job, inst.asks, cfg, rng);
+    const RitResult r = run_auction(inst.job, inst.asks, cfg, rng);
     std::vector<std::uint64_t> per_type(inst.job.num_types(), 0);
     for (std::size_t j = 0; j < inst.asks.size(); ++j) {
       EXPECT_LE(r.allocation[j], inst.asks[j].quantity);
@@ -132,7 +140,7 @@ TEST(AuctionPhase, LosersGetNothingWinnersGetPaid) {
   rng::Rng rng(33);
   RitConfig cfg;
   cfg.zero_on_failure = false;
-  const RitResult r = run_auction_phase(inst.job, inst.asks, cfg, rng);
+  const RitResult r = run_auction(inst.job, inst.asks, cfg, rng);
   for (std::size_t j = 0; j < inst.asks.size(); ++j) {
     if (r.allocation[j] == 0) {
       EXPECT_EQ(r.auction_payment[j], 0.0);
@@ -149,7 +157,7 @@ TEST(AuctionPhase, IndividualRationalityPerWinner) {
     rng::Rng rng(seed + 200);
     RitConfig cfg;
     cfg.zero_on_failure = false;
-    const RitResult r = run_auction_phase(inst.job, inst.asks, cfg, rng);
+    const RitResult r = run_auction(inst.job, inst.asks, cfg, rng);
     for (std::size_t j = 0; j < inst.asks.size(); ++j) {
       EXPECT_GE(r.auction_payment[j],
                 static_cast<double>(r.allocation[j]) * inst.asks[j].value -
@@ -161,7 +169,7 @@ TEST(AuctionPhase, IndividualRationalityPerWinner) {
 TEST(AuctionPhase, RoundsNeverExceedBudget) {
   ComfortableInstance inst(5);
   rng::Rng rng(55);
-  const RitResult r = run_auction_phase(inst.job, inst.asks, RitConfig{}, rng);
+  const RitResult r = run_auction(inst.job, inst.asks, RitConfig{}, rng);
   for (const TypeAuctionInfo& info : r.type_info) {
     EXPECT_LE(info.rounds_used, info.budget.max_rounds);
     EXPECT_LE(info.allocated, info.demanded);
@@ -173,7 +181,7 @@ TEST(AuctionPhase, EtaIsPerTypeRootOfH) {
   rng::Rng rng(66);
   RitConfig cfg;
   cfg.h = 0.64;
-  const RitResult r = run_auction_phase(inst.job, inst.asks, cfg, rng);
+  const RitResult r = run_auction(inst.job, inst.asks, cfg, rng);
   EXPECT_NEAR(r.eta, 0.8, 1e-12);  // 2 demanded types: 0.64^(1/2)
 }
 
@@ -182,7 +190,7 @@ TEST(AuctionPhase, FailureZeroesEverything) {
   const Job job = Job::uniform(1, 1000);
   std::vector<Ask> asks{{TaskType{0}, 2, 1.0}, {TaskType{0}, 3, 2.0}};
   rng::Rng rng(7);
-  const RitResult r = run_auction_phase(job, asks, RitConfig{}, rng);
+  const RitResult r = run_auction(job, asks, RitConfig{}, rng);
   EXPECT_FALSE(r.success);
   for (std::size_t j = 0; j < asks.size(); ++j) {
     EXPECT_EQ(r.allocation[j], 0u);
@@ -195,7 +203,7 @@ TEST(AuctionPhase, FailureKeepsDiagnostics) {
   const Job job = Job::uniform(1, 1000);
   std::vector<Ask> asks{{TaskType{0}, 2, 1.0}, {TaskType{0}, 3, 2.0}};
   rng::Rng rng(8);
-  const RitResult r = run_auction_phase(job, asks, RitConfig{}, rng);
+  const RitResult r = run_auction(job, asks, RitConfig{}, rng);
   ASSERT_EQ(r.type_info.size(), 1u);
   EXPECT_EQ(r.type_info[0].demanded, 1000u);
   EXPECT_LT(r.type_info[0].allocated, 1000u);
@@ -206,13 +214,13 @@ TEST(AuctionPhase, KMaxIsTheObservedMaximum) {
   // quantity raises it, and the per-round bound of every type falls.
   ComfortableInstance inst(9);
   rng::Rng rng(99);
-  const RitResult r = run_auction_phase(inst.job, inst.asks, RitConfig{}, rng);
+  const RitResult r = run_auction(inst.job, inst.asks, RitConfig{}, rng);
   EXPECT_EQ(r.k_max, observed_k_max(inst.asks));
   EXPECT_EQ(r.k_max, 3u);
   inst.asks[0].quantity = 17;
   rng::Rng again(99);
   const RitResult big =
-      run_auction_phase(inst.job, inst.asks, RitConfig{}, again);
+      run_auction(inst.job, inst.asks, RitConfig{}, again);
   EXPECT_EQ(big.k_max, 17u);
   ASSERT_EQ(big.type_info.size(), r.type_info.size());
   for (std::size_t t = 0; t < r.type_info.size(); ++t) {
@@ -226,9 +234,9 @@ TEST(AuctionPhase, RejectsBadH) {
   rng::Rng rng(1);
   RitConfig cfg;
   cfg.h = 1.0;
-  EXPECT_THROW(run_auction_phase(inst.job, inst.asks, cfg, rng), CheckFailure);
+  EXPECT_THROW(run_auction(inst.job, inst.asks, cfg, rng), CheckFailure);
   cfg.h = 0.0;
-  EXPECT_THROW(run_auction_phase(inst.job, inst.asks, cfg, rng), CheckFailure);
+  EXPECT_THROW(run_auction(inst.job, inst.asks, cfg, rng), CheckFailure);
 }
 
 TEST(AuctionPhase, RejectsBadBases) {
@@ -236,10 +244,10 @@ TEST(AuctionPhase, RejectsBadBases) {
   rng::Rng rng(1);
   RitConfig cfg;
   cfg.consensus_log_base = 1.0;  // would flip the sign of the bound term
-  EXPECT_THROW(run_auction_phase(inst.job, inst.asks, cfg, rng), CheckFailure);
+  EXPECT_THROW(run_auction(inst.job, inst.asks, cfg, rng), CheckFailure);
   cfg = RitConfig{};
   cfg.discount_base = 1.0;
-  EXPECT_THROW(run_auction_phase(inst.job, inst.asks, cfg, rng), CheckFailure);
+  EXPECT_THROW(run_auction(inst.job, inst.asks, cfg, rng), CheckFailure);
 }
 
 TEST(Rit, SizeMismatchBetweenTreeAndAsksRejected) {
@@ -312,28 +320,16 @@ TEST(Rit, WorkspaceOverloadMatchesAllocatingOverload) {
   }
 }
 
-TEST(Rit, AuctionPhaseWorkspaceOverloadMatches) {
-  ComfortableInstance inst(16);
-  RitWorkspace ws;
-  rng::Rng a(99);
-  rng::Rng b(99);
-  const RitResult fresh =
-      run_auction_phase(inst.job, inst.asks, RitConfig{}, a);
-  RitResult reused;
-  run_auction_phase_into(inst.job, inst.asks, RitConfig{}, b, ws, reused);
-  EXPECT_EQ(reused.success, fresh.success);
-  EXPECT_EQ(reused.allocation, fresh.allocation);
-  EXPECT_EQ(reused.payment, fresh.payment);
-}
-
 TEST(Rit, AuctionPhaseOfRunRitMatchesStandalone) {
-  // run_rit must consume the random stream exactly like run_auction_phase,
-  // so paired-seed experiments can split the two series.
+  // run_rit must consume the random stream exactly like the auction phase
+  // alone, so paired-seed experiments can split the two series.
   ComfortableInstance inst(14);
   rng::Rng a(88);
   rng::Rng b(88);
   const RitResult full = run_rit(inst.job, inst.asks, inst.tree, RitConfig{}, a);
-  const RitResult phase1 = run_auction_phase(inst.job, inst.asks, RitConfig{}, b);
+  RitWorkspace ws;
+  RitResult phase1;
+  run_auction_phase_into(inst.job, inst.asks, RitConfig{}, b, ws, phase1);
   EXPECT_EQ(full.allocation, phase1.allocation);
   EXPECT_EQ(full.auction_payment, phase1.auction_payment);
 }
@@ -392,13 +388,46 @@ TEST(Rit, PaymentPhaseRejectsTreeSizeMismatch) {
 }
 
 TEST(Rit, FlatTreePaysExactlyAuctionPayments) {
+  // The auction-phase tests run RIT on a flat tree (run_auction): its
+  // payments must be the auction payments bit for bit, and the rest of
+  // the result and the stream must be run_auction_phase_into's.
   ComfortableInstance inst(15);
-  const auto flat = tree::flat_tree(static_cast<std::uint32_t>(inst.asks.size()));
-  rng::Rng rng(4);
-  const RitResult r =
-      run_rit(inst.job, inst.asks, flat, completion_config(), rng);
-  ASSERT_TRUE(r.success);
-  EXPECT_EQ(r.payment, r.auction_payment);
+  RitConfig cfg = completion_config();
+  cfg.record_round_trace = true;
+  rng::Rng a(4);
+  rng::Rng b(4);
+  const RitResult flat = run_auction(inst.job, inst.asks, cfg, a);
+  RitWorkspace ws;
+  RitResult phase1;
+  run_auction_phase_into(inst.job, inst.asks, cfg, b, ws, phase1);
+  ASSERT_TRUE(flat.success);
+  EXPECT_EQ(phase1.success, flat.success);
+  EXPECT_EQ(flat.allocation, phase1.allocation);
+  ASSERT_EQ(flat.payment.size(), phase1.auction_payment.size());
+  for (std::size_t j = 0; j < flat.payment.size(); ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(flat.payment[j]),
+              std::bit_cast<std::uint64_t>(flat.auction_payment[j]))
+        << "user " << j;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(flat.auction_payment[j]),
+              std::bit_cast<std::uint64_t>(phase1.auction_payment[j]))
+        << "user " << j;
+  }
+  ASSERT_EQ(flat.type_info.size(), phase1.type_info.size());
+  for (std::size_t t = 0; t < flat.type_info.size(); ++t) {
+    const TypeAuctionInfo& x = flat.type_info[t];
+    const TypeAuctionInfo& y = phase1.type_info[t];
+    EXPECT_EQ(x.allocated, y.allocated) << "type " << t;
+    EXPECT_EQ(x.rounds_used, y.rounds_used) << "type " << t;
+    EXPECT_EQ(x.budget.max_rounds, y.budget.max_rounds) << "type " << t;
+    EXPECT_EQ(x.achieved_bound, y.achieved_bound) << "type " << t;
+    ASSERT_EQ(x.rounds.size(), y.rounds.size()) << "type " << t;
+    for (std::size_t r = 0; r < x.rounds.size(); ++r) {
+      EXPECT_EQ(x.rounds[r].clearing_price, y.rounds[r].clearing_price);
+      EXPECT_EQ(x.rounds[r].winners, y.rounds[r].winners);
+    }
+  }
+  EXPECT_EQ(flat.achieved_probability, phase1.achieved_probability);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(Rit, UtilityAccessors) {
@@ -414,7 +443,7 @@ TEST(Rit, AchievedProbabilityIsProductOfTypeBounds) {
   ComfortableInstance inst(17);
   rng::Rng rng(6);
   const RitResult r =
-      run_auction_phase(inst.job, inst.asks, completion_config(), rng);
+      run_auction(inst.job, inst.asks, completion_config(), rng);
   double product = 1.0;
   for (const TypeAuctionInfo& info : r.type_info) {
     EXPECT_GE(info.achieved_bound, 0.0);
@@ -438,7 +467,7 @@ TEST(Rit, TheoreticalBudgetKeepsAchievedProbabilityAboveH) {
   RitConfig cfg;  // theoretical budget
   cfg.h = 0.8;
   rng::Rng rng(78);
-  const RitResult r = run_auction_phase(job, asks, cfg, rng);
+  const RitResult r = run_auction(job, asks, cfg, rng);
   EXPECT_FALSE(r.probability_degraded);
   EXPECT_GE(r.achieved_probability, cfg.h - 1e-9);
 }
@@ -450,7 +479,7 @@ TEST(Rit, StallLimitTerminatesHopelessTypes) {
   const Job job(std::vector<std::uint32_t>{2});
   std::vector<Ask> asks{{TaskType{0}, 1, 1.0}};
   rng::Rng rng(9);
-  const RitResult r = run_auction_phase(job, asks, completion_config(), rng);
+  const RitResult r = run_auction(job, asks, completion_config(), rng);
   EXPECT_FALSE(r.success);
   ASSERT_EQ(r.type_info.size(), 1u);
   EXPECT_LE(r.type_info[0].rounds_used, kStallRoundLimit + 2u);
@@ -461,7 +490,7 @@ TEST(Rit, OrderStatisticModeFlagsDegradedProbability) {
   RitConfig cfg = completion_config();
   cfg.price_mode = PriceMode::kOrderStatistic;
   rng::Rng rng(10);
-  const RitResult r = run_auction_phase(inst.job, inst.asks, cfg, rng);
+  const RitResult r = run_auction(inst.job, inst.asks, cfg, rng);
   EXPECT_TRUE(r.probability_degraded);
 }
 
@@ -472,7 +501,7 @@ TEST(Rit, ZeroDemandTypesAreSkippedEntirely) {
                         {TaskType{1}, 2, 1.0}};
   const Job job(std::vector<std::uint32_t>{2, 0});
   rng::Rng rng(11);
-  const RitResult r = run_auction_phase(job, asks, completion_config(), rng);
+  const RitResult r = run_auction(job, asks, completion_config(), rng);
   ASSERT_EQ(r.type_info.size(), 2u);
   EXPECT_EQ(r.type_info[1].rounds_used, 0u);
   EXPECT_EQ(r.type_info[1].achieved_bound, 1.0);
@@ -545,7 +574,7 @@ std::uint64_t expect_oracle_agrees(testkit::FuzzCase c, int seeds) {
     keep.zero_on_failure = false;
     rng::Rng rng(c.mech_seed);
     for (const std::uint32_t x :
-         run_auction_phase(Job(c.demand), c.asks, keep, rng).allocation) {
+         run_auction(Job(c.demand), c.asks, keep, rng).allocation) {
       allocated += x;
     }
   }
@@ -753,7 +782,7 @@ TEST(RunAuction, PaymentsEqualOraclePerTaskSumsBitForBit) {
       const RitResult want = testkit::oracle_run_rit(c);
       rng::Rng rng(seed);
       const RitResult got =
-          run_auction_phase(Job(c.demand), c.asks, c.config, rng);
+          run_auction(Job(c.demand), c.asks, c.config, rng);
       ASSERT_EQ(got.allocation, want.allocation) << "seed " << seed;
       for (std::size_t j = 0; j < c.asks.size(); ++j) {
         EXPECT_EQ(got.auction_payment[j], want.auction_payment[j])

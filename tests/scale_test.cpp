@@ -92,8 +92,9 @@ TEST(ScaleIdentity, PaymentPassIdenticalAcrossThreads) {
     types[i] = TaskType{static_cast<std::uint32_t>(rng.uniform_index(10))};
     auction[i] = rng.bernoulli(0.3) ? rng.uniform01() * 10.0 : 0.0;
   }
-  const std::vector<double> serial =
-      core::tree_payments(tree, types, auction, 0.5);
+  core::PaymentWorkspace serial_ws;
+  std::vector<double> serial;
+  core::tree_payments_into(tree, types, auction, 0.5, 1, serial_ws, serial);
   for (unsigned t : kThreadMatrix) {
     core::PaymentWorkspace ws;
     std::vector<double> out;

@@ -238,8 +238,10 @@ TEST(Runner, OneRunMatchesStandaloneAuctionAndFullRuns) {
     const TrialMetrics m = run_trial(s, inst, ws);
 
     rng::Rng auction_rng(inst.mechanism_seed);
-    const core::RitResult auction =
-        core::run_auction_phase(inst.job, asks, s.mechanism, auction_rng);
+    core::RitWorkspace auction_ws;
+    core::RitResult auction;
+    core::run_auction_phase_into(inst.job, asks, s.mechanism, auction_rng,
+                                 auction_ws, auction);
     rng::Rng full_rng(inst.mechanism_seed);
     const core::RitResult full =
         core::run_rit(inst.job, asks, inst.tree, s.mechanism, full_rng);

@@ -80,7 +80,9 @@ void check_payment_phase_sybil(const Instance& inst, const SybilPlan& plan,
     pa[j] = pay_rng.uniform01() * 8.0;
     types[j] = inst.asks[j].type;
   }
-  const auto before = core::tree_payments(inst.tree, types, pa, 0.5);
+  core::PaymentWorkspace ws;
+  std::vector<double> before;
+  core::tree_payments_into(inst.tree, types, pa, 0.5, 1, ws, before);
   const double attacker_before = before[plan.victim];
 
   const AttackedInstance attacked = attack::apply_sybil(inst.tree, inst.asks, plan);
@@ -99,7 +101,8 @@ void check_payment_phase_sybil(const Instance& inst, const SybilPlan& plan,
     pa2[attacked.identity_participants[l]] =
         per_unit * plan.identities[l].quantity;
   }
-  const auto after = core::tree_payments(attacked.tree, types2, pa2, 0.5);
+  std::vector<double> after;
+  core::tree_payments_into(attacked.tree, types2, pa2, 0.5, 1, ws, after);
   double attacker_after = 0.0;
   for (std::uint32_t p : attacked.identity_participants) {
     attacker_after += after[p];
@@ -165,7 +168,9 @@ TEST(SybilPaymentPhase, OwnTypeContributionsAreAlwaysExcluded) {
   const auto t = tree::chain_tree(3);
   const std::vector<TaskType> types(3, TaskType{0});
   const std::vector<double> pa{3.0, 5.0, 7.0};
-  const auto p = core::tree_payments(t, types, pa, 0.5);
+  core::PaymentWorkspace ws;
+  std::vector<double> p;
+  core::tree_payments_into(t, types, pa, 0.5, 1, ws, p);
   EXPECT_EQ(p, pa);
 }
 

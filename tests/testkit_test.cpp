@@ -339,8 +339,9 @@ TEST(ShareAlgebra, DepthOneParticipantsEarnNoTreeShare) {
     types.push_back(TaskType{j % 3});
     auction[j] = 1.0 + j;
   }
-  const std::vector<double> pay =
-      core::tree_payments(tree, types, auction, 0.5);
+  core::PaymentWorkspace ws;
+  std::vector<double> pay;
+  core::tree_payments_into(tree, types, auction, 0.5, 1, ws, pay);
   ASSERT_EQ(pay.size(), auction.size());
   for (std::uint32_t j = 0; j < n; ++j) EXPECT_EQ(pay[j], auction[j]);
 }
@@ -352,17 +353,19 @@ TEST(ShareAlgebra, DepthTwoChainSharesExactGeometricTerm) {
   const std::vector<std::uint32_t> parents = {0, 0, 1};
   const tree::IncentiveTree tree{parents};
   const double base = 0.5;
+  core::PaymentWorkspace ws;
+  std::vector<double> pay;
   {
     const std::vector<TaskType> types = {TaskType{0}, TaskType{1}};
     const std::vector<double> auction = {2.0, 3.0};
-    const auto pay = core::tree_payments(tree, types, auction, base);
+    core::tree_payments_into(tree, types, auction, base, 1, ws, pay);
     EXPECT_EQ(pay[0], 2.0 + base * base * 3.0);
     EXPECT_EQ(pay[1], 3.0);
   }
   {
     const std::vector<TaskType> types = {TaskType{0}, TaskType{0}};
     const std::vector<double> auction = {2.0, 3.0};
-    const auto pay = core::tree_payments(tree, types, auction, base);
+    core::tree_payments_into(tree, types, auction, base, 1, ws, pay);
     EXPECT_EQ(pay[0], 2.0);  // same type: excluded
     EXPECT_EQ(pay[1], 3.0);
   }
@@ -384,9 +387,10 @@ TEST(ShareAlgebra, ChainPremiumApproachesClosedFormBound) {
       parents[j + 1] = j;  // chain
       types.push_back(TaskType{j});
     }
-    const auto pay =
-        core::tree_payments(tree::IncentiveTree{parents}, types, auction,
-                            base);
+    core::PaymentWorkspace ws;
+    std::vector<double> pay;
+    core::tree_payments_into(tree::IncentiveTree{parents}, types, auction,
+                             base, 1, ws, pay);
     const double premium = core::solicitation_premium(pay, auction);
     EXPECT_GT(premium, previous);
     EXPECT_LT(premium, closed_form + 1e-12);

@@ -27,6 +27,8 @@ struct HealthyInstance {
   std::vector<Ask> asks;
   std::uint32_t probe;  // the user whose incentives we probe
   double probe_cost;
+  // RIT on a flat tree pays exactly the auction payments.
+  tree::IncentiveTree flat = tree::flat_tree(200);
 
   explicit HealthyInstance(std::uint64_t seed) {
     rng::Rng rng(seed);
@@ -68,12 +70,14 @@ GainEstimate estimate_gain(const HealthyInstance& inst, double deviation,
     double deviated_u;
     {
       rng::Rng rng(seed);
-      const RitResult r = run_auction_phase(inst.job, inst.asks, RitConfig{}, rng);
+      const RitResult r =
+          run_rit(inst.job, inst.asks, inst.flat, RitConfig{}, rng);
       truthful_u = r.utility_of(inst.probe, inst.probe_cost);
     }
     {
       rng::Rng rng(seed);
-      const RitResult r = run_auction_phase(inst.job, deviated, RitConfig{}, rng);
+      const RitResult r =
+          run_rit(inst.job, deviated, inst.flat, RitConfig{}, rng);
       deviated_u = r.utility_of(inst.probe, inst.probe_cost);
     }
     diff.add(deviated_u - truthful_u);
@@ -111,12 +115,14 @@ TEST(Truthfulness, UnderreportingQuantityDoesNotPayInExpectation) {
     double deviated_u;
     {
       rng::Rng rng(seed);
-      const RitResult r = run_auction_phase(inst.job, inst.asks, RitConfig{}, rng);
+      const RitResult r =
+          run_rit(inst.job, inst.asks, inst.flat, RitConfig{}, rng);
       truthful_u = r.utility_of(inst.probe, inst.probe_cost);
     }
     {
       rng::Rng rng(seed);
-      const RitResult r = run_auction_phase(inst.job, deviated, RitConfig{}, rng);
+      const RitResult r =
+          run_rit(inst.job, deviated, inst.flat, RitConfig{}, rng);
       deviated_u = r.utility_of(inst.probe, inst.probe_cost);
     }
     diff.add(deviated_u - truthful_u);
