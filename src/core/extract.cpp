@@ -201,6 +201,9 @@ void extract_runs_into(TaskType type, AskTypeIndex& index,
                        std::span<const std::uint32_t> allocation,
                        ExtractedRuns& out) {
   RIT_CHECK(type.value < index.num_types());
+  RIT_CHECK_MSG(allocation.size() == index.user.size(),
+                "allocation of " << allocation.size() << " users for an index of "
+                                 << index.user.size() << " asks");
   const std::uint32_t begin = index.offsets[type.value];
   const std::uint32_t end = index.offsets[type.value + 1];
   const std::uint32_t n = end - begin;

@@ -127,6 +127,7 @@ struct ExtractedRuns {
 /// those k'_j (testkit::naive_extract), with |alpha|, the longest run and
 /// the type's tie flag.
 /// The value order is left to the round (ExtractedRuns::order_through).
+/// `allocation` has one entry per ask the index was built from;
 /// `allocation[j]` is what user j already won and must not exceed its
 /// asked quantity. O(users of `type`) per round, no unit expansion and no
 /// sort; a reused `out` stops allocating (core::RitWorkspace).

@@ -69,6 +69,9 @@ NaiveAlpha naive_extract(TaskType type, std::span<const Ask> asks,
   NaiveAlpha alpha;
   for (std::uint32_t j = 0; j < asks.size(); ++j) {
     if (asks[j].type != type) continue;
+    RIT_CHECK_MSG(remaining[j] <= asks[j].quantity,
+                  "remaining " << remaining[j] << " exceeds asked quantity "
+                               << asks[j].quantity << " for user " << j);
     for (std::uint32_t k = 0; k < remaining[j]; ++k) {
       alpha.values.push_back(asks[j].value);
       alpha.owner.push_back(j);

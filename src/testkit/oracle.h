@@ -44,7 +44,8 @@ struct NaiveAlpha {
 
 /// Alg. 2, verbatim: scans every user in index order and emits one unit
 /// ask per remaining task of `type`, remaining[j] (the paper's k'_j) for
-/// user j. Production's per-type CSR keeps exactly this order.
+/// user j, which must not exceed its asked quantity; `remaining` has one
+/// entry per ask. Production's per-type CSR keeps exactly this order.
 NaiveAlpha naive_extract(TaskType type, std::span<const core::Ask> asks,
                          std::span<const std::uint32_t> remaining);
 

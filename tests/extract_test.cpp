@@ -52,6 +52,42 @@ TEST(Extract, EmptyAskVector) {
   EXPECT_TRUE(e.empty());
 }
 
+// Extract over the remaining quantities k'_j (Alg. 2 in a later CRA
+// round), as the oracle's Extract builds it for extract_runs_into and the
+// fuzzer to be checked against.
+TEST(ExtractRemaining, UsesRemainingNotAskedQuantity) {
+  const std::vector<Ask> asks{
+      {TaskType{0}, 5, 1.5},
+      {TaskType{0}, 3, 2.5},
+  };
+  const std::vector<std::uint32_t> remaining{2, 0};
+  const testkit::NaiveAlpha e =
+      testkit::naive_extract(TaskType{0}, asks, remaining);
+  EXPECT_EQ(e.values, (std::vector<double>{1.5, 1.5}));
+  EXPECT_EQ(e.owner, (std::vector<std::uint32_t>{0, 0}));
+}
+
+TEST(ExtractRemaining, ZeroRemainingEverywhereGivesEmpty) {
+  const std::vector<Ask> asks{{TaskType{0}, 5, 1.5}};
+  const std::vector<std::uint32_t> remaining{0};
+  EXPECT_TRUE(
+      testkit::naive_extract(TaskType{0}, asks, remaining).values.empty());
+}
+
+TEST(ExtractRemaining, RejectsRemainingAboveAsked) {
+  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}};
+  const std::vector<std::uint32_t> remaining{3};
+  EXPECT_THROW(testkit::naive_extract(TaskType{0}, asks, remaining),
+               CheckFailure);
+}
+
+TEST(ExtractRemaining, RejectsSizeMismatch) {
+  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}};
+  const std::vector<std::uint32_t> remaining{1, 1};
+  EXPECT_THROW(testkit::naive_extract(TaskType{0}, asks, remaining),
+               CheckFailure);
+}
+
 TEST(Extract, PreservesSubmissionOrder) {
   const std::vector<Ask> asks{
       {TaskType{0}, 1, 9.0},
@@ -157,6 +193,16 @@ TEST(ExtractRuns, RejectsAllocationAboveAsked) {
   index.build(1, asks);
   ExtractedRuns runs;
   const std::vector<std::uint32_t> allocation{1, 5};
+  EXPECT_THROW(extract_runs_into(TaskType{0}, index, allocation, runs),
+               CheckFailure);
+}
+
+TEST(ExtractRuns, RejectsAllocationSizeMismatch) {
+  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}, {TaskType{0}, 4, 2.0}};
+  AskTypeIndex index;
+  index.build(1, asks);
+  ExtractedRuns runs;
+  const std::vector<std::uint32_t> allocation{1};
   EXPECT_THROW(extract_runs_into(TaskType{0}, index, allocation, runs),
                CheckFailure);
 }
