@@ -18,7 +18,8 @@
 int main(int argc, char** argv) {
   using namespace rit;
   using namespace rit::bench;
-  const BenchOptions opts = parse_options(argc, argv, "ablation_dropout", 5);
+  const BenchOptions opts =
+      parse_options(argc, argv, "ablation_dropout", 5, Points::kOwnLoop);
 
   sim::Scenario s;
   s.num_users = scaled(30000, opts.scale, 300);

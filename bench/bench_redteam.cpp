@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   using namespace rit::bench;
   // The search compares paired seeds, so it needs at least two trials.
   const BenchOptions opts =
-      parse_options(argc, argv, "redteam", 40, /*min_trials=*/2);
+      parse_options(argc, argv, "redteam", 40, Points::kOwnLoop,
+                    /*min_trials=*/2);
 
   sim::Scenario s;
   s.num_users = scaled(5000, opts.scale, 200);

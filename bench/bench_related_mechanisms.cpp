@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   using namespace rit;
   using namespace rit::bench;
   const BenchOptions opts =
-      parse_options(argc, argv, "related_mechanisms", 10);
+      parse_options(argc, argv, "related_mechanisms", 10, Points::kOwnLoop);
 
   sim::Scenario s;
   s.num_users = scaled(30000, opts.scale, 300);

@@ -28,7 +28,7 @@ namespace {
 // unknown flag, a malformed value or a bad combination. --help prints the
 // flags on stdout and exits 0.
 BenchOptions read_flags(int argc, char** argv, const std::string& name,
-                        std::uint64_t default_trials,
+                        std::uint64_t default_trials, Points points,
                         std::uint64_t min_trials) {
   cli::Args args(argc, argv);
   BenchOptions opts;
@@ -47,17 +47,7 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   opts.csv_path = csv == "none" ? "" : csv;
   opts.trace_path = args.get_string("trace-out", "");
   opts.metrics_path = args.get_string("metrics-out", "");
-  opts.max_trial_failures = args.get_u64("max-trial-failures", 0);
-  opts.trial_timeout_ms = args.get_double("trial-timeout-ms", 0.0);
-  opts.checkpoint_path = args.get_string("checkpoint", "");
-  opts.checkpoint_every = args.get_u64("checkpoint-every", 0);
-  opts.resume = args.get_bool("resume", false);
-  opts.supervised = args.get_bool("supervised", false);
-  opts.shards = args.get_u32("shards", 0);
-  opts.shard_mem_mb = args.get_u64("shard-mem-mb", 0);
-  opts.shard_cpu_s = args.get_u64("shard-cpu-s", 0);
-  opts.shard_retries = args.get_u32("shard-retries", 2);
-  opts.heartbeat_timeout_ms = args.get_u64("heartbeat-timeout-ms", 0);
+  if (points == Points::kRunPoint) opts.sweep = cli::read_sweep_flags(args);
   const std::string summary =
       args.get_string("json", "bench_results/BENCH_" + name + ".json");
   opts.summary_path = summary == "none" ? "" : summary;
@@ -78,28 +68,17 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   require_usage(opts.points >= 2, "--points must be >= 2");
   require_usage(opts.trials >= min_trials,
                 "--trials must be >= " + format_u64(min_trials));
-  require_usage(!opts.checkpoint_path.empty() || !opts.resume,
-                "--resume requires --checkpoint=PATH");
-  require_usage(!opts.checkpoint_path.empty() || opts.checkpoint_every == 0,
-                "--checkpoint-every requires --checkpoint=PATH");
-  require_usage(opts.trial_timeout_ms >= 0.0,
-                "--trial-timeout-ms must be >= 0");
-  require_usage(opts.supervised ||
-                    (opts.shards == 0 && opts.shard_mem_mb == 0 &&
-                     opts.shard_cpu_s == 0 && opts.heartbeat_timeout_ms == 0),
-                "--shards/--shard-mem-mb/--shard-cpu-s/"
-                "--heartbeat-timeout-ms require --supervised");
   return opts;
 }
 
 }  // namespace
 
 BenchOptions parse_options(int argc, char** argv, const std::string& name,
-                           std::uint64_t default_trials,
+                           std::uint64_t default_trials, Points points,
                            std::uint64_t min_trials) {
   BenchOptions opts;
   try {
-    opts = read_flags(argc, argv, name, default_trials, min_trials);
+    opts = read_flags(argc, argv, name, default_trials, points, min_trials);
   } catch (const CheckFailure& e) {
     // A bad flag is a usage error: report it the way `ritcs` does.
     std::cerr << "error: " << e.what() << "\n";
@@ -166,8 +145,8 @@ std::uint64_t sweep_config_hash(const BenchOptions& opts) {
   field(opts.theoretical ? "theoretical" : "run-to-completion");
   field(opts.paper_ratio ? "paper-ratio" : "-");
   field(opts.paper_kmax ? "paper-kmax" : "-");
-  field(format_u64(opts.max_trial_failures));
-  field(format_double(opts.trial_timeout_ms, 6));
+  field(format_u64(opts.sweep.policy.max_trial_failures));
+  field(format_double(opts.sweep.policy.trial_timeout_ms, 6));
   // --threads is deliberately NOT hashed: it is bit-identical by
   // construction (fixed partition, fixed merge order), so a checkpoint
   // written at one setting resumes correctly at another.
@@ -177,50 +156,17 @@ std::uint64_t sweep_config_hash(const BenchOptions& opts) {
 sim::AggregateMetrics run_sweep_point(
     const BenchOptions& opts, const sim::Scenario& scenario,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
-  SweepState& sweep = *opts.sweep;
-  // Supervised runs partition by shard instead of thread; both knobs bind
-  // the checkpoint the same way (partition width), so a checkpoint written
-  // in-process at --threads=K resumes supervised at --shards=K and vice
-  // versa — the partition, fold order, and merge order are identical.
-  const unsigned resolved = rit::resolve_threads(
-      opts.supervised ? opts.shards : opts.threads, opts.trials);
-  if (!opts.checkpoint_path.empty() && !sweep.session) {
-    sim::CheckpointSession::Params p;
-    p.path = opts.checkpoint_path;
-    p.config_hash = sweep_config_hash(opts);
-    p.seed = opts.seed;
-    p.threads = resolved;
-    p.trials = opts.trials;
-    p.every = opts.checkpoint_every;
-    p.resume = opts.resume;
-    sweep.session = std::make_unique<sim::CheckpointSession>(std::move(p));
+  SweepState& state = *opts.state;
+  if (state.next_point == 0) {
+    state.session = cli::open_session(opts.sweep, sweep_config_hash(opts),
+                                      opts.seed, opts.threads, opts.trials);
   }
-  sim::GuardPolicy policy;
-  policy.max_trial_failures = opts.max_trial_failures;
-  policy.trial_timeout_ms = opts.trial_timeout_ms;
-  sim::GuardedResult r;
-  if (opts.supervised) {
-    platform::SupervisorOptions sup;
-    sup.shards = opts.shards;
-    sup.shard_mem_mb = opts.shard_mem_mb;
-    sup.shard_cpu_s = opts.shard_cpu_s;
-    sup.shard_retries = opts.shard_retries;
-    sup.heartbeat_timeout_ms = opts.heartbeat_timeout_ms;
-    sup.checkpoint_path = opts.checkpoint_path;
-    sup.checkpoint_every = opts.checkpoint_every;
-    sup.resume = opts.resume;
-    sup.config_hash = sweep_config_hash(opts);
-    sup.seed = opts.seed;
-    r = platform::run_many_supervised(scenario, opts.trials, sup, policy,
-                                      sweep.session.get(), sweep.next_point,
-                                      progress);
-  } else {
-    r = sim::run_many_guarded(scenario, opts.trials, resolved, policy,
-                              sweep.session.get(), sweep.next_point,
-                              progress);
-  }
-  ++sweep.next_point;
-  sweep.faults.merge(r.faults);
+  const sim::GuardedResult r = platform::run_many(
+      scenario, opts.trials, opts.threads, opts.sweep.policy,
+      opts.sweep.isolation(), state.session.get(), state.next_point,
+      progress);
+  ++state.next_point;
+  state.faults.merge(r.faults);
   return r.metrics;
 }
 
@@ -247,12 +193,8 @@ void emit(const std::string& title, const BenchOptions& opts,
             << " graph=" << sim::to_string(opts.graph)
             << (opts.theoretical ? " budget=theoretical"
                                  : " budget=run-to-completion")
-            << " threads=" << rit::resolve_threads(opts.threads, opts.trials);
-  if (opts.supervised) {
-    std::cout << " supervised shards="
-              << rit::resolve_threads(opts.shards, opts.trials);
-  }
-  std::cout << ")\n";
+            << " threads=" << rit::resolve_threads(opts.threads, opts.trials)
+            << (opts.sweep.isolate ? " supervised" : "") << ")\n";
   cli::Table table(header);
   for (const auto& row : rows) table.add_numeric_row(row, precision);
   table.print(std::cout);
@@ -441,7 +383,7 @@ void finish(const BenchOptions& opts, std::ostream& out) {
 
   // Quarantined-fault report: silent by default (no faults → no output, so
   // default runs stay byte-identical), loud when anything was contained.
-  const sim::FaultLedger& faults = opts.sweep->faults;
+  const sim::FaultLedger& faults = opts.state->faults;
   if (!faults.empty()) {
     out << "=== quarantined faults — " << opts.name << " ===\n"
               << faults.markdown();

@@ -7,47 +7,34 @@
 //   --points=P    sweep points between the paper's endpoints (default 5)
 //   --seed=X      base seed
 //   --graph=K     social graph family: ba|er|ws|star|path (default ba)
-//   --threads=N   worker threads for the trial fan-out (default 0 =
-//                 hardware concurrency; 1 = the guarded engine on one
-//                 worker). Trials are seeded independently and merged
-//                 in a fixed order, so counts/min/max/success rates are
-//                 identical for every N; means agree to ~1e-12 (Welford
-//                 merge-order rounding — see EXPERIMENTS.md)
+//   --threads=N   workers for the trial fan-out (default 0 = hardware
+//                 concurrency; 1 = the guarded engine on one worker;
+//                 under --supervised, forked shard processes). Trials
+//                 are seeded independently and merged in a fixed order,
+//                 so counts/min/max/success rates are identical for every
+//                 N; means agree to ~1e-12 (Welford merge-order rounding —
+//                 see EXPERIMENTS.md)
 //   --csv=PATH    also dump the series as CSV (default bench_results/<name>.csv,
 //                 "none" disables)
 //   --theoretical use the paper's literal round budget instead of
 //                 run-to-completion (see DESIGN.md ambiguity #3)
 //
-// Robustness (see docs/robustness.md):
-//   --max-trial-failures=N  tolerate up to N faulted trials per sweep point
-//                           (quarantined into the fault ledger; default 0 =
-//                           the first fault aborts, the historical behavior)
-//   --trial-timeout-ms=T    post-hoc per-trial watchdog (0 = off)
-//   --checkpoint=PATH       durable sweep checkpoint, written atomically
-//   --checkpoint-every=K    also checkpoint every K trials within a point
-//                           (0 = only at point boundaries)
-//   --resume                resume from --checkpoint (refuses on any
-//                           config/seed/thread mismatch); resumed sweeps are
-//                           bit-identical to uninterrupted ones
-//
-// Process isolation (see docs/robustness.md, "Process isolation &
-// supervision"):
-//   --supervised            run each sweep point through the shard
-//                           supervisor: K forked worker processes, one per
-//                           residue class, monitored for signal deaths,
-//                           OOM kills, and hangs. Bit-identical to the
-//                           in-process engine at --threads=K.
-//   --shards=K              worker processes (default 0 = hardware
-//                           concurrency; replaces --threads when
-//                           supervised)
-//   --shard-mem-mb=M        per-shard RLIMIT_AS budget in MB (0 = off)
-//   --shard-cpu-s=S         per-shard RLIMIT_CPU budget in seconds (0 = off)
-//   --shard-retries=R       worker deaths tolerated per shard before the
-//                           shard is quarantined and the sweep aborts
-//                           (default 2); relaunches back off exponentially
-//   --heartbeat-timeout-ms=T  SIGKILL a shard whose heartbeat stalls for T
-//                           ms (0 = watchdog off); with --checkpoint the
-//                           relaunch resumes from the shard's last cut
+// Sweep flags (cli/sweep_flags.h, docs/robustness.md), on the benches whose
+// grid points go through run_point():
+//   --max-trial-failures=N, --trial-timeout-ms=T  fault containment
+//   --checkpoint=PATH, --checkpoint-every=K, --resume  durable progress;
+//                           resumed sweeps are bit-identical to
+//                           uninterrupted ones
+//   --supervised            run each point in --threads forked worker
+//                           processes, one per residue class, monitored for
+//                           signal deaths, OOM kills, and hangs;
+//                           bit-identical to the in-process engine at the
+//                           same --threads
+//   --shard-mem-mb=M, --shard-cpu-s=S, --shard-retries=R,
+//   --heartbeat-timeout-ms=T  the shard budgets of --supervised
+// The benches with their own trial loops (ablation_consensus, _dropout,
+// _supply, fig9_sybil_utility, redteam, related_mechanisms) refuse these
+// as unknown flags rather than ignore them.
 //
 // Observability (see docs/observability.md):
 //   --trace-out=PATH    write a Chrome-trace / Perfetto JSON of every span
@@ -65,6 +52,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -72,8 +60,9 @@
 
 #include "cli/args.h"
 #include "cli/csv.h"
+#include "cli/sweep_flags.h"
 #include "cli/table.h"
-#include "sim/guarded.h"
+#include "sim/checkpoint.h"
 #include "sim/metrics.h"
 #include "sim/scenario.h"
 
@@ -117,32 +106,23 @@ struct BenchOptions {
   /// Steady-clock ns at parse_options; finish() measures end-to-end from it.
   std::uint64_t start_ns{0};
 
-  /// Fault tolerance (--max-trial-failures, --trial-timeout-ms); defaults
-  /// preserve the historical strict behavior.
-  std::uint64_t max_trial_failures{0};
-  double trial_timeout_ms{0.0};
-  /// Checkpoint/resume (--checkpoint, --checkpoint-every, --resume).
-  std::string checkpoint_path;  // empty = disabled
-  std::uint64_t checkpoint_every{0};
-  bool resume{false};
-  /// Process isolation (--supervised and friends); see
-  /// platform::SupervisorOptions for the semantics of each knob.
-  bool supervised{false};
-  unsigned shards{0};
-  std::uint64_t shard_mem_mb{0};
-  std::uint64_t shard_cpu_s{0};
-  unsigned shard_retries{2};
-  std::uint64_t heartbeat_timeout_ms{0};
+  /// The sweep flags; all defaults on a bench that runs its own loop.
+  cli::SweepFlags sweep;
 
   /// Shared across copies: run_point() advances it, finish() reports it.
-  std::shared_ptr<SweepState> sweep{std::make_shared<SweepState>()};
+  std::shared_ptr<SweepState> state{std::make_shared<SweepState>()};
 };
+
+/// Whether a bench runs its grid points through run_point(), and so takes
+/// the sweep flags, or runs its own trial loop and refuses them.
+enum class Points { kRunPoint, kOwnLoop };
 
 /// Parses the standard flags; `name` picks the default CSV path. A bad
 /// flag, including --trials below `min_trials`, prints one `error:` line
 /// and exits 2.
 BenchOptions parse_options(int argc, char** argv, const std::string& name,
                            std::uint64_t default_trials,
+                           Points points = Points::kRunPoint,
                            std::uint64_t min_trials = 1);
 
 /// Applies the shared knobs (graph kind, seed, budget policy) to a scenario.
@@ -156,13 +136,12 @@ std::uint32_t scaled(std::uint64_t value, double scale,
 std::vector<std::uint32_t> linspace(std::uint32_t lo, std::uint32_t hi,
                                     std::uint32_t points);
 
-/// Runs one sweep point (opts.trials trials of `scenario`) through the
-/// guarded engine, honoring the robustness flags: faults are quarantined
-/// within the failure budget, and with --checkpoint each point is durably
-/// saved (and skipped on --resume when already complete); --supervised
-/// runs it through the shard supervisor instead. Every bench sweep loop
-/// calls this; points must be run in a fixed order for the checkpoint's
-/// point index to be meaningful.
+/// Runs one sweep point (opts.trials trials of `scenario`) through
+/// platform::run_many, honoring the sweep flags: faults are quarantined
+/// within the failure budget, with --checkpoint each point is durably
+/// saved (and skipped on --resume when already complete), and
+/// --supervised forks its shards. Points must be run in a fixed order for
+/// the checkpoint's point index to be meaningful.
 sim::AggregateMetrics run_point(
     const BenchOptions& opts, const sim::Scenario& scenario,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress = {});

@@ -19,16 +19,12 @@ std::string quoted(std::string_view s) { return "'" + std::string(s) + "'"; }
 
 }  // namespace
 
-std::string slurp(std::istream& in) {
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 std::optional<std::string> slurp_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) return std::nullopt;
-  return slurp(in);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 std::string one_line(std::string text) {

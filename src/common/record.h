@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,7 +22,6 @@
 
 namespace rit {
 
-std::string slurp(std::istream& in);
 /// Empty optional when the file cannot be opened.
 std::optional<std::string> slurp_file(const std::string& path);
 

@@ -7,6 +7,8 @@
 
 namespace rit::core {
 
+namespace {
+
 double allocation_cost(std::span<const Ask> asks,
                        std::span<const std::uint32_t> allocation) {
   RIT_CHECK(asks.size() == allocation.size());
@@ -19,6 +21,9 @@ double allocation_cost(std::span<const Ask> asks,
   return cost;
 }
 
+// Cost of the cheapest feasible assignment: per type, fill m_i tasks from
+// the lowest ask values (units of one user counted up to its quantity), or
+// a negative value if the job is infeasible.
 double optimal_cost(const Job& job, std::span<const Ask> asks) {
   double total = 0.0;
   for (std::uint32_t ti = 0; ti < job.num_types(); ++ti) {
@@ -33,6 +38,8 @@ double optimal_cost(const Job& job, std::span<const Ask> asks) {
   }
   return total;
 }
+
+}  // namespace
 
 double cost_efficiency(const Job& job, std::span<const Ask> asks,
                        std::span<const std::uint32_t> allocation) {

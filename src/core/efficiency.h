@@ -19,18 +19,11 @@
 
 namespace rit::core {
 
-/// Total social cost of an allocation: sum over users of x_j * a_j (with
-/// truthful asks, a_j == c_j). Requires x_j <= k_j.
-double allocation_cost(std::span<const Ask> asks,
-                       std::span<const std::uint32_t> allocation);
-
-/// Cost of the cheapest feasible assignment: per type, fill m_i tasks from
-/// the lowest ask values (units of one user counted up to its quantity).
-/// Returns the cost, or a negative value if the job is infeasible.
-double optimal_cost(const Job& job, std::span<const Ask> asks);
-
-/// optimal / actual, or 0 when nothing was allocated. 1.0 means the
-/// allocation is cost-optimal.
+/// optimal / actual, where actual = sum over users of x_j * a_j (with
+/// truthful asks, a_j == c_j) and optimal fills each type's m_i tasks from
+/// the lowest ask values. 1.0 means the allocation is cost-optimal; 0 when
+/// nothing was allocated or the job is infeasible. Throws CheckFailure
+/// when some x_j exceeds its user's quantity k_j.
 double cost_efficiency(const Job& job, std::span<const Ask> asks,
                        std::span<const std::uint32_t> allocation);
 

@@ -64,7 +64,8 @@ ExperimentRecord read_record_text(std::string_view text,
 }
 }  // namespace
 
-void write_record(const ExperimentRecord& record, std::ostream& out) {
+void write_record_file(const ExperimentRecord& record,
+                       const std::string& path) {
   const auto n = record.asks.size();
   RIT_CHECK_MSG(record.tree_parents.size() == n + 1,
                 "record: tree has " << record.tree_parents.size()
@@ -73,6 +74,7 @@ void write_record(const ExperimentRecord& record, std::ostream& out) {
   RIT_CHECK(record.result.auction_payment.size() == n);
   RIT_CHECK(record.result.payment.size() == n);
 
+  std::ostringstream out;
   out << kHeader << "\n";
   out << "discount " << format_hex_double(record.discount_base) << "\n";
   out << "job";
@@ -101,19 +103,9 @@ void write_record(const ExperimentRecord& record, std::ostream& out) {
   out << "payment";
   for (double p : r.payment) out << ' ' << format_hex_double(p);
   out << "\n";
-}
-
-void write_record_file(const ExperimentRecord& record,
-                       const std::string& path) {
   // Records feed bit-exact replay (see replay_test); an interrupted write
   // must never leave a half-record that parses up to the truncation point.
-  std::ostringstream out;
-  write_record(record, out);
   rit::write_file_atomic(path, out.str());
-}
-
-ExperimentRecord read_record(std::istream& in) {
-  return read_record_text(slurp(in), "record");
 }
 
 ExperimentRecord read_record_file(const std::string& path) {

@@ -8,7 +8,6 @@
 // greppable, diffable, versioned with a header.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -33,14 +32,14 @@ struct ExperimentRecord {
   }
 };
 
-/// Writes the record. Deterministic output: same record, same bytes.
-void write_record(const ExperimentRecord& record, std::ostream& out);
+/// Writes the record atomically. Deterministic output: same record, same
+/// bytes.
 void write_record_file(const ExperimentRecord& record,
                        const std::string& path);
 
-/// Parses a record; throws CheckFailure on version/format errors or
-/// internally inconsistent sizes. Round-trips doubles bit-exactly.
-ExperimentRecord read_record(std::istream& in);
+/// Parses a record file; throws CheckFailure when it cannot be read, on
+/// version/format errors or internally inconsistent sizes. Round-trips
+/// doubles bit-exactly.
 ExperimentRecord read_record_file(const std::string& path);
 
 }  // namespace rit::core

@@ -28,6 +28,9 @@ namespace rit::platform {
 
 namespace {
 
+/// Base relaunch delay: attempt n waits kBackoffMs * 2^(n-1).
+constexpr std::uint64_t kBackoffMs = 100;
+
 /// Stable signal names for the forensic ledger (strsignal() is
 /// locale-shaped; the tests grep for these exact tokens).
 const char* signal_name(int sig) {
@@ -127,13 +130,13 @@ struct FleetGuard {
   }
 };
 
-std::uint64_t shard_config_hash(const SupervisorOptions& opts,
+std::uint64_t shard_config_hash(const sim::CheckpointSession::Params& sweep,
                                 std::uint64_t point, unsigned shard,
                                 unsigned shard_count, std::uint64_t trials) {
   std::ostringstream os;
   os << "shard " << shard << "/" << shard_count << " point " << point
-     << " trials " << trials << " hash " << opts.config_hash << " seed "
-     << opts.seed;
+     << " trials " << trials << " hash " << sweep.config_hash << " seed "
+     << sweep.seed;
   return fnv1a64(os.str());
 }
 
@@ -141,17 +144,16 @@ std::uint64_t shard_config_hash(const SupervisorOptions& opts,
 /// bindings -> resume, stale bindings (a previous grid point or sweep
 /// shape) -> unlink and start fresh. A *corrupt* file still throws — torn
 /// state is evidence of a bug, the same refusal the parent checkpoint has.
-void prepare_shard_file(const ShardSlot& slot, const SupervisorOptions& opts,
-                        bool resume) {
-  if (slot.path.empty()) return;
-  if (!resume) {
+void prepare_shard_file(const ShardSlot& slot,
+                        const sim::CheckpointSession::Params& sweep) {
+  if (!sweep.resume) {
     ::unlink(slot.path.c_str());
     return;
   }
   const std::optional<std::string> content = slurp_file(slot.path);
   if (!content) return;  // nothing durable yet
   const sim::CheckpointData data = sim::parse_checkpoint(*content, slot.path);
-  if (data.config_hash != slot.shard_hash || data.seed != opts.seed ||
+  if (data.config_hash != slot.shard_hash || data.seed != sweep.seed ||
       data.threads != 1 || data.trials != slot.local_trials) {
     ::unlink(slot.path.c_str());
   }
@@ -175,6 +177,7 @@ bool drain_pipe(ShardSlot& slot) {
 
 void launch_shard(ShardSlot& slot, std::uint64_t trials, unsigned shard_count,
                   const SupervisorOptions& opts,
+                  const sim::CheckpointSession* sweep,
                   const sim::GuardPolicy& policy, const sim::TrialBody& body,
                   const sim::TrialSeedFn& seed_of) {
   int fds[2];
@@ -206,14 +209,14 @@ void launch_shard(ShardSlot& slot, std::uint64_t trials, unsigned shard_count,
   job.chaos = chaos;
   job.body = &body;
   job.seed_of = &seed_of;
-  if (!slot.path.empty()) {
+  if (sweep != nullptr) {
     job.use_session = true;
     job.session.path = slot.path;
     job.session.config_hash = slot.shard_hash;
-    job.session.seed = opts.seed;
+    job.session.seed = sweep->params().seed;
     job.session.threads = 1;
     job.session.trials = slot.local_trials;
-    job.session.every = opts.checkpoint_every;
+    job.session.every = sweep->params().every;
     // Always resume inside the child: the parent already discarded stale
     // or unwanted files, so whatever survives is this run's own cut.
     job.session.resume = true;
@@ -289,7 +292,7 @@ std::string death_reason(const ShardSlot& slot, int status,
 
 }  // namespace
 
-sim::GuardedResult run_trials_supervised(std::uint64_t trials,
+sim::GuardedResult run_trials_supervised(std::uint64_t trials, unsigned threads,
                                          const SupervisorOptions& opts,
                                          const sim::GuardPolicy& policy,
                                          const sim::TrialBody& body,
@@ -297,7 +300,7 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
                                          sim::CheckpointSession* session,
                                          std::uint64_t point,
                                          const sim::ProgressFn& progress) {
-  const unsigned shard_count = rit::resolve_threads(opts.shards, trials);
+  const unsigned shard_count = rit::resolve_threads(threads, trials);
   if (session != nullptr) {
     // Same contract as the in-process runner: the partition — and so the
     // resumable/checkable state — binds to the resolved shard count.
@@ -313,8 +316,6 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
     sim::GuardedResult done;
     if (session->completed_point(point, &done)) return done;
   }
-  RIT_CHECK_MSG(opts.checkpoint_every == 0 || !opts.checkpoint_path.empty(),
-                "--shard checkpointing wants a checkpoint path");
 
   SharedPages pages(shard_count);
   std::vector<ShardSlot> slots(shard_count);
@@ -323,11 +324,11 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
     s.shard = k;
     s.local_trials = shard_trial_count(trials, k, shard_count);
     s.page = pages.pages + k;
-    if (!opts.checkpoint_path.empty()) {
-      s.path = opts.checkpoint_path + ".shard" + std::to_string(k);
-      s.shard_hash =
-          shard_config_hash(opts, point, k, shard_count, trials);
-      prepare_shard_file(s, opts, opts.resume);
+    if (session != nullptr) {
+      s.path = session->params().path + ".shard" + std::to_string(k);
+      s.shard_hash = shard_config_hash(session->params(), point, k,
+                                       shard_count, trials);
+      prepare_shard_file(s, session->params());
     }
   }
 
@@ -382,7 +383,8 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
       // Launch (or relaunch once the backoff elapsed) every due shard.
       if (!s.completed && s.pid < 0 && s.pending &&
           s.backoff_timer.elapsed_ms() >= s.backoff_wait_ms) {
-        launch_shard(s, trials, shard_count, opts, policy, body, seed_of);
+        launch_shard(s, trials, shard_count, opts, session, policy, body,
+                     seed_of);
       }
     }
     if (all_completed) break;
@@ -480,7 +482,7 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
       }
       ++s.attempt;
       s.pending = true;
-      s.backoff_wait_ms = static_cast<double>(opts.backoff_ms) *
+      s.backoff_wait_ms = static_cast<double>(kBackoffMs) *
                           static_cast<double>(std::uint64_t{1}
                                               << (s.attempt - 1));
       s.backoff_timer.reset();
@@ -532,13 +534,13 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
   return out;
 }
 
-sim::GuardedResult run_many_supervised(const sim::Scenario& scenario,
-                                       std::uint64_t trials,
-                                       const SupervisorOptions& opts,
-                                       const sim::GuardPolicy& policy,
-                                       sim::CheckpointSession* session,
-                                       std::uint64_t point,
-                                       const sim::ProgressFn& progress) {
+sim::GuardedResult run_many(const sim::Scenario& scenario,
+                            std::uint64_t trials, unsigned threads,
+                            const sim::GuardPolicy& policy,
+                            const SupervisorOptions* isolate,
+                            sim::CheckpointSession* session,
+                            std::uint64_t point,
+                            const sim::ProgressFn& progress) {
   const sim::TrialBody body = [&scenario](std::uint64_t t,
                                           core::RitWorkspace& ws,
                                           std::string* phase) {
@@ -552,8 +554,12 @@ sim::GuardedResult run_many_supervised(const sim::Scenario& scenario,
   const sim::TrialSeedFn seed_of = [&scenario](std::uint64_t t) {
     return sim::mechanism_seed_of(scenario, t);
   };
-  return run_trials_supervised(trials, opts, policy, body, seed_of, session,
-                               point, progress);
+  if (isolate == nullptr) {
+    return sim::run_trials_guarded(trials, threads, policy, body, seed_of,
+                                   session, point, progress);
+  }
+  return run_trials_supervised(trials, threads, *isolate, policy, body,
+                               seed_of, session, point, progress);
 }
 
 }  // namespace rit::platform

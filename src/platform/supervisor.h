@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "sim/checkpoint.h"
 #include "sim/guarded.h"
@@ -30,48 +29,34 @@
 
 namespace rit::platform {
 
+/// The isolation budgets of a supervised run. The partition width is the
+/// run's `threads`, and the shard checkpoints follow the run's session.
 struct SupervisorOptions {
-  /// Worker processes (0 = hardware concurrency, clamped to the trial
-  /// count like resolve_threads). This takes the role threads has for the
-  /// in-process runner: the partition — and so the bits — bind to it.
-  unsigned shards{0};
   /// Per-shard memory budget in MB, enforced as RLIMIT_AS (0 = unlimited).
   std::uint64_t shard_mem_mb{0};
   /// Per-shard CPU budget in seconds, enforced as RLIMIT_CPU (0 = off).
   std::uint64_t shard_cpu_s{0};
   /// Worker deaths tolerated per shard before it is quarantined and the
   /// sweep aborts. The first launch is attempt 0; shard_retries=2 allows
-  /// up to 3 launches.
+  /// up to 3 launches, attempt n after a 100 ms * 2^(n-1) backoff.
   unsigned shard_retries{2};
-  /// Base relaunch delay; attempt n waits backoff_ms * 2^(n-1).
-  std::uint64_t backoff_ms{100};
   /// Declare a shard hung when its heartbeat does not advance for this
   /// long, and SIGKILL it (0 = watchdog off).
   std::uint64_t heartbeat_timeout_ms{0};
-  /// Durable shard state: each shard k checkpoints to
-  /// `<checkpoint_path>.shard<k>` every `checkpoint_every` trials, so a
-  /// relaunch resumes from the shard's last cut instead of replaying.
-  /// Empty = no durable state (retries replay the whole shard —
-  /// deterministic either way).
-  std::string checkpoint_path;
-  std::uint64_t checkpoint_every{0};
-  /// Resume shard files from a previous supervised run (stale files —
-  /// config-hash mismatch from an earlier grid point — are discarded).
-  bool resume{false};
-  /// Sweep config hash + seed, mixed into each shard file's binding so a
-  /// shard checkpoint can never resume the wrong sweep/point/shard.
-  std::uint64_t config_hash{0};
-  std::uint64_t seed{0};
 };
 
 /// Supervised analogue of run_trials_guarded: same body/seed contract,
 /// same result, same abort semantics (CheckFailure), but each residue
-/// class runs in its own forked process. `session`, when non-null, is the
-/// *parent* sweep session (bound to threads == resolved shard count): the
-/// supervisor consults completed_point, calls complete_point, and flushes
-/// `.aborted` forensics through it; the per-shard durable state lives in
-/// the sibling `.shard<k>` files named by `opts.checkpoint_path`.
-sim::GuardedResult run_trials_supervised(std::uint64_t trials,
+/// class of `threads` (0 = hardware concurrency, clamped to the trial
+/// count) runs in its own forked process. `session`, when non-null, is the
+/// parent sweep session, bound to the resolved shard count: the supervisor
+/// consults completed_point, calls complete_point, and flushes `.aborted`
+/// forensics through it. Shard k then checkpoints to the sibling file
+/// `<session path>.shard<k>` every `session->params().every` trials under
+/// the session's config hash and seed, so a relaunch resumes from the
+/// shard's last cut; without a session a relaunch replays the whole shard
+/// (deterministic either way).
+sim::GuardedResult run_trials_supervised(std::uint64_t trials, unsigned threads,
                                          const SupervisorOptions& opts,
                                          const sim::GuardPolicy& policy,
                                          const sim::TrialBody& body,
@@ -80,15 +65,19 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
                                          std::uint64_t point = 0,
                                          const sim::ProgressFn& progress = {});
 
-/// Scenario-driven form (the supervised run_many_guarded): the body stages
-/// make_instance / run_trial and mirrors the stage into the shard's
-/// breadcrumb page, so worker-death forensics name the phase that died.
-sim::GuardedResult run_many_supervised(const sim::Scenario& scenario,
-                                       std::uint64_t trials,
-                                       const SupervisorOptions& opts,
-                                       const sim::GuardPolicy& policy,
-                                       sim::CheckpointSession* session = nullptr,
-                                       std::uint64_t point = 0,
-                                       const sim::ProgressFn& progress = {});
+/// The scenario-driven sweep engine that the benches and `ritcs
+/// --mode=run` call: make_instance + run_trial per trial, seeds from
+/// Scenario::trial_seed, on `threads` workers of the in-process guarded
+/// engine, or, when `isolate` is non-null, in `threads` supervised shard
+/// processes under its budgets. The body mirrors each stage into the
+/// shard's breadcrumb page (a no-op in-process), so worker-death forensics
+/// name the phase that died.
+sim::GuardedResult run_many(const sim::Scenario& scenario,
+                            std::uint64_t trials, unsigned threads,
+                            const sim::GuardPolicy& policy,
+                            const SupervisorOptions* isolate = nullptr,
+                            sim::CheckpointSession* session = nullptr,
+                            std::uint64_t point = 0,
+                            const sim::ProgressFn& progress = {});
 
 }  // namespace rit::platform

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "obs/obs.h"
-#include "sim/runner.h"
 #include "stats/timer.h"
 
 namespace rit::sim {
@@ -248,25 +247,6 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
   }
   if (session != nullptr) session->complete_point(point, out);
   return out;
-}
-
-GuardedResult run_many_guarded(const Scenario& scenario, std::uint64_t trials,
-                               unsigned threads, const GuardPolicy& policy,
-                               CheckpointSession* session,
-                               std::uint64_t point,
-                               const ProgressFn& progress) {
-  const TrialBody body = [&scenario](std::uint64_t t, core::RitWorkspace& ws,
-                                     std::string* phase) {
-    *phase = "make_instance";
-    const TrialInstance inst = make_instance(scenario, t);
-    *phase = "run_trial";
-    return run_trial(scenario, inst, ws);
-  };
-  const TrialSeedFn seed_of = [&scenario](std::uint64_t t) {
-    return mechanism_seed_of(scenario, t);
-  };
-  return run_trials_guarded(trials, threads, policy, body, seed_of, session,
-                            point, progress);
 }
 
 }  // namespace rit::sim

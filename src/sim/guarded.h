@@ -1,5 +1,11 @@
-// The one in-process trial engine: every sweep routes through it, and
-// threads=1 is simply one worker.
+// The in-process trial engine with containment and checkpoints; threads=1
+// is simply one worker. The sweeps that go through it are the grid points
+// of the figure benches and `ritcs --mode=run` (platform::run_many), each
+// supervised shard worker, and perfbench's paper_sweep. Loops that need
+// neither faults nor checkpoints fan out on sim::parallel_trials instead:
+// the own trial loops of seven benches (ablation_consensus, _dropout,
+// _graph, _gridbase, _h_sweep, _supply, related_mechanisms) and
+// attack::run_sybil_experiment.
 //
 // run_trials_guarded() runs trials on the deterministic execution model of
 // sim/parallel.h — strided static partition, per-worker accumulators
@@ -21,7 +27,8 @@
 //
 // Every trial is timed into the `sim.trial_ms` stat and reservoir of the
 // global metrics registry, whatever the thread count. The process-level
-// wrapper around this engine is platform::run_trials_supervised.
+// wrapper around this engine is platform::run_trials_supervised, and the
+// scenario-driven form of both is platform::run_many.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +39,6 @@
 #include "sim/chaos.h"
 #include "sim/checkpoint.h"
 #include "sim/parallel.h"
-#include "sim/scenario.h"
 
 namespace rit::sim {
 
@@ -72,14 +78,5 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
                                  CheckpointSession* session = nullptr,
                                  std::uint64_t point = 0,
                                  const ProgressFn& progress = {});
-
-/// The scenario-driven form: make_instance + run_trial per trial, seeds
-/// from Scenario::trial_seed. This is what the benches and
-/// `ritcs --mode=run` call.
-GuardedResult run_many_guarded(const Scenario& scenario, std::uint64_t trials,
-                               unsigned threads, const GuardPolicy& policy,
-                               CheckpointSession* session = nullptr,
-                               std::uint64_t point = 0,
-                               const ProgressFn& progress = {});
 
 }  // namespace rit::sim

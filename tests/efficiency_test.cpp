@@ -12,27 +12,35 @@
 namespace rit::core {
 namespace {
 
-TEST(Efficiency, AllocationCostSumsUnitCosts) {
+TEST(Efficiency, DenominatorSumsUnitCosts) {
+  // The cheapest 3 units cost 3 * 2.0; x buys 2 * 2.0 + 5.0.
+  const Job job(std::vector<std::uint32_t>{3});
   const std::vector<Ask> asks{{TaskType{0}, 3, 2.0}, {TaskType{0}, 2, 5.0}};
   const std::vector<std::uint32_t> x{2, 1};
-  EXPECT_DOUBLE_EQ(allocation_cost(asks, x), 2 * 2.0 + 5.0);
+  EXPECT_DOUBLE_EQ(cost_efficiency(job, asks, x), 6.0 / (2 * 2.0 + 5.0));
   const std::vector<std::uint32_t> over{4, 0};
-  EXPECT_THROW(allocation_cost(asks, over), CheckFailure);
+  EXPECT_THROW(cost_efficiency(job, asks, over), CheckFailure);
 }
 
-TEST(Efficiency, OptimalCostPicksCheapestUnits) {
-  // Type 0 demand 3: cheapest units are 1.0, 1.0 (user 0) and 2.0 (user 2).
+TEST(Efficiency, NumeratorPicksCheapestUnits) {
+  // Type 0 demand 3: cheapest units are 1.0, 1.0 (user 0) and 2.0 (user 2),
+  // 4.0 in all, against 3 * 9.0 for user 1's units.
   const Job job(std::vector<std::uint32_t>{3});
   const std::vector<Ask> asks{{TaskType{0}, 2, 1.0},
                               {TaskType{0}, 5, 9.0},
                               {TaskType{0}, 1, 2.0}};
-  EXPECT_DOUBLE_EQ(optimal_cost(job, asks), 4.0);
+  const std::vector<std::uint32_t> dearest{0, 3, 0};
+  EXPECT_DOUBLE_EQ(cost_efficiency(job, asks, dearest), 4.0 / 27.0);
+  const std::vector<std::uint32_t> cheapest{2, 0, 1};
+  EXPECT_DOUBLE_EQ(cost_efficiency(job, asks, cheapest), 1.0);
 }
 
-TEST(Efficiency, OptimalCostInfeasibleIsNegative) {
+TEST(Efficiency, InfeasibleJobGivesZero) {
+  // An infeasible job has no optimal cost, so the ratio is 0.
   const Job job(std::vector<std::uint32_t>{10});
   const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}};
-  EXPECT_LT(optimal_cost(job, asks), 0.0);
+  const std::vector<std::uint32_t> all{2};
+  EXPECT_DOUBLE_EQ(cost_efficiency(job, asks, all), 0.0);
 }
 
 TEST(Efficiency, RatioIsOneForCheapestAssignment) {

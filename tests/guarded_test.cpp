@@ -20,6 +20,7 @@
 #include "aggregate_bits.h"
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "platform/supervisor.h"
 #include "sim/chaos.h"
 #include "sim/checkpoint.h"
 #include "sim/fault.h"
@@ -448,7 +449,7 @@ TEST(GuardedScenario, MatchesResidueClassFoldOfRunTrial) {
     AggregateMetrics expected;
     for (const AggregateMetrics& p : partial) expected.merge(p);
     const GuardedResult guarded =
-        run_many_guarded(s, trials, threads, GuardPolicy{});
+        platform::run_many(s, trials, threads, GuardPolicy{});
     expect_deterministic_fields_identical(guarded.metrics, expected);
     EXPECT_TRUE(guarded.faults.empty());
   }
@@ -467,7 +468,7 @@ TEST(GuardedScenario, FaultsAreContainedAlikeAtEveryThreadCount) {
   strict.chaos.throw_on_trial = 1;
   for (const unsigned threads : {1u, 2u, 3u}) {
     SCOPED_TRACE(threads);
-    const GuardedResult r = run_many_guarded(s, 6, threads, tolerant);
+    const GuardedResult r = platform::run_many(s, 6, threads, tolerant);
     EXPECT_EQ(r.metrics.trials, 4u);
     EXPECT_EQ(r.metrics.failed_trials, 1u);
     EXPECT_EQ(r.metrics.quarantined_trials, 1u);
@@ -484,7 +485,7 @@ TEST(GuardedScenario, FaultsAreContainedAlikeAtEveryThreadCount) {
     EXPECT_EQ(faults[1].kind, FaultKind::kNonFinite);
 
     try {
-      run_many_guarded(s, 6, threads, strict);
+      platform::run_many(s, 6, threads, strict);
       FAIL() << "expected CheckFailure";
     } catch (const CheckFailure& e) {
       const std::string what = e.what();
@@ -502,7 +503,7 @@ TEST(GuardedScenario, KillAndResumeMatchesOnDeterministicFields) {
   const unsigned threads = 2;
   const std::uint64_t trials = 6;
   const GuardedResult reference =
-      run_many_guarded(s, trials, threads, GuardPolicy{});
+      platform::run_many(s, trials, threads, GuardPolicy{});
 
   const fs::path dir = scratch("scenario");
   CheckpointSession::Params p;
@@ -517,13 +518,14 @@ TEST(GuardedScenario, KillAndResumeMatchesOnDeterministicFields) {
   {
     CheckpointSession doomed(p);
     EXPECT_THROW(
-        run_many_guarded(s, trials, threads, killer, &doomed),
+        platform::run_many(s, trials, threads, killer, nullptr, &doomed),
         chaos::ChaosKill);
   }
   p.resume = true;
   CheckpointSession revived(p);
   const GuardedResult resumed =
-      run_many_guarded(s, trials, threads, GuardPolicy{}, &revived);
+      platform::run_many(s, trials, threads, GuardPolicy{}, nullptr,
+                         &revived);
 
   expect_deterministic_fields_identical(resumed.metrics, reference.metrics);
 }

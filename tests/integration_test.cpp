@@ -8,6 +8,7 @@
 #include "attack/sybil_apply.h"
 #include "attack/sybil_plan.h"
 #include "core/rit.h"
+#include "platform/supervisor.h"
 #include "sim/guarded.h"
 #include "sim/runner.h"
 #include "stats/online_stats.h"
@@ -34,7 +35,7 @@ sim::TrialMetrics trial_metrics(const sim::Scenario& s, std::uint64_t trial) {
 
 // A one-worker sweep through the trial engine with the default policy.
 sim::AggregateMetrics sweep(const sim::Scenario& s, std::uint64_t trials) {
-  return sim::run_many_guarded(s, trials, 1, sim::GuardPolicy{}).metrics;
+  return platform::run_many(s, trials, 1, sim::GuardPolicy{}).metrics;
 }
 
 TEST(Integration, PaperScaledScenarioMostlySucceeds) {

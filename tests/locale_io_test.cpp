@@ -16,6 +16,7 @@
 #include <bit>
 #include <clocale>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -27,6 +28,7 @@
 #include "common/check.h"
 #include "common/format_util.h"
 #include "common/num_io.h"
+#include "common/record.h"
 #include "core/result_io.h"
 #include "core/rit.h"
 #include "rng/rng.h"
@@ -102,12 +104,12 @@ TEST_F(CommaLocaleTest, ExperimentRecordRoundTripsBitExactly) {
   rng::Rng mech(0xbeef);
   rec.result = core::run_rit(rec.job, rec.asks, tree, cfg, mech);
 
-  std::ostringstream out;
-  core::write_record(rec, out);
-  EXPECT_EQ(out.str().find(','), std::string::npos)
+  const std::string path = ::testing::TempDir() + "/ritcs_locale_record.rec";
+  core::write_record_file(rec, path);
+  EXPECT_EQ(slurp_file(path).value().find(','), std::string::npos)
       << "record leaked a locale radix under " << active_;
-  std::istringstream in(out.str());
-  const core::ExperimentRecord back = core::read_record(in);
+  const core::ExperimentRecord back = core::read_record_file(path);
+  std::remove(path.c_str());
   ASSERT_EQ(back.asks.size(), rec.asks.size());
   for (std::size_t j = 0; j < rec.asks.size(); ++j) {
     EXPECT_EQ(back.asks[j], rec.asks[j]);

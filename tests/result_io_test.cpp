@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
+#include <optional>
 #include <string>
 
 #include "hostile_input.h"
 
+#include "common/atomic_file.h"
 #include "common/check.h"
+#include "common/record.h"
 #include "core/audit.h"
 #include "core/result_io.h"
 #include "core/rit.h"
@@ -37,12 +39,33 @@ ExperimentRecord make_record(std::uint64_t seed) {
   return rec;
 }
 
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/ritcs_result_io_" + name;
+}
+
+// The bytes write_record_file writes for `rec`.
+std::string record_text(const ExperimentRecord& rec) {
+  const std::string path = temp_path("written.rec");
+  write_record_file(rec, path);
+  const std::optional<std::string> text = slurp_file(path);
+  std::remove(path.c_str());
+  return text.value();
+}
+
+// `text` as read_record_file parses it.
+ExperimentRecord parse_record(const std::string& text) {
+  const std::string path = temp_path("parsed.rec");
+  write_file_atomic(path, text);
+  struct Cleanup {
+    std::string path;
+    ~Cleanup() { std::remove(path.c_str()); }
+  } cleanup{path};
+  return read_record_file(path);
+}
+
 TEST(ResultIo, RoundTripsBitExactly) {
   const ExperimentRecord rec = make_record(1);
-  std::ostringstream out;
-  write_record(rec, out);
-  std::istringstream in(out.str());
-  const ExperimentRecord back = read_record(in);
+  const ExperimentRecord back = parse_record(record_text(rec));
 
   EXPECT_EQ(back.job.demand_vector(), rec.job.demand_vector());
   ASSERT_EQ(back.asks.size(), rec.asks.size());
@@ -62,19 +85,12 @@ TEST(ResultIo, RoundTripsBitExactly) {
 
 TEST(ResultIo, WriteIsDeterministic) {
   const ExperimentRecord rec = make_record(2);
-  std::ostringstream a;
-  std::ostringstream b;
-  write_record(rec, a);
-  write_record(rec, b);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(record_text(rec), record_text(rec));
 }
 
 TEST(ResultIo, LoadedRecordPassesAudit) {
   const ExperimentRecord rec = make_record(3);
-  std::ostringstream out;
-  write_record(rec, out);
-  std::istringstream in(out.str());
-  const ExperimentRecord back = read_record(in);
+  const ExperimentRecord back = parse_record(record_text(rec));
   const AuditReport report = audit_payments(back.tree(), back.asks,
                                             back.result, back.discount_base);
   EXPECT_TRUE(report.ok) << (report.violations.empty()
@@ -84,10 +100,8 @@ TEST(ResultIo, LoadedRecordPassesAudit) {
 
 TEST(ResultIo, AuditCatchesTamperedFile) {
   const ExperimentRecord rec = make_record(4);
-  std::ostringstream out;
-  write_record(rec, out);
   // Skim money in the serialized payments line: bump one hex digit.
-  std::string text = out.str();
+  std::string text = record_text(rec);
   const auto pos = text.find("\npayment ");
   ASSERT_NE(pos, std::string::npos);
   // Replace the payment line with all-doubled payments.
@@ -95,34 +109,28 @@ TEST(ResultIo, AuditCatchesTamperedFile) {
   for (double p : rec.result.payment) {
     char buf[64];
     // Deliberately the legacy printf-%a writer: this test forges a record
-    // in the historical on-disk form to prove read_record still takes it.
+    // in the historical on-disk form to prove the reader still takes it.
     // rit-lint: allow(no-locale-numeric)
     std::snprintf(buf, sizeof(buf), " %a", p * 2 + 1.0);
     doubled += buf;
   }
   doubled += "\n";
   text = text.substr(0, pos) + doubled;
-  std::istringstream in(text);
-  const ExperimentRecord back = read_record(in);
+  const ExperimentRecord back = parse_record(text);
   const AuditReport report = audit_payments(back.tree(), back.asks,
                                             back.result, back.discount_base);
   EXPECT_FALSE(report.ok);
 }
 
 TEST(ResultIo, RejectsBadHeaderAndTruncation) {
-  std::istringstream bad("not-a-record\n");
-  EXPECT_THROW(read_record(bad), CheckFailure);
+  EXPECT_THROW(parse_record("not-a-record\n"), CheckFailure);
 
-  const ExperimentRecord rec = make_record(5);
-  std::ostringstream out;
-  write_record(rec, out);
-  const std::string full = out.str();
-  std::istringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(read_record(truncated), CheckFailure);
+  const std::string full = record_text(make_record(5));
+  EXPECT_THROW(parse_record(full.substr(0, full.size() / 2)), CheckFailure);
 }
 
 TEST(ResultIo, RejectsInconsistentSizes) {
-  std::istringstream in(
+  EXPECT_THROW(parse_record(
       "ritcs-record v1\n"
       "discount 0x1p-1\n"
       "job 1\n"
@@ -130,8 +138,8 @@ TEST(ResultIo, RejectsInconsistentSizes) {
       "ask 0 1 0x1p+0\n"
       "ask 0 1 0x1p+0\n"
       "tree 0 0\n"  // should be 3 entries for 2 users
-      "success 0\n");
-  EXPECT_THROW(read_record(in), CheckFailure);
+      "success 0\n"),
+      CheckFailure);
 }
 
 TEST(ResultIo, ZeroUserRecordRoundTrips) {
@@ -139,10 +147,7 @@ TEST(ResultIo, ZeroUserRecordRoundTrips) {
   rec.job = Job(std::vector<std::uint32_t>{1});
   rec.tree_parents = {0};  // platform only
   rec.result.success = false;
-  std::ostringstream out;
-  write_record(rec, out);
-  std::istringstream in(out.str());
-  const ExperimentRecord back = read_record(in);
+  const ExperimentRecord back = parse_record(record_text(rec));
   EXPECT_TRUE(back.asks.empty());
   EXPECT_FALSE(back.result.success);
   EXPECT_EQ(back.tree().num_participants(), 0u);
@@ -167,8 +172,7 @@ TEST(ResultIo, GoldenFormatV1IsStable) {
       "allocation 2 1\n"
       "auction_payment 0x1.cp+2 0x1.2p+2\n"
       "payment 0x1.cp+2 0x1.cap+2\n";
-  std::istringstream in(golden);
-  const ExperimentRecord rec = read_record(in);
+  const ExperimentRecord rec = parse_record(golden);
   EXPECT_EQ(rec.discount_base, 0.5);
   EXPECT_EQ(rec.job.demand_vector(), (std::vector<std::uint32_t>{2, 1}));
   EXPECT_EQ(rec.asks[0].value, 3.0);
@@ -179,9 +183,7 @@ TEST(ResultIo, GoldenFormatV1IsStable) {
   EXPECT_EQ(rec.result.auction_payment[0], 7.0);
   EXPECT_EQ(rec.result.k_max, 2u);
   // And writing it back reproduces the same bytes.
-  std::ostringstream out;
-  write_record(rec, out);
-  EXPECT_EQ(out.str(), golden);
+  EXPECT_EQ(record_text(rec), golden);
 }
 
 TEST(ResultIo, HostileRecordsEndInCheckFailure) {
@@ -210,9 +212,9 @@ TEST(ResultIo, HostileRecordsEndInCheckFailure) {
       {"kmax 2^32", "kmax", "kmax " + hostile::kU32Overflow},
   };
   for (const auto& p : probes) {
-    std::istringstream in(hostile::replace_key(record, p.key, p.line));
+    const std::string text = hostile::replace_key(record, p.key, p.line);
     EXPECT_EQ(hostile::read_outcome([&] {
-                read_record(in);
+                parse_record(text);
                 return true;
               }),
               "CheckFailure")

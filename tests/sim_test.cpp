@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "core/rit.h"
 #include "rng/rng.h"
+#include "platform/supervisor.h"
 #include "sim/guarded.h"
 #include "sim/metrics.h"
 #include "sim/parallel.h"
@@ -38,8 +39,8 @@ TrialMetrics trial_metrics(const Scenario& s, std::uint64_t trial) {
 // A sweep through the one trial engine with the default (strict) policy.
 AggregateMetrics sweep(const Scenario& s, std::uint64_t trials,
                        unsigned threads, const ProgressFn& progress = {}) {
-  return run_many_guarded(s, trials, threads, GuardPolicy{}, nullptr, 0,
-                          progress)
+  return platform::run_many(s, trials, threads, GuardPolicy{}, nullptr,
+                            nullptr, 0, progress)
       .metrics;
 }
 

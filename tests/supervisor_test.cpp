@@ -101,6 +101,19 @@ sim::Scenario small_scenario() {
   return s;
 }
 
+/// A sweep session at `dir`/sweep.ckpt that checkpoints every trial, so
+/// each shard keeps a durable `.shard<k>` cut to resume from.
+sim::CheckpointSession every_trial_session(const fs::path& dir,
+                                           unsigned shards,
+                                           std::uint64_t trials) {
+  sim::CheckpointSession::Params p;
+  p.path = (dir / "sweep.ckpt").string();
+  p.threads = shards;
+  p.trials = trials;
+  p.every = 1;
+  return sim::CheckpointSession(p);
+}
+
 /// Ledger entries the supervisor appended for recovered worker deaths.
 std::vector<TrialFault> worker_deaths(const GuardedResult& r) {
   std::vector<TrialFault> out;
@@ -241,10 +254,9 @@ TEST(Supervisor, UndisturbedMatchesInProcessBitExactly) {
   for (const unsigned shards : {1u, 2u, 8u}) {
     const GuardedResult reference = sim::run_trials_guarded(
         trials, shards, GuardPolicy{}, synthetic_body(), seed_of);
-    SupervisorOptions opts;
-    opts.shards = shards;
-    const GuardedResult supervised = run_trials_supervised(
-        trials, opts, GuardPolicy{}, synthetic_body(), seed_of);
+    const GuardedResult supervised =
+        run_trials_supervised(trials, shards, SupervisorOptions{},
+                              GuardPolicy{}, synthetic_body(), seed_of);
     expect_results_identical(supervised, reference);
   }
 }
@@ -259,16 +271,14 @@ TEST(Supervisor, SignalDeathMatrixRecoversBitIdentical) {
       const GuardedResult reference = sim::run_trials_guarded(
           trials, shards, GuardPolicy{}, synthetic_body(), seed_of);
 
-      SupervisorOptions opts;
-      opts.shards = shards;
-      opts.backoff_ms = 10;
-      opts.checkpoint_path = (dir / "sweep.ckpt").string();
-      opts.checkpoint_every = 1;
+      sim::CheckpointSession session =
+          every_trial_session(dir, shards, trials);
       GuardPolicy policy;
       policy.chaos.signal_on_trial = kill_at;
       policy.chaos.signal_number = sig;
-      const GuardedResult supervised = run_trials_supervised(
-          trials, opts, policy, synthetic_body(), seed_of);
+      const GuardedResult supervised =
+          run_trials_supervised(trials, shards, SupervisorOptions{}, policy,
+                                synthetic_body(), seed_of, &session);
 
       expect_aggregate_identical(supervised.metrics, reference.metrics);
       const std::vector<TrialFault> deaths = worker_deaths(supervised);
@@ -295,35 +305,29 @@ TEST(Supervisor, DeathAtFirstAndLastTrialRecovers) {
     const fs::path dir = scratch("edge" + std::to_string(kill_at));
     const GuardedResult reference = sim::run_trials_guarded(
         trials, 2, GuardPolicy{}, synthetic_body(), seed_of);
-    SupervisorOptions opts;
-    opts.shards = 2;
-    opts.backoff_ms = 10;
-    opts.checkpoint_path = (dir / "sweep.ckpt").string();
-    opts.checkpoint_every = 1;
+    sim::CheckpointSession session = every_trial_session(dir, 2, trials);
     GuardPolicy policy;
     policy.chaos.signal_on_trial = kill_at;
     policy.chaos.signal_number = SIGKILL;
-    const GuardedResult supervised = run_trials_supervised(
-        trials, opts, policy, synthetic_body(), seed_of);
+    const GuardedResult supervised =
+        run_trials_supervised(trials, 2, SupervisorOptions{}, policy,
+                              synthetic_body(), seed_of, &session);
     expect_aggregate_identical(supervised.metrics, reference.metrics);
     EXPECT_EQ(worker_deaths(supervised).size(), 1u);
   }
 }
 
 TEST(Supervisor, RetryWorksWithoutDurableState) {
-  // No checkpoint path: the relaunched shard replays its residue class from
-  // trial 0 — still deterministic, so the recovered run stays bit-identical.
+  // No session: the relaunched shard replays its residue class from trial
+  // 0 — still deterministic, so the recovered run stays bit-identical.
   const std::uint64_t trials = 10;
   const GuardedResult reference = sim::run_trials_guarded(
       trials, 2, GuardPolicy{}, synthetic_body(), seed_of);
-  SupervisorOptions opts;
-  opts.shards = 2;
-  opts.backoff_ms = 10;
   GuardPolicy policy;
   policy.chaos.signal_on_trial = 5;
   policy.chaos.signal_number = SIGKILL;
-  const GuardedResult supervised =
-      run_trials_supervised(trials, opts, policy, synthetic_body(), seed_of);
+  const GuardedResult supervised = run_trials_supervised(
+      trials, 2, SupervisorOptions{}, policy, synthetic_body(), seed_of);
   expect_aggregate_identical(supervised.metrics, reference.metrics);
   EXPECT_EQ(worker_deaths(supervised).size(), 1u);
 }
@@ -336,16 +340,13 @@ TEST(Supervisor, OomUnderRlimitIsAttributedAndRecovered) {
   const fs::path dir = scratch("oom");
   const GuardedResult reference = sim::run_trials_guarded(
       trials, 2, GuardPolicy{}, synthetic_body(), seed_of);
+  sim::CheckpointSession session = every_trial_session(dir, 2, trials);
   SupervisorOptions opts;
-  opts.shards = 2;
-  opts.backoff_ms = 10;
   opts.shard_mem_mb = 512;
-  opts.checkpoint_path = (dir / "sweep.ckpt").string();
-  opts.checkpoint_every = 1;
   GuardPolicy policy;
   policy.chaos.oom_on_trial = 3;
-  const GuardedResult supervised =
-      run_trials_supervised(trials, opts, policy, synthetic_body(), seed_of);
+  const GuardedResult supervised = run_trials_supervised(
+      trials, 2, opts, policy, synthetic_body(), seed_of, &session);
   expect_aggregate_identical(supervised.metrics, reference.metrics);
   const std::vector<TrialFault> deaths = worker_deaths(supervised);
   ASSERT_EQ(deaths.size(), 1u);
@@ -362,16 +363,13 @@ TEST(Supervisor, HangWatchdogKillsAndRecovers) {
   const fs::path dir = scratch("hang");
   const GuardedResult reference = sim::run_trials_guarded(
       trials, 2, GuardPolicy{}, synthetic_body(), seed_of);
+  sim::CheckpointSession session = every_trial_session(dir, 2, trials);
   SupervisorOptions opts;
-  opts.shards = 2;
-  opts.backoff_ms = 10;
   opts.heartbeat_timeout_ms = 500;
-  opts.checkpoint_path = (dir / "sweep.ckpt").string();
-  opts.checkpoint_every = 1;
   GuardPolicy policy;
   policy.chaos.hang_on_trial = 3;
-  const GuardedResult supervised =
-      run_trials_supervised(trials, opts, policy, synthetic_body(), seed_of);
+  const GuardedResult supervised = run_trials_supervised(
+      trials, 2, opts, policy, synthetic_body(), seed_of, &session);
   expect_aggregate_identical(supervised.metrics, reference.metrics);
   const std::vector<TrialFault> deaths = worker_deaths(supervised);
   ASSERT_GE(deaths.size(), 1u);
@@ -392,22 +390,18 @@ TEST(Supervisor, QuarantineExhaustionAbortsAndFlushesForensics) {
   p.config_hash = 1234;
   p.threads = 2;  // == resolved shard count
   p.trials = trials;
+  p.every = 1;
   sim::CheckpointSession session(p);
 
   SupervisorOptions opts;
-  opts.shards = 2;
-  opts.backoff_ms = 10;
   opts.shard_retries = 1;
-  opts.checkpoint_path = ckpt;
-  opts.checkpoint_every = 1;
-  opts.config_hash = 1234;
   GuardPolicy policy;
   policy.chaos.signal_on_trial = 1;  // shard 1's first trial
   policy.chaos.signal_number = SIGKILL;
   policy.chaos.process_chaos_every_attempt = true;  // never recovers
 
   try {
-    run_trials_supervised(trials, opts, policy, synthetic_body(), seed_of,
+    run_trials_supervised(trials, 2, opts, policy, synthetic_body(), seed_of,
                           &session);
     FAIL() << "quarantine exhaustion must abort with CheckFailure";
   } catch (const rit::CheckFailure& e) {
@@ -436,8 +430,8 @@ TEST(Supervisor, QuarantineExhaustionAbortsAndFlushesForensics) {
 
 TEST(Supervisor, InProcessCheckpointResumesSupervised) {
   // A sweep checkpointed by the in-process engine at --threads=K resumes
-  // under the supervisor at --shards=K: the binding is the partition width,
-  // which both engines share.
+  // under the supervisor at the same --threads: the binding is the
+  // partition width, which both engines share.
   const std::uint64_t trials = 10;
   const fs::path dir = scratch("interchange");
   const std::string ckpt = (dir / "sweep.ckpt").string();
@@ -467,14 +461,9 @@ TEST(Supervisor, InProcessCheckpointResumesSupervised) {
   p.every = 2;
   p.resume = true;
   sim::CheckpointSession session(p);
-  SupervisorOptions opts;
-  opts.shards = 2;
-  opts.checkpoint_path = ckpt;
-  opts.checkpoint_every = 2;
-  opts.resume = true;
-  opts.config_hash = 77;
-  const GuardedResult supervised = run_trials_supervised(
-      trials, opts, GuardPolicy{}, synthetic_body(), seed_of, &session);
+  const GuardedResult supervised =
+      run_trials_supervised(trials, 2, SupervisorOptions{}, GuardPolicy{},
+                            synthetic_body(), seed_of, &session);
   expect_results_identical(supervised, reference);
 
   // And the completed point round-trips through the parent session.
@@ -489,12 +478,10 @@ TEST(Supervisor, ScenarioDrivenParityOnDeterministicFields) {
   // and leaves only the measured runtimes out.
   const sim::Scenario s = small_scenario();
   const std::uint64_t trials = 6;
-  const GuardedResult reference =
-      sim::run_many_guarded(s, trials, 2, GuardPolicy{});
-  SupervisorOptions opts;
-  opts.shards = 2;
+  const GuardedResult reference = run_many(s, trials, 2, GuardPolicy{});
+  const SupervisorOptions isolate;
   const GuardedResult supervised =
-      run_many_supervised(s, trials, opts, GuardPolicy{});
+      run_many(s, trials, 2, GuardPolicy{}, &isolate);
 
   const AggregateMetrics& a = supervised.metrics;
   const AggregateMetrics& b = reference.metrics;

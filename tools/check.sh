@@ -172,11 +172,11 @@ step "supervisor smoke (kill -9 a supervised sweep, resume, compare)"
 SUP_TMP="$CHECK_TMP/supervisor"
 mkdir -p "$SUP_TMP"
 "$BUILD_ROOT/main/bench/bench_scale" \
-  --trials=4 --scale=1000 --supervised --shards=2 \
+  --trials=4 --scale=1000 --supervised --threads=2 \
   --csv="$SUP_TMP/ref.csv" --json=none --perf-counters=true \
   > "$SUP_TMP/ref.log"
 "$BUILD_ROOT/main/bench/bench_scale" \
-  --trials=4 --scale=1000 --supervised --shards=2 \
+  --trials=4 --scale=1000 --supervised --threads=2 \
   --checkpoint="$SUP_TMP/sweep.ckpt" --checkpoint-every=1 \
   --csv="$SUP_TMP/killed.csv" --json=none --perf-counters=true \
   > "$SUP_TMP/killed.log" 2>&1 &
@@ -193,7 +193,7 @@ done
 kill -9 "$SUP_PID" 2> /dev/null || true
 wait "$SUP_PID" 2> /dev/null || true
 "$BUILD_ROOT/main/bench/bench_scale" \
-  --trials=4 --scale=1000 --supervised --shards=2 \
+  --trials=4 --scale=1000 --supervised --threads=2 \
   --checkpoint="$SUP_TMP/sweep.ckpt" --checkpoint-every=1 --resume=true \
   --csv="$SUP_TMP/resumed.csv" --json=none --perf-counters=true \
   > "$SUP_TMP/resumed.log"

@@ -112,10 +112,7 @@ CaseOutcome isolated_check(const FuzzCase& c) {
   rit::sim::GuardPolicy policy;
   policy.max_trial_failures = 1;
   rit::platform::SupervisorOptions opts;
-  opts.shards = 1;
   opts.shard_retries = 0;
-  opts.config_hash = rit::testkit::case_hash(c);
-  opts.seed = c.mech_seed;
   const rit::sim::TrialBody body = [&c](std::uint64_t /*trial*/,
                                         rit::core::RitWorkspace& /*ws*/,
                                         std::string* phase) {
@@ -129,7 +126,7 @@ CaseOutcome isolated_check(const FuzzCase& c) {
   try {
     const rit::sim::GuardedResult result =
         rit::platform::run_trials_supervised(
-            1, opts, policy, body,
+            1, /*threads=*/1, opts, policy, body,
             [&c](std::uint64_t) { return c.mech_seed; });
     if (!result.faults.empty()) {
       const std::string& reason = result.faults.entries.front().reason;

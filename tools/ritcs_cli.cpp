@@ -6,21 +6,21 @@
 //   ritcs --mode=run [--config=FILE] [--trials=N] [--threads=T]
 //                    [--max-trial-failures=N] [--trial-timeout-ms=T]
 //                    [--checkpoint=PATH] [--checkpoint-every=K] [--resume]
-//                    [--supervised] [--shards=K] [--shard-mem-mb=M]
-//                    [--shard-cpu-s=S] [--shard-retries=R]
-//                    [--heartbeat-timeout-ms=T] [overrides...]
+//                    [--supervised] [--shard-mem-mb=M] [--shard-cpu-s=S]
+//                    [--shard-retries=R] [--heartbeat-timeout-ms=T]
+//                    [overrides...]
 //       Run a scenario and print aggregate metrics across trials, fanned
-//       out over T worker threads of the guarded engine (0 = hardware
+//       out over T workers of the guarded engine (0 = hardware
 //       concurrency, 1 = one worker). With --population=FILE (CSV:
 //       type,quantity,cost) runs one trial over your own user data instead
 //       of a synthetic population; the sweep flags are rejected there.
-//       The robustness flags (docs/robustness.md) quarantine faulted
-//       trials within a failure budget, watchdog slow trials, and
-//       checkpoint progress for bit-identical --resume. --supervised runs
-//       each residue class of trials in its own forked worker process
-//       under rlimit budgets: a worker that segfaults, OOMs, or hangs is
-//       recorded in the fault ledger and retried with backoff, resuming
-//       from its own checkpoint cut (docs/robustness.md).
+//       The robustness flags (cli/sweep_flags.h, docs/robustness.md)
+//       quarantine faulted trials within a failure budget, watchdog slow
+//       trials, and checkpoint progress for bit-identical --resume.
+//       --supervised runs each of the T residue classes of trials in its
+//       own forked worker process under rlimit budgets: a worker that
+//       segfaults, OOMs, or hangs is recorded in the fault ledger and
+//       retried with backoff, resuming from its own checkpoint cut.
 //   ritcs --mode=explain [--config=FILE] [--user=J] [overrides...]
 //       Run one trial and print the payment explanation for user J (or the
 //       user with the largest solicitation reward when J is omitted).
@@ -49,18 +49,17 @@
 #include "attack/sybil_apply.h"
 #include "attack/sybil_plan.h"
 #include "cli/args.h"
+#include "cli/sweep_flags.h"
 #include "cli/table.h"
 #include "common/check.h"
 #include "common/format_util.h"
 #include "common/hash.h"
 #include "common/num_io.h"
-#include "common/parallel.h"
 #include "core/audit.h"
 #include "core/result_io.h"
 #include "core/rit.h"
 #include "platform/supervisor.h"
 #include "sim/config_io.h"
-#include "sim/guarded.h"
 #include "sim/population_io.h"
 #include "sim/report.h"
 #include "sim/runner.h"
@@ -168,96 +167,32 @@ int mode_run(cli::Args& args) {
   if (!population.empty()) {
     // One trial over the user's data: no sweep, so a sweep flag would be
     // silently ignored. Refuse it before the file is read.
-    for (const char* flag :
-         {"trials", "threads", "max-trial-failures", "trial-timeout-ms",
-          "checkpoint", "checkpoint-every", "resume", "supervised", "shards",
-          "shard-mem-mb", "shard-cpu-s", "shard-retries",
-          "heartbeat-timeout-ms"}) {
-      require_usage(!args.has(flag),
-                    std::string("--") + flag +
-                        " does not apply to --population (one trial, no "
-                        "sweep)");
-    }
+    cli::refuse_sweep_flags(args,
+                            "does not apply to --population (one trial, no "
+                            "sweep)");
     args.finish();
     return run_with_population(s, population);
   }
   const std::uint64_t trials = args.get_u64("trials", 5);
   // 0 = hardware concurrency; 1 = the engine on one worker.
   const unsigned threads = args.get_u32("threads", 0);
-  sim::GuardPolicy policy;
-  policy.max_trial_failures = args.get_u64("max-trial-failures", 0);
-  policy.trial_timeout_ms = args.get_double("trial-timeout-ms", 0.0);
-  const std::string checkpoint = args.get_string("checkpoint", "");
-  const std::uint64_t checkpoint_every = args.get_u64("checkpoint-every", 0);
-  const bool resume = args.get_bool("resume", false);
-  const bool supervised = args.get_bool("supervised", false);
-  const unsigned shards = args.get_u32("shards", 0);
-  const std::uint64_t shard_mem_mb = args.get_u64("shard-mem-mb", 0);
-  const std::uint64_t shard_cpu_s = args.get_u64("shard-cpu-s", 0);
-  const unsigned shard_retries = args.get_u32("shard-retries", 2);
-  const std::uint64_t heartbeat_timeout_ms =
-      args.get_u64("heartbeat-timeout-ms", 0);
+  const cli::SweepFlags flags = cli::read_sweep_flags(args);
   args.finish();
-  require_usage(checkpoint.empty() ? !resume : true,
-                "--resume requires --checkpoint=PATH");
-  require_usage(checkpoint.empty() ? checkpoint_every == 0 : true,
-                "--checkpoint-every requires --checkpoint=PATH");
-  require_usage(policy.trial_timeout_ms >= 0.0,
-                "--trial-timeout-ms must be >= 0");
-  require_usage(supervised ||
-                    (shards == 0 && shard_mem_mb == 0 && shard_cpu_s == 0 &&
-                     heartbeat_timeout_ms == 0),
-                "--shards/--shard-mem-mb/--shard-cpu-s/"
-                "--heartbeat-timeout-ms require --supervised");
 
   const auto progress = [](std::uint64_t done, std::uint64_t total) {
     std::cerr << "\rtrial " << done << "/" << total << std::flush;
     if (done == total) std::cerr << "\n";
   };
-  // A supervised run partitions by shard instead of thread; the binding is
-  // the same (partition width), so in-process and supervised checkpoints
-  // are interchangeable at matching counts.
-  const unsigned resolved =
-      rit::resolve_threads(supervised ? shards : threads, trials);
-  std::uint64_t config_hash = 0;
-  std::unique_ptr<sim::CheckpointSession> session;
-  if (!checkpoint.empty()) {
-    // Bind the checkpoint to the full scenario (serialized config) plus the
-    // trial count; resuming under any other setup must refuse.
-    std::ostringstream cfg;
-    sim::write_scenario(s, cfg);
-    cfg << "trials " << trials << "\n";
-    config_hash = fnv1a64(cfg.str());
-    sim::CheckpointSession::Params p;
-    p.path = checkpoint;
-    p.config_hash = config_hash;
-    p.seed = s.seed;
-    p.threads = resolved;
-    p.trials = trials;
-    p.every = checkpoint_every;
-    p.resume = resume;
-    session = std::make_unique<sim::CheckpointSession>(std::move(p));
-  }
-  sim::GuardedResult result;
-  if (supervised) {
-    platform::SupervisorOptions sup;
-    sup.shards = shards;
-    sup.shard_mem_mb = shard_mem_mb;
-    sup.shard_cpu_s = shard_cpu_s;
-    sup.shard_retries = shard_retries;
-    sup.heartbeat_timeout_ms = heartbeat_timeout_ms;
-    sup.checkpoint_path = checkpoint;
-    sup.checkpoint_every = checkpoint_every;
-    sup.resume = resume;
-    sup.config_hash = config_hash;
-    sup.seed = s.seed;
-    result = platform::run_many_supervised(s, trials, sup, policy,
-                                           session.get(), /*point=*/0,
-                                           progress);
-  } else {
-    result = sim::run_many_guarded(s, trials, resolved, policy, session.get(),
-                                   /*point=*/0, progress);
-  }
+  // Bind the checkpoint to the full scenario (serialized config) plus the
+  // trial count; resuming under any other setup must refuse.
+  std::ostringstream cfg;
+  sim::write_scenario(s, cfg);
+  cfg << "trials " << trials << "\n";
+  const std::unique_ptr<sim::CheckpointSession> session =
+      cli::open_session(flags, fnv1a64(cfg.str()), s.seed, threads, trials);
+  const sim::GuardedResult result =
+      platform::run_many(s, trials, threads, flags.policy, flags.isolation(),
+                         session.get(), /*point=*/0, progress);
   const sim::AggregateMetrics& agg = result.metrics;
   cli::Table t({"metric", "mean", "ci95", "min", "max"});
   const auto row = [&](const std::string& name, const stats::OnlineStats& st) {
