@@ -63,12 +63,9 @@ int main(int argc, char** argv) {
       "degr_comp"};
   emit("Ablation — round budget, paper regime (m=10 types, K_max=20)", opts,
        header, run_regime(opts, /*paper_regime=*/true));
-  BenchOptions friendly = opts;
-  if (!friendly.csv_path.empty()) {
-    friendly.csv_path = "bench_results/ablation_rounds_friendly.csv";
-  }
-  emit("Ablation — round budget, friendly regime (2 types, K_max=4)",
-       friendly, header, run_regime(opts, /*paper_regime=*/false));
+  emit("Ablation — round budget, friendly regime (2 types, K_max=4)", opts,
+       header, run_regime(opts, /*paper_regime=*/false), 4,
+       "ablation_rounds_friendly");
   finish(opts);
   return 0;
 }

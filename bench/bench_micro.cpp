@@ -4,18 +4,17 @@
 // overhead (baseline vs idle-span vs active-span — the idle pair is the
 // <2% guarantee from docs/observability.md).
 //
-// Besides the google-benchmark flags, accepts --trace-out=PATH,
-// --metrics-out=PATH and --json=PATH (summary, default
-// bench_results/BENCH_micro.json, "none" disables). Tracing is off by
-// default here so span recording cannot perturb the numbers; --trace-out
-// turns it on. The bench's own report (phase breakdown, artifact paths)
+// Besides the google-benchmark flags, accepts the output flags every bench
+// takes: --out=DIR (default bench_results, "none" writes no file) for
+// BENCH_micro.json, and --trace. Tracing is off by default here so span
+// recording cannot perturb the numbers; --trace turns it on and writes
+// micro.trace.json. The bench's own report (phase breakdown, artifact paths)
 // goes to stderr, so --benchmark_format=json leaves one JSON document on
 // stdout.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <numeric>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "bench_support.h"
+#include "common/check.h"
 #include "core/cra.h"
 #include "core/extract.h"
 #include "core/payment.h"
@@ -722,24 +722,17 @@ int main(int argc, char** argv) {
 
   rit::bench::BenchOptions opts;
   opts.name = "micro";
-  opts.summary_path = "bench_results/BENCH_micro.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace-out=", 0) == 0) {
-      opts.trace_path = arg.substr(std::strlen("--trace-out="));
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      opts.metrics_path = arg.substr(std::strlen("--metrics-out="));
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opts.summary_path = arg.substr(std::strlen("--json="));
-      if (opts.summary_path == "none") opts.summary_path.clear();
-    } else {
-      std::fprintf(stderr, "unrecognized flag: %s\n", arg.c_str());
-      return 1;
-    }
+  try {
+    rit::cli::Args args(argc, argv);
+    rit::bench::read_output_flags(args, opts);
+    args.finish();
+  } catch (const rit::CheckFailure& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
 
   opts.start_ns = rit::obs::trace_now_ns();
-  if (!opts.trace_path.empty()) rit::obs::start_tracing();
+  if (opts.trace) rit::obs::start_tracing();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   rit::bench::finish(opts, std::cerr);

@@ -4,11 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "cli/svg_chart.h"
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/parallel.h"
@@ -42,15 +43,8 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   opts.theoretical = args.get_bool("theoretical", false);
   opts.paper_ratio = args.get_bool("paper-ratio", false);
   opts.paper_kmax = args.get_bool("paper-kmax", false);
-  const std::string csv =
-      args.get_string("csv", "bench_results/" + name + ".csv");
-  opts.csv_path = csv == "none" ? "" : csv;
-  opts.trace_path = args.get_string("trace-out", "");
-  opts.metrics_path = args.get_string("metrics-out", "");
+  read_output_flags(args, opts);
   if (points == Points::kRunPoint) opts.sweep = cli::read_sweep_flags(args);
-  const std::string summary =
-      args.get_string("json", "bench_results/BENCH_" + name + ".json");
-  opts.summary_path = summary == "none" ? "" : summary;
   opts.perf_counters = args.get_bool("perf-counters", false);
   if (args.get_bool("json-logs", false)) {
     log::set_format(log::Format::kJson);
@@ -72,6 +66,12 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
 }
 
 }  // namespace
+
+void read_output_flags(cli::Args& args, BenchOptions& opts) {
+  const std::string out = args.get_string("out", "bench_results");
+  opts.out_dir = out == "none" ? "" : out;
+  opts.trace = args.get_bool("trace", false);
+}
 
 BenchOptions parse_options(int argc, char** argv, const std::string& name,
                            std::uint64_t default_trials, Points points,
@@ -185,9 +185,20 @@ sim::AggregateMetrics run_point(
   }
 }
 
+namespace {
+
+// `<out_dir>/<file>`; empty under --out=none.
+std::string out_path(const BenchOptions& opts, const std::string& file) {
+  if (opts.out_dir.empty()) return "";
+  return (std::filesystem::path(opts.out_dir) / file).string();
+}
+
+}  // namespace
+
 void emit(const std::string& title, const BenchOptions& opts,
           const std::vector<std::string>& header,
-          const std::vector<std::vector<double>>& rows, int precision) {
+          const std::vector<std::vector<double>>& rows, int precision,
+          const std::string& stem) {
   std::cout << "=== " << title << " ===\n";
   std::cout << "(trials=" << opts.trials << " scale=1/" << opts.scale
             << " graph=" << sim::to_string(opts.graph)
@@ -198,11 +209,13 @@ void emit(const std::string& title, const BenchOptions& opts,
   cli::Table table(header);
   for (const auto& row : rows) table.add_numeric_row(row, precision);
   table.print(std::cout);
-  if (!opts.csv_path.empty()) {
-    cli::CsvWriter csv(opts.csv_path, header);
+  const std::string path =
+      out_path(opts, (stem.empty() ? opts.name : stem) + ".csv");
+  if (!path.empty()) {
+    cli::CsvWriter csv(path, header);
     for (const auto& row : rows) csv.add_numeric_row(row, 6);
     csv.close();  // atomic commit; throws (rather than logs) on failure
-    std::cout << "csv: " << opts.csv_path << "\n";
+    std::cout << "csv: " << path << "\n";
   }
   std::cout << "\n";
 }
@@ -210,8 +223,11 @@ void emit(const std::string& title, const BenchOptions& opts,
 void emit_svg(const std::string& title, const BenchOptions& opts,
               const std::vector<std::string>& header,
               const std::vector<std::vector<double>>& rows,
-              const std::vector<std::size_t>& series_columns) {
-  if (opts.csv_path.empty() || rows.empty()) return;
+              const std::vector<std::size_t>& series_columns,
+              const std::string& stem) {
+  const std::string path =
+      out_path(opts, (stem.empty() ? opts.name : stem) + ".svg");
+  if (path.empty() || rows.empty()) return;
   std::vector<cli::Series> series;
   for (std::size_t c : series_columns) {
     RIT_CHECK_MSG(c > 0 && c < header.size(),
@@ -225,25 +241,17 @@ void emit_svg(const std::string& title, const BenchOptions& opts,
   chart.title = title;
   chart.x_label = header[0];
   chart.y_label = series_columns.size() == 1 ? header[series_columns[0]] : "";
-  std::filesystem::path p(opts.csv_path);
-  p.replace_extension(".svg");
-  cli::write_line_chart(p.string(), series, chart);
-  std::cout << "svg: " << p.string() << "\n\n";
+  cli::write_line_chart(path, series, chart);
+  std::cout << "svg: " << path << "\n\n";
 }
 
 namespace {
 
-void write_summary_json(const BenchOptions& opts, double wall_ms,
+void write_summary_json(const std::string& path, const BenchOptions& opts,
+                        double wall_ms,
                         const std::vector<obs::PhaseStat>& phases,
                         const obs::MetricsSnapshot& metrics) {
-  const std::filesystem::path p(opts.summary_path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(opts.summary_path);
-  RIT_CHECK_MSG(out.good(),
-                "cannot open summary output file " << opts.summary_path);
+  std::ostringstream out;
   out << "{\n";
   out << "  \"bench\": \"" << json_escape(opts.name) << "\",\n";
   out << "  \"options\": {\"trials\": " << opts.trials
@@ -267,6 +275,7 @@ void write_summary_json(const BenchOptions& opts, double wall_ms,
   out << (phases.empty() ? "],\n" : "\n  ],\n");
   out << "  \"metrics\": " << metrics.to_json();
   out << "}\n";
+  write_file_atomic(path, out.str());
 }
 
 // Prints the per-phase self-time table of `phases` under `title`, and
@@ -387,32 +396,29 @@ void finish(const BenchOptions& opts, std::ostream& out) {
   if (!faults.empty()) {
     out << "=== quarantined faults — " << opts.name << " ===\n"
               << faults.markdown();
-    if (!opts.csv_path.empty()) {
-      std::filesystem::path p(opts.csv_path);
-      p.replace_extension(".faults.csv");
-      cli::CsvWriter csv(p.string(),
-                         {"trial", "seed", "kind", "phase", "reason"});
+    const std::string path = out_path(opts, opts.name + ".faults.csv");
+    if (!path.empty()) {
+      cli::CsvWriter csv(path, {"trial", "seed", "kind", "phase", "reason"});
       for (const sim::TrialFault& f : faults.sorted_by_trial()) {
         csv.add_row({format_u64(f.trial), format_u64(f.seed),
                      sim::to_string(f.kind), f.phase, f.reason});
       }
       csv.close();
-      out << "faults csv: " << p.string() << "\n";
+      out << "faults csv: " << path << "\n";
     }
   }
 
-  if (!opts.trace_path.empty()) {
-    obs::write_chrome_trace(opts.trace_path, events);
-    out << "trace: " << opts.trace_path
-              << " (open in chrome://tracing or ui.perfetto.dev)\n";
+  const std::string trace =
+      opts.trace ? out_path(opts, opts.name + ".trace.json") : "";
+  if (!trace.empty()) {
+    obs::write_chrome_trace(trace, events);
+    out << "trace: " << trace
+        << " (open in chrome://tracing or ui.perfetto.dev)\n";
   }
-  if (!opts.metrics_path.empty()) {
-    obs::write_metrics_json(opts.metrics_path, metrics);
-    out << "metrics: " << opts.metrics_path << "\n";
-  }
-  if (!opts.summary_path.empty()) {
-    write_summary_json(opts, wall_ms, phases, metrics);
-    out << "summary: " << opts.summary_path << "\n";
+  const std::string summary = out_path(opts, "BENCH_" + opts.name + ".json");
+  if (!summary.empty()) {
+    write_summary_json(summary, opts, wall_ms, phases, metrics);
+    out << "summary: " << summary << "\n";
   }
   out << "\n";
 }

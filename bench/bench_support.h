@@ -14,8 +14,6 @@
 //                 so counts/min/max/success rates are identical for every
 //                 N; means agree to ~1e-12 (Welford merge-order rounding —
 //                 see EXPERIMENTS.md)
-//   --csv=PATH    also dump the series as CSV (default bench_results/<name>.csv,
-//                 "none" disables)
 //   --theoretical use the paper's literal round budget instead of
 //                 run-to-completion (see DESIGN.md ambiguity #3)
 //
@@ -36,12 +34,15 @@
 // _supply, fig9_sybil_utility, redteam, related_mechanisms) refuse these
 // as unknown flags rather than ignore them.
 //
-// Observability (see docs/observability.md):
-//   --trace-out=PATH    write a Chrome-trace / Perfetto JSON of every span
-//   --metrics-out=PATH  write the global metrics registry as JSON
-//   --json=PATH         machine-readable run summary (phase breakdown +
-//                       metrics; default bench_results/BENCH_<name>.json,
-//                       "none" disables)
+// Output (see docs/observability.md), the two flags bench_micro shares:
+//   --out=DIR     the directory every file goes to (default bench_results;
+//                 "none" writes no file): <stem>.csv and <stem>.svg per
+//                 table, BENCH_<name>.json (options, wall time, per-phase
+//                 breakdown, metrics registry), <name>.faults.csv when a
+//                 fault was contained, and <name>.trace.json with --trace
+//   --trace       also write the Chrome-trace / Perfetto JSON of every span
+//
+// Observability:
 //   --json-logs         switch rit::log to the structured JSON line format
 //   --perf-counters     sample hardware counters (cycles, instructions,
 //                       cache/branch misses, task-clock) per phase via
@@ -86,21 +87,18 @@ struct BenchOptions {
   /// Worker threads for the trial fan-out (0 = hardware concurrency,
   /// 1 = one worker).
   unsigned threads{0};
-  std::string csv_path;  // empty = disabled
   bool theoretical{false};
   /// fig9 only: keep the paper's exact supply/demand ratio (--paper-ratio).
   bool paper_ratio{false};
   /// ablation_rounds only: use the paper's K_max = 20 regime (--paper-kmax).
   bool paper_kmax{false};
 
-  /// Bench name (set by parse_options; keys the default output paths).
+  /// Bench name (set by parse_options; names the output files).
   std::string name;
-  /// Chrome-trace JSON output path (--trace-out, empty = disabled).
-  std::string trace_path;
-  /// Metrics registry JSON output path (--metrics-out, empty = disabled).
-  std::string metrics_path;
-  /// Machine-readable run summary path (--json, empty = disabled).
-  std::string summary_path;
+  /// Output directory (--out, empty = write no file).
+  std::string out_dir;
+  /// Write <name>.trace.json under out_dir (--trace).
+  bool trace{false};
   /// Sample hardware counters per phase (--perf-counters).
   bool perf_counters{false};
   /// Steady-clock ns at parse_options; finish() measures end-to-end from it.
@@ -117,13 +115,18 @@ struct BenchOptions {
 /// the sweep flags, or runs its own trial loop and refuses them.
 enum class Points { kRunPoint, kOwnLoop };
 
-/// Parses the standard flags; `name` picks the default CSV path. A bad
-/// flag, including --trials below `min_trials`, prints one `error:` line
-/// and exits 2.
+/// Parses the standard flags; `name` names the output files. A bad flag,
+/// including --trials below `min_trials`, prints one `error:` line and
+/// exits 2.
 BenchOptions parse_options(int argc, char** argv, const std::string& name,
                            std::uint64_t default_trials,
                            Points points = Points::kRunPoint,
                            std::uint64_t min_trials = 1);
+
+/// Reads --out and --trace into `opts`; throws CheckFailure on a bad
+/// value. parse_options calls it, and bench_micro, which takes no other
+/// flag of ours.
+void read_output_flags(cli::Args& args, BenchOptions& opts);
 
 /// Applies the shared knobs (graph kind, seed, budget policy) to a scenario.
 void apply_options(const BenchOptions& opts, sim::Scenario& scenario);
@@ -146,19 +149,22 @@ sim::AggregateMetrics run_point(
     const BenchOptions& opts, const sim::Scenario& scenario,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress = {});
 
-/// Prints the table to stdout with a title banner; writes the CSV when
-/// enabled (creating the parent directory).
+/// Prints the table to stdout with a title banner; writes it to
+/// `<out_dir>/<stem>.csv` (stem defaults to the bench name) unless
+/// --out=none.
 void emit(const std::string& title, const BenchOptions& opts,
           const std::vector<std::string>& header,
-          const std::vector<std::vector<double>>& rows, int precision = 4);
+          const std::vector<std::vector<double>>& rows, int precision = 4,
+          const std::string& stem = "");
 
-/// Also renders an SVG line chart next to the CSV (same stem, .svg):
-/// column 0 is x; `series_columns` picks the y columns to plot (labels from
-/// the header). No-op when CSV output is disabled.
+/// Also renders an SVG line chart next to the CSV (`<stem>.svg`): column 0
+/// is x; `series_columns` picks the y columns to plot (labels from the
+/// header). No-op under --out=none.
 void emit_svg(const std::string& title, const BenchOptions& opts,
               const std::vector<std::string>& header,
               const std::vector<std::vector<double>>& rows,
-              const std::vector<std::size_t>& series_columns);
+              const std::vector<std::size_t>& series_columns,
+              const std::string& stem = "");
 
 /// Prints to stdout the per-phase breakdown table of the spans that began
 /// at or after `since_ns` (obs::trace_now_ns()), under `title`, with their
@@ -169,8 +175,8 @@ void print_breakdown_since(const std::string& title, std::uint64_t since_ns);
 
 /// End-of-run observability report: stops tracing, prints the per-phase
 /// timing breakdown (self time, i.e. phases are disjoint and sum to the
-/// instrumented wall time), and writes the --trace-out / --metrics-out /
-/// --json artifacts that were requested. Call once at the end of main().
+/// instrumented wall time), and writes BENCH_<name>.json, the faults CSV
+/// and, with --trace, the trace under --out. Call once at the end of main().
 /// The report goes to stdout, or to `out`: bench_micro sends it to stderr,
 /// so that its stdout holds only google-benchmark's output.
 void finish(const BenchOptions& opts);

@@ -3,7 +3,7 @@
 # Runs BIN once with a checkpoint, flips one byte of that checkpoint, then
 # resumes from it. The resume must be refused the way `ritcs` refuses it:
 # exit code 2 and an `error:` line naming the checkpoint, never an abort.
-set(ARGS --trials=4 --points=2 --scale=50 --threads=2 --csv=none --json=none)
+set(ARGS --trials=4 --points=2 --scale=50 --threads=2 --out=none)
 set(CKPT "${DIR}/refused_resume.ckpt")
 file(REMOVE "${CKPT}")
 file(MAKE_DIRECTORY "${DIR}")

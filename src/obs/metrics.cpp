@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/format_util.h"
 #include "common/num_io.h"
@@ -210,13 +209,6 @@ void Registry::reset() {
 Registry& Registry::global() {
   static Registry* instance = new Registry();  // leaked: outlive all users
   return *instance;
-}
-
-void write_metrics_json(const std::string& path,
-                        const MetricsSnapshot& snapshot) {
-  // Atomic commit (temp + fsync + rename): a crash mid-export never leaves
-  // a truncated JSON file for dashboards to choke on.
-  rit::write_file_atomic(path, snapshot.to_json());
 }
 
 }  // namespace rit::obs

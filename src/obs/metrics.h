@@ -81,7 +81,7 @@ class Stat {
 };
 
 /// Index-keyed sample reservoir for quantile estimation (p50/p95/p99 in
-/// write_metrics_json). Deterministic across thread counts by design: the
+/// MetricsSnapshot::to_json). Deterministic across thread counts by design: the
 /// caller tags each observation with a stable index (e.g. the trial id)
 /// and the reservoir keeps exactly the samples with index < capacity.
 /// Strided workers observe disjoint index sets, so merging is a plain
@@ -213,10 +213,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histo>> histograms_;
   std::map<std::string, std::unique_ptr<Reservoir>> reservoirs_;
 };
-
-/// Writes `snapshot.to_json()` to `path`, creating parent directories.
-void write_metrics_json(const std::string& path,
-                        const MetricsSnapshot& snapshot);
 
 }  // namespace rit::obs
 

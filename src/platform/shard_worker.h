@@ -53,7 +53,8 @@ struct BreadcrumbPage {
   /// Bumped at least once per trial; the watchdog declares a hang when it
   /// stops advancing for longer than the heartbeat timeout.
   std::atomic<std::uint64_t> heartbeat{0};
-  /// Trials started this attempt (progress reporting).
+  /// Trials restored from the shard's cut plus those started this attempt
+  /// (progress reporting).
   std::atomic<std::uint64_t> done{0};
   /// Set by the chaos allocation bomb just before it detonates, so the
   /// supervisor can attribute the death to OOM with certainty.

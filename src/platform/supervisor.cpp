@@ -159,6 +159,52 @@ void prepare_shard_file(const ShardSlot& slot,
   }
 }
 
+/// The params of shard k's own session: one worker over its residue class,
+/// under the sweep's seed and interval. Resumes whatever cut the file holds.
+sim::CheckpointSession::Params shard_params(
+    const ShardSlot& slot, const sim::CheckpointSession::Params& sweep) {
+  sim::CheckpointSession::Params p;
+  p.path = slot.path;
+  p.config_hash = slot.shard_hash;
+  p.seed = sweep.seed;
+  p.threads = 1;
+  p.trials = slot.local_trials;
+  p.every = sweep.every;
+  p.resume = true;
+  return p;
+}
+
+/// How many of its trials shard k's durable file already holds: all of
+/// them once complete, the partial cursor mid-way, 0 without a file.
+std::uint64_t restored_trials(const ShardSlot& slot) {
+  if (slot.path.empty()) return 0;
+  const std::optional<std::string> content = slurp_file(slot.path);
+  if (!content) return 0;
+  const sim::CheckpointData data = sim::parse_checkpoint(*content, slot.path);
+  if (!data.completed.empty()) return slot.local_trials;
+  return data.has_partial ? data.partial_cursor : 0;
+}
+
+/// Seeds shard k's file from the parent session's in-process partial cut
+/// at global `cursor`: worker k there holds shard k's state after its
+/// first shard_trial_count(cursor, k, K) trials. Keeps the shard's own
+/// file when that is at least as far along.
+void seed_shard_file(const ShardSlot& slot,
+                     const sim::CheckpointSession::Params& sweep,
+                     unsigned shard_count, std::uint64_t cursor,
+                     sim::WorkerCheckpoint worker) {
+  const std::uint64_t local = shard_trial_count(cursor, slot.shard,
+                                                shard_count);
+  if (local <= restored_trials(slot)) return;
+  // The in-process ledger holds global trial indices; the shard file
+  // holds local ones (run_shard_child maps them back).
+  for (sim::TrialFault& f : worker.faults.entries) {
+    f.trial = (f.trial - slot.shard) / shard_count;
+  }
+  sim::CheckpointSession shard(shard_params(slot, sweep));
+  shard.save_partial(/*point=*/0, local, {std::move(worker)});
+}
+
 /// Drains whatever the pipe holds right now into the slot's buffer
 /// (O_NONBLOCK read end; never blocks). Returns false once EOF is seen.
 bool drain_pipe(ShardSlot& slot) {
@@ -195,8 +241,9 @@ void launch_shard(ShardSlot& slot, std::uint64_t trials, unsigned shard_count,
 
   // Reset the attempt-scoped shared fields before the child exists; the
   // breadcrumb triple (trial/seed/phase) is left alone so a pre-first-trial
-  // death still shows the previous attempt's last position.
-  slot.page->done.store(0, std::memory_order_relaxed);
+  // death still shows the previous attempt's last position. The child
+  // resumes from its file's cut, so progress counts those trials as done.
+  slot.page->done.store(restored_trials(slot), std::memory_order_relaxed);
   slot.page->oom.store(0, std::memory_order_relaxed);
   slot.buffer.clear();
   slot.hang_killed = false;
@@ -211,15 +258,9 @@ void launch_shard(ShardSlot& slot, std::uint64_t trials, unsigned shard_count,
   job.seed_of = &seed_of;
   if (sweep != nullptr) {
     job.use_session = true;
-    job.session.path = slot.path;
-    job.session.config_hash = slot.shard_hash;
-    job.session.seed = sweep->params().seed;
-    job.session.threads = 1;
-    job.session.trials = slot.local_trials;
-    job.session.every = sweep->params().every;
     // Always resume inside the child: the parent already discarded stale
     // or unwanted files, so whatever survives is this run's own cut.
-    job.session.resume = true;
+    job.session = shard_params(slot, sweep->params());
   }
   job.page = slot.page;
   job.result_fd = fds[1];
@@ -316,6 +357,14 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials, unsigned threads,
     sim::GuardedResult done;
     if (session->completed_point(point, &done)) return done;
   }
+  std::uint64_t cursor = 0;
+  std::vector<sim::WorkerCheckpoint> cut;
+  const bool has_partial =
+      session != nullptr && session->partial_state(point, &cursor, &cut);
+  RIT_CHECK_MSG(!has_partial || cut.size() == shard_count,
+                "checkpoint partial state has " << cut.size()
+                                                << " worker(s), run has "
+                                                << shard_count);
 
   SharedPages pages(shard_count);
   std::vector<ShardSlot> slots(shard_count);
@@ -329,6 +378,10 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials, unsigned threads,
       s.shard_hash = shard_config_hash(session->params(), point, k,
                                        shard_count, trials);
       prepare_shard_file(s, session->params());
+      if (has_partial) {
+        seed_shard_file(s, session->params(), shard_count, cursor,
+                        std::move(cut[k]));
+      }
     }
   }
 

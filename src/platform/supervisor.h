@@ -55,7 +55,9 @@ struct SupervisorOptions {
 /// `<session path>.shard<k>` every `session->params().every` trials under
 /// the session's config hash and seed, so a relaunch resumes from the
 /// shard's last cut; without a session a relaunch replays the whole shard
-/// (deterministic either way).
+/// (deterministic either way). A partial cut the in-process engine left
+/// in the session seeds every shard that has no further cut of its own,
+/// and progress counts the trials each shard restores.
 sim::GuardedResult run_trials_supervised(std::uint64_t trials, unsigned threads,
                                          const SupervisorOptions& opts,
                                          const sim::GuardPolicy& policy,

@@ -104,7 +104,7 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
       w.agg.note_failed();
       RIT_COUNTER_INC("sim.trials_failed");
     }
-    // Per-kind breakdown so --metrics-out carries the FaultLedger story
+    // Per-kind breakdown so the metrics snapshot carries the FaultLedger story
     // (quarantines vs watchdog overruns vs throws), not only .faults.csv.
     switch (kind) {
       case FaultKind::kException:

@@ -411,24 +411,5 @@ TEST(Metrics, ToJsonRendersEverySection) {
   EXPECT_NE(json.find("\"mean\""), std::string::npos) << json;
 }
 
-
-TEST(Metrics, WriteMetricsJsonWritesToJson) {
-  Registry r;
-  r.counter("test.count").add(3);
-  r.stat("test.stat").observe(1.5);
-  const MetricsSnapshot snap = r.snapshot();
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "ritcs_obs_metrics";
-  std::filesystem::remove_all(dir);
-  const std::string path = (dir / "nested" / "metrics.json").string();
-  write_metrics_json(path, snap);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing " << path;
-  std::ostringstream written;
-  written << in.rdbuf();
-  EXPECT_EQ(written.str(), snap.to_json());
-  std::filesystem::remove_all(dir);
-}
-
 }  // namespace
 }  // namespace rit::obs

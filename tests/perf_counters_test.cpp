@@ -229,7 +229,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, PerfThreadsTest,
                          testing::Values(std::size_t{2}, std::size_t{8}));
 
 // S1: injected faults must surface as per-kind counters in the global
-// metrics registry so --metrics-out JSON carries the fault ledger.
+// metrics registry so the bench summary JSON carries the fault ledger.
 TEST_F(PerfFixture, FaultKindsSurfaceAsGlobalCounters) {
   const std::uint64_t exc_before =
       Registry::global().counter("sim.faults_exception").value();

@@ -39,8 +39,12 @@ ExperimentRecord make_record(std::uint64_t seed) {
   return rec;
 }
 
+// One file per test case: ctest runs each case as its own process, in
+// parallel, so a shared name lets one case read another's record.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/ritcs_result_io_" + name;
+  return ::testing::TempDir() + "/ritcs_result_io_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 // The bytes write_record_file writes for `rec`.

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -461,15 +462,78 @@ TEST(Supervisor, InProcessCheckpointResumesSupervised) {
   p.every = 2;
   p.resume = true;
   sim::CheckpointSession session(p);
+  std::uint64_t cursor = 0;
+  std::vector<sim::WorkerCheckpoint> saved;
+  ASSERT_TRUE(session.partial_state(0, &cursor, &saved));
+  ASSERT_EQ(cursor, 4u);  // two cuts, two trials apart
+  // The shards resume from the in-process cut: a trial below it never runs
+  // again (it would throw, and the contained fault would break identity).
+  const sim::TrialBody resumed_body =
+      [cursor](std::uint64_t t, core::RitWorkspace&, std::string*) {
+        if (t < cursor) throw std::runtime_error("replayed a restored trial");
+        return synthetic_trial(t);
+      };
   const GuardedResult supervised =
       run_trials_supervised(trials, 2, SupervisorOptions{}, GuardPolicy{},
-                            synthetic_body(), seed_of, &session);
+                            resumed_body, seed_of, &session);
   expect_results_identical(supervised, reference);
 
   // And the completed point round-trips through the parent session.
   sim::GuardedResult again;
   ASSERT_TRUE(session.completed_point(0, &again));
   expect_results_identical(again, supervised);
+}
+
+TEST(Supervisor, ProgressCountsTheTrialsShardsRestore) {
+  // A first run dies on shard 1's fourth trial with no retry left, leaving
+  // each shard's cut on disk. The resumed run's first progress value
+  // already counts every trial those cuts hold.
+  const std::uint64_t trials = 10;
+  const fs::path dir = scratch("progress");
+  {
+    sim::CheckpointSession session = every_trial_session(dir, 2, trials);
+    SupervisorOptions opts;
+    opts.shard_retries = 0;
+    GuardPolicy policy;
+    policy.chaos.signal_on_trial = 7;  // shard 1: trials 1, 3, 5, 7, 9
+    policy.chaos.signal_number = SIGKILL;
+    EXPECT_THROW(run_trials_supervised(trials, 2, opts, policy,
+                                       synthetic_body(), seed_of, &session),
+                 rit::CheckFailure);
+  }
+  std::uint64_t restored = 0;
+  for (unsigned k = 0; k < 2; ++k) {
+    const std::string path =
+        (dir / ("sweep.ckpt.shard" + std::to_string(k))).string();
+    std::ifstream in(path, std::ios::binary);
+    if (!in.good()) continue;
+    std::ostringstream content;
+    content << in.rdbuf();
+    const sim::CheckpointData data = sim::parse_checkpoint(content.str(), path);
+    restored += !data.completed.empty()
+                    ? shard_trial_count(trials, k, 2)
+                    : (data.has_partial ? data.partial_cursor : 0);
+  }
+  ASSERT_GE(restored, 3u);  // shard 1 saved a cut after each of 1, 3 and 5
+
+  sim::CheckpointSession::Params p;
+  p.path = (dir / "sweep.ckpt").string();
+  p.threads = 2;
+  p.trials = trials;
+  p.every = 1;
+  p.resume = true;
+  sim::CheckpointSession session(p);
+  std::vector<std::uint64_t> seen;
+  const GuardedResult resumed = run_trials_supervised(
+      trials, 2, SupervisorOptions{}, GuardPolicy{}, synthetic_body(),
+      seed_of, &session, 0,
+      [&seen](std::uint64_t done, std::uint64_t) { seen.push_back(done); });
+  ASSERT_FALSE(seen.empty());
+  EXPECT_GE(seen.front(), restored);
+  EXPECT_EQ(seen.back(), trials);
+  const GuardedResult reference = sim::run_trials_guarded(
+      trials, 2, GuardPolicy{}, synthetic_body(), seed_of);
+  expect_results_identical(resumed, reference);
 }
 
 TEST(Supervisor, ScenarioDrivenParityOnDeterministicFields) {

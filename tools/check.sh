@@ -173,12 +173,12 @@ SUP_TMP="$CHECK_TMP/supervisor"
 mkdir -p "$SUP_TMP"
 "$BUILD_ROOT/main/bench/bench_scale" \
   --trials=4 --scale=1000 --supervised --threads=2 \
-  --csv="$SUP_TMP/ref.csv" --json=none --perf-counters=true \
+  --out="$SUP_TMP/ref" --perf-counters=true \
   > "$SUP_TMP/ref.log"
 "$BUILD_ROOT/main/bench/bench_scale" \
   --trials=4 --scale=1000 --supervised --threads=2 \
   --checkpoint="$SUP_TMP/sweep.ckpt" --checkpoint-every=1 \
-  --csv="$SUP_TMP/killed.csv" --json=none --perf-counters=true \
+  --out="$SUP_TMP/killed" --perf-counters=true \
   > "$SUP_TMP/killed.log" 2>&1 &
 SUP_PID=$!
 # Wait for a shard checkpoint to exist (a point is in flight), then kill
@@ -195,10 +195,10 @@ wait "$SUP_PID" 2> /dev/null || true
 "$BUILD_ROOT/main/bench/bench_scale" \
   --trials=4 --scale=1000 --supervised --threads=2 \
   --checkpoint="$SUP_TMP/sweep.ckpt" --checkpoint-every=1 --resume=true \
-  --csv="$SUP_TMP/resumed.csv" --json=none --perf-counters=true \
+  --out="$SUP_TMP/resumed" --perf-counters=true \
   > "$SUP_TMP/resumed.log"
-cut -d, -f1,2,7 "$SUP_TMP/ref.csv" > "$SUP_TMP/ref.det"
-cut -d, -f1,2,7 "$SUP_TMP/resumed.csv" > "$SUP_TMP/resumed.det"
+cut -d, -f1,2,7 "$SUP_TMP/ref/scale.csv" > "$SUP_TMP/ref.det"
+cut -d, -f1,2,7 "$SUP_TMP/resumed/scale.csv" > "$SUP_TMP/resumed.det"
 if ! cmp "$SUP_TMP/ref.det" "$SUP_TMP/resumed.det"; then
   echo "check.sh: resumed supervised sweep diverged from reference" >&2
   diff "$SUP_TMP/ref.det" "$SUP_TMP/resumed.det" >&2 || true
