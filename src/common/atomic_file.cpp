@@ -1,20 +1,17 @@
 #include "common/atomic_file.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <system_error>
 
 #include "common/check.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define RIT_ATOMIC_FILE_POSIX 1
-#else
-#include <cstdio>
-#define RIT_ATOMIC_FILE_POSIX 0
-#endif
+#include "common/record.h"
 
 namespace rit {
 
@@ -28,8 +25,6 @@ void create_parent_dirs(const std::string& path) {
   // An existing directory is fine; a real failure surfaces on open below
   // with its own errno, which is the more actionable message.
 }
-
-#if RIT_ATOMIC_FILE_POSIX
 
 std::string errno_text() {
   const int err = errno;
@@ -66,14 +61,11 @@ void fsync_dir_of(const std::string& path) {
   ::close(fd);
 }
 
-#endif  // RIT_ATOMIC_FILE_POSIX
-
 }  // namespace
 
 void write_file_atomic(const std::string& path, std::string_view content) {
   RIT_CHECK_MSG(!path.empty(), "atomic write: empty path");
   create_parent_dirs(path);
-#if RIT_ATOMIC_FILE_POSIX
   // Temp name is sibling + pid so concurrent processes targeting the same
   // path never clobber each other's staging file.
   const std::string tmp =
@@ -100,24 +92,34 @@ void write_file_atomic(const std::string& path, std::string_view content) {
                                                   << "': " << why);
   }
   fsync_dir_of(path);
-#else
-  // Non-POSIX fallback: plain stdio write + rename. Not crash-atomic, but
-  // keeps the API portable; every CI platform takes the POSIX path.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  RIT_CHECK_MSG(f != nullptr, "atomic write: cannot open temp file '" << tmp
-                                                                      << "'");
-  const std::size_t written =
-      content.empty() ? 0 : std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = written == content.size() && std::fclose(f) == 0;
-  RIT_CHECK_MSG(ok, "atomic write: short write to '"
-                        << tmp << "' (" << written << "/" << content.size()
-                        << " bytes)");
+}
+
+void remove_stale_temps(const std::string& path) {
+  namespace fs = std::filesystem;
   std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  RIT_CHECK_MSG(!ec, "atomic write: rename '" << tmp << "' -> '" << path
-                                              << "': " << ec.message());
-#endif
+  // Without /proc a live writer cannot be told from a dead one.
+  if (!fs::exists("/proc/self/stat", ec)) return;
+  const fs::path target = fs::absolute(path, ec);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  for (fs::directory_iterator it(target.parent_path(), ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    const std::string pid = name.substr(std::min(name.size(), prefix.size()));
+    if (name.rfind(prefix, 0) != 0 || pid.empty() ||
+        pid.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    // /proc/<pid>/stat reads "<pid> (<comm>) <state> ...". A zombie has
+    // stopped writing for good; it only waits to be reaped.
+    const std::optional<std::string> stat =
+        slurp_file("/proc/" + pid + "/stat");
+    const std::size_t paren = stat ? stat->rfind(')') : std::string::npos;
+    const char state = paren != std::string::npos && paren + 2 < stat->size()
+                           ? (*stat)[paren + 2]
+                           : 'X';
+    std::error_code ignored;  // best effort: a racing remover is fine
+    if (state == 'Z' || state == 'X') fs::remove(it->path(), ignored);
+  }
 }
 
 }  // namespace rit

@@ -16,4 +16,9 @@ namespace rit {
 /// errno context on any failure, including short writes.
 void write_file_atomic(const std::string& path, std::string_view content);
 
+/// Removes the temp files that writes of `path` staged in processes that
+/// are gone (a writer killed mid-write leaves its temp behind). A running
+/// writer's temp may be a write in flight, so it stays.
+void remove_stale_temps(const std::string& path);
+
 }  // namespace rit

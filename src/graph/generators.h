@@ -71,6 +71,9 @@ void barabasi_albert_draws(std::uint32_t num_nodes,
   };
   for (std::uint32_t v = seed_n; v < num_nodes; ++v) {
     count = 0;
+    // Each earlier node appended 2 * edges_per_node entries, so `filled`
+    // follows from v: no draw waits for the last node's duplicate checks.
+    filled = clique_entries + 2 * std::size_t{v - seed_n} * edges_per_node;
     // Draw edges_per_node distinct influencers, degree-proportionally.
     std::size_t guard = 0;
     while (count < edges_per_node) {
@@ -81,10 +84,10 @@ void barabasi_albert_draws(std::uint32_t num_nodes,
         add_if_new(static_cast<std::uint32_t>(draws.uniform_index(v)));
       }
     }
-    sink(v, std::span<const std::uint32_t>(picked.get(), count));
-    for (std::uint32_t k = 0; k < count; ++k) {
-      endpoints[filled++] = picked[k];
-      endpoints[filled++] = v;
+    sink(v, std::span<const std::uint32_t>(picked.get(), edges_per_node));
+    for (std::uint32_t k = 0; k < edges_per_node; ++k) {
+      endpoints[filled + 2 * k] = picked[k];
+      endpoints[filled + 2 * k + 1] = v;
     }
   }
   rng = draws;

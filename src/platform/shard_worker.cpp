@@ -140,7 +140,7 @@ void write_all(int fd, const std::string& content) {
 }
 
 void apply_rlimits(const ShardJob& job) {
-  // No core dumps: a chaos matrix that segfaults on purpose must not
+  // No core dumps: a death-matrix test that segfaults on purpose must not
   // litter the working directory (the forensics live in the ledger).
   struct rlimit core = {0, 0};
   ::setrlimit(RLIMIT_CORE, &core);
@@ -179,44 +179,29 @@ void run_shard_child(const ShardJob& job) {
         shard_trial_count(job.trials, job.shard, job.shard_count);
     const unsigned shard = job.shard;
     const unsigned count = job.shard_count;
-    const sim::chaos::ChaosSpec& chaos = job.chaos;
     const sim::TrialBody& body = *job.body;
     const sim::TrialSeedFn& seed_of = *job.seed_of;
 
-    // The wrapper maps local index -> global trial g = s + i*K and runs
-    // every chaos injector at g, so contained-fault ledger entries and the
-    // fault_rate rng stream match an in-process run bit for bit. The inner
-    // runner gets a chaos-free policy: its own injection would use local
-    // indices and break that parity.
+    // Local index i runs global trial g = s + i*K: the body sees g, as it
+    // would in process, so whatever it derives from the index (its seed,
+    // an injected fault) matches an in-process run bit for bit.
     const sim::TrialBody local_body =
         [&](std::uint64_t local, core::RitWorkspace& ws, std::string* phase) {
           const std::uint64_t g = shard + local * count;
           job.page->begin_trial(g, seed_of ? seed_of(g) : g);
-          if (chaos.signal_on_trial == g) {
-            sim::chaos::raise_signal(chaos.signal_number);
-          }
-          if (chaos.oom_on_trial == g) {
-            job.page->oom.store(1, std::memory_order_relaxed);
-            sim::chaos::alloc_bomb();
-          }
-          if (chaos.hang_on_trial == g) sim::chaos::spin_forever();
-          sim::chaos::inject_before_trial(chaos, g);
-          sim::TrialMetrics m = body(g, ws, phase);
-          sim::chaos::inject_after_trial(chaos, g, m);
-          return m;
+          return body(g, ws, phase);
         };
-    const sim::TrialSeedFn local_seed =
-        [&](std::uint64_t local) { return seed_of ? seed_of(shard + local * count) : shard + local * count; };
-
-    sim::GuardPolicy inner = job.policy;
-    inner.chaos = sim::chaos::ChaosSpec{};
+    const sim::TrialSeedFn local_seed = [&](std::uint64_t local) {
+      const std::uint64_t g = shard + local * count;
+      return seed_of ? seed_of(g) : g;
+    };
 
     std::unique_ptr<sim::CheckpointSession> session;
     if (job.use_session) {
       session = std::make_unique<sim::CheckpointSession>(job.session);
     }
     sim::GuardedResult result = sim::run_trials_guarded(
-        local_trials, /*threads=*/1, inner, local_body, local_seed,
+        local_trials, /*threads=*/1, job.policy, local_body, local_seed,
         session.get(), /*point=*/0);
     // Ledger entries were recorded with local indices by the inner runner;
     // rewrite to global so the supervisor's shard-order merge reproduces

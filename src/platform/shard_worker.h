@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/chaos.h"
 #include "sim/checkpoint.h"
 #include "sim/guarded.h"
 
@@ -56,8 +55,8 @@ struct BreadcrumbPage {
   /// Trials restored from the shard's cut plus those started this attempt
   /// (progress reporting).
   std::atomic<std::uint64_t> done{0};
-  /// Set by the chaos allocation bomb just before it detonates, so the
-  /// supervisor can attribute the death to OOM with certainty.
+  /// Set by a body about to exhaust memory on purpose (the test OOM bomb),
+  /// so the supervisor can attribute the death to OOM with certainty.
   std::atomic<std::uint32_t> oom{0};
 
   /// Child: publish a new breadcrumb (seqlock write + heartbeat bump).
@@ -91,9 +90,8 @@ struct ShardJob {
   std::uint64_t trials{0};      // global trial count for the whole point
   unsigned shard{0};            // this shard's residue class
   unsigned shard_count{1};      // K
-  sim::GuardPolicy policy;      // chaos is handled by the wrapper, not the
-                                // inner runner (global-index parity)
-  sim::chaos::ChaosSpec chaos;  // injectors, global trial indices
+  sim::GuardPolicy policy;
+  /// Called with global trial indices, like an in-process run's body.
   const sim::TrialBody* body{nullptr};
   const sim::TrialSeedFn* seed_of{nullptr};
   /// Shard checkpoint session params; empty path disables checkpointing
@@ -116,8 +114,8 @@ std::uint64_t shard_trial_count(std::uint64_t trials, unsigned shard,
                                 unsigned shard_count);
 
 /// Runs `job` in the forked child and never returns: sets the death
-/// signal, applies rlimits, runs the shard's residue class serially with
-/// chaos injection at global trial indices, rewrites ledger entries to
+/// signal, applies rlimits, runs the shard's residue class serially,
+/// calling the body with global trial indices, rewrites ledger entries to
 /// global indices, streams the result over the pipe, and _exit()s with a
 /// ShardExit code.
 [[noreturn]] void run_shard_child(const ShardJob& job);

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/parallel.h"
@@ -231,14 +232,6 @@ void launch_shard(ShardSlot& slot, std::uint64_t trials, unsigned shard_count,
                 "pipe() for shard " << slot.shard
                                     << " failed: " << std::strerror(errno));
 
-  // Retry attempts strip the process-death injectors by default: they are
-  // keyed on trial indices, so a deterministic signal/OOM/hang would refire
-  // on every relaunch and no retry budget could ever recover the shard.
-  sim::chaos::ChaosSpec chaos = policy.chaos;
-  if (slot.attempt > 0 && !chaos.process_chaos_every_attempt) {
-    chaos = chaos.without_process_injectors();
-  }
-
   // Reset the attempt-scoped shared fields before the child exists; the
   // breadcrumb triple (trial/seed/phase) is left alone so a pre-first-trial
   // death still shows the previous attempt's last position. The child
@@ -253,7 +246,6 @@ void launch_shard(ShardSlot& slot, std::uint64_t trials, unsigned shard_count,
   job.shard = slot.shard;
   job.shard_count = shard_count;
   job.policy = policy;
-  job.chaos = chaos;
   job.body = &body;
   job.seed_of = &seed_of;
   if (sweep != nullptr) {
@@ -580,11 +572,26 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials, unsigned threads,
   if (progress && reported < trials) progress(trials, trials);
   if (session != nullptr) session->complete_point(point, out);
   // The shard files served their purpose once the parent's own checkpoint
-  // (or the caller) owns the completed point.
+  // (or the caller) owns the completed point. So did the temps of a killed
+  // run's shards, which can outlive the opening of this run's sessions.
   for (const ShardSlot& s : slots) {
-    if (!s.path.empty()) ::unlink(s.path.c_str());
+    if (s.path.empty()) continue;
+    ::unlink(s.path.c_str());
+    remove_stale_temps(s.path);
   }
   return out;
+}
+
+sim::TrialBody scenario_body(const sim::Scenario& scenario) {
+  return [&scenario](std::uint64_t t, core::RitWorkspace& ws,
+                     std::string* phase) {
+    *phase = "make_instance";
+    note_phase("make_instance");
+    const sim::TrialInstance inst = sim::make_instance(scenario, t);
+    *phase = "run_trial";
+    note_phase("run_trial");
+    return sim::run_trial(scenario, inst, ws);
+  };
 }
 
 sim::GuardedResult run_many(const sim::Scenario& scenario,
@@ -594,16 +601,7 @@ sim::GuardedResult run_many(const sim::Scenario& scenario,
                             sim::CheckpointSession* session,
                             std::uint64_t point,
                             const sim::ProgressFn& progress) {
-  const sim::TrialBody body = [&scenario](std::uint64_t t,
-                                          core::RitWorkspace& ws,
-                                          std::string* phase) {
-    *phase = "make_instance";
-    note_phase("make_instance");
-    const sim::TrialInstance inst = sim::make_instance(scenario, t);
-    *phase = "run_trial";
-    note_phase("run_trial");
-    return sim::run_trial(scenario, inst, ws);
-  };
+  const sim::TrialBody body = scenario_body(scenario);
   const sim::TrialSeedFn seed_of = [&scenario](std::uint64_t t) {
     return sim::mechanism_seed_of(scenario, t);
   };

@@ -67,13 +67,16 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials, unsigned threads,
                                          std::uint64_t point = 0,
                                          const sim::ProgressFn& progress = {});
 
+/// The scenario's trial body: make_instance + run_trial, each stage named
+/// in `phase` and on the shard's breadcrumb page (a no-op in process), so
+/// a fault or a worker death names it. `scenario` must outlive the body.
+sim::TrialBody scenario_body(const sim::Scenario& scenario);
+
 /// The scenario-driven sweep engine that the benches and `ritcs
-/// --mode=run` call: make_instance + run_trial per trial, seeds from
+/// --mode=run` call: scenario_body per trial, seeds from
 /// Scenario::trial_seed, on `threads` workers of the in-process guarded
 /// engine, or, when `isolate` is non-null, in `threads` supervised shard
-/// processes under its budgets. The body mirrors each stage into the
-/// shard's breadcrumb page (a no-op in-process), so worker-death forensics
-/// name the phase that died.
+/// processes under its budgets.
 sim::GuardedResult run_many(const sim::Scenario& scenario,
                             std::uint64_t trials, unsigned threads,
                             const sim::GuardPolicy& policy,

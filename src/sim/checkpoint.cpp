@@ -209,6 +209,7 @@ CheckpointSession::CheckpointSession(Params params)
     : params_(std::move(params)) {
   RIT_CHECK_MSG(!params_.path.empty(), "checkpoint: empty path");
   RIT_CHECK_MSG(params_.threads >= 1, "checkpoint: threads must be >= 1");
+  remove_stale_temps(params_.path);
   data_.config_hash = params_.config_hash;
   data_.seed = params_.seed;
   data_.threads = params_.threads;
@@ -302,6 +303,7 @@ void CheckpointSession::save() {
   write_file_atomic(params_.path, serialize_checkpoint(data_));
   ++written_;
   RIT_COUNTER_INC("sim.checkpoints_written");
+  if (after_save_) after_save_(written_);
 }
 
 }  // namespace rit::sim

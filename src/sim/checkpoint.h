@@ -17,10 +17,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/fault.h"
@@ -85,7 +87,9 @@ AbortedRecord parse_aborted(std::string_view content,
 /// One sweep's checkpoint lifecycle: load-or-create, per-point queries,
 /// atomic saves. Construction with resume=true validates an existing file
 /// against the run's bindings and refuses to resume on mismatch; with
-/// resume=false any existing file is superseded by the first save.
+/// resume=false any existing file is superseded by the first save. Either
+/// way construction removes the `<path>.tmp.<pid>` staging files of saves
+/// whose process is gone (killed mid-write); a live writer's stays.
 class CheckpointSession {
  public:
   struct Params {
@@ -129,12 +133,20 @@ class CheckpointSession {
   std::uint64_t checkpoints_written() const { return written_; }
   const Params& params() const { return params_; }
 
+  /// Called after every checkpoint write with the running write count;
+  /// empty in production. What it throws propagates out of the save (the
+  /// kill/resume tests model a process death at a boundary this way).
+  void set_after_save(std::function<void(std::uint64_t written)> hook) {
+    after_save_ = std::move(hook);
+  }
+
  private:
   void save();
 
   Params params_;
   CheckpointData data_;
   std::uint64_t written_{0};
+  std::function<void(std::uint64_t)> after_save_;
 };
 
 }  // namespace rit::sim

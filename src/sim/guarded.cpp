@@ -142,20 +142,18 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
 
   const auto run_one = [&](WorkerState& w, std::uint64_t t) {
     std::string phase = "trial";
-    stats::Timer watchdog;
     TrialMetrics m;
+    double ms = 0.0;
     bool ok = true;
     try {
-      chaos::inject_before_trial(policy.chaos, t);
       stats::Timer trial_timer;
       m = body(t, w.ws, &phase);
-      const double ms = trial_timer.elapsed_ms();
+      ms = trial_timer.elapsed_ms();
       w.metrics.stat("sim.trial_ms").observe(ms);
       // Index-keyed sample: trial t always lands in slot t regardless of
       // which worker ran it, so the captured set (and the p50/p95/p99
       // derived from it) is identical for every thread count.
       w.metrics.reservoir("sim.trial_ms").observe(t, ms);
-      chaos::inject_after_trial(policy.chaos, t, m);
     } catch (const std::exception& e) {
       note_fault(w, t, FaultKind::kException, phase, e.what());
       ok = false;
@@ -163,10 +161,9 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
       note_fault(w, t, FaultKind::kException, phase, "unknown exception");
       ok = false;
     }
-    if (ok && policy.trial_timeout_ms > 0.0 &&
-        watchdog.elapsed_ms() > policy.trial_timeout_ms) {
+    if (ok && policy.trial_timeout_ms > 0.0 && ms > policy.trial_timeout_ms) {
       std::ostringstream os;
-      os << "trial took " << watchdog.elapsed_ms()
+      os << "trial took " << ms
          << " ms, over --trial-timeout-ms=" << policy.trial_timeout_ms;
       note_fault(w, t, FaultKind::kTimeout, phase, os.str());
       ok = false;
@@ -208,11 +205,6 @@ GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
         cut[w] = WorkerCheckpoint{workers[w].agg, workers[w].faults};
       }
       session->save_partial(point, next, std::move(cut));
-      if (policy.chaos.kill_after_checkpoints != chaos::kNever &&
-          session->checkpoints_written() >=
-              policy.chaos.kill_after_checkpoints) {
-        throw chaos::ChaosKill(session->checkpoints_written());
-      }
     }
   }
 

@@ -22,8 +22,9 @@
 //     between chunks. Chunking does not change which worker runs which
 //     trial or the per-worker fold order, so checkpointed (and resumed)
 //     runs produce bit-identical aggregates to uninterrupted ones.
-//   * chaos injection — the GuardPolicy carries a chaos::ChaosSpec for the
-//     fault-injection tests; it is inert by default.
+//
+// Fault-injection tests wrap the body they pass in (see src/testkit/); the
+// engine itself carries no injector.
 //
 // Every trial is timed into the `sim.trial_ms` stat and reservoir of the
 // global metrics registry, whatever the thread count. The process-level
@@ -36,7 +37,6 @@
 #include <string>
 
 #include "core/rit.h"
-#include "sim/chaos.h"
 #include "sim/checkpoint.h"
 #include "sim/parallel.h"
 
@@ -52,8 +52,6 @@ struct GuardPolicy {
   /// over-deadline trial is recorded as a timeout fault with its metrics
   /// discarded. See docs/robustness.md.
   double trial_timeout_ms{0.0};
-  /// Fault injectors for the chaos tests; all off by default.
-  chaos::ChaosSpec chaos{};
 };
 
 /// The trial body: runs trial `trial` using per-worker scratch `ws` and
@@ -70,7 +68,7 @@ using TrialSeedFn = std::function<std::uint64_t(std::uint64_t trial)>;
 /// `threads` workers (0 = hardware concurrency). `session`, when non-null,
 /// enables checkpoint/resume for grid point `point`; its thread binding
 /// must match the resolved thread count. Aborts (budget exhausted) throw
-/// CheckFailure; a chaos kill throws chaos::ChaosKill.
+/// CheckFailure; whatever the session's after-save hook throws propagates.
 GuardedResult run_trials_guarded(std::uint64_t trials, unsigned threads,
                                  const GuardPolicy& policy,
                                  const TrialBody& body,

@@ -1,8 +1,10 @@
 // Checkpoint format and session lifecycle: bit-exact round-trips, checksum
 // verification, and refuse-to-resume on any corruption or binding mismatch.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,15 +17,16 @@
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/num_io.h"
-#include "sim/chaos.h"
 #include "sim/checkpoint.h"
 #include "sim/fault.h"
 #include "sim/metrics.h"
+#include "testkit/chaos.h"
 
 namespace rit::sim {
 namespace {
 
 namespace fs = std::filesystem;
+namespace chaos = testkit::chaos;
 using testbits::expect_aggregate_identical;
 using testbits::expect_ledgers_identical;
 
@@ -449,6 +452,38 @@ TEST(CheckpointSession, OutOfOrderSavesAreRejected) {
   EXPECT_THROW(s.save_partial(2, 5, {}), CheckFailure);
   s.complete_point(0, GuardedResult{make_agg(1.0), FaultLedger{}});
   EXPECT_THROW(s.complete_point(0, GuardedResult{}), CheckFailure);
+}
+
+TEST(CheckpointSession, OpeningRemovesOnlyDeadWritersTemps) {
+  // A writer SIGKILLed mid-save leaves `<path>.tmp.<pid>` behind. A pid
+  // above Linux's pid_max (4194304) names no process; this test's own pid
+  // names a live one, whose temp may be a save in flight.
+  const fs::path dir = scratch("stale_temps");
+  const std::string path = (dir / "sweep.ckpt").string();
+  const fs::path dead = path + ".tmp.4194305";
+  const fs::path live =
+      path + ".tmp." + format_u64(static_cast<std::uint64_t>(::getpid()));
+  const fs::path other = dir / "other.ckpt.tmp.4194305";
+  for (const fs::path& temp : {dead, live, other}) {
+    std::ofstream(temp) << "half a checkpoint";
+  }
+  CheckpointSession s(base_params(path));
+  EXPECT_FALSE(fs::exists(dead));
+  EXPECT_TRUE(fs::exists(live));
+  EXPECT_TRUE(fs::exists(other));  // another path's temps are not its own
+}
+
+TEST(CheckpointSession, AfterSaveHookSeesTheRunningWriteCount) {
+  const fs::path dir = scratch("after_save");
+  CheckpointSession s(base_params((dir / "sweep.ckpt").string()));
+  std::vector<std::uint64_t> seen;
+  s.set_after_save([&seen](std::uint64_t written) { seen.push_back(written); });
+  s.save_partial(0, 1, {});
+  s.complete_point(0, GuardedResult{make_agg(1.0), FaultLedger{}});
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2}));
+  s.set_after_save(chaos::kill_after_checkpoints(3));
+  EXPECT_THROW(s.save_partial(1, 1, {}), chaos::ChaosKill);
+  EXPECT_EQ(s.checkpoints_written(), 3u);  // the write landed before the kill
 }
 
 }  // namespace

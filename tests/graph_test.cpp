@@ -5,6 +5,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -12,6 +13,7 @@
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "tree/builders.h"
 
 namespace rit::graph {
 namespace {
@@ -140,6 +142,31 @@ TEST(GraphCsr, GeneratorOutputPinned) {
             0x3378ee23b3e71e0eULL);
   EXPECT_EQ(csr_digest(configuration_model(4000, 2.0, 200, r4)),
             0xa8865f596b54ccb8ULL);
+}
+
+TEST(GraphCsr, BarabasiAlbertStreamPinnedAcrossEdgesPerNode) {
+  // The BA draw stream at m = 1, 2 and 5 (m = 3 is pinned above), and the
+  // forest the trial path builds from the same draws.
+  const std::pair<std::uint32_t, std::uint64_t> pinned[] = {
+      {1, 0x2e4c9398d566c278ULL},
+      {2, 0x78d23ed3ef245663ULL},
+      {5, 0xdfd7e42d22aae535ULL}};
+  for (const auto& [m, digest] : pinned) {
+    SCOPED_TRACE(m);
+    rng::Rng rng(40 + m);
+    EXPECT_EQ(csr_digest(barabasi_albert(5000, m, rng)), digest);
+  }
+  rng::Rng rng(46);
+  const std::vector<std::uint32_t> parents =
+      tree::barabasi_albert_forest(5000, 3, 10, rng).parents();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint32_t p : parents) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (p >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(h, 0xf173786e3903b855ULL);
 }
 
 TEST(Generators, BarabasiAlbertShape) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cctype>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -21,7 +22,6 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "platform/supervisor.h"
-#include "sim/chaos.h"
 #include "sim/checkpoint.h"
 #include "sim/fault.h"
 #include "sim/guarded.h"
@@ -29,11 +29,13 @@
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
+#include "testkit/chaos.h"
 
 namespace rit::sim {
 namespace {
 
 namespace fs = std::filesystem;
+namespace chaos = testkit::chaos;
 using testbits::expect_aggregate_identical;
 using testbits::expect_results_identical;
 
@@ -111,9 +113,10 @@ TEST(Guarded, SameThreadCountIsReproducible) {
 TEST(Guarded, InjectedThrowIsContainedAndLedgered) {
   GuardPolicy policy;
   policy.max_trial_failures = 2;
-  policy.chaos.throw_on_trial = 3;
-  const GuardedResult r =
-      run_trials_guarded(8, 2, policy, synthetic_body(), seed_of);
+  chaos::ChaosSpec spec;
+  spec.throw_on_trial = 3;
+  const GuardedResult r = run_trials_guarded(
+      8, 2, policy, chaos::inject(spec, synthetic_body()), seed_of);
 
   EXPECT_EQ(r.metrics.trials, 7u);
   EXPECT_EQ(r.metrics.failed_trials, 1u);
@@ -130,9 +133,11 @@ TEST(Guarded, InjectedThrowIsContainedAndLedgered) {
 
 TEST(Guarded, DefaultBudgetAbortsOnFirstFaultWithClearError) {
   GuardPolicy policy;  // max_trial_failures = 0: strict
-  policy.chaos.throw_on_trial = 2;
+  chaos::ChaosSpec spec;
+  spec.throw_on_trial = 2;
   try {
-    run_trials_guarded(6, 1, policy, synthetic_body(), seed_of);
+    run_trials_guarded(6, 1, policy, chaos::inject(spec, synthetic_body()),
+                       seed_of);
     FAIL() << "expected CheckFailure";
   } catch (const CheckFailure& e) {
     const std::string what = e.what();
@@ -146,9 +151,11 @@ TEST(Guarded, DefaultBudgetAbortsOnFirstFaultWithClearError) {
 TEST(Guarded, FaultsOverBudgetAbort) {
   GuardPolicy policy;
   policy.max_trial_failures = 1;
-  policy.chaos.fault_rate = 1.0;  // every trial throws
-  EXPECT_THROW(run_trials_guarded(5, 2, policy, synthetic_body()),
-               CheckFailure);
+  chaos::ChaosSpec spec;
+  spec.fault_rate = 1.0;  // every trial throws
+  EXPECT_THROW(
+      run_trials_guarded(5, 2, policy, chaos::inject(spec, synthetic_body())),
+      CheckFailure);
 }
 
 TEST(Guarded, AbortFlushesForensicsToAbortedArtifact) {
@@ -165,10 +172,12 @@ TEST(Guarded, AbortFlushesForensicsToAbortedArtifact) {
 
   GuardPolicy policy;
   policy.max_trial_failures = 1;
-  policy.chaos.fault_rate = 1.0;  // every trial throws; budget blows fast
-  EXPECT_THROW(
-      run_trials_guarded(8, 2, policy, synthetic_body(), seed_of, &session),
-      CheckFailure);
+  chaos::ChaosSpec spec;
+  spec.fault_rate = 1.0;  // every trial throws; budget blows fast
+  EXPECT_THROW(run_trials_guarded(8, 2, policy,
+                                  chaos::inject(spec, synthetic_body()),
+                                  seed_of, &session),
+               CheckFailure);
 
   std::ifstream in(session.aborted_path(), std::ios::binary);
   ASSERT_TRUE(in.good()) << "missing " << session.aborted_path();
@@ -186,9 +195,10 @@ TEST(Guarded, AbortFlushesForensicsToAbortedArtifact) {
 TEST(Guarded, NonFiniteMetricsAreQuarantined) {
   GuardPolicy policy;
   policy.max_trial_failures = 1;
-  policy.chaos.nan_on_trial = 4;
-  const GuardedResult r =
-      run_trials_guarded(6, 2, policy, synthetic_body(), seed_of);
+  chaos::ChaosSpec spec;
+  spec.nan_on_trial = 4;
+  const GuardedResult r = run_trials_guarded(
+      6, 2, policy, chaos::inject(spec, synthetic_body()), seed_of);
 
   EXPECT_EQ(r.metrics.trials, 5u);
   EXPECT_EQ(r.metrics.failed_trials, 0u);
@@ -206,10 +216,11 @@ TEST(Guarded, WatchdogFlagsSlowTrialPostHoc) {
   GuardPolicy policy;
   policy.max_trial_failures = 1;
   policy.trial_timeout_ms = 5.0;
-  policy.chaos.delay_on_trial = 1;
-  policy.chaos.delay_ms = 25.0;  // busy-wait well past the deadline
-  const GuardedResult r =
-      run_trials_guarded(3, 1, policy, synthetic_body(), seed_of);
+  chaos::ChaosSpec spec;
+  spec.delay_on_trial = 1;
+  spec.delay_ms = 25.0;  // busy-wait well past the deadline
+  const GuardedResult r = run_trials_guarded(
+      3, 1, policy, chaos::inject(spec, synthetic_body()), seed_of);
 
   EXPECT_EQ(r.metrics.trials, 2u);
   EXPECT_EQ(r.metrics.failed_trials, 1u);
@@ -223,11 +234,12 @@ TEST(Guarded, WatchdogFlagsSlowTrialPostHoc) {
 TEST(Guarded, FaultRateDrawsAreIndependentOfThreadCount) {
   GuardPolicy policy;
   policy.max_trial_failures = 64;
-  policy.chaos.fault_rate = 0.4;
-  policy.chaos.seed = 9;
+  chaos::ChaosSpec spec;
+  spec.fault_rate = 0.4;
+  spec.seed = 9;
   auto faulted_trials = [&](unsigned threads) {
-    const GuardedResult r =
-        run_trials_guarded(32, threads, policy, synthetic_body());
+    const GuardedResult r = run_trials_guarded(
+        32, threads, policy, chaos::inject(spec, synthetic_body()));
     std::vector<std::uint64_t> trials;
     for (const TrialFault& f : r.faults.sorted_by_trial()) {
       trials.push_back(f.trial);
@@ -244,9 +256,10 @@ TEST(Guarded, FaultRateDrawsAreIndependentOfThreadCount) {
 TEST(Guarded, ZeroSuccessfulTrialsYieldsNanFreeReporting) {
   GuardPolicy policy;
   policy.max_trial_failures = 8;
-  policy.chaos.fault_rate = 1.0;  // every trial faults, all contained
-  const GuardedResult r =
-      run_trials_guarded(4, 2, policy, synthetic_body(), seed_of);
+  chaos::ChaosSpec spec;
+  spec.fault_rate = 1.0;  // every trial faults, all contained
+  const GuardedResult r = run_trials_guarded(
+      4, 2, policy, chaos::inject(spec, synthetic_body()), seed_of);
 
   EXPECT_EQ(r.metrics.trials, 0u);
   EXPECT_EQ(r.metrics.failed_trials, 4u);
@@ -269,8 +282,8 @@ TEST(Guarded, ZeroSuccessfulTrialsYieldsNanFreeReporting) {
 
 // ---------------------------------------------------------------------------
 // The kill/resume matrix. trials=11, every=3 gives checkpoint writes after
-// trials 3, 6 and 9 (the final complete_point is not a kill site), so
-// kill_after ∈ {1,2,3} exercises a death at every checkpoint boundary.
+// trials 3, 6 and 9 (then the final complete_point), so kill_after ∈
+// {1,2,3} exercises a death at every mid-point checkpoint boundary.
 // ---------------------------------------------------------------------------
 
 CheckpointSession::Params matrix_params(const std::string& path,
@@ -300,11 +313,10 @@ TEST(GuardedResume, KillAtEveryBoundaryResumesBitIdentically) {
                   std::to_string(kill_after));
       const std::string path = (dir / "sweep.ckpt").string();
 
-      GuardPolicy killer;
-      killer.chaos.kill_after_checkpoints = kill_after;
       auto doomed = std::make_unique<CheckpointSession>(
           matrix_params(path, threads, false));
-      EXPECT_THROW(run_trials_guarded(kTrials, threads, killer,
+      doomed->set_after_save(chaos::kill_after_checkpoints(kill_after));
+      EXPECT_THROW(run_trials_guarded(kTrials, threads, GuardPolicy{},
                                       synthetic_body(), seed_of,
                                       doomed.get()),
                    chaos::ChaosKill);
@@ -326,14 +338,16 @@ TEST(GuardedResume, KillAtEveryBoundaryResumesBitIdentically) {
 
 TEST(GuardedResume, KillAndResumeWithContainedFaultsMatches) {
   constexpr std::uint64_t kTrials = 10;
-  GuardPolicy chaotic;
-  chaotic.max_trial_failures = 5;
-  chaotic.chaos.throw_on_trial = 7;
-  chaotic.chaos.nan_on_trial = 2;
+  GuardPolicy tolerant;
+  tolerant.max_trial_failures = 5;
+  chaos::ChaosSpec spec;
+  spec.throw_on_trial = 7;
+  spec.nan_on_trial = 2;
+  const TrialBody chaotic = chaos::inject(spec, synthetic_body());
 
   for (const unsigned threads : {2u, 8u}) {
-    const GuardedResult reference = run_trials_guarded(
-        kTrials, threads, chaotic, synthetic_body(), seed_of);
+    const GuardedResult reference =
+        run_trials_guarded(kTrials, threads, tolerant, chaotic, seed_of);
     EXPECT_EQ(reference.faults.size(), 2u);
 
     const fs::path dir = scratch("faulty_t" + std::to_string(threads));
@@ -345,18 +359,17 @@ TEST(GuardedResume, KillAndResumeWithContainedFaultsMatches) {
     p.threads = threads;
     p.trials = kTrials;
     p.every = 4;
-    GuardPolicy killer = chaotic;
-    killer.chaos.kill_after_checkpoints = 1;
     {
       CheckpointSession doomed(p);
-      EXPECT_THROW(run_trials_guarded(kTrials, threads, killer,
-                                      synthetic_body(), seed_of, &doomed),
+      doomed.set_after_save(chaos::kill_after_checkpoints(1));
+      EXPECT_THROW(run_trials_guarded(kTrials, threads, tolerant, chaotic,
+                                      seed_of, &doomed),
                    chaos::ChaosKill);
     }
     p.resume = true;
     CheckpointSession revived(p);
     const GuardedResult resumed = run_trials_guarded(
-        kTrials, threads, chaotic, synthetic_body(), seed_of, &revived);
+        kTrials, threads, tolerant, chaotic, seed_of, &revived);
     expect_results_identical(resumed, reference);
   }
 }
@@ -460,15 +473,23 @@ TEST(GuardedScenario, FaultsAreContainedAlikeAtEveryThreadCount) {
   // contained and ledgered the same way as on several workers, and the
   // strict default budget aborts on the same trial.
   const Scenario s = small_scenario();
+  const TrialSeedFn scenario_seed = [&s](std::uint64_t t) {
+    return mechanism_seed_of(s, t);
+  };
   GuardPolicy tolerant;
   tolerant.max_trial_failures = 2;
-  tolerant.chaos.throw_on_trial = 1;
-  tolerant.chaos.nan_on_trial = 4;
-  GuardPolicy strict;
-  strict.chaos.throw_on_trial = 1;
+  chaos::ChaosSpec spec;
+  spec.throw_on_trial = 1;
+  spec.nan_on_trial = 4;
+  const TrialBody chaotic = chaos::inject(spec, platform::scenario_body(s));
+  chaos::ChaosSpec throw_only;
+  throw_only.throw_on_trial = 1;
+  const TrialBody throwing =
+      chaos::inject(throw_only, platform::scenario_body(s));
   for (const unsigned threads : {1u, 2u, 3u}) {
     SCOPED_TRACE(threads);
-    const GuardedResult r = platform::run_many(s, 6, threads, tolerant);
+    const GuardedResult r =
+        run_trials_guarded(6, threads, tolerant, chaotic, scenario_seed);
     EXPECT_EQ(r.metrics.trials, 4u);
     EXPECT_EQ(r.metrics.failed_trials, 1u);
     EXPECT_EQ(r.metrics.quarantined_trials, 1u);
@@ -485,7 +506,7 @@ TEST(GuardedScenario, FaultsAreContainedAlikeAtEveryThreadCount) {
     EXPECT_EQ(faults[1].kind, FaultKind::kNonFinite);
 
     try {
-      platform::run_many(s, 6, threads, strict);
+      run_trials_guarded(6, threads, GuardPolicy{}, throwing, scenario_seed);
       FAIL() << "expected CheckFailure";
     } catch (const CheckFailure& e) {
       const std::string what = e.what();
@@ -513,12 +534,11 @@ TEST(GuardedScenario, KillAndResumeMatchesOnDeterministicFields) {
   p.threads = threads;
   p.trials = trials;
   p.every = 2;
-  GuardPolicy killer;
-  killer.chaos.kill_after_checkpoints = 1;
   {
     CheckpointSession doomed(p);
+    doomed.set_after_save(chaos::kill_after_checkpoints(1));
     EXPECT_THROW(
-        platform::run_many(s, trials, threads, killer, nullptr, &doomed),
+        platform::run_many(s, trials, threads, GuardPolicy{}, nullptr, &doomed),
         chaos::ChaosKill);
   }
   p.resume = true;
@@ -566,52 +586,71 @@ TEST(Guarded, TrialTimingRecordedAtEveryThreadCount) {
 }
 
 
-TEST(Chaos, DefaultSpecArmsNothing) {
-  const chaos::ChaosSpec spec;
-  EXPECT_FALSE(spec.any_trial_injector());
-  EXPECT_FALSE(spec.any_process_injector());
-  TrialMetrics m = synthetic_trial(4);
-  for (std::uint64_t t = 0; t < 16; ++t) {
-    EXPECT_NO_THROW(chaos::inject_before_trial(spec, t));
-    chaos::inject_after_trial(spec, t, m);
-  }
-  EXPECT_EQ(m.avg_utility_rit, synthetic_trial(4).avg_utility_rit);
+// The injectors, one trial at a time through the wrapped body.
+TrialMetrics run_wrapped(const TrialBody& body, std::uint64_t t) {
+  core::RitWorkspace ws;
+  std::string phase = "trial";
+  return body(t, ws, &phase);
 }
 
-TEST(Chaos, WithoutProcessInjectorsDisarmsOnlyProcessDeaths) {
-  chaos::ChaosSpec spec;
-  spec.throw_on_trial = 3;
-  spec.fault_rate = 0.25;
-  spec.signal_on_trial = 5;
-  spec.signal_number = 6;
-  spec.oom_on_trial = 6;
-  spec.hang_on_trial = 7;
-  EXPECT_TRUE(spec.any_trial_injector());
-  EXPECT_TRUE(spec.any_process_injector());
-  const chaos::ChaosSpec retry = spec.without_process_injectors();
-  EXPECT_FALSE(retry.any_process_injector());
-  EXPECT_TRUE(retry.any_trial_injector());
-  EXPECT_EQ(retry.throw_on_trial, 3u);
-  EXPECT_EQ(retry.fault_rate, 0.25);
-  EXPECT_EQ(retry.signal_number, 6);
-  // Each process injector alone arms the spec.
-  for (std::uint64_t chaos::ChaosSpec::*field :
-       {&chaos::ChaosSpec::signal_on_trial, &chaos::ChaosSpec::oom_on_trial,
-        &chaos::ChaosSpec::hang_on_trial}) {
-    chaos::ChaosSpec one;
-    one.*field = 0;
-    EXPECT_TRUE(one.any_process_injector());
-    EXPECT_FALSE(one.any_trial_injector());
+TEST(Chaos, DefaultSpecArmsNothing) {
+  const TrialBody body = chaos::inject(chaos::ChaosSpec{}, synthetic_body());
+  core::RitWorkspace ws;
+  for (std::uint64_t t = 0; t < 16; ++t) {
+    std::string phase = "trial";
+    TrialMetrics m;
+    EXPECT_NO_THROW(m = body(t, ws, &phase));
+    EXPECT_EQ(m.avg_utility_rit, synthetic_trial(t).avg_utility_rit);
+    EXPECT_EQ(m.avg_utility_auction, synthetic_trial(t).avg_utility_auction);
+    EXPECT_EQ(phase, "trial");
   }
+}
+
+std::atomic<int> g_raised{0};  // lock-free, so safe in a signal handler
+void count_raise(int) { g_raised.fetch_add(1); }
+
+TEST(Chaos, OnceDirFiresAProcessInjectorOnlyOnce) {
+  // SIGUSR1 with a counting handler stands in for a fatal signal, so each
+  // firing is observable in process.
+  const auto previous = std::signal(SIGUSR1, count_raise);
+  const fs::path dir = scratch("once");
+  chaos::ChaosSpec spec;
+  spec.signal_on_trial = 5;
+  spec.signal_number = SIGUSR1;
+  spec.throw_on_trial = 3;
+  const TrialBody every_attempt = chaos::inject(spec, synthetic_body());
+  spec.once_dir = dir.string();
+  const TrialBody first_attempt = chaos::inject(spec, synthetic_body());
+
+  g_raised.store(0);
+  run_wrapped(every_attempt, 5);
+  run_wrapped(every_attempt, 5);
+  EXPECT_EQ(g_raised.load(), 2);
+  g_raised.store(0);
+  run_wrapped(first_attempt, 4);
+  EXPECT_EQ(g_raised.load(), 0);
+  EXPECT_FALSE(fs::exists(dir / "fired.4"));
+  run_wrapped(first_attempt, 5);
+  EXPECT_EQ(g_raised.load(), 1);
+  EXPECT_TRUE(fs::exists(dir / "fired.5"));
+  // The relaunch finds the marker and runs the trial clean.
+  EXPECT_EQ(run_wrapped(first_attempt, 5).avg_utility_rit,
+            synthetic_trial(5).avg_utility_rit);
+  EXPECT_EQ(g_raised.load(), 1);
+  // Trial injectors fire on every attempt, marker or not.
+  EXPECT_THROW(run_wrapped(first_attempt, 3), std::runtime_error);
+  EXPECT_THROW(run_wrapped(first_attempt, 3), std::runtime_error);
+  std::signal(SIGUSR1, previous);
 }
 
 TEST(Chaos, ThrowFiresOnlyOnItsTrial) {
   chaos::ChaosSpec spec;
   spec.throw_on_trial = 2;
-  EXPECT_NO_THROW(chaos::inject_before_trial(spec, 0));
-  EXPECT_NO_THROW(chaos::inject_before_trial(spec, 1));
-  EXPECT_THROW(chaos::inject_before_trial(spec, 2), std::runtime_error);
-  EXPECT_NO_THROW(chaos::inject_before_trial(spec, 3));
+  const TrialBody body = chaos::inject(spec, synthetic_body());
+  EXPECT_NO_THROW(run_wrapped(body, 0));
+  EXPECT_NO_THROW(run_wrapped(body, 1));
+  EXPECT_THROW(run_wrapped(body, 2), std::runtime_error);
+  EXPECT_NO_THROW(run_wrapped(body, 3));
 }
 
 TEST(Chaos, FaultRateIsAPureFunctionOfSeedAndTrial) {
@@ -619,11 +658,12 @@ TEST(Chaos, FaultRateIsAPureFunctionOfSeedAndTrial) {
     chaos::ChaosSpec spec;
     spec.fault_rate = 0.5;
     spec.seed = seed;
+    const TrialBody body = chaos::inject(spec, synthetic_body());
     std::vector<bool> out;
     for (std::uint64_t t = 0; t < 200; ++t) {
       bool threw = false;
       try {
-        chaos::inject_before_trial(spec, t);
+        run_wrapped(body, t);
       } catch (const std::runtime_error&) {
         threw = true;
       }
@@ -642,11 +682,10 @@ TEST(Chaos, FaultRateIsAPureFunctionOfSeedAndTrial) {
 TEST(Chaos, NanPoisonsOnlyItsTrial) {
   chaos::ChaosSpec spec;
   spec.nan_on_trial = 5;
-  TrialMetrics clean = synthetic_trial(4);
-  chaos::inject_after_trial(spec, 4, clean);
+  const TrialBody body = chaos::inject(spec, synthetic_body());
+  const TrialMetrics clean = run_wrapped(body, 4);
   EXPECT_EQ(clean.avg_utility_rit, synthetic_trial(4).avg_utility_rit);
-  TrialMetrics poisoned = synthetic_trial(5);
-  chaos::inject_after_trial(spec, 5, poisoned);
+  const TrialMetrics poisoned = run_wrapped(body, 5);
   EXPECT_TRUE(std::isnan(poisoned.avg_utility_rit));
   EXPECT_EQ(poisoned.avg_utility_auction,
             synthetic_trial(5).avg_utility_auction);
@@ -654,8 +693,9 @@ TEST(Chaos, NanPoisonsOnlyItsTrial) {
 
 TEST(Chaos, DelayBusyWaitsOnlyOnItsTrial) {
   const auto ms_for = [](const chaos::ChaosSpec& spec, std::uint64_t t) {
+    const TrialBody body = chaos::inject(spec, synthetic_body());
     const auto start = std::chrono::steady_clock::now();
-    chaos::inject_before_trial(spec, t);
+    run_wrapped(body, t);
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)
         .count();

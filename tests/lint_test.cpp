@@ -93,6 +93,8 @@ const FixtureCase kFixtures[] = {
      "boundary_io_num_io_allowed.cpp", "src/core/result_io_scratch.cpp"},
     {"layer-violation", "layer_violation_bad.cpp",
      "layer_violation_allowed.cpp", "src/core/scratch.cpp"},
+    {"layer-violation", "layer_violation_testkit_bad.cpp",
+     "layer_violation_testkit_allowed.cpp", "src/platform/scratch.cpp"},
     {"include-cycle", "include_cycle_bad.h", "include_cycle_allowed.h",
      "src/core/cycle_scratch.h"},
     {"unused-include", "unused_include_bad.cpp",
@@ -130,10 +132,12 @@ TEST(LintFixtures, RuleListCoversEveryFixture) {
   for (const rit::lint::RuleInfo& info : rit::lint::rule_infos()) {
     ids.insert(info.id);
   }
-  EXPECT_EQ(ids.size(), std::size(kFixtures));
+  std::set<std::string> fixture_rules;
   for (const FixtureCase& fc : kFixtures) {
     EXPECT_EQ(ids.count(fc.rule), 1u) << fc.rule;
+    fixture_rules.insert(fc.rule);
   }
+  EXPECT_EQ(fixture_rules, ids);
 }
 
 // --- Lexical machinery -----------------------------------------------------

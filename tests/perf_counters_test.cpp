@@ -10,8 +10,8 @@
 #include "obs/obs.h"
 #include "obs/perf_counters.h"
 #include "obs/trace_export.h"
-#include "sim/chaos.h"
 #include "sim/guarded.h"
+#include "testkit/chaos.h"
 
 namespace rit::obs {
 namespace {
@@ -238,16 +238,18 @@ TEST_F(PerfFixture, FaultKindsSurfaceAsGlobalCounters) {
 
   sim::GuardPolicy policy;
   policy.max_trial_failures = 8;
-  policy.chaos.throw_on_trial = 1;
-  policy.chaos.nan_on_trial = 3;
+  testkit::chaos::ChaosSpec spec;
+  spec.throw_on_trial = 1;
+  spec.nan_on_trial = 3;
   const sim::GuardedResult res = sim::run_trials_guarded(
       6, 2, policy,
-      [](std::uint64_t, core::RitWorkspace&, std::string*) {
-        sim::TrialMetrics m;
-        m.success = true;
-        m.avg_utility_rit = 1.0;
-        return m;
-      });
+      testkit::chaos::inject(
+          spec, [](std::uint64_t, core::RitWorkspace&, std::string*) {
+            sim::TrialMetrics m;
+            m.success = true;
+            m.avg_utility_rit = 1.0;
+            return m;
+          }));
   EXPECT_EQ(res.faults.size(), 2u);
   EXPECT_EQ(res.metrics.failed_trials, 1u);
   EXPECT_EQ(res.metrics.quarantined_trials, 1u);

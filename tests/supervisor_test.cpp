@@ -19,13 +19,13 @@
 #include "common/check.h"
 #include "platform/shard_worker.h"
 #include "platform/supervisor.h"
-#include "sim/chaos.h"
 #include "sim/checkpoint.h"
 #include "sim/fault.h"
 #include "sim/guarded.h"
 #include "sim/metrics.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
+#include "testkit/chaos.h"
 
 // ASan changes two things the death matrix depends on: it installs its own
 // SIGSEGV handler (a raise(SIGSEGV) becomes a plain exit, still a worker
@@ -46,6 +46,7 @@ namespace rit::platform {
 namespace {
 
 namespace fs = std::filesystem;
+namespace chaos = testkit::chaos;
 using sim::AggregateMetrics;
 using sim::FaultKind;
 using sim::GuardedResult;
@@ -113,6 +114,14 @@ sim::CheckpointSession every_trial_session(const fs::path& dir,
   p.trials = trials;
   p.every = 1;
   return sim::CheckpointSession(p);
+}
+
+/// A spec whose process-death injector fires on the first attempt only
+/// (its marker lives in `dir`), so the relaunched shard recovers.
+chaos::ChaosSpec first_attempt_only(const fs::path& dir) {
+  chaos::ChaosSpec spec;
+  spec.once_dir = dir.string();
+  return spec;
 }
 
 /// Ledger entries the supervisor appended for recovered worker deaths.
@@ -274,12 +283,12 @@ TEST(Supervisor, SignalDeathMatrixRecoversBitIdentical) {
 
       sim::CheckpointSession session =
           every_trial_session(dir, shards, trials);
-      GuardPolicy policy;
-      policy.chaos.signal_on_trial = kill_at;
-      policy.chaos.signal_number = sig;
-      const GuardedResult supervised =
-          run_trials_supervised(trials, shards, SupervisorOptions{}, policy,
-                                synthetic_body(), seed_of, &session);
+      chaos::ChaosSpec spec = first_attempt_only(dir);
+      spec.signal_on_trial = kill_at;
+      spec.signal_number = sig;
+      const GuardedResult supervised = run_trials_supervised(
+          trials, shards, SupervisorOptions{}, GuardPolicy{},
+          chaos::inject(spec, synthetic_body()), seed_of, &session);
 
       expect_aggregate_identical(supervised.metrics, reference.metrics);
       const std::vector<TrialFault> deaths = worker_deaths(supervised);
@@ -307,12 +316,12 @@ TEST(Supervisor, DeathAtFirstAndLastTrialRecovers) {
     const GuardedResult reference = sim::run_trials_guarded(
         trials, 2, GuardPolicy{}, synthetic_body(), seed_of);
     sim::CheckpointSession session = every_trial_session(dir, 2, trials);
-    GuardPolicy policy;
-    policy.chaos.signal_on_trial = kill_at;
-    policy.chaos.signal_number = SIGKILL;
-    const GuardedResult supervised =
-        run_trials_supervised(trials, 2, SupervisorOptions{}, policy,
-                              synthetic_body(), seed_of, &session);
+    chaos::ChaosSpec spec = first_attempt_only(dir);
+    spec.signal_on_trial = kill_at;
+    spec.signal_number = SIGKILL;
+    const GuardedResult supervised = run_trials_supervised(
+        trials, 2, SupervisorOptions{}, GuardPolicy{},
+        chaos::inject(spec, synthetic_body()), seed_of, &session);
     expect_aggregate_identical(supervised.metrics, reference.metrics);
     EXPECT_EQ(worker_deaths(supervised).size(), 1u);
   }
@@ -324,11 +333,12 @@ TEST(Supervisor, RetryWorksWithoutDurableState) {
   const std::uint64_t trials = 10;
   const GuardedResult reference = sim::run_trials_guarded(
       trials, 2, GuardPolicy{}, synthetic_body(), seed_of);
-  GuardPolicy policy;
-  policy.chaos.signal_on_trial = 5;
-  policy.chaos.signal_number = SIGKILL;
+  chaos::ChaosSpec spec = first_attempt_only(scratch("no_session"));
+  spec.signal_on_trial = 5;
+  spec.signal_number = SIGKILL;
   const GuardedResult supervised = run_trials_supervised(
-      trials, 2, SupervisorOptions{}, policy, synthetic_body(), seed_of);
+      trials, 2, SupervisorOptions{}, GuardPolicy{},
+      chaos::inject(spec, synthetic_body()), seed_of);
   expect_aggregate_identical(supervised.metrics, reference.metrics);
   EXPECT_EQ(worker_deaths(supervised).size(), 1u);
 }
@@ -344,10 +354,12 @@ TEST(Supervisor, OomUnderRlimitIsAttributedAndRecovered) {
   sim::CheckpointSession session = every_trial_session(dir, 2, trials);
   SupervisorOptions opts;
   opts.shard_mem_mb = 512;
-  GuardPolicy policy;
-  policy.chaos.oom_on_trial = 3;
-  const GuardedResult supervised = run_trials_supervised(
-      trials, 2, opts, policy, synthetic_body(), seed_of, &session);
+  chaos::ChaosSpec spec = first_attempt_only(dir);
+  spec.oom_on_trial = 3;
+  const GuardedResult supervised =
+      run_trials_supervised(trials, 2, opts, GuardPolicy{},
+                            chaos::inject(spec, synthetic_body()), seed_of,
+                            &session);
   expect_aggregate_identical(supervised.metrics, reference.metrics);
   const std::vector<TrialFault> deaths = worker_deaths(supervised);
   ASSERT_EQ(deaths.size(), 1u);
@@ -367,10 +379,12 @@ TEST(Supervisor, HangWatchdogKillsAndRecovers) {
   sim::CheckpointSession session = every_trial_session(dir, 2, trials);
   SupervisorOptions opts;
   opts.heartbeat_timeout_ms = 500;
-  GuardPolicy policy;
-  policy.chaos.hang_on_trial = 3;
-  const GuardedResult supervised = run_trials_supervised(
-      trials, 2, opts, policy, synthetic_body(), seed_of, &session);
+  chaos::ChaosSpec spec = first_attempt_only(dir);
+  spec.hang_on_trial = 3;
+  const GuardedResult supervised =
+      run_trials_supervised(trials, 2, opts, GuardPolicy{},
+                            chaos::inject(spec, synthetic_body()), seed_of,
+                            &session);
   expect_aggregate_identical(supervised.metrics, reference.metrics);
   const std::vector<TrialFault> deaths = worker_deaths(supervised);
   ASSERT_GE(deaths.size(), 1u);
@@ -396,13 +410,13 @@ TEST(Supervisor, QuarantineExhaustionAbortsAndFlushesForensics) {
 
   SupervisorOptions opts;
   opts.shard_retries = 1;
-  GuardPolicy policy;
-  policy.chaos.signal_on_trial = 1;  // shard 1's first trial
-  policy.chaos.signal_number = SIGKILL;
-  policy.chaos.process_chaos_every_attempt = true;  // never recovers
+  chaos::ChaosSpec spec;  // no once_dir: fires on every attempt
+  spec.signal_on_trial = 1;  // shard 1's first trial
+  spec.signal_number = SIGKILL;
 
   try {
-    run_trials_supervised(trials, 2, opts, policy, synthetic_body(), seed_of,
+    run_trials_supervised(trials, 2, opts, GuardPolicy{},
+                          chaos::inject(spec, synthetic_body()), seed_of,
                           &session);
     FAIL() << "quarantine exhaustion must abort with CheckFailure";
   } catch (const rit::CheckFailure& e) {
@@ -447,11 +461,10 @@ TEST(Supervisor, InProcessCheckpointResumesSupervised) {
     p.trials = trials;
     p.every = 2;
     sim::CheckpointSession session(p);
-    GuardPolicy chaos_kill;
-    chaos_kill.chaos.kill_after_checkpoints = 2;
-    EXPECT_THROW(sim::run_trials_guarded(trials, 2, chaos_kill,
+    session.set_after_save(chaos::kill_after_checkpoints(2));
+    EXPECT_THROW(sim::run_trials_guarded(trials, 2, GuardPolicy{},
                                          synthetic_body(), seed_of, &session),
-                 sim::chaos::ChaosKill);
+                 chaos::ChaosKill);
   }
 
   sim::CheckpointSession::Params p;
@@ -494,11 +507,12 @@ TEST(Supervisor, ProgressCountsTheTrialsShardsRestore) {
     sim::CheckpointSession session = every_trial_session(dir, 2, trials);
     SupervisorOptions opts;
     opts.shard_retries = 0;
-    GuardPolicy policy;
-    policy.chaos.signal_on_trial = 7;  // shard 1: trials 1, 3, 5, 7, 9
-    policy.chaos.signal_number = SIGKILL;
-    EXPECT_THROW(run_trials_supervised(trials, 2, opts, policy,
-                                       synthetic_body(), seed_of, &session),
+    chaos::ChaosSpec spec;
+    spec.signal_on_trial = 7;  // shard 1: trials 1, 3, 5, 7, 9
+    spec.signal_number = SIGKILL;
+    EXPECT_THROW(run_trials_supervised(trials, 2, opts, GuardPolicy{},
+                                       chaos::inject(spec, synthetic_body()),
+                                       seed_of, &session),
                  rit::CheckFailure);
   }
   std::uint64_t restored = 0;

@@ -33,7 +33,8 @@
 #                 mid-sweep (the forked shard workers die with it via
 #                 PR_SET_PDEATHSIG), resume it, and require the resumed
 #                 CSV's deterministic columns to byte-match an undisturbed
-#                 reference run — see docs/robustness.md
+#                 reference run and no `sweep.ckpt*.tmp.*` staging file to
+#                 survive the resume — see docs/robustness.md
 #  11. fuzz-smoke pinned-seed differential fuzz budget (iteration-keyed,
 #                 never wall-clock) on the clean mechanism, plus the
 #                 harness self-test: each RIT_TESTKIT_INJECT_BUG variant
@@ -202,6 +203,14 @@ cut -d, -f1,2,7 "$SUP_TMP/resumed/scale.csv" > "$SUP_TMP/resumed.det"
 if ! cmp "$SUP_TMP/ref.det" "$SUP_TMP/resumed.det"; then
   echo "check.sh: resumed supervised sweep diverged from reference" >&2
   diff "$SUP_TMP/ref.det" "$SUP_TMP/resumed.det" >&2 || true
+  exit 1
+fi
+# A save killed mid-write leaves `<file>.tmp.<pid>`; the resumed run must
+# have removed every one of them.
+STALE_TEMPS=$(find "$SUP_TMP" -maxdepth 1 -name 'sweep.ckpt*.tmp.*')
+if [[ -n "$STALE_TEMPS" ]]; then
+  echo "check.sh: stale checkpoint temp files after the resume:" >&2
+  echo "$STALE_TEMPS" >&2
   exit 1
 fi
 

@@ -9,8 +9,8 @@
 //   tier 1: graph, tree
 //   tier 2: core, stats
 //   tier 3: sim, obs
-//   tier 4: attack, baselines, platform, testkit
-//   tier 5: cli, bench, tests, tools, examples
+//   tier 4: attack, baselines, platform
+//   tier 5: cli, bench, testkit, tests, tools, examples
 //
 // Two declared instrumentation edges cut across the tiers: tree -> obs and
 // core -> obs. The span/metrics macros in obs/obs.h compile away under

@@ -215,7 +215,8 @@ const std::vector<TokenRule>& token_rules() {
        "The supervisor (src/platform/) centralizes every one of those "
        "decisions behind run_trials_supervised; a second call site would "
        "re-litigate them unreviewed. std::raise is deliberately not "
-       "listed: sim/chaos.cpp raises signals in-process by design.",
+       "listed: the test fault injectors (testkit/chaos.cpp) raise "
+       "signals in their own process by design.",
        FileClass::kCpp,
        {"fork(", "vfork", "execve", "execv(", "execvp", "execl(", "execlp",
         "execle", "posix_spawn", "waitpid", "wait4(", "waitid", "kill(",
@@ -555,11 +556,13 @@ std::vector<RuleInfo> rule_infos() {
       "layer-violation",
       "an #include whose target module sits above the includer in the "
       "declared layering DAG (common/rng -> graph/tree -> core/stats -> "
-      "sim/obs -> attack/baselines/platform -> cli/bench/tools)",
+      "sim/obs -> attack/baselines/platform -> cli/bench/testkit/tools)",
       "The layering DAG keeps the mechanism core free of sim/IO "
       "dependencies: core must stay a pure function of (config, seed) so "
       "the paper's guarantees are auditable in isolation, and lower "
-      "tiers must stay reusable without dragging the world in. An "
+      "tiers must stay reusable without dragging the world in. testkit "
+      "(oracles, fault injectors) sits in the top tier, so production "
+      "code below it never compiles test machinery in. An "
       "include that reaches *up* the DAG inverts that — fix it by "
       "inverting the dependency or moving the shared code down. Two "
       "declared instrumentation edges (tree -> obs, core -> obs; the obs "
