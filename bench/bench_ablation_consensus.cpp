@@ -18,7 +18,6 @@
 #include "bench_support.h"
 #include "common/parallel.h"
 #include "core/rit.h"
-#include "sim/parallel.h"
 #include "sim/runner.h"
 #include "stats/online_stats.h"
 
@@ -45,8 +44,10 @@ ModeResult run_mode(const sim::Scenario& base, core::PriceMode mode,
     core::RitWorkspace ws;
   };
   std::vector<Worker> workers(rit::resolve_threads(threads, trials));
-  sim::parallel_trials(
-      trials, workers, [&](Worker& wk, std::uint64_t trial) {
+  rit::parallel_for_strided(
+      trials, static_cast<unsigned>(workers.size()),
+      [&](std::uint64_t trial, unsigned w) {
+        Worker& wk = workers[w];
         sim::TrialInstance inst = sim::make_instance(s, trial);
         // The attacker: a cheap high-capacity user.
         const std::uint32_t attacker = 7 % inst.population.size();

@@ -9,7 +9,6 @@
 #include "bench_support.h"
 #include "common/parallel.h"
 #include "graph/metrics.h"
-#include "sim/parallel.h"
 #include "sim/runner.h"
 #include "sim/workload.h"
 #include "stats/online_stats.h"
@@ -38,8 +37,10 @@ int main(int argc, char** argv) {
       stats::OnlineStats tail;  // out-degree max/mean: the hub-iness proxy
     };
     std::vector<Worker> workers(rit::resolve_threads(opts.threads, opts.trials));
-    sim::parallel_trials(
-        opts.trials, workers, [&](Worker& wk, std::uint64_t t) {
+    rit::parallel_for_strided(
+        opts.trials, static_cast<unsigned>(workers.size()),
+        [&](std::uint64_t t, unsigned w) {
+          Worker& wk = workers[w];
           const sim::TrialInstance inst = sim::make_instance(s, t);
           wk.depth.add(static_cast<double>(inst.tree.max_depth()));
           rng::Rng graph_rng(s.trial_seed(t, 0));

@@ -13,7 +13,6 @@
 #include "bench_support.h"
 #include "common/parallel.h"
 #include "core/rit.h"
-#include "sim/parallel.h"
 #include "sim/runner.h"
 #include "stats/online_stats.h"
 
@@ -38,8 +37,10 @@ int main(int argc, char** argv) {
       core::RitWorkspace ws;
     };
     std::vector<Worker> workers(rit::resolve_threads(opts.threads, opts.trials));
-    sim::parallel_trials(
-        opts.trials, workers, [&](Worker& wk, std::uint64_t trial) {
+    rit::parallel_for_strided(
+        opts.trials, static_cast<unsigned>(workers.size()),
+        [&](std::uint64_t trial, unsigned w) {
+          Worker& wk = workers[w];
           const sim::TrialInstance inst = sim::make_instance(s, trial);
           rng::Rng rng(inst.mechanism_seed);
           core::RitResult r;

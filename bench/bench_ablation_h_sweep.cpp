@@ -10,7 +10,6 @@
 #include "bench_support.h"
 #include "common/parallel.h"
 #include "core/rit.h"
-#include "sim/parallel.h"
 #include "sim/runner.h"
 #include "stats/online_stats.h"
 
@@ -48,8 +47,10 @@ int main(int argc, char** argv) {
       core::RitWorkspace ws;
     };
     std::vector<Worker> workers(rit::resolve_threads(opts.threads, opts.trials));
-    sim::parallel_trials(
-        opts.trials, workers, [&](Worker& wk, std::uint64_t t) {
+    rit::parallel_for_strided(
+        opts.trials, static_cast<unsigned>(workers.size()),
+        [&](std::uint64_t t, unsigned w) {
+          Worker& wk = workers[w];
           const sim::TrialInstance inst = sim::make_instance(comp, t);
           rng::Rng rng(inst.mechanism_seed);
           core::RitResult r;

@@ -12,7 +12,6 @@
 #include "common/parallel.h"
 #include "core/rit.h"
 #include "sim/growth.h"
-#include "sim/parallel.h"
 #include "sim/runner.h"
 #include "stats/online_stats.h"
 
@@ -39,8 +38,10 @@ int main(int argc, char** argv) {
       core::RitWorkspace ws;
     };
     std::vector<Worker> workers(rit::resolve_threads(opts.threads, opts.trials));
-    sim::parallel_trials(
-        opts.trials, workers, [&](Worker& wk, std::uint64_t trial) {
+    rit::parallel_for_strided(
+        opts.trials, static_cast<unsigned>(workers.size()),
+        [&](std::uint64_t trial, unsigned w) {
+          Worker& wk = workers[w];
           rng::Rng graph_rng(s.trial_seed(trial, 0));
           rng::Rng pop_rng(s.trial_seed(trial, 1));
           rng::Rng job_rng(s.trial_seed(trial, 2));

@@ -46,9 +46,6 @@ BenchOptions read_flags(int argc, char** argv, const std::string& name,
   read_output_flags(args, opts);
   if (points == Points::kRunPoint) opts.sweep = cli::read_sweep_flags(args);
   opts.perf_counters = args.get_bool("perf-counters", false);
-  if (args.get_bool("json-logs", false)) {
-    log::set_format(log::Format::kJson);
-  }
   // Benches are interactive tools: surface info-level progress (the default
   // sink level is warn, tuned for library use).
   log::set_level(log::Level::kInfo);
@@ -86,8 +83,7 @@ BenchOptions parse_options(int argc, char** argv, const std::string& name,
   }
 
   // Record every span from here on; finish() turns this into the per-phase
-  // breakdown. When the build has RIT_OBS_ENABLED=0 the trace simply stays
-  // empty and finish() reports that instrumentation is compiled out.
+  // breakdown.
   obs::start_tracing();
   // Counter profiling must be armed before any worker thread exists so the
   // inherited run-level set covers them. Unavailability is fine: spans just
@@ -284,11 +280,7 @@ void print_breakdown(std::ostream& out, const std::string& title,
                      const std::vector<obs::PhaseStat>& phases,
                      double wall_ms) {
   if (phases.empty()) {
-    out << "(no spans recorded"
-#if !RIT_OBS_ENABLED
-        << "; observability compiled out (RIT_OBS_ENABLED=0)"
-#endif
-        << ")\n";
+    out << "(no spans recorded)\n";
     return;
   }
   double instrumented_ms = 0.0;

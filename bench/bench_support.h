@@ -43,7 +43,6 @@
 //   --trace       also write the Chrome-trace / Perfetto JSON of every span
 //
 // Observability:
-//   --json-logs         switch rit::log to the structured JSON line format
 //   --perf-counters     sample hardware counters (cycles, instructions,
 //                       cache/branch misses, task-clock) per phase via
 //                       perf_event_open; degrades to absent fields when the

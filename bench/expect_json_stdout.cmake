@@ -4,6 +4,8 @@
 # Pipes `BIN --benchmark_format=json` (one quick benchmark, the summary
 # written under --out=DIR) into a JSON parser: stdout must be
 # google-benchmark's document alone, with the bench's own report on stderr.
+# The summary's "metrics" object must hold exactly the registry's three
+# sections: counters, stats and quantiles.
 file(REMOVE_RECURSE "${DIR}")
 execute_process(
   COMMAND "${BIN}" --benchmark_filter=BM_ConsensusRoundDown
@@ -15,4 +17,14 @@ if(NOT rcs STREQUAL "0;0")
 endif()
 if(NOT err MATCHES "summary: " OR NOT EXISTS "${DIR}/BENCH_micro.json")
   message(FATAL_ERROR "no summary under ${DIR}: ${err}")
+endif()
+execute_process(
+  COMMAND "${PYTHON}" -c "import json,sys
+keys = sorted(json.load(open(sys.argv[1]))['metrics'])
+sys.exit(None if keys == ['counters', 'quantiles', 'stats'] else
+         'metrics keys %s, want counters, quantiles, stats' % keys)"
+    "${DIR}/BENCH_micro.json"
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "${DIR}/BENCH_micro.json: ${err}")
 endif()

@@ -47,7 +47,6 @@ std::vector<SweepPoint> run_sweep(const BenchOptions& opts, Sweep sweep) {
       s.num_users = scaled(kPaperUsersFixed, opts.scale, 100);
       s.tasks_per_type = scaled(x, opts.scale, 10);
     }
-    // Through rit::log (not raw stderr) so --json-logs reshapes these too.
     const log::Field fields[] = {
         {sweep_is_users ? "n" : "m_i", std::to_string(x)},
         {"users", std::to_string(s.num_users)},

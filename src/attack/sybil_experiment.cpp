@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "core/rit.h"
-#include "sim/parallel.h"
 
 namespace rit::attack {
 
@@ -55,8 +54,10 @@ std::vector<SybilSeriesPoint> run_sybil_experiment(
     std::vector<Worker> workers(
         rit::resolve_threads(config.threads, config.trials));
     for (Worker& wk : workers) wk.utility.resize(config.ask_values.size());
-    sim::parallel_trials(
-        config.trials, workers, [&](Worker& wk, std::uint64_t trial) {
+    rit::parallel_for_strided(
+        config.trials, static_cast<unsigned>(workers.size()),
+        [&](std::uint64_t trial, unsigned w) {
+          Worker& wk = workers[w];
           sim::TrialInstance inst = sim::make_instance(scenario, trial);
           const std::uint32_t victim =
               pick_and_upgrade_victim(scenario, inst, config);

@@ -22,7 +22,8 @@ CsvWriter::~CsvWriter() {
   } catch (const std::exception& e) {
     // A destructor must not throw; surface the failure instead of
     // swallowing it silently. Callers that care should close() explicitly.
-    RIT_LOG_ERROR << "CSV write to '" << path_ << "' failed: " << e.what();
+    log::emit(log::Level::kError,
+              "CSV write to '" + path_ + "' failed: " + e.what());
   }
 }
 

@@ -1,17 +1,13 @@
 #include "common/log.h"
 
-#include <chrono>
-#include <cstdint>
+#include <atomic>
 #include <cstdio>
 #include <mutex>
-
-#include "common/format_util.h"
 
 namespace rit::log {
 
 namespace {
 std::atomic<int> g_level{static_cast<int>(Level::kWarn)};
-std::atomic<int> g_format{static_cast<int>(Format::kText)};
 std::mutex g_emit_mutex;
 
 const char* tag(Level lv) {
@@ -30,36 +26,11 @@ const char* tag(Level lv) {
   return "?????";
 }
 
-const char* json_level(Level lv) {
-  switch (lv) {
-    case Level::kDebug:
-      return "debug";
-    case Level::kInfo:
-      return "info";
-    case Level::kWarn:
-      return "warn";
-    case Level::kError:
-      return "error";
-    case Level::kOff:
-      return "off";
-  }
-  return "unknown";
-}
-
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 }  // namespace
 
 void set_level(Level level) { g_level.store(static_cast<int>(level)); }
 
 Level level() { return static_cast<Level>(g_level.load()); }
-
-void set_format(Format format) { g_format.store(static_cast<int>(format)); }
-
-Format format() { return static_cast<Format>(g_format.load()); }
 
 void emit(Level lv, std::string_view message) {
   emit(lv, message, std::span<const Field>{});
@@ -68,21 +39,9 @@ void emit(Level lv, std::string_view message) {
 void emit(Level lv, std::string_view message, std::span<const Field> fields) {
   if (static_cast<int>(lv) < g_level.load()) return;
   std::lock_guard<std::mutex> lock(g_emit_mutex);
-  if (format() == Format::kJson) {
-    std::string line = "{\"ts_ms\":" + std::to_string(now_ms()) +
-                       ",\"level\":\"" + json_level(lv) + "\",\"msg\":\"" +
-                       json_escape(message) + "\"";
-    for (const Field& f : fields) {
-      line += ",\"" + json_escape(f.key) + "\":\"" + json_escape(f.value) +
-              "\"";
-    }
-    line += "}";
-    std::fprintf(stderr, "%s\n", line.c_str());
-  } else {
-    std::string line(message);
-    for (const Field& f : fields) line += " " + f.key + "=" + f.value;
-    std::fprintf(stderr, "[%s] %s\n", tag(lv), line.c_str());
-  }
+  std::string line(message);
+  for (const Field& f : fields) line += " " + f.key + "=" + f.value;
+  std::fprintf(stderr, "[%s] %s\n", tag(lv), line.c_str());
 }
 
 }  // namespace rit::log

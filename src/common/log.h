@@ -3,16 +3,10 @@
 // The library itself logs nothing at Info by default; benches and examples
 // raise the level for progress reporting. A global level (atomic) keeps the
 // interface trivial — this is a single-process simulator, not a service.
-//
-// Two output formats, selectable at runtime with set_format():
-//  * kText (default): the historical "[LEVEL] message k=v" stderr lines;
-//  * kJson: one JSON object per line with "ts_ms", "level", "msg" and any
-//    structured fields — for log shippers and machine post-processing.
+// Each emitted line goes to stderr as "[LEVEL] message k=v ...".
 #pragma once
 
-#include <atomic>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -20,15 +14,9 @@ namespace rit::log {
 
 enum class Level : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-enum class Format : int { kText = 0, kJson = 1 };
-
 /// Sets the minimum level that will be emitted. Thread-safe.
 void set_level(Level level);
 Level level();
-
-/// Selects the stderr line format (text by default). Thread-safe.
-void set_format(Format format);
-Format format();
 
 /// A structured key=value payload attached to a log line.
 struct Field {
@@ -39,48 +27,8 @@ struct Field {
 /// Emits `message` to stderr with a level tag if `level` is enabled.
 void emit(Level level, std::string_view message);
 
-/// Same, with structured fields: rendered as trailing `key=value` pairs in
-/// text mode and as additional JSON string properties in JSON mode.
+/// Same, with structured fields rendered as trailing `key=value` pairs.
 void emit(Level level, std::string_view message,
           std::span<const Field> fields);
 
-namespace detail {
-class LineStream {
- public:
-  explicit LineStream(Level lv) : level_(lv) {}
-  LineStream(const LineStream&) = delete;
-  LineStream& operator=(const LineStream&) = delete;
-  ~LineStream() { emit(level_, os_.str()); }
-  template <typename T>
-  LineStream& operator<<(const T& v) {
-    os_ << v;
-    return *this;
-  }
-
- private:
-  Level level_;
-  std::ostringstream os_;
-};
-
-// Swallows the LineStream expression so both arms of the RIT_LOG ternary
-// have type void. operator& binds looser than operator<<, so the whole
-// chained message is built before being voided.
-struct Voidify {
-  void operator&(const LineStream&) {}
-};
-}  // namespace detail
-
 }  // namespace rit::log
-
-// Guarded-expression form (the glog idiom): unlike the old `if/else`
-// expansion this is a single expression, so `if (x) RIT_LOG_INFO << "y";
-// else f();` binds the way it reads instead of capturing the `else`.
-#define RIT_LOG(lv)                                                    \
-  (static_cast<int>(lv) < static_cast<int>(::rit::log::level()))       \
-      ? static_cast<void>(0)                                           \
-      : ::rit::log::detail::Voidify() & ::rit::log::detail::LineStream(lv)
-
-#define RIT_LOG_DEBUG RIT_LOG(::rit::log::Level::kDebug)
-#define RIT_LOG_INFO RIT_LOG(::rit::log::Level::kInfo)
-#define RIT_LOG_WARN RIT_LOG(::rit::log::Level::kWarn)
-#define RIT_LOG_ERROR RIT_LOG(::rit::log::Level::kError)

@@ -5,8 +5,10 @@
 // work stealing, so which worker ran which item is a pure function of
 // (items, threads). Callers that keep per-worker accumulators and merge
 // them in worker-index order therefore get results that are independent of
-// scheduling (see sim/parallel.h for the accumulator harness built on
-// top).
+// scheduling. The trial engines on it: the guarded engine (sim/guarded.h),
+// and the own trial loops of seven benches (ablation_consensus, _dropout,
+// _graph, _gridbase, _h_sweep, _supply, related_mechanisms) and of
+// attack::run_sybil_experiment, each indexing one context per worker.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,7 @@
 // Umbrella header for the observability layer: span tracing, Chrome-trace
 // export, and the metrics registry. Instrumented code includes this one
-// header and uses the RIT_TRACE_SPAN / RIT_COUNTER_* macros, all of which
-// compile away when the build defines RIT_OBS_ENABLED=0 (CMake option
-// RIT_OBS_ENABLED, default ON). See docs/observability.md.
+// header and uses the RIT_TRACE_SPAN / RIT_COUNTER_* macros. See
+// docs/observability.md.
 #pragma once
 
 #include "obs/metrics.h"

@@ -12,9 +12,7 @@
 // a copy, so string literals are the intended currency.
 //
 // Recording is off until `start_tracing()`; an idle span costs one relaxed
-// atomic load (measured by BM_SpanIdle in bench_micro). When the build sets
-// RIT_OBS_ENABLED=0 the macro expands to `(void)0` and the instrumentation
-// compiles away entirely.
+// atomic load (measured by BM_TracerIdleSpan in bench_micro).
 //
 // Threading: each thread appends to its own buffer without locks; the global
 // mutex is taken only on thread registration/exit and by collect_trace().
@@ -25,10 +23,6 @@
 #include <atomic>
 #include <cstdint>
 #include <vector>
-
-#ifndef RIT_OBS_ENABLED
-#define RIT_OBS_ENABLED 1
-#endif
 
 namespace rit::obs {
 
@@ -84,8 +78,7 @@ PerfSpanToken perf_span_begin();
 void perf_span_end(const char* name, const PerfSpanToken& token);
 }  // namespace detail
 
-/// RAII span. Prefer the RIT_TRACE_SPAN macro, which compiles away when
-/// observability is disabled.
+/// RAII span. Prefer the RIT_TRACE_SPAN macro, which names the variable.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name)
@@ -119,9 +112,5 @@ class ScopedSpan {
 #define RIT_OBS_CONCAT_INNER(a, b) a##b
 #define RIT_OBS_CONCAT(a, b) RIT_OBS_CONCAT_INNER(a, b)
 
-#if RIT_OBS_ENABLED
 #define RIT_TRACE_SPAN(name) \
   ::rit::obs::ScopedSpan RIT_OBS_CONCAT(rit_obs_span_, __LINE__)(name)
-#else
-#define RIT_TRACE_SPAN(name) static_cast<void>(0)
-#endif

@@ -2,13 +2,13 @@
 // is simply one worker. The sweeps that go through it are the grid points
 // of the figure benches and `ritcs --mode=run` (platform::run_many), each
 // supervised shard worker, and perfbench's paper_sweep. Loops that need
-// neither faults nor checkpoints fan out on sim::parallel_trials instead:
+// neither faults nor checkpoints call rit::parallel_for_strided directly:
 // the own trial loops of seven benches (ablation_consensus, _dropout,
 // _graph, _gridbase, _h_sweep, _supply, related_mechanisms) and
 // attack::run_sybil_experiment.
 //
 // run_trials_guarded() runs trials on the deterministic execution model of
-// sim/parallel.h — strided static partition, per-worker accumulators
+// common/parallel.h — strided static partition, per-worker accumulators
 // merged in worker-index order — and layers on:
 //
 //   * containment — a trial that throws, returns non-finite metrics, or

@@ -1,27 +1,15 @@
-// Parallel trial fan-out for the sweeps and benches.
-//
-// Every trial derives its random streams from (scenario seed, trial index),
-// so trials share nothing and any partition over workers is valid. The
-// helpers here fix the partition (strided, via rit::parallel_for_strided)
-// and the reporting discipline so that every caller gets the same two
-// guarantees:
-//
-//   * determinism — worker w handles trials w, w+T, w+2T, ...; each worker
-//     folds into its own caller-owned context, and the caller merges the
-//     contexts in worker-index order afterwards. The result depends only on
-//     T, never on scheduling.
-//   * throttled, monotone progress — workers funnel completions through one
-//     SharedProgress, which rate-limits like the serial ProgressThrottle
-//     and never reports a smaller count after a larger one.
+// Progress fan-in for the parallel trial engines: workers funnel
+// completions through one SharedProgress, which rate-limits like the serial
+// ProgressThrottle and never reports a smaller count after a larger one.
+// The trial partition itself is rit::parallel_for_strided's
+// (common/parallel.h).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <vector>
 
-#include "common/parallel.h"
 #include "sim/progress.h"
 
 namespace rit::sim {
@@ -59,24 +47,5 @@ class SharedProgress {
   std::uint64_t reported_{0};
   ProgressThrottle throttle_;
 };
-
-/// Runs body(contexts[w], trial) for every trial in [0, trials), strided
-/// across contexts.size() workers. The caller sizes `contexts` — one
-/// per-worker accumulator/workspace bundle, typically via
-/// rit::resolve_threads(threads, trials) — and merges them in index order
-/// afterwards; that merge order is what makes the result deterministic.
-/// With a single context the loop runs inline on the calling thread, which
-/// is bit-for-bit the serial path.
-template <typename Context, typename Body>
-void parallel_trials(std::uint64_t trials, std::vector<Context>& contexts,
-                     Body&& body, const ProgressFn& progress = {}) {
-  SharedProgress shared(progress, trials);
-  rit::parallel_for_strided(
-      trials, static_cast<unsigned>(contexts.size()),
-      [&](std::uint64_t trial, unsigned worker) {
-        body(contexts[worker], trial);
-        shared.tick();
-      });
-}
 
 }  // namespace rit::sim

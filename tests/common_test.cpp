@@ -84,51 +84,14 @@ TEST(Log, LevelGate) {
   const auto prev = log::level();
   log::set_level(log::Level::kError);
   EXPECT_EQ(log::level(), log::Level::kError);
-  // Below-threshold emission is a no-op; nothing observable to assert
-  // beyond "does not crash", which is still worth pinning.
-  RIT_LOG_DEBUG << "suppressed";
-  RIT_LOG_INFO << "suppressed";
-  log::set_level(prev);
-}
-
-// Compile test for the dangling-else hazard: the macro must be usable as the
-// body of an unbraced if inside an outer if/else without capturing the else.
-// With the old `if (...) ; else stream` expansion this refused to compile
-// (-Werror=dangling-else) and, worse, would have bound the else to the
-// macro's hidden if.
-TEST(Log, MacroIsDanglingElseSafe) {
-  const auto prev = log::level();
-  log::set_level(log::Level::kOff);
-  bool else_branch_taken = false;
-  if (false)
-    RIT_LOG_INFO << "then-branch";
-  else
-    else_branch_taken = true;
-  EXPECT_TRUE(else_branch_taken);
-
-  // Also valid as the sole statement of an unbraced loop/if.
-  for (int i = 0; i < 2; ++i) RIT_LOG_DEBUG << "loop body " << i;
-  log::set_level(prev);
-}
-
-TEST(Log, JsonFormatEmitsStructuredLines) {
-  const auto prev_level = log::level();
-  const auto prev_format = log::format();
-  log::set_level(log::Level::kInfo);
-  log::set_format(log::Format::kJson);
+  // Below-threshold emission writes nothing.
   testing::internal::CaptureStderr();
-  const log::Field fields[] = {{"bench", "fig8a"}, {"trials", "3"}};
-  log::emit(log::Level::kWarn, "sweep \"done\"", fields);
-  const std::string line = testing::internal::GetCapturedStderr();
-  log::set_format(prev_format);
-  log::set_level(prev_level);
-
-  EXPECT_NE(line.find("\"level\":\"warn\""), std::string::npos) << line;
-  EXPECT_NE(line.find("\"msg\":\"sweep \\\"done\\\"\""), std::string::npos)
-      << line;
-  EXPECT_NE(line.find("\"bench\":\"fig8a\""), std::string::npos) << line;
-  EXPECT_NE(line.find("\"trials\":\"3\""), std::string::npos) << line;
-  EXPECT_NE(line.find("\"ts_ms\":"), std::string::npos) << line;
+  log::emit(log::Level::kDebug, "suppressed");
+  log::emit(log::Level::kWarn, "suppressed");
+  log::emit(log::Level::kError, "shown");
+  const std::string out = testing::internal::GetCapturedStderr();
+  log::set_level(prev);
+  EXPECT_EQ(out, "[ERROR] shown\n");
 }
 
 TEST(Log, TextFormatKeepsHistoricalShapeAndAppendsFields) {

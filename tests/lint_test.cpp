@@ -439,9 +439,9 @@ TEST(LintLayering, DownwardAndSameTierIncludesAreClean) {
 }
 
 TEST(LintLayering, InstrumentationExceptionsAreDeclaredEdges) {
-  // tree -> obs and core -> obs cut across the tiers by declaration (the
-  // obs macros compile away under RIT_OBS_ENABLED=OFF); sim -> attack has
-  // no such exception and must fire.
+  // tree -> obs and core -> obs cut across the tiers by declaration (obs
+  // depends only on common/stats); sim -> attack has no such exception and
+  // must fire.
   using rit::lint::internal::layering_exception;
   EXPECT_TRUE(layering_exception("tree", "obs"));
   EXPECT_TRUE(layering_exception("core", "obs"));

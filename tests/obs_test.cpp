@@ -3,6 +3,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -11,7 +12,6 @@
 #include "common/check.h"
 #include "obs/obs.h"
 #include "obs/trace_export.h"
-#include "stats/histogram.h"
 #include "stats/online_stats.h"
 
 namespace rit::obs {
@@ -27,11 +27,6 @@ class TracerFixture : public testing::Test {
     set_trace_capacity(std::size_t{1} << 20);
   }
 };
-
-// Tests below exercise the RIT_TRACE_SPAN / RIT_COUNTER_* macros, which are
-// no-ops when the whole build disables observability — obs_off_compile_test
-// covers that configuration's (absence of) behavior instead.
-#if RIT_OBS_ENABLED
 
 TEST_F(TracerFixture, RecordsNestedAndCrossThreadSpans) {
   start_tracing();
@@ -111,8 +106,6 @@ TEST(Metrics, CounterMacroBumpsGlobalRegistry) {
   EXPECT_EQ(Registry::global().counter("test.macro_counter").value(),
             before + 5);
 }
-
-#endif  // RIT_OBS_ENABLED
 
 std::vector<TraceEvent> golden_events() {
   return {
@@ -203,42 +196,25 @@ TEST(Metrics, SnapshotReflectsEveryInstrumentKind) {
   Registry r;
   r.counter("test.count").add(3);
   r.counter("test.count").add(2);
-  r.gauge("test.gauge").set(1.5);
   r.stat("test.stat").observe(2.0);
   r.stat("test.stat").observe(4.0);
-  r.histogram("test.histo", 0.0, 10.0, 5).observe(3.0);
-  r.histogram("test.histo", 0.0, 10.0, 5).observe(7.0);
+  r.reservoir("test.samples").observe(0, 3.0);
+  r.reservoir("test.samples").observe(5, 7.0);
 
   const MetricsSnapshot s = r.snapshot();
   EXPECT_EQ(s.counters.at("test.count"), 5u);
-  EXPECT_DOUBLE_EQ(s.gauges.at("test.gauge"), 1.5);
   EXPECT_EQ(s.stats.at("test.stat").count(), 2u);
   EXPECT_DOUBLE_EQ(s.stats.at("test.stat").mean(), 3.0);
-  EXPECT_EQ(s.histograms.at("test.histo").count(), 2u);
-  EXPECT_EQ(s.histograms.at("test.histo").bucket(1), 1u);  // 3.0
-  EXPECT_EQ(s.histograms.at("test.histo").bucket(3), 1u);  // 7.0
+  const std::map<std::uint64_t, double> expect_samples = {{0, 3.0},
+                                                          {5, 7.0}};
+  EXPECT_EQ(s.reservoirs.at("test.samples"), expect_samples);
 }
 
-TEST(Metrics, HistogramShapeIsFixedByFirstRegistration) {
+TEST(Metrics, ReservoirCapacityIsFixedByFirstRegistration) {
   Registry r;
-  r.histogram("test.histo", 0.0, 10.0, 5);
-  EXPECT_THROW(r.histogram("test.histo", 0.0, 10.0, 6), CheckFailure);
-}
-
-TEST(Metrics, UnsetGaugeDoesNotOverwriteOnMerge) {
-  Registry set_one;
-  set_one.gauge("test.gauge").set(7.0);
-  MetricsSnapshot merged = set_one.snapshot();
-
-  Registry idle;
-  idle.gauge("test.gauge");  // registered but never set
-  merged.merge(idle.snapshot());
-  EXPECT_DOUBLE_EQ(merged.gauges.at("test.gauge"), 7.0);
-
-  Registry overwrite;
-  overwrite.gauge("test.gauge").set(9.0);
-  merged.merge(overwrite.snapshot());
-  EXPECT_DOUBLE_EQ(merged.gauges.at("test.gauge"), 9.0);
+  r.reservoir("test.samples", 8);
+  EXPECT_NO_THROW(r.reservoir("test.samples", 8));
+  EXPECT_THROW(r.reservoir("test.samples", 9), CheckFailure);
 }
 
 double trial_value(std::uint64_t t) {
@@ -249,7 +225,7 @@ double trial_value(std::uint64_t t) {
 void feed(Registry& r, std::uint64_t trial) {
   r.counter("sim.trials_run").add(1);
   r.stat("sim.trial_ms").observe(trial_value(trial));
-  r.histogram("sim.trial_hist", -10.0, 15.0, 10).observe(trial_value(trial));
+  r.reservoir("sim.trial_samples").observe(trial, trial_value(trial));
 }
 
 MetricsSnapshot strided_parallel_merge(std::uint64_t trials,
@@ -296,16 +272,12 @@ TEST(Metrics, CrossThreadMergeIsDeterministicAndMatchesSerial) {
   EXPECT_EQ(a.stats.at("sim.trial_ms").variance(),
             c.stats.at("sim.trial_ms").variance());
 
-  // Agreement with the fully-serial feed: counters and histogram buckets are
-  // exact; Welford moments agree to rounding.
+  // Agreement with the fully-serial feed: counters and reservoir samples
+  // are exact; Welford moments agree to rounding.
   EXPECT_EQ(a.counters.at("sim.trials_run"),
             expect.counters.at("sim.trials_run"));
-  const stats::Histogram& ha = a.histograms.at("sim.trial_hist");
-  const stats::Histogram& he = expect.histograms.at("sim.trial_hist");
-  ASSERT_EQ(ha.bucket_count(), he.bucket_count());
-  for (std::size_t i = 0; i < ha.bucket_count(); ++i) {
-    EXPECT_EQ(ha.bucket(i), he.bucket(i)) << "bucket " << i;
-  }
+  EXPECT_EQ(a.reservoirs.at("sim.trial_samples"),
+            expect.reservoirs.at("sim.trial_samples"));
   EXPECT_EQ(a.stats.at("sim.trial_ms").count(),
             expect.stats.at("sim.trial_ms").count());
   EXPECT_NEAR(a.stats.at("sim.trial_ms").mean(),
@@ -326,7 +298,7 @@ TEST(Metrics, AbsorbFoldsSnapshotIntoLiveRegistry) {
   const MetricsSnapshot s = target.snapshot();
   EXPECT_EQ(s.counters.at("sim.trials_run"), 12u);
   EXPECT_EQ(s.stats.at("sim.trial_ms").count(), 2u);
-  EXPECT_EQ(s.histograms.at("sim.trial_hist").count(), 2u);
+  EXPECT_EQ(s.reservoirs.at("sim.trial_samples").size(), 2u);
 }
 
 TEST(Metrics, ResetDropsEverything) {
@@ -399,16 +371,17 @@ TEST(Metrics, ToJsonRendersQuantilesFromReservoir) {
 TEST(Metrics, ToJsonRendersEverySection) {
   Registry r;
   r.counter("test.count").add(2);
-  r.gauge("test.gauge").set(0.5);
   r.stat("test.stat").observe(1.0);
-  r.histogram("test.histo", 0.0, 1.0, 2).observe(0.25);
+  r.reservoir("test.samples").observe(0, 0.25);
   const std::string json = r.snapshot().to_json();
   EXPECT_NE(json.find("\"test.count\": 2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"test.gauge\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"test.stat\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"test.histo\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"test.samples\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"count\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"mean\""), std::string::npos) << json;
+  EXPECT_EQ(MetricsSnapshot{}.to_json(),
+            "{\n  \"counters\": {},\n  \"stats\": {},\n"
+            "  \"quantiles\": {}\n}\n");
 }
 
 }  // namespace

@@ -403,39 +403,6 @@ TEST(Runner, ParallelHandlesEdgeThreadCounts) {
   EXPECT_EQ(zero.trials, 0u);
 }
 
-TEST(ParallelTrials, EachTrialRunsOnceInItsStrideWorkersContext) {
-  for (const unsigned workers : {1u, 3u}) {
-    SCOPED_TRACE(workers);
-    std::vector<std::vector<std::uint64_t>> contexts(workers);
-    parallel_trials(10, contexts,
-                    [](std::vector<std::uint64_t>& seen, std::uint64_t t) {
-                      seen.push_back(t);
-                    });
-    for (unsigned w = 0; w < workers; ++w) {
-      std::vector<std::uint64_t> expected;
-      for (std::uint64_t t = w; t < 10; t += workers) expected.push_back(t);
-      EXPECT_EQ(contexts[w], expected) << "worker " << w;
-    }
-  }
-}
-
-TEST(ParallelTrials, ProgressIsMonotoneAndEndsAtTheTotal) {
-  std::vector<std::uint64_t> reported;
-  std::vector<int> contexts(2, 0);
-  parallel_trials(
-      9, contexts, [](int& ran, std::uint64_t) { ++ran; },
-      [&reported](std::uint64_t done, std::uint64_t total) {
-        EXPECT_EQ(total, 9u);
-        reported.push_back(done);
-      });
-  EXPECT_EQ(contexts[0] + contexts[1], 9);
-  ASSERT_FALSE(reported.empty());
-  for (std::size_t i = 1; i < reported.size(); ++i) {
-    EXPECT_LT(reported[i - 1], reported[i]);
-  }
-  EXPECT_EQ(reported.back(), 9u);
-}
-
 TEST(SharedProgress, ResumedCountStartsFromTheCursor) {
   std::vector<std::uint64_t> reported;
   SharedProgress progress(

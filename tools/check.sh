@@ -17,31 +17,30 @@
 #   4. lint       rit_lint --root . (explicit, so the finding list prints
 #                 even when invoked outside ctest)
 #   5. tidy       clang-tidy build via -DRIT_TIDY=ON (skipped: no clang-tidy)
-#   6. obs-off    RIT_OBS_ENABLED=OFF compile leg (tracing macros must
-#                 compile away cleanly)
-#   7. tsan       RIT_SANITIZE=thread build + ctest -L parallel (the
+#   6. tsan       RIT_SANITIZE=thread build + ctest -L parallel (the
 #                 parallel sweep runner under TSan)
-#   8. chaos      ctest -L chaos on the main build (fault containment,
+#   7. chaos      ctest -L chaos on the main build (fault containment,
 #                 checkpoint corruption rejection, the kill/resume matrix
 #                 — see docs/robustness.md)
-#   9. asan+ubsan RIT_SANITIZE=address,undefined build (-Werror, like
+#   8. asan+ubsan RIT_SANITIZE=address,undefined build (-Werror, like
 #                 every leg) + full ctest (memory errors and UB in every
 #                 code path the suite reaches, the lint engine and the
 #                 allocation-counting hook included; skipped with a notice
 #                 when the toolchain cannot link the sanitizer runtimes)
-#  10. supervisor-smoke  SIGKILL a supervised, checkpointed bench_scale
+#   9. supervisor-smoke  SIGKILL a supervised, checkpointed bench_scale
 #                 mid-sweep (the forked shard workers die with it via
 #                 PR_SET_PDEATHSIG), resume it, and require the resumed
 #                 CSV's deterministic columns to byte-match an undisturbed
 #                 reference run and no `sweep.ckpt*.tmp.*` staging file to
-#                 survive the resume — see docs/robustness.md
-#  11. fuzz-smoke pinned-seed differential fuzz budget (iteration-keyed,
+#                 survive the resume; a kill that lands after the sweep
+#                 finished fails the leg — see docs/robustness.md
+#  10. fuzz-smoke pinned-seed differential fuzz budget (iteration-keyed,
 #                 never wall-clock) on the clean mechanism, plus the
 #                 harness self-test: each RIT_TESTKIT_INJECT_BUG variant
 #                 (ritcs-fuzz-bug1..3) must catch its planted bug inside
 #                 the same budget, and the committed golden repro must
 #                 replay both ways — see docs/testing.md
-#  12. stream-identity smoke  the repo benchmark's paper_sweep and
+#  11. stream-identity smoke  the repo benchmark's paper_sweep and
 #                 tight_market workloads for one second at seed 1
 #                 (perfbench/run.py builds its own binary; every trial
 #                 passes its correctness gate or the run exits 1) must print
@@ -51,7 +50,7 @@
 #                 then tools/trace_coverage.sh runs one traced paper_sweep
 #                 (seed 1) and fails if library spans cover less than 98%
 #                 of traced trial time
-#  13. pinned-CSV smoke  tools/pinned_csvs.sh: the fig6a,
+#  12. pinned-CSV smoke  tools/pinned_csvs.sh: the fig6a,
 #                 ablation_consensus and ablation_graph CSVs at a fixed
 #                 seed must hash to their pinned sha256 at --threads=1 and
 #                 --threads=4, so a refactor that moves an output bit (or
@@ -107,7 +106,7 @@ step "rit_lint (live tree)"
 
 if [[ $FAST -eq 1 ]]; then
   echo
-  echo "check.sh: --fast requested; skipping tidy / obs-off / sanitizer / chaos legs"
+  echo "check.sh: --fast requested; skipping tidy / sanitizer / chaos / smoke legs"
   echo "check.sh: OK"
   exit 0
 fi
@@ -122,25 +121,20 @@ else
        "to enable; config is .clang-tidy at the repo root)"
 fi
 
-# --- 6. observability-off compile leg --------------------------------------
-step "RIT_OBS_ENABLED=OFF compile leg"
-cmake -B "$BUILD_ROOT/obsoff" -S . -DRIT_WERROR=ON -DRIT_OBS_ENABLED=OFF
-cmake --build "$BUILD_ROOT/obsoff" -j "$JOBS"
-
-# --- 7. TSan over the parallel runner --------------------------------------
+# --- 6. TSan over the parallel runner --------------------------------------
 step "TSan build + ctest -L parallel"
 cmake -B "$BUILD_ROOT/tsan" -S . -DRIT_WERROR=ON -DRIT_SANITIZE=thread
 cmake --build "$BUILD_ROOT/tsan" -j "$JOBS"
 ctest --test-dir "$BUILD_ROOT/tsan" -L parallel --output-on-failure -j "$JOBS"
 
-# --- 8. chaos suite, called out by name -------------------------------------
+# --- 7. chaos suite, called out by name -------------------------------------
 # Already part of leg 3's full run; repeated under its label so a failure in
 # the robustness machinery is unmissable in the gate output.
 step "ctest -L chaos (fault injection + kill/resume matrix)"
 ctest --test-dir "$BUILD_ROOT/main" -L chaos --output-on-failure -j "$JOBS"
 
-# --- 9. ASan+UBSan over the full suite --------------------------------------
-# TSan (leg 7) covers data races but is incompatible with ASan, so the
+# --- 8. ASan+UBSan over the full suite --------------------------------------
+# TSan (leg 6) covers data races but is incompatible with ASan, so the
 # memory/UB leg is a separate build tree. Probe first: some toolchains
 # (minimal containers, odd cross setups) compile -fsanitize=address but
 # cannot link the runtime, and a missing runtime should skip the leg with
@@ -162,30 +156,30 @@ else
        "— leg skipped (install the compiler's sanitizer runtimes to enable)"
 fi
 
-# --- 10. supervisor smoke: SIGKILL a supervised sweep, resume, compare ------
+# --- 9. supervisor smoke: SIGKILL a supervised sweep, resume, compare ------
 # The process-isolation path end to end, outside any test harness: a
 # supervised bench_scale run is SIGKILLed mid-sweep (taking its forked
 # shard workers with it via PR_SET_PDEATHSIG), then resumed from the shard
 # checkpoints. The deterministic CSV columns (users, tasks_per_type,
 # success_rate) must byte-match an undisturbed reference; the runtime
-# columns are wall clock and legitimately differ.
+# columns are wall clock and legitimately differ. At --scale=10 the ladder
+# climbs to one million users and runs for about a second, while the first
+# shard cut lands within the first rung, so the kill lands mid-sweep.
 step "supervisor smoke (kill -9 a supervised sweep, resume, compare)"
 SUP_TMP="$CHECK_TMP/supervisor"
 mkdir -p "$SUP_TMP"
 "$BUILD_ROOT/main/bench/bench_scale" \
-  --trials=4 --scale=1000 --supervised --threads=2 \
+  --trials=4 --scale=10 --supervised --threads=2 \
   --out="$SUP_TMP/ref" --perf-counters=true \
   > "$SUP_TMP/ref.log"
 "$BUILD_ROOT/main/bench/bench_scale" \
-  --trials=4 --scale=1000 --supervised --threads=2 \
+  --trials=4 --scale=10 --supervised --threads=2 \
   --checkpoint="$SUP_TMP/sweep.ckpt" --checkpoint-every=1 \
   --out="$SUP_TMP/killed" --perf-counters=true \
   > "$SUP_TMP/killed.log" 2>&1 &
 SUP_PID=$!
 # Wait for a shard checkpoint to exist (a point is in flight), then kill
-# the whole supervised run the hard way. If the run won the race and
-# already finished, the kill is a no-op and the resume below is one too —
-# the comparison holds either way.
+# the whole supervised run the hard way.
 for _ in $(seq 1 400); do
   [[ -e "$SUP_TMP/sweep.ckpt.shard0" ]] && break
   kill -0 "$SUP_PID" 2> /dev/null || break
@@ -193,8 +187,16 @@ for _ in $(seq 1 400); do
 done
 kill -9 "$SUP_PID" 2> /dev/null || true
 wait "$SUP_PID" 2> /dev/null || true
+# A run that printed its summary had finished before the kill: the resume
+# below would then replay a complete session and test nothing.
+if grep -q '^summary: ' "$SUP_TMP/killed.log"; then
+  echo "check.sh: the kill landed after the supervised sweep finished," \
+       "so nothing was resumed; the killed run's last lines:" >&2
+  tail -n 3 "$SUP_TMP/killed.log" >&2
+  exit 1
+fi
 "$BUILD_ROOT/main/bench/bench_scale" \
-  --trials=4 --scale=1000 --supervised --threads=2 \
+  --trials=4 --scale=10 --supervised --threads=2 \
   --checkpoint="$SUP_TMP/sweep.ckpt" --checkpoint-every=1 --resume=true \
   --out="$SUP_TMP/resumed" --perf-counters=true \
   > "$SUP_TMP/resumed.log"
@@ -214,7 +216,7 @@ if [[ -n "$STALE_TEMPS" ]]; then
   exit 1
 fi
 
-# --- 11. fuzz smoke: differential fuzzer + planted-bug self-test -------------
+# --- 10. fuzz smoke: differential fuzzer + planted-bug self-test -------------
 # Already part of leg 3's full run (ctest -L fuzz); repeated by name, with
 # a larger clean budget, so a decayed harness (a planted bug no longer
 # caught, a nondeterministic corpus) is unmissable in the gate output.
@@ -236,7 +238,7 @@ done
 "$BUILD_ROOT/main/tools/ritcs-fuzz-bug2" --expect-repro=true \
   --repro="$ROOT/tests/golden/fuzz_repro_bug2.ritcase"
 
-# --- 12. stream identity: pinned digest of a paper_sweep set-up instance ----
+# --- 11. stream identity: pinned digest of a paper_sweep set-up instance ----
 # The digest hashes the allocation and payments of one generated instance
 # (graph, forest, population, mechanism run), so it moves whenever any
 # layer's output or the random stream does. It is pinned for GCC builds;
@@ -259,7 +261,7 @@ for pinned in paper_sweep:f9ec0e50bb7b9c8f tight_market:802c6025883f6e5d; do
 done
 tools/trace_coverage.sh
 
-# --- 13. pinned-seed bench CSVs: byte-identical at one worker and four ----
+# --- 12. pinned-seed bench CSVs: byte-identical at one worker and four ----
 step "pinned-CSV smoke (fig6a + ablation_consensus + ablation_graph at --threads=1,4)"
 tools/pinned_csvs.sh "$BUILD_ROOT/main/bench"
 

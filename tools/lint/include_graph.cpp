@@ -26,9 +26,8 @@ const ModuleLayer kLayers[] = {
     {"testkit", 5},  {"tests", 5},    {"tools", 5},
 };
 
-// Declared cross-tier edges: instrumentation via the obs macro facade,
-// which compiles away under RIT_OBS_ENABLED=OFF and depends only on
-// common/stats — the graph stays a DAG.
+// Declared cross-tier edges: instrumentation via the obs macro facade.
+// obs depends only on common/stats, so the graph stays a DAG.
 const std::pair<const char*, const char*> kLayeringExceptions[] = {
     {"tree", "obs"},
     {"core", "obs"},

@@ -13,10 +13,9 @@
 //   tier 5: cli, bench, testkit, tests, tools, examples
 //
 // Two declared instrumentation edges cut across the tiers: tree -> obs and
-// core -> obs. The span/metrics macros in obs/obs.h compile away under
-// RIT_OBS_ENABLED=OFF and obs depends only on tiers <= 2, so the edges
-// keep the graph acyclic; they are data here (kLayeringExceptions), not
-// holes in the rule.
+// core -> obs. obs depends only on common/stats (tiers <= 2), so the
+// edges keep the graph acyclic; they are data here (kLayeringExceptions),
+// not holes in the rule.
 //
 // Rules implemented on the graph:
 //   layer-violation  an include whose target module sits in a higher tier

@@ -565,9 +565,9 @@ std::vector<RuleInfo> rule_infos() {
       "code below it never compiles test machinery in. An "
       "include that reaches *up* the DAG inverts that — fix it by "
       "inverting the dependency or moving the shared code down. Two "
-      "declared instrumentation edges (tree -> obs, core -> obs; the obs "
-      "macros compile away under RIT_OBS_ENABLED=OFF) are part of the "
-      "declared DAG, not violations of it."});
+      "declared instrumentation edges (tree -> obs, core -> obs; obs "
+      "depends only on common/stats) are part of the declared DAG, not "
+      "violations of it."});
   infos.push_back(RuleInfo{
       "include-cycle",
       "a strongly connected component in the #include graph — headers in "
