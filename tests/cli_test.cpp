@@ -9,6 +9,7 @@
 #include "cli/csv.h"
 #include "cli/table.h"
 #include "common/check.h"
+#include "common/log.h"
 
 namespace rit::cli {
 namespace {
@@ -148,6 +149,28 @@ TEST(Csv, UnwritablePathThrowsOnClose) {
   w.add_row({"1"});
   EXPECT_THROW(w.close(), CheckFailure);
   std::remove(blocker.c_str());
+}
+
+TEST(Csv, DestructorReportsAFailedCloseAsOneErrorLine) {
+  // A writer left to its destructor cannot throw; the failed commit must
+  // still surface as one [ERROR] log line naming the path.
+  const std::string blocker = ::testing::TempDir() + "/ritcs_cli_blocker2";
+  std::filesystem::remove_all(blocker);
+  { std::ofstream out(blocker); }
+  const std::string path = blocker + "/x.csv";
+  const auto prev = log::level();
+  log::set_level(log::Level::kWarn);
+  testing::internal::CaptureStderr();
+  {
+    CsvWriter w(path, {"a"});
+    w.add_row({"1"});
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  log::set_level(prev);
+  std::remove(blocker.c_str());
+  const std::string head = "[ERROR] CSV write to '" + path + "' failed: ";
+  EXPECT_EQ(err.rfind(head, 0), 0u) << err;
+  EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
 }
 
 TEST(Csv, CloseIsIdempotentAndRejectsLateRows) {

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -103,6 +105,47 @@ TEST(Log, TextFormatKeepsHistoricalShapeAndAppendsFields) {
   const std::string line = testing::internal::GetCapturedStderr();
   log::set_level(prev_level);
   EXPECT_EQ(line, "[INFO ] hello k=v\n");
+}
+
+TEST(Log, ConcurrentEmitsNeverInterleaveWithinALine) {
+  // Parallel sweep workers log from several threads at once; every emitted
+  // line must reach stderr whole.
+  const auto prev_level = log::level();
+  log::set_level(log::Level::kInfo);
+  constexpr unsigned kThreads = 4;
+  constexpr int kLines = 50;
+  testing::internal::CaptureStderr();
+  std::vector<std::thread> threads;
+  for (unsigned w = 0; w < kThreads; ++w) {
+    threads.emplace_back([w] {
+      const log::Field fields[] = {{"worker", std::to_string(w)},
+                                   {"pad", std::string(64, 'x')}};
+      for (int i = 0; i < kLines; ++i) {
+        log::emit(log::Level::kInfo, "tick", fields);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::string out = testing::internal::GetCapturedStderr();
+  log::set_level(prev_level);
+
+  std::vector<int> per_worker(kThreads, 0);
+  std::istringstream lines(out);
+  std::string line;
+  while (std::getline(lines, line)) {
+    bool matched = false;
+    for (unsigned w = 0; w < kThreads; ++w) {
+      if (line == "[INFO ] tick worker=" + std::to_string(w) + " pad=" +
+                      std::string(64, 'x')) {
+        ++per_worker[w];
+        matched = true;
+      }
+    }
+    EXPECT_TRUE(matched) << line;
+  }
+  for (unsigned w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(per_worker[w], kLines) << "worker " << w;
+  }
 }
 
 TEST(Parallel, ResolveThreadsClampsToItemsAndFloorsAtOne) {

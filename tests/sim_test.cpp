@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "core/rit.h"
 #include "rng/rng.h"
 #include "platform/supervisor.h"
@@ -401,6 +402,46 @@ TEST(Runner, ParallelHandlesEdgeThreadCounts) {
   EXPECT_EQ(more_threads_than_trials.trials, 2u);
   const AggregateMetrics zero = sweep(s, 0, 4);
   EXPECT_EQ(zero.trials, 0u);
+}
+
+// The trial fan-out every parallel engine uses: one context per worker,
+// indexed by the stride's worker id, so trial t always lands in
+// workers[t % T] and each worker sees its trials in ascending order.
+TEST(ParallelTrials, EachTrialRunsOnceInItsStrideWorkersContext) {
+  for (const unsigned workers : {1u, 3u}) {
+    SCOPED_TRACE(workers);
+    std::vector<std::vector<std::uint64_t>> contexts(workers);
+    rit::parallel_for_strided(
+        10, static_cast<unsigned>(contexts.size()),
+        [&contexts](std::uint64_t t, unsigned w) { contexts[w].push_back(t); });
+    for (unsigned w = 0; w < workers; ++w) {
+      std::vector<std::uint64_t> expected;
+      for (std::uint64_t t = w; t < 10; t += workers) expected.push_back(t);
+      EXPECT_EQ(contexts[w], expected) << "worker " << w;
+    }
+  }
+}
+
+TEST(ParallelTrials, ProgressIsMonotoneAndEndsAtTheTotal) {
+  std::vector<std::uint64_t> reported;
+  std::vector<int> contexts(2, 0);
+  SharedProgress progress(
+      [&reported](std::uint64_t done, std::uint64_t total) {
+        EXPECT_EQ(total, 9u);
+        reported.push_back(done);
+      },
+      9);
+  rit::parallel_for_strided(9, static_cast<unsigned>(contexts.size()),
+                            [&](std::uint64_t, unsigned w) {
+                              ++contexts[w];
+                              progress.tick();
+                            });
+  EXPECT_EQ(contexts[0] + contexts[1], 9);
+  ASSERT_FALSE(reported.empty());
+  for (std::size_t i = 1; i < reported.size(); ++i) {
+    EXPECT_LT(reported[i - 1], reported[i]);
+  }
+  EXPECT_EQ(reported.back(), 9u);
 }
 
 TEST(SharedProgress, ResumedCountStartsFromTheCursor) {

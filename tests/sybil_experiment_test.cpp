@@ -67,6 +67,32 @@ TEST(SybilExperiment, DeterministicAcrossRuns) {
   }
 }
 
+TEST(SybilExperiment, ThreadCountDoesNotChangeTheSeries) {
+  // Trials fan out over per-worker accumulators that merge in worker
+  // order, so only the last bits of a mean may move with the thread count.
+  SybilExperimentConfig cfg;
+  cfg.victim_capability = 6;
+  cfg.delta_lo = 2;
+  cfg.delta_hi = 3;
+  cfg.trials = 7;
+  cfg.threads = 1;
+  const auto serial = run_sybil_experiment(tiny_scenario(), cfg);
+  cfg.threads = 3;
+  const auto parallel = run_sybil_experiment(tiny_scenario(), cfg);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(parallel[i].identities, serial[i].identities);
+    EXPECT_EQ(parallel[i].honest.count(), cfg.trials);
+    EXPECT_NEAR(parallel[i].honest.mean(), serial[i].honest.mean(), 1e-9);
+    ASSERT_EQ(parallel[i].utility.size(), serial[i].utility.size());
+    for (std::size_t v = 0; v < serial[i].utility.size(); ++v) {
+      EXPECT_EQ(parallel[i].utility[v].count(), cfg.trials);
+      EXPECT_NEAR(parallel[i].utility[v].mean(), serial[i].utility[v].mean(),
+                  1e-9);
+    }
+  }
+}
+
 TEST(SybilExperiment, AttackNeverBeatsHonestByMuch) {
   // The core sybil-proofness read-out at test scale: expected attacker
   // utility stays within statistical slack of the honest reference.
